@@ -21,6 +21,7 @@ from .homogeneity import NOT_TRANSITIVE, homogeneity_verdict
 from .linalg import GaussianRational
 from .serialize import (
     cone_to_json,
+    fraction_from_json,
     fraction_to_str,
     gaussian_to_json,
     load_domain_spec,
@@ -78,7 +79,7 @@ def _domain_from_args(args) -> catalog.DomainId:
         params = [args.alpha, args.beta, args.gamma, args.delta]
         if any(p is None for p in params):
             raise ValidationError(f"{kind} needs --alpha --beta --gamma --delta")
-        values = [Fraction(p) for p in params]
+        values = [fraction_from_json(p) for p in params]
         return catalog.d3(*values) if kind == "d3" else catalog.d4(*values)
     if kind in ("d5", "d6"):
         if not args.v:

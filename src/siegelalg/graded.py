@@ -39,7 +39,7 @@ from .linalg import (
     GaussianRational,
     Matrix,
     Scalar,
-    from_real_rows,
+    sparse_nullspace,
 )
 
 
@@ -73,74 +73,73 @@ class SiegelDomainSpec:
 # linear expressions in real unknowns
 
 class _Lin:
-    """Complex-linear expression in a fixed list of real unknowns."""
+    """Complex-linear expression in real unknowns: ``{unknown index: nonzero coefficient}``."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: list[GaussianRational]) -> None:
-        self.coeffs = coeffs
+    def __init__(self, coeffs: dict[int, GaussianRational] | None = None) -> None:
+        self.coeffs = {} if coeffs is None else coeffs
 
     @staticmethod
-    def zero(n: int) -> "_Lin":
-        return _Lin([GR_ZERO] * n)
+    def real_unknown(idx: int) -> "_Lin":
+        return _Lin({idx: GR_ONE})
 
     @staticmethod
-    def real_unknown(n: int, idx: int) -> "_Lin":
-        coeffs = [GR_ZERO] * n
-        coeffs[idx] = GR_ONE
-        return _Lin(coeffs)
-
-    @staticmethod
-    def complex_unknown(n: int, re_idx: int, im_idx: int) -> "_Lin":
-        coeffs = [GR_ZERO] * n
-        coeffs[re_idx] = GR_ONE
-        coeffs[im_idx] = GR_I
-        return _Lin(coeffs)
+    def complex_unknown(re_idx: int, im_idx: int) -> "_Lin":
+        return _Lin({re_idx: GR_ONE, im_idx: GR_I})
 
     def __add__(self, other: "_Lin") -> "_Lin":
-        return _Lin([a + b for a, b in zip(self.coeffs, other.coeffs)])
+        out = dict(self.coeffs)
+        for j, b in other.coeffs.items():
+            a = out.get(j)
+            if a is None:
+                out[j] = b
+            else:
+                total = a + b
+                if total.is_zero():
+                    del out[j]
+                else:
+                    out[j] = total
+        return _Lin(out)
 
     def __sub__(self, other: "_Lin") -> "_Lin":
-        return _Lin([a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self + _Lin({j: -a for j, a in other.coeffs.items()})
 
     def scaled(self, c: Scalar) -> "_Lin":
         cc = GaussianRational.of(c)
-        return _Lin([a * cc for a in self.coeffs])
+        if cc.is_zero():
+            return _Lin()
+        return _Lin({j: a * cc for j, a in self.coeffs.items()})
 
     def conj(self) -> "_Lin":
         # valid because the unknowns are real
-        return _Lin([a.conjugate() for a in self.coeffs])
+        return _Lin({j: a.conjugate() for j, a in self.coeffs.items()})
 
     def im_part(self) -> "_Lin":
-        return _Lin([GaussianRational(a.im, Fraction(0)) for a in self.coeffs])
+        return _Lin({j: GaussianRational(a.im, Fraction(0)) for j, a in self.coeffs.items() if a.im})
 
 
 class _System:
-    """Homogeneous rational linear system collected row by row."""
+    """Homogeneous real linear system, collected as sparse rows ``{unknown: Fraction}``."""
 
     def __init__(self, nunknowns: int) -> None:
         self.n = nunknowns
-        self.rows: list[list[Fraction]] = []
+        self.rows: list[dict[int, Fraction]] = []
 
     def require_zero(self, expr: _Lin) -> None:
-        self.rows.append([c.re for c in expr.coeffs])
-        self.rows.append([c.im for c in expr.coeffs])
+        self.require_real_zero(expr)
+        self._add_row({j: c.im for j, c in expr.coeffs.items() if c.im})
 
     def require_real_zero(self, expr: _Lin) -> None:
-        self.rows.append([c.re for c in expr.coeffs])
+        self._add_row({j: c.re for j, c in expr.coeffs.items() if c.re})
+
+    def _add_row(self, row: dict[int, Fraction]) -> None:
+        if row:
+            self.rows.append(row)
 
     def solutions(self) -> list[list[Fraction]]:
-        if self.n == 0:
-            return []
-        if not self.rows:
-            basis = []
-            for i in range(self.n):
-                v = [Fraction(0)] * self.n
-                v[i] = Fraction(1)
-                basis.append(v)
-            return basis
-        matrix = from_real_rows(self.rows)
-        return [[x.re for x in v] for v in matrix.nullspace_basis()]
+        """Nullspace basis, one vector per free unknown in index order."""
+        return sparse_nullspace(self.rows, self.n, Fraction(1))
 
 
 def _basis_and_i_multiples(m: int) -> list[list[GaussianRational]]:
@@ -301,12 +300,12 @@ def _emit_association(
         hj = components[j]
         for u in range(m):
             for v in range(m):
-                lhs = _Lin.zero(system.n)
+                lhs = _Lin()
                 for l in range(k):
                     coeff = components[l].entry(u, v)
                     if not coeff.is_zero():
                         lhs = lhs + a_rows[j][l].scaled(coeff)
-                rhs = _Lin.zero(system.n)
+                rhs = _Lin()
                 for t in range(m):
                     c1 = hj.entry(t, v)
                     if not c1.is_zero():
@@ -323,7 +322,7 @@ def _annihilator_rows(
     """Rows forcing a real k x k expression matrix into g(Omega)."""
     k = cone.k
     for functional in cone.annihilators:
-        acc = _Lin.zero(system.n)
+        acc = _Lin()
         for j in range(k):
             for l in range(k):
                 coeff = functional[j * k + l]
@@ -350,18 +349,16 @@ def solve_g0(spec: SiegelDomainSpec) -> G0Solution:
     n_unknowns = gdim + 2 * m * m
     system = _System(n_unknowns)
 
-    a_rows = []
-    for j in range(k):
-        row = []
-        for l in range(k):
-            coeffs = [GR_ZERO] * n_unknowns
-            for p in range(gdim):
-                coeffs[p] = gbasis[p].entry(j, l)
-            row.append(_Lin(coeffs))
-        a_rows.append(row)
+    a_rows = [
+        [
+            _Lin({p: b.entry(j, l) for p, b in enumerate(gbasis) if not b.entry(j, l).is_zero()})
+            for l in range(k)
+        ]
+        for j in range(k)
+    ]
     b_entries = [
         [
-            _Lin.complex_unknown(n_unknowns, gdim + 2 * (u * m + v), gdim + 2 * (u * m + v) + 1)
+            _Lin.complex_unknown(gdim + 2 * (u * m + v), gdim + 2 * (u * m + v) + 1)
             for v in range(m)
         ]
         for u in range(m)
@@ -392,10 +389,10 @@ def solve_L(spec: SiegelDomainSpec) -> LSolution:
     k, m = spec.k, spec.m
     n_unknowns = 2 * m * m
     system = _System(n_unknowns)
-    a_rows = [[_Lin.zero(n_unknowns) for _ in range(k)] for _ in range(k)]
+    a_rows = [[_Lin() for _ in range(k)] for _ in range(k)]
     b_entries = [
         [
-            _Lin.complex_unknown(n_unknowns, 2 * (u * m + v), 2 * (u * m + v) + 1)
+            _Lin.complex_unknown(2 * (u * m + v), 2 * (u * m + v) + 1)
             for v in range(m)
         ]
         for u in range(m)
@@ -437,13 +434,13 @@ def solve_g_half(spec: SiegelDomainSpec) -> GHalfSolution:
     system = _System(n_unknowns)
 
     phi = [
-        [_Lin.complex_unknown(n_unknowns, 2 * (v * k + t), 2 * (v * k + t) + 1) for t in range(k)]
+        [_Lin.complex_unknown(2 * (v * k + t), 2 * (v * k + t) + 1) for t in range(k)]
         for v in range(m)
     ]
 
     def c_lin(l: int, i: int, j: int) -> _Lin:
         base = n_phi + 2 * (l * len(pairs) + pair_index[(min(i, j), max(i, j))])
-        return _Lin.complex_unknown(n_unknowns, base, base + 1)
+        return _Lin.complex_unknown(base, base + 1)
 
     # cone membership of [x -> Im H(w0, Phi x)] for w0 in the coordinate set
     for w0 in _basis_and_i_multiples(m):
@@ -451,7 +448,7 @@ def solve_g_half(spec: SiegelDomainSpec) -> GHalfSolution:
         for j in range(k):
             row = []
             for l in range(k):
-                acc = _Lin.zero(n_unknowns)
+                acc = _Lin()
                 for v in range(m):
                     wc = w0[v].conjugate()
                     if wc.is_zero():
@@ -472,7 +469,7 @@ def solve_g_half(spec: SiegelDomainSpec) -> GHalfSolution:
             [
                 sum(
                     (phi[v][t].conj().scaled(hj.entry(v, l)) for v in range(m)),
-                    _Lin.zero(n_unknowns),
+                    _Lin(),
                 )
                 for l in range(m)
             ]
@@ -481,12 +478,12 @@ def solve_g_half(spec: SiegelDomainSpec) -> GHalfSolution:
         for u in range(m):
             for (i, jp) in pairs:
                 mult = 1 if i == jp else 2
-                lhs = _Lin.zero(n_unknowns)
+                lhs = _Lin()
                 for l in range(m):
                     coeff = hj.entry(u, l)
                     if not coeff.is_zero():
                         lhs = lhs + c_lin(l, i, jp).scaled(coeff * mult)
-                rhs = _Lin.zero(n_unknowns)
+                rhs = _Lin()
                 for t in range(k):
                     ht = components[t]
                     c1 = ht.entry(u, i)
@@ -538,13 +535,11 @@ def solve_g1(spec: SiegelDomainSpec) -> GOneSolution:
     system = _System(n_unknowns)
 
     def a_lin(l: int, i: int, j: int) -> _Lin:
-        return _Lin.real_unknown(
-            n_unknowns, l * len(spairs) + spair_index[(min(i, j), max(i, j))]
-        )
+        return _Lin.real_unknown(l * len(spairs) + spair_index[(min(i, j), max(i, j))])
 
     def b_lin(l: int, t: int, p: int) -> _Lin:
         base = n_a + 2 * (l * k * m + t * m + p)
-        return _Lin.complex_unknown(n_unknowns, base, base + 1)
+        return _Lin.complex_unknown(base, base + 1)
 
     half = Fraction(1, 2)
     for t in range(k):
@@ -559,7 +554,7 @@ def solve_g1(spec: SiegelDomainSpec) -> GOneSolution:
             ]
             _emit_association(system, components, a_rows, b_entries, m)
             # reality of the trace
-            trace = _Lin.zero(n_unknowns)
+            trace = _Lin()
             for l in range(m):
                 trace = trace + b_lin(l, t, l)
             system.require_real_zero(trace.im_part())
@@ -573,7 +568,7 @@ def solve_g1(spec: SiegelDomainSpec) -> GOneSolution:
                 for j in range(k):
                     row = []
                     for t in range(k):
-                        acc = _Lin.zero(n_unknowns)
+                        acc = _Lin()
                         for v in range(m):
                             wc = w1[v].conjugate()
                             if wc.is_zero():
@@ -596,7 +591,7 @@ def solve_g1(spec: SiegelDomainSpec) -> GOneSolution:
             for u in range(m):
                 for v in range(m):
                     for (i, jp) in wpairs:
-                        lhs = _Lin.zero(n_unknowns)
+                        lhs = _Lin()
                         for l in range(m):
                             cjl = hj.entry(u, l)
                             if cjl.is_zero():
@@ -610,7 +605,7 @@ def solve_g1(spec: SiegelDomainSpec) -> GOneSolution:
                                     c2 = ht.entry(v, jp)
                                     if not c2.is_zero():
                                         lhs = lhs + b_lin(l, t, i).scaled(cjl * c2)
-                        rhs = _Lin.zero(n_unknowns)
+                        rhs = _Lin()
                         for l in range(m):
                             for t in range(k):
                                 ht = components[t]

@@ -1,16 +1,19 @@
-"""Exact scalars and dense linear algebra over the Gaussian rationals.
+"""Exact scalars, matrices and sparse Gauss-Jordan elimination.
 
 Every quantity in this package is either a rational number (``fractions.Fraction``)
 or a Gaussian rational (complex number with rational real and imaginary parts).
 No floating point is used anywhere: ranks and nullspace dimensions are the
 answers, so a single rounding error could flip a result.
+
+All elimination goes through ``sparse_rref``, whose rows store only their
+nonzero entries; ``Matrix.rref`` is a dense view of its result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence, TypeVar, Union
 
 from .errors import ValidationError
 
@@ -257,60 +260,110 @@ class Matrix:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValidationError("shape mismatch")
 
+    def _sparse_rows(self) -> list[dict[int, GaussianRational]]:
+        """The rows as ``{column: nonzero entry}``, the input of ``sparse_rref``."""
+        return [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in self.entries]
+
     def rref(self) -> RrefResult:
         """Reduced row echelon form over the exact scalar field.
 
-        Deterministic: columns are scanned left to right and the first row with
-        a nonzero entry (top to bottom) becomes the pivot row.
+        Zero rows are moved to the bottom. The reduced form of a matrix is
+        unique, so the result does not depend on how ``sparse_rref`` picks
+        its pivot rows.
         """
-        rows = [list(r) for r in self.entries]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.ncols):
-            pr = None
-            for i in range(r, self.nrows):
-                if not rows[i][c].is_zero():
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            inv = GR_ONE / rows[r][c]
-            rows[r] = [x * inv for x in rows[r]]
-            for i in range(self.nrows):
-                if i != r and not rows[i][c].is_zero():
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.nrows:
-                break
-        reduced = Matrix(self.nrows, self.ncols, tuple(tuple(row) for row in rows))
-        return RrefResult(reduced, len(pivots), tuple(pivots))
+        reduced, pivots = sparse_rref(self._sparse_rows(), GR_ONE)
+        zero_row = (GR_ZERO,) * self.ncols
+        entries = tuple(
+            tuple(row.get(j, GR_ZERO) for j in range(self.ncols)) for row in reduced
+        ) + (zero_row,) * (self.nrows - len(reduced))
+        return RrefResult(Matrix(self.nrows, self.ncols, entries), len(pivots), tuple(pivots))
 
     def rank(self) -> int:
         return self.rref().rank
 
     def nullspace_basis(self) -> list[tuple[GaussianRational, ...]]:
-        """Deterministic basis of the right kernel.
-
-        Each free column, taken in column order, is set to one in turn; the
-        count always equals ``ncols - rank``.
-        """
-        res = self.rref()
-        pivot_set = set(res.pivots)
-        free_cols = [c for c in range(self.ncols) if c not in pivot_set]
-        basis = []
-        for f in free_cols:
-            v = [GR_ZERO] * self.ncols
-            v[f] = GR_ONE
-            for r_idx, p in enumerate(res.pivots):
-                v[p] = -res.matrix.entries[r_idx][f]
-            basis.append(tuple(v))
-        return basis
+        """Deterministic basis of the right kernel, as in ``sparse_nullspace``."""
+        return [tuple(v) for v in sparse_nullspace(self._sparse_rows(), self.ncols, GR_ONE)]
 
     def __str__(self) -> str:
         return "[" + "; ".join(", ".join(str(x) for x in row) for row in self.entries) + "]"
+
+
+S = TypeVar("S", Fraction, GaussianRational)
+
+
+def sparse_rref(rows: Sequence[dict[int, S]], one: S) -> tuple[list[dict[int, S]], list[int]]:
+    """Exact Gauss-Jordan elimination of sparse rows ``{column: nonzero scalar}``.
+
+    Columns are taken left to right. In each, the shortest remaining row with
+    a nonzero there becomes the pivot row; it is scaled to a leading one and
+    the column is cleared from every other row, above and below. Only
+    nonzeros are stored and updated. Returns the nonzero reduced rows in pivot
+    order with their pivot columns. The input rows are not modified.
+
+    ``one`` is the scalar type's unit. Zeros are recognised as ``one - one``,
+    because a ``GaussianRational`` never compares equal to ``0``.
+    """
+    zero = one - one
+    pending = [dict(row) for row in rows if row]
+    reduced: list[dict[int, S]] = []
+    pivots: list[int] = []
+    for c in sorted(set().union(*pending)):
+        best = -1
+        for i, row in enumerate(pending):
+            if c in row and (best < 0 or len(row) < len(pending[best])):
+                best = i
+        if best < 0:
+            continue
+        prow = pending[best]
+        pending[best] = pending[-1]
+        pending.pop()
+        p = prow[c]
+        if p != one:
+            inv = one / p
+            prow = {j: x * inv for j, x in prow.items()}
+        for row in reduced + pending:
+            f = row.get(c)
+            if f is None:
+                continue
+            for j, x in prow.items():
+                y = row.get(j)
+                if y is None:
+                    row[j] = -(f * x)
+                else:
+                    y = y - f * x
+                    if y == zero:
+                        del row[j]
+                    else:
+                        row[j] = y
+        pending = [row for row in pending if row]
+        reduced.append(prow)
+        pivots.append(c)
+    return reduced, pivots
+
+
+def sparse_nullspace(rows: Sequence[dict[int, S]], ncols: int, one: S) -> list[list[S]]:
+    """Basis of the right kernel of sparse rows over ``ncols`` columns.
+
+    Deterministic: each free column, taken in column order, is set to one in
+    turn and the pivot unknowns are read off the reduced rows. The count
+    always equals ``ncols - rank``.
+    """
+    zero = one - one
+    reduced, pivots = sparse_rref(rows, one)
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = [zero] * ncols
+        v[f] = one
+        for row, p in zip(reduced, pivots):
+            x = row.get(f)
+            if x is not None:
+                v[p] = -x
+        basis.append(v)
+    return basis
 
 
 def stack_rows(matrices: Iterable[Matrix]) -> Matrix:

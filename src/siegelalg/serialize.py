@@ -149,6 +149,13 @@ def spec_to_json(spec: SiegelDomainSpec) -> dict:
     }
 
 
+def _int_field(doc: dict, key: str) -> int:
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
 def load_domain_spec(doc: dict, samples: int = 32, seed: int = 0) -> SiegelDomainSpec:
     """Parse and fully validate a domain document {"n", "k", "cone", "H"}.
 
@@ -161,7 +168,7 @@ def load_domain_spec(doc: dict, samples: int = 32, seed: int = 0) -> SiegelDomai
     missing = {"n", "k", "cone", "H"} - set(doc)
     if missing:
         raise ValidationError(f"domain document missing keys: {sorted(missing)}")
-    n, k = int(doc["n"]), int(doc["k"])
+    n, k = _int_field(doc, "n"), _int_field(doc, "k")
     cone = cone_from_json(doc["cone"])
     family = family_from_json(doc["H"], k, n - k)
     spec = SiegelDomainSpec(n, k, cone, family)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from siegelalg.cli import main
 
 
@@ -55,6 +57,17 @@ class TestDims:
         code, _, err = run_cli(capsys, "dims", "--domain", "d6")
         assert code == 2
         assert "--v" in err
+
+    @pytest.mark.parametrize("domain", ["d3", "d4"])
+    @pytest.mark.parametrize("bad", ["x", "1/0", "1.5.2"])
+    def test_bad_rational_parameter(self, capsys, domain, bad):
+        code, out, err = run_cli(
+            capsys, "dims", "--domain", domain,
+            "--alpha", bad, "--beta", "1", "--gamma", "0", "--delta", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestSpecFile:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from siegelalg import catalog, graded
 from siegelalg.cones import catalog_cone, half_line, in_g_omega
 from siegelalg.errors import ValidationError
 from siegelalg.graded import (
@@ -17,6 +18,7 @@ from siegelalg.graded import (
 )
 from siegelalg.hermitian import HermitianFamily, evaluate
 from siegelalg.linalg import GR_I, GR_ONE, GR_ZERO, Matrix, from_real_rows, gr
+from test_linalg import dense_rref
 
 TWO_I = GR_I + GR_I
 
@@ -328,3 +330,41 @@ class TestGradedDims:
         rescaled = fam(*(t.conj_transpose() @ comp @ t for comp in base.form.components))
         spec = SiegelDomainSpec(5, 2, catalog_cone("omega1"), rescaled)
         assert graded_dims(spec) == graded_dims(base)
+
+
+RESIDUAL_DOMAINS = {
+    "ball3": catalog.ball(3),
+    "ballproduct2_2": catalog.ball_product(2, 2),
+    "d6_110": catalog.d6((1, 1, 0)),
+    "t4": catalog.t4(),
+    "d1_4": catalog.d1(4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESIDUAL_DOMAINS))
+@pytest.mark.parametrize("solver", [solve_g0, solve_L, solve_g_half, solve_g1],
+                         ids=lambda f: f.__name__)
+def test_solutions_satisfy_assembled_rows_exactly(name, solver, monkeypatch):
+    """Every basis vector annihilates every assembled row; the count is n - rank."""
+    systems = []
+    solutions = graded._System.solutions
+
+    def recording(self):
+        basis = solutions(self)
+        systems.append((self.n, list(self.rows), basis))
+        return basis
+
+    monkeypatch.setattr(graded._System, "solutions", recording)
+    spec = catalog.build(RESIDUAL_DOMAINS[name])
+    solver.__wrapped__(spec)
+    assert len(systems) == (0 if solver is solve_g_half and spec.m == 0 else 1)
+    for n, rows, basis in systems:
+        for v in basis:
+            assert len(v) == n
+            for row in rows:
+                assert sum((c * v[j] for j, c in row.items()), Fraction(0)) == 0
+        dense = [[row.get(j, Fraction(0)) for j in range(n)] for row in rows]
+        _, pivots = dense_rref(dense, n, Fraction(1))
+        assert len(basis) == n - len(pivots)
+        _, basis_pivots = dense_rref(basis, n, Fraction(1))
+        assert len(basis_pivots) == len(basis)

@@ -10,11 +10,14 @@ from siegelalg.errors import ValidationError
 from siegelalg.linalg import (
     GR_I,
     GR_ONE,
+    GR_ZERO,
     GaussianRational,
     Matrix,
     from_real_rows,
     gr,
     in_span,
+    sparse_nullspace,
+    sparse_rref,
 )
 
 
@@ -138,6 +141,109 @@ def test_row_permutation_invariance(m, rnd):
 def test_rref_idempotence(m):
     reduced = m.rref().matrix
     assert reduced.rref().matrix == reduced
+
+
+def dense_rref(rows, ncols, one):
+    """Reference Gauss-Jordan on dense rows: the first nonzero row from the top pivots."""
+    zero = one - one
+    rows = [list(row) for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != zero), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = one / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != zero:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+# Mostly zeros, as in the solver systems.
+sparse_fractions = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), small_fractions)
+sparse_gaussians = st.builds(GaussianRational, sparse_fractions, sparse_fractions)
+
+
+@st.composite
+def kernel_inputs(draw, entries, zero):
+    """(ncols, rows) of any shape, including 0 x n and n x 0, with zero and duplicate rows."""
+    ncols = draw(st.integers(min_value=0, max_value=6))
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=6))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        extra = list(draw(st.sampled_from(rows))) if rows and draw(st.booleans()) else [zero] * ncols
+        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), extra)
+    return ncols, rows
+
+
+@st.composite
+def invertible_inputs(draw, entries, one):
+    """(n, rows) of a full-rank n x n matrix: unit lower times invertible upper triangular."""
+    zero = one - one
+    n = draw(st.integers(min_value=1, max_value=5))
+    pivot = entries.filter(lambda x: x != zero)
+    lower = [[one if i == j else draw(entries) if j < i else zero for j in range(n)] for i in range(n)]
+    upper = [[draw(pivot) if i == j else draw(entries) if j > i else zero for j in range(n)]
+             for i in range(n)]
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = zero
+            for t in range(n):
+                acc = acc + lower[i][t] * upper[t][j]
+            row.append(acc)
+        rows.append(row)
+    return n, rows
+
+
+def _check_against_reference(ncols, rows, one):
+    zero = one - one
+    expected, pivots = dense_rref(rows, ncols, one)
+    sparse = [{j: x for j, x in enumerate(row) if x != zero} for row in rows]
+    before = [dict(row) for row in sparse]
+    reduced, got_pivots = sparse_rref(sparse, one)
+    assert sparse == before
+    assert got_pivots == pivots
+    assert [[row.get(j, zero) for j in range(ncols)] for row in reduced] == expected[: len(pivots)]
+    assert all(x != zero for row in reduced for x in row.values())
+    assert len(sparse_nullspace(sparse, ncols, one)) == ncols - len(pivots)
+
+    res = Matrix(
+        len(rows), ncols, tuple(tuple(GaussianRational.of(x) for x in row) for row in rows)
+    ).rref()
+    assert res.rank == len(pivots)
+    assert res.pivots == tuple(pivots)
+    assert res.matrix.entries == tuple(
+        tuple(GaussianRational.of(x) for x in row) for row in expected
+    )
+    return len(pivots)
+
+
+@given(kernel_inputs(sparse_fractions, Fraction(0)))
+@settings(derandomize=True, max_examples=100, deadline=None)
+def test_kernel_matches_dense_reference_rational(case):
+    _check_against_reference(*case, Fraction(1))
+
+
+@given(kernel_inputs(sparse_gaussians, GR_ZERO))
+@settings(derandomize=True, max_examples=100, deadline=None)
+def test_kernel_matches_dense_reference_gaussian(case):
+    _check_against_reference(*case, GR_ONE)
+
+
+@given(st.one_of(
+    invertible_inputs(sparse_fractions, Fraction(1)).map(lambda c: (*c, Fraction(1))),
+    invertible_inputs(sparse_gaussians, GR_ONE).map(lambda c: (*c, GR_ONE)),
+))
+@settings(derandomize=True, max_examples=50, deadline=None)
+def test_kernel_full_rank_square(case):
+    n, rows, one = case
+    assert _check_against_reference(n, rows, one) == n
 
 
 class TestMatrixStructure:

@@ -105,6 +105,15 @@ class TestDomainDocuments:
             load_domain_spec(doc)
         assert "Hermitian" in str(err.value)
 
+    @pytest.mark.parametrize("key", ["n", "k"])
+    @pytest.mark.parametrize("value", [4.9, 3.0, True, "4", None])
+    def test_dimensions_must_be_integers(self, key, value):
+        doc = {"n": 4, "k": 3, "cone": "omega3", "H": [[["1"]], [["1"]], [["0"]]]}
+        doc[key] = value
+        with pytest.raises(ValidationError) as err:
+            load_domain_spec(doc)
+        assert repr(key) in str(err.value)
+
     def test_k_larger_than_n(self):
         doc = {"n": 2, "k": 3, "cone": "omega2", "H": [[], [], []]}
         with pytest.raises(ValidationError):
