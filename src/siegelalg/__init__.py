@@ -38,12 +38,10 @@ from .cones import (
     ConeSpec,
     Region,
     catalog_cone,
-    contains_in_closure,
     in_g_omega,
     isotropy_bound,
-    membership_constraints,
 )
-from .errors import NoCombinationFoundError, ValidationError
+from .errors import ValidationError
 from .fields import (
     PolyVectorField,
     bracket,
@@ -69,7 +67,6 @@ from .graded import (
 from .hermitian import (
     HermitianFamily,
     is_omega_hermitian,
-    positive_definite_combination,
     validate,
 )
 from .homogeneity import (
@@ -101,7 +98,6 @@ __all__ = [
     "LSolution",
     "Matrix",
     "NOT_TRANSITIVE",
-    "NoCombinationFoundError",
     "PolyMatrix",
     "PolyVectorField",
     "Polynomial",
@@ -120,7 +116,6 @@ __all__ = [
     "classify",
     "closed_form_bound",
     "closed_form_sweep",
-    "contains_in_closure",
     "d1",
     "d2",
     "d3",
@@ -138,8 +133,6 @@ __all__ = [
     "isotropy_bound",
     "load_domain_spec",
     "materialize",
-    "membership_constraints",
-    "positive_definite_combination",
     "s_from_multiplicities",
     "solve_L",
     "solve_all",

@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ValidationError
-from .cones import isotropy_bound
 
 
 @dataclass(frozen=True)
@@ -133,8 +132,3 @@ def s_from_multiplicities(n: int, multiplicities: Sequence[int]) -> int:
     same_pairs = sum(x * (x - 1) // 2 for x in mults)
     distinct_pairs = all_pairs - same_pairs
     return (n - 2) ** 2 - 2 * distinct_pairs
-
-
-def cone_dim_cap(k: int) -> Fraction:
-    """Re-export of the isotropy cap for reporting convenience."""
-    return isotropy_bound(k)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import catalog
 from .bounds import bound_chain, closed_form_sweep
 from .cones import catalog_cone, isotropy_bound
-from .errors import NoCombinationFoundError, ValidationError
+from .errors import ValidationError
 from .graded import solve_all
 from .homogeneity import NOT_TRANSITIVE, homogeneity_verdict
 from .linalg import GaussianRational
@@ -352,7 +352,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, NoCombinationFoundError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

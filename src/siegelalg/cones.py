@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence, Union
 
 from .errors import ValidationError
@@ -85,6 +86,16 @@ class ConeSpec:
             raise ValidationError("cone dimension must be at least 1")
         if len(self.interior_point) != self.k:
             raise ValidationError("interior point has wrong length")
+        for factor in self.boundary:
+            if isinstance(factor, LorentzFactor):
+                coords = factor.coords
+                if len(coords) < 2 or len(set(coords) & set(range(self.k))) != len(coords):
+                    raise ValidationError(
+                        f"Lorentz coordinates {list(coords)} must be at least two "
+                        f"distinct indices in 0..{self.k - 1}"
+                    )
+            elif any(len(f) != self.k for f in factor.functionals):
+                raise ValidationError(f"polyhedral functionals must have length {self.k}")
         for m in self.g_basis:
             if (m.nrows, m.ncols) != (self.k, self.k):
                 raise ValidationError("g_basis matrices must be k x k")
@@ -134,22 +145,6 @@ def classify_point(cone: ConeSpec, x: Sequence[Union[int, Fraction]]) -> Region:
     if all(r is Region.INTERIOR for r in regions):
         return Region.INTERIOR
     return Region.BOUNDARY
-
-
-def contains_in_closure(cone: ConeSpec, x: Sequence[Union[int, Fraction]]) -> Region:
-    """Alias for :func:`classify_point`; kept for call-site readability."""
-    return classify_point(cone, x)
-
-
-def membership_constraints(cone: ConeSpec) -> Matrix:
-    """Annihilator functionals stacked as a matrix on row-major vectorized k x k matrices.
-
-    A real matrix M lies in span(g_basis) exactly when this matrix times
-    vec(M) vanishes.
-    """
-    if not cone.annihilators:
-        return Matrix.zeros(0, cone.k * cone.k)
-    return from_real_rows(cone.annihilators)
 
 
 def in_g_omega(cone: ConeSpec, m: Matrix) -> bool:
@@ -289,4 +284,10 @@ def catalog_cone(cone_id: str) -> ConeSpec:
         raise ValidationError(
             f"unknown catalog cone {cone_id!r}; expected one of {', '.join(CATALOG_IDS)}"
         )
+    return _built_catalog_cone(key)
+
+
+@lru_cache(maxsize=None)
+def _built_catalog_cone(key: str) -> ConeSpec:
+    """Each catalog cone is built and validated once; cones are immutable."""
     return _CATALOG[key]()

@@ -3,7 +3,3 @@
 
 class ValidationError(ValueError):
     """Raised when an input object violates a structural invariant."""
-
-
-class NoCombinationFoundError(RuntimeError):
-    """Raised when no positive-definite combination of a Hermitian family is found."""

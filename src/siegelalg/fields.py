@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .errors import ValidationError
 from .graded import GradedSolutions, SiegelDomainSpec
-from .linalg import GR_I, GR_ONE, GR_ZERO, GaussianRational, in_span
+from .linalg import GR_I, GR_ZERO, GaussianRational, coordinate_vectors, in_span
 from .poly import Polynomial
 
 GRADES = (Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1))
@@ -70,18 +70,6 @@ def euler_field(spec: SiegelDomainSpec) -> PolyVectorField:
     return PolyVectorField(n, tuple(comps), Fraction(0), "euler")
 
 
-def _complex_basis(m: int) -> list[list[GaussianRational]]:
-    out = []
-    for i in range(m):
-        e = [GR_ZERO] * m
-        e[i] = GR_ONE
-        out.append(e)
-        ie = [GR_ZERO] * m
-        ie[i] = GR_I
-        out.append(ie)
-    return out
-
-
 def materialize(spec: SiegelDomainSpec, sols: GradedSolutions) -> tuple[PolyVectorField, ...]:
     """Explicit generators for all five graded components, in weight order."""
     n, k, m = spec.n, spec.k, spec.m
@@ -97,7 +85,7 @@ def materialize(spec: SiegelDomainSpec, sols: GradedSolutions) -> tuple[PolyVect
 
     # weight -1/2: 2i H(b, w) . d/dz + b . d/dw over the coordinate b's
     two_i = GR_I + GR_I
-    for idx, b in enumerate(_complex_basis(m)):
+    for idx, b in enumerate(coordinate_vectors(m)):
         parts = [zero] * n
         for t in range(k):
             acc = zero

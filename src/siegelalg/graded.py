@@ -20,6 +20,11 @@ i-multiples) plus coefficient matching is exact, never a sampling argument.
 Unknowns are realified (a complex unknown is its ordered pair of real parts);
 each solver assembles one rational linear system and reads the answer off an
 exact nullspace. Bases are therefore reproducible byte for byte.
+
+Column order: a solver takes its unknowns from one ``_Layout`` as blocks, in
+the order it declares them. Each block is row-major, and a complex entry takes
+its real and imaginary parts in adjacent columns, real first. The order fixes
+which unknowns are free in the nullspace, and with it every basis vector.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from typing import Sequence
 
 from .cones import ConeSpec
@@ -39,6 +45,7 @@ from .linalg import (
     GaussianRational,
     Matrix,
     Scalar,
+    coordinate_vectors,
     sparse_nullspace,
 )
 
@@ -79,14 +86,6 @@ class _Lin:
 
     def __init__(self, coeffs: dict[int, GaussianRational] | None = None) -> None:
         self.coeffs = {} if coeffs is None else coeffs
-
-    @staticmethod
-    def real_unknown(idx: int) -> "_Lin":
-        return _Lin({idx: GR_ONE})
-
-    @staticmethod
-    def complex_unknown(re_idx: int, im_idx: int) -> "_Lin":
-        return _Lin({re_idx: GR_ONE, im_idx: GR_I})
 
     def __add__(self, other: "_Lin") -> "_Lin":
         out = dict(self.coeffs)
@@ -142,16 +141,60 @@ class _System:
         return sparse_nullspace(self.rows, self.n, Fraction(1))
 
 
-def _basis_and_i_multiples(m: int) -> list[list[GaussianRational]]:
-    out = []
-    for u in range(m):
-        e = [GR_ZERO] * m
-        e[u] = GR_ONE
-        out.append(e)
-        ie = [GR_ZERO] * m
-        ie[u] = GR_I
-        out.append(ie)
-    return out
+class _Block:
+    """A row-major array of unknowns in consecutive columns from ``start``.
+
+    ``width`` is 1 for real entries and 2 for complex ones, whose (re, im)
+    parts sit in adjacent columns.
+    """
+
+    __slots__ = ("start", "shape", "width", "stop", "_lins")
+
+    def __init__(self, start: int, shape: tuple[int, ...], width: int) -> None:
+        self.start, self.shape, self.width = start, shape, width
+        # built once and shared: no _Lin operation mutates its operands
+        self._lins = {}
+        for flat, index in enumerate(product(*map(range, shape))):
+            col = start + width * flat
+            self._lins[index] = _Lin({col: GR_ONE} if width == 1 else {col: GR_ONE, col + 1: GR_I})
+        self.stop = start + width * len(self._lins)
+
+    def __getitem__(self, index: int | tuple[int, ...]) -> _Lin:
+        return self._lins[index if isinstance(index, tuple) else (index,)]
+
+    def values(self, sol: Sequence[Fraction]):
+        """The entries in a solution vector, as nested tuples of Gaussian rationals."""
+        w, zero = self.width, Fraction(0)
+
+        def read(axis: int, flat: int):
+            d = self.shape[axis]
+            if axis + 1 < len(self.shape):
+                return tuple(read(axis + 1, flat * d + i) for i in range(d))
+            col = self.start + w * flat * d
+            return tuple(
+                GaussianRational(sol[c], sol[c + 1] if w == 2 else zero)
+                for c in range(col, col + w * d, w)
+            )
+
+        return read(0, 0)
+
+
+class _Layout:
+    """Hands out blocks of unknowns in declaration order; ``n`` counts the columns so far."""
+
+    def __init__(self) -> None:
+        self.n = 0
+
+    def real(self, *shape: int) -> _Block:
+        return self._block(shape, 1)
+
+    def complex(self, *shape: int) -> _Block:
+        return self._block(shape, 2)
+
+    def _block(self, shape: tuple[int, ...], width: int) -> _Block:
+        block = _Block(self.n, shape, width)
+        self.n = block.stop
+        return block
 
 
 def _sym_pairs(n: int) -> list[tuple[int, int]]:
@@ -291,10 +334,10 @@ def _emit_association(
     system: _System,
     components: Sequence[Matrix],
     a_rows: list[list[_Lin]],
-    b_entries: list[list[_Lin]],
+    b_entries: _Block | dict[tuple[int, int], _Lin],
     m: int,
 ) -> None:
-    """Rows for sum_l A[j][l] H_l = B^* H_j + H_j B, for every component j."""
+    """Rows for sum_l A[j][l] H_l = B^* H_j + H_j B for every j; ``b_entries[t, u]`` is B[t][u]."""
     k = len(components)
     for j in range(k):
         hj = components[j]
@@ -309,10 +352,10 @@ def _emit_association(
                 for t in range(m):
                     c1 = hj.entry(t, v)
                     if not c1.is_zero():
-                        rhs = rhs + b_entries[t][u].conj().scaled(c1)
+                        rhs = rhs + b_entries[t, u].conj().scaled(c1)
                     c2 = hj.entry(u, t)
                     if not c2.is_zero():
-                        rhs = rhs + b_entries[t][v].scaled(c2)
+                        rhs = rhs + b_entries[t, v].scaled(c2)
                 system.require_zero(lhs - rhs)
 
 
@@ -345,41 +388,26 @@ def solve_g0(spec: SiegelDomainSpec) -> G0Solution:
     """
     k, m = spec.k, spec.m
     gbasis = spec.cone.g_basis
-    gdim = len(gbasis)
-    n_unknowns = gdim + 2 * m * m
-    system = _System(n_unknowns)
+    layout = _Layout()
+    coords = layout.real(len(gbasis))
+    b = layout.complex(m, m)
+    system = _System(layout.n)
 
     a_rows = [
         [
-            _Lin({p: b.entry(j, l) for p, b in enumerate(gbasis) if not b.entry(j, l).is_zero()})
+            sum((coords[p].scaled(g.entry(j, l)) for p, g in enumerate(gbasis)), _Lin())
             for l in range(k)
         ]
         for j in range(k)
     ]
-    b_entries = [
-        [
-            _Lin.complex_unknown(gdim + 2 * (u * m + v), gdim + 2 * (u * m + v) + 1)
-            for v in range(m)
-        ]
-        for u in range(m)
-    ]
-    _emit_association(system, spec.form.components, a_rows, b_entries, m)
+    _emit_association(system, spec.form.components, a_rows, b, m)
 
     basis = []
     for sol in system.solutions():
         a_mat = Matrix.zeros(k, k)
-        for p in range(gdim):
-            a_mat = a_mat + gbasis[p].scale(sol[p])
-        b_mat = Matrix.from_rows(
-            [
-                [
-                    GaussianRational(sol[gdim + 2 * (u * m + v)], sol[gdim + 2 * (u * m + v) + 1])
-                    for v in range(m)
-                ]
-                for u in range(m)
-            ]
-        ) if m else Matrix.zeros(0, 0)
-        basis.append((a_mat, b_mat))
+        for g, x in zip(gbasis, coords.values(sol)):
+            a_mat = a_mat + g.scale(x)
+        basis.append((a_mat, Matrix.from_rows(b.values(sol))))
     return G0Solution(tuple(basis), len(basis))
 
 
@@ -387,31 +415,13 @@ def solve_g0(spec: SiegelDomainSpec) -> G0Solution:
 def solve_L(spec: SiegelDomainSpec) -> LSolution:
     """Matrices skew-Hermitian with respect to every component of the family."""
     k, m = spec.k, spec.m
-    n_unknowns = 2 * m * m
-    system = _System(n_unknowns)
+    layout = _Layout()
+    b = layout.complex(m, m)
+    system = _System(layout.n)
     a_rows = [[_Lin() for _ in range(k)] for _ in range(k)]
-    b_entries = [
-        [
-            _Lin.complex_unknown(2 * (u * m + v), 2 * (u * m + v) + 1)
-            for v in range(m)
-        ]
-        for u in range(m)
-    ]
-    _emit_association(system, spec.form.components, a_rows, b_entries, m)
-    basis = []
-    for sol in system.solutions():
-        basis.append(
-            Matrix.from_rows(
-                [
-                    [
-                        GaussianRational(sol[2 * (u * m + v)], sol[2 * (u * m + v) + 1])
-                        for v in range(m)
-                    ]
-                    for u in range(m)
-                ]
-            )
-        )
-    return LSolution(tuple(basis), len(basis))
+    _emit_association(system, spec.form.components, a_rows, b, m)
+    basis = tuple(Matrix.from_rows(b.values(sol)) for sol in system.solutions())
+    return LSolution(basis, len(basis))
 
 
 @lru_cache(maxsize=None)
@@ -429,21 +439,13 @@ def solve_g_half(spec: SiegelDomainSpec) -> GHalfSolution:
     components = spec.form.components
     pairs = _sym_pairs(m)
     pair_index = {p: idx for idx, p in enumerate(pairs)}
-    n_phi = 2 * m * k
-    n_unknowns = n_phi + 2 * m * len(pairs)
-    system = _System(n_unknowns)
-
-    phi = [
-        [_Lin.complex_unknown(2 * (v * k + t), 2 * (v * k + t) + 1) for t in range(k)]
-        for v in range(m)
-    ]
-
-    def c_lin(l: int, i: int, j: int) -> _Lin:
-        base = n_phi + 2 * (l * len(pairs) + pair_index[(min(i, j), max(i, j))])
-        return _Lin.complex_unknown(base, base + 1)
+    layout = _Layout()
+    phi = layout.complex(m, k)
+    c = layout.complex(m, len(pairs))
+    system = _System(layout.n)
 
     # cone membership of [x -> Im H(w0, Phi x)] for w0 in the coordinate set
-    for w0 in _basis_and_i_multiples(m):
+    for w0 in coordinate_vectors(m):
         grid = []
         for j in range(k):
             row = []
@@ -456,7 +458,7 @@ def solve_g_half(spec: SiegelDomainSpec) -> GHalfSolution:
                     for vp in range(m):
                         coeff = wc * components[j].entry(v, vp)
                         if not coeff.is_zero():
-                            acc = acc + phi[vp][l].scaled(coeff)
+                            acc = acc + phi[vp, l].scaled(coeff)
                 row.append(acc.im_part())
             grid.append(row)
         _annihilator_rows(system, spec.cone, grid)
@@ -468,7 +470,7 @@ def solve_g_half(spec: SiegelDomainSpec) -> GHalfSolution:
         phibar_h = [
             [
                 sum(
-                    (phi[v][t].conj().scaled(hj.entry(v, l)) for v in range(m)),
+                    (phi[v, t].conj().scaled(hj.entry(v, l)) for v in range(m)),
                     _Lin(),
                 )
                 for l in range(m)
@@ -482,7 +484,7 @@ def solve_g_half(spec: SiegelDomainSpec) -> GHalfSolution:
                 for l in range(m):
                     coeff = hj.entry(u, l)
                     if not coeff.is_zero():
-                        lhs = lhs + c_lin(l, i, jp).scaled(coeff * mult)
+                        lhs = lhs + c[l, pair_index[(i, jp)]].scaled(coeff * mult)
                 rhs = _Lin()
                 for t in range(k):
                     ht = components[t]
@@ -495,26 +497,11 @@ def solve_g_half(spec: SiegelDomainSpec) -> GHalfSolution:
                             rhs = rhs + phibar_h[t][i].scaled(c2)
                 system.require_zero(lhs - rhs.scaled(two_i))
 
-    basis = []
-    for sol in system.solutions():
-        phi_mat = Matrix.from_rows(
-            [
-                [GaussianRational(sol[2 * (v * k + t)], sol[2 * (v * k + t) + 1]) for t in range(k)]
-                for v in range(m)
-            ]
-        )
-        c_coeffs = tuple(
-            tuple(
-                GaussianRational(
-                    sol[n_phi + 2 * (l * len(pairs) + idx)],
-                    sol[n_phi + 2 * (l * len(pairs) + idx) + 1],
-                )
-                for idx in range(len(pairs))
-            )
-            for l in range(m)
-        )
-        basis.append(GHalfElement(phi_mat, SymBilinear(m, m, c_coeffs)))
-    return GHalfSolution(tuple(basis), len(basis))
+    basis = tuple(
+        GHalfElement(Matrix.from_rows(phi.values(sol)), SymBilinear(m, m, c.values(sol)))
+        for sol in system.solutions()
+    )
+    return GHalfSolution(basis, len(basis))
 
 
 @lru_cache(maxsize=None)
@@ -530,16 +517,13 @@ def solve_g1(spec: SiegelDomainSpec) -> GOneSolution:
     components = spec.form.components
     spairs = _sym_pairs(k)
     spair_index = {p: idx for idx, p in enumerate(spairs)}
-    n_a = k * len(spairs)
-    n_unknowns = n_a + 2 * k * m * m
-    system = _System(n_unknowns)
+    layout = _Layout()
+    a = layout.real(k, len(spairs))
+    b = layout.complex(m, k, m)
+    system = _System(layout.n)
 
     def a_lin(l: int, i: int, j: int) -> _Lin:
-        return _Lin.real_unknown(l * len(spairs) + spair_index[(min(i, j), max(i, j))])
-
-    def b_lin(l: int, t: int, p: int) -> _Lin:
-        base = n_a + 2 * (l * k * m + t * m + p)
-        return _Lin.complex_unknown(base, base + 1)
+        return a[l, spair_index[(min(i, j), max(i, j))]]
 
     half = Fraction(1, 2)
     for t in range(k):
@@ -549,19 +533,17 @@ def solve_g1(spec: SiegelDomainSpec) -> GOneSolution:
         if m:
             # association of w -> b(e_t, w)/2 to a(e_t, .)
             a_rows = [[a_lin(j, t, l) for l in range(k)] for j in range(k)]
-            b_entries = [
-                [b_lin(lp, t, p).scaled(half) for p in range(m)] for lp in range(m)
-            ]
+            b_entries = {(lp, p): b[lp, t, p].scaled(half) for lp in range(m) for p in range(m)}
             _emit_association(system, components, a_rows, b_entries, m)
             # reality of the trace
             trace = _Lin()
             for l in range(m):
-                trace = trace + b_lin(l, t, l)
+                trace = trace + b[l, t, l]
             system.require_real_zero(trace.im_part())
 
     if m:
         # membership of x -> Im H(w1, b(x, w0)) for coordinate pairs (w0, w1)
-        vectors = _basis_and_i_multiples(m)
+        vectors = coordinate_vectors(m)
         for w0 in vectors:
             for w1 in vectors:
                 grid = []
@@ -579,7 +561,7 @@ def solve_g1(spec: SiegelDomainSpec) -> GOneSolution:
                                     continue
                                 for p in range(m):
                                     if not w0[p].is_zero():
-                                        acc = acc + b_lin(l, t, p).scaled(coeff * w0[p])
+                                        acc = acc + b[l, t, p].scaled(coeff * w0[p])
                         row.append(acc.im_part())
                     grid.append(row)
                 _annihilator_rows(system, spec.cone, grid)
@@ -600,50 +582,29 @@ def solve_g1(spec: SiegelDomainSpec) -> GOneSolution:
                                 ht = components[t]
                                 c1 = ht.entry(v, i)
                                 if not c1.is_zero():
-                                    lhs = lhs + b_lin(l, t, jp).scaled(cjl * c1)
+                                    lhs = lhs + b[l, t, jp].scaled(cjl * c1)
                                 if i != jp:
                                     c2 = ht.entry(v, jp)
                                     if not c2.is_zero():
-                                        lhs = lhs + b_lin(l, t, i).scaled(cjl * c2)
+                                        lhs = lhs + b[l, t, i].scaled(cjl * c2)
                         rhs = _Lin()
                         for l in range(m):
                             for t in range(k):
                                 ht = components[t]
                                 c1 = ht.entry(u, i) * hj.entry(l, jp)
                                 if not c1.is_zero():
-                                    rhs = rhs + b_lin(l, t, v).conj().scaled(c1)
+                                    rhs = rhs + b[l, t, v].conj().scaled(c1)
                                 if i != jp:
                                     c2 = ht.entry(u, jp) * hj.entry(l, i)
                                     if not c2.is_zero():
-                                        rhs = rhs + b_lin(l, t, v).conj().scaled(c2)
+                                        rhs = rhs + b[l, t, v].conj().scaled(c2)
                         system.require_zero(lhs - rhs)
 
-    basis = []
-    for sol in system.solutions():
-        a_coeffs = tuple(
-            tuple(
-                GaussianRational(sol[l * len(spairs) + idx], Fraction(0))
-                for idx in range(len(spairs))
-            )
-            for l in range(k)
-        )
-        b_coeffs = tuple(
-            tuple(
-                tuple(
-                    GaussianRational(
-                        sol[n_a + 2 * (l * k * m + t * m + p)],
-                        sol[n_a + 2 * (l * k * m + t * m + p) + 1],
-                    )
-                    for p in range(m)
-                )
-                for t in range(k)
-            )
-            for l in range(m)
-        )
-        basis.append(
-            GOneElement(SymBilinear(k, k, a_coeffs), Bilinear(m, k, m, b_coeffs))
-        )
-    return GOneSolution(tuple(basis), len(basis))
+    basis = tuple(
+        GOneElement(SymBilinear(k, k, a.values(sol)), Bilinear(m, k, m, b.values(sol)))
+        for sol in system.solutions()
+    )
+    return GOneSolution(basis, len(basis))
 
 
 @dataclass(frozen=True)

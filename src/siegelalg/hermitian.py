@@ -5,10 +5,10 @@ H(w, w')_j = conj(w)^T H_j w', anti-linear in the first slot. The family is
 compatible with a cone when H(w, w) lies in the closed cone minus the origin
 for every nonzero w.
 
-Positive semidefiniteness is decided exactly through the characteristic
-polynomial: det(tI - M) has real coefficients for Hermitian M, and M is PSD
-precisely when those coefficients weakly alternate in sign. No eigenvalues are
-ever computed.
+Positive semidefiniteness is decided exactly by congruence diagonalization
+(``negative_direction``): the diagonal values of the reduced form are exact
+rationals, and a negative one comes with its vector as a witness. No
+eigenvalues or square roots are ever computed.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cones import ConeSpec, LorentzFactor, Region, classify_point
-from .errors import NoCombinationFoundError, ValidationError
+from .errors import ValidationError
 from .linalg import (
     GR_I,
     GR_ONE,
@@ -26,6 +26,7 @@ from .linalg import (
     GaussianRational,
     Matrix,
     Scalar,
+    coordinate_vectors,
     stack_rows,
 )
 
@@ -98,47 +99,6 @@ def evaluate_real(family: HermitianFamily, w: Sequence[Scalar]) -> tuple[Fractio
         if v.im != 0:
             raise ValidationError("H(w,w) not real; family is not Hermitian")
     return tuple(v.re for v in vals)
-
-
-def char_poly(m: Matrix) -> list[Fraction]:
-    """Coefficients [c_0, ..., c_d] of det(tI - M) for Hermitian M.
-
-    Uses the trace recursion (Faddeev-LeVerrier), which stays in exact
-    rational arithmetic; Hermitian input guarantees real coefficients.
-    """
-    d = m.nrows
-    if m.ncols != d:
-        raise ValidationError("characteristic polynomial needs a square matrix")
-    coeffs = [Fraction(0)] * (d + 1)
-    coeffs[d] = Fraction(1)
-    aux = m
-    for i in range(1, d + 1):
-        tr = GR_ZERO
-        for t in range(d):
-            tr = tr + aux.entry(t, t)
-        if tr.im != 0:
-            raise ValidationError("matrix is not Hermitian")
-        c = -tr.re / i
-        coeffs[d - i] = c
-        if i < d:
-            aux = m @ (aux + Matrix.identity(d).scale(c))
-    return coeffs
-
-
-def is_psd(m: Matrix) -> bool:
-    """Exact positive semidefiniteness via sign alternation of det(tI - M)."""
-    coeffs = char_poly(m)
-    d = len(coeffs) - 1
-    return all(
-        (coeffs[i] if (d - i) % 2 == 0 else -coeffs[i]) >= 0 for i in range(d + 1)
-    )
-
-
-def is_pd(m: Matrix) -> bool:
-    if m.nrows == 0:
-        return True
-    coeffs = char_poly(m)
-    return is_psd(m) and coeffs[0] != 0
 
 
 def negative_direction(m: Matrix) -> Optional[tuple[GaussianRational, ...]]:
@@ -230,14 +190,7 @@ class _Lcg:
 
 
 def _basis_like_vectors(m: int) -> list[tuple[GaussianRational, ...]]:
-    vecs = []
-    for i in range(m):
-        e = [GR_ZERO] * m
-        e[i] = GR_ONE
-        vecs.append(tuple(e))
-        ie = [GR_ZERO] * m
-        ie[i] = GR_I
-        vecs.append(tuple(ie))
+    vecs = coordinate_vectors(m)
     for i in range(m):
         for j in range(i + 1, m):
             s = [GR_ZERO] * m
@@ -299,52 +252,3 @@ def is_omega_hermitian(
         if classify_point(cone, real) is Region.OUTSIDE:
             return OmegaHermitianVerdict(COUNTEREXAMPLE, witness=w)
     return OmegaHermitianVerdict(VERIFIED_ON_SAMPLES, samples=len(candidates))
-
-
-def _dual_interior_candidate(cone: ConeSpec) -> list[Fraction]:
-    c = [Fraction(0)] * cone.k
-    for factor in cone.boundary:
-        if isinstance(factor, LorentzFactor):
-            c[factor.coords[0]] += 1
-        else:
-            for functional in factor.functionals:
-                for i, val in enumerate(functional):
-                    c[i] += val
-    return c
-
-
-def positive_definite_combination(
-    family: HermitianFamily, cone: ConeSpec
-) -> tuple[Fraction, ...]:
-    """Coefficients c with sum(c_j H_j) positive definite.
-
-    Starts from a dual-interior direction read off the boundary description
-    (all-ones for orthant factors, the time axis for Lorentzian factors) and
-    falls back to a bounded perturbation search. Failure of the whole search
-    signals a degenerate family for this cone.
-    """
-    if family.m < 1:
-        raise ValidationError("positive combination needs m >= 1")
-    if family.k != cone.k:
-        raise ValidationError("family and cone dimensions differ")
-
-    def combo_pd(c: Sequence[Fraction]) -> bool:
-        total = Matrix.zeros(family.m, family.m)
-        for coeff, comp in zip(c, family.components):
-            total = total + comp.scale(coeff)
-        return is_pd(total)
-
-    base = _dual_interior_candidate(cone)
-    candidates = [tuple(base), tuple(Fraction(1) for _ in range(cone.k))]
-    for eps in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)):
-        for j in range(cone.k):
-            for sign in (1, -1):
-                cand = list(base)
-                cand[j] += sign * eps
-                candidates.append(tuple(cand))
-    for cand in candidates:
-        if combo_pd(cand):
-            return cand
-    raise NoCombinationFoundError(
-        f"no positive-definite combination found for cone {cone.name}"
-    )

@@ -104,6 +104,21 @@ def gr(re: Union[int, Fraction] = 0, im: Union[int, Fraction] = 0) -> GaussianRa
     return GaussianRational(_frac(re), _frac(im))
 
 
+def coordinate_vectors(m: int) -> list[tuple[GaussianRational, ...]]:
+    """e_1, i*e_1, e_2, i*e_2, ...: the coordinate vectors of C^m and their i-multiples.
+
+    Together they form a basis of C^m over the reals, so a real-linear identity
+    in a vector of C^m holds everywhere once it holds on these.
+    """
+    out = []
+    for u in range(m):
+        for unit in (GR_ONE, GR_I):
+            v = [GR_ZERO] * m
+            v[u] = unit
+            out.append(tuple(v))
+    return out
+
+
 @dataclass(frozen=True)
 class RrefResult:
     matrix: "Matrix"
@@ -168,21 +183,6 @@ class Matrix:
 
     def is_real(self) -> bool:
         return all(x.im == 0 for row in self.entries for x in row)
-
-    def is_hermitian(self) -> bool:
-        if self.nrows != self.ncols:
-            return False
-        return all(
-            self.entries[i][j] == self.entries[j][i].conjugate()
-            for i in range(self.nrows)
-            for j in range(self.nrows)
-        )
-
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.ncols, self.nrows,
-            tuple(tuple(self.entries[i][j] for i in range(self.nrows)) for j in range(self.ncols)),
-        )
 
     def conj_transpose(self) -> "Matrix":
         return Matrix(

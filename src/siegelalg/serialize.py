@@ -82,10 +82,17 @@ def _factor_from_json(doc) -> Union[PolyhedralFactor, LorentzFactor]:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValidationError("boundary factor must carry a 'kind'")
     if doc["kind"] == "lorentz":
-        return LorentzFactor(tuple(int(c) for c in doc["coords"]))
+        _require_keys(doc, {"coords"}, "lorentz factor")
+        coords = _list_value(doc["coords"], "'coords'")
+        return LorentzFactor(tuple(_int_value(c, "a Lorentz coordinate") for c in coords))
     if doc["kind"] == "polyhedral":
+        _require_keys(doc, {"functionals"}, "polyhedral factor")
+        functionals = _list_value(doc["functionals"], "'functionals'")
         return PolyhedralFactor(
-            tuple(tuple(fraction_from_json(x) for x in f) for f in doc["functionals"])
+            tuple(
+                tuple(fraction_from_json(x) for x in _list_value(f, "a functional"))
+                for f in functionals
+            )
         )
     raise ValidationError(f"unknown boundary kind {doc['kind']!r}")
 
@@ -108,11 +115,14 @@ def cone_from_json(doc) -> ConeSpec:
         raise ValidationError("cone must be a catalog id or an object")
     if set(doc) == {"cone"}:
         return cone_from_json(doc["cone"])
-    k = int(doc["k"])
+    _require_keys(doc, {"k", "g_basis", "interior_point", "boundary"}, "cone document")
+    k = _int_value(doc["k"], "'k'")
     g_basis = tuple(
-        matrix_from_json(rows, (k, k)) for rows in doc["g_basis"]
+        matrix_from_json(rows, (k, k)) for rows in _list_value(doc["g_basis"], "'g_basis'")
     )
-    interior = tuple(fraction_from_json(x) for x in doc["interior_point"])
+    interior = tuple(
+        fraction_from_json(x) for x in _list_value(doc["interior_point"], "'interior_point'")
+    )
     boundary_doc = doc["boundary"]
     if isinstance(boundary_doc, dict) and "factors" in boundary_doc:
         factors = tuple(_factor_from_json(f) for f in boundary_doc["factors"])
@@ -149,10 +159,22 @@ def spec_to_json(spec: SiegelDomainSpec) -> dict:
     }
 
 
-def _int_field(doc: dict, key: str) -> int:
-    value = doc[key]
+def _require_keys(doc: dict, keys: set[str], what: str) -> None:
+    missing = keys - set(doc)
+    if missing:
+        raise ValidationError(f"{what} missing keys: {sorted(missing)}")
+
+
+def _int_value(value, what: str) -> int:
+    """A JSON integer; floats and booleans are rejected, never truncated."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{key!r} must be an integer, got {value!r}")
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _list_value(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"{what} must be a list, got {value!r}")
     return value
 
 
@@ -165,10 +187,8 @@ def load_domain_spec(doc: dict, samples: int = 32, seed: int = 0) -> SiegelDomai
     """
     if not isinstance(doc, dict):
         raise ValidationError("domain document must be an object")
-    missing = {"n", "k", "cone", "H"} - set(doc)
-    if missing:
-        raise ValidationError(f"domain document missing keys: {sorted(missing)}")
-    n, k = _int_field(doc, "n"), _int_field(doc, "k")
+    _require_keys(doc, {"n", "k", "cone", "H"}, "domain document")
+    n, k = _int_value(doc["n"], "'n'"), _int_value(doc["k"], "'k'")
     cone = cone_from_json(doc["cone"])
     family = family_from_json(doc["H"], k, n - k)
     spec = SiegelDomainSpec(n, k, cone, family)

@@ -115,6 +115,68 @@ class TestSpecFile:
         assert "JSON" in err
 
 
+LORENTZ3_CONE = {
+    "k": 3,
+    "g_basis": [
+        [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "0"]],
+        [["0", "0", "1"], ["0", "0", "0"], ["1", "0", "0"]],
+        [["0", "0", "0"], ["0", "0", "1"], ["0", "-1", "0"]],
+    ],
+    "interior_point": ["1", "0", "0"],
+    "boundary": {"factors": [{"kind": "lorentz", "coords": [0, 1, 2]}]},
+}
+
+
+def _with_factors(*factors):
+    return {**LORENTZ3_CONE, "boundary": {"factors": list(factors)}}
+
+
+def _without(key):
+    return {k: v for k, v in LORENTZ3_CONE.items() if k != key}
+
+
+MALFORMED_CONES = {
+    "float_k": {**LORENTZ3_CONE, "k": 3.7},
+    "float_coordinate": _with_factors({"kind": "lorentz", "coords": [0, 1.9, 2]}),
+    "string_coordinates": _with_factors({"kind": "lorentz", "coords": "012"}),
+    "coordinate_out_of_range": _with_factors({"kind": "lorentz", "coords": [0, 1, 5]}),
+    "negative_coordinate": _with_factors({"kind": "lorentz", "coords": [0, -1, 2]}),
+    "single_coordinate": _with_factors({"kind": "lorentz", "coords": [0]}),
+    "repeated_coordinate": _with_factors({"kind": "lorentz", "coords": [0, 2, 2]}),
+    "short_functional": _with_factors(
+        {"kind": "lorentz", "coords": [0, 1, 2]},
+        {"kind": "polyhedral", "functionals": [["1", "0"]]},
+    ),
+    "missing_functionals": _with_factors({"kind": "polyhedral"}),
+    "missing_k": _without("k"),
+    "missing_g_basis": _without("g_basis"),
+    "missing_interior_point": _without("interior_point"),
+    "missing_boundary": _without("boundary"),
+}
+
+
+class TestCustomCone:
+    def _run(self, capsys, tmp_path, cone):
+        doc = {"n": 4, "k": 3, "cone": cone, "H": [[["1"]], [["1"]], [["0"]]]}
+        path = tmp_path / "domain.json"
+        path.write_text(json.dumps(doc))
+        return run_cli(capsys, "dims", "--spec", str(path))
+
+    def test_valid_custom_cone(self, capsys, tmp_path):
+        code, out, _ = self._run(capsys, tmp_path, LORENTZ3_CONE)
+        assert code == 0
+        assert "total=10 s=1" in out
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_CONES))
+    def test_malformed_cone_is_one_error_line(self, capsys, tmp_path, name):
+        code, out, err = self._run(capsys, tmp_path, MALFORMED_CONES[name])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestHomogeneity:
     def test_not_transitive_exit_code(self, capsys):
         code, out, _ = run_cli(

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from siegelalg import catalog, graded
 from siegelalg.cones import catalog_cone, half_line, in_g_omega
@@ -368,3 +370,91 @@ def test_solutions_satisfy_assembled_rows_exactly(name, solver, monkeypatch):
         assert len(basis) == n - len(pivots)
         _, basis_pivots = dense_rref(basis, n, Fraction(1))
         assert len(basis_pivots) == len(basis)
+
+
+LAYOUT_SHAPES = {
+    solve_g0: lambda spec: [("real", (spec.cone.dim_g,)), ("complex", (spec.m, spec.m))],
+    solve_L: lambda spec: [("complex", (spec.m, spec.m))],
+    solve_g_half: lambda spec: [
+        ("complex", (spec.m, spec.k)),
+        ("complex", (spec.m, spec.m * (spec.m + 1) // 2)),
+    ],
+    solve_g1: lambda spec: [
+        ("real", (spec.k, spec.k * (spec.k + 1) // 2)),
+        ("complex", (spec.m, spec.k, spec.m)),
+    ],
+}
+
+
+def _entries(values, index=()):
+    if isinstance(values, tuple):
+        for i, v in enumerate(values):
+            yield from _entries(v, index + (i,))
+    else:
+        yield index, values
+
+
+@pytest.mark.parametrize("name", sorted(RESIDUAL_DOMAINS))
+@pytest.mark.parametrize("solver", [solve_g0, solve_L, solve_g_half, solve_g1],
+                         ids=lambda f: f.__name__)
+def test_layout_round_trip(name, solver, monkeypatch):
+    """Each column is exactly one entry's re or im part, and the blocks tile the system."""
+    sizes = []
+
+    def recording(self):
+        sizes.append(self.n)
+        return []
+
+    monkeypatch.setattr(graded._System, "solutions", recording)
+    spec = catalog.build(RESIDUAL_DOMAINS[name])
+    solver.__wrapped__(spec)
+    layout = graded._Layout()
+    blocks = [getattr(layout, kind)(*shape) for kind, shape in LAYOUT_SHAPES[solver](spec)]
+    assert sizes == ([] if solver is solve_g_half and spec.m == 0 else [layout.n])
+    assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+    assert blocks[-1].stop == layout.n
+    for col in range(layout.n):
+        sol = [Fraction(0)] * layout.n
+        sol[col] = Fraction(1)
+        hits = [
+            (block, index, value)
+            for block in blocks
+            for index, value in _entries(block.values(sol))
+            if not value.is_zero()
+        ]
+        assert len(hits) == 1
+        block, index, value = hits[0]
+        re_col = col if value == GR_ONE else col - 1
+        expected = {re_col: GR_ONE} if block.width == 1 else {re_col: GR_ONE, re_col + 1: GR_I}
+        assert value in (GR_ONE, GR_I)
+        assert block[index].coeffs == expected
+
+
+@st.composite
+def invertible_gaussian(draw, m):
+    entry = st.builds(gr, st.integers(-2, 2), st.integers(-2, 2))
+    p = Matrix.from_rows(draw(st.lists(
+        st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m
+    )))
+    assume(p.rank() == m)
+    return p
+
+
+COORDINATE_CHANGE_DOMAINS = {
+    "ball3": catalog.ball(3),
+    "ballproduct2_2": catalog.ball_product(2, 2),
+    "d6_110": catalog.d6((1, 1, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COORDINATE_CHANGE_DOMAINS))
+@given(data=st.data())
+@settings(derandomize=True, max_examples=4, deadline=None)
+def test_w_coordinate_change_invariance(name, data):
+    """H_j -> P* H_j P for invertible P is a biholomorphism: dims and s are unchanged."""
+    base = catalog.build(COORDINATE_CHANGE_DOMAINS[name])
+    p = data.draw(invertible_gaussian(base.m))
+    moved = fam(*(p.conj_transpose() @ h @ p for h in base.form.components))
+    spec = SiegelDomainSpec(base.n, base.k, base.cone, moved)
+    assert graded_dims(spec) == graded_dims(base)
+    assert solve_L(spec).s == solve_L(base).s

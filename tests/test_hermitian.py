@@ -1,25 +1,19 @@
-"""Hermitian families, exact PSD tests, and cone compatibility."""
-
-from fractions import Fraction
+"""Hermitian families, exact negative directions, and cone compatibility."""
 
 import pytest
 
-from siegelalg.cones import Region, catalog_cone, contains_in_closure
-from siegelalg.errors import NoCombinationFoundError, ValidationError
+from siegelalg.cones import Region, catalog_cone, classify_point
+from siegelalg.errors import ValidationError
 from siegelalg.hermitian import (
     COUNTEREXAMPLE,
     VERIFIED_EXACT,
     VERIFIED_ON_SAMPLES,
     HermitianFamily,
     _Lcg,
-    char_poly,
     evaluate,
     evaluate_real,
     is_omega_hermitian,
-    is_pd,
-    is_psd,
     negative_direction,
-    positive_definite_combination,
     validate,
 )
 from siegelalg.linalg import Matrix, from_real_rows, gr
@@ -50,28 +44,17 @@ class TestValidate:
         assert validate(HermitianFamily(2, 0, (Matrix.zeros(0, 0), Matrix.zeros(0, 0)))) == []
 
 
-class TestCharPoly:
-    def test_diagonal(self):
-        # det(tI - diag(1,2)) = t^2 - 3t + 2
-        assert char_poly(diag(1, 2)) == [Fraction(2), Fraction(-3), Fraction(1)]
-
-    def test_complex_hermitian(self):
-        m = Matrix.from_rows([[gr(2), gr(0, 1)], [gr(0, -1), gr(2)]])
-        # eigenvalues 1 and 3
-        assert char_poly(m) == [Fraction(3), Fraction(-4), Fraction(1)]
-
-
 class TestPsd:
     def test_psd_cases(self):
-        assert is_psd(diag(1, 0))
-        assert is_psd(diag(0, 0))
-        assert not is_psd(diag(1, -1))
-        assert is_pd(diag(2, 1))
-        assert not is_pd(diag(1, 0))
+        assert negative_direction(diag(1, 0)) is None
+        assert negative_direction(diag(0, 0)) is None
+        assert negative_direction(diag(2, 1)) is None
+        m = diag(1, -1)
+        value = evaluate(family(m), negative_direction(m))[0]
+        assert value.im == 0 and value.re < 0
 
     def test_complex_case(self):
         m = Matrix.from_rows([[gr(1), gr(0, 2)], [gr(0, -2), gr(1)]])
-        assert not is_psd(m)
         w = negative_direction(m)
         value = evaluate(family(m), w)[0]
         assert value.im == 0 and value.re < 0
@@ -98,7 +81,7 @@ class TestOmegaHermitian:
         for w in ([1, 0], [0, 1], [1, 1], [1, -1]):
             value = evaluate_real(fam, w)
             assert any(v != 0 for v in value)
-            assert contains_in_closure(cone, value) in (Region.INTERIOR, Region.BOUNDARY)
+            assert classify_point(cone, value) in (Region.INTERIOR, Region.BOUNDARY)
 
     def test_orthant_counterexample(self):
         verdict = is_omega_hermitian(family(diag(1, -1), diag(1, 1)), catalog_cone("omega1"))
@@ -146,31 +129,5 @@ class TestOmegaHermitian:
                 continue
             value = evaluate_real(fam, w)
             assert any(v != 0 for v in value)
-            assert contains_in_closure(cone, value) in (Region.INTERIOR, Region.BOUNDARY)
+            assert classify_point(cone, value) in (Region.INTERIOR, Region.BOUNDARY)
             checked += 1
-
-
-class TestPositiveCombination:
-    def test_orthant_sum(self):
-        c = positive_definite_combination(family(diag(1, 0), diag(0, 1)), catalog_cone("omega1"))
-        assert c == (1, 1)
-
-    def test_d6_form(self):
-        c = positive_definite_combination(D6_FORM, catalog_cone("omega3"))
-        assert c == (1, 0, 0)
-        # oracle: the resulting 1x1 combination is directly positive
-        assert sum(ci * comp.entry(0, 0).re for ci, comp in zip(c, D6_FORM.components)) > 0
-
-    def test_overlapping_family(self):
-        c = positive_definite_combination(family(diag(1, 0), diag(1, 1)), catalog_cone("omega1"))
-        assert c == (1, 1)
-
-    def test_no_combination(self):
-        degenerate = family(diag(1, 0), diag(1, 0))
-        with pytest.raises(NoCombinationFoundError):
-            positive_definite_combination(degenerate, catalog_cone("omega1"))
-
-    def test_requires_w_variables(self):
-        empty = HermitianFamily(2, 0, tuple(Matrix.zeros(0, 0) for _ in range(2)))
-        with pytest.raises(ValidationError):
-            positive_definite_combination(empty, catalog_cone("omega1"))

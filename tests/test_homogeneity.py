@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from siegelalg.cones import catalog_cone, contains_in_closure, Region
+from siegelalg.cones import catalog_cone, classify_point, Region
 from siegelalg.graded import SiegelDomainSpec
 from siegelalg.hermitian import HermitianFamily, _Lcg
 from siegelalg.homogeneity import (
@@ -81,7 +81,7 @@ class TestGenericRank:
             raw = [abs(rng.next_fraction()) + Fraction(1, 4) for _ in range(spec.k)]
             # push toward the cone axis so Lorentzian cones get interior points
             point = [raw[0] + sum(raw[1:], Fraction(0))] + raw[1:]
-            if contains_in_closure(spec.cone, point) is not Region.INTERIOR:
+            if classify_point(spec.cone, point) is not Region.INTERIOR:
                 continue
             found += 1
             rows = [[x.re for x in a.apply(point)] for a in basis]

@@ -251,11 +251,6 @@ class TestMatrixStructure:
         with pytest.raises(ValidationError):
             Matrix.from_rows([[gr(0, 1)]], real=True)
 
-    def test_hermitian_detection(self):
-        h = Matrix.from_rows([[gr(2), gr(1, 3)], [gr(1, -3), gr(5)]])
-        assert h.is_hermitian()
-        assert not Matrix.from_rows([[gr(0), gr(1)], [gr(0), gr(0)]]).is_hermitian()
-
     def test_matmul_and_conj_transpose(self):
         a = Matrix.from_rows([[gr(0, 1), gr(1)]])
         assert a.conj_transpose().entries[0][0] == gr(0, -1)
