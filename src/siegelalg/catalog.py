@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .bounds import BoundReport, bound_chain, closed_form_bound, closed_form_sweep, s_from_multiplicities
-from .cones import ConeSpec, catalog_cone, half_line, isotropy_bound, orthant
+from .cones import catalog_cone, half_line, isotropy_bound, orthant
 from .errors import ValidationError
 from .fields import check_grading, jacobi_defect, materialize
 from .graded import GradedDims, SiegelDomainSpec, solve_all, solve_L
@@ -28,14 +28,12 @@ from .hermitian import (
     OmegaHermitianVerdict,
 )
 from .homogeneity import (
-    GENERICALLY_OPEN_ORBITS,
     NOT_TRANSITIVE,
     HomogeneityVerdict,
     homogeneity_verdict,
 )
 from .linalg import Matrix, from_real_rows
 
-ConeProvider = Callable[[str], ConeSpec]
 
 _TUBE_LABELS = {
     "omega1": "B1xB1",
@@ -136,7 +134,7 @@ def _rank_one_family(v: Sequence[Fraction]) -> HermitianFamily:
     return HermitianFamily.from_matrices([_diag([x]) for x in v])
 
 
-def build(domain: DomainId, cones: ConeProvider = catalog_cone) -> SiegelDomainSpec:
+def build(domain: DomainId) -> SiegelDomainSpec:
     """Siegel presentation of a named domain; validates the parameters."""
     kind = domain.kind
     if kind == "ball":
@@ -151,7 +149,7 @@ def build(domain: DomainId, cones: ConeProvider = catalog_cone) -> SiegelDomainS
         if not factors or any(p < 1 for p in factors):
             raise ValidationError("ball factors must be positive")
         if len(factors) == 1:
-            return build(ball(factors[0]), cones)
+            return build(ball(factors[0]))
         k = len(factors)
         m = sum(p - 1 for p in factors)
         comps = []
@@ -168,7 +166,7 @@ def build(domain: DomainId, cones: ConeProvider = catalog_cone) -> SiegelDomainS
             )
             offset += block
         cone = {2: "omega1", 3: "omega2", 4: "omega4"}.get(k)
-        cone_spec = cones(cone) if cone else orthant(k)
+        cone_spec = catalog_cone(cone) if cone else orthant(k)
         return SiegelDomainSpec(k + m, k, cone_spec, HermitianFamily.from_matrices(comps))
     if kind in ("d1", "d2"):
         n = domain.n
@@ -176,7 +174,7 @@ def build(domain: DomainId, cones: ConeProvider = catalog_cone) -> SiegelDomainS
             raise ValidationError("need n >= 3 for the quadrant families")
         second = Matrix.identity(n - 2) if kind == "d2" else Matrix.zeros(n - 2, n - 2)
         return SiegelDomainSpec(
-            n, 2, cones("omega1"),
+            n, 2, catalog_cone("omega1"),
             HermitianFamily.from_matrices([Matrix.identity(n - 2), second]),
         )
     if kind in ("d3", "d4"):
@@ -189,25 +187,25 @@ def build(domain: DomainId, cones: ConeProvider = catalog_cone) -> SiegelDomainS
             fam = HermitianFamily.from_matrices(
                 [_diag([alpha, beta]), _diag([gamma, delta])]
             )
-            return SiegelDomainSpec(4, 2, cones("omega1"), fam)
+            return SiegelDomainSpec(4, 2, catalog_cone("omega1"), fam)
         fam = HermitianFamily.from_matrices(
             [_diag([alpha, beta, beta]), _diag([gamma, delta, delta])]
         )
-        return SiegelDomainSpec(5, 2, cones("omega1"), fam)
+        return SiegelDomainSpec(5, 2, catalog_cone("omega1"), fam)
     if kind == "d5":
         v = domain.v
         if len(v) != 3 or min(v) < 0 or all(x == 0 for x in v):
             raise ValidationError("need a nonzero nonnegative 3-vector")
-        return SiegelDomainSpec(4, 3, cones("omega2"), _rank_one_family(v))
+        return SiegelDomainSpec(4, 3, catalog_cone("omega2"), _rank_one_family(v))
     if kind == "d6":
         v = domain.v
         if len(v) != 3 or v[0] <= 0 or v[0] * v[0] < v[1] * v[1] + v[2] * v[2]:
             raise ValidationError(
                 "need v1 > 0 and v1^2 >= v2^2 + v3^2"
             )
-        return SiegelDomainSpec(4, 3, cones("omega3"), _rank_one_family(v))
+        return SiegelDomainSpec(4, 3, catalog_cone("omega3"), _rank_one_family(v))
     if kind == "tube":
-        cone_spec = cones(domain.cone_id)
+        cone_spec = catalog_cone(domain.cone_id)
         return SiegelDomainSpec(cone_spec.k, cone_spec.k, cone_spec, _empty_family(cone_spec.k))
     raise ValidationError(f"unknown domain kind {kind!r}")
 
@@ -223,8 +221,8 @@ class DomainReport:
     omega_hermitian: OmegaHermitianVerdict
 
 
-def analyze(domain: DomainId, cones: ConeProvider = catalog_cone) -> DomainReport:
-    spec = build(domain, cones)
+def analyze(domain: DomainId) -> DomainReport:
+    spec = build(domain)
     sols = solve_all(spec)
     bounds = bound_chain(
         spec.n, spec.k, sols.skew.s, spec.cone.dim_g, sols.dims.d_half, sols.dims.d_1
@@ -293,7 +291,7 @@ def _candidate_ids(n: int) -> list[DomainId]:
     return out
 
 
-def classify(n: int, cones: ConeProvider = catalog_cone) -> ClassifyReport:
+def classify(n: int) -> ClassifyReport:
     """Candidate table for homogeneous domains of dimension n, 2 <= n <= 5.
 
     Follows the catalog case split: one candidate family per cone and
@@ -307,7 +305,7 @@ def classify(n: int, cones: ConeProvider = catalog_cone) -> ClassifyReport:
     entries: list[CandidateEntry] = []
     homogeneous: list[tuple[str, int]] = []
     for domain in _candidate_ids(n):
-        report = analyze(domain, cones)
+        report = analyze(domain)
         if report.homogeneity.verdict == NOT_TRANSITIVE:
             entries.append(
                 CandidateEntry(domain.label, report.spec.k, "pruned-not-transitive")
@@ -467,8 +465,8 @@ def _partitions(total: int):
                 yield (first,) + rest
 
 
-def _skew_formula_agrees(cones: ConeProvider) -> bool:
-    quadrant = cones("omega1")
+def _skew_formula_agrees() -> bool:
+    quadrant = catalog_cone("omega1")
     for n in (4, 5, 6):
         for mults in _partitions(n - 2):
             eigs = []
@@ -483,7 +481,7 @@ def _skew_formula_agrees(cones: ConeProvider) -> bool:
     return True
 
 
-def _bound_chain_sound(cones: ConeProvider) -> bool:
+def _bound_chain_sound() -> bool:
     domains = [
         ball(2), ball(3), ball(4),
         tube("omega1"), tube("omega2"), t3(), tube("omega4"), tube("omega5"), t4(),
@@ -495,7 +493,7 @@ def _bound_chain_sound(cones: ConeProvider) -> bool:
         ball_product(2, 1), ball_product(3, 2), ball_product(2, 1, 1),
     ]
     for domain in domains:
-        report = analyze(domain, cones)
+        report = analyze(domain)
         total = report.dims.total
         b = report.bounds
         if not (
@@ -519,8 +517,8 @@ def _grading_ok(spec: SiegelDomainSpec) -> bool:
     return check_grading(spec, materialize(spec, sols)).passed
 
 
-def _bracket_identities_d6(cones: ConeProvider) -> bool:
-    spec = build(d6((1, 1, 0)), cones)
+def _bracket_identities_d6() -> bool:
+    spec = build(d6((1, 1, 0)))
     fields = materialize(spec, solve_all(spec))
     for i in range(len(fields)):
         for j in range(i + 1, len(fields)):
@@ -538,63 +536,50 @@ def _bracket_identities_d6(cones: ConeProvider) -> bool:
     return True
 
 
-def verify_paper(
-    expected: Optional[dict] = None,
-    cones: Optional[ConeProvider] = None,
-) -> VerifyReport:
-    """Run the complete acceptance battery and report expected vs computed.
-
-    ``expected`` overrides individual expectations (for negative controls);
-    ``cones`` substitutes the catalog lookup everywhere, so a deliberately
-    broken cone shows up as failures in every check that consumes it.
-    """
-    exp = dict(EXPECTED)
-    if expected:
-        exp.update(expected)
-    provider: ConeProvider = cones if cones is not None else catalog_cone
-
+def verify_paper() -> VerifyReport:
+    """Run the complete acceptance battery and report ``EXPECTED`` vs computed."""
     computed: dict[str, object] = {}
 
     for cone_id in ("omega1", "omega2", "omega3", "omega4", "omega5", "omega6"):
-        computed[f"cone_dim_{cone_id}"] = provider(cone_id).dim_g
+        computed[f"cone_dim_{cone_id}"] = catalog_cone(cone_id).dim_g
     for k in (2, 3, 4):
         computed[f"isotropy_bound_k{k}"] = isotropy_bound(k)
     computed["isotropy_cap_respected"] = all(
-        provider(cid).dim_g <= isotropy_bound(provider(cid).k)
+        catalog_cone(cid).dim_g <= isotropy_bound(catalog_cone(cid).k)
         for cid in ("omega1", "omega2", "omega3", "omega4", "omega5", "omega6")
     )
     computed["isotropy_equality_cases"] = [
         cid
         for cid in ("omega1", "omega2", "omega3", "omega4", "omega5", "omega6")
-        if provider(cid).dim_g == isotropy_bound(provider(cid).k)
+        if catalog_cone(cid).dim_g == isotropy_bound(catalog_cone(cid).k)
     ]
 
     for n in (2, 3, 4, 5):
-        computed[f"ball_total_n{n}"] = analyze(ball(n), provider).dims.total
-    computed["tube_total_omega2"] = analyze(tube("omega2"), provider).dims.total
-    computed["t3_total"] = analyze(t3(), provider).dims.total
-    computed["tube_total_omega4"] = analyze(tube("omega4"), provider).dims.total
-    computed["tube_total_omega5"] = analyze(tube("omega5"), provider).dims.total
-    computed["t4_total"] = analyze(t4(), provider).dims.total
+        computed[f"ball_total_n{n}"] = analyze(ball(n)).dims.total
+    computed["tube_total_omega2"] = analyze(tube("omega2")).dims.total
+    computed["t3_total"] = analyze(t3()).dims.total
+    computed["tube_total_omega4"] = analyze(tube("omega4")).dims.total
+    computed["tube_total_omega5"] = analyze(tube("omega5")).dims.total
+    computed["t4_total"] = analyze(t4()).dims.total
 
-    computed["d1_total_n4"] = analyze(d1(4), provider).dims.total
-    d2_report = analyze(d2(4), provider)
+    computed["d1_total_n4"] = analyze(d1(4)).dims.total
+    d2_report = analyze(d2(4))
     computed["d2_verdict"] = d2_report.homogeneity.verdict
     computed["d2_a_part_dim"] = d2_report.homogeneity.a_part_dim
 
     d3_totals_ok = True
     for tag, params in (("1011", (1, 0, 1, 1)), ("1101", (1, 1, 0, 1))):
-        spec = build(d3(*params), provider)
+        spec = build(d3(*params))
         sols = solve_all(spec)
         computed[f"d3_{tag}_ghalf"] = sols.dims.d_half
         computed[f"d3_{tag}_g1"] = sols.dims.d_1
         d3_totals_ok = d3_totals_ok and sols.dims.total <= 10
     computed["d3_totals_within_branch_bound"] = d3_totals_ok
 
-    computed["d4_separable_total"] = analyze(d4(1, 0, 0, 1), provider).dims.total
+    computed["d4_separable_total"] = analyze(d4(1, 0, 0, 1)).dims.total
     d4_totals_ok = True
     for tag, params in (("1011", (1, 0, 1, 1)), ("1101", (1, 1, 0, 1))):
-        spec = build(d4(*params), provider)
+        spec = build(d4(*params))
         sols = solve_all(spec)
         computed[f"d4_{tag}_ghalf"] = sols.dims.d_half
         computed[f"d4_{tag}_g1"] = sols.dims.d_1
@@ -602,14 +587,14 @@ def verify_paper(
     computed["d4_totals_within_branch_bound"] = d4_totals_ok
 
     computed["d5_axis_totals"] = [
-        analyze(d5(tuple(1 if i == j else 0 for i in range(3))), provider).dims.total
+        analyze(d5(tuple(1 if i == j else 0 for i in range(3)))).dims.total
         for j in range(3)
     ]
     computed["d5_multi_verdicts"] = [
-        analyze(d5(v), provider).homogeneity.verdict for v in ((1, 1, 0), (1, 1, 1))
+        analyze(d5(v)).homogeneity.verdict for v in ((1, 1, 0), (1, 1, 1))
     ]
 
-    d6_spec = build(d6((1, 1, 0)), provider)
+    d6_spec = build(d6((1, 1, 0)))
     d6_sols = solve_all(d6_spec)
     computed["d6_s"] = d6_sols.skew.s
     computed["d6_g0"] = d6_sols.dims.d_0
@@ -617,28 +602,28 @@ def verify_paper(
     computed["d6_g1"] = d6_sols.dims.d_1
     computed["d6_g1_matches_known_basis"] = _d6_basis_matches(d6_sols)
     computed["d6_total"] = d6_sols.dims.total
-    computed["d6_interior_verdict"] = analyze(d6((2, 1, 0)), provider).homogeneity.verdict
+    computed["d6_interior_verdict"] = analyze(d6((2, 1, 0))).homogeneity.verdict
 
-    computed["skew_count_formula_matches_solver"] = _skew_formula_agrees(provider)
+    computed["skew_count_formula_matches_solver"] = _skew_formula_agrees()
     computed["high_cone_margins_all_negative"] = all(
         e.margin < 0 for e in closed_form_sweep(16)
     )
     computed["d3_branch_bound"] = bound_chain(4, 2, 2, 2, 0, 2).component_bound
     computed["d4_branch_bound"] = bound_chain(5, 2, 5, 2, 0, 2).component_bound
     computed["d6_branch_bound"] = bound_chain(4, 3, 1, 4, 0, 3).component_bound
-    computed["bound_chain_sound_on_catalog"] = _bound_chain_sound(provider)
+    computed["bound_chain_sound_on_catalog"] = _bound_chain_sound()
 
-    computed["grading_ball3"] = _grading_ok(build(ball(3), provider))
+    computed["grading_ball3"] = _grading_ok(build(ball(3)))
     computed["grading_d6"] = _grading_ok(d6_spec)
-    computed["bracket_identities_d6"] = _bracket_identities_d6(provider)
+    computed["bracket_identities_d6"] = _bracket_identities_d6()
 
-    computed["classify_n2"] = dict(classify(2, provider).homogeneous)
-    computed["classify_n3"] = dict(classify(3, provider).homogeneous)
-    computed["classify_n4_survivors"] = list(classify(4, provider).survivors_at_target)
-    computed["classify_n5_survivors"] = list(classify(5, provider).survivors_at_target)
+    computed["classify_n2"] = dict(classify(2).homogeneous)
+    computed["classify_n3"] = dict(classify(3).homogeneous)
+    computed["classify_n4_survivors"] = list(classify(4).survivors_at_target)
+    computed["classify_n5_survivors"] = list(classify(5).survivors_at_target)
 
     checks = []
-    for name, expected_value in exp.items():
+    for name, expected_value in EXPECTED.items():
         value = computed.get(name)
         checks.append(CheckResult(name, expected_value, value, value == expected_value))
     passed = sum(1 for c in checks if c.passed)

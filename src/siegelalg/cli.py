@@ -20,14 +20,12 @@ from .graded import solve_all
 from .homogeneity import NOT_TRANSITIVE, homogeneity_verdict
 from .linalg import GaussianRational
 from .serialize import (
-    cone_to_json,
     fraction_from_json,
     fraction_to_str,
     gaussian_to_json,
     load_domain_spec,
     real_matrix_to_json,
     solutions_bases_to_json,
-    spec_to_json,
 )
 
 

@@ -56,10 +56,6 @@ def _default_names(n: int, k: int) -> list[str]:
     return [f"z{i+1}" for i in range(k)] + [f"w{i+1}" for i in range(n - k)]
 
 
-def coordinate_names(spec: SiegelDomainSpec) -> list[str]:
-    return _default_names(spec.n, spec.k)
-
-
 def euler_field(spec: SiegelDomainSpec) -> PolyVectorField:
     """z . d/dz + (1/2) w . d/dw, the grading field."""
     n, k = spec.n, spec.k
@@ -70,113 +66,72 @@ def euler_field(spec: SiegelDomainSpec) -> PolyVectorField:
     return PolyVectorField(n, tuple(comps), Fraction(0), "euler")
 
 
+def _field(n: int, terms, grade: Fraction, label: str) -> PolyVectorField:
+    """The field whose ``terms`` are (component, coefficient, variable...); equal monomials add up."""
+    coeffs: list[dict] = [{} for _ in range(n)]
+    for component, coeff, *variables in terms:
+        mono = [0] * n
+        for x in variables:
+            mono[x] += 1
+        key = tuple(mono)
+        coeffs[component][key] = coeffs[component].get(key, GR_ZERO) + coeff
+    return PolyVectorField(n, tuple(Polynomial.from_dict(n, c) for c in coeffs), grade, label)
+
+
 def materialize(spec: SiegelDomainSpec, sols: GradedSolutions) -> tuple[PolyVectorField, ...]:
-    """Explicit generators for all five graded components, in weight order."""
+    """Explicit generators for all five graded components, in weight order.
+
+    Symmetric forms are summed over all index pairs (i, j), so an off-diagonal
+    coefficient enters twice: the doubled convention of ``SymBilinear``.
+    """
     n, k, m = spec.n, spec.k, spec.m
     comps = spec.form.components
-    zero = Polynomial.zero(n)
+    two_i = GR_I + GR_I
     fields: list[PolyVectorField] = []
 
     # weight -1: constant translations of the z-block
     for t in range(k):
-        parts = [zero] * n
-        parts[t] = Polynomial.constant(n, 1)
-        fields.append(PolyVectorField(n, tuple(parts), Fraction(-1), f"g-1[{t}]"))
+        fields.append(_field(n, [(t, 1)], Fraction(-1), f"g-1[{t}]"))
 
     # weight -1/2: 2i H(b, w) . d/dz + b . d/dw over the coordinate b's
-    two_i = GR_I + GR_I
     for idx, b in enumerate(coordinate_vectors(m)):
-        parts = [zero] * n
-        for t in range(k):
-            acc = zero
-            for l in range(m):
-                coeff = GR_ZERO
-                for v in range(m):
-                    coeff = coeff + b[v].conjugate() * comps[t].entry(v, l)
-                if not coeff.is_zero():
-                    acc = acc + Polynomial.variable(n, k + l) * (two_i * coeff)
-            parts[t] = acc
-        for l in range(m):
-            if not b[l].is_zero():
-                parts[k + l] = Polynomial.constant(n, b[l])
-        fields.append(PolyVectorField(n, tuple(parts), Fraction(-1, 2), f"g-1/2[{idx}]"))
+        terms = [
+            (t, two_i * b[v].conjugate() * comps[t].entry(v, l), k + l)
+            for t in range(k) for l in range(m) for v in range(m)
+        ]
+        terms += [(k + l, b[l]) for l in range(m)]
+        fields.append(_field(n, terms, Fraction(-1, 2), f"g-1/2[{idx}]"))
 
     # weight 0: (Az) . d/dz + (Bw) . d/dw
     for idx, (a_mat, b_mat) in enumerate(sols.g0.basis):
-        parts = []
-        for t in range(k):
-            acc = zero
-            for l in range(k):
-                if not a_mat.entry(t, l).is_zero():
-                    acc = acc + Polynomial.variable(n, l) * a_mat.entry(t, l)
-            parts.append(acc)
-        for l in range(m):
-            acc = zero
-            for p in range(m):
-                if not b_mat.entry(l, p).is_zero():
-                    acc = acc + Polynomial.variable(n, k + p) * b_mat.entry(l, p)
-            parts.append(acc)
-        fields.append(PolyVectorField(n, tuple(parts), Fraction(0), f"g0[{idx}]"))
+        terms = [(t, a_mat.entry(t, l), l) for t in range(k) for l in range(k)]
+        terms += [(k + l, b_mat.entry(l, p), k + p) for l in range(m) for p in range(m)]
+        fields.append(_field(n, terms, Fraction(0), f"g0[{idx}]"))
 
     # weight 1/2: 2i H(Phi(conj z), w) . d/dz + (Phi z + c(w,w)) . d/dw
     for idx, el in enumerate(sols.g_half.basis):
-        parts = []
-        for t in range(k):
-            acc = zero
-            for i in range(k):
-                for l in range(m):
-                    coeff = GR_ZERO
-                    for v in range(m):
-                        coeff = coeff + el.phi.entry(v, i).conjugate() * comps[t].entry(v, l)
-                    coeff = two_i * coeff
-                    if not coeff.is_zero():
-                        acc = acc + (
-                            Polynomial.variable(n, i) * Polynomial.variable(n, k + l)
-                        ) * coeff
-            parts.append(acc)
-        for l in range(m):
-            acc = zero
-            for t in range(k):
-                if not el.phi.entry(l, t).is_zero():
-                    acc = acc + Polynomial.variable(n, t) * el.phi.entry(l, t)
-            for i in range(m):
-                for j in range(i, m):
-                    coeff = el.c.coefficient(l, i, j)
-                    if coeff.is_zero():
-                        continue
-                    mult = 1 if i == j else 2
-                    acc = acc + (
-                        Polynomial.variable(n, k + i) * Polynomial.variable(n, k + j)
-                    ) * (coeff * mult)
-            parts.append(acc)
-        fields.append(PolyVectorField(n, tuple(parts), Fraction(1, 2), f"g1/2[{idx}]"))
+        terms = [
+            (t, two_i * el.phi.entry(v, i).conjugate() * comps[t].entry(v, l), i, k + l)
+            for t in range(k) for i in range(k) for l in range(m) for v in range(m)
+        ]
+        terms += [(k + l, el.phi.entry(l, t), t) for l in range(m) for t in range(k)]
+        terms += [
+            (k + l, el.c.coefficient(l, i, j), k + i, k + j)
+            for l in range(m) for i in range(m) for j in range(m)
+        ]
+        fields.append(_field(n, terms, Fraction(1, 2), f"g1/2[{idx}]"))
 
     # weight 1: a(z,z) . d/dz + b(z,w) . d/dw
     for idx, el in enumerate(sols.g_one.basis):
-        parts = []
-        for l in range(k):
-            acc = zero
-            for i in range(k):
-                for j in range(i, k):
-                    coeff = el.a.coefficient(l, i, j)
-                    if coeff.is_zero():
-                        continue
-                    mult = 1 if i == j else 2
-                    acc = acc + (
-                        Polynomial.variable(n, i) * Polynomial.variable(n, j)
-                    ) * (coeff * mult)
-            parts.append(acc)
-        for l in range(m):
-            acc = zero
-            for t in range(k):
-                for p in range(m):
-                    coeff = el.b.coefficient(l, t, p)
-                    if not coeff.is_zero():
-                        acc = acc + (
-                            Polynomial.variable(n, t) * Polynomial.variable(n, k + p)
-                        ) * coeff
-            parts.append(acc)
-        fields.append(PolyVectorField(n, tuple(parts), Fraction(1), f"g1[{idx}]"))
+        terms = [
+            (l, el.a.coefficient(l, i, j), i, j)
+            for l in range(k) for i in range(k) for j in range(k)
+        ]
+        terms += [
+            (k + l, el.b.coefficient(l, t, p), t, k + p)
+            for l in range(m) for t in range(k) for p in range(m)
+        ]
+        fields.append(_field(n, terms, Fraction(1), f"g1[{idx}]"))
 
     return tuple(fields)
 

@@ -25,6 +25,12 @@ Column order: a solver takes its unknowns from one ``_Layout`` as blocks, in
 the order it declares them. Each block is row-major, and a complex entry takes
 its real and imaginary parts in adjacent columns, real first. The order fixes
 which unknowns are free in the nullspace, and with it every basis vector.
+
+Each identity is accumulated once, into one ``_Lin``: ``expr.add(x, *factors)``
+adds the product of the factors times ``x`` to ``expr`` in place, and returns
+before any multiplication when a factor is zero. Only the accumulator changes:
+a block's entries are shared by every identity that reads them, so ``add``
+never modifies its argument.
 """
 
 from __future__ import annotations
@@ -39,8 +45,6 @@ from .cones import ConeSpec
 from .errors import ValidationError
 from .hermitian import HermitianFamily, validate
 from .linalg import (
-    GR_I,
-    GR_ONE,
     GR_ZERO,
     GaussianRational,
     Matrix,
@@ -80,42 +84,45 @@ class SiegelDomainSpec:
 # linear expressions in real unknowns
 
 class _Lin:
-    """Complex-linear expression in real unknowns: ``{unknown index: nonzero coefficient}``."""
+    """Complex-linear expression in real unknowns, as two real sparse rows.
 
-    __slots__ = ("coeffs",)
+    ``re`` and ``im`` map an unknown's column to the real and imaginary parts
+    of its coefficient. Entries that cancel may stay behind as zeros.
+    """
 
-    def __init__(self, coeffs: dict[int, GaussianRational] | None = None) -> None:
-        self.coeffs = {} if coeffs is None else coeffs
+    __slots__ = ("re", "im")
 
-    def __add__(self, other: "_Lin") -> "_Lin":
-        out = dict(self.coeffs)
-        for j, b in other.coeffs.items():
-            a = out.get(j)
-            if a is None:
-                out[j] = b
+    def __init__(self, re: dict[int, Fraction] | None = None,
+                 im: dict[int, Fraction] | None = None) -> None:
+        self.re = {} if re is None else re
+        self.im = {} if im is None else im
+
+    def add(self, other: "_Lin", *factors: Scalar) -> None:
+        """Add (product of ``factors``) * ``other`` to ``self``; ``other`` is not changed."""
+        if not all(factors):
+            return
+        cr, ci = 1, 0
+        for f in factors:
+            if isinstance(f, GaussianRational):
+                cr, ci = cr * f.re - ci * f.im, cr * f.im + ci * f.re
             else:
-                total = a + b
-                if total.is_zero():
-                    del out[j]
-                else:
-                    out[j] = total
-        return _Lin(out)
-
-    def __sub__(self, other: "_Lin") -> "_Lin":
-        return self + _Lin({j: -a for j, a in other.coeffs.items()})
-
-    def scaled(self, c: Scalar) -> "_Lin":
-        cc = GaussianRational.of(c)
-        if cc.is_zero():
-            return _Lin()
-        return _Lin({j: a * cc for j, a in self.coeffs.items()})
+                cr, ci = cr * f, ci * f
+        if cr:
+            _axpy(self.re, cr, other.re)
+            _axpy(self.im, cr, other.im)
+        if ci:
+            _axpy(self.im, ci, other.re)
+            _axpy(self.re, -ci, other.im)
 
     def conj(self) -> "_Lin":
         # valid because the unknowns are real
-        return _Lin({j: a.conjugate() for j, a in self.coeffs.items()})
+        return _Lin(dict(self.re), {j: -c for j, c in self.im.items()})
 
-    def im_part(self) -> "_Lin":
-        return _Lin({j: GaussianRational(a.im, Fraction(0)) for j, a in self.coeffs.items() if a.im})
+
+def _axpy(row: dict[int, Fraction], c: Scalar, other: dict[int, Fraction]) -> None:
+    for j, x in other.items():
+        y = row.get(j)
+        row[j] = c * x if y is None else y + c * x
 
 
 class _System:
@@ -126,13 +133,11 @@ class _System:
         self.rows: list[dict[int, Fraction]] = []
 
     def require_zero(self, expr: _Lin) -> None:
-        self.require_real_zero(expr)
-        self._add_row({j: c.im for j, c in expr.coeffs.items() if c.im})
+        self.require_real_zero(expr.re)
+        self.require_real_zero(expr.im)
 
-    def require_real_zero(self, expr: _Lin) -> None:
-        self._add_row({j: c.re for j, c in expr.coeffs.items() if c.re})
-
-    def _add_row(self, row: dict[int, Fraction]) -> None:
+    def require_real_zero(self, row: dict[int, Fraction]) -> None:
+        row = {j: c for j, c in row.items() if c}
         if row:
             self.rows.append(row)
 
@@ -152,11 +157,12 @@ class _Block:
 
     def __init__(self, start: int, shape: tuple[int, ...], width: int) -> None:
         self.start, self.shape, self.width = start, shape, width
-        # built once and shared: no _Lin operation mutates its operands
+        # built once and shared: _Lin.add changes only its accumulator
+        one = Fraction(1)
         self._lins = {}
         for flat, index in enumerate(product(*map(range, shape))):
             col = start + width * flat
-            self._lins[index] = _Lin({col: GR_ONE} if width == 1 else {col: GR_ONE, col + 1: GR_I})
+            self._lins[index] = _Lin({col: one}, {col + 1: one} if width == 2 else {})
         self.stop = start + width * len(self._lins)
 
     def __getitem__(self, index: int | tuple[int, ...]) -> _Lin:
@@ -328,7 +334,7 @@ class GradedDims:
 
 
 # ---------------------------------------------------------------------------
-# shared constraint: B associated to A
+# shared constraints
 
 def _emit_association(
     system: _System,
@@ -337,41 +343,50 @@ def _emit_association(
     b_entries: _Block | dict[tuple[int, int], _Lin],
     m: int,
 ) -> None:
-    """Rows for sum_l A[j][l] H_l = B^* H_j + H_j B for every j; ``b_entries[t, u]`` is B[t][u]."""
-    k = len(components)
-    for j in range(k):
-        hj = components[j]
+    """Rows for B^* H_j + H_j B = sum_l A[j][l] H_l for every j; ``b_entries[t, u]`` is B[t][u]."""
+    b_bar = {(t, u): b_entries[t, u].conj() for t in range(m) for u in range(m)}
+    for j, hj in enumerate(components):
         for u in range(m):
             for v in range(m):
-                lhs = _Lin()
-                for l in range(k):
-                    coeff = components[l].entry(u, v)
-                    if not coeff.is_zero():
-                        lhs = lhs + a_rows[j][l].scaled(coeff)
-                rhs = _Lin()
+                expr = _Lin()
                 for t in range(m):
-                    c1 = hj.entry(t, v)
-                    if not c1.is_zero():
-                        rhs = rhs + b_entries[t, u].conj().scaled(c1)
-                    c2 = hj.entry(u, t)
-                    if not c2.is_zero():
-                        rhs = rhs + b_entries[t, v].scaled(c2)
-                system.require_zero(lhs - rhs)
+                    expr.add(b_bar[t, u], hj.entry(t, v))
+                    expr.add(b_entries[t, v], hj.entry(u, t))
+                for l, hl in enumerate(components):
+                    expr.add(a_rows[j][l], hl.entry(u, v), -1)
+                system.require_zero(expr)
 
 
-def _annihilator_rows(
-    system: _System, cone: ConeSpec, entry_grid: list[list[_Lin]]
-) -> None:
-    """Rows forcing a real k x k expression matrix into g(Omega)."""
+def _annihilator_rows(system: _System, cone: ConeSpec, grid: list[list[_Lin]]) -> None:
+    """Rows forcing the real k x k matrix whose entries are the ``re`` rows of ``grid`` into g(Omega)."""
     k = cone.k
     for functional in cone.annihilators:
         acc = _Lin()
         for j in range(k):
             for l in range(k):
-                coeff = functional[j * k + l]
-                if coeff != 0:
-                    acc = acc + entry_grid[j][l].scaled(coeff)
-        system.require_real_zero(acc)
+                acc.add(grid[j][l], functional[j * k + l])
+        system.require_real_zero(acc.re)
+
+
+def _pairing_rows(
+    system: _System,
+    spec: SiegelDomainSpec,
+    w: Sequence[GaussianRational],
+    x_map: _Block | dict[tuple[int, int], _Lin],
+) -> None:
+    """Rows putting x -> Im H(w, X x) in g(Omega); ``x_map[v, l]`` is the entry X[v][l]."""
+    w_bar = [x.conjugate() for x in w]
+    grid = []
+    for hj in spec.form.components:
+        row = []
+        for l in range(spec.k):
+            acc = _Lin()
+            for v in range(spec.m):
+                for vp in range(spec.m):
+                    acc.add(x_map[vp, l], w_bar[v], hj.entry(v, vp))
+            row.append(_Lin(acc.im))  # the imaginary part, as a real expression
+        grid.append(row)
+    _annihilator_rows(system, spec.cone, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +408,11 @@ def solve_g0(spec: SiegelDomainSpec) -> G0Solution:
     b = layout.complex(m, m)
     system = _System(layout.n)
 
-    a_rows = [
-        [
-            sum((coords[p].scaled(g.entry(j, l)) for p, g in enumerate(gbasis)), _Lin())
-            for l in range(k)
-        ]
-        for j in range(k)
-    ]
+    a_rows = [[_Lin() for _ in range(k)] for _ in range(k)]
+    for p, g in enumerate(gbasis):
+        for j in range(k):
+            for l in range(k):
+                a_rows[j][l].add(coords[p], g.entry(j, l))
     _emit_association(system, spec.form.components, a_rows, b, m)
 
     basis = []
@@ -438,7 +451,6 @@ def solve_g_half(spec: SiegelDomainSpec) -> GHalfSolution:
         return GHalfSolution((), 0)
     components = spec.form.components
     pairs = _sym_pairs(m)
-    pair_index = {p: idx for idx, p in enumerate(pairs)}
     layout = _Layout()
     phi = layout.complex(m, k)
     c = layout.complex(m, len(pairs))
@@ -446,56 +458,27 @@ def solve_g_half(spec: SiegelDomainSpec) -> GHalfSolution:
 
     # cone membership of [x -> Im H(w0, Phi x)] for w0 in the coordinate set
     for w0 in coordinate_vectors(m):
-        grid = []
-        for j in range(k):
-            row = []
-            for l in range(k):
-                acc = _Lin()
-                for v in range(m):
-                    wc = w0[v].conjugate()
-                    if wc.is_zero():
-                        continue
-                    for vp in range(m):
-                        coeff = wc * components[j].entry(v, vp)
-                        if not coeff.is_zero():
-                            acc = acc + phi[vp, l].scaled(coeff)
-                row.append(acc.im_part())
-            grid.append(row)
-        _annihilator_rows(system, spec.cone, grid)
+        _pairing_rows(system, spec, w0, phi)
 
     # compatibility of c with Phi: match coefficients of conj(w)_u w'_i w'_j
-    two_i = GR_I + GR_I
-    for j in range(k):
-        hj = components[j]
-        phibar_h = [
-            [
-                sum(
-                    (phi[v, t].conj().scaled(hj.entry(v, l)) for v in range(m)),
-                    _Lin(),
-                )
-                for l in range(m)
-            ]
-            for t in range(k)
-        ]
+    minus_two_i = GaussianRational(Fraction(0), Fraction(-2))
+    phi_bar = {(v, t): phi[v, t].conj() for v in range(m) for t in range(k)}
+    for hj in components:
+        # phibar_h[t, l] = sum_v conj(Phi[v][t]) H_j[v][l]
+        phibar_h = {key: _Lin() for key in product(range(k), range(m))}
+        for (t, l), entry in phibar_h.items():
+            for v in range(m):
+                entry.add(phi_bar[v, t], hj.entry(v, l))
         for u in range(m):
-            for (i, jp) in pairs:
-                mult = 1 if i == jp else 2
-                lhs = _Lin()
+            for idx, (i, jp) in enumerate(pairs):
+                expr = _Lin()
                 for l in range(m):
-                    coeff = hj.entry(u, l)
-                    if not coeff.is_zero():
-                        lhs = lhs + c[l, pair_index[(i, jp)]].scaled(coeff * mult)
-                rhs = _Lin()
-                for t in range(k):
-                    ht = components[t]
-                    c1 = ht.entry(u, i)
-                    if not c1.is_zero():
-                        rhs = rhs + phibar_h[t][jp].scaled(c1)
+                    expr.add(c[l, idx], hj.entry(u, l), 1 if i == jp else 2)
+                for t, ht in enumerate(components):
+                    expr.add(phibar_h[t, jp], ht.entry(u, i), minus_two_i)
                     if i != jp:
-                        c2 = ht.entry(u, jp)
-                        if not c2.is_zero():
-                            rhs = rhs + phibar_h[t][i].scaled(c2)
-                system.require_zero(lhs - rhs.scaled(two_i))
+                        expr.add(phibar_h[t, i], ht.entry(u, jp), minus_two_i)
+                system.require_zero(expr)
 
     basis = tuple(
         GHalfElement(Matrix.from_rows(phi.values(sol)), SymBilinear(m, m, c.values(sol)))
@@ -533,72 +516,42 @@ def solve_g1(spec: SiegelDomainSpec) -> GOneSolution:
         if m:
             # association of w -> b(e_t, w)/2 to a(e_t, .)
             a_rows = [[a_lin(j, t, l) for l in range(k)] for j in range(k)]
-            b_entries = {(lp, p): b[lp, t, p].scaled(half) for lp in range(m) for p in range(m)}
-            _emit_association(system, components, a_rows, b_entries, m)
+            b_half = {key: _Lin() for key in product(range(m), repeat=2)}
+            for (lp, p), entry in b_half.items():
+                entry.add(b[lp, t, p], half)
+            _emit_association(system, components, a_rows, b_half, m)
             # reality of the trace
             trace = _Lin()
             for l in range(m):
-                trace = trace + b[l, t, l]
-            system.require_real_zero(trace.im_part())
+                trace.add(b[l, t, l])
+            system.require_real_zero(trace.im)
 
     if m:
         # membership of x -> Im H(w1, b(x, w0)) for coordinate pairs (w0, w1)
         vectors = coordinate_vectors(m)
         for w0 in vectors:
+            b_w0 = {key: _Lin() for key in product(range(m), range(k))}
+            for (l, t), entry in b_w0.items():
+                for p in range(m):
+                    entry.add(b[l, t, p], w0[p])
             for w1 in vectors:
-                grid = []
-                for j in range(k):
-                    row = []
-                    for t in range(k):
-                        acc = _Lin()
-                        for v in range(m):
-                            wc = w1[v].conjugate()
-                            if wc.is_zero():
-                                continue
-                            for l in range(m):
-                                coeff = wc * components[j].entry(v, l)
-                                if coeff.is_zero():
-                                    continue
-                                for p in range(m):
-                                    if not w0[p].is_zero():
-                                        acc = acc + b[l, t, p].scaled(coeff * w0[p])
-                        row.append(acc.im_part())
-                    grid.append(row)
-                _annihilator_rows(system, spec.cone, grid)
+                _pairing_rows(system, spec, w1, b_w0)
 
         # three-argument symmetry, matched on conj(w)_u conj(w')_v w''_i w''_j
-        wpairs = _sym_pairs(m)
-        for j in range(k):
-            hj = components[j]
+        b_bar = {key: b[key].conj() for key in product(range(m), range(k), range(m))}
+        for hj in components:
             for u in range(m):
                 for v in range(m):
-                    for (i, jp) in wpairs:
-                        lhs = _Lin()
+                    for (i, jp) in _sym_pairs(m):
+                        expr = _Lin()
                         for l in range(m):
-                            cjl = hj.entry(u, l)
-                            if cjl.is_zero():
-                                continue
-                            for t in range(k):
-                                ht = components[t]
-                                c1 = ht.entry(v, i)
-                                if not c1.is_zero():
-                                    lhs = lhs + b[l, t, jp].scaled(cjl * c1)
+                            for t, ht in enumerate(components):
+                                expr.add(b[l, t, jp], hj.entry(u, l), ht.entry(v, i))
+                                expr.add(b_bar[l, t, v], ht.entry(u, i), hj.entry(l, jp), -1)
                                 if i != jp:
-                                    c2 = ht.entry(v, jp)
-                                    if not c2.is_zero():
-                                        lhs = lhs + b[l, t, i].scaled(cjl * c2)
-                        rhs = _Lin()
-                        for l in range(m):
-                            for t in range(k):
-                                ht = components[t]
-                                c1 = ht.entry(u, i) * hj.entry(l, jp)
-                                if not c1.is_zero():
-                                    rhs = rhs + b[l, t, v].conj().scaled(c1)
-                                if i != jp:
-                                    c2 = ht.entry(u, jp) * hj.entry(l, i)
-                                    if not c2.is_zero():
-                                        rhs = rhs + b[l, t, v].conj().scaled(c2)
-                        system.require_zero(lhs - rhs)
+                                    expr.add(b[l, t, i], hj.entry(u, l), ht.entry(v, jp))
+                                    expr.add(b_bar[l, t, v], ht.entry(u, jp), hj.entry(l, i), -1)
+                        system.require_zero(expr)
 
     basis = tuple(
         GOneElement(SymBilinear(k, k, a.values(sol)), Bilinear(m, k, m, b.values(sol)))

@@ -82,6 +82,9 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
+
     def is_real(self) -> bool:
         return self.im == 0
 

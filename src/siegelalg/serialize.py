@@ -44,6 +44,8 @@ def gaussian_to_json(z: GaussianRational) -> dict:
 
 def gaussian_from_json(value) -> GaussianRational:
     if isinstance(value, dict):
+        if not value or set(value) - {"re", "im"}:
+            raise ValidationError(f"complex entry {value!r} needs 're' and/or 'im' and no other key")
         re = fraction_from_json(value.get("re", 0))
         im = fraction_from_json(value.get("im", 0))
         return GaussianRational(re, im)

@@ -28,3 +28,44 @@ def test_no_duplicate_exports():
 
 def test_exports_equal_public_bindings():
     assert set(siegelalg.__all__) == _public_names_bound_in_init()
+
+
+def _names_in_annotation(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield from _names_in_annotation(ast.parse(sub.value, mode="eval"))
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            used.update(_names_in_annotation(node.annotation))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            used.update(_names_in_annotation(node.returns))
+        elif isinstance(node, ast.AnnAssign):
+            used.update(_names_in_annotation(node.annotation))
+    return sorted(f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports():
+    package = Path(siegelalg.__file__).parent
+    unused = [
+        entry
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py"
+        for entry in _unused_imports(path)
+    ]
+    assert unused == []

@@ -2,6 +2,7 @@
 
 import pytest
 
+from siegelalg import catalog
 from siegelalg.catalog import (
     analyze,
     ball,
@@ -165,11 +166,12 @@ class TestVerifyPaper:
         assert report.failed == 0
         assert report.passed == len(report.checks)
 
-    def test_perturbed_expectation_fails_alone(self):
-        report = verify_paper(expected={"d6_total": 11})
+    def test_perturbed_expectation_fails_alone(self, monkeypatch):
+        monkeypatch.setitem(catalog.EXPECTED, "d6_total", 11)
+        report = verify_paper()
         assert [c.name for c in report.failures()] == ["d6_total"]
 
-    def test_truncated_cone_fails_many(self):
+    def test_truncated_cone_fails_many(self, monkeypatch):
         def truncated(cone_id):
             cone = catalog_cone(cone_id)
             if cone_id == "omega3":
@@ -179,7 +181,8 @@ class TestVerifyPaper:
                 )
             return cone
 
-        report = verify_paper(cones=truncated)
+        monkeypatch.setattr(catalog, "catalog_cone", truncated)
+        report = verify_paper()
         failed = {c.name for c in report.failures()}
         assert len(failed) > 1
         assert "cone_dim_omega3" in failed

@@ -107,6 +107,19 @@ class TestSpecFile:
         code, _, err = run_cli(capsys, "dims", "--spec", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("family", [
+        [[[{"re": "1", "imag": "2"}]], [["1"]], [["0"]]],
+        [[["1"]], [["1"]], [[{}]]],
+    ], ids=["misspelled_im", "no_parts"])
+    def test_malformed_complex_entry(self, capsys, tmp_path, family):
+        doc = {"n": 4, "k": 3, "cone": "omega3", "H": family}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "dims", "--spec", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

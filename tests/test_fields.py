@@ -1,13 +1,16 @@
 """Vector-field materialization, brackets, and the grading check."""
 
+import hashlib
 from fractions import Fraction
 
+import pytest
+
+from siegelalg import catalog
 from siegelalg.cones import catalog_cone, half_line
 from siegelalg.fields import (
     PolyVectorField,
     bracket,
     check_grading,
-    coordinate_names,
     euler_field,
     in_real_span,
     jacobi_defect,
@@ -58,7 +61,7 @@ class TestEulerField:
             HermitianFamily.from_matrices([Matrix.identity(3), Matrix.zeros(3, 3)]),
         )
         f = euler_field(spec)
-        assert f.format(coordinate_names(spec)) == "(z1, z2, 1/2*w1, 1/2*w2, 1/2*w3)"
+        assert f.format(["z1", "z2", "w1", "w2", "w3"]) == "(z1, z2, 1/2*w1, 1/2*w2, 1/2*w3)"
 
 
 class TestMaterialize:
@@ -103,6 +106,32 @@ class TestMaterialize:
         assert p.coefficient((0, 2, 0, 0)) == x1sq
         assert p.coefficient((1, 1, 0, 0)) == -(x1sq + x1sq)
         assert p.coefficient((0, 0, 2, 0)) == x1sq
+
+
+# sha256 of the formatted generators, one "label grade field" line each,
+# recorded before materialize was rewritten on term lists
+MATERIALIZE_SHA256 = {
+    "ball3": ("661cd583543f484b0979ede72e25dc99dbcc48f7c45bff67067fa6c0fc78c86c", catalog.ball(3)),
+    "d6_110": ("cf5552c95dd3956093e93f4ba5e153f5272defa028fcb87c503f84c6a916e235",
+               catalog.d6((1, 1, 0))),
+    "d6_210": ("2e87955e9f4c4ce94657d133035dfbad43d37da5cdec23077b9315fb4060920b",
+               catalog.d6((2, 1, 0))),
+    "ballproduct2_2": ("d788092bfb7fd9f253b1258405c886bfeb5124e58bac112c6aa1e4045f476d3d",
+                       catalog.ball_product(2, 2)),
+    "d3_1011": ("44762419fdcbd1c31502ddd48319fb50c82dda99c7193b4ede6e87d6aafba9dc",
+                catalog.d3(1, 0, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MATERIALIZE_SHA256))
+def test_materialize_output_is_pinned(name):
+    digest, domain = MATERIALIZE_SHA256[name]
+    spec = catalog.build(domain)
+    names = [f"z{i + 1}" for i in range(spec.k)] + [f"w{i + 1}" for i in range(spec.m)]
+    text = "\n".join(
+        f"{f.label} {f.grade} {f.format(names)}" for f in materialize(spec, solve_all(spec))
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestBracket:

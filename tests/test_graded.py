@@ -19,7 +19,7 @@ from siegelalg.graded import (
     solve_L,
 )
 from siegelalg.hermitian import HermitianFamily, evaluate
-from siegelalg.linalg import GR_I, GR_ONE, GR_ZERO, Matrix, from_real_rows, gr
+from siegelalg.linalg import GR_I, GR_ONE, GR_ZERO, GaussianRational, Matrix, from_real_rows, gr
 from test_linalg import dense_rref
 
 TWO_I = GR_I + GR_I
@@ -425,9 +425,49 @@ def test_layout_round_trip(name, solver, monkeypatch):
         assert len(hits) == 1
         block, index, value = hits[0]
         re_col = col if value == GR_ONE else col - 1
-        expected = {re_col: GR_ONE} if block.width == 1 else {re_col: GR_ONE, re_col + 1: GR_I}
         assert value in (GR_ONE, GR_I)
-        assert block[index].coeffs == expected
+        assert block[index].re == {re_col: 1}
+        assert block[index].im == ({} if block.width == 1 else {re_col + 1: 1})
+
+
+SMALL_FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+SPARSE_ROWS = st.dictionaries(st.integers(0, 6), SMALL_FRACTIONS, max_size=5)
+FACTORS = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    SMALL_FRACTIONS,
+    st.builds(GaussianRational, SMALL_FRACTIONS, SMALL_FRACTIONS),
+)
+
+
+def _as_gaussian(lin):
+    """The expression as {unknown: nonzero Gaussian coefficient}."""
+    out = {}
+    for j in set(lin.re) | set(lin.im):
+        c = GaussianRational(Fraction(lin.re.get(j, 0)), Fraction(lin.im.get(j, 0)))
+        if not c.is_zero():
+            out[j] = c
+    return out
+
+
+@given(acc_re=SPARSE_ROWS, acc_im=SPARSE_ROWS, other_re=SPARSE_ROWS, other_im=SPARSE_ROWS,
+       factors=st.lists(FACTORS, max_size=3))
+@settings(derandomize=True, max_examples=100, deadline=None)
+def test_lin_add_matches_gaussian_reference(acc_re, acc_im, other_re, other_im, factors):
+    """acc.add(other, *factors) is acc + (product of factors) * other, computed with Gaussian rationals."""
+    acc = graded._Lin(dict(acc_re), dict(acc_im))
+    other = graded._Lin(dict(other_re), dict(other_im))
+    scale = GR_ONE
+    for f in factors:
+        scale = scale * GaussianRational.of(f)
+    expected = _as_gaussian(acc)
+    for j, x in _as_gaussian(other).items():
+        expected[j] = expected.get(j, GR_ZERO) + scale * x
+    acc.add(other, *factors)
+    assert _as_gaussian(acc) == {j: c for j, c in expected.items() if not c.is_zero()}
+    assert (other.re, other.im) == (other_re, other_im)
+    if any(GaussianRational.of(f).is_zero() for f in factors):
+        assert (acc.re, acc.im) == (acc_re, acc_im)
 
 
 @st.composite

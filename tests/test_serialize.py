@@ -43,6 +43,11 @@ class TestScalars:
         assert gaussian_from_json("5") == gr(5)
         assert gaussian_from_json({"im": "1/2"}) == gr(0, Fraction(1, 2))
 
+    @pytest.mark.parametrize("value", [{}, {"re": "1", "imag": "2"}, {"real": "1"}])
+    def test_gaussian_rejects_unknown_or_missing_keys(self, value):
+        with pytest.raises(ValidationError):
+            gaussian_from_json(value)
+
 
 class TestCones:
     def test_catalog_reference(self):
