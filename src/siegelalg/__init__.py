@@ -50,12 +50,8 @@ from .fields import (
     materialize,
 )
 from .graded import (
-    G0Solution,
-    GHalfSolution,
-    GOneSolution,
     GradedDims,
     GradedSolutions,
-    LSolution,
     SiegelDomainSpec,
     graded_dims,
     solve_all,
@@ -86,16 +82,12 @@ __all__ = [
     "ConeSpec",
     "DomainId",
     "DomainReport",
-    "G0Solution",
     "GENERICALLY_OPEN_ORBITS",
-    "GHalfSolution",
-    "GOneSolution",
     "GaussianRational",
     "GradedDims",
     "GradedSolutions",
     "HermitianFamily",
     "HomogeneityVerdict",
-    "LSolution",
     "Matrix",
     "NOT_TRANSITIVE",
     "PolyMatrix",

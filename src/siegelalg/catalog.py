@@ -225,13 +225,13 @@ def analyze(domain: DomainId) -> DomainReport:
     spec = build(domain)
     sols = solve_all(spec)
     bounds = bound_chain(
-        spec.n, spec.k, sols.skew.s, spec.cone.dim_g, sols.dims.d_half, sols.dims.d_1
+        spec.n, spec.k, len(sols.skew), spec.cone.dim_g, sols.dims.d_half, sols.dims.d_1
     )
     return DomainReport(
         label=domain.label,
         spec=spec,
         dims=sols.dims,
-        s=sols.skew.s,
+        s=len(sols.skew),
         bounds=bounds,
         homogeneity=homogeneity_verdict(spec),
         omega_hermitian=is_omega_hermitian(spec.form, spec.cone),
@@ -430,9 +430,9 @@ class VerifyReport:
 
 
 def _d6_basis_matches(sols) -> bool:
-    if sols.g_one.dim != 1:
+    if len(sols.g_one) != 1:
         return False
-    el = sols.g_one.basis[0]
+    el = sols.g_one[0]
     if not el.b.is_zero():
         return False
     scale = None
@@ -476,7 +476,7 @@ def _skew_formula_agrees() -> bool:
                 [Matrix.identity(n - 2), _diag(eigs)]
             )
             spec = SiegelDomainSpec(n, 2, quadrant, fam)
-            if solve_L(spec).s != s_from_multiplicities(n, mults):
+            if len(solve_L(spec)) != s_from_multiplicities(n, mults):
                 return False
     return True
 
@@ -596,7 +596,7 @@ def verify_paper() -> VerifyReport:
 
     d6_spec = build(d6((1, 1, 0)))
     d6_sols = solve_all(d6_spec)
-    computed["d6_s"] = d6_sols.skew.s
+    computed["d6_s"] = len(d6_sols.skew)
     computed["d6_g0"] = d6_sols.dims.d_0
     computed["d6_ghalf"] = d6_sols.dims.d_half
     computed["d6_g1"] = d6_sols.dims.d_1

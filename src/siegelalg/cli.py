@@ -18,31 +18,17 @@ from .cones import catalog_cone, isotropy_bound
 from .errors import ValidationError
 from .graded import solve_all
 from .homogeneity import NOT_TRANSITIVE, homogeneity_verdict
-from .linalg import GaussianRational
 from .serialize import (
     fraction_from_json,
-    fraction_to_str,
-    gaussian_to_json,
     load_domain_spec,
-    real_matrix_to_json,
+    real_parts,
     solutions_bases_to_json,
+    to_json,
 )
 
 
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return fraction_to_str(value)
-    if isinstance(value, GaussianRational):
-        return gaussian_to_json(value)
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def _emit_json(doc) -> None:
-    print(json.dumps(_jsonable(doc), indent=2))
+    print(json.dumps(to_json(doc), indent=2))
 
 
 def _parse_vector(text: str) -> tuple[Fraction, ...]:
@@ -101,7 +87,10 @@ def _load_spec(args):
     """Domain from --spec JSON or from --domain flags; returns (spec, label)."""
     if getattr(args, "spec", None):
         with open(args.spec, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except (UnicodeDecodeError, RecursionError) as exc:
+                raise ValidationError(f"cannot read {args.spec}: {exc}") from exc
         spec = load_domain_spec(doc, samples=args.samples, seed=args.seed)
         return spec, f"custom({args.spec})"
     if not getattr(args, "domain", None):
@@ -117,17 +106,17 @@ def _cmd_cone_info(args) -> int:
         "k": cone.k,
         "dim_g": cone.dim_g,
         "isotropy_bound": isotropy_bound(cone.k),
-        "interior_point": [fraction_to_str(x) for x in cone.interior_point],
+        "interior_point": cone.interior_point,
         "annihilator_count": len(cone.annihilators),
     }
     if args.emit_bases:
-        doc["g_basis"] = [real_matrix_to_json(m) for m in cone.g_basis]
+        doc["g_basis"] = real_parts(cone.g_basis)
     if args.format == "json":
         _emit_json(doc)
     else:
         print(f"cone {cone.name}: k={cone.k} dim g={cone.dim_g} "
               f"isotropy bound={isotropy_bound(cone.k)}")
-        print(f"interior point: ({', '.join(fraction_to_str(x) for x in cone.interior_point)})")
+        print(f"interior point: ({', '.join(map(str, cone.interior_point))})")
         print(f"annihilators: {len(cone.annihilators)}")
         if args.emit_bases:
             for i, m in enumerate(cone.g_basis):
@@ -143,7 +132,7 @@ def _cmd_dims(args) -> int:
         "n": spec.n,
         "k": spec.k,
         "dims": sols.dims.as_dict(),
-        "s": sols.skew.s,
+        "s": len(sols.skew),
     }
     if args.emit_bases:
         doc["bases"] = solutions_bases_to_json(sols)
@@ -154,10 +143,10 @@ def _cmd_dims(args) -> int:
         print(f"domain {label}: n={spec.n} k={spec.k}")
         print(
             f"g_-1={d.d_m1} g_-1/2={d.d_mhalf} g_0={d.d_0} "
-            f"g_1/2={d.d_half} g_1={d.d_1} total={d.total} s={sols.skew.s}"
+            f"g_1/2={d.d_half} g_1={d.d_1} total={d.total} s={len(sols.skew)}"
         )
         if args.emit_bases:
-            print(json.dumps(_jsonable(solutions_bases_to_json(sols)), indent=2))
+            _emit_json(solutions_bases_to_json(sols))
     return 0
 
 
@@ -271,12 +260,9 @@ def _cmd_verify_paper(args) -> int:
     else:
         for c in report.checks:
             if c.passed:
-                print(f"[PASS] {c.name}: {_jsonable(c.computed)}")
+                print(f"[PASS] {c.name}: {c.computed}")
             else:
-                print(
-                    f"[FAIL] {c.name}: expected {_jsonable(c.expected)}, "
-                    f"computed {_jsonable(c.computed)}"
-                )
+                print(f"[FAIL] {c.name}: expected {c.expected}, computed {c.computed}")
         print(f"summary: {report.passed} passed, {report.failed} failed")
     return 0 if report.ok else 1
 
@@ -353,7 +339,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:

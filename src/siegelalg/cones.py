@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Sequence, Union
 
 from .errors import ValidationError
-from .linalg import Matrix, from_real_rows
+from .linalg import Matrix, from_real_rows, span_rank
 
 
 class Region(enum.Enum):
@@ -86,6 +86,8 @@ class ConeSpec:
             raise ValidationError("cone dimension must be at least 1")
         if len(self.interior_point) != self.k:
             raise ValidationError("interior point has wrong length")
+        # the lineality space of the closed cone is the common kernel of these rows
+        normals = []
         for factor in self.boundary:
             if isinstance(factor, LorentzFactor):
                 coords = factor.coords
@@ -94,8 +96,14 @@ class ConeSpec:
                         f"Lorentz coordinates {list(coords)} must be at least two "
                         f"distinct indices in 0..{self.k - 1}"
                     )
+                normals += [[int(i == c) for i in range(self.k)] for c in coords]
             elif any(len(f) != self.k for f in factor.functionals):
                 raise ValidationError(f"polyhedral functionals must have length {self.k}")
+            else:
+                normals += factor.functionals
+        rank = span_rank(normals, self.k)
+        if rank != self.k:
+            raise ValidationError(f"the cone contains a line: its boundary rows have rank {rank}")
         for m in self.g_basis:
             if (m.nrows, m.ncols) != (self.k, self.k):
                 raise ValidationError("g_basis matrices must be k x k")

@@ -82,7 +82,7 @@ def materialize(spec: SiegelDomainSpec, sols: GradedSolutions) -> tuple[PolyVect
     """Explicit generators for all five graded components, in weight order.
 
     Symmetric forms are summed over all index pairs (i, j), so an off-diagonal
-    coefficient enters twice: the doubled convention of ``SymBilinear``.
+    coefficient enters twice: the doubled convention of ``graded._symmetric``.
     """
     n, k, m = spec.n, spec.k, spec.m
     comps = spec.form.components
@@ -103,13 +103,13 @@ def materialize(spec: SiegelDomainSpec, sols: GradedSolutions) -> tuple[PolyVect
         fields.append(_field(n, terms, Fraction(-1, 2), f"g-1/2[{idx}]"))
 
     # weight 0: (Az) . d/dz + (Bw) . d/dw
-    for idx, (a_mat, b_mat) in enumerate(sols.g0.basis):
+    for idx, (a_mat, b_mat) in enumerate(sols.g0):
         terms = [(t, a_mat.entry(t, l), l) for t in range(k) for l in range(k)]
         terms += [(k + l, b_mat.entry(l, p), k + p) for l in range(m) for p in range(m)]
         fields.append(_field(n, terms, Fraction(0), f"g0[{idx}]"))
 
     # weight 1/2: 2i H(Phi(conj z), w) . d/dz + (Phi z + c(w,w)) . d/dw
-    for idx, el in enumerate(sols.g_half.basis):
+    for idx, el in enumerate(sols.g_half):
         terms = [
             (t, two_i * el.phi.entry(v, i).conjugate() * comps[t].entry(v, l), i, k + l)
             for t in range(k) for i in range(k) for l in range(m) for v in range(m)
@@ -122,7 +122,7 @@ def materialize(spec: SiegelDomainSpec, sols: GradedSolutions) -> tuple[PolyVect
         fields.append(_field(n, terms, Fraction(1, 2), f"g1/2[{idx}]"))
 
     # weight 1: a(z,z) . d/dz + b(z,w) . d/dw
-    for idx, el in enumerate(sols.g_one.basis):
+    for idx, el in enumerate(sols.g_one):
         terms = [
             (l, el.a.coefficient(l, i, j), i, j)
             for l in range(k) for i in range(k) for j in range(k)

@@ -208,46 +208,7 @@ def _sym_pairs(n: int) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# solution containers
-
-@dataclass(frozen=True)
-class SymBilinear:
-    """Symmetric bilinear form coefficients, packed over index pairs i <= j.
-
-    The quadratic evaluation uses the doubled off-diagonal convention:
-    value_l(u, u) = sum_i c[l,ii] u_i^2 + 2 sum_{i<j} c[l,ij] u_i u_j.
-    """
-
-    out_dim: int
-    in_dim: int
-    coeffs: tuple[tuple[GaussianRational, ...], ...]
-
-    def coefficient(self, l: int, i: int, j: int) -> GaussianRational:
-        if i > j:
-            i, j = j, i
-        return self.coeffs[l][_sym_pairs(self.in_dim).index((i, j))]
-
-    def apply(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple[GaussianRational, ...]:
-        uu = [GaussianRational.of(x) for x in u]
-        vv = [GaussianRational.of(x) for x in v]
-        out = []
-        for l in range(self.out_dim):
-            acc = GR_ZERO
-            for idx, (i, j) in enumerate(_sym_pairs(self.in_dim)):
-                c = self.coeffs[l][idx]
-                if i == j:
-                    acc = acc + c * uu[i] * vv[i]
-                else:
-                    acc = acc + c * (uu[i] * vv[j] + uu[j] * vv[i])
-            out.append(acc)
-        return tuple(out)
-
-    def quad(self, u: Sequence[Scalar]) -> tuple[GaussianRational, ...]:
-        return self.apply(u, u)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for row in self.coeffs for c in row)
-
+# basis elements
 
 @dataclass(frozen=True)
 class Bilinear:
@@ -277,40 +238,30 @@ class Bilinear:
         return all(c.is_zero() for plane in self.coeffs for row in plane for c in row)
 
 
-@dataclass(frozen=True)
-class G0Solution:
-    basis: tuple[tuple[Matrix, Matrix], ...]
-    dim: int
+def _symmetric(packed: tuple[tuple[GaussianRational, ...], ...], n: int) -> Bilinear:
+    """The symmetric form whose coefficients ``packed[l]`` run over the pairs i <= j.
 
-
-@dataclass(frozen=True)
-class LSolution:
-    basis: tuple[Matrix, ...]
-    s: int
+    Both c[l][i][j] and c[l][j][i] hold the pair's coefficient, so a sum over
+    all (i, j) counts an off-diagonal coefficient twice:
+    value_l(u, u) = sum_i c[l,ii] u_i^2 + 2 sum_{i<j} c[l,ij] u_i u_j.
+    """
+    index = {pair: idx for idx, pair in enumerate(_sym_pairs(n))}
+    return Bilinear(len(packed), n, n, tuple(
+        tuple(tuple(row[index[min(i, j), max(i, j)]] for j in range(n)) for i in range(n))
+        for row in packed
+    ))
 
 
 @dataclass(frozen=True)
 class GHalfElement:
     phi: Matrix          # m x k, the C-linear map on the z-block
-    c: SymBilinear       # symmetric C-bilinear on the w-block
-
-
-@dataclass(frozen=True)
-class GHalfSolution:
-    basis: tuple[GHalfElement, ...]
-    dim: int
+    c: Bilinear          # symmetric C-bilinear on the w-block
 
 
 @dataclass(frozen=True)
 class GOneElement:
-    a: SymBilinear       # symmetric real bilinear on the z-block
+    a: Bilinear          # symmetric real bilinear on the z-block
     b: Bilinear          # C-bilinear mixing z and w
-
-
-@dataclass(frozen=True)
-class GOneSolution:
-    basis: tuple[GOneElement, ...]
-    dim: int
 
 
 @dataclass(frozen=True)
@@ -393,8 +344,8 @@ def _pairing_rows(
 # solvers
 
 @lru_cache(maxsize=None)
-def solve_g0(spec: SiegelDomainSpec) -> G0Solution:
-    """Pairs (A, B): A in g(Omega) with B associated to A.
+def solve_g0(spec: SiegelDomainSpec) -> tuple[tuple[Matrix, Matrix], ...]:
+    """A basis of pairs (A, B): A in g(Omega) with B associated to A.
 
     A is parametrized in cone coordinates, which builds the cone membership
     into the unknowns; the association identity is matched entry by entry.
@@ -421,25 +372,24 @@ def solve_g0(spec: SiegelDomainSpec) -> G0Solution:
         for g, x in zip(gbasis, coords.values(sol)):
             a_mat = a_mat + g.scale(x)
         basis.append((a_mat, Matrix.from_rows(b.values(sol))))
-    return G0Solution(tuple(basis), len(basis))
+    return tuple(basis)
 
 
 @lru_cache(maxsize=None)
-def solve_L(spec: SiegelDomainSpec) -> LSolution:
-    """Matrices skew-Hermitian with respect to every component of the family."""
+def solve_L(spec: SiegelDomainSpec) -> tuple[Matrix, ...]:
+    """A basis of the matrices skew-Hermitian with respect to every component of the family."""
     k, m = spec.k, spec.m
     layout = _Layout()
     b = layout.complex(m, m)
     system = _System(layout.n)
     a_rows = [[_Lin() for _ in range(k)] for _ in range(k)]
     _emit_association(system, spec.form.components, a_rows, b, m)
-    basis = tuple(Matrix.from_rows(b.values(sol)) for sol in system.solutions())
-    return LSolution(basis, len(basis))
+    return tuple(Matrix.from_rows(b.values(sol)) for sol in system.solutions())
 
 
 @lru_cache(maxsize=None)
-def solve_g_half(spec: SiegelDomainSpec) -> GHalfSolution:
-    """The weight-1/2 component: pairs (Phi, c).
+def solve_g_half(spec: SiegelDomainSpec) -> tuple[GHalfElement, ...]:
+    """A basis of the weight-1/2 component: pairs (Phi, c).
 
     Membership of the induced real maps is instantiated at coordinate vectors
     and their i-multiples (the dependence is real-linear); the compatibility
@@ -448,7 +398,7 @@ def solve_g_half(spec: SiegelDomainSpec) -> GHalfSolution:
     """
     k, m = spec.k, spec.m
     if m == 0:
-        return GHalfSolution((), 0)
+        return ()
     components = spec.form.components
     pairs = _sym_pairs(m)
     layout = _Layout()
@@ -480,16 +430,15 @@ def solve_g_half(spec: SiegelDomainSpec) -> GHalfSolution:
                         expr.add(phibar_h[t, i], ht.entry(u, jp), minus_two_i)
                 system.require_zero(expr)
 
-    basis = tuple(
-        GHalfElement(Matrix.from_rows(phi.values(sol)), SymBilinear(m, m, c.values(sol)))
+    return tuple(
+        GHalfElement(Matrix.from_rows(phi.values(sol)), _symmetric(c.values(sol), m))
         for sol in system.solutions()
     )
-    return GHalfSolution(basis, len(basis))
 
 
 @lru_cache(maxsize=None)
-def solve_g1(spec: SiegelDomainSpec) -> GOneSolution:
-    """The weight-1 component: pairs (a, b).
+def solve_g1(spec: SiegelDomainSpec) -> tuple[GOneElement, ...]:
+    """A basis of the weight-1 component: pairs (a, b).
 
     Four condition families: cone membership of x -> a(x0, x); association of
     the half-coefficient maps w -> b(x0, w)/2; reality of their traces; cone
@@ -553,19 +502,20 @@ def solve_g1(spec: SiegelDomainSpec) -> GOneSolution:
                                     expr.add(b_bar[l, t, v], ht.entry(u, jp), hj.entry(l, i), -1)
                         system.require_zero(expr)
 
-    basis = tuple(
-        GOneElement(SymBilinear(k, k, a.values(sol)), Bilinear(m, k, m, b.values(sol)))
+    return tuple(
+        GOneElement(_symmetric(a.values(sol), k), Bilinear(m, k, m, b.values(sol)))
         for sol in system.solutions()
     )
-    return GOneSolution(basis, len(basis))
 
 
 @dataclass(frozen=True)
 class GradedSolutions:
-    g0: G0Solution
-    skew: LSolution
-    g_half: GHalfSolution
-    g_one: GOneSolution
+    """The bases of g_0, of the skew-Hermitian part L of g_0, of g_1/2 and of g_1."""
+
+    g0: tuple[tuple[Matrix, Matrix], ...]
+    skew: tuple[Matrix, ...]
+    g_half: tuple[GHalfElement, ...]
+    g_one: tuple[GOneElement, ...]
     dims: GradedDims
 
 
@@ -583,9 +533,9 @@ def solve_all(spec: SiegelDomainSpec) -> GradedSolutions:
     dims = GradedDims(
         d_m1,
         d_mhalf,
-        g0.dim,
-        g_half.dim,
-        g_one.dim,
-        d_m1 + d_mhalf + g0.dim + g_half.dim + g_one.dim,
+        len(g0),
+        len(g_half),
+        len(g_one),
+        d_m1 + d_mhalf + len(g0) + len(g_half) + len(g_one),
     )
     return GradedSolutions(g0, skew, g_half, g_one, dims)

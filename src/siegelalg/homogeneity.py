@@ -49,8 +49,7 @@ def a_part_basis(spec: SiegelDomainSpec) -> tuple[Matrix, ...]:
     result is deterministic and independent of the pairing with B.
     """
     k = spec.k
-    sol = solve_g0(spec)
-    rows = [[x.re for x in a.vectorize()] for a, _ in sol.basis]
+    rows = [[x.re for x in a.vectorize()] for a, _ in solve_g0(spec)]
     if not rows:
         return ()
     reduced = from_real_rows(rows).rref()

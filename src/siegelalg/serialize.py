@@ -21,8 +21,32 @@ from .hermitian import HermitianFamily, is_omega_hermitian
 from .linalg import GaussianRational, Matrix
 
 
-def fraction_to_str(x: Fraction) -> str:
-    return str(x)
+def to_json(value):
+    """``value`` with every rational, complex number and matrix in it encoded for JSON.
+
+    A ``Fraction`` becomes "p/q", a ``GaussianRational`` {"re", "im"}, a
+    ``Matrix`` its list of rows, a tuple a list; other values pass through.
+    """
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, GaussianRational):
+        return {"re": str(value.re), "im": str(value.im)}
+    if isinstance(value, Matrix):
+        return to_json(value.entries)
+    if isinstance(value, dict):
+        return {key: to_json(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_json(v) for v in value]
+    return value
+
+
+def real_parts(value):
+    """The real parts of real-valued complex data (a ``Matrix`` or nested tuples), as lists."""
+    if isinstance(value, GaussianRational):
+        return value.re
+    if isinstance(value, Matrix):
+        value = value.entries
+    return [real_parts(v) for v in value]
 
 
 def fraction_from_json(value: Union[str, int]) -> Fraction:
@@ -38,10 +62,6 @@ def fraction_from_json(value: Union[str, int]) -> Fraction:
     raise ValidationError(f"bad rational value {value!r} (floats are not accepted)")
 
 
-def gaussian_to_json(z: GaussianRational) -> dict:
-    return {"re": fraction_to_str(z.re), "im": fraction_to_str(z.im)}
-
-
 def gaussian_from_json(value) -> GaussianRational:
     if isinstance(value, dict):
         if not value or set(value) - {"re", "im"}:
@@ -50,14 +70,6 @@ def gaussian_from_json(value) -> GaussianRational:
         im = fraction_from_json(value.get("im", 0))
         return GaussianRational(re, im)
     return GaussianRational(fraction_from_json(value), Fraction(0))
-
-
-def matrix_to_json(m: Matrix) -> list:
-    return [[gaussian_to_json(x) for x in row] for row in m.entries]
-
-
-def real_matrix_to_json(m: Matrix) -> list:
-    return [[fraction_to_str(x.re) for x in row] for row in m.entries]
 
 
 def matrix_from_json(rows, expect_shape: Optional[tuple[int, int]] = None) -> Matrix:
@@ -73,11 +85,8 @@ def matrix_from_json(rows, expect_shape: Optional[tuple[int, int]] = None) -> Ma
 
 def _factor_to_json(factor) -> dict:
     if isinstance(factor, LorentzFactor):
-        return {"kind": "lorentz", "coords": list(factor.coords)}
-    return {
-        "kind": "polyhedral",
-        "functionals": [[fraction_to_str(x) for x in f] for f in factor.functionals],
-    }
+        return {"kind": "lorentz", "coords": factor.coords}
+    return {"kind": "polyhedral", "functionals": factor.functionals}
 
 
 def _factor_from_json(doc) -> Union[PolyhedralFactor, LorentzFactor]:
@@ -100,13 +109,13 @@ def _factor_from_json(doc) -> Union[PolyhedralFactor, LorentzFactor]:
 
 
 def cone_to_json(cone: ConeSpec) -> dict:
-    return {
+    return to_json({
         "name": cone.name,
         "k": cone.k,
-        "g_basis": [real_matrix_to_json(m) for m in cone.g_basis],
-        "interior_point": [fraction_to_str(x) for x in cone.interior_point],
+        "g_basis": real_parts(cone.g_basis),
+        "interior_point": cone.interior_point,
         "boundary": {"factors": [_factor_to_json(f) for f in cone.boundary]},
-    }
+    })
 
 
 def cone_from_json(doc) -> ConeSpec:
@@ -127,7 +136,9 @@ def cone_from_json(doc) -> ConeSpec:
     )
     boundary_doc = doc["boundary"]
     if isinstance(boundary_doc, dict) and "factors" in boundary_doc:
-        factors = tuple(_factor_from_json(f) for f in boundary_doc["factors"])
+        factors = tuple(
+            _factor_from_json(f) for f in _list_value(boundary_doc["factors"], "'factors'")
+        )
     elif isinstance(boundary_doc, list):
         factors = tuple(_factor_from_json(f) for f in boundary_doc)
     else:
@@ -141,10 +152,6 @@ def cone_from_json(doc) -> ConeSpec:
     )
 
 
-def family_to_json(family: HermitianFamily) -> list:
-    return [matrix_to_json(c) for c in family.components]
-
-
 def family_from_json(doc, k: int, m: int) -> HermitianFamily:
     if not isinstance(doc, list) or len(doc) != k:
         raise ValidationError(f"'H' must be a list of {k} matrices")
@@ -153,12 +160,12 @@ def family_from_json(doc, k: int, m: int) -> HermitianFamily:
 
 
 def spec_to_json(spec: SiegelDomainSpec) -> dict:
-    return {
+    return to_json({
         "n": spec.n,
         "k": spec.k,
         "cone": spec.cone.name if spec.cone.name.startswith("omega") else cone_to_json(spec.cone),
-        "H": family_to_json(spec.form),
-    }
+        "H": spec.form.components,
+    })
 
 
 def _require_keys(doc: dict, keys: set[str], what: str) -> None:
@@ -205,39 +212,9 @@ def load_domain_spec(doc: dict, samples: int = 32, seed: int = 0) -> SiegelDomai
 
 
 def solutions_bases_to_json(sols: GradedSolutions) -> dict:
-    """Explicit generator data, gated behind a CLI flag to keep reports small."""
-    g0 = [
-        {"A": real_matrix_to_json(a), "B": matrix_to_json(b)}
-        for a, b in sols.g0.basis
-    ]
-    g_half = []
-    for el in sols.g_half.basis:
-        m = el.c.in_dim
-        g_half.append(
-            {
-                "phi": matrix_to_json(el.phi),
-                "c": [
-                    [[gaussian_to_json(el.c.coefficient(l, i, j)) for j in range(m)]
-                     for i in range(m)]
-                    for l in range(el.c.out_dim)
-                ],
-            }
-        )
-    g_one = []
-    for el in sols.g_one.basis:
-        k = el.a.in_dim
-        g_one.append(
-            {
-                "a": [
-                    [[fraction_to_str(el.a.coefficient(l, i, j).re) for j in range(k)]
-                     for i in range(k)]
-                    for l in range(el.a.out_dim)
-                ],
-                "b": [
-                    [[gaussian_to_json(el.b.coefficient(l, i, j)) for j in range(el.b.right_dim)]
-                     for i in range(el.b.left_dim)]
-                    for l in range(el.b.out_dim)
-                ],
-            }
-        )
-    return {"g_0": g0, "g_half": g_half, "g_1": g_one}
+    """Explicit generator data for ``to_json``, gated behind a CLI flag to keep reports small."""
+    return {
+        "g_0": [{"A": real_parts(a), "B": b} for a, b in sols.g0],
+        "g_half": [{"phi": el.phi, "c": el.c.coeffs} for el in sols.g_half],
+        "g_1": [{"a": real_parts(el.a.coeffs), "b": el.b.coeffs} for el in sols.g_one],
+    }

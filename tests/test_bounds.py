@@ -112,4 +112,4 @@ class TestSkewCount:
                 [from_real_rows([[1 if i == j else 0 for j in range(n - 2)] for i in range(n - 2)]), second]
             )
             spec = SiegelDomainSpec(n, 2, cone, fam)
-            assert solve_L(spec).s == s_from_multiplicities(n, mults)
+            assert len(solve_L(spec)) == s_from_multiplicities(n, mults)

@@ -1,8 +1,13 @@
 """End-to-end command-line behavior via in-process dispatch."""
 
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siegelalg.cli import main
 
@@ -127,6 +132,20 @@ class TestSpecFile:
         assert code == 2
         assert "JSON" in err
 
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8", "deeply_nested"])
+    def test_unreadable_spec_file(self, capsys, tmp_path, kind):
+        path = tmp_path / "domain.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not_utf8":
+            path.write_bytes(b"\xff\xfe{}")
+        else:
+            path.write_text("[" * 100000)
+        code, out, err = run_cli(capsys, "dims", "--spec", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 LORENTZ3_CONE = {
     "k": 3,
@@ -166,6 +185,11 @@ MALFORMED_CONES = {
     "missing_g_basis": _without("g_basis"),
     "missing_interior_point": _without("interior_point"),
     "missing_boundary": _without("boundary"),
+    "factors_not_a_list": {**LORENTZ3_CONE, "boundary": {"factors": 0}},
+    # cones that contain a line
+    "no_factors": _with_factors(),
+    "functionless_polyhedral": _with_factors({"kind": "polyhedral", "functionals": []}),
+    "lorentz_on_two_of_three": _with_factors({"kind": "lorentz", "coords": [0, 1]}),
 }
 
 
@@ -275,3 +299,58 @@ class TestVerifyPaper:
         doc = json.loads(out)
         assert doc["summary"]["failed"] == 0
         assert all(c["status"] == "pass" for c in doc["checks"])
+
+
+CUSTOM_ORTHANT = {
+    "k": 2,
+    "g_basis": [[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]],
+    "interior_point": ["1", "1"],
+    "boundary": {"factors": [{"kind": "polyhedral", "functionals": [["1", "0"], ["0", "1"]]}]},
+}
+
+FUZZ_DOCUMENTS = (
+    {"n": 4, "k": 3, "cone": "omega3", "H": [[["1"]], [["1"]], [["0"]]]},
+    {"n": 4, "k": 2, "cone": "omega1", "H": [[["1", "0"], ["0", "1"]], [["1", "0"], ["0", "2"]]]},
+    {"n": 3, "k": 2, "cone": CUSTOM_ORTHANT, "H": [[["1"]], [["1"]]]},
+    {"n": 4, "k": 3, "cone": LORENTZ3_CONE, "H": [[["1"]], [["1"]], [[{"re": "0"}]]]},
+)
+
+JUNK = (None, [], {}, -1, 0, 10**6, "x", "", 1.5, True, "1/0", [[]])
+
+
+def _nodes(doc):
+    """(container, key) for every node below ``doc``."""
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in children:
+        yield doc, key
+        yield from _nodes(value)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A fuzz document with one to three nodes replaced by junk or deleted."""
+    # a seeded Random picks nodes uniformly; sampled_from over the nodes rarely reached deep keys
+    rnd = draw(st.randoms(use_true_random=True))
+    doc = copy.deepcopy(rnd.choice(FUZZ_DOCUMENTS))
+    for _ in range(rnd.randint(1, 3)):
+        parent, key = rnd.choice(list(_nodes(doc)))
+        if isinstance(parent, dict) and rnd.random() < 0.5:
+            del parent[key]
+        else:
+            parent[key] = copy.deepcopy(rnd.choice(JUNK))
+    return doc
+
+
+@given(doc=mutated_documents(), command=st.sampled_from(["dims", "homogeneity"]))
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_mutated_spec_documents_end_cleanly(tmp_path_factory, doc, command):
+    """Junk values and missing keys end in exit 0, 1 or 2, never in an escaped exception."""
+    path = tmp_path_factory.mktemp("fuzz") / "domain.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--spec", str(path)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

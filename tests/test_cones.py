@@ -142,5 +142,16 @@ class TestValidation:
                 boundary=(PolyhedralFactor(((Fraction(1),),)),),
             )
 
+    def test_cone_containing_a_line_rejected(self):
+        # a half plane: the one functional leaves the direction e_1 free
+        with pytest.raises(ValidationError, match="contains a line"):
+            ConeSpec(
+                name="half-plane",
+                k=2,
+                g_basis=(from_real_rows([[1, 0], [0, 1]]),),
+                interior_point=(Fraction(1), Fraction(0)),
+                boundary=(PolyhedralFactor(((Fraction(1), Fraction(0)),)),),
+            )
+
     def test_orthant_one_is_half_line(self):
         assert orthant(1).k == half_line().k == 1

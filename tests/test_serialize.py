@@ -8,23 +8,23 @@ from siegelalg.catalog import build, d6
 from siegelalg.cones import catalog_cone
 from siegelalg.errors import ValidationError
 from siegelalg.graded import graded_dims
-from siegelalg.linalg import gr
+from siegelalg.linalg import Matrix, gr
 from siegelalg.serialize import (
     cone_from_json,
     cone_to_json,
     fraction_from_json,
-    fraction_to_str,
     gaussian_from_json,
-    gaussian_to_json,
     load_domain_spec,
+    real_parts,
     spec_to_json,
+    to_json,
 )
 
 
 class TestScalars:
     def test_fraction_strings(self):
-        assert fraction_to_str(Fraction(3, 2)) == "3/2"
-        assert fraction_to_str(Fraction(-4)) == "-4"
+        assert to_json(Fraction(3, 2)) == "3/2"
+        assert to_json(Fraction(-4)) == "-4"
         assert fraction_from_json("3/2") == Fraction(3, 2)
         assert fraction_from_json(7) == 7
         assert fraction_from_json("-5") == -5
@@ -39,9 +39,19 @@ class TestScalars:
 
     def test_gaussian_roundtrip(self):
         z = gr(Fraction(1, 3), Fraction(-2, 7))
-        assert gaussian_from_json(gaussian_to_json(z)) == z
+        assert to_json(z) == {"re": "1/3", "im": "-2/7"}
+        assert gaussian_from_json(to_json(z)) == z
         assert gaussian_from_json("5") == gr(5)
         assert gaussian_from_json({"im": "1/2"}) == gr(0, Fraction(1, 2))
+
+    def test_nested_values(self):
+        m = Matrix.from_rows([[gr(1), gr(0, Fraction(1, 2))]])
+        doc = {"m": m, "t": (Fraction(1, 2), [True, None, "x", 3])}
+        assert to_json(doc) == {
+            "m": [[{"re": "1", "im": "0"}, {"re": "0", "im": "1/2"}]],
+            "t": ["1/2", [True, None, "x", 3]],
+        }
+        assert to_json(real_parts((m, ((gr(2),),)))) == [[["1", "0"]], [["2"]]]
 
     @pytest.mark.parametrize("value", [{}, {"re": "1", "imag": "2"}, {"real": "1"}])
     def test_gaussian_rejects_unknown_or_missing_keys(self, value):
