@@ -98,16 +98,22 @@ class SweepEntry:
     margin: Fraction   # bound - (n^2 - 2); negative rules the pair out
 
 
+# the sweep lists about n_max^2 / 2 pairs, so an unbounded n_max may never finish
+SWEEP_MAX = 200
+
+
 def closed_form_sweep(n_max: int) -> tuple[SweepEntry, ...]:
     """Margins of the closed-form bound against n^2 - 2 for 5 <= n <= n_max, k >= 3.
 
     A negative margin for every pair shows no homogeneity candidate with a
     cone of dimension three or more survives at that automorphism dimension.
     Values below n = 5 are deliberately not swept: the exclusion argument
-    starts there.
+    starts there. Sweeps past ``SWEEP_MAX`` are refused.
     """
     if n_max < 5:
         raise ValidationError("sweep starts at n = 5")
+    if n_max > SWEEP_MAX:
+        raise ValidationError(f"sweep stops at n = {SWEEP_MAX}")
     entries = []
     for n in range(5, n_max + 1):
         target = n * n - 2

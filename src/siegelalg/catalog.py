@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 from .bounds import BoundReport, bound_chain, closed_form_bound, closed_form_sweep, s_from_multiplicities
 from .cones import catalog_cone, half_line, isotropy_bound, orthant
 from .errors import ValidationError
-from .fields import check_grading, jacobi_defect, materialize
+from .fields import bracket_identities_hold, check_grading, materialize
 from .graded import GradedDims, SiegelDomainSpec, solve_all, solve_L
 from .hermitian import (
     COUNTEREXAMPLE,
@@ -512,30 +512,6 @@ def _bound_chain_sound() -> bool:
     return True
 
 
-def _grading_ok(spec: SiegelDomainSpec) -> bool:
-    sols = solve_all(spec)
-    return check_grading(spec, materialize(spec, sols)).passed
-
-
-def _bracket_identities_d6() -> bool:
-    spec = build(d6((1, 1, 0)))
-    fields = materialize(spec, solve_all(spec))
-    for i in range(len(fields)):
-        for j in range(i + 1, len(fields)):
-            from .fields import bracket
-
-            lhs = bracket(fields[i], fields[j])
-            rhs = bracket(fields[j], fields[i])
-            if not all((a + b).is_zero() for a, b in zip(lhs.components, rhs.components)):
-                return False
-    for i in range(len(fields)):
-        for j in range(i + 1, len(fields)):
-            for l in range(j + 1, len(fields)):
-                if not jacobi_defect(fields[i], fields[j], fields[l]).is_zero():
-                    return False
-    return True
-
-
 def verify_paper() -> VerifyReport:
     """Run the complete acceptance battery and report ``EXPECTED`` vs computed."""
     computed: dict[str, object] = {}
@@ -613,9 +589,13 @@ def verify_paper() -> VerifyReport:
     computed["d6_branch_bound"] = bound_chain(4, 3, 1, 4, 0, 3).component_bound
     computed["bound_chain_sound_on_catalog"] = _bound_chain_sound()
 
-    computed["grading_ball3"] = _grading_ok(build(ball(3)))
-    computed["grading_d6"] = _grading_ok(d6_spec)
-    computed["bracket_identities_d6"] = _bracket_identities_d6()
+    ball3_spec = build(ball(3))
+    computed["grading_ball3"] = check_grading(
+        ball3_spec, materialize(ball3_spec, solve_all(ball3_spec))
+    ).passed
+    d6_fields = materialize(d6_spec, d6_sols)
+    computed["grading_d6"] = check_grading(d6_spec, d6_fields).passed
+    computed["bracket_identities_d6"] = bracket_identities_hold(d6_fields)
 
     computed["classify_n2"] = dict(classify(2).homogeneous)
     computed["classify_n3"] = dict(classify(3).homogeneous)

@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import catalog
-from .bounds import bound_chain, closed_form_sweep
+from .bounds import SWEEP_MAX, bound_chain, closed_form_sweep
 from .cones import catalog_cone, isotropy_bound
 from .errors import ValidationError
 from .graded import solve_all
@@ -310,7 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="dimension bound chain or margin sweep")
     p_bounds.add_argument("--format", choices=("table", "json"), default="table")
-    p_bounds.add_argument("--sweep", type=int, help="sweep margins up to this n")
+    p_bounds.add_argument(
+        "--sweep", type=int, help=f"sweep margins up to this n (5 to {SWEEP_MAX})"
+    )
     p_bounds.add_argument("--n", type=int)
     p_bounds.add_argument("--k", type=int)
     p_bounds.add_argument("--s", type=int)

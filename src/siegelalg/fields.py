@@ -4,6 +4,14 @@ Fields live on C^n with coordinates z_1..z_k, w_1..w_m; every component is a
 polynomial of total degree at most two with Gaussian-rational coefficients.
 The Euler field weights z by one and w by one half, and each materialized
 generator is an exact eigenvector of its adjoint action.
+
+A bracket is accumulated term by term, with no polynomial arithmetic: for each
+component c, every term of y_c with exponent e > 0 in variable u, paired with
+every term of x_u, adds the product of the two coefficients times e at the
+monomial m_x + m_y - e_u; the same walk over -x_c, with x and y swapped,
+subtracts Y(x_c). Each component is then built once with
+``Polynomial.from_dict``, which drops zeros and sorts, so the result is the
+canonical polynomial.
 """
 
 from __future__ import annotations
@@ -136,6 +144,19 @@ def materialize(spec: SiegelDomainSpec, sols: GradedSolutions) -> tuple[PolyVect
     return tuple(fields)
 
 
+def _apply(acc: dict, x: PolyVectorField, p: Polynomial) -> None:
+    """Add X(p) = sum_u x_u dp/du into ``acc``, keyed by monomial."""
+    for mono, coeff in p.terms:
+        for u, e in enumerate(mono):
+            if not e:
+                continue
+            lowered = mono[:u] + (e - 1,) + mono[u + 1:]
+            scaled = coeff * e if e > 1 else coeff  # skip four Fraction products by one
+            for xm, xc in x.components[u].terms:
+                key = tuple(a + b for a, b in zip(xm, lowered))
+                acc[key] = acc.get(key, GR_ZERO) + xc * scaled
+
+
 def bracket(x: PolyVectorField, y: PolyVectorField) -> PolyVectorField:
     """Holomorphic vector-field bracket [X, Y] = X(Y) - Y(X), exact."""
     if x.n != y.n:
@@ -143,11 +164,10 @@ def bracket(x: PolyVectorField, y: PolyVectorField) -> PolyVectorField:
     n = x.n
     comps = []
     for c in range(n):
-        acc = Polynomial.zero(n)
-        for u in range(n):
-            acc = acc + x.components[u] * y.components[c].diff(u)
-            acc = acc - y.components[u] * x.components[c].diff(u)
-        comps.append(acc)
+        acc: dict = {}
+        _apply(acc, x, y.components[c])
+        _apply(acc, y, -x.components[c])
+        comps.append(Polynomial.from_dict(n, acc))
     grade = None
     if x.grade is not None and y.grade is not None:
         grade = x.grade + y.grade
@@ -229,16 +249,29 @@ def check_grading(spec: SiegelDomainSpec, fields: Sequence[PolyVectorField]) -> 
     return GradingReport(not failures, tuple(failures), eigen, pairs)
 
 
-def jacobi_defect(x: PolyVectorField, y: PolyVectorField, z: PolyVectorField) -> PolyVectorField:
-    """[x,[y,z]] + [y,[z,x]] + [z,[x,y]]; zero for honest vector fields."""
-    return PolyVectorField(
-        x.n,
-        tuple(
-            a + b + c
-            for a, b, c in zip(
-                bracket(x, bracket(y, z)).components,
-                bracket(y, bracket(z, x)).components,
-                bracket(z, bracket(x, y)).components,
-            )
-        ),
-    )
+def bracket_identities_hold(fields: Sequence[PolyVectorField]) -> bool:
+    """Antisymmetry on every ordered pair of distinct fields and Jacobi on every triple.
+
+    The ordered pair brackets are computed once; each Jacobi sum
+    [x,[y,z]] + [y,[z,x]] + [z,[x,y]] takes its inner brackets from that table.
+    """
+    count = len(fields)
+    table = {
+        (i, j): bracket(fields[i], fields[j])
+        for i in range(count) for j in range(count) if i != j
+    }
+    for i in range(count):
+        for j in range(i + 1, count):
+            if table[i, j].components != tuple(-p for p in table[j, i].components):
+                return False
+    for i in range(count):
+        for j in range(i + 1, count):
+            for l in range(j + 1, count):
+                defect = zip(
+                    bracket(fields[i], table[j, l]).components,
+                    bracket(fields[j], table[l, i]).components,
+                    bracket(fields[l], table[i, j]).components,
+                )
+                if not all((a + b + c).is_zero() for a, b, c in defect):
+                    return False
+    return True

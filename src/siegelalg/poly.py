@@ -110,30 +110,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def diff(self, i: int) -> "Polynomial":
-        """Exact partial derivative with respect to variable ``i``."""
-        acc: dict[Monomial, GaussianRational] = {}
-        for m, c in self.terms:
-            e = m[i]
-            if e == 0:
-                continue
-            new = tuple(x - 1 if j == i else x for j, x in enumerate(m))
-            acc[new] = acc.get(new, GR_ZERO) + c * e
-        return Polynomial.from_dict(self.nvars, acc)
-
-    def evaluate(self, point: Sequence[Scalar]) -> GaussianRational:
-        if len(point) != self.nvars:
-            raise ValidationError("point arity mismatch")
-        pt = [GaussianRational.of(x) for x in point]
-        total = GR_ZERO
-        for m, c in self.terms:
-            val = c
-            for x, e in zip(pt, m):
-                for _ in range(e):
-                    val = val * x
-            total = total + val
-        return total
-
     def leading(self) -> tuple[Monomial, GaussianRational]:
         if not self.terms:
             raise ValidationError("zero polynomial has no leading term")
@@ -211,14 +187,6 @@ class PolyMatrix:
                 if p.nvars != nvars:
                     raise ValidationError("mixed indeterminate sets")
         return PolyMatrix(nrows, ncols, nvars, ent)
-
-    def evaluate(self, point: Sequence[Scalar]):
-        from .linalg import Matrix
-
-        return Matrix(
-            self.nrows, self.ncols,
-            tuple(tuple(p.evaluate(point) for p in row) for row in self.entries),
-        )
 
 
 def generic_rank(m: PolyMatrix) -> int:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from siegelalg.bounds import (
+    SWEEP_MAX,
     bound_chain,
     closed_form_bound,
     closed_form_sweep,
@@ -67,6 +68,11 @@ class TestSweep:
         assert all(e.n >= 5 for e in closed_form_sweep(7))
         with pytest.raises(ValidationError):
             closed_form_sweep(4)
+
+    def test_sweep_stops_at_limit(self):
+        assert closed_form_sweep(SWEEP_MAX)[-1].n == SWEEP_MAX
+        with pytest.raises(ValidationError):
+            closed_form_sweep(SWEEP_MAX + 1)
 
 
 class TestSkewCount:

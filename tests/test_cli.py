@@ -257,6 +257,12 @@ class TestBounds:
         code, _, err = run_cli(capsys, "bounds", "--n", "4")
         assert code == 2
 
+    def test_huge_sweep_refused_at_once(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "--sweep", "100000000000")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestConeInfo:
     def test_json(self, capsys):

@@ -4,21 +4,25 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from siegelalg import catalog
+from siegelalg import catalog, fields as fields_module
 from siegelalg.cones import catalog_cone, half_line
 from siegelalg.fields import (
+    GRADES,
     PolyVectorField,
     bracket,
+    bracket_identities_hold,
     check_grading,
     euler_field,
     in_real_span,
-    jacobi_defect,
     materialize,
 )
 from siegelalg.graded import SiegelDomainSpec, solve_all
 from siegelalg.hermitian import HermitianFamily
-from siegelalg.linalg import Matrix, from_real_rows
+from siegelalg.linalg import GR_ZERO, Matrix, from_real_rows, gr
+from siegelalg.poly import Polynomial
 
 
 def diag(*vals):
@@ -197,12 +201,105 @@ class TestCheckGrading:
         assert in_real_span(zeros, bracket(minus_one[0], ones[0]))
 
 
+def _diff(p, u):
+    coeffs = {}
+    for mono, c in p.terms:
+        if mono[u]:
+            lowered = mono[:u] + (mono[u] - 1,) + mono[u + 1:]
+            coeffs[lowered] = coeffs.get(lowered, GR_ZERO) + c * mono[u]
+    return Polynomial.from_dict(p.nvars, coeffs)
+
+
+def _derive(x, y):
+    """X(Y): the field with components sum_u x_u d(y_c)/du, in polynomial arithmetic."""
+    n = x.n
+    comps = []
+    for c in range(n):
+        acc = Polynomial.zero(n)
+        for u in range(n):
+            acc = acc + x.components[u] * _diff(y.components[c], u)
+        comps.append(acc)
+    return PolyVectorField(n, tuple(comps))
+
+
+def reference_bracket(x, y):
+    """[X, Y] = X(Y) - Y(X) by differentiating and multiplying polynomials."""
+    grade = None
+    if x.grade is not None and y.grade is not None:
+        grade = x.grade + y.grade
+    diff = _derive(x, y) - _derive(y, x)
+    return PolyVectorField(x.n, diff.components, grade if grade in GRADES else None)
+
+
+COEFFICIENTS = st.builds(
+    lambda a, b, d: gr(Fraction(a, d), Fraction(b, d)),
+    st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 3),
+)
+
+
+@st.composite
+def vector_fields(draw, n):
+    """Fields of degree at most three; empty term lists give zero components."""
+    terms = st.lists(
+        st.tuples(st.lists(st.integers(0, n - 1), max_size=3), COEFFICIENTS), max_size=4
+    )
+    comps = []
+    for _ in range(n):
+        coeffs = {}
+        for variables, c in draw(terms):
+            mono = tuple(variables.count(v) for v in range(n))
+            coeffs[mono] = coeffs.get(mono, GR_ZERO) + c
+        comps.append(Polynomial.from_dict(n, coeffs))
+    grade = draw(st.sampled_from(GRADES + (None, Fraction(-2), Fraction(3, 2))))
+    return PolyVectorField(n, tuple(comps), grade)
+
+
+@given(data=st.data())
+@settings(derandomize=True, max_examples=100, deadline=None)
+def test_bracket_matches_reference_formula(data):
+    n = data.draw(st.integers(1, 4))
+    x = data.draw(vector_fields(n))
+    y = data.draw(vector_fields(n))
+    for a, b in ((x, y), (y, x)):
+        expected = reference_bracket(a, b)
+        got = bracket(a, b)
+        assert got.components == expected.components
+        assert got.grade == expected.grade
+
+
+def test_bracket_matches_reference_on_d6_generators():
+    spec = d6_spec()
+    fields = materialize(spec, solve_all(spec))
+    for x in fields:
+        for y in fields:
+            assert bracket(x, y) == reference_bracket(x, y)
+
+
 class TestJacobi:
     def test_d6_triples(self):
         spec = d6_spec()
+        assert bracket_identities_hold(materialize(spec, solve_all(spec)))
+
+    def test_one_sided_bracket_fails(self, monkeypatch):
+        # X(Y) alone is not antisymmetric
+        spec = d6_spec()
         fields = materialize(spec, solve_all(spec))
-        # exact polynomial identity on a spread of triples
-        for i in range(0, len(fields), 3):
-            for j in range(i + 1, len(fields), 2):
-                for l in range(j + 1, len(fields)):
-                    assert jacobi_defect(fields[i], fields[j], fields[l]).is_zero()
+        monkeypatch.setattr(fields_module, "bracket", _derive)
+        assert not bracket_identities_hold(fields)
+
+    def test_antisymmetric_non_lie_bracket_fails(self, monkeypatch):
+        # a weight symmetric in X and Y keeps antisymmetry but breaks Jacobi
+        spec = d6_spec()
+        fields = materialize(spec, solve_all(spec))
+
+        def degree(f):
+            return max(p.total_degree() for p in f.components)
+
+        def weighted(x, y):
+            return bracket(x, y).scale(1 + degree(x) * degree(y))
+
+        for x in fields:
+            for y in fields:
+                assert weighted(x, y).components == tuple(-p for p in weighted(y, x).components)
+        monkeypatch.setattr(fields_module, "bracket", weighted)
+        assert not bracket_identities_hold(fields)

@@ -6,12 +6,28 @@ import pytest
 
 from siegelalg.errors import ValidationError
 from siegelalg.hermitian import _Lcg
-from siegelalg.linalg import gr
+from siegelalg.linalg import GR_ZERO, GaussianRational, Matrix, gr
 from siegelalg.poly import Polynomial, PolyMatrix, generic_rank
 
 
 def x(i, n=2):
     return Polynomial.variable(n, i)
+
+
+def evaluate(m, point):
+    """The matrix of values of ``m`` at ``point``: the pointwise oracle for generic rank."""
+    pt = [GaussianRational.of(v) for v in point]
+
+    def value(p):
+        total = GR_ZERO
+        for mono, c in p.terms:
+            for v, e in zip(pt, mono):
+                for _ in range(e):
+                    c = c * v
+            total = total + c
+        return total
+
+    return Matrix(m.nrows, m.ncols, tuple(tuple(value(p) for p in row) for row in m.entries))
 
 
 class TestPolynomial:
@@ -24,15 +40,6 @@ class TestPolynomial:
         assert Polynomial.zero(2).total_degree() == -1
         assert Polynomial.constant(2, 5).total_degree() == 0
         assert (x(0) * x(1) * x(1)).total_degree() == 3
-
-    def test_diff(self):
-        p = x(0) * x(0) * x(1)
-        assert p.diff(0) == x(0) * x(1) * 2
-        assert p.diff(1) == x(0) * x(0)
-
-    def test_evaluate(self):
-        p = x(0) * x(0) - x(1)
-        assert p.evaluate([Fraction(3), Fraction(2)]) == gr(7)
 
     def test_exact_division(self):
         p = (x(0) + x(1)) * (x(0) - x(1))
@@ -76,7 +83,7 @@ class TestGenericRank:
         best = 0
         for _ in range(20):
             pt = [abs(rng.next_fraction()) + 1, abs(rng.next_fraction()) + 1]
-            best = max(best, m.evaluate(pt).rank())
+            best = max(best, evaluate(m, pt).rank())
         assert generic_rank(m) == best == 1
 
     def test_generic_rank_dominates_pointwise(self):
@@ -85,7 +92,7 @@ class TestGenericRank:
         rng = _Lcg(3)
         for _ in range(10):
             pt = [rng.next_fraction(), rng.next_fraction()]
-            assert m.evaluate(pt).rank() <= g
+            assert evaluate(m, pt).rank() <= g
 
     def test_rank_deficient_square(self):
         # rows proportional over the function field
