@@ -32,7 +32,7 @@ from .homogeneity import (
     HomogeneityVerdict,
     homogeneity_verdict,
 )
-from .linalg import Matrix, from_real_rows
+from .linalg import Matrix
 
 
 _TUBE_LABELS = {
@@ -121,7 +121,7 @@ def tube(cone_id: str) -> DomainId:
 
 def _diag(values: Sequence[Union[int, Fraction]]) -> Matrix:
     n = len(values)
-    return from_real_rows(
+    return Matrix.from_rows(
         [[values[i] if i == j else 0 for j in range(n)] for i in range(n)]
     )
 
@@ -157,7 +157,7 @@ def build(domain: DomainId) -> SiegelDomainSpec:
         for p in factors:
             block = p - 1
             comps.append(
-                from_real_rows(
+                Matrix.from_rows(
                     [
                         [1 if (i == j and offset <= i < offset + block) else 0 for j in range(m)]
                         for i in range(m)
@@ -233,7 +233,7 @@ def analyze(domain: DomainId) -> DomainReport:
         dims=sols.dims,
         s=len(sols.skew),
         bounds=bounds,
-        homogeneity=homogeneity_verdict(spec),
+        homogeneity=homogeneity_verdict(spec, sols.g0),
         omega_hermitian=is_omega_hermitian(spec.form, spec.cone),
     )
 
@@ -442,12 +442,10 @@ def _d6_basis_matches(sols) -> bool:
                 coeff = el.a.coefficient(l, i, j)
                 known = D6_KNOWN_QUADRATIC.get((l, i, j), Fraction(0))
                 if known == 0:
-                    if not coeff.is_zero():
+                    if coeff:
                         return False
                     continue
-                if coeff.im != 0:
-                    return False
-                ratio = coeff.re / known
+                ratio = coeff / known
                 if scale is None:
                     scale = ratio
                 elif ratio != scale:

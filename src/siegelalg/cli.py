@@ -16,12 +16,12 @@ from . import catalog
 from .bounds import SWEEP_MAX, bound_chain, closed_form_sweep
 from .cones import catalog_cone, isotropy_bound
 from .errors import ValidationError
-from .graded import solve_all
+from .graded import solve_all, solve_g0
 from .homogeneity import NOT_TRANSITIVE, homogeneity_verdict
 from .serialize import (
+    SAMPLES_MAX,
     fraction_from_json,
     load_domain_spec,
-    real_parts,
     solutions_bases_to_json,
     to_json,
 )
@@ -110,7 +110,7 @@ def _cmd_cone_info(args) -> int:
         "annihilator_count": len(cone.annihilators),
     }
     if args.emit_bases:
-        doc["g_basis"] = real_parts(cone.g_basis)
+        doc["g_basis"] = cone.g_basis
     if args.format == "json":
         _emit_json(doc)
     else:
@@ -120,7 +120,7 @@ def _cmd_cone_info(args) -> int:
         print(f"annihilators: {len(cone.annihilators)}")
         if args.emit_bases:
             for i, m in enumerate(cone.g_basis):
-                print(f"g_basis[{i}]: {m}")
+                print(f"g_basis[{i}]: [" + "; ".join(", ".join(map(str, r)) for r in m) + "]")
     return 0
 
 
@@ -152,7 +152,7 @@ def _cmd_dims(args) -> int:
 
 def _cmd_homogeneity(args) -> int:
     spec, label = _load_spec(args)
-    verdict = homogeneity_verdict(spec)
+    verdict = homogeneity_verdict(spec, solve_g0(spec))
     doc = {"domain": label, **verdict.as_dict()}
     if args.format == "json":
         _emit_json(doc)
@@ -291,7 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--delta")
             p.add_argument("--cone", help="cone id for tube domains, e.g. omega4")
             p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--samples", type=int, default=32)
+            p.add_argument(
+                "--samples", type=int, default=32,
+                help=f"random vectors for the sampled cone check of a --spec document "
+                f"(0 to {SAMPLES_MAX}; --spec only)",
+            )
 
     p_cone = sub.add_parser("cone-info", help="catalog cone summary")
     p_cone.add_argument("--cone", required=True)

@@ -7,6 +7,11 @@ homogeneous cones without lines in dimensions up to four: the orthants, the
 three- and four-dimensional Lorentz cones, and the mixed Lorentz-times-ray
 cone.
 
+g(Omega) is a real Lie algebra, so its basis matrices are ``RealRows``: k
+rows of k ``Fraction``s. ``ConeSpec`` converts int entries to ``Fraction``
+and rejects any other entry type; every consumer downstream reads plain
+rationals.
+
 Custom cones are accepted with a user-supplied basis and are trusted: checking
 that a given basis really spans the full automorphism algebra of the cone is
 out of scope (the basis is taken as input data).
@@ -21,7 +26,7 @@ from functools import lru_cache
 from typing import Sequence, Union
 
 from .errors import ValidationError
-from .linalg import Matrix, from_real_rows, span_rank
+from .linalg import RealRows, sparse_nullspace, span_rank
 
 
 class Region(enum.Enum):
@@ -72,11 +77,20 @@ def _frac_vec(v: Sequence[Union[int, Fraction]]) -> tuple[Fraction, ...]:
     return tuple(Fraction(x) for x in v)
 
 
+def _real_rows(m: Sequence[Sequence[Union[int, Fraction]]], k: int) -> RealRows:
+    """``m`` as k rows of k ``Fraction``s; an entry that is not an int or a Fraction is rejected."""
+    if len(m) != k or any(len(row) != k for row in m):
+        raise ValidationError("g_basis matrices must be k x k")
+    if any(isinstance(x, bool) or not isinstance(x, (int, Fraction)) for row in m for x in row):
+        raise ValidationError("g_basis entries must be rationals")
+    return tuple(tuple(Fraction(x) for x in row) for row in m)
+
+
 @dataclass(frozen=True)
 class ConeSpec:
     name: str
     k: int
-    g_basis: tuple[Matrix, ...]
+    g_basis: tuple[RealRows, ...]
     interior_point: tuple[Fraction, ...]
     boundary: tuple[BoundaryFactor, ...]
     annihilators: tuple[tuple[Fraction, ...], ...] = field(default=())
@@ -104,30 +118,23 @@ class ConeSpec:
         rank = span_rank(normals, self.k)
         if rank != self.k:
             raise ValidationError(f"the cone contains a line: its boundary rows have rank {rank}")
-        for m in self.g_basis:
-            if (m.nrows, m.ncols) != (self.k, self.k):
-                raise ValidationError("g_basis matrices must be k x k")
-            if not m.is_real():
-                raise ValidationError("g_basis matrices must be real")
-        basis_rows = [m.vectorize() for m in self.g_basis]
-        stacked = Matrix.from_rows(basis_rows) if basis_rows else None
-        if stacked is None or stacked.rank() != len(self.g_basis):
+        object.__setattr__(self, "g_basis", tuple(_real_rows(m, self.k) for m in self.g_basis))
+        width = self.k * self.k
+        basis_rows = [[x for row in m for x in row] for m in self.g_basis]
+        if not basis_rows or span_rank(basis_rows, width) != len(basis_rows):
             raise ValidationError("g_basis is linearly dependent or empty")
-        ident = Matrix.identity(self.k).vectorize()
-        with_id = Matrix.from_rows(basis_rows + [list(ident)])
-        if with_id.rank() != stacked.rank():
+        ident = [int(i == j) for i in range(self.k) for j in range(self.k)]
+        if span_rank(basis_rows + [ident], width) != len(basis_rows):
             raise ValidationError("g_basis must contain the scalar matrices in its span")
         if not self.annihilators:
-            anns = tuple(
-                tuple(x.re for x in v) for v in stacked.nullspace_basis()
-            )
+            sparse = [{j: x for j, x in enumerate(row) if x} for row in basis_rows]
+            anns = tuple(tuple(v) for v in sparse_nullspace(sparse, width, Fraction(1)))
             object.__setattr__(self, "annihilators", anns)
-        if len(self.annihilators) != self.k * self.k - len(self.g_basis):
+        if len(self.annihilators) != width - len(self.g_basis):
             raise ValidationError("annihilator count mismatch")
         for a in self.annihilators:
-            for m in self.g_basis:
-                pair = sum(c * x.re for c, x in zip(a, m.vectorize()))
-                if pair != 0:
+            for row in basis_rows:
+                if sum(c * x for c, x in zip(a, row)) != 0:
                     raise ValidationError("annihilator does not kill g_basis")
         if classify_point(self, self.interior_point) is not Region.INTERIOR:
             raise ValidationError("interior point is not interior")
@@ -155,12 +162,11 @@ def classify_point(cone: ConeSpec, x: Sequence[Union[int, Fraction]]) -> Region:
     return Region.BOUNDARY
 
 
-def in_g_omega(cone: ConeSpec, m: Matrix) -> bool:
-    if (m.nrows, m.ncols) != (cone.k, cone.k):
+def in_g_omega(cone: ConeSpec, m: RealRows) -> bool:
+    """Whether the real k x k matrix ``m`` lies in g(Omega)."""
+    if len(m) != cone.k or any(len(row) != cone.k for row in m):
         raise ValidationError("matrix has wrong shape")
-    if not m.is_real():
-        return False
-    vec = [x.re for x in m.vectorize()]
+    vec = [x for row in m for x in row]
     return all(
         sum(c * x for c, x in zip(a, vec)) == 0 for a in cone.annihilators
     )
@@ -177,10 +183,13 @@ def _unit(k: int, i: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(1) if j == i else Fraction(0) for j in range(k))
 
 
-def _e_matrix(k: int, i: int, j: int) -> Matrix:
-    return from_real_rows(
-        [[1 if (r, c) == (i, j) else 0 for c in range(k)] for r in range(k)]
-    )
+def _matrix(k: int, entries: dict[tuple[int, int], int]) -> tuple[tuple[int, ...], ...]:
+    """The k x k matrix with the given nonzero entries; ``ConeSpec`` makes them ``Fraction``s."""
+    return tuple(tuple(entries.get((i, j), 0) for j in range(k)) for i in range(k))
+
+
+def _identity(k: int) -> tuple[tuple[int, ...], ...]:
+    return _matrix(k, {(i, i): 1 for i in range(k)})
 
 
 def half_line() -> ConeSpec:
@@ -188,7 +197,7 @@ def half_line() -> ConeSpec:
     return ConeSpec(
         name="ray",
         k=1,
-        g_basis=(from_real_rows([[1]]),),
+        g_basis=(_identity(1),),
         interior_point=(Fraction(1),),
         boundary=(PolyhedralFactor(((Fraction(1),),)),),
     )
@@ -201,18 +210,17 @@ def orthant(k: int) -> ConeSpec:
     return ConeSpec(
         name=f"orthant{k}",
         k=k,
-        g_basis=tuple(_e_matrix(k, i, i) for i in range(k)),
+        g_basis=tuple(_matrix(k, {(i, i): 1}) for i in range(k)),
         interior_point=tuple(Fraction(1) for _ in range(k)),
         boundary=(PolyhedralFactor(tuple(_unit(k, i) for i in range(k))),),
     )
 
 
-def _lorentz3_generators() -> tuple[Matrix, ...]:
-    ident = Matrix.identity(3)
-    p = from_real_rows([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
-    q = from_real_rows([[0, 0, 1], [0, 0, 0], [1, 0, 0]])
-    r = from_real_rows([[0, 0, 0], [0, 0, 1], [0, -1, 0]])
-    return (ident, p, q, r)
+def _lorentz3_generators() -> tuple[tuple[tuple[int, ...], ...], ...]:
+    p = _matrix(3, {(0, 1): 1, (1, 0): 1})
+    q = _matrix(3, {(0, 2): 1, (2, 0): 1})
+    r = _matrix(3, {(1, 2): 1, (2, 1): -1})
+    return (_identity(3), p, q, r)
 
 
 def lorentz3() -> ConeSpec:
@@ -228,11 +236,11 @@ def lorentz3() -> ConeSpec:
 
 def lorentz4() -> ConeSpec:
     """Four-dimensional Lorentz cone; scalars plus the (1,3) pseudo-orthogonal algebra."""
-    gens = [Matrix.identity(4)]
+    gens = [_identity(4)]
     for j in (1, 2, 3):
-        gens.append(_e_matrix(4, 0, j) + _e_matrix(4, j, 0))
+        gens.append(_matrix(4, {(0, j): 1, (j, 0): 1}))
     for i, j in ((1, 2), (1, 3), (2, 3)):
-        gens.append(_e_matrix(4, i, j) - _e_matrix(4, j, i))
+        gens.append(_matrix(4, {(i, j): 1, (j, i): -1}))
     return ConeSpec(
         name="lorentz4",
         k=4,
@@ -244,13 +252,9 @@ def lorentz4() -> ConeSpec:
 
 def lorentz3_times_ray() -> ConeSpec:
     """Product of the 3-dimensional Lorentz cone with a ray, block-diagonal algebra."""
-
-    def embed(m: Matrix) -> Matrix:
-        rows = [[m.entry(i, j).re for j in range(3)] + [0] for i in range(3)]
-        rows.append([0, 0, 0, 0])
-        return from_real_rows(rows)
-
-    gens = tuple(embed(m) for m in _lorentz3_generators()) + (_e_matrix(4, 3, 3),)
+    gens = tuple(
+        tuple(row + (0,) for row in m) + ((0, 0, 0, 0),) for m in _lorentz3_generators()
+    ) + (_matrix(4, {(3, 3): 1}),)
     return ConeSpec(
         name="lorentz3xray",
         k=4,

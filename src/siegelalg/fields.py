@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from .errors import ValidationError
 from .graded import GradedSolutions, SiegelDomainSpec
-from .linalg import GR_I, GR_ZERO, GaussianRational, coordinate_vectors, in_span
+from .linalg import GR_I, GR_ZERO, coordinate_vectors, sparse_rref
 from .poly import Polynomial
 
 GRADES = (Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1))
@@ -112,7 +112,7 @@ def materialize(spec: SiegelDomainSpec, sols: GradedSolutions) -> tuple[PolyVect
 
     # weight 0: (Az) . d/dz + (Bw) . d/dw
     for idx, (a_mat, b_mat) in enumerate(sols.g0):
-        terms = [(t, a_mat.entry(t, l), l) for t in range(k) for l in range(k)]
+        terms = [(t, a_mat[t][l], l) for t in range(k) for l in range(k)]
         terms += [(k + l, b_mat.entry(l, p), k + p) for l in range(m) for p in range(m)]
         fields.append(_field(n, terms, Fraction(0), f"g0[{idx}]"))
 
@@ -174,31 +174,28 @@ def bracket(x: PolyVectorField, y: PolyVectorField) -> PolyVectorField:
     return PolyVectorField(n, tuple(comps), grade if grade in GRADES else None)
 
 
-def _real_coefficient_vectors(fields: Sequence[PolyVectorField]):
-    keys: set = set()
-    for f in fields:
-        for c_idx, p in enumerate(f.components):
-            for mono, _ in p.terms:
-                keys.add((c_idx, mono))
-    ordered = sorted(keys)
-    vectors = []
-    for f in fields:
-        vec = []
-        for c_idx, mono in ordered:
-            coeff = f.components[c_idx].coefficient(mono)
-            vec.append(GaussianRational(coeff.re, Fraction(0)))
-            vec.append(GaussianRational(coeff.im, Fraction(0)))
-        vectors.append(vec)
-    return vectors
+def _real_coordinates(f: PolyVectorField) -> dict[tuple, Fraction]:
+    """The field as a sparse real row keyed by (component, monomial, part).
+
+    Part 0 holds the real and part 1 the imaginary part of a coefficient.
+    """
+    row = {}
+    for c, p in enumerate(f.components):
+        for mono, coeff in p.terms:
+            for part, x in enumerate((coeff.re, coeff.im)):
+                if x:
+                    row[c, mono, part] = x
+    return row
 
 
-def in_real_span(basis: Sequence[PolyVectorField], candidate: PolyVectorField) -> bool:
-    """Membership of a field in the real linear span of the given fields."""
-    if candidate.is_zero():
-        return True
-    vectors = _real_coefficient_vectors(list(basis) + [candidate])
-    width = len(vectors[-1])
-    return in_span(vectors[:-1], vectors[-1], width)
+def _real_span(fields: Sequence[PolyVectorField]) -> list[dict[tuple, Fraction]]:
+    """The reduced rows of the real span of ``fields``; their count is its dimension."""
+    return sparse_rref([_real_coordinates(f) for f in fields], Fraction(1))[0]
+
+
+def _escapes(span: list[dict[tuple, Fraction]], f: PolyVectorField) -> bool:
+    """Whether ``f`` lies outside the real span whose reduced rows are ``span``."""
+    return len(sparse_rref(span + [_real_coordinates(f)], Fraction(1))[1]) > len(span)
 
 
 @dataclass(frozen=True)
@@ -215,7 +212,8 @@ def check_grading(spec: SiegelDomainSpec, fields: Sequence[PolyVectorField]) -> 
     Each labeled field X of weight nu must satisfy [euler, X] = nu X exactly,
     and the bracket of two generators must land in the real span of the
     generators of the summed weight whenever that weight is one of the five;
-    brackets falling outside the weight range are not checked.
+    brackets falling outside the weight range are not checked. Each weight's
+    span is eliminated once, and every bracket is reduced against it.
     """
     euler = euler_field(spec)
     failures = []
@@ -228,6 +226,7 @@ def check_grading(spec: SiegelDomainSpec, fields: Sequence[PolyVectorField]) -> 
     by_grade: dict[Fraction, list[PolyVectorField]] = {}
     for f in graded:
         by_grade.setdefault(f.grade, []).append(f)
+    spans = {grade: _real_span(group) for grade, group in by_grade.items()}
     pairs = 0
     items = sorted(by_grade.items())
     for gi, (mu, group_mu) in enumerate(items):
@@ -235,14 +234,13 @@ def check_grading(spec: SiegelDomainSpec, fields: Sequence[PolyVectorField]) -> 
             target_grade = mu + nu
             if target_grade not in GRADES:
                 continue
-            target = by_grade.get(target_grade, [])
+            target = spans.get(target_grade, [])
             for f1 in group_mu:
                 for f2 in group_nu:
                     if f1 is f2:
                         continue
                     pairs += 1
-                    br = bracket(f1, f2)
-                    if not in_real_span(target, br):
+                    if _escapes(target, bracket(f1, f2)):
                         failures.append(
                             f"[{f1.label}, {f2.label}] escapes the weight-{target_grade} span"
                         )

@@ -48,6 +48,7 @@ from .linalg import (
     GR_ZERO,
     GaussianRational,
     Matrix,
+    RealRows,
     Scalar,
     coordinate_vectors,
     sparse_nullspace,
@@ -169,18 +170,21 @@ class _Block:
         return self._lins[index if isinstance(index, tuple) else (index,)]
 
     def values(self, sol: Sequence[Fraction]):
-        """The entries in a solution vector, as nested tuples of Gaussian rationals."""
-        w, zero = self.width, Fraction(0)
+        """The entries in a solution vector, as nested tuples.
+
+        A real block reads plain ``Fraction``s; a complex block reads each
+        adjacent (re, im) column pair as one ``GaussianRational``.
+        """
+        w = self.width
 
         def read(axis: int, flat: int):
             d = self.shape[axis]
             if axis + 1 < len(self.shape):
                 return tuple(read(axis + 1, flat * d + i) for i in range(d))
             col = self.start + w * flat * d
-            return tuple(
-                GaussianRational(sol[c], sol[c + 1] if w == 2 else zero)
-                for c in range(col, col + w * d, w)
-            )
+            if w == 1:
+                return tuple(sol[col:col + d])
+            return tuple(GaussianRational(sol[c], sol[c + 1]) for c in range(col, col + 2 * d, 2))
 
         return read(0, 0)
 
@@ -212,14 +216,18 @@ def _sym_pairs(n: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class Bilinear:
-    """Plain bilinear coefficients value_l = sum_{i,j} c[l][i][j] u_i v_j."""
+    """Plain bilinear coefficients value_l = sum_{i,j} c[l][i][j] u_i v_j.
+
+    The coefficients are ``Fraction``s for a real form (``a`` of g1) and
+    ``GaussianRational``s for a complex one.
+    """
 
     out_dim: int
     left_dim: int
     right_dim: int
-    coeffs: tuple[tuple[tuple[GaussianRational, ...], ...], ...]
+    coeffs: tuple[tuple[tuple[Scalar, ...], ...], ...]
 
-    def coefficient(self, l: int, i: int, j: int) -> GaussianRational:
+    def coefficient(self, l: int, i: int, j: int) -> Scalar:
         return self.coeffs[l][i][j]
 
     def apply(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple[GaussianRational, ...]:
@@ -235,10 +243,10 @@ class Bilinear:
         return tuple(out)
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for plane in self.coeffs for row in plane for c in row)
+        return not any(c for plane in self.coeffs for row in plane for c in row)
 
 
-def _symmetric(packed: tuple[tuple[GaussianRational, ...], ...], n: int) -> Bilinear:
+def _symmetric(packed: tuple[tuple[Scalar, ...], ...], n: int) -> Bilinear:
     """The symmetric form whose coefficients ``packed[l]`` run over the pairs i <= j.
 
     Both c[l][i][j] and c[l][j][i] hold the pair's coefficient, so a sum over
@@ -260,7 +268,7 @@ class GHalfElement:
 
 @dataclass(frozen=True)
 class GOneElement:
-    a: Bilinear          # symmetric real bilinear on the z-block
+    a: Bilinear          # symmetric real bilinear on the z-block, Fraction coefficients
     b: Bilinear          # C-bilinear mixing z and w
 
 
@@ -344,10 +352,11 @@ def _pairing_rows(
 # solvers
 
 @lru_cache(maxsize=None)
-def solve_g0(spec: SiegelDomainSpec) -> tuple[tuple[Matrix, Matrix], ...]:
+def solve_g0(spec: SiegelDomainSpec) -> tuple[tuple[RealRows, Matrix], ...]:
     """A basis of pairs (A, B): A in g(Omega) with B associated to A.
 
-    A is parametrized in cone coordinates, which builds the cone membership
+    A is real, so it is ``RealRows``; B is a complex ``Matrix``. A is
+    parametrized in cone coordinates, which builds the cone membership
     into the unknowns; the association identity is matched entry by entry.
     All solvers cache on the (immutable) domain, so repeated analyses of one
     domain cost one solve.
@@ -363,14 +372,16 @@ def solve_g0(spec: SiegelDomainSpec) -> tuple[tuple[Matrix, Matrix], ...]:
     for p, g in enumerate(gbasis):
         for j in range(k):
             for l in range(k):
-                a_rows[j][l].add(coords[p], g.entry(j, l))
+                a_rows[j][l].add(coords[p], g[j][l])
     _emit_association(system, spec.form.components, a_rows, b, m)
 
     basis = []
     for sol in system.solutions():
-        a_mat = Matrix.zeros(k, k)
-        for g, x in zip(gbasis, coords.values(sol)):
-            a_mat = a_mat + g.scale(x)
+        x = coords.values(sol)
+        a_mat = tuple(
+            tuple(sum(xp * g[j][l] for xp, g in zip(x, gbasis)) for l in range(k))
+            for j in range(k)
+        )
         basis.append((a_mat, Matrix.from_rows(b.values(sol))))
     return tuple(basis)
 
@@ -512,7 +523,7 @@ def solve_g1(spec: SiegelDomainSpec) -> tuple[GOneElement, ...]:
 class GradedSolutions:
     """The bases of g_0, of the skew-Hermitian part L of g_0, of g_1/2 and of g_1."""
 
-    g0: tuple[tuple[Matrix, Matrix], ...]
+    g0: tuple[tuple[RealRows, Matrix], ...]
     skew: tuple[Matrix, ...]
     g_half: tuple[GHalfElement, ...]
     g_one: tuple[GOneElement, ...]

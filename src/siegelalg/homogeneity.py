@@ -14,11 +14,12 @@ orbit dimension everywhere:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .errors import ValidationError
-from .graded import SiegelDomainSpec, solve_g0
-from .linalg import Matrix, from_real_rows
+from .graded import SiegelDomainSpec
+from .linalg import Matrix, RealRows, sparse_rref
 from .poly import Polynomial, PolyMatrix, generic_rank
 
 NOT_TRANSITIVE = "not-transitive"
@@ -42,50 +43,48 @@ class HomogeneityVerdict:
         }
 
 
-def a_part_basis(spec: SiegelDomainSpec) -> tuple[Matrix, ...]:
-    """Canonical basis of the span of the A-components of the weight-0 pairs.
+def a_part_basis(g0: Sequence[tuple[RealRows, Matrix]]) -> tuple[RealRows, ...]:
+    """Canonical basis of the span of the A-components of the weight-0 pairs ``g0``.
 
     Canonicalized through row reduction of the vectorized matrices, so the
     result is deterministic and independent of the pairing with B.
     """
-    k = spec.k
-    rows = [[x.re for x in a.vectorize()] for a, _ in solve_g0(spec)]
-    if not rows:
+    if not g0:
         return ()
-    reduced = from_real_rows(rows).rref()
-    basis = []
-    for r in range(reduced.rank):
-        vec = reduced.matrix.row(r)
-        basis.append(
-            from_real_rows(
-                [[vec[i * k + j].re for j in range(k)] for i in range(k)]
-            )
-        )
-    return tuple(basis)
+    k = len(g0[0][0])
+    rows = [{i * k + j: x for i, row in enumerate(a) for j, x in enumerate(row) if x} for a, _ in g0]
+    reduced, _ = sparse_rref(rows, Fraction(1))
+    zero = Fraction(0)
+    return tuple(
+        tuple(tuple(r.get(i * k + j, zero) for j in range(k)) for i in range(k))
+        for r in reduced
+    )
 
 
-def generic_orbit_rank(a_basis: Sequence[Matrix], k: int) -> int:
+def generic_orbit_rank(a_basis: Sequence[RealRows], k: int) -> int:
     """Generic rank of the orbit-direction matrix with rows A_i x, x symbolic."""
     if not a_basis:
         return 0
     rows = []
     for a in a_basis:
-        if (a.nrows, a.ncols) != (k, k):
+        if len(a) != k or any(len(r) != k for r in a):
             raise ValidationError("basis matrices must be k x k")
         row = []
         for j in range(k):
             p = Polynomial.zero(k)
             for l in range(k):
-                c = a.entry(j, l)
-                if not c.is_zero():
-                    p = p + Polynomial.variable(k, l) * c
+                if a[j][l]:
+                    p = p + Polynomial.variable(k, l) * a[j][l]
             row.append(p)
         rows.append(row)
     return generic_rank(PolyMatrix.from_rows(k, rows))
 
 
-def homogeneity_verdict(spec: SiegelDomainSpec) -> HomogeneityVerdict:
-    basis = a_part_basis(spec)
+def homogeneity_verdict(
+    spec: SiegelDomainSpec, g0: Sequence[tuple[RealRows, Matrix]]
+) -> HomogeneityVerdict:
+    """The verdict for ``spec`` from its weight-0 pairs ``g0`` (``solve_g0(spec)``)."""
+    basis = a_part_basis(g0)
     rank = generic_orbit_rank(basis, spec.k)
     if rank < spec.k:
         verdict = NOT_TRANSITIVE

@@ -5,6 +5,10 @@ or a Gaussian rational (complex number with rational real and imaginary parts).
 No floating point is used anywhere: ranks and nullspace dimensions are the
 answers, so a single rounding error could flip a result.
 
+Real data (cone algebras, the A-parts of weight-0 pairs, the forms a of
+weight 1) is kept as ``RealRows``, plain nested tuples of ``Fraction``;
+``Matrix`` holds complex data.
+
 All elimination goes through ``sparse_rref``, whose rows store only their
 nonzero entries; ``Matrix.rref`` is a dense view of its result.
 """
@@ -18,6 +22,7 @@ from typing import Iterable, Sequence, TypeVar, Union
 from .errors import ValidationError
 
 Scalar = Union[int, Fraction, "GaussianRational"]
+RealRows = tuple[tuple[Fraction, ...], ...]
 
 
 def _frac(x: Union[int, Fraction]) -> Fraction:
@@ -85,9 +90,6 @@ class GaussianRational:
     def __bool__(self) -> bool:
         return bool(self.re or self.im)
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __str__(self) -> str:
         if self.im == 0:
             return str(self.re)
@@ -149,22 +151,11 @@ class Matrix:
                 raise ValidationError("column count mismatch")
 
     @staticmethod
-    def from_rows(rows: Sequence[Sequence[Scalar]], real: bool = False) -> "Matrix":
-        """Build a matrix from nested sequences.
-
-        With ``real=True`` the entries are required to have zero imaginary part;
-        a violation is a validation error, not a silent truncation.
-        """
+    def from_rows(rows: Sequence[Sequence[Scalar]]) -> "Matrix":
+        """Build a matrix from nested sequences."""
         ent = tuple(tuple(GaussianRational.of(x) for x in row) for row in rows)
         nrows = len(ent)
         ncols = len(ent[0]) if nrows else 0
-        if real:
-            for i, row in enumerate(ent):
-                for j, x in enumerate(row):
-                    if x.im != 0:
-                        raise ValidationError(
-                            f"entry ({i},{j}) = {x} is not real"
-                        )
         return Matrix(nrows, ncols, ent)
 
     @staticmethod
@@ -184,9 +175,6 @@ class Matrix:
     def row(self, i: int) -> tuple[GaussianRational, ...]:
         return self.entries[i]
 
-    def is_real(self) -> bool:
-        return all(x.im == 0 for row in self.entries for x in row)
-
     def conj_transpose(self) -> "Matrix":
         return Matrix(
             self.ncols, self.nrows,
@@ -202,16 +190,6 @@ class Matrix:
             self.nrows, self.ncols,
             tuple(
                 tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            ),
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._require_same_shape(other)
-        return Matrix(
-            self.nrows, self.ncols,
-            tuple(
-                tuple(a - b for a, b in zip(r1, r2))
                 for r1, r2 in zip(self.entries, other.entries)
             ),
         )
@@ -251,10 +229,6 @@ class Matrix:
                 acc = acc + self.entries[i][t] * vv[t]
             out.append(acc)
         return tuple(out)
-
-    def vectorize(self) -> tuple[GaussianRational, ...]:
-        """Row-major flattening."""
-        return tuple(x for row in self.entries for x in row)
 
     def is_zero(self) -> bool:
         return all(x.is_zero() for row in self.entries for x in row)
@@ -383,10 +357,6 @@ def stack_rows(matrices: Iterable[Matrix]) -> Matrix:
     return Matrix(len(rows), ncols, tuple(rows))
 
 
-def from_real_rows(rows: Sequence[Sequence[Union[int, Fraction]]]) -> Matrix:
-    return Matrix.from_rows(rows, real=True)
-
-
 def span_rank(vectors: Sequence[Sequence[Scalar]], width: int) -> int:
     """Rank of the span of the given coefficient vectors."""
     if not vectors:
@@ -396,14 +366,3 @@ def span_rank(vectors: Sequence[Sequence[Scalar]], width: int) -> int:
         raise ValidationError("vector width mismatch")
     return m.rank()
 
-
-def in_span(vectors: Sequence[Sequence[Scalar]], candidate: Sequence[Scalar], width: int) -> bool:
-    """Exact membership of ``candidate`` in the linear span of ``vectors``."""
-    cand = [GaussianRational.of(x) for x in candidate]
-    if all(x.is_zero() for x in cand):
-        return True
-    if not vectors:
-        return False
-    base = span_rank(vectors, width)
-    extended = list(vectors) + [cand]
-    return span_rank(extended, width) == base

@@ -18,7 +18,10 @@ from .cones import (
 from .errors import ValidationError
 from .graded import GradedSolutions, SiegelDomainSpec
 from .hermitian import HermitianFamily, is_omega_hermitian
-from .linalg import GaussianRational, Matrix
+from .linalg import GaussianRational, Matrix, RealRows
+
+# cap on load_domain_spec's samples: more samples prove nothing more, they only take longer
+SAMPLES_MAX = 10_000
 
 
 def to_json(value):
@@ -26,6 +29,9 @@ def to_json(value):
 
     A ``Fraction`` becomes "p/q", a ``GaussianRational`` {"re", "im"}, a
     ``Matrix`` its list of rows, a tuple a list; other values pass through.
+    Real data (``RealRows``, real ``Bilinear`` coefficients) is nested tuples
+    of ``Fraction``s, so it becomes lists of "p/q" strings. An ``int`` passes
+    through as a JSON number.
     """
     if isinstance(value, Fraction):
         return str(value)
@@ -38,15 +44,6 @@ def to_json(value):
     if isinstance(value, (list, tuple)):
         return [to_json(v) for v in value]
     return value
-
-
-def real_parts(value):
-    """The real parts of real-valued complex data (a ``Matrix`` or nested tuples), as lists."""
-    if isinstance(value, GaussianRational):
-        return value.re
-    if isinstance(value, Matrix):
-        value = value.entries
-    return [real_parts(v) for v in value]
 
 
 def fraction_from_json(value: Union[str, int]) -> Fraction:
@@ -112,10 +109,18 @@ def cone_to_json(cone: ConeSpec) -> dict:
     return to_json({
         "name": cone.name,
         "k": cone.k,
-        "g_basis": real_parts(cone.g_basis),
+        "g_basis": cone.g_basis,
         "interior_point": cone.interior_point,
         "boundary": {"factors": [_factor_to_json(f) for f in cone.boundary]},
     })
+
+
+def _real_rows_from_json(rows, k: int) -> RealRows:
+    """A real k x k matrix; an entry with a nonzero imaginary part is rejected here."""
+    m = matrix_from_json(rows, (k, k))
+    if any(x.im for row in m.entries for x in row):
+        raise ValidationError("g_basis matrices must be real")
+    return tuple(tuple(x.re for x in row) for row in m.entries)
 
 
 def cone_from_json(doc) -> ConeSpec:
@@ -129,7 +134,7 @@ def cone_from_json(doc) -> ConeSpec:
     _require_keys(doc, {"k", "g_basis", "interior_point", "boundary"}, "cone document")
     k = _int_value(doc["k"], "'k'")
     g_basis = tuple(
-        matrix_from_json(rows, (k, k)) for rows in _list_value(doc["g_basis"], "'g_basis'")
+        _real_rows_from_json(rows, k) for rows in _list_value(doc["g_basis"], "'g_basis'")
     )
     interior = tuple(
         fraction_from_json(x) for x in _list_value(doc["interior_point"], "'interior_point'")
@@ -192,8 +197,11 @@ def load_domain_spec(doc: dict, samples: int = 32, seed: int = 0) -> SiegelDomai
 
     Structural invariants raise immediately; a cone-compatibility
     counterexample for the Hermitian family is also a validation error and
-    names the witness vector.
+    names the witness vector. ``samples`` (0 to ``SAMPLES_MAX``) is the
+    number of random vectors tried when the cone check is sampled.
     """
+    if not 0 <= samples <= SAMPLES_MAX:
+        raise ValidationError(f"samples must be from 0 to {SAMPLES_MAX}, got {samples}")
     if not isinstance(doc, dict):
         raise ValidationError("domain document must be an object")
     _require_keys(doc, {"n", "k", "cone", "H"}, "domain document")
@@ -214,7 +222,7 @@ def load_domain_spec(doc: dict, samples: int = 32, seed: int = 0) -> SiegelDomai
 def solutions_bases_to_json(sols: GradedSolutions) -> dict:
     """Explicit generator data for ``to_json``, gated behind a CLI flag to keep reports small."""
     return {
-        "g_0": [{"A": real_parts(a), "B": b} for a, b in sols.g0],
+        "g_0": [{"A": a, "B": b} for a, b in sols.g0],
         "g_half": [{"phi": el.phi, "c": el.c.coeffs} for el in sols.g_half],
-        "g_1": [{"a": real_parts(el.a.coeffs), "b": el.b.coeffs} for el in sols.g_one],
+        "g_1": [{"a": el.a.coeffs, "b": el.b.coeffs} for el in sols.g_one],
     }

@@ -34,7 +34,7 @@ from siegelalg.homogeneity import (
     NOT_TRANSITIVE,
     homogeneity_verdict,
 )
-from siegelalg.linalg import Matrix, from_real_rows
+from siegelalg.linalg import Matrix
 
 
 def report(line: str) -> None:
@@ -132,7 +132,7 @@ def test_criterion_10_d6():
         (2, 0, 2): 1, (2, 1, 2): -1,
     }
     scale = el.a.coefficient(0, 0, 0)
-    assert not scale.is_zero()
+    assert scale != 0
     for l in range(3):
         for i in range(3):
             for j in range(i, 3):
@@ -163,7 +163,7 @@ def test_criterion_11_skew_count_oracle_equivalence():
             fam = HermitianFamily.from_matrices(
                 [
                     Matrix.identity(n - 2),
-                    from_real_rows(
+                    Matrix.from_rows(
                         [[eigs[i] if i == j else 0 for j in range(n - 2)] for i in range(n - 2)]
                     ),
                 ]

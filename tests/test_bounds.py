@@ -15,7 +15,7 @@ from siegelalg.cones import catalog_cone
 from siegelalg.errors import ValidationError
 from siegelalg.graded import SiegelDomainSpec, solve_L
 from siegelalg.hermitian import HermitianFamily
-from siegelalg.linalg import from_real_rows
+from siegelalg.linalg import Matrix
 
 
 class TestBoundChain:
@@ -111,11 +111,11 @@ class TestSkewCount:
             eigs = []
             for value, mult in enumerate(mults, start=1):
                 eigs.extend([value] * mult)
-            second = from_real_rows(
+            second = Matrix.from_rows(
                 [[eigs[i] if i == j else 0 for j in range(n - 2)] for i in range(n - 2)]
             )
             fam = HermitianFamily.from_matrices(
-                [from_real_rows([[1 if i == j else 0 for j in range(n - 2)] for i in range(n - 2)]), second]
+                [Matrix.from_rows([[1 if i == j else 0 for j in range(n - 2)] for i in range(n - 2)]), second]
             )
             spec = SiegelDomainSpec(n, 2, cone, fam)
             assert len(solve_L(spec)) == s_from_multiplicities(n, mults)

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -125,6 +126,19 @@ class TestSpecFile:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("samples", ["100000000", "-7"])
+    def test_samples_out_of_range_refused_at_once(self, capsys, tmp_path, samples):
+        doc = {"n": 4, "k": 3, "cone": "omega3", "H": [[["1"]], [["1"]], [["0"]]]}
+        path = tmp_path / "domain.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "dims", "--spec", str(path), "--samples", samples)
+        assert time.perf_counter() - start < 2
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "10000" in err
+
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -168,6 +182,12 @@ def _without(key):
     return {k: v for k, v in LORENTZ3_CONE.items() if k != key}
 
 
+def _with_g_basis(entry):
+    """LORENTZ3_CONE with every g_basis entry x replaced by ``entry(x)``."""
+    basis = [[[entry(x) for x in row] for row in m] for m in LORENTZ3_CONE["g_basis"]]
+    return {**LORENTZ3_CONE, "g_basis": basis}
+
+
 MALFORMED_CONES = {
     "float_k": {**LORENTZ3_CONE, "k": 3.7},
     "float_coordinate": _with_factors({"kind": "lorentz", "coords": [0, 1.9, 2]}),
@@ -190,6 +210,12 @@ MALFORMED_CONES = {
     "no_factors": _with_factors(),
     "functionless_polyhedral": _with_factors({"kind": "polyhedral", "functionals": []}),
     "lorentz_on_two_of_three": _with_factors({"kind": "lorentz", "coords": [0, 1]}),
+    # g(Omega) is real: an imaginary entry is refused where the document is read
+    "complex_g_basis_entry": {**LORENTZ3_CONE, "g_basis": [
+        LORENTZ3_CONE["g_basis"][0],
+        [["0", {"re": "0", "im": "1"}, "0"], ["1", "0", "0"], ["0", "0", "0"]],
+        *LORENTZ3_CONE["g_basis"][2:],
+    ]},
 }
 
 
@@ -202,6 +228,11 @@ class TestCustomCone:
 
     def test_valid_custom_cone(self, capsys, tmp_path):
         code, out, _ = self._run(capsys, tmp_path, LORENTZ3_CONE)
+        assert code == 0
+        assert "total=10 s=1" in out
+
+    def test_entries_as_complex_objects_with_zero_imaginary_part(self, capsys, tmp_path):
+        code, out, _ = self._run(capsys, tmp_path, _with_g_basis(lambda x: {"re": x}))
         assert code == 0
         assert "total=10 s=1" in out
 

@@ -17,7 +17,7 @@ from siegelalg.cones import (
     orthant,
 )
 from siegelalg.errors import ValidationError
-from siegelalg.linalg import Matrix, from_real_rows
+from siegelalg.linalg import Matrix, gr
 
 EXPECTED_DIMS = {
     "omega1": 2,
@@ -46,19 +46,20 @@ class TestCatalog:
     @pytest.mark.parametrize("cone_id", CATALOG_IDS)
     def test_basis_plus_annihilators_fill_matrix_space(self, cone_id):
         cone = catalog_cone(cone_id)
-        rows = [ [x.re for x in m.vectorize()] for m in cone.g_basis ]
+        rows = [[x for row in m for x in row] for m in cone.g_basis]
         rows += [list(a) for a in cone.annihilators]
-        assert from_real_rows(rows).rank() == cone.k * cone.k
+        assert Matrix.from_rows(rows).rank() == cone.k * cone.k
 
     @pytest.mark.parametrize("cone_id", CATALOG_IDS)
     def test_flow_smoke_check(self, cone_id):
         # first-order check that each generator is tangent to the cone:
         # (I + tA) x stays interior for small rational t
         cone = catalog_cone(cone_id)
+        x = cone.interior_point
         for a in cone.g_basis:
             for t in (Fraction(1, 8), Fraction(-1, 8), Fraction(1, 16), Fraction(-1, 16)):
-                moved = (Matrix.identity(cone.k) + a.scale(t)).apply(cone.interior_point)
-                assert classify_point(cone, [x.re for x in moved]) is Region.INTERIOR
+                moved = [xi + t * sum(aij * xj for aij, xj in zip(row, x)) for xi, row in zip(x, a)]
+                assert classify_point(cone, moved) is Region.INTERIOR
 
 
 class TestIsotropyBound:
@@ -81,19 +82,21 @@ class TestIsotropyBound:
 class TestMembership:
     def test_diagonal_in_orthant_algebra(self):
         cone = catalog_cone("omega1")
-        assert in_g_omega(cone, from_real_rows([[1, 0], [0, 5]]))
+        assert in_g_omega(cone, ((1, 0), (0, 5)))
 
     def test_offdiagonal_excluded(self):
         cone = catalog_cone("omega1")
-        assert not in_g_omega(cone, from_real_rows([[0, 1], [0, 0]]))
+        assert not in_g_omega(cone, ((0, 1), (0, 0)))
 
     def test_lorentz3_generator_shape(self):
         cone = catalog_cone("omega3")
-        member = from_real_rows([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+        member = ((0, 1, 0), (1, 0, 0), (0, 0, 0))
         assert in_g_omega(cone, member)
-        assert not in_g_omega(cone, from_real_rows(
-            [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]
-        ))
+        assert not in_g_omega(cone, ((0, 1, 0), (-1, 0, 0), (0, 0, 0)))
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValidationError, match="wrong shape"):
+            in_g_omega(catalog_cone("omega1"), ((1, 0),))
 
 
 class TestClosure:
@@ -126,7 +129,7 @@ class TestValidation:
             ConeSpec(
                 name="bad",
                 k=2,
-                g_basis=(from_real_rows([[1, 0], [0, 0]]),),
+                g_basis=(((1, 0), (0, 0)),),
                 interior_point=(Fraction(1), Fraction(1)),
                 boundary=(PolyhedralFactor(((Fraction(1), Fraction(0)),
                                             (Fraction(0), Fraction(1)))),),
@@ -137,7 +140,7 @@ class TestValidation:
             ConeSpec(
                 name="bad",
                 k=1,
-                g_basis=(from_real_rows([[1]]),),
+                g_basis=(((1,),),),
                 interior_point=(Fraction(-1),),
                 boundary=(PolyhedralFactor(((Fraction(1),),)),),
             )
@@ -148,9 +151,41 @@ class TestValidation:
             ConeSpec(
                 name="half-plane",
                 k=2,
-                g_basis=(from_real_rows([[1, 0], [0, 1]]),),
+                g_basis=(((1, 0), (0, 1)),),
                 interior_point=(Fraction(1), Fraction(0)),
                 boundary=(PolyhedralFactor(((Fraction(1), Fraction(0)),)),),
+            )
+
+    def test_int_entries_become_fractions(self):
+        cone = ConeSpec(
+            name="ray",
+            k=1,
+            g_basis=(((2,),),),
+            interior_point=(Fraction(1),),
+            boundary=(PolyhedralFactor(((Fraction(1),),)),),
+        )
+        assert cone.g_basis == (((Fraction(2),),),)
+        assert type(cone.g_basis[0][0][0]) is Fraction
+
+    @pytest.mark.parametrize("entry", [gr(1, 1), gr(1), 1.0, True, "1"])
+    def test_non_rational_entries_rejected(self, entry):
+        with pytest.raises(ValidationError, match="must be rationals"):
+            ConeSpec(
+                name="ray",
+                k=1,
+                g_basis=(((entry,),),),
+                interior_point=(Fraction(1),),
+                boundary=(PolyhedralFactor(((Fraction(1),),)),),
+            )
+
+    def test_misshapen_basis_rejected(self):
+        with pytest.raises(ValidationError, match="k x k"):
+            ConeSpec(
+                name="ray",
+                k=1,
+                g_basis=(((1, 0),),),
+                interior_point=(Fraction(1),),
+                boundary=(PolyhedralFactor(((Fraction(1),),)),),
             )
 
     def test_orthant_one_is_half_line(self):

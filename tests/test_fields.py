@@ -16,18 +16,17 @@ from siegelalg.fields import (
     bracket_identities_hold,
     check_grading,
     euler_field,
-    in_real_span,
     materialize,
 )
 from siegelalg.graded import SiegelDomainSpec, solve_all
 from siegelalg.hermitian import HermitianFamily
-from siegelalg.linalg import GR_ZERO, Matrix, from_real_rows, gr
+from siegelalg.linalg import GR_I, GR_ZERO, Matrix, gr
 from siegelalg.poly import Polynomial
 
 
 def diag(*vals):
     n = len(vals)
-    return from_real_rows([[vals[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    return Matrix.from_rows([[vals[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 def ball(n):
@@ -198,7 +197,87 @@ class TestCheckGrading:
         minus_one = [f for f in fields if f.grade == Fraction(-1)]
         ones = [f for f in fields if f.grade == Fraction(1)]
         zeros = [f for f in fields if f.grade == Fraction(0)]
-        assert in_real_span(zeros, bracket(minus_one[0], ones[0]))
+        span = fields_module._real_span(zeros)
+        assert not fields_module._escapes(span, bracket(minus_one[0], ones[0]))
+        assert fields_module._escapes(span, ones[0])
+
+
+def dense_in_real_span(basis, candidate):
+    """Reference membership: dense realified coefficient vectors and two ``Matrix`` ranks.
+
+    This is the method ``check_grading`` used before it eliminated each weight's span once.
+    """
+    if candidate.is_zero():
+        return True
+    if not basis:
+        return False
+    keys = sorted({
+        (c, mono) for f in list(basis) + [candidate]
+        for c, p in enumerate(f.components) for mono, _ in p.terms
+    })
+
+    def vector(f):
+        out = []
+        for c, mono in keys:
+            coeff = f.components[c].coefficient(mono)
+            out += [coeff.re, coeff.im]
+        return out
+
+    rows = [vector(f) for f in basis]
+    return Matrix.from_rows(rows + [vector(candidate)]).rank() == Matrix.from_rows(rows).rank()
+
+
+GRADING_DOMAINS = {
+    "ball3": catalog.ball(3),
+    "ballproduct2_2": catalog.ball_product(2, 2),
+    "d6_110": catalog.d6((1, 1, 0)),
+}
+_GENERATORS = {}
+
+
+def generators_by_grade(name):
+    if name not in _GENERATORS:
+        spec = catalog.build(GRADING_DOMAINS[name])
+        by_grade = {}
+        for f in materialize(spec, solve_all(spec)):
+            by_grade.setdefault(f.grade, []).append(f)
+        _GENERATORS[name] = by_grade
+    return _GENERATORS[name]
+
+
+def combination(fields, coeffs):
+    n = fields[0].n
+    return PolyVectorField(n, tuple(
+        sum((f.components[i] * c for f, c in zip(fields, coeffs)), Polynomial.zero(n))
+        for i in range(n)
+    ))
+
+
+@given(data=st.data())
+@settings(derandomize=True, max_examples=80, deadline=None)
+def test_span_membership_matches_dense_reference(data):
+    """The once-eliminated span decides membership exactly as the dense method does."""
+    by_grade = generators_by_grade(data.draw(st.sampled_from(sorted(GRADING_DOMAINS))))
+    grade = data.draw(st.sampled_from(sorted(by_grade)))
+    group = by_grade[grade]
+    coeffs = data.draw(st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        min_size=len(group), max_size=len(group),
+    ))
+    candidate = combination(group, coeffs)
+    kind = data.draw(st.sampled_from(["combination", "times i", "plus another grade"]))
+    if kind == "times i":
+        candidate = candidate.scale(GR_I)
+    elif kind == "plus another grade":
+        others = [f for g in sorted(by_grade) if g != grade for f in by_grade[g]]
+        candidate = candidate - data.draw(st.sampled_from(others)).scale(-1)
+    expected = dense_in_real_span(group, candidate)
+    assert fields_module._escapes(fields_module._real_span(group), candidate) == (not expected)
+    if kind == "combination":
+        assert expected
+    if kind == "plus another grade":
+        # eigenvectors of the Euler field for distinct weights are independent
+        assert not expected
 
 
 def _diff(p, u):

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from siegelalg import catalog, graded
-from siegelalg.cones import catalog_cone, half_line, in_g_omega
+from siegelalg.cones import CATALOG_IDS, catalog_cone, half_line, in_g_omega
 from siegelalg.errors import ValidationError
 from siegelalg.graded import (
     SiegelDomainSpec,
@@ -20,7 +20,9 @@ from siegelalg.graded import (
     solve_L,
 )
 from siegelalg.hermitian import HermitianFamily, evaluate
-from siegelalg.linalg import GR_I, GR_ONE, GR_ZERO, GaussianRational, Matrix, from_real_rows, gr
+from siegelalg.homogeneity import a_part_basis
+from siegelalg.linalg import GR_I, GR_ONE, GR_ZERO, GaussianRational, Matrix, gr
+from siegelalg.serialize import cone_from_json
 from test_linalg import dense_rref
 
 TWO_I = GR_I + GR_I
@@ -28,7 +30,7 @@ TWO_I = GR_I + GR_I
 
 def diag(*vals):
     n = len(vals)
-    return from_real_rows([[vals[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    return Matrix.from_rows([[vals[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 def fam(*comps):
@@ -78,7 +80,7 @@ def check_associated(spec, a_mat, b_mat):
     for w in complex_basis(m):
         for wp in complex_basis(m):
             hval = evaluate(spec.form, w, wp)
-            lhs = a_mat.apply(hval)
+            lhs = Matrix.from_rows(a_mat).apply(hval)
             bw = b_mat.apply(w)
             bwp = b_mat.apply(wp)
             rhs = tuple(
@@ -205,7 +207,7 @@ class TestGHalf:
                         val = evaluate(spec.form, w0, col)[j]
                         row.append(val.im)
                     rows.append(row)
-                assert in_g_omega(spec.cone, from_real_rows(rows))
+                assert in_g_omega(spec.cone, rows)
 
 
 class TestGOne:
@@ -221,7 +223,7 @@ class TestGOne:
             (2, 0, 2): 1, (2, 1, 2): -1,
         }
         scale = el.a.coefficient(0, 0, 0)
-        assert not scale.is_zero()
+        assert scale != 0
         for l in range(3):
             for i in range(3):
                 for j in range(i, 3):
@@ -245,7 +247,7 @@ class TestGOne:
                 for i in range(3):
                     for j in range(i, 3):
                         if not (i == j == l):
-                            assert el.a.coefficient(l, i, j).is_zero()
+                            assert el.a.coefficient(l, i, j) == 0
 
     def test_ball_dimension(self):
         assert len(solve_g1(ball(4))) == 1
@@ -261,14 +263,14 @@ class TestGOne:
                  for jj in range(spec.k)]
                 for l in range(spec.k)
             ]
-            assert in_g_omega(spec.cone, from_real_rows(rows))
+            assert in_g_omega(spec.cone, rows)
         # with b = 0 the association forces a(x0, .) to kill every H(w, w')
         for t in range(spec.k):
             x0 = [1 if i == t else 0 for i in range(spec.k)]
             for w in complex_basis(spec.m):
                 for wp in complex_basis(spec.m):
                     hval = evaluate(spec.form, w, wp)
-                    a_rows = from_real_rows(
+                    a_rows = Matrix.from_rows(
                         [
                             [el.a.apply(x0, [1 if p == jj else 0 for p in range(spec.k)])[l].re
                              for jj in range(spec.k)]
@@ -299,8 +301,8 @@ class TestGradedDims:
         # rank-nullity: dim g0 = s + dim of the A-part image
         for spec in (d6_spec(), d3_spec(1, 0, 1, 1), ball(3), tube("omega5")):
             sols = solve_all(spec)
-            a_rows = [[x.re for x in a.vectorize()] for a, _ in sols.g0]
-            a_rank = from_real_rows(a_rows).rank() if a_rows else 0
+            a_rows = [[x for row in a for x in row] for a, _ in sols.g0]
+            a_rank = Matrix.from_rows(a_rows).rank() if a_rows else 0
             assert len(sols.g0) == len(sols.skew) + a_rank
 
     def test_structural_caps(self):
@@ -426,14 +428,53 @@ def test_layout_round_trip(name, solver, monkeypatch):
             (block, index, value)
             for block in blocks
             for index, value in _entries(block.values(sol))
-            if not value.is_zero()
+            if value
         ]
         assert len(hits) == 1
         block, index, value = hits[0]
-        re_col = col if value == GR_ONE else col - 1
-        assert value in (GR_ONE, GR_I)
+        re_col = col if value in (1, GR_ONE) else col - 1
+        if block.width == 1:
+            assert type(value) is Fraction and value == 1
+        else:
+            assert value in (GR_ONE, GR_I)
         assert block[index].re == {re_col: 1}
         assert block[index].im == ({} if block.width == 1 else {re_col + 1: 1})
+
+
+def _all_fractions(value):
+    entries = [x for _, x in _entries(value)]
+    return bool(entries) and all(type(x) is Fraction for x in entries)
+
+
+CUSTOM_QUADRANT = {
+    "k": 2,
+    "g_basis": [[["1", "0"], ["0", "0"]], [[{"re": "0"}, "0"], ["0", {"re": "1", "im": "0"}]]],
+    "interior_point": ["1", "1"],
+    "boundary": [{"kind": "polyhedral", "functionals": [["1", "0"], ["0", "1"]]}],
+}
+
+
+@pytest.mark.parametrize("cone_id", list(CATALOG_IDS) + ["custom"])
+def test_cone_data_is_fraction(cone_id):
+    """A cone's basis and annihilators are plain Fractions, never ints or Gaussian rationals."""
+    cone = cone_from_json(CUSTOM_QUADRANT) if cone_id == "custom" else catalog_cone(cone_id)
+    assert _all_fractions(cone.g_basis)
+    assert _all_fractions(cone.annihilators)
+
+
+@pytest.mark.parametrize("name", ["ball3", "ballproduct2_2", "d6_110", "t4"])
+def test_real_solver_data_is_fraction(name):
+    """Every A of g0, every a of g1 and the A-part basis are plain Fractions."""
+    spec = catalog.build(RESIDUAL_DOMAINS[name])
+    sols = solve_all(spec)
+    assert sols.g0 and sols.g_one
+    for a_mat, _ in sols.g0:
+        assert len(a_mat) == spec.k and _all_fractions(a_mat)
+    for el in sols.g_one:
+        assert _all_fractions(el.a.coeffs)
+        assert all(type(x) is GaussianRational for _, x in _entries(el.b.coeffs))
+    basis = a_part_basis(sols.g0)
+    assert basis and all(_all_fractions(a) for a in basis)
 
 
 SMALL_FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=3)

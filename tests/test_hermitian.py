@@ -16,12 +16,12 @@ from siegelalg.hermitian import (
     negative_direction,
     validate,
 )
-from siegelalg.linalg import Matrix, from_real_rows, gr
+from siegelalg.linalg import Matrix, gr
 
 
 def diag(*vals):
     n = len(vals)
-    return from_real_rows([[vals[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    return Matrix.from_rows([[vals[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 def family(*components):

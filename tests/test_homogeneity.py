@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 from siegelalg.cones import catalog_cone, classify_point, Region
-from siegelalg.graded import SiegelDomainSpec
+from siegelalg.graded import SiegelDomainSpec, solve_g0
 from siegelalg.hermitian import HermitianFamily, _Lcg
 from siegelalg.homogeneity import (
     GENERICALLY_OPEN_ORBITS,
@@ -12,12 +12,12 @@ from siegelalg.homogeneity import (
     generic_orbit_rank,
     homogeneity_verdict,
 )
-from siegelalg.linalg import Matrix, from_real_rows
+from siegelalg.linalg import Matrix
 
 
 def diag(*vals):
     n = len(vals)
-    return from_real_rows([[vals[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    return Matrix.from_rows([[vals[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 def fam(*comps):
@@ -44,33 +44,51 @@ def d5_spec(v):
     return SiegelDomainSpec(4, 3, catalog_cone("omega2"), fam(diag(v[0]), diag(v[1]), diag(v[2])))
 
 
+def a_parts(spec):
+    return a_part_basis(solve_g0(spec))
+
+
+def verdict_of(spec):
+    return homogeneity_verdict(spec, solve_g0(spec))
+
+
+def real_diag(*vals):
+    return tuple(tuple(Fraction(x if i == j else 0) for j in range(len(vals))) for i, x in enumerate(vals))
+
+
+IDENTITY2 = real_diag(1, 1)
+
+
 class TestAPart:
     def test_d2_scalars(self):
-        basis = a_part_basis(d2_spec())
+        basis = a_parts(d2_spec())
         assert len(basis) == 1
         # canonical representative is the identity direction
-        assert basis[0] == Matrix.identity(2)
+        assert basis[0] == IDENTITY2
 
     def test_d1_diagonal(self):
         # oracle: project the weight-0 pairs; both diagonal directions survive
-        basis = a_part_basis(d1_spec())
+        basis = a_parts(d1_spec())
         assert len(basis) == 2
 
     def test_d6_dimension(self):
-        assert len(a_part_basis(d6_spec((1, 1, 0)))) == 3
+        assert len(a_parts(d6_spec((1, 1, 0)))) == 3
+
+    def test_no_pairs_no_basis(self):
+        assert a_part_basis(()) == ()
 
 
 class TestGenericRank:
     def test_scalars_rank_one(self):
-        assert generic_orbit_rank((Matrix.identity(2),), 2) == 1
+        assert generic_orbit_rank((IDENTITY2,), 2) == 1
 
     def test_diagonal_full(self):
-        basis = (diag(1, 0), diag(0, 1))
+        basis = (real_diag(1, 0), real_diag(0, 1))
         assert generic_orbit_rank(basis, 2) == 2
 
     def test_shared_eigenvalue_block(self):
         # diagonal matrices with the first two entries tied: rank 2 < 3
-        basis = (diag(1, 1, 0), diag(0, 0, 1))
+        basis = (real_diag(1, 1, 0), real_diag(0, 0, 1))
         assert generic_orbit_rank(basis, 3) == 2
 
     def _sampled_maximum(self, spec, basis):
@@ -84,13 +102,13 @@ class TestGenericRank:
             if classify_point(spec.cone, point) is not Region.INTERIOR:
                 continue
             found += 1
-            rows = [[x.re for x in a.apply(point)] for a in basis]
-            best = max(best, from_real_rows(rows).rank())
+            rows = [[sum(aij * xj for aij, xj in zip(row, point)) for row in a] for a in basis]
+            best = max(best, Matrix.from_rows(rows).rank())
         return best
 
     def test_rank_matches_sampled_maximum(self):
         spec = d1_spec()
-        basis = a_part_basis(spec)
+        basis = a_parts(spec)
         symbolic = generic_orbit_rank(basis, spec.k)
         assert symbolic == self._sampled_maximum(spec, basis) == spec.k
 
@@ -103,41 +121,41 @@ class TestGenericRank:
             d6_spec((2, 1, 0)),
         ]
         for spec in specs:
-            basis = a_part_basis(spec)
+            basis = a_parts(spec)
             assert generic_orbit_rank(basis, spec.k) == self._sampled_maximum(spec, basis)
 
 
 class TestVerdicts:
     def test_d2_not_transitive(self):
-        verdict = homogeneity_verdict(d2_spec())
+        verdict = verdict_of(d2_spec())
         assert verdict.verdict == NOT_TRANSITIVE
         assert verdict.a_part_dim == 1
         assert verdict.generic_rank == 1
 
     def test_d1_open_orbits(self):
-        assert homogeneity_verdict(d1_spec()).verdict == GENERICALLY_OPEN_ORBITS
+        assert verdict_of(d1_spec()).verdict == GENERICALLY_OPEN_ORBITS
 
     def test_d6_interior_vector_not_transitive(self):
-        verdict = homogeneity_verdict(d6_spec((2, 1, 0)))
+        verdict = verdict_of(d6_spec((2, 1, 0)))
         assert verdict.verdict == NOT_TRANSITIVE
 
     def test_d6_boundary_vector_open_orbits(self):
-        assert homogeneity_verdict(d6_spec((1, 1, 0))).verdict == GENERICALLY_OPEN_ORBITS
+        assert verdict_of(d6_spec((1, 1, 0))).verdict == GENERICALLY_OPEN_ORBITS
 
     def test_d5_multi_entry_not_transitive(self):
         for v in ((1, 1, 0), (1, 1, 1)):
-            assert homogeneity_verdict(d5_spec(v)).verdict == NOT_TRANSITIVE
+            assert verdict_of(d5_spec(v)).verdict == NOT_TRANSITIVE
 
     def test_d5_single_entry_open_orbits(self):
         for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-            assert homogeneity_verdict(d5_spec(v)).verdict == GENERICALLY_OPEN_ORBITS
+            assert verdict_of(d5_spec(v)).verdict == GENERICALLY_OPEN_ORBITS
 
     def test_scalar_only_action(self):
         # a scalar-only linear part can never act transitively for k >= 2
-        verdict = homogeneity_verdict(d2_spec(5))
+        verdict = verdict_of(d2_spec(5))
         assert verdict.a_part_dim == 1
         assert verdict.verdict == NOT_TRANSITIVE
 
     def test_note_is_honest_about_open_orbits(self):
-        verdict = homogeneity_verdict(d1_spec())
+        verdict = verdict_of(d1_spec())
         assert "not by itself" in verdict.note

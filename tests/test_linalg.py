@@ -13,9 +13,7 @@ from siegelalg.linalg import (
     GR_ZERO,
     GaussianRational,
     Matrix,
-    from_real_rows,
     gr,
-    in_span,
     sparse_nullspace,
     sparse_rref,
 )
@@ -66,13 +64,13 @@ class TestRref:
         assert res.pivots == ()
 
     def test_dependent_rows(self):
-        m = from_real_rows([[1, 2], [2, 4]])
+        m = Matrix.from_rows([[1, 2], [2, 4]])
         res = m.rref()
         assert res.rank == 1
         assert res.pivots == (0,)
 
     def test_idempotent(self):
-        m = from_real_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+        m = Matrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
         once = m.rref().matrix
         assert once.rref().matrix == once
 
@@ -82,12 +80,12 @@ class TestNullspace:
         assert Matrix.identity(2).nullspace_basis() == []
 
     def test_single_equation(self):
-        m = from_real_rows([[1, -1]])
+        m = Matrix.from_rows([[1, -1]])
         (v,) = m.nullspace_basis()
         assert v == (GR_ONE, GR_ONE)
 
     def test_rank_one(self):
-        m = from_real_rows([[1, 2], [2, 4]])
+        m = Matrix.from_rows([[1, 2], [2, 4]])
         (v,) = m.nullspace_basis()
         # free column 1 set to one
         assert v == (gr(-2), GR_ONE)
@@ -110,7 +108,7 @@ def small_matrices(draw):
     rows = [
         [draw(small_fractions) for _ in range(ncols)] for _ in range(nrows)
     ]
-    return from_real_rows(rows)
+    return Matrix.from_rows(rows)
 
 
 @given(small_matrices())
@@ -247,20 +245,8 @@ def test_kernel_full_rank_square(case):
 
 
 class TestMatrixStructure:
-    def test_real_flag_rejects_complex(self):
-        with pytest.raises(ValidationError):
-            Matrix.from_rows([[gr(0, 1)]], real=True)
-
     def test_matmul_and_conj_transpose(self):
         a = Matrix.from_rows([[gr(0, 1), gr(1)]])
         assert a.conj_transpose().entries[0][0] == gr(0, -1)
         prod = a @ a.conj_transpose()
         assert prod.entry(0, 0) == gr(2)
-
-    def test_in_span(self):
-        v1 = [gr(1), gr(0)]
-        v2 = [gr(0), gr(1)]
-        assert in_span([v1], [gr(3), gr(0)], 2)
-        assert not in_span([v1], v2, 2)
-        assert in_span([v1, v2], [gr(5), gr(-7)], 2)
-        assert in_span([], [gr(0), gr(0)], 2)
