@@ -11,15 +11,14 @@ be rounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import ValidationError
+from .frozen import Frozen
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Frozen):
     n: int
     k: int
     s: int
@@ -90,8 +89,7 @@ def bound_chain(
     )
 
 
-@dataclass(frozen=True)
-class SweepEntry:
+class SweepEntry(Frozen):
     n: int
     k: int
     bound: Fraction

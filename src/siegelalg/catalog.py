@@ -12,13 +12,13 @@ homogeneous cones and forms; the report says so in its note field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .bounds import BoundReport, bound_chain, closed_form_bound, closed_form_sweep, s_from_multiplicities
 from .cones import catalog_cone, half_line, isotropy_bound, orthant
 from .errors import ValidationError
+from .frozen import Frozen
 from .fields import bracket_identities_hold, check_grading, materialize
 from .graded import GradedDims, SiegelDomainSpec, solve_all, solve_L
 from .hermitian import (
@@ -45,8 +45,7 @@ _TUBE_LABELS = {
 }
 
 
-@dataclass(frozen=True)
-class DomainId:
+class DomainId(Frozen):
     kind: str
     n: Optional[int] = None
     factors: Optional[tuple[int, ...]] = None
@@ -210,8 +209,7 @@ def build(domain: DomainId) -> SiegelDomainSpec:
     raise ValidationError(f"unknown domain kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class DomainReport:
+class DomainReport(Frozen):
     label: str
     spec: SiegelDomainSpec
     dims: GradedDims
@@ -241,8 +239,7 @@ def analyze(domain: DomainId) -> DomainReport:
 # ---------------------------------------------------------------------------
 # classification
 
-@dataclass(frozen=True)
-class CandidateEntry:
+class CandidateEntry(Frozen):
     label: str
     k: int
     status: str   # "homogeneous" | "pruned-not-transitive" | "pruned-by-bound"
@@ -250,8 +247,7 @@ class CandidateEntry:
     margin: Optional[Fraction] = None
 
 
-@dataclass(frozen=True)
-class ClassifyReport:
+class ClassifyReport(Frozen):
     n: int
     target: int
     note: str
@@ -407,16 +403,14 @@ D6_KNOWN_QUADRATIC = {
 }
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Frozen):
     name: str
     expected: object
     computed: object
     passed: bool
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(Frozen):
     checks: tuple[CheckResult, ...]
     passed: int
     failed: int

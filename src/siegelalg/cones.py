@@ -20,12 +20,12 @@ out of scope (the basis is taken as input data).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
 
 from .errors import ValidationError
+from .frozen import Frozen
 from .linalg import RealRows, sparse_nullspace, span_rank
 
 
@@ -35,8 +35,7 @@ class Region(enum.Enum):
     OUTSIDE = "outside"
 
 
-@dataclass(frozen=True)
-class PolyhedralFactor:
+class PolyhedralFactor(Frozen):
     """Intersection of strict half spaces: all functionals positive."""
 
     functionals: tuple[tuple[Fraction, ...], ...]
@@ -52,8 +51,7 @@ class PolyhedralFactor:
         return Region.INTERIOR if strict else Region.BOUNDARY
 
 
-@dataclass(frozen=True)
-class LorentzFactor:
+class LorentzFactor(Frozen):
     """x[c0]^2 - sum of squares over the other coords positive, x[c0] positive."""
 
     coords: tuple[int, ...]
@@ -86,14 +84,13 @@ def _real_rows(m: Sequence[Sequence[Union[int, Fraction]]], k: int) -> RealRows:
     return tuple(tuple(Fraction(x) for x in row) for row in m)
 
 
-@dataclass(frozen=True)
-class ConeSpec:
+class ConeSpec(Frozen):
     name: str
     k: int
     g_basis: tuple[RealRows, ...]
     interior_point: tuple[Fraction, ...]
     boundary: tuple[BoundaryFactor, ...]
-    annihilators: tuple[tuple[Fraction, ...], ...] = field(default=())
+    annihilators: tuple[tuple[Fraction, ...], ...] = ()
 
     def __post_init__(self) -> None:
         if self.k < 1:

@@ -16,11 +16,11 @@ canonical polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import ValidationError
+from .frozen import Frozen
 from .graded import GradedSolutions, SiegelDomainSpec
 from .linalg import GR_I, GR_ZERO, coordinate_vectors, sparse_rref
 from .poly import Polynomial
@@ -28,8 +28,7 @@ from .poly import Polynomial
 GRADES = (Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1))
 
 
-@dataclass(frozen=True)
-class PolyVectorField:
+class PolyVectorField(Frozen):
     n: int
     components: tuple[Polynomial, ...]
     grade: Optional[Fraction] = None
@@ -198,8 +197,7 @@ def _escapes(span: list[dict[tuple, Fraction]], f: PolyVectorField) -> bool:
     return len(sparse_rref(span + [_real_coordinates(f)], Fraction(1))[1]) > len(span)
 
 
-@dataclass(frozen=True)
-class GradingReport:
+class GradingReport(Frozen):
     passed: bool
     failures: tuple[str, ...]
     eigen_checked: int

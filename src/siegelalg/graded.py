@@ -35,7 +35,6 @@ never modifies its argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -43,6 +42,7 @@ from typing import Sequence
 
 from .cones import ConeSpec
 from .errors import ValidationError
+from .frozen import Frozen
 from .hermitian import HermitianFamily, validate
 from .linalg import (
     GR_ZERO,
@@ -55,8 +55,7 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
-class SiegelDomainSpec:
+class SiegelDomainSpec(Frozen):
     """The pair (cone, Hermitian family) plus the dimensions (n, k)."""
 
     n: int
@@ -214,8 +213,7 @@ def _sym_pairs(n: int) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 # basis elements
 
-@dataclass(frozen=True)
-class Bilinear:
+class Bilinear(Frozen):
     """Plain bilinear coefficients value_l = sum_{i,j} c[l][i][j] u_i v_j.
 
     The coefficients are ``Fraction``s for a real form (``a`` of g1) and
@@ -260,20 +258,17 @@ def _symmetric(packed: tuple[tuple[Scalar, ...], ...], n: int) -> Bilinear:
     ))
 
 
-@dataclass(frozen=True)
-class GHalfElement:
+class GHalfElement(Frozen):
     phi: Matrix          # m x k, the C-linear map on the z-block
     c: Bilinear          # symmetric C-bilinear on the w-block
 
 
-@dataclass(frozen=True)
-class GOneElement:
+class GOneElement(Frozen):
     a: Bilinear          # symmetric real bilinear on the z-block, Fraction coefficients
     b: Bilinear          # C-bilinear mixing z and w
 
 
-@dataclass(frozen=True)
-class GradedDims:
+class GradedDims(Frozen):
     d_m1: int
     d_mhalf: int
     d_0: int
@@ -519,8 +514,7 @@ def solve_g1(spec: SiegelDomainSpec) -> tuple[GOneElement, ...]:
     )
 
 
-@dataclass(frozen=True)
-class GradedSolutions:
+class GradedSolutions(Frozen):
     """The bases of g_0, of the skew-Hermitian part L of g_0, of g_1/2 and of g_1."""
 
     g0: tuple[tuple[RealRows, Matrix], ...]

@@ -13,12 +13,12 @@ eigenvalues or square roots are ever computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cones import ConeSpec, LorentzFactor, Region, classify_point
 from .errors import ValidationError
+from .frozen import Frozen
 from .linalg import (
     GR_I,
     GR_ONE,
@@ -35,8 +35,7 @@ VERIFIED_ON_SAMPLES = "verified-on-samples"
 COUNTEREXAMPLE = "counterexample"
 
 
-@dataclass(frozen=True)
-class HermitianFamily:
+class HermitianFamily(Frozen):
     k: int
     m: int
     components: tuple[Matrix, ...]
@@ -55,8 +54,7 @@ class HermitianFamily:
         return HermitianFamily(k, m, tuple(components))
 
 
-@dataclass(frozen=True)
-class HermitianViolation:
+class HermitianViolation(Frozen):
     component: int
     position: tuple[int, int]
 
@@ -160,8 +158,7 @@ def negative_direction(m: Matrix) -> Optional[tuple[GaussianRational, ...]]:
     return None
 
 
-@dataclass(frozen=True)
-class OmegaHermitianVerdict:
+class OmegaHermitianVerdict(Frozen):
     kind: str
     samples: int = 0
     witness: Optional[tuple[GaussianRational, ...]] = None

@@ -13,11 +13,11 @@ orbit dimension everywhere:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import ValidationError
+from .frozen import Frozen
 from .graded import SiegelDomainSpec
 from .linalg import Matrix, RealRows, sparse_rref
 from .poly import Polynomial, PolyMatrix, generic_rank
@@ -26,8 +26,7 @@ NOT_TRANSITIVE = "not-transitive"
 GENERICALLY_OPEN_ORBITS = "generically-open-orbits"
 
 
-@dataclass(frozen=True)
-class HomogeneityVerdict:
+class HomogeneityVerdict(Frozen):
     a_part_dim: int
     generic_rank: int
     k: int

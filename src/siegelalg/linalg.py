@@ -15,11 +15,11 @@ nonzero entries; ``Matrix.rref`` is a dense view of its result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, TypeVar, Union
 
 from .errors import ValidationError
+from .frozen import Frozen
 
 Scalar = Union[int, Fraction, "GaussianRational"]
 RealRows = tuple[tuple[Fraction, ...], ...]
@@ -33,12 +33,24 @@ def _frac(x: Union[int, Fraction]) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class GaussianRational:
+class GaussianRational(Frozen):
     """Complex number with exact rational real and imaginary parts."""
 
     re: Fraction
     im: Fraction
+
+    # the generic ``Frozen`` methods, written out: a run builds tens of thousands of these
+    def __init__(self, re: Fraction, im: Fraction) -> None:
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+
+    def __eq__(self, other: object):
+        if other.__class__ is not GaussianRational:
+            return NotImplemented
+        return (self.re, self.im) == (other.re, other.im)
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
 
     @staticmethod
     def of(x: Scalar) -> "GaussianRational":
@@ -60,10 +72,14 @@ class GaussianRational:
         return GaussianRational.of(other) - self
 
     def __mul__(self, other: Scalar) -> "GaussianRational":
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational(self.re * other, self.im * other)
         o = GaussianRational.of(other)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
+        if self.im or o.im:
+            return GaussianRational(
+                self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
+            )
+        return GaussianRational(self.re * o.re, self.im)
 
     __rmul__ = __mul__
 
@@ -124,15 +140,13 @@ def coordinate_vectors(m: int) -> list[tuple[GaussianRational, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class RrefResult:
+class RrefResult(Frozen):
     matrix: "Matrix"
     rank: int
     pivots: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Frozen):
     """Immutable dense matrix with Gaussian-rational entries.
 
     Matrices of any shape are allowed, including zero rows or columns, which
@@ -175,15 +189,6 @@ class Matrix:
     def row(self, i: int) -> tuple[GaussianRational, ...]:
         return self.entries[i]
 
-    def conj_transpose(self) -> "Matrix":
-        return Matrix(
-            self.ncols, self.nrows,
-            tuple(
-                tuple(self.entries[i][j].conjugate() for i in range(self.nrows))
-                for j in range(self.ncols)
-            ),
-        )
-
     def __add__(self, other: "Matrix") -> "Matrix":
         self._require_same_shape(other)
         return Matrix(
@@ -200,38 +205,6 @@ class Matrix:
             self.nrows, self.ncols,
             tuple(tuple(x * cc for x in row) for row in self.entries),
         )
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.nrows:
-            raise ValidationError(
-                f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
-            )
-        rows = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = GR_ZERO
-                for t in range(self.ncols):
-                    acc = acc + self.entries[i][t] * other.entries[t][j]
-                row.append(acc)
-            rows.append(tuple(row))
-        return Matrix(self.nrows, other.ncols, tuple(rows))
-
-    def apply(self, v: Sequence[Scalar]) -> tuple[GaussianRational, ...]:
-        """Matrix-vector product."""
-        if len(v) != self.ncols:
-            raise ValidationError("vector length mismatch")
-        vv = [GaussianRational.of(x) for x in v]
-        out = []
-        for i in range(self.nrows):
-            acc = GR_ZERO
-            for t in range(self.ncols):
-                acc = acc + self.entries[i][t] * vv[t]
-            out.append(acc)
-        return tuple(out)
-
-    def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self.entries for x in row)
 
     def _require_same_shape(self, other: "Matrix") -> None:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):

@@ -7,11 +7,11 @@ lexicographic with earlier variables heavier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .errors import ValidationError
+from .frozen import Frozen
 from .linalg import GR_ONE, GR_ZERO, GaussianRational, Scalar
 
 Monomial = tuple[int, ...]
@@ -26,10 +26,14 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Frozen):
     nvars: int
     terms: tuple[tuple[Monomial, GaussianRational], ...]  # sorted, no zero coefficients
+
+    # the generic ``Frozen.__init__``, written out: a run builds thousands of these
+    def __init__(self, nvars: int, terms: tuple[tuple[Monomial, GaussianRational], ...]) -> None:
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "terms", terms)
 
     @staticmethod
     def from_dict(nvars: int, coeffs: Mapping[Monomial, Scalar]) -> "Polynomial":
@@ -166,8 +170,7 @@ class Polynomial:
         return self.format([f"x{i+1}" for i in range(self.nvars)])
 
 
-@dataclass(frozen=True)
-class PolyMatrix:
+class PolyMatrix(Frozen):
     """Matrix with polynomial entries sharing one indeterminate set."""
 
     nrows: int
