@@ -74,7 +74,7 @@ from .homogeneity import (
     homogeneity_verdict,
 )
 from .linalg import GaussianRational, Matrix, gr
-from .poly import Polynomial, PolyMatrix, generic_rank
+from .poly import Polynomial, generic_rank
 from .serialize import load_domain_spec, spec_to_json
 
 __all__ = [
@@ -90,7 +90,6 @@ __all__ = [
     "HomogeneityVerdict",
     "Matrix",
     "NOT_TRANSITIVE",
-    "PolyMatrix",
     "PolyVectorField",
     "Polynomial",
     "Region",

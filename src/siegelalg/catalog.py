@@ -25,7 +25,6 @@ from .hermitian import (
     COUNTEREXAMPLE,
     HermitianFamily,
     is_omega_hermitian,
-    OmegaHermitianVerdict,
 )
 from .homogeneity import (
     NOT_TRANSITIVE,
@@ -216,7 +215,6 @@ class DomainReport(Frozen):
     s: int
     bounds: BoundReport
     homogeneity: HomogeneityVerdict
-    omega_hermitian: OmegaHermitianVerdict
 
 
 def analyze(domain: DomainId) -> DomainReport:
@@ -232,7 +230,6 @@ def analyze(domain: DomainId) -> DomainReport:
         s=len(sols.skew),
         bounds=bounds,
         homogeneity=homogeneity_verdict(spec, sols.g0),
-        omega_hermitian=is_omega_hermitian(spec.form, spec.cone),
     )
 
 
@@ -426,14 +423,14 @@ class VerifyReport(Frozen):
 def _d6_basis_matches(sols) -> bool:
     if len(sols.g_one) != 1:
         return False
-    el = sols.g_one[0]
-    if not el.b.is_zero():
+    ((a, b),) = sols.g_one
+    if any(x for plane in b for row in plane for x in row):
         return False
     scale = None
     for l in range(3):
         for i in range(3):
             for j in range(i, 3):
-                coeff = el.a.coefficient(l, i, j)
+                coeff = a[l][i][j]
                 known = D6_KNOWN_QUADRATIC.get((l, i, j), Fraction(0))
                 if known == 0:
                     if coeff:
@@ -499,7 +496,7 @@ def _bound_chain_sound() -> bool:
             return False
         if report.s > report.spec.m * report.spec.m:
             return False
-        if report.omega_hermitian.kind == COUNTEREXAMPLE:
+        if is_omega_hermitian(report.spec.form, report.spec.cone).kind == COUNTEREXAMPLE:
             return False
     return True
 

@@ -116,26 +116,26 @@ def materialize(spec: SiegelDomainSpec, sols: GradedSolutions) -> tuple[PolyVect
         fields.append(_field(n, terms, Fraction(0), f"g0[{idx}]"))
 
     # weight 1/2: 2i H(Phi(conj z), w) . d/dz + (Phi z + c(w,w)) . d/dw
-    for idx, el in enumerate(sols.g_half):
+    for idx, (phi, c) in enumerate(sols.g_half):
         terms = [
-            (t, two_i * el.phi.entry(v, i).conjugate() * comps[t].entry(v, l), i, k + l)
+            (t, two_i * phi.entry(v, i).conjugate() * comps[t].entry(v, l), i, k + l)
             for t in range(k) for i in range(k) for l in range(m) for v in range(m)
         ]
-        terms += [(k + l, el.phi.entry(l, t), t) for l in range(m) for t in range(k)]
+        terms += [(k + l, phi.entry(l, t), t) for l in range(m) for t in range(k)]
         terms += [
-            (k + l, el.c.coefficient(l, i, j), k + i, k + j)
+            (k + l, c[l][i][j], k + i, k + j)
             for l in range(m) for i in range(m) for j in range(m)
         ]
         fields.append(_field(n, terms, Fraction(1, 2), f"g1/2[{idx}]"))
 
     # weight 1: a(z,z) . d/dz + b(z,w) . d/dw
-    for idx, el in enumerate(sols.g_one):
+    for idx, (a, b) in enumerate(sols.g_one):
         terms = [
-            (l, el.a.coefficient(l, i, j), i, j)
+            (l, a[l][i][j], i, j)
             for l in range(k) for i in range(k) for j in range(k)
         ]
         terms += [
-            (k + l, el.b.coefficient(l, t, p), t, k + p)
+            (k + l, b[l][t][p], t, k + p)
             for l in range(m) for t in range(k) for p in range(m)
         ]
         fields.append(_field(n, terms, Fraction(1), f"g1[{idx}]"))

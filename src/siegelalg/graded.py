@@ -21,7 +21,7 @@ Unknowns are realified (a complex unknown is its ordered pair of real parts);
 each solver assembles one rational linear system and reads the answer off an
 exact nullspace. Bases are therefore reproducible byte for byte.
 
-Column order: a solver takes its unknowns from one ``_Layout`` as blocks, in
+Column order: a solver takes its unknowns from its ``_System`` as blocks, in
 the order it declares them. Each block is row-major, and a complex entry takes
 its real and imaginary parts in adjacent columns, real first. The order fixes
 which unknowns are free in the nullspace, and with it every basis vector.
@@ -45,7 +45,6 @@ from .errors import ValidationError
 from .frozen import Frozen
 from .hermitian import HermitianFamily, validate
 from .linalg import (
-    GR_ZERO,
     GaussianRational,
     Matrix,
     RealRows,
@@ -126,11 +125,26 @@ def _axpy(row: dict[int, Fraction], c: Scalar, other: dict[int, Fraction]) -> No
 
 
 class _System:
-    """Homogeneous real linear system, collected as sparse rows ``{unknown: Fraction}``."""
+    """Homogeneous real linear system, collected as sparse rows ``{unknown: Fraction}``.
 
-    def __init__(self, nunknowns: int) -> None:
-        self.n = nunknowns
+    ``real`` and ``complex`` hand out blocks of unknowns in declaration order;
+    ``n`` counts the columns so far.
+    """
+
+    def __init__(self) -> None:
+        self.n = 0
         self.rows: list[dict[int, Fraction]] = []
+
+    def real(self, *shape: int) -> _Block:
+        return self._block(shape, 1)
+
+    def complex(self, *shape: int) -> _Block:
+        return self._block(shape, 2)
+
+    def _block(self, shape: tuple[int, ...], width: int) -> _Block:
+        block = _Block(self.n, shape, width)
+        self.n = block.stop
+        return block
 
     def require_zero(self, expr: _Lin) -> None:
         self.require_real_zero(expr.re)
@@ -188,24 +202,6 @@ class _Block:
         return read(0, 0)
 
 
-class _Layout:
-    """Hands out blocks of unknowns in declaration order; ``n`` counts the columns so far."""
-
-    def __init__(self) -> None:
-        self.n = 0
-
-    def real(self, *shape: int) -> _Block:
-        return self._block(shape, 1)
-
-    def complex(self, *shape: int) -> _Block:
-        return self._block(shape, 2)
-
-    def _block(self, shape: tuple[int, ...], width: int) -> _Block:
-        block = _Block(self.n, shape, width)
-        self.n = block.stop
-        return block
-
-
 def _sym_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i, n)]
 
@@ -213,38 +209,12 @@ def _sym_pairs(n: int) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 # basis elements
 
-class Bilinear(Frozen):
-    """Plain bilinear coefficients value_l = sum_{i,j} c[l][i][j] u_i v_j.
-
-    The coefficients are ``Fraction``s for a real form (``a`` of g1) and
-    ``GaussianRational``s for a complex one.
-    """
-
-    out_dim: int
-    left_dim: int
-    right_dim: int
-    coeffs: tuple[tuple[tuple[Scalar, ...], ...], ...]
-
-    def coefficient(self, l: int, i: int, j: int) -> Scalar:
-        return self.coeffs[l][i][j]
-
-    def apply(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple[GaussianRational, ...]:
-        uu = [GaussianRational.of(x) for x in u]
-        vv = [GaussianRational.of(x) for x in v]
-        out = []
-        for l in range(self.out_dim):
-            acc = GR_ZERO
-            for i in range(self.left_dim):
-                for j in range(self.right_dim):
-                    acc = acc + self.coeffs[l][i][j] * uu[i] * vv[j]
-            out.append(acc)
-        return tuple(out)
-
-    def is_zero(self) -> bool:
-        return not any(c for plane in self.coeffs for row in plane for c in row)
+# Coefficients c[l][i][j] of a bilinear form, value_l(u, v) = sum_{i,j} c[l][i][j] u_i v_j:
+# ``Fraction``s for a real form (``a`` of g1), ``GaussianRational``s for a complex one.
+Tensor = tuple[tuple[tuple[Scalar, ...], ...], ...]
 
 
-def _symmetric(packed: tuple[tuple[Scalar, ...], ...], n: int) -> Bilinear:
+def _symmetric(packed: tuple[tuple[Scalar, ...], ...], n: int) -> Tensor:
     """The symmetric form whose coefficients ``packed[l]`` run over the pairs i <= j.
 
     Both c[l][i][j] and c[l][j][i] hold the pair's coefficient, so a sum over
@@ -252,20 +222,10 @@ def _symmetric(packed: tuple[tuple[Scalar, ...], ...], n: int) -> Bilinear:
     value_l(u, u) = sum_i c[l,ii] u_i^2 + 2 sum_{i<j} c[l,ij] u_i u_j.
     """
     index = {pair: idx for idx, pair in enumerate(_sym_pairs(n))}
-    return Bilinear(len(packed), n, n, tuple(
+    return tuple(
         tuple(tuple(row[index[min(i, j), max(i, j)]] for j in range(n)) for i in range(n))
         for row in packed
-    ))
-
-
-class GHalfElement(Frozen):
-    phi: Matrix          # m x k, the C-linear map on the z-block
-    c: Bilinear          # symmetric C-bilinear on the w-block
-
-
-class GOneElement(Frozen):
-    a: Bilinear          # symmetric real bilinear on the z-block, Fraction coefficients
-    b: Bilinear          # C-bilinear mixing z and w
+    )
 
 
 class GradedDims(Frozen):
@@ -358,10 +318,9 @@ def solve_g0(spec: SiegelDomainSpec) -> tuple[tuple[RealRows, Matrix], ...]:
     """
     k, m = spec.k, spec.m
     gbasis = spec.cone.g_basis
-    layout = _Layout()
-    coords = layout.real(len(gbasis))
-    b = layout.complex(m, m)
-    system = _System(layout.n)
+    system = _System()
+    coords = system.real(len(gbasis))
+    b = system.complex(m, m)
 
     a_rows = [[_Lin() for _ in range(k)] for _ in range(k)]
     for p, g in enumerate(gbasis):
@@ -385,17 +344,19 @@ def solve_g0(spec: SiegelDomainSpec) -> tuple[tuple[RealRows, Matrix], ...]:
 def solve_L(spec: SiegelDomainSpec) -> tuple[Matrix, ...]:
     """A basis of the matrices skew-Hermitian with respect to every component of the family."""
     k, m = spec.k, spec.m
-    layout = _Layout()
-    b = layout.complex(m, m)
-    system = _System(layout.n)
+    system = _System()
+    b = system.complex(m, m)
     a_rows = [[_Lin() for _ in range(k)] for _ in range(k)]
     _emit_association(system, spec.form.components, a_rows, b, m)
     return tuple(Matrix.from_rows(b.values(sol)) for sol in system.solutions())
 
 
 @lru_cache(maxsize=None)
-def solve_g_half(spec: SiegelDomainSpec) -> tuple[GHalfElement, ...]:
+def solve_g_half(spec: SiegelDomainSpec) -> tuple[tuple[Matrix, Tensor], ...]:
     """A basis of the weight-1/2 component: pairs (Phi, c).
+
+    Phi is the m x k C-linear map on the z-block, a ``Matrix``; c is the
+    symmetric C-bilinear form on the w-block, a ``Tensor`` indexed c[l][i][j].
 
     Membership of the induced real maps is instantiated at coordinate vectors
     and their i-multiples (the dependence is real-linear); the compatibility
@@ -407,10 +368,9 @@ def solve_g_half(spec: SiegelDomainSpec) -> tuple[GHalfElement, ...]:
         return ()
     components = spec.form.components
     pairs = _sym_pairs(m)
-    layout = _Layout()
-    phi = layout.complex(m, k)
-    c = layout.complex(m, len(pairs))
-    system = _System(layout.n)
+    system = _System()
+    phi = system.complex(m, k)
+    c = system.complex(m, len(pairs))
 
     # cone membership of [x -> Im H(w0, Phi x)] for w0 in the coordinate set
     for w0 in coordinate_vectors(m):
@@ -437,14 +397,18 @@ def solve_g_half(spec: SiegelDomainSpec) -> tuple[GHalfElement, ...]:
                 system.require_zero(expr)
 
     return tuple(
-        GHalfElement(Matrix.from_rows(phi.values(sol)), _symmetric(c.values(sol), m))
+        (Matrix.from_rows(phi.values(sol)), _symmetric(c.values(sol), m))
         for sol in system.solutions()
     )
 
 
 @lru_cache(maxsize=None)
-def solve_g1(spec: SiegelDomainSpec) -> tuple[GOneElement, ...]:
+def solve_g1(spec: SiegelDomainSpec) -> tuple[tuple[Tensor, Tensor], ...]:
     """A basis of the weight-1 component: pairs (a, b).
+
+    a is the symmetric real bilinear form on the z-block (``Fraction``
+    coefficients a[l][i][j]); b is the C-bilinear form b[l][t][p] taking z_t
+    and w_p to the w-block.
 
     Four condition families: cone membership of x -> a(x0, x); association of
     the half-coefficient maps w -> b(x0, w)/2; reality of their traces; cone
@@ -455,10 +419,9 @@ def solve_g1(spec: SiegelDomainSpec) -> tuple[GOneElement, ...]:
     components = spec.form.components
     spairs = _sym_pairs(k)
     spair_index = {p: idx for idx, p in enumerate(spairs)}
-    layout = _Layout()
-    a = layout.real(k, len(spairs))
-    b = layout.complex(m, k, m)
-    system = _System(layout.n)
+    system = _System()
+    a = system.real(k, len(spairs))
+    b = system.complex(m, k, m)
 
     def a_lin(l: int, i: int, j: int) -> _Lin:
         return a[l, spair_index[(min(i, j), max(i, j))]]
@@ -509,7 +472,7 @@ def solve_g1(spec: SiegelDomainSpec) -> tuple[GOneElement, ...]:
                         system.require_zero(expr)
 
     return tuple(
-        GOneElement(_symmetric(a.values(sol), k), Bilinear(m, k, m, b.values(sol)))
+        (_symmetric(a.values(sol), k), b.values(sol))
         for sol in system.solutions()
     )
 
@@ -519,8 +482,8 @@ class GradedSolutions(Frozen):
 
     g0: tuple[tuple[RealRows, Matrix], ...]
     skew: tuple[Matrix, ...]
-    g_half: tuple[GHalfElement, ...]
-    g_one: tuple[GOneElement, ...]
+    g_half: tuple[tuple[Matrix, Tensor], ...]
+    g_one: tuple[tuple[Tensor, Tensor], ...]
     dims: GradedDims
 
 

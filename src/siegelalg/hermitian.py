@@ -27,7 +27,7 @@ from .linalg import (
     Matrix,
     Scalar,
     coordinate_vectors,
-    stack_rows,
+    sparse_nullspace,
 )
 
 VERIFIED_EXACT = "verified-exact"
@@ -88,15 +88,6 @@ def evaluate(
                 acc = acc + left[i] * comp.entry(i, j) * right[j]
         out.append(acc)
     return tuple(out)
-
-
-def evaluate_real(family: HermitianFamily, w: Sequence[Scalar]) -> tuple[Fraction, ...]:
-    """H(w, w) as a real vector; valid for Hermitian components."""
-    vals = evaluate(family, w)
-    for v in vals:
-        if v.im != 0:
-            raise ValidationError("H(w,w) not real; family is not Hermitian")
-    return tuple(v.re for v in vals)
 
 
 def negative_direction(m: Matrix) -> Optional[tuple[GaussianRational, ...]]:
@@ -221,17 +212,24 @@ def is_omega_hermitian(
         return OmegaHermitianVerdict(VERIFIED_EXACT)
     polyhedral = all(not isinstance(f, LorentzFactor) for f in cone.boundary)
     if polyhedral:
+        m = family.m
         for factor in cone.boundary:
             for functional in factor.functionals:
-                combo = Matrix.zeros(family.m, family.m)
-                for coeff, comp in zip(functional, family.components):
-                    combo = combo + comp.scale(coeff)
+                terms = list(zip(functional, family.components))
+                combo = Matrix.from_rows([
+                    [sum((h.entry(u, v) * c for c, h in terms), GR_ZERO) for v in range(m)]
+                    for u in range(m)
+                ])
                 witness = negative_direction(combo)
                 if witness is not None:
                     return OmegaHermitianVerdict(COUNTEREXAMPLE, witness=witness)
-        kernel = stack_rows(family.components).nullspace_basis()
+        stacked = [
+            {j: x for j, x in enumerate(row) if x}
+            for comp in family.components for row in comp.entries
+        ]
+        kernel = sparse_nullspace(stacked, m, GR_ONE)
         if kernel:
-            return OmegaHermitianVerdict(COUNTEREXAMPLE, witness=kernel[0])
+            return OmegaHermitianVerdict(COUNTEREXAMPLE, witness=tuple(kernel[0]))
         return OmegaHermitianVerdict(VERIFIED_EXACT)
     rng = _Lcg(seed)
     candidates = _basis_like_vectors(family.m)

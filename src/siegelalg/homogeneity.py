@@ -20,7 +20,7 @@ from .errors import ValidationError
 from .frozen import Frozen
 from .graded import SiegelDomainSpec
 from .linalg import Matrix, RealRows, sparse_rref
-from .poly import Polynomial, PolyMatrix, generic_rank
+from .poly import Polynomial, generic_rank
 
 NOT_TRANSITIVE = "not-transitive"
 GENERICALLY_OPEN_ORBITS = "generically-open-orbits"
@@ -76,7 +76,7 @@ def generic_orbit_rank(a_basis: Sequence[RealRows], k: int) -> int:
                     p = p + Polynomial.variable(k, l) * a[j][l]
             row.append(p)
         rows.append(row)
-    return generic_rank(PolyMatrix.from_rows(k, rows))
+    return generic_rank(rows, k)
 
 
 def homogeneity_verdict(

@@ -16,7 +16,7 @@ nonzero entries; ``Matrix.rref`` is a dense view of its result.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, TypeVar, Union
+from typing import Sequence, TypeVar, Union
 
 from .errors import ValidationError
 from .frozen import Frozen
@@ -189,27 +189,6 @@ class Matrix(Frozen):
     def row(self, i: int) -> tuple[GaussianRational, ...]:
         return self.entries[i]
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._require_same_shape(other)
-        return Matrix(
-            self.nrows, self.ncols,
-            tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            ),
-        )
-
-    def scale(self, c: Scalar) -> "Matrix":
-        cc = GaussianRational.of(c)
-        return Matrix(
-            self.nrows, self.ncols,
-            tuple(tuple(x * cc for x in row) for row in self.entries),
-        )
-
-    def _require_same_shape(self, other: "Matrix") -> None:
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValidationError("shape mismatch")
-
     def _sparse_rows(self) -> list[dict[int, GaussianRational]]:
         """The rows as ``{column: nonzero entry}``, the input of ``sparse_rref``."""
         return [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in self.entries]
@@ -230,10 +209,6 @@ class Matrix(Frozen):
 
     def rank(self) -> int:
         return self.rref().rank
-
-    def nullspace_basis(self) -> list[tuple[GaussianRational, ...]]:
-        """Deterministic basis of the right kernel, as in ``sparse_nullspace``."""
-        return [tuple(v) for v in sparse_nullspace(self._sparse_rows(), self.ncols, GR_ONE)]
 
     def __str__(self) -> str:
         return "[" + "; ".join(", ".join(str(x) for x in row) for row in self.entries) + "]"
@@ -314,20 +289,6 @@ def sparse_nullspace(rows: Sequence[dict[int, S]], ncols: int, one: S) -> list[l
                 v[p] = -x
         basis.append(v)
     return basis
-
-
-def stack_rows(matrices: Iterable[Matrix]) -> Matrix:
-    """Vertical concatenation; all blocks must share a column count."""
-    mats = list(matrices)
-    if not mats:
-        raise ValidationError("nothing to stack")
-    ncols = mats[0].ncols
-    rows: list[tuple[GaussianRational, ...]] = []
-    for m in mats:
-        if m.ncols != ncols:
-            raise ValidationError("column mismatch in stack")
-        rows.extend(m.entries)
-    return Matrix(len(rows), ncols, tuple(rows))
 
 
 def span_rank(vectors: Sequence[Sequence[Scalar]], width: int) -> int:

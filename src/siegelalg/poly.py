@@ -1,4 +1,4 @@
-"""Multivariate polynomials over the Gaussian rationals and polynomial matrices.
+"""Multivariate polynomials over the Gaussian rationals, and generic rank.
 
 Polynomials carry a fixed variable count; monomials are exponent tuples. The
 ordering used everywhere (printing, leading terms, pivot selection) is graded
@@ -170,30 +170,8 @@ class Polynomial(Frozen):
         return self.format([f"x{i+1}" for i in range(self.nvars)])
 
 
-class PolyMatrix(Frozen):
-    """Matrix with polynomial entries sharing one indeterminate set."""
-
-    nrows: int
-    ncols: int
-    nvars: int
-    entries: tuple[tuple[Polynomial, ...], ...]
-
-    @staticmethod
-    def from_rows(nvars: int, rows: Sequence[Sequence[Polynomial]]) -> "PolyMatrix":
-        ent = tuple(tuple(rows[i]) for i in range(len(rows)))
-        nrows = len(ent)
-        ncols = len(ent[0]) if nrows else 0
-        for row in ent:
-            if len(row) != ncols:
-                raise ValidationError("ragged polynomial matrix")
-            for p in row:
-                if p.nvars != nvars:
-                    raise ValidationError("mixed indeterminate sets")
-        return PolyMatrix(nrows, ncols, nvars, ent)
-
-
-def generic_rank(m: PolyMatrix) -> int:
-    """Rank over the field of rational functions in the indeterminates.
+def generic_rank(rows: Sequence[Sequence[Polynomial]], nvars: int) -> int:
+    """Rank of the matrix ``rows`` over the rational functions in ``nvars`` indeterminates.
 
     Computed by fraction-free (Bareiss-style) elimination: every division is by
     the previous pivot and is exact, so intermediate entries stay polynomial.
@@ -201,9 +179,9 @@ def generic_rank(m: PolyMatrix) -> int:
     the topmost row, which keeps growth small and the procedure deterministic.
     The result equals the maximal rank of any rational-point evaluation.
     """
-    rows = [[p for p in row] for row in m.entries]
-    nrows, ncols = m.nrows, m.ncols
-    prev = Polynomial.constant(m.nvars, 1)
+    rows = [list(row) for row in rows]
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    prev = Polynomial.constant(nvars, 1)
     r = 0
     for c in range(ncols):
         if r >= nrows:
@@ -224,7 +202,7 @@ def generic_rank(m: PolyMatrix) -> int:
             for j in range(c + 1, ncols):
                 num = piv * rows[i][j] - rows[i][c] * rows[r][j]
                 rows[i][j] = num.divide_exact(prev)
-            rows[i][c] = Polynomial.zero(m.nvars)
+            rows[i][c] = Polynomial.zero(nvars)
         prev = piv
         r += 1
     return r

@@ -29,8 +29,8 @@ def to_json(value):
 
     A ``Fraction`` becomes "p/q", a ``GaussianRational`` {"re", "im"}, a
     ``Matrix`` its list of rows, a tuple a list; other values pass through.
-    Real data (``RealRows``, real ``Bilinear`` coefficients) is nested tuples
-    of ``Fraction``s, so it becomes lists of "p/q" strings. An ``int`` passes
+    Real data (``RealRows``, the ``Tensor`` a of g1) is nested tuples of
+    ``Fraction``s, so it becomes lists of "p/q" strings. An ``int`` passes
     through as a JSON number.
     """
     if isinstance(value, Fraction):
@@ -223,6 +223,6 @@ def solutions_bases_to_json(sols: GradedSolutions) -> dict:
     """Explicit generator data for ``to_json``, gated behind a CLI flag to keep reports small."""
     return {
         "g_0": [{"A": a, "B": b} for a, b in sols.g0],
-        "g_half": [{"phi": el.phi, "c": el.c.coeffs} for el in sols.g_half],
-        "g_1": [{"a": el.a.coeffs, "b": el.b.coeffs} for el in sols.g_one],
+        "g_half": [{"phi": phi, "c": c} for phi, c in sols.g_half],
+        "g_1": [{"a": a, "b": b} for a, b in sols.g_one],
     }

@@ -1,4 +1,4 @@
-"""Dense matrix products the tests use as independent oracles.
+"""Dense matrix and bilinear-form products the tests use as independent oracles.
 
 The package has no caller for them, so they live with the tests: each is
 written out in the plainest way, entry by entry.
@@ -12,6 +12,15 @@ def conj_transpose(m: Matrix) -> Matrix:
     return Matrix(
         m.ncols, m.nrows,
         tuple(tuple(m.entries[i][j].conjugate() for i in range(m.nrows)) for j in range(m.ncols)),
+    )
+
+
+def add(a: Matrix, b: Matrix) -> Matrix:
+    if (a.nrows, a.ncols) != (b.nrows, b.ncols):
+        raise ValidationError("shape mismatch")
+    return Matrix(
+        a.nrows, a.ncols,
+        tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(a.entries, b.entries)),
     )
 
 
@@ -46,3 +55,17 @@ def apply(m: Matrix, v) -> tuple[GaussianRational, ...]:
 
 def is_zero(m: Matrix) -> bool:
     return all(x.is_zero() for row in m.entries for x in row)
+
+
+def bilinear_apply(coeffs, u, v) -> tuple[GaussianRational, ...]:
+    """value_l = sum_{i,j} coeffs[l][i][j] u_i v_j, for a coefficient tensor of a solver."""
+    uu = [GaussianRational.of(x) for x in u]
+    vv = [GaussianRational.of(x) for x in v]
+    out = []
+    for plane in coeffs:
+        acc = GR_ZERO
+        for i, row in enumerate(plane):
+            for j, c in enumerate(row):
+                acc = acc + c * uu[i] * vv[j]
+        out.append(acc)
+    return tuple(out)

@@ -69,3 +69,46 @@ def test_no_unused_imports():
         for entry in _unused_imports(path)
     ]
     assert unused == []
+
+
+# Library entry points with no caller inside the package, each kept on purpose.
+UNCALLED_ENTRY_POINTS = {
+    "in_g_omega": "membership test for a matrix in g(Omega), the check users run on their own A",
+    "graded_dims": "the five dimensions without the bases, the shortest library call",
+    "gr": "shorthand constructor for Gaussian rationals in user code and tests",
+    "spec_to_json": "inverse of load_domain_spec, for writing domain documents",
+}
+
+
+def _referenced_names(tree, skip=None):
+    """Every name and attribute read in ``tree``, outside the subtree ``skip``."""
+    names = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_every_function_has_a_caller():
+    package = Path(siegelalg.__file__).parent
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    uncalled = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not any(
+                node.name in _referenced_names(other, node if other is tree else None)
+                for other in trees.values()
+            ):
+                uncalled.append(node.name)
+    assert sorted(uncalled) == sorted(UNCALLED_ENTRY_POINTS)

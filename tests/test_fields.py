@@ -201,6 +201,17 @@ class TestCheckGrading:
         assert not fields_module._escapes(span, bracket(minus_one[0], ones[0]))
         assert fields_module._escapes(span, ones[0])
 
+    def test_imaginary_multiple_escapes_a_real_span(self):
+        # [dw, i w dw] = i dw lies in the complex span of dw, not in its real span
+        spec = catalog.build(catalog.ball(2))
+        w = Polynomial.variable(2, 1)
+        zero = Polynomial.zero(2)
+        dw = PolyVectorField(2, (zero, Polynomial.constant(2, 1)), Fraction(-1, 2), "dw")
+        i_w_dw = PolyVectorField(2, (zero, w * GR_I), Fraction(0), "i w dw")
+        report = check_grading(spec, [dw, i_w_dw])
+        assert not report.passed
+        assert report.failures == ("[dw, i w dw] escapes the weight--1/2 span",)
+
 
 def dense_in_real_span(basis, candidate):
     """Reference membership: dense realified coefficient vectors and two ``Matrix`` ranks.

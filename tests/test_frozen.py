@@ -12,10 +12,21 @@ import siegelalg
 from siegelalg.catalog import DomainId, ball
 from siegelalg.cones import ConeSpec, LorentzFactor, PolyhedralFactor, half_line
 from siegelalg.errors import ValidationError
-from siegelalg.graded import GHalfElement, GOneElement, SiegelDomainSpec, solve_g0
+from siegelalg.frozen import Frozen
+from siegelalg.graded import SiegelDomainSpec, solve_g0
 from siegelalg.hermitian import VERIFIED_EXACT, HermitianFamily, OmegaHermitianVerdict
 from siegelalg.linalg import GaussianRational, Matrix, gr
 from siegelalg.poly import Polynomial
+
+
+class _Left(Frozen):
+    x: Matrix
+    y: Matrix
+
+
+class _Right(Frozen):
+    x: Matrix
+    y: Matrix
 
 
 def ball3_spec():
@@ -50,7 +61,7 @@ class TestEqualityAndHash:
         assert lorentz != polyhedral
         assert lorentz.__eq__(polyhedral) is NotImplemented
         phi = Matrix.identity(1)
-        assert GHalfElement(phi, phi) != GOneElement(phi, phi)
+        assert _Left(phi, phi) != _Right(phi, phi)
 
     def test_gaussian_rational_never_equals_a_number(self):
         assert gr(1) != 1 and gr(0) != 0
