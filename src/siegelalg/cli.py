@@ -20,6 +20,7 @@ from .graded import solve_all, solve_g0
 from .homogeneity import NOT_TRANSITIVE, homogeneity_verdict
 from .serialize import (
     SAMPLES_MAX,
+    format_json,
     fraction_from_json,
     load_domain_spec,
     solutions_bases_to_json,
@@ -28,7 +29,7 @@ from .serialize import (
 
 
 def _emit_json(doc) -> None:
-    print(json.dumps(to_json(doc), indent=2))
+    print(format_json(to_json(doc)))
 
 
 def _parse_vector(text: str) -> tuple[Fraction, ...]:

@@ -23,7 +23,8 @@ class Frozen:
       it, ``object.__setattr__(self, name, value)`` may normalise a field.
     - Instances are equal when they have the same type and equal field
       tuples; against any other type ``__eq__`` returns ``NotImplemented``.
-      The hash is the hash of the field tuple.
+      The hash is the hash of the field tuple, computed once per instance:
+      a solver cache looks up a whole nested domain on every call.
     - Assigning or deleting an attribute raises ``AttributeError``.
     - ``repr`` is ``Name(field=value, ...)`` with each value's ``repr``.
     """
@@ -73,7 +74,11 @@ class Frozen:
         return self._values() == other._values()
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash(self._values())
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

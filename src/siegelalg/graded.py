@@ -26,11 +26,19 @@ the order it declares them. Each block is row-major, and a complex entry takes
 its real and imaginary parts in adjacent columns, real first. The order fixes
 which unknowns are free in the nullspace, and with it every basis vector.
 
+Work in proportion to the nonzeros: each solver tables the nonzero entries of
+H_1..H_k once (``_Nonzeros``), and every sum over an index of some H_j runs
+over that table instead of testing each entry. A coordinate vector is read as
+its one nonzero entry (``coordinate_units``).
+
 Each identity is accumulated once, into one ``_Lin``: ``expr.add(x, *factors)``
-adds the product of the factors times ``x`` to ``expr`` in place, and returns
-before any multiplication when a factor is zero. Only the accumulator changes:
-a block's entries are shared by every identity that reads them, so ``add``
-never modifies its argument.
+adds the product of the factors times ``x`` to ``expr`` in place. The factors
+are folded in one pass that stops at a zero factor. A unit factor (1 or -1,
+also as a ``GaussianRational`` with zero imaginary part) costs no
+multiplication, so a product of units copies or negates ``x``'s entries. Only
+the accumulator changes: a block's entries are shared by every identity that
+reads them, so ``add`` never modifies its argument. Rows hold only nonzero
+``Fraction``s.
 """
 
 from __future__ import annotations
@@ -49,7 +57,7 @@ from .linalg import (
     Matrix,
     RealRows,
     Scalar,
-    coordinate_vectors,
+    coordinate_units,
     sparse_nullspace,
 )
 
@@ -98,14 +106,25 @@ class _Lin:
 
     def add(self, other: "_Lin", *factors: Scalar) -> None:
         """Add (product of ``factors``) * ``other`` to ``self``; ``other`` is not changed."""
-        if not all(factors):
-            return
+        # the product cr + i*ci stays the int 1 or -1 while every factor is a unit
         cr, ci = 1, 0
         for f in factors:
-            if isinstance(f, GaussianRational):
-                cr, ci = cr * f.re - ci * f.im, cr * f.im + ci * f.re
+            if f.__class__ is GaussianRational:
+                if f.im:
+                    if ci:
+                        cr, ci = cr * f.re - ci * f.im, cr * f.im + ci * f.re
+                    else:
+                        cr, ci = cr * f.re, cr * f.im
+                    continue
+                f = f.re
+            if f == 1:
+                continue
+            if f == -1:
+                cr, ci = -cr, -ci
+            elif not f:
+                return
             else:
-                cr, ci = cr * f, ci * f
+                cr, ci = cr * f, ci * f if ci else 0
         if cr:
             _axpy(self.re, cr, other.re)
             _axpy(self.im, cr, other.im)
@@ -118,10 +137,13 @@ class _Lin:
         return _Lin(dict(self.re), {j: -c for j, c in self.im.items()})
 
 
-def _axpy(row: dict[int, Fraction], c: Scalar, other: dict[int, Fraction]) -> None:
+def _axpy(row: dict[int, Fraction], c: int | Fraction, other: dict[int, Fraction]) -> None:
+    """``row += c * other``; for c = 1 or -1 the entries of ``other`` are copied or negated."""
     for j, x in other.items():
+        if c != 1:
+            x = -x if c == -1 else c * x
         y = row.get(j)
-        row[j] = c * x if y is None else y + c * x
+        row[j] = x if y is None else y + x
 
 
 class _System:
@@ -202,6 +224,33 @@ class _Block:
         return read(0, 0)
 
 
+class _Nonzeros:
+    """The nonzero entries of H_1..H_k, tabled once per solver call.
+
+    ``row[j][u]`` lists the pairs (v, H_j[u][v]) and ``col[j][v]`` the pairs
+    (u, H_j[u][v]); ``at[u][v]`` lists the pairs (j, H_j[u][v]). Each H_j is
+    Hermitian (``SiegelDomainSpec`` validates it), so a column is the
+    conjugated row of the same index.
+    """
+
+    __slots__ = ("row", "col", "at")
+
+    def __init__(self, form: HermitianFamily) -> None:
+        m = form.m
+        self.row = [
+            [[(v, h) for v, h in enumerate(hj.row(u)) if h] for u in range(m)]
+            for hj in form.components
+        ]
+        self.col = [
+            [[(u, h.conjugate()) for u, h in rows[v]] for v in range(m)] for rows in self.row
+        ]
+        self.at = [[[] for _ in range(m)] for _ in range(m)]
+        for j, rows in enumerate(self.row):
+            for u, entries in enumerate(rows):
+                for v, h in entries:
+                    self.at[u][v].append((j, h))
+
+
 def _sym_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i, n)]
 
@@ -252,22 +301,23 @@ class GradedDims(Frozen):
 
 def _emit_association(
     system: _System,
-    components: Sequence[Matrix],
+    nz: _Nonzeros,
     a_rows: list[list[_Lin]],
     b_entries: _Block | dict[tuple[int, int], _Lin],
     m: int,
 ) -> None:
     """Rows for B^* H_j + H_j B = sum_l A[j][l] H_l for every j; ``b_entries[t, u]`` is B[t][u]."""
     b_bar = {(t, u): b_entries[t, u].conj() for t in range(m) for u in range(m)}
-    for j, hj in enumerate(components):
+    for j, (rows, cols) in enumerate(zip(nz.row, nz.col)):
         for u in range(m):
             for v in range(m):
                 expr = _Lin()
-                for t in range(m):
-                    expr.add(b_bar[t, u], hj.entry(t, v))
-                    expr.add(b_entries[t, v], hj.entry(u, t))
-                for l, hl in enumerate(components):
-                    expr.add(a_rows[j][l], hl.entry(u, v), -1)
+                for t, h in cols[v]:  # H_j[t][v]
+                    expr.add(b_bar[t, u], h)
+                for t, h in rows[u]:  # H_j[u][t]
+                    expr.add(b_entries[t, v], h)
+                for l, h in nz.at[u][v]:  # H_l[u][v]
+                    expr.add(a_rows[j][l], h, -1)
                 system.require_zero(expr)
 
 
@@ -284,23 +334,30 @@ def _annihilator_rows(system: _System, cone: ConeSpec, grid: list[list[_Lin]]) -
 
 def _pairing_rows(
     system: _System,
-    spec: SiegelDomainSpec,
-    w: Sequence[GaussianRational],
+    cone: ConeSpec,
+    nz: _Nonzeros,
+    u: int,
+    unit: GaussianRational,
     x_map: _Block | dict[tuple[int, int], _Lin],
 ) -> None:
-    """Rows putting x -> Im H(w, X x) in g(Omega); ``x_map[v, l]`` is the entry X[v][l]."""
-    w_bar = [x.conjugate() for x in w]
+    """Rows putting x -> Im H(w, X x) in g(Omega) for w = unit * e_u; ``x_map[v, l]`` is X[v][l].
+
+    There are none when g(Omega) is all of gl(k, R) (no annihilators), as for
+    the ray of every ball.
+    """
+    if not cone.annihilators:
+        return
+    unit_bar = unit.conjugate()
     grid = []
-    for hj in spec.form.components:
+    for rows in nz.row:
         row = []
-        for l in range(spec.k):
+        for l in range(cone.k):
             acc = _Lin()
-            for v in range(spec.m):
-                for vp in range(spec.m):
-                    acc.add(x_map[vp, l], w_bar[v], hj.entry(v, vp))
+            for vp, h in rows[u]:  # H_j[u][vp]
+                acc.add(x_map[vp, l], unit_bar, h)
             row.append(_Lin(acc.im))  # the imaginary part, as a real expression
         grid.append(row)
-    _annihilator_rows(system, spec.cone, grid)
+    _annihilator_rows(system, cone, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +384,7 @@ def solve_g0(spec: SiegelDomainSpec) -> tuple[tuple[RealRows, Matrix], ...]:
         for j in range(k):
             for l in range(k):
                 a_rows[j][l].add(coords[p], g[j][l])
-    _emit_association(system, spec.form.components, a_rows, b, m)
+    _emit_association(system, _Nonzeros(spec.form), a_rows, b, m)
 
     basis = []
     for sol in system.solutions():
@@ -347,7 +404,7 @@ def solve_L(spec: SiegelDomainSpec) -> tuple[Matrix, ...]:
     system = _System()
     b = system.complex(m, m)
     a_rows = [[_Lin() for _ in range(k)] for _ in range(k)]
-    _emit_association(system, spec.form.components, a_rows, b, m)
+    _emit_association(system, _Nonzeros(spec.form), a_rows, b, m)
     return tuple(Matrix.from_rows(b.values(sol)) for sol in system.solutions())
 
 
@@ -366,34 +423,34 @@ def solve_g_half(spec: SiegelDomainSpec) -> tuple[tuple[Matrix, Tensor], ...]:
     k, m = spec.k, spec.m
     if m == 0:
         return ()
-    components = spec.form.components
+    nz = _Nonzeros(spec.form)
     pairs = _sym_pairs(m)
     system = _System()
     phi = system.complex(m, k)
     c = system.complex(m, len(pairs))
 
     # cone membership of [x -> Im H(w0, Phi x)] for w0 in the coordinate set
-    for w0 in coordinate_vectors(m):
-        _pairing_rows(system, spec, w0, phi)
+    for u, unit in coordinate_units(m):
+        _pairing_rows(system, spec.cone, nz, u, unit, phi)
 
     # compatibility of c with Phi: match coefficients of conj(w)_u w'_i w'_j
     minus_two_i = GaussianRational(Fraction(0), Fraction(-2))
     phi_bar = {(v, t): phi[v, t].conj() for v in range(m) for t in range(k)}
-    for hj in components:
+    for rows, cols in zip(nz.row, nz.col):
         # phibar_h[t, l] = sum_v conj(Phi[v][t]) H_j[v][l]
         phibar_h = {key: _Lin() for key in product(range(k), range(m))}
         for (t, l), entry in phibar_h.items():
-            for v in range(m):
-                entry.add(phi_bar[v, t], hj.entry(v, l))
+            for v, h in cols[l]:
+                entry.add(phi_bar[v, t], h)
         for u in range(m):
             for idx, (i, jp) in enumerate(pairs):
                 expr = _Lin()
-                for l in range(m):
-                    expr.add(c[l, idx], hj.entry(u, l), 1 if i == jp else 2)
-                for t, ht in enumerate(components):
-                    expr.add(phibar_h[t, jp], ht.entry(u, i), minus_two_i)
-                    if i != jp:
-                        expr.add(phibar_h[t, i], ht.entry(u, jp), minus_two_i)
+                for l, h in rows[u]:  # H_j[u][l]
+                    expr.add(c[l, idx], h, 1 if i == jp else 2)
+                # the terms for (i, jp) and, off the diagonal, their mirror (jp, i)
+                for i1, i2 in ((i, jp), (jp, i)) if i != jp else ((i, jp),):
+                    for t, h in nz.at[u][i1]:  # H_t[u][i1]
+                        expr.add(phibar_h[t, i2], h, minus_two_i)
                 system.require_zero(expr)
 
     return tuple(
@@ -416,7 +473,7 @@ def solve_g1(spec: SiegelDomainSpec) -> tuple[tuple[Tensor, Tensor], ...]:
     identity, matched on monomial coefficients.
     """
     k, m = spec.k, spec.m
-    components = spec.form.components
+    nz = _Nonzeros(spec.form)
     spairs = _sym_pairs(k)
     spair_index = {p: idx for idx, p in enumerate(spairs)}
     system = _System()
@@ -437,7 +494,7 @@ def solve_g1(spec: SiegelDomainSpec) -> tuple[tuple[Tensor, Tensor], ...]:
             b_half = {key: _Lin() for key in product(range(m), repeat=2)}
             for (lp, p), entry in b_half.items():
                 entry.add(b[lp, t, p], half)
-            _emit_association(system, components, a_rows, b_half, m)
+            _emit_association(system, nz, a_rows, b_half, m)
             # reality of the trace
             trace = _Lin()
             for l in range(m):
@@ -446,29 +503,30 @@ def solve_g1(spec: SiegelDomainSpec) -> tuple[tuple[Tensor, Tensor], ...]:
 
     if m:
         # membership of x -> Im H(w1, b(x, w0)) for coordinate pairs (w0, w1)
-        vectors = coordinate_vectors(m)
-        for w0 in vectors:
+        units = coordinate_units(m)
+        for p, unit in units:
+            # b_w0[l, t] = b(e_t, w0)_l for w0 = unit * e_p
             b_w0 = {key: _Lin() for key in product(range(m), range(k))}
             for (l, t), entry in b_w0.items():
-                for p in range(m):
-                    entry.add(b[l, t, p], w0[p])
-            for w1 in vectors:
-                _pairing_rows(system, spec, w1, b_w0)
+                entry.add(b[l, t, p], unit)
+            for u, unit1 in units:
+                _pairing_rows(system, spec.cone, nz, u, unit1, b_w0)
 
         # three-argument symmetry, matched on conj(w)_u conj(w')_v w''_i w''_j
         b_bar = {key: b[key].conj() for key in product(range(m), range(k), range(m))}
-        for hj in components:
+        for rows, cols in zip(nz.row, nz.col):
             for u in range(m):
                 for v in range(m):
                     for (i, jp) in _sym_pairs(m):
                         expr = _Lin()
-                        for l in range(m):
-                            for t, ht in enumerate(components):
-                                expr.add(b[l, t, jp], hj.entry(u, l), ht.entry(v, i))
-                                expr.add(b_bar[l, t, v], ht.entry(u, i), hj.entry(l, jp), -1)
-                                if i != jp:
-                                    expr.add(b[l, t, i], hj.entry(u, l), ht.entry(v, jp))
-                                    expr.add(b_bar[l, t, v], ht.entry(u, jp), hj.entry(l, i), -1)
+                        # the terms for (i, jp) and, off the diagonal, their mirror (jp, i)
+                        for i1, i2 in ((i, jp), (jp, i)) if i != jp else ((i, jp),):
+                            for l, h in rows[u]:  # H_j[u][l]
+                                for t, g in nz.at[v][i1]:  # H_t[v][i1]
+                                    expr.add(b[l, t, i2], h, g)
+                            for t, g in nz.at[u][i1]:  # H_t[u][i1]
+                                for l, h in cols[i2]:  # H_j[l][i2]
+                                    expr.add(b_bar[l, t, v], g, h, -1)
                         system.require_zero(expr)
 
     return tuple(

@@ -125,18 +125,23 @@ def gr(re: Union[int, Fraction] = 0, im: Union[int, Fraction] = 0) -> GaussianRa
     return GaussianRational(_frac(re), _frac(im))
 
 
-def coordinate_vectors(m: int) -> list[tuple[GaussianRational, ...]]:
+def coordinate_units(m: int) -> list[tuple[int, GaussianRational]]:
     """e_1, i*e_1, e_2, i*e_2, ...: the coordinate vectors of C^m and their i-multiples.
 
-    Together they form a basis of C^m over the reals, so a real-linear identity
-    in a vector of C^m holds everywhere once it holds on these.
+    Each vector is given by its one nonzero entry, as the pair (position,
+    entry). Together they form a basis of C^m over the reals, so a real-linear
+    identity in a vector of C^m holds everywhere once it holds on these.
     """
+    return [(u, unit) for u in range(m) for unit in (GR_ONE, GR_I)]
+
+
+def coordinate_vectors(m: int) -> list[tuple[GaussianRational, ...]]:
+    """The vectors of ``coordinate_units(m)``, written out with their zeros."""
     out = []
-    for u in range(m):
-        for unit in (GR_ONE, GR_I):
-            v = [GR_ZERO] * m
-            v[u] = unit
-            out.append(tuple(v))
+    for u, unit in coordinate_units(m):
+        v = [GR_ZERO] * m
+        v[u] = unit
+        out.append(tuple(v))
     return out
 
 

@@ -6,7 +6,9 @@ complex entries as {"re": "p/q", "im": "r/s"}. No floats anywhere.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Union
 
 from .cones import (
@@ -44,6 +46,51 @@ def to_json(value):
     if isinstance(value, (list, tuple)):
         return [to_json(v) for v in value]
     return value
+
+
+def format_json(value) -> str:
+    """The text of ``json.dumps(value, indent=2)`` for ``to_json``'s output, in one pass.
+
+    The standard library encodes an indented document with its pure-Python
+    encoder, one generator per container; this builds the same text from one
+    list of pieces, each a leaf with the separators before it. Dicts and
+    lists are laid out here, strings are escaped to ASCII as ``json.dumps``
+    does, and other leaves (numbers, booleans, None) go through
+    ``json.dumps``. Keys must be strings.
+    """
+    out: list[str] = []
+    _format(value, "", "\n", out)
+    return "".join(out)
+
+
+def _format(value, prefix: str, newline: str, out: list[str]) -> None:
+    """Append ``prefix`` and then ``value``, whose lines start with ``newline``."""
+    if isinstance(value, str):
+        out.append(prefix + encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append(prefix + "{}")
+            return
+        inner = newline + "  "
+        sep = prefix + "{" + inner
+        for key, v in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, got {type(key).__name__}")
+            _format(v, f"{sep}{encode_basestring_ascii(key)}: ", inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, list):
+        if not value:
+            out.append(prefix + "[]")
+            return
+        inner = newline + "  "
+        sep = prefix + "[" + inner
+        for v in value:
+            _format(v, sep, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(prefix + json.dumps(value))
 
 
 def fraction_from_json(value: Union[str, int]) -> Fraction:

@@ -5,9 +5,17 @@ Each value is the sha256 of the stdout of ``python -m siegelalg ARGV``. The
 elimination that preceded ``linalg.sparse_rref``: a reduced row echelon form
 is unique, so no change of elimination order may move these bytes. The other
 entries were recorded before the JSON encoding moved into ``serialize.to_json``.
+All of them were recorded with ``json.dumps(..., indent=2)``, which
+``serialize.format_json`` has since replaced.
+
+Every catalog family is diagonal and real, so the ``DENSE_SPECS`` pins are
+the ones that read a conjugated or transposed entry of H: two catalog domains
+after a dense Gaussian change of w-coordinates, recorded with the solvers that
+still walked every entry of each H_j.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -73,3 +81,43 @@ def test_emitted_bases_are_byte_identical(argv, capsys):
 @pytest.mark.parametrize("argv", [argv for argv in GOLDEN if argv not in BASES], ids=" ".join)
 def test_output_is_byte_identical(argv, capsys):
     _check(argv, capsys)
+
+
+def _c(re, im=0):
+    return {"re": str(re), "im": str(im)}
+
+
+# ball(3) and ball_product(2, 2) after H_j -> P* H_j P with P = [[1, i], [1 + i, -1]].
+DENSE_SPECS = {
+    "ball3": (
+        {
+            "n": 3,
+            "k": 1,
+            "cone": {"name": "ray", "k": 1, "g_basis": [[["1"]]], "interior_point": ["1"],
+                     "boundary": {"factors": [{"kind": "polyhedral", "functionals": [["1"]]}]}},
+            "H": [[[_c(3), _c(-1, 2)], [_c(-1, -2), _c(2)]]],
+        },
+        "f712ecb84365fcbbb10a8f10d298cc3badfed4f4d99dbd73aeccd6c7e0e69c46",
+    ),
+    "ballproduct2_2": (
+        {
+            "n": 4,
+            "k": 2,
+            "cone": "omega1",
+            "H": [
+                [[_c(1), _c(0, 1)], [_c(0, -1), _c(1)]],
+                [[_c(2), _c(-1, 1)], [_c(-1, -1), _c(1)]],
+            ],
+        },
+        "63fb6f11f25c6fc242a3959b80dad92608f6020bb588e413bff41313ca1db43c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_SPECS))
+def test_dense_complex_bases_are_byte_identical(name, tmp_path, monkeypatch, capsys):
+    doc, digest = DENSE_SPECS[name]
+    (tmp_path / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)  # the output's label is the path as given
+    assert main(["dims", "--spec", f"{name}.json", *BASES_JSON]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -355,7 +355,11 @@ RESIDUAL_DOMAINS = {
 @pytest.mark.parametrize("solver", [solve_g0, solve_L, solve_g_half, solve_g1],
                          ids=lambda f: f.__name__)
 def test_solutions_satisfy_assembled_rows_exactly(name, solver, monkeypatch):
-    """Every basis vector annihilates every assembled row; the count is n - rank."""
+    """Every basis vector annihilates every assembled row; the count is n - rank.
+
+    Rows hold nonzero ``Fraction``s only: ``_Lin.add`` may keep a product of
+    unit factors as an int, and none may reach a row.
+    """
     systems = []
     solutions = graded._System.solutions
 
@@ -369,6 +373,7 @@ def test_solutions_satisfy_assembled_rows_exactly(name, solver, monkeypatch):
     solver.__wrapped__(spec)
     assert len(systems) == (0 if solver is solve_g_half and spec.m == 0 else 1)
     for n, rows, basis in systems:
+        assert all(type(c) is Fraction and c != 0 for row in rows for c in row.values())
         for v in basis:
             assert len(v) == n
             for row in rows:
@@ -480,7 +485,7 @@ def test_real_solver_data_is_fraction(name):
 SMALL_FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 SPARSE_ROWS = st.dictionaries(st.integers(0, 6), SMALL_FRACTIONS, max_size=5)
 FACTORS = st.one_of(
-    st.just(0),
+    st.sampled_from([0, 1, -1, Fraction(1), Fraction(-1), GR_ONE, -GR_ONE, gr(Fraction(1, 2))]),
     st.integers(-3, 3),
     SMALL_FRACTIONS,
     st.builds(GaussianRational, SMALL_FRACTIONS, SMALL_FRACTIONS),
@@ -512,6 +517,7 @@ def test_lin_add_matches_gaussian_reference(acc_re, acc_im, other_re, other_im, 
         expected[j] = expected.get(j, GR_ZERO) + scale * x
     acc.add(other, *factors)
     assert _as_gaussian(acc) == {j: c for j, c in expected.items() if not c.is_zero()}
+    assert all(type(c) is Fraction for c in [*acc.re.values(), *acc.im.values()])
     assert (other.re, other.im) == (other_re, other_im)
     if any(GaussianRational.of(f).is_zero() for f in factors):
         assert (acc.re, acc.im) == (acc_re, acc_im)

@@ -1,8 +1,11 @@
 """JSON round trips for rationals, cones, families, and domain documents."""
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from siegelalg.catalog import build, d6
 from siegelalg.cones import catalog_cone
@@ -12,6 +15,7 @@ from siegelalg.linalg import Matrix, gr
 from siegelalg.serialize import (
     cone_from_json,
     cone_to_json,
+    format_json,
     fraction_from_json,
     gaussian_from_json,
     load_domain_spec,
@@ -147,3 +151,30 @@ class TestDomainDocuments:
         with pytest.raises(ValidationError) as err:
             load_domain_spec(doc)
         assert "w = (" in str(err.value)
+
+
+# Strings drawn from quotes, backslashes, control characters and non-ASCII
+# letters as well as plain ones: everything json.dumps escapes.
+JSON_TEXT = st.text(st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001d11e'),
+    st.characters(),
+), max_size=8)
+JSON_LEAVES = st.one_of(JSON_TEXT, st.integers(), st.booleans(), st.none())
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=10,
+)
+
+
+@given(value=JSON_VALUES)
+@example(value={"": [], "a": {}, "b": [[], {}, "", 0, None, True]})
+@settings(derandomize=True, max_examples=100, deadline=None)
+def test_format_json_matches_json_dumps(value):
+    assert format_json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("key", [1, None, True, ("a",)])
+def test_format_json_rejects_non_string_keys(key):
+    with pytest.raises(TypeError):
+        format_json({"ok": [{key: 1}]})
