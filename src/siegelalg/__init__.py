@@ -29,6 +29,7 @@ from .catalog import (
     d4,
     d5,
     d6,
+    product,
     t3,
     t4,
     tube,
@@ -124,6 +125,7 @@ __all__ = [
     "isotropy_bound",
     "load_domain_spec",
     "materialize",
+    "product",
     "s_from_multiplicities",
     "solve_L",
     "solve_all",

@@ -30,20 +30,6 @@ class BoundReport(Frozen):
     skew_cap_bound: Fraction
     closed_form_bound: Fraction
 
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "s": self.s,
-            "dim_g_omega": self.dim_g_omega,
-            "dim_g_half": self.dim_g_half,
-            "dim_g_1": self.dim_g_1,
-            "component_bound": str(self.component_bound),
-            "graded_cap_bound": str(self.graded_cap_bound),
-            "skew_cap_bound": str(self.skew_cap_bound),
-            "closed_form_bound": str(self.closed_form_bound),
-        }
-
 
 def closed_form_bound(n: int, k: int) -> Fraction:
     """The (n, k)-only cap: 3k^2/2 - k(2n + 5/2) + n^2 + 4n + 1."""

@@ -1,10 +1,11 @@
 """Builders for the named domain families, classification, and verification.
 
 Every domain analyzed here is a Siegel presentation: a cone from the built-in
-catalog plus an explicit Hermitian family. Ball products get the block
-realization (one rank-one block per factor); the two- and three-parameter
-families over the quadrant and the rank-one families over the three
-dimensional cones carry their defining parameter vectors.
+catalog plus an explicit Hermitian family. ``product`` composes presentations
+(product cone, block-diagonal family), and a ball product is the product of
+its balls. The two- and three-parameter families over the quadrant and the
+rank-one families over the three dimensional cones carry their defining
+parameter vectors.
 
 The classification driver enumerates this fixed candidate list, not all
 homogeneous cones and forms; the report says so in its note field.
@@ -16,7 +17,8 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .bounds import BoundReport, bound_chain, closed_form_bound, closed_form_sweep, s_from_multiplicities
-from .cones import catalog_cone, half_line, isotropy_bound, orthant
+from . import cones
+from .cones import CATALOG_IDS, _built_catalog_cone, catalog_cone, isotropy_bound
 from .errors import ValidationError
 from .frozen import Frozen
 from .fields import bracket_identities_hold, check_grading, materialize
@@ -132,40 +134,47 @@ def _rank_one_family(v: Sequence[Fraction]) -> HermitianFamily:
     return HermitianFamily.from_matrices([_diag([x]) for x in v])
 
 
+def _ball(n: Optional[int]) -> SiegelDomainSpec:
+    """The unit ball of C^n over the ray, with H = the identity on C^(n-1)."""
+    if n is None or n < 1:
+        raise ValidationError("ball dimension must be at least 1")
+    return SiegelDomainSpec(
+        n, 1, _built_catalog_cone("ray"), HermitianFamily.from_matrices([Matrix.identity(n - 1)])
+    )
+
+
+def product(*specs: SiegelDomainSpec) -> SiegelDomainSpec:
+    """The product domain: the product cone and the block-diagonal Hermitian family.
+
+    Each factor's components act on that factor's block of w coordinates and
+    are zero elsewhere; components and blocks follow the factor order. A
+    product of one factor is that factor.
+    """
+    if len(specs) == 1:
+        return specs[0]
+    m = sum(spec.m for spec in specs)
+    comps, offset = [], 0
+    for spec in specs:
+        for h in spec.form.components:
+            rows = [[0] * m for _ in range(m)]
+            for i, row in enumerate(h.entries):
+                rows[offset + i][offset:offset + spec.m] = row
+            comps.append(Matrix.from_rows(rows))
+        offset += spec.m
+    cone = cones.product(*(spec.cone for spec in specs))
+    return SiegelDomainSpec(m + cone.k, cone.k, cone, HermitianFamily(cone.k, m, tuple(comps)))
+
+
 def build(domain: DomainId) -> SiegelDomainSpec:
     """Siegel presentation of a named domain; validates the parameters."""
     kind = domain.kind
     if kind == "ball":
-        n = domain.n
-        if n is None or n < 1:
-            raise ValidationError("ball dimension must be at least 1")
-        return SiegelDomainSpec(
-            n, 1, half_line(), HermitianFamily.from_matrices([Matrix.identity(n - 1)])
-        )
+        return _ball(domain.n)
     if kind == "ball-product":
         factors = domain.factors
         if not factors or any(p < 1 for p in factors):
             raise ValidationError("ball factors must be positive")
-        if len(factors) == 1:
-            return build(ball(factors[0]))
-        k = len(factors)
-        m = sum(p - 1 for p in factors)
-        comps = []
-        offset = 0
-        for p in factors:
-            block = p - 1
-            comps.append(
-                Matrix.from_rows(
-                    [
-                        [1 if (i == j and offset <= i < offset + block) else 0 for j in range(m)]
-                        for i in range(m)
-                    ]
-                )
-            )
-            offset += block
-        cone = {2: "omega1", 3: "omega2", 4: "omega4"}.get(k)
-        cone_spec = catalog_cone(cone) if cone else orthant(k)
-        return SiegelDomainSpec(k + m, k, cone_spec, HermitianFamily.from_matrices(comps))
+        return product(*(_ball(p) for p in factors))
     if kind in ("d1", "d2"):
         n = domain.n
         if n is None or n < 3:
@@ -505,18 +514,16 @@ def verify_paper() -> VerifyReport:
     """Run the complete acceptance battery and report ``EXPECTED`` vs computed."""
     computed: dict[str, object] = {}
 
-    for cone_id in ("omega1", "omega2", "omega3", "omega4", "omega5", "omega6"):
-        computed[f"cone_dim_{cone_id}"] = catalog_cone(cone_id).dim_g
+    catalog_cones = {cone_id: catalog_cone(cone_id) for cone_id in CATALOG_IDS}
+    for cone_id, cone in catalog_cones.items():
+        computed[f"cone_dim_{cone_id}"] = cone.dim_g
     for k in (2, 3, 4):
         computed[f"isotropy_bound_k{k}"] = isotropy_bound(k)
     computed["isotropy_cap_respected"] = all(
-        catalog_cone(cid).dim_g <= isotropy_bound(catalog_cone(cid).k)
-        for cid in ("omega1", "omega2", "omega3", "omega4", "omega5", "omega6")
+        cone.dim_g <= isotropy_bound(cone.k) for cone in catalog_cones.values()
     )
     computed["isotropy_equality_cases"] = [
-        cid
-        for cid in ("omega1", "omega2", "omega3", "omega4", "omega5", "omega6")
-        if catalog_cone(cid).dim_g == isotropy_bound(catalog_cone(cid).k)
+        cone_id for cone_id, cone in catalog_cones.items() if cone.dim_g == isotropy_bound(cone.k)
     ]
 
     for n in (2, 3, 4, 5):
@@ -532,24 +539,15 @@ def verify_paper() -> VerifyReport:
     computed["d2_verdict"] = d2_report.homogeneity.verdict
     computed["d2_a_part_dim"] = d2_report.homogeneity.a_part_dim
 
-    d3_totals_ok = True
-    for tag, params in (("1011", (1, 0, 1, 1)), ("1101", (1, 1, 0, 1))):
-        spec = build(d3(*params))
-        sols = solve_all(spec)
-        computed[f"d3_{tag}_ghalf"] = sols.dims.d_half
-        computed[f"d3_{tag}_g1"] = sols.dims.d_1
-        d3_totals_ok = d3_totals_ok and sols.dims.total <= 10
-    computed["d3_totals_within_branch_bound"] = d3_totals_ok
-
+    for family, builder, cap in (("d3", d3, 10), ("d4", d4, 15)):
+        totals_ok = True
+        for tag, params in (("1011", (1, 0, 1, 1)), ("1101", (1, 1, 0, 1))):
+            sols = solve_all(build(builder(*params)))
+            computed[f"{family}_{tag}_ghalf"] = sols.dims.d_half
+            computed[f"{family}_{tag}_g1"] = sols.dims.d_1
+            totals_ok = totals_ok and sols.dims.total <= cap
+        computed[f"{family}_totals_within_branch_bound"] = totals_ok
     computed["d4_separable_total"] = analyze(d4(1, 0, 0, 1)).dims.total
-    d4_totals_ok = True
-    for tag, params in (("1011", (1, 0, 1, 1)), ("1101", (1, 1, 0, 1))):
-        spec = build(d4(*params))
-        sols = solve_all(spec)
-        computed[f"d4_{tag}_ghalf"] = sols.dims.d_half
-        computed[f"d4_{tag}_g1"] = sols.dims.d_1
-        d4_totals_ok = d4_totals_ok and sols.dims.total <= 15
-    computed["d4_totals_within_branch_bound"] = d4_totals_ok
 
     computed["d5_axis_totals"] = [
         analyze(d5(tuple(1 if i == j else 0 for i in range(3)))).dims.total

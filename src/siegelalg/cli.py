@@ -85,14 +85,19 @@ def _domain_from_args(args) -> catalog.DomainId:
 
 
 def _load_spec(args):
-    """Domain from --spec JSON or from --domain flags; returns (spec, label)."""
+    """Domain from --spec JSON or from --domain flags; returns (spec, label).
+
+    A --spec document whose cone check was sampled gets a one-line note on stderr.
+    """
     if getattr(args, "spec", None):
         with open(args.spec, "r", encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
             except (UnicodeDecodeError, RecursionError) as exc:
                 raise ValidationError(f"cannot read {args.spec}: {exc}") from exc
-        spec = load_domain_spec(doc, samples=args.samples, seed=args.seed)
+        spec, compat = load_domain_spec(doc, samples=args.samples, seed=args.seed)
+        if compat.note:
+            print(f"note: {compat.note}", file=sys.stderr)
         return spec, f"custom({args.spec})"
     if not getattr(args, "domain", None):
         raise ValidationError("provide either --domain or --spec FILE")
@@ -168,19 +173,7 @@ def _cmd_bounds(args) -> int:
     if args.sweep is not None:
         entries = closed_form_sweep(args.sweep)
         if args.format == "json":
-            _emit_json(
-                {
-                    "margins": [
-                        {
-                            "n": e.n,
-                            "k": e.k,
-                            "bound": e.bound,
-                            "margin": e.margin,
-                        }
-                        for e in entries
-                    ]
-                }
-            )
+            _emit_json({"margins": [e.as_dict() for e in entries]})
         else:
             print("n  k  bound      margin")
             for e in entries:
@@ -211,16 +204,7 @@ def _cmd_classify(args) -> int:
                 "n": report.n,
                 "target": report.target,
                 "note": report.note,
-                "entries": [
-                    {
-                        "label": e.label,
-                        "k": e.k,
-                        "status": e.status,
-                        "total": e.total,
-                        "margin": e.margin,
-                    }
-                    for e in report.entries
-                ],
+                "entries": [e.as_dict() for e in report.entries],
                 "homogeneous": [
                     {"label": label, "total": total} for label, total in report.homogeneous
                 ],

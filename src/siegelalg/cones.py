@@ -3,9 +3,10 @@
 A cone is described by a basis of the Lie algebra g(Omega) of its linear
 automorphism group, an interior point, and an exact boundary description
 (product of polyhedral and Lorentzian factors). The catalog covers the
-homogeneous cones without lines in dimensions up to four: the orthants, the
-three- and four-dimensional Lorentz cones, and the mixed Lorentz-times-ray
-cone.
+homogeneous cones without lines in dimensions up to four, and is built from
+three builders: ``orthant(k)``, ``lorentz(d)`` and ``product(*cones)``. The
+orthants are omega1, omega2 and omega4, the Lorentz cones lorentz(3) and
+lorentz(4) are omega3 and omega6, and omega5 is lorentz(3) x ray.
 
 g(Omega) is a real Lie algebra, so its basis matrices are ``RealRows``: k
 rows of k ``Fraction``s. ``ConeSpec`` converts int entries to ``Fraction``
@@ -22,7 +23,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .errors import ValidationError
 from .frozen import Frozen
@@ -50,6 +51,13 @@ class PolyhedralFactor(Frozen):
                 strict = False
         return Region.INTERIOR if strict else Region.BOUNDARY
 
+    def shifted(self, offset: int, k: int) -> "PolyhedralFactor":
+        """This factor on coordinates ``offset``, ``offset + 1``, ... of R^k."""
+        pad = (Fraction(0),)
+        return PolyhedralFactor(
+            tuple(pad * offset + f + pad * (k - offset - len(f)) for f in self.functionals)
+        )
+
 
 class LorentzFactor(Frozen):
     """x[c0]^2 - sum of squares over the other coords positive, x[c0] positive."""
@@ -66,6 +74,10 @@ class LorentzFactor(Frozen):
         if q > 0 and head > 0:
             return Region.INTERIOR
         return Region.BOUNDARY
+
+    def shifted(self, offset: int, k: int) -> "LorentzFactor":
+        """This factor on coordinates ``offset``, ``offset + 1``, ... of R^k."""
+        return LorentzFactor(tuple(c + offset for c in self.coords))
 
 
 BoundaryFactor = Union[PolyhedralFactor, LorentzFactor]
@@ -180,7 +192,7 @@ def _unit(k: int, i: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(1) if j == i else Fraction(0) for j in range(k))
 
 
-def _matrix(k: int, entries: dict[tuple[int, int], int]) -> tuple[tuple[int, ...], ...]:
+def _matrix(k: int, entries: dict[tuple[int, int], Union[int, Fraction]]) -> tuple:
     """The k x k matrix with the given nonzero entries; ``ConeSpec`` makes them ``Fraction``s."""
     return tuple(tuple(entries.get((i, j), 0) for j in range(k)) for i in range(k))
 
@@ -191,21 +203,13 @@ def _identity(k: int) -> tuple[tuple[int, ...], ...]:
 
 def half_line() -> ConeSpec:
     """The positive ray in R^1; automorphisms are the positive scalars."""
-    return ConeSpec(
-        name="ray",
-        k=1,
-        g_basis=(_identity(1),),
-        interior_point=(Fraction(1),),
-        boundary=(PolyhedralFactor(((Fraction(1),),)),),
-    )
+    return orthant(1, name="ray")
 
 
-def orthant(k: int) -> ConeSpec:
+def orthant(k: int, name: Optional[str] = None) -> ConeSpec:
     """Positive orthant in R^k; its automorphism algebra is the diagonal matrices."""
-    if k == 1:
-        return half_line()
     return ConeSpec(
-        name=f"orthant{k}",
+        name=name or f"orthant{k}",
         k=k,
         g_basis=tuple(_matrix(k, {(i, i): 1}) for i in range(k)),
         interior_point=tuple(Fraction(1) for _ in range(k)),
@@ -213,83 +217,70 @@ def orthant(k: int) -> ConeSpec:
     )
 
 
-def _lorentz3_generators() -> tuple[tuple[tuple[int, ...], ...], ...]:
-    p = _matrix(3, {(0, 1): 1, (1, 0): 1})
-    q = _matrix(3, {(0, 2): 1, (2, 0): 1})
-    r = _matrix(3, {(1, 2): 1, (2, 1): -1})
-    return (_identity(3), p, q, r)
+def lorentz(d: int, name: Optional[str] = None) -> ConeSpec:
+    """The d-dimensional Lorentz cone; its algebra is the scalars plus so(1, d-1).
 
-
-def lorentz3() -> ConeSpec:
-    """Three-dimensional Lorentz cone; scalars plus the (1,2) pseudo-orthogonal algebra."""
+    Basis order: the identity, the boosts (0, j), then the rotations (i, j)
+    with i < j.
+    """
+    gens = [_identity(d)]
+    gens += [_matrix(d, {(0, j): 1, (j, 0): 1}) for j in range(1, d)]
+    gens += [_matrix(d, {(i, j): 1, (j, i): -1}) for i in range(1, d) for j in range(i + 1, d)]
     return ConeSpec(
-        name="lorentz3",
-        k=3,
-        g_basis=_lorentz3_generators(),
-        interior_point=(Fraction(1), Fraction(0), Fraction(0)),
-        boundary=(LorentzFactor((0, 1, 2)),),
-    )
-
-
-def lorentz4() -> ConeSpec:
-    """Four-dimensional Lorentz cone; scalars plus the (1,3) pseudo-orthogonal algebra."""
-    gens = [_identity(4)]
-    for j in (1, 2, 3):
-        gens.append(_matrix(4, {(0, j): 1, (j, 0): 1}))
-    for i, j in ((1, 2), (1, 3), (2, 3)):
-        gens.append(_matrix(4, {(i, j): 1, (j, i): -1}))
-    return ConeSpec(
-        name="lorentz4",
-        k=4,
+        name=name or f"lorentz{d}",
+        k=d,
         g_basis=tuple(gens),
-        interior_point=(Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
-        boundary=(LorentzFactor((0, 1, 2, 3)),),
+        interior_point=_unit(d, 0),
+        boundary=(LorentzFactor(tuple(range(d))),),
     )
 
 
-def lorentz3_times_ray() -> ConeSpec:
-    """Product of the 3-dimensional Lorentz cone with a ray, block-diagonal algebra."""
-    gens = tuple(
-        tuple(row + (0,) for row in m) + ((0, 0, 0, 0),) for m in _lorentz3_generators()
-    ) + (_matrix(4, {(3, 3): 1}),)
+def product(*cones: ConeSpec, name: Optional[str] = None) -> ConeSpec:
+    """The product cone; its algebra is the direct sum of the factors' algebras.
+
+    The basis is block-diagonal in factor order, the interior points are
+    concatenated, and each factor's boundary keeps its order on the factor's
+    shifted coordinates. The default name joins the factor names with "x".
+    """
+    k = sum(c.k for c in cones)
+    gens, interior, boundary = [], [], []
+    offset = 0
+    for c in cones:
+        gens += [
+            _matrix(k, {
+                (offset + i, offset + j): x for i, row in enumerate(m) for j, x in enumerate(row) if x
+            })
+            for m in c.g_basis
+        ]
+        interior += c.interior_point
+        boundary += [f.shifted(offset, k) for f in c.boundary]
+        offset += c.k
     return ConeSpec(
-        name="lorentz3xray",
-        k=4,
-        g_basis=gens,
-        interior_point=(Fraction(1), Fraction(0), Fraction(0), Fraction(1)),
-        boundary=(
-            LorentzFactor((0, 1, 2)),
-            PolyhedralFactor((_unit(4, 3),)),
-        ),
+        name=name or "x".join(c.name for c in cones),
+        k=k,
+        g_basis=tuple(gens),
+        interior_point=tuple(interior),
+        boundary=tuple(boundary),
     )
 
 
+# the ray is built once like the catalog cones, for the balls, but is not a catalog id
 _CATALOG = {
-    "omega1": lambda: _renamed(orthant(2), "omega1"),
-    "omega2": lambda: _renamed(orthant(3), "omega2"),
-    "omega3": lambda: _renamed(lorentz3(), "omega3"),
-    "omega4": lambda: _renamed(orthant(4), "omega4"),
-    "omega5": lambda: _renamed(lorentz3_times_ray(), "omega5"),
-    "omega6": lambda: _renamed(lorentz4(), "omega6"),
+    "omega1": lambda: orthant(2, name="omega1"),
+    "omega2": lambda: orthant(3, name="omega2"),
+    "omega3": lambda: lorentz(3, name="omega3"),
+    "omega4": lambda: orthant(4, name="omega4"),
+    "omega5": lambda: product(catalog_cone("omega3"), _built_catalog_cone("ray"), name="omega5"),
+    "omega6": lambda: lorentz(4, name="omega6"),
+    "ray": half_line,
 }
 
-CATALOG_IDS = tuple(sorted(_CATALOG))
-
-
-def _renamed(cone: ConeSpec, name: str) -> ConeSpec:
-    return ConeSpec(
-        name=name,
-        k=cone.k,
-        g_basis=cone.g_basis,
-        interior_point=cone.interior_point,
-        boundary=cone.boundary,
-        annihilators=cone.annihilators,
-    )
+CATALOG_IDS = tuple(sorted(set(_CATALOG) - {"ray"}))
 
 
 def catalog_cone(cone_id: str) -> ConeSpec:
     key = cone_id.strip().lower()
-    if key not in _CATALOG:
+    if key not in CATALOG_IDS:
         raise ValidationError(
             f"unknown catalog cone {cone_id!r}; expected one of {', '.join(CATALOG_IDS)}"
         )
@@ -298,5 +289,5 @@ def catalog_cone(cone_id: str) -> ConeSpec:
 
 @lru_cache(maxsize=None)
 def _built_catalog_cone(key: str) -> ConeSpec:
-    """Each catalog cone is built and validated once; cones are immutable."""
+    """Each catalog cone, and the ray, is built and validated once; cones are immutable."""
     return _CATALOG[key]()

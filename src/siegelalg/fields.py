@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 from .errors import ValidationError
 from .frozen import Frozen
 from .graded import GradedSolutions, SiegelDomainSpec
-from .linalg import GR_I, GR_ZERO, coordinate_vectors, sparse_rref
+from .linalg import GR_I, GR_ZERO, coordinate_units, sparse_rref
 from .poly import Polynomial
 
 GRADES = (Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1))
@@ -100,13 +100,14 @@ def materialize(spec: SiegelDomainSpec, sols: GradedSolutions) -> tuple[PolyVect
     for t in range(k):
         fields.append(_field(n, [(t, 1)], Fraction(-1), f"g-1[{t}]"))
 
-    # weight -1/2: 2i H(b, w) . d/dz + b . d/dw over the coordinate b's
-    for idx, b in enumerate(coordinate_vectors(m)):
+    # weight -1/2: 2i H(b, w) . d/dz + b . d/dw over the coordinate units b,
+    # each nonzero only at its coordinate u
+    for idx, (u, unit) in enumerate(coordinate_units(m)):
         terms = [
-            (t, two_i * b[v].conjugate() * comps[t].entry(v, l), k + l)
-            for t in range(k) for l in range(m) for v in range(m)
+            (t, two_i * unit.conjugate() * comps[t].entry(u, l), k + l)
+            for t in range(k) for l in range(m)
         ]
-        terms += [(k + l, b[l]) for l in range(m)]
+        terms.append((k + u, unit))
         fields.append(_field(n, terms, Fraction(-1, 2), f"g-1/2[{idx}]"))
 
     # weight 0: (Az) . d/dz + (Bw) . d/dw

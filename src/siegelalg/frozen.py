@@ -68,6 +68,10 @@ class Frozen:
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
 
+    def as_dict(self) -> dict:
+        """The fields by name, in declaration order."""
+        return dict(zip(self._fields, self._values()))
+
     def __eq__(self, other: object):
         if other.__class__ is not self.__class__:
             return NotImplemented

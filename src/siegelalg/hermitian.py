@@ -26,7 +26,7 @@ from .linalg import (
     GaussianRational,
     Matrix,
     Scalar,
-    coordinate_vectors,
+    coordinate_units,
     sparse_nullspace,
 )
 
@@ -157,6 +157,13 @@ class OmegaHermitianVerdict(Frozen):
     def is_counterexample(self) -> bool:
         return self.kind == COUNTEREXAMPLE
 
+    @property
+    def note(self) -> Optional[str]:
+        """The caveat a sampled verdict must be shown with; None for an exact one."""
+        if self.kind != VERIFIED_ON_SAMPLES:
+            return None
+        return f"cone compatibility was checked on {self.samples} sampled vectors, not proved"
+
 
 class _Lcg:
     """Deterministic linear congruential stream; reproducible across runs."""
@@ -178,17 +185,16 @@ class _Lcg:
 
 
 def _basis_like_vectors(m: int) -> list[tuple[GaussianRational, ...]]:
-    vecs = coordinate_vectors(m)
-    for i in range(m):
-        for j in range(i + 1, m):
-            s = [GR_ZERO] * m
-            s[i] = GR_ONE
-            s[j] = GR_ONE
-            vecs.append(tuple(s))
-            t = [GR_ZERO] * m
-            t[i] = GR_ONE
-            t[j] = GR_I
-            vecs.append(tuple(t))
+    """The coordinate units e_u, i e_u, then e_i + e_u and e_i + i e_u for i < u."""
+    units = coordinate_units(m)
+    entries = [[unit] for unit in units]
+    entries += [[(i, GR_ONE), (u, unit)] for i in range(m) for u, unit in units if u > i]
+    vecs = []
+    for pairs in entries:
+        v = [GR_ZERO] * m
+        for u, x in pairs:
+            v[u] = x
+        vecs.append(tuple(v))
     return vecs
 
 

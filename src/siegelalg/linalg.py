@@ -135,16 +135,6 @@ def coordinate_units(m: int) -> list[tuple[int, GaussianRational]]:
     return [(u, unit) for u in range(m) for unit in (GR_ONE, GR_I)]
 
 
-def coordinate_vectors(m: int) -> list[tuple[GaussianRational, ...]]:
-    """The vectors of ``coordinate_units(m)``, written out with their zeros."""
-    out = []
-    for u, unit in coordinate_units(m):
-        v = [GR_ZERO] * m
-        v[u] = unit
-        out.append(tuple(v))
-    return out
-
-
 class RrefResult(Frozen):
     matrix: "Matrix"
     rank: int

@@ -12,6 +12,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Optional, Union
 
 from .cones import (
+    CATALOG_IDS,
     ConeSpec,
     LorentzFactor,
     PolyhedralFactor,
@@ -19,7 +20,7 @@ from .cones import (
 )
 from .errors import ValidationError
 from .graded import GradedSolutions, SiegelDomainSpec
-from .hermitian import HermitianFamily, is_omega_hermitian
+from .hermitian import HermitianFamily, OmegaHermitianVerdict, is_omega_hermitian
 from .linalg import GaussianRational, Matrix, RealRows
 
 # cap on load_domain_spec's samples: more samples prove nothing more, they only take longer
@@ -34,18 +35,23 @@ def to_json(value):
     Real data (``RealRows``, the ``Tensor`` a of g1) is nested tuples of
     ``Fraction``s, so it becomes lists of "p/q" strings. An ``int`` passes
     through as a JSON number.
+
+    The encoder is looked up by exact class, so a subclass passes through
+    too, and no value goes through the ``isinstance`` check of ``Fraction``'s
+    abstract bases.
     """
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, GaussianRational):
-        return {"re": str(value.re), "im": str(value.im)}
-    if isinstance(value, Matrix):
-        return to_json(value.entries)
-    if isinstance(value, dict):
-        return {key: to_json(v) for key, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [to_json(v) for v in value]
-    return value
+    encode = _ENCODERS.get(type(value))
+    return value if encode is None else encode(value)
+
+
+_ENCODERS = {
+    Fraction: str,
+    GaussianRational: lambda z: {"re": str(z.re), "im": str(z.im)},
+    Matrix: lambda m: to_json(m.entries),
+    dict: lambda d: {key: to_json(v) for key, v in d.items()},
+    list: lambda xs: [to_json(v) for v in xs],
+    tuple: lambda xs: [to_json(v) for v in xs],
+}
 
 
 def format_json(value) -> str:
@@ -212,10 +218,13 @@ def family_from_json(doc, k: int, m: int) -> HermitianFamily:
 
 
 def spec_to_json(spec: SiegelDomainSpec) -> dict:
+    """The domain document of ``spec``; its cone is a catalog id only when it is that catalog cone."""
+    cone = spec.cone
+    in_catalog = cone.name in CATALOG_IDS and cone == catalog_cone(cone.name)
     return to_json({
         "n": spec.n,
         "k": spec.k,
-        "cone": spec.cone.name if spec.cone.name.startswith("omega") else cone_to_json(spec.cone),
+        "cone": cone.name if in_catalog else cone_to_json(cone),
         "H": spec.form.components,
     })
 
@@ -239,13 +248,17 @@ def _list_value(value, what: str) -> list:
     return value
 
 
-def load_domain_spec(doc: dict, samples: int = 32, seed: int = 0) -> SiegelDomainSpec:
+def load_domain_spec(
+    doc: dict, samples: int = 32, seed: int = 0
+) -> tuple[SiegelDomainSpec, OmegaHermitianVerdict]:
     """Parse and fully validate a domain document {"n", "k", "cone", "H"}.
 
     Structural invariants raise immediately; a cone-compatibility
     counterexample for the Hermitian family is also a validation error and
-    names the witness vector. ``samples`` (0 to ``SAMPLES_MAX``) is the
-    number of random vectors tried when the cone check is sampled.
+    names the witness vector. Otherwise the spec is returned with the
+    compatibility verdict, which says whether the check was exact or sampled.
+    ``samples`` (0 to ``SAMPLES_MAX``) is the number of random vectors tried
+    when the cone check is sampled.
     """
     if not 0 <= samples <= SAMPLES_MAX:
         raise ValidationError(f"samples must be from 0 to {SAMPLES_MAX}, got {samples}")
@@ -263,7 +276,7 @@ def load_domain_spec(doc: dict, samples: int = 32, seed: int = 0) -> SiegelDomai
             f"family is not compatible with the cone: H(w,w) leaves the closed "
             f"cone minus zero at w = {witness}"
         )
-    return spec
+    return spec, verdict
 
 
 def solutions_bases_to_json(sols: GradedSolutions) -> dict:

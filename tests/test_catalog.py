@@ -15,6 +15,7 @@ from siegelalg.catalog import (
     d4,
     d5,
     d6,
+    product,
     t3,
     t4,
     tube,
@@ -86,6 +87,48 @@ class TestBuild:
         for domain in domains:
             spec = build(domain)
             assert is_omega_hermitian(spec.form, spec.cone).kind != COUNTEREXAMPLE
+
+
+PIECES = ("d_m1", "d_mhalf", "d_0", "d_half", "d_1")
+
+
+class TestProduct:
+    @pytest.mark.parametrize("factors,total", [
+        ((d2(4), ball(2)), 19),
+        ((d5((1, 1, 0)), ball(1)), 12),
+        ((d6((2, 1, 0)), ball(2)), 16),
+        ((d6((1, 1, 0)), ball(1)), 13),
+        ((t3(), ball(2)), 18),
+        ((ball(3), ball(2)), 23),
+    ])
+    def test_every_graded_piece_adds_up(self, factors, total):
+        parts = [graded_dims(build(f)) for f in factors]
+        whole = graded_dims(product(*(build(f) for f in factors)))
+        for piece in PIECES:
+            assert getattr(whole, piece) == sum(getattr(p, piece) for p in parts)
+        assert whole.total == total
+
+    def test_associative(self):
+        a, b, c = build(d6((1, 1, 0))), build(ball(2)), build(tube("omega1"))
+        assert product(product(a, b), c) == product(a, product(b, c)) == product(a, b, c)
+
+    def test_ball_product_is_the_product_of_balls(self):
+        assert build(ball_product(2, 1, 1)) == product(build(ball_product(2, 1)), build(ball(1)))
+
+    def test_one_factor_is_that_factor(self):
+        spec = build(d6((1, 1, 0)))
+        assert product(spec) is spec
+
+    def test_family_is_block_diagonal(self):
+        spec = product(build(d6((1, 1, 0))), build(ball(3)))
+        assert (spec.n, spec.k, spec.m) == (7, 4, 3)
+        assert spec.cone.name == "omega3xray"
+        diagonals = [[h.entry(i, i).re for i in range(3)] for h in spec.form.components]
+        assert diagonals == [[1, 0, 0], [1, 0, 0], [0, 0, 0], [0, 1, 1]]
+        assert all(
+            h.entry(i, j).is_zero()
+            for h in spec.form.components for i in range(3) for j in range(3) if i != j
+        )
 
 
 class TestLabels:

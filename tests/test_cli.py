@@ -245,6 +245,43 @@ class TestCustomCone:
         assert "Traceback" not in err
 
 
+class TestSampledNote:
+    """A sampled cone check is noted once on stderr; stdout and the exit code do not change."""
+
+    LORENTZ_DOC = {"n": 4, "k": 3, "cone": "omega3", "H": [[["1"]], [["1"]], [["0"]]]}
+    QUADRANT_DOC = {
+        "n": 4, "k": 2, "cone": "omega1",
+        "H": [[["1", "0"], ["0", "1"]], [["1", "0"], ["0", "2"]]],
+    }
+
+    def _run_spec(self, capsys, tmp_path, command, doc):
+        path = tmp_path / "domain.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, command, "--spec", str(path))
+        return code, out.replace(f"custom({path})", "LABEL"), err
+
+    def _run_domain(self, capsys, command, label, *flags):
+        code, out, err = run_cli(capsys, command, *flags)
+        return code, out.replace(label, "LABEL"), err
+
+    @pytest.mark.parametrize("command", ["dims", "homogeneity"])
+    def test_lorentz_spec_gets_one_note(self, capsys, tmp_path, command):
+        code, out, err = self._run_spec(capsys, tmp_path, command, self.LORENTZ_DOC)
+        assert err == "note: cone compatibility was checked on 34 sampled vectors, not proved\n"
+        assert (code, out, "") == self._run_domain(
+            capsys, command, "D6(1,1,0)", "--domain", "d6", "--v", "1,1,0"
+        )
+
+    @pytest.mark.parametrize("command", ["dims", "homogeneity"])
+    def test_polyhedral_spec_gets_none(self, capsys, tmp_path, command):
+        code, out, err = self._run_spec(capsys, tmp_path, command, self.QUADRANT_DOC)
+        assert (code, out, err) == self._run_domain(
+            capsys, command, "D3(1,1,1,2)",
+            "--domain", "d3", "--alpha", "1", "--beta", "1", "--gamma", "1", "--delta", "2",
+        )
+        assert err == ""
+
+
 class TestHomogeneity:
     def test_not_transitive_exit_code(self, capsys):
         code, out, _ = run_cli(

@@ -7,6 +7,7 @@ import pytest
 from siegelalg.cones import (
     CATALOG_IDS,
     ConeSpec,
+    LorentzFactor,
     PolyhedralFactor,
     Region,
     catalog_cone,
@@ -14,7 +15,9 @@ from siegelalg.cones import (
     half_line,
     in_g_omega,
     isotropy_bound,
+    lorentz,
     orthant,
+    product,
 )
 from siegelalg.errors import ValidationError
 from siegelalg.linalg import Matrix, gr
@@ -60,6 +63,53 @@ class TestCatalog:
             for t in (Fraction(1, 8), Fraction(-1, 8), Fraction(1, 16), Fraction(-1, 16)):
                 moved = [xi + t * sum(aij * xj for aij, xj in zip(row, x)) for xi, row in zip(x, a)]
                 assert classify_point(cone, moved) is Region.INTERIOR
+
+
+class TestBuilders:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_lorentz_algebra_attains_the_isotropy_bound(self, d):
+        cone = lorentz(d)
+        assert (cone.name, cone.k, cone.dim_g) == (f"lorentz{d}", d, isotropy_bound(d))
+
+    def test_lorentz_basis_order(self):
+        # identity, the boosts (0, j), then the rotations (i, j) with i < j
+        basis = lorentz(4).g_basis
+        assert basis[0] == tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        for m, (i, j) in zip(basis[1:], pairs, strict=True):
+            nonzero = {(r, c): x for r, row in enumerate(m) for c, x in enumerate(row) if x}
+            assert nonzero == {(i, j): 1, (j, i): 1 if i == 0 else -1}
+
+    @pytest.mark.parametrize("cone_id,built", [
+        ("omega1", lambda: orthant(2)),
+        ("omega2", lambda: orthant(3)),
+        ("omega3", lambda: lorentz(3)),
+        ("omega4", lambda: orthant(4)),
+        ("omega5", lambda: product(lorentz(3), half_line())),
+        ("omega6", lambda: lorentz(4)),
+    ])
+    def test_catalog_cones_are_the_builders_under_their_ids(self, cone_id, built):
+        cone, catalogued = built(), catalog_cone(cone_id)
+        assert catalogued.name == cone_id
+        assert (cone.k, cone.g_basis, cone.interior_point, cone.boundary, cone.annihilators) == (
+            catalogued.k, catalogued.g_basis, catalogued.interior_point,
+            catalogued.boundary, catalogued.annihilators,
+        )
+
+    def test_product_blocks(self):
+        cone = product(half_line(), lorentz(3))
+        assert cone.name == "rayxlorentz3"
+        assert cone.dim_g == 1 + 4
+        assert cone.interior_point == (1, 1, 0, 0)
+        assert cone.boundary == (
+            PolyhedralFactor(((Fraction(1), Fraction(0), Fraction(0), Fraction(0)),)),
+            LorentzFactor((1, 2, 3)),
+        )
+        assert all(m[0][j] == m[j][0] == 0 for m in cone.g_basis[1:] for j in range(4))
+
+    def test_product_associative(self):
+        a, b, c = half_line(), lorentz(3), orthant(2)
+        assert product(product(a, b), c) == product(a, product(b, c)) == product(a, b, c)
 
 
 class TestIsotropyBound:

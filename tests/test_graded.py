@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from siegelalg import catalog, graded
-from siegelalg.cones import CATALOG_IDS, catalog_cone, half_line, in_g_omega
+from siegelalg.cones import CATALOG_IDS, catalog_cone, half_line, in_g_omega, lorentz
 from siegelalg.errors import ValidationError
 from siegelalg.graded import (
     SiegelDomainSpec,
@@ -293,7 +293,13 @@ class TestGradedDims:
         assert graded_dims(tube("omega3")).total == 10
         assert graded_dims(tube("omega6")).total == 15
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
+    def test_lorentz_tube_totals(self, d):
+        # the tube over lorentz(d) is the Cartan domain of type IV: dim so(d, 2)
+        spec = SiegelDomainSpec(d, d, lorentz(d), empty_fam(d))
+        assert graded_dims(spec).total == (d + 1) * (d + 2) // 2
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 10])
     def test_ball_maximal(self, n):
         assert graded_dims(ball(n)).total == n * n + 2 * n
 

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from siegelalg.catalog import build, d6
-from siegelalg.cones import catalog_cone
+from siegelalg.catalog import ball, build, d1, d6, product
+from siegelalg.cones import ConeSpec, catalog_cone
 from siegelalg.errors import ValidationError
-from siegelalg.graded import graded_dims
+from siegelalg.graded import SiegelDomainSpec, graded_dims
+from siegelalg.hermitian import VERIFIED_EXACT, VERIFIED_ON_SAMPLES
 from siegelalg.linalg import Matrix, gr
 from siegelalg.serialize import (
     cone_from_json,
@@ -81,11 +82,15 @@ class TestCones:
             cone_from_json("omega0")
 
 
+def _on_cone(spec, cone):
+    return SiegelDomainSpec(spec.n, spec.k, cone, spec.form)
+
+
 class TestDomainDocuments:
     def test_d6_roundtrip_preserves_dims(self):
         spec = build(d6((1, 1, 0)))
         doc = spec_to_json(spec)
-        reloaded = load_domain_spec(doc)
+        reloaded, _ = load_domain_spec(doc)
         assert reloaded == spec
         assert graded_dims(reloaded) == graded_dims(spec)
 
@@ -96,8 +101,44 @@ class TestDomainDocuments:
             "cone": "omega3",
             "H": [[["1"]], [["1"]], [["0"]]],
         }
-        spec = load_domain_spec(doc)
+        spec, _ = load_domain_spec(doc)
         assert (spec.k, spec.m) == (3, 1)
+
+    def test_catalog_cone_is_written_as_its_id(self):
+        assert spec_to_json(build(d6((1, 1, 0))))["cone"] == "omega3"
+
+    def test_cone_named_like_a_catalog_id_stays_custom(self):
+        # three of omega3's four generators, under omega3's name
+        omega3 = catalog_cone("omega3")
+        cone = ConeSpec("omega3", 3, omega3.g_basis[:3], omega3.interior_point, omega3.boundary)
+        spec = _on_cone(build(d6((1, 1, 0))), cone)
+        doc = spec_to_json(spec)
+        assert doc["cone"]["name"] == "omega3"
+        reloaded, _ = load_domain_spec(doc)
+        assert reloaded == spec
+        assert graded_dims(reloaded).total == graded_dims(spec).total == 8
+
+    def test_cone_named_omega_outside_the_catalog_reloads(self):
+        omega3 = catalog_cone("omega3")
+        cone = ConeSpec("omegaX", 3, omega3.g_basis, omega3.interior_point, omega3.boundary)
+        spec = _on_cone(build(d6((1, 1, 0))), cone)
+        reloaded, _ = load_domain_spec(spec_to_json(spec))
+        assert reloaded == spec
+
+    def test_product_roundtrip(self):
+        spec = product(build(d6((1, 1, 0))), build(ball(1)))
+        doc = spec_to_json(spec)
+        assert doc["cone"]["name"] == "omega3xray"
+        reloaded, _ = load_domain_spec(doc)
+        assert reloaded == spec
+        assert graded_dims(reloaded).total == 13
+
+    def test_verdict_says_whether_the_check_was_sampled(self):
+        _, lorentz = load_domain_spec(spec_to_json(build(d6((1, 1, 0)))), samples=5)
+        assert (lorentz.kind, lorentz.samples) == (VERIFIED_ON_SAMPLES, 7)
+        assert "7 sampled vectors" in lorentz.note
+        _, quadrant = load_domain_spec(spec_to_json(build(d1(4))))
+        assert quadrant.kind == VERIFIED_EXACT and quadrant.note is None
 
     def test_missing_keys(self):
         with pytest.raises(ValidationError):
