@@ -53,6 +53,7 @@ from .errors import ValidationError
 from .frozen import Frozen
 from .hermitian import HermitianFamily, validate
 from .linalg import (
+    GR_ZERO,
     GaussianRational,
     Matrix,
     RealRows,
@@ -208,7 +209,8 @@ class _Block:
         """The entries in a solution vector, as nested tuples.
 
         A real block reads plain ``Fraction``s; a complex block reads each
-        adjacent (re, im) column pair as one ``GaussianRational``.
+        adjacent (re, im) column pair as one ``GaussianRational``, a pair of
+        zeros as the shared ``GR_ZERO``.
         """
         w = self.width
 
@@ -219,7 +221,10 @@ class _Block:
             col = self.start + w * flat * d
             if w == 1:
                 return tuple(sol[col:col + d])
-            return tuple(GaussianRational(sol[c], sol[c + 1]) for c in range(col, col + 2 * d, 2))
+            return tuple(
+                GaussianRational(sol[c], sol[c + 1]) if sol[c] or sol[c + 1] else GR_ZERO
+                for c in range(col, col + 2 * d, 2)
+            )
 
         return read(0, 0)
 

@@ -10,13 +10,20 @@ weight 1) is kept as ``RealRows``, plain nested tuples of ``Fraction``;
 ``Matrix`` holds complex data.
 
 All elimination goes through ``sparse_rref``, whose rows store only their
-nonzero entries; ``Matrix.rref`` is a dense view of its result.
+nonzero entries; ``Matrix.rref`` is a dense view of its result. It eliminates
+over the integers, fraction-free (Bareiss 1968): each row is kept primitive,
+scaled to integers with no common factor, so every step is ``int``
+arithmetic, and a ``Fraction`` is built only for the entries of the result.
+An index from each column to the rows holding it confines a pivot's work to
+those rows. Complex rows are realified over interleaved (re, im) columns and
+go through the same integer kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence, TypeVar, Union
+from math import gcd, lcm
+from typing import Any, Sequence, TypeVar, Union
 
 from .errors import ValidationError
 from .frozen import Frozen
@@ -212,54 +219,117 @@ class Matrix(Frozen):
 S = TypeVar("S", Fraction, GaussianRational)
 
 
-def sparse_rref(rows: Sequence[dict[int, S]], one: S) -> tuple[list[dict[int, S]], list[int]]:
+def sparse_rref(rows: Sequence[dict[Any, S]], one: S) -> tuple[list[dict[Any, S]], list[Any]]:
     """Exact Gauss-Jordan elimination of sparse rows ``{column: nonzero scalar}``.
 
-    Columns are taken left to right. In each, the shortest remaining row with
-    a nonzero there becomes the pivot row; it is scaled to a leading one and
-    the column is cleared from every other row, above and below. Only
-    nonzeros are stored and updated. Returns the nonzero reduced rows in pivot
-    order with their pivot columns. The input rows are not modified.
+    Returns the nonzero rows of the reduced row echelon form in pivot order,
+    with their pivot columns; the form is unique, so neither depends on the
+    order of elimination. Result entries have the type of ``one``. The input
+    rows are not modified.
 
-    ``one`` is the scalar type's unit. Zeros are recognised as ``one - one``,
-    because a ``GaussianRational`` never compares equal to ``0``.
+    The work is done on integers. A rational row is scaled by the lcm of its
+    denominators and divided by the gcd of its entries. A complex row a (with
+    integer columns) is realified first, as the real rows a and i*a over
+    interleaved (re, im) columns 2j, 2j + 1: the real reduced rows whose pivot
+    is an re column are the realified complex reduced rows, and the others
+    are dropped. Each reduced row is divided by its pivot entry only at the
+    end, so ``Fraction``s are built only for the entries of the result.
     """
-    zero = one - one
-    pending = [dict(row) for row in rows if row]
-    reduced: list[dict[int, S]] = []
-    pivots: list[int] = []
-    for c in sorted(set().union(*pending)):
-        best = -1
-        for i, row in enumerate(pending):
-            if c in row and (best < 0 or len(row) < len(pending[best])):
-                best = i
-        if best < 0:
+    complex_rows = isinstance(one, GaussianRational)
+    if complex_rows:
+        rows = [r for row in rows for r in _realified(row)]
+    reduced = _integer_rref([_primitive(row) for row in rows if row])
+    if not complex_rows:
+        pivots = [c for c, _ in reduced]
+        return [{j: Fraction(x, row[c]) for j, x in row.items()} for c, row in reduced], pivots
+    out, pivots = [], []
+    for c, row in reduced:
+        if c % 2:
             continue
-        prow = pending[best]
-        pending[best] = pending[-1]
-        pending.pop()
-        p = prow[c]
-        if p != one:
-            inv = one / p
-            prow = {j: x * inv for j, x in prow.items()}
-        for row in reduced + pending:
-            f = row.get(c)
-            if f is None:
+        p = row[c]
+        out.append({
+            k: GaussianRational(Fraction(row.get(2 * k, 0), p), Fraction(row.get(2 * k + 1, 0), p))
+            for k in {j // 2 for j in row}
+        })
+        pivots.append(c // 2)
+    return out, pivots
+
+
+def _realified(row: dict[int, GaussianRational]) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
+    """The complex row a as the real rows a and i*a over interleaved (re, im) columns."""
+    a: dict[int, Fraction] = {}
+    ia: dict[int, Fraction] = {}
+    for j, z in row.items():
+        if z.re:
+            a[2 * j] = ia[2 * j + 1] = z.re
+        if z.im:
+            a[2 * j + 1] = z.im
+            ia[2 * j] = -z.im
+    return a, ia
+
+
+def _primitive(row: dict[Any, Fraction]) -> dict[Any, int]:
+    """The nonzero rational row as integers with no common factor, up to sign."""
+    scale = lcm(*(x.denominator for x in row.values()))
+    ints = {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
+    g = gcd(*ints.values())
+    return {j: x // g for j, x in ints.items()} if g != 1 else ints
+
+
+def _integer_rref(rows: list[dict[Any, int]]) -> list[tuple[Any, dict[Any, int]]]:
+    """Fraction-free Gauss-Jordan on primitive integer rows: (pivot column, row) in pivot order.
+
+    ``holders`` maps each column still to come to the ids of the rows with a
+    nonzero there, kept up to date on fill-in and cancellation, so a column's
+    work visits only its holders. The pivot row is the shortest holder that
+    is not a pivot row yet (the lowest id on ties). Another holder with entry
+    f is cleared with the pivot entry a as (a/g) row - (f/g) pivot row,
+    g = gcd(a, f), and divided by the gcd of its entries. A reduced row is
+    zero in every other pivot column.
+    """
+    holders: dict[Any, set[int]] = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            holders.setdefault(j, set()).add(i)
+    used = [False] * len(rows)
+    order = []
+    for c in sorted(holders):
+        ids = holders.pop(c)
+        candidates = [(len(rows[i]), i) for i in ids if not used[i]]
+        if not candidates:
+            continue
+        best = min(candidates)[1]
+        used[best] = True
+        prow = rows[best]
+        a = prow[c]
+        for i in ids:
+            if i == best:
                 continue
+            row = rows[i]
+            g = gcd(a, row[c])
+            s, t = a // g, row[c] // g
+            if s != 1:
+                row = rows[i] = {j: s * x for j, x in row.items()}
             for j, x in prow.items():
                 y = row.get(j)
                 if y is None:
-                    row[j] = -(f * x)
+                    row[j] = -t * x
+                    h = holders.get(j)
+                    if h is not None:
+                        h.add(i)
+                elif y := y - t * x:
+                    row[j] = y
                 else:
-                    y = y - f * x
-                    if y == zero:
-                        del row[j]
-                    else:
-                        row[j] = y
-        pending = [row for row in pending if row]
-        reduced.append(prow)
-        pivots.append(c)
-    return reduced, pivots
+                    del row[j]
+                    h = holders.get(j)
+                    if h is not None:
+                        h.discard(i)
+            if row:
+                g = gcd(*row.values())
+                if g != 1:
+                    rows[i] = {j: x // g for j, x in row.items()}
+        order.append((c, best))
+    return [(c, rows[i]) for c, i in order]
 
 
 def sparse_nullspace(rows: Sequence[dict[int, S]], ncols: int, one: S) -> list[list[S]]:

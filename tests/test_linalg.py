@@ -137,20 +137,20 @@ def small_matrices(draw):
 
 
 @given(small_matrices())
-@settings(max_examples=60, deadline=None)
+@settings(derandomize=True, max_examples=60, deadline=None)
 def test_rank_nullity(m):
     assert m.rank() + len(nullspace(m)) == m.ncols
 
 
 @given(small_matrices())
-@settings(max_examples=60, deadline=None)
+@settings(derandomize=True, max_examples=60, deadline=None)
 def test_nullspace_vectors_annihilated(m):
     for v in nullspace(m):
         assert all(x.is_zero() for x in apply(m, v))
 
 
 @given(small_matrices(), st.randoms(use_true_random=False))
-@settings(max_examples=40, deadline=None)
+@settings(derandomize=True, max_examples=40, deadline=None)
 def test_row_permutation_invariance(m, rnd):
     rows = list(m.entries)
     rnd.shuffle(rows)
@@ -160,7 +160,7 @@ def test_row_permutation_invariance(m, rnd):
 
 
 @given(small_matrices())
-@settings(max_examples=40, deadline=None)
+@settings(derandomize=True, max_examples=40, deadline=None)
 def test_rref_idempotence(m):
     reduced = m.rref().matrix
     assert reduced.rref().matrix == reduced
@@ -267,6 +267,66 @@ def test_kernel_matches_dense_reference_gaussian(case):
 def test_kernel_full_rank_square(case):
     n, rows, one = case
     assert _check_against_reference(n, rows, one) == n
+
+
+# Entries as wide as 64 bits, with a different denominator in almost every entry.
+wide_fractions = st.builds(Fraction, st.integers(-2**64, 2**64), st.integers(1, 2**64))
+wide_sparse = st.one_of(st.just(Fraction(0)), wide_fractions)
+wide_gaussians = st.builds(GaussianRational, wide_sparse, wide_fractions.filter(bool))
+REAL_COEFFS = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(-7, 3)])
+GAUSSIAN_COEFFS = REAL_COEFFS | st.sampled_from([GR_I, gr(Fraction(2, 5), -3)])
+
+
+@st.composite
+def wide_inputs(draw, entries, coeffs):
+    """(ncols, rows) up to 12 x 14: drawn rows, then copies and combinations of them.
+
+    A combination s*a + t*b of two drawn rows cancels to zero in elimination;
+    with s = 1, t = 0 it is a duplicate row.
+    """
+    ncols = draw(st.integers(min_value=1, max_value=14))
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=1, max_size=8))
+    base = list(rows)
+    for _ in range(draw(st.integers(min_value=0, max_value=12 - len(base)))):
+        a, b = draw(st.sampled_from(base)), draw(st.sampled_from(base))
+        s, t = draw(coeffs), draw(coeffs)
+        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))),
+                    [x * s + y * t for x, y in zip(a, b)])
+    return ncols, rows
+
+
+def _check_typed(ncols, rows, one):
+    """``_check_against_reference``, and every result entry has the type of ``one``."""
+    rank = _check_against_reference(ncols, rows, one)
+    zero = one - one
+    reduced, _ = sparse_rref([{j: x for j, x in enumerate(row) if x != zero} for row in rows], one)
+    assert all(type(x) is type(one) for row in reduced for x in row.values())
+    return rank
+
+
+@given(wide_inputs(wide_sparse, REAL_COEFFS))
+@settings(derandomize=True, max_examples=60, deadline=None)
+def test_kernel_matches_dense_reference_wide_rational(case):
+    _check_typed(*case, Fraction(1))
+
+
+@given(wide_inputs(wide_gaussians, GAUSSIAN_COEFFS))
+@settings(derandomize=True, max_examples=40, deadline=None)
+def test_kernel_matches_dense_reference_wide_gaussian(case):
+    _check_typed(*case, GR_ONE)
+
+
+def test_kernel_negative_pivots():
+    """Negative leading entries, a scaled duplicate and a row that cancels to zero."""
+    rows = [
+        [Fraction(-2), Fraction(4), Fraction(-6)],
+        [Fraction(-3, 7), Fraction(0), Fraction(9, 5)],
+        [Fraction(1), Fraction(-2), Fraction(3)],
+        [Fraction(-17, 7), Fraction(4), Fraction(-21, 5)],
+    ]
+    assert _check_typed(3, rows, Fraction(1)) == 2
+    complex_rows = [[GaussianRational.of(x) * gr(-1, 2) for x in row] for row in rows]
+    assert _check_typed(3, complex_rows, GR_ONE) == 2
 
 
 class TestMatrixStructure:
