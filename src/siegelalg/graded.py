@@ -37,8 +37,17 @@ are folded in one pass that stops at a zero factor. A unit factor (1 or -1,
 also as a ``GaussianRational`` with zero imaginary part) costs no
 multiplication, so a product of units copies or negates ``x``'s entries. Only
 the accumulator changes: a block's entries are shared by every identity that
-reads them, so ``add`` never modifies its argument. Rows hold only nonzero
-``Fraction``s.
+reads them, so ``add`` never modifies its argument.
+
+Rows hold exact nonzero ``int``s where the inputs are integral and
+``Fraction``s otherwise: the unknowns carry the unit ``1``, and each solver
+reads its inputs (H's entries, the cone's basis and annihilators, the
+coordinate units) through ``_exact``, which turns a rational with denominator 1
+into an ``int``. So the rows of a Gaussian-integer H over an integer cone reach
+``sparse_rref`` integral, as its kernel works. No ``int`` leaves the assembly:
+``sparse_rref`` builds every result entry as a ``Fraction``. The g1 association
+is assembled for w -> b(e_t, w) and 2 a(e_t, .), rather than for b/2 and a: the
+rows are scaled by 2, so the row space and the bases are the same.
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Sequence
+from typing import Sequence, Union
 
 from .cones import ConeSpec
 from .errors import ValidationError
@@ -61,6 +70,9 @@ from .linalg import (
     coordinate_units,
     sparse_nullspace,
 )
+
+# A row entry: an ``int`` where the inputs are integral, a ``Fraction`` otherwise.
+Exact = Union[int, Fraction]
 
 
 class SiegelDomainSpec(Frozen):
@@ -91,6 +103,13 @@ class SiegelDomainSpec(Frozen):
 # ---------------------------------------------------------------------------
 # linear expressions in real unknowns
 
+def _exact(x: Scalar) -> Scalar:
+    """``x`` with each rational part whose denominator is 1 read as an ``int``."""
+    if x.__class__ is GaussianRational:
+        return GaussianRational(_exact(x.re), _exact(x.im))
+    return x.numerator if x.denominator == 1 else x
+
+
 class _Lin:
     """Complex-linear expression in real unknowns, as two real sparse rows.
 
@@ -100,8 +119,8 @@ class _Lin:
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re: dict[int, Fraction] | None = None,
-                 im: dict[int, Fraction] | None = None) -> None:
+    def __init__(self, re: dict[int, Exact] | None = None,
+                 im: dict[int, Exact] | None = None) -> None:
         self.re = {} if re is None else re
         self.im = {} if im is None else im
 
@@ -138,7 +157,7 @@ class _Lin:
         return _Lin(dict(self.re), {j: -c for j, c in self.im.items()})
 
 
-def _axpy(row: dict[int, Fraction], c: int | Fraction, other: dict[int, Fraction]) -> None:
+def _axpy(row: dict[int, Exact], c: Exact, other: dict[int, Exact]) -> None:
     """``row += c * other``; for c = 1 or -1 the entries of ``other`` are copied or negated."""
     for j, x in other.items():
         if c != 1:
@@ -148,7 +167,7 @@ def _axpy(row: dict[int, Fraction], c: int | Fraction, other: dict[int, Fraction
 
 
 class _System:
-    """Homogeneous real linear system, collected as sparse rows ``{unknown: Fraction}``.
+    """Homogeneous real linear system, collected as sparse rows ``{unknown: int or Fraction}``.
 
     ``real`` and ``complex`` hand out blocks of unknowns in declaration order;
     ``n`` counts the columns so far.
@@ -156,7 +175,7 @@ class _System:
 
     def __init__(self) -> None:
         self.n = 0
-        self.rows: list[dict[int, Fraction]] = []
+        self.rows: list[dict[int, Exact]] = []
 
     def real(self, *shape: int) -> _Block:
         return self._block(shape, 1)
@@ -173,7 +192,7 @@ class _System:
         self.require_real_zero(expr.re)
         self.require_real_zero(expr.im)
 
-    def require_real_zero(self, row: dict[int, Fraction]) -> None:
+    def require_real_zero(self, row: dict[int, Exact]) -> None:
         row = {j: c for j, c in row.items() if c}
         if row:
             self.rows.append(row)
@@ -195,11 +214,10 @@ class _Block:
     def __init__(self, start: int, shape: tuple[int, ...], width: int) -> None:
         self.start, self.shape, self.width = start, shape, width
         # built once and shared: _Lin.add changes only its accumulator
-        one = Fraction(1)
         self._lins = {}
         for flat, index in enumerate(product(*map(range, shape))):
             col = start + width * flat
-            self._lins[index] = _Lin({col: one}, {col + 1: one} if width == 2 else {})
+            self._lins[index] = _Lin({col: 1}, {col + 1: 1} if width == 2 else {})
         self.stop = start + width * len(self._lins)
 
     def __getitem__(self, index: int | tuple[int, ...]) -> _Lin:
@@ -230,7 +248,7 @@ class _Block:
 
 
 class _Nonzeros:
-    """The nonzero entries of H_1..H_k, tabled once per solver call.
+    """The nonzero entries of H_1..H_k, tabled once per solver call, read by ``_exact``.
 
     ``row[j][u]`` lists the pairs (v, H_j[u][v]) and ``col[j][v]`` the pairs
     (u, H_j[u][v]); ``at[u][v]`` lists the pairs (j, H_j[u][v]). Each H_j is
@@ -243,7 +261,7 @@ class _Nonzeros:
     def __init__(self, form: HermitianFamily) -> None:
         m = form.m
         self.row = [
-            [[(v, h) for v, h in enumerate(hj.row(u)) if h] for u in range(m)]
+            [[(v, _exact(h)) for v, h in enumerate(hj.row(u)) if h] for u in range(m)]
             for hj in form.components
         ]
         self.col = [
@@ -326,10 +344,22 @@ def _emit_association(
                 system.require_zero(expr)
 
 
-def _annihilator_rows(system: _System, cone: ConeSpec, grid: list[list[_Lin]]) -> None:
+def _annihilators(cone: ConeSpec) -> list[list[Exact]]:
+    """The functionals on gl(k, R) that cut out g(Omega), tabled once per solver call."""
+    return [[_exact(x) for x in functional] for functional in cone.annihilators]
+
+
+def _units(m: int) -> list[tuple[int, GaussianRational]]:
+    """``coordinate_units(m)``, read by ``_exact``."""
+    return [(u, _exact(unit)) for u, unit in coordinate_units(m)]
+
+
+def _annihilator_rows(
+    system: _System, annihilators: list[list[Exact]], grid: list[list[_Lin]]
+) -> None:
     """Rows forcing the real k x k matrix whose entries are the ``re`` rows of ``grid`` into g(Omega)."""
-    k = cone.k
-    for functional in cone.annihilators:
+    k = len(grid)
+    for functional in annihilators:
         acc = _Lin()
         for j in range(k):
             for l in range(k):
@@ -339,7 +369,7 @@ def _annihilator_rows(system: _System, cone: ConeSpec, grid: list[list[_Lin]]) -
 
 def _pairing_rows(
     system: _System,
-    cone: ConeSpec,
+    annihilators: list[list[Exact]],
     nz: _Nonzeros,
     u: int,
     unit: GaussianRational,
@@ -350,19 +380,20 @@ def _pairing_rows(
     There are none when g(Omega) is all of gl(k, R) (no annihilators), as for
     the ray of every ball.
     """
-    if not cone.annihilators:
+    if not annihilators:
         return
     unit_bar = unit.conjugate()
+    k = len(nz.row)  # one table per H_j
     grid = []
     for rows in nz.row:
         row = []
-        for l in range(cone.k):
+        for l in range(k):
             acc = _Lin()
             for vp, h in rows[u]:  # H_j[u][vp]
                 acc.add(x_map[vp, l], unit_bar, h)
             row.append(_Lin(acc.im))  # the imaginary part, as a real expression
         grid.append(row)
-    _annihilator_rows(system, cone, grid)
+    _annihilator_rows(system, annihilators, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +419,7 @@ def solve_g0(spec: SiegelDomainSpec) -> tuple[tuple[RealRows, Matrix], ...]:
     for p, g in enumerate(gbasis):
         for j in range(k):
             for l in range(k):
-                a_rows[j][l].add(coords[p], g[j][l])
+                a_rows[j][l].add(coords[p], _exact(g[j][l]))
     _emit_association(system, _Nonzeros(spec.form), a_rows, b, m)
 
     basis = []
@@ -429,17 +460,18 @@ def solve_g_half(spec: SiegelDomainSpec) -> tuple[tuple[Matrix, Tensor], ...]:
     if m == 0:
         return ()
     nz = _Nonzeros(spec.form)
+    annihilators = _annihilators(spec.cone)
     pairs = _sym_pairs(m)
     system = _System()
     phi = system.complex(m, k)
     c = system.complex(m, len(pairs))
 
     # cone membership of [x -> Im H(w0, Phi x)] for w0 in the coordinate set
-    for u, unit in coordinate_units(m):
-        _pairing_rows(system, spec.cone, nz, u, unit, phi)
+    for u, unit in _units(m):
+        _pairing_rows(system, annihilators, nz, u, unit, phi)
 
     # compatibility of c with Phi: match coefficients of conj(w)_u w'_i w'_j
-    minus_two_i = GaussianRational(Fraction(0), Fraction(-2))
+    minus_two_i = _exact(GaussianRational(Fraction(0), Fraction(-2)))
     phi_bar = {(v, t): phi[v, t].conj() for v in range(m) for t in range(k)}
     for rows, cols in zip(nz.row, nz.col):
         # phibar_h[t, l] = sum_v conj(Phi[v][t]) H_j[v][l]
@@ -473,12 +505,14 @@ def solve_g1(spec: SiegelDomainSpec) -> tuple[tuple[Tensor, Tensor], ...]:
     and w_p to the w-block.
 
     Four condition families: cone membership of x -> a(x0, x); association of
-    the half-coefficient maps w -> b(x0, w)/2; reality of their traces; cone
-    membership of the mixed maps built from b; and the three-argument symmetry
-    identity, matched on monomial coefficients.
+    the half-coefficient maps w -> b(x0, w)/2 to a(x0, .), assembled as that
+    of b(x0, .) to 2 a(x0, .); reality of their traces; cone membership of the
+    mixed maps built from b; and the three-argument symmetry identity, matched
+    on monomial coefficients.
     """
     k, m = spec.k, spec.m
     nz = _Nonzeros(spec.form)
+    annihilators = _annihilators(spec.cone)
     spairs = _sym_pairs(k)
     spair_index = {p: idx for idx, p in enumerate(spairs)}
     system = _System()
@@ -488,18 +522,19 @@ def solve_g1(spec: SiegelDomainSpec) -> tuple[tuple[Tensor, Tensor], ...]:
     def a_lin(l: int, i: int, j: int) -> _Lin:
         return a[l, spair_index[(min(i, j), max(i, j))]]
 
-    half = Fraction(1, 2)
     for t in range(k):
         # membership of x -> a(e_t, x)
         grid = [[a_lin(l, t, j) for j in range(k)] for l in range(k)]
-        _annihilator_rows(system, spec.cone, grid)
+        _annihilator_rows(system, annihilators, grid)
         if m:
-            # association of w -> b(e_t, w)/2 to a(e_t, .)
-            a_rows = [[a_lin(j, t, l) for l in range(k)] for j in range(k)]
-            b_half = {key: _Lin() for key in product(range(m), repeat=2)}
-            for (lp, p), entry in b_half.items():
-                entry.add(b[lp, t, p], half)
-            _emit_association(system, nz, a_rows, b_half, m)
+            # association of w -> b(e_t, w)/2 to a(e_t, .), each row doubled:
+            # w -> b(e_t, w) associated to 2 a(e_t, .)
+            a_rows = [[_Lin() for _ in range(k)] for _ in range(k)]
+            for j in range(k):
+                for l in range(k):
+                    a_rows[j][l].add(a_lin(j, t, l), 2)
+            b_t = {(lp, p): b[lp, t, p] for lp, p in product(range(m), repeat=2)}
+            _emit_association(system, nz, a_rows, b_t, m)
             # reality of the trace
             trace = _Lin()
             for l in range(m):
@@ -508,14 +543,14 @@ def solve_g1(spec: SiegelDomainSpec) -> tuple[tuple[Tensor, Tensor], ...]:
 
     if m:
         # membership of x -> Im H(w1, b(x, w0)) for coordinate pairs (w0, w1)
-        units = coordinate_units(m)
+        units = _units(m)
         for p, unit in units:
             # b_w0[l, t] = b(e_t, w0)_l for w0 = unit * e_p
             b_w0 = {key: _Lin() for key in product(range(m), range(k))}
             for (l, t), entry in b_w0.items():
                 entry.add(b[l, t, p], unit)
             for u, unit1 in units:
-                _pairing_rows(system, spec.cone, nz, u, unit1, b_w0)
+                _pairing_rows(system, annihilators, nz, u, unit1, b_w0)
 
         # three-argument symmetry, matched on conj(w)_u conj(w')_v w''_i w''_j
         b_bar = {key: b[key].conj() for key in product(range(m), range(k), range(m))}

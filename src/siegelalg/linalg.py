@@ -14,6 +14,9 @@ nonzero entries; ``Matrix.rref`` is a dense view of its result. It eliminates
 over the integers, fraction-free (Bareiss 1968): each row is kept primitive,
 scaled to integers with no common factor, so every step is ``int``
 arithmetic, and a ``Fraction`` is built only for the entries of the result.
+A real row may hold ``int``s as well as ``Fraction``s: the graded solvers
+assemble their systems over the integers wherever their inputs are integral,
+and such rows enter the kernel as they are.
 An index from each column to the rows holding it confines a pivot's work to
 those rows. Complex rows are realified over interleaved (re, im) columns and
 go through the same integer kernel.
@@ -224,16 +227,18 @@ def sparse_rref(rows: Sequence[dict[Any, S]], one: S) -> tuple[list[dict[Any, S]
 
     Returns the nonzero rows of the reduced row echelon form in pivot order,
     with their pivot columns; the form is unique, so neither depends on the
-    order of elimination. Result entries have the type of ``one``. The input
-    rows are not modified.
+    order of elimination. Result entries have the type of ``one``, also for
+    a real row of ``int``s. The input rows are not modified.
 
     The work is done on integers. A rational row is scaled by the lcm of its
-    denominators and divided by the gcd of its entries. A complex row a (with
-    integer columns) is realified first, as the real rows a and i*a over
-    interleaved (re, im) columns 2j, 2j + 1: the real reduced rows whose pivot
-    is an re column are the realified complex reduced rows, and the others
-    are dropped. Each reduced row is divided by its pivot entry only at the
-    end, so ``Fraction``s are built only for the entries of the result.
+    denominators and divided by the gcd of its entries; an integer row (the
+    graded solvers' rows over integral inputs) enters as it is, with lcm 1. A
+    complex row a (with integer columns) is realified first, as the real rows
+    a and i*a over interleaved (re, im) columns 2j, 2j + 1: the real reduced
+    rows whose pivot is an re column are the realified complex reduced rows,
+    and the others are dropped. Each reduced row is divided by its pivot entry
+    only at the end, so ``Fraction``s are built only for the entries of the
+    result.
     """
     complex_rows = isinstance(one, GaussianRational)
     if complex_rows:

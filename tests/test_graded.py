@@ -22,8 +22,14 @@ from siegelalg.graded import (
 from siegelalg.hermitian import HermitianFamily, evaluate
 from siegelalg.homogeneity import a_part_basis
 from siegelalg.linalg import GR_I, GR_ONE, GR_ZERO, GaussianRational, Matrix, gr
-from siegelalg.serialize import cone_from_json
+from siegelalg.serialize import (
+    cone_from_json,
+    load_domain_spec,
+    solutions_bases_to_json,
+    to_json,
+)
 from matrix_oracles import add, apply, bilinear_apply, conj_transpose, is_zero, matmul
+from test_golden_bases import DENSE_SPECS
 from test_linalg import dense_rref
 
 TWO_I = GR_I + GR_I
@@ -356,15 +362,25 @@ RESIDUAL_DOMAINS = {
     "d1_4": catalog.d1(4),
 }
 
+# Domains whose H has entries with a denominator other than 1.
+RATIONAL_DOMAINS = {
+    "d3_half_0_third_1": catalog.d3(Fraction(1, 2), 0, Fraction(1, 3), 1),
+}
+SOLVER_DOMAINS = {**RESIDUAL_DOMAINS, **RATIONAL_DOMAINS}
 
-@pytest.mark.parametrize("name", sorted(RESIDUAL_DOMAINS))
+
+@pytest.mark.parametrize("name", sorted(RESIDUAL_DOMAINS) + sorted(RATIONAL_DOMAINS))
 @pytest.mark.parametrize("solver", [solve_g0, solve_L, solve_g_half, solve_g1],
                          ids=lambda f: f.__name__)
 def test_solutions_satisfy_assembled_rows_exactly(name, solver, monkeypatch):
     """Every basis vector annihilates every assembled row; the count is n - rank.
 
-    Rows hold nonzero ``Fraction``s only: ``_Lin.add`` may keep a product of
-    unit factors as an int, and none may reach a row.
+    Rows hold exact nonzero scalars: on the integral ``RESIDUAL_DOMAINS``
+    (Gaussian-integer H over an integer cone) only ``int``s, so the rows reach
+    ``sparse_rref`` integral; on the ``RATIONAL_DOMAINS`` ``int``s where the
+    inputs are integral and ``Fraction``s elsewhere, both present. No other
+    type (a ``Fraction`` with denominator 1 left unconverted on an integral
+    domain, a ``GaussianRational``) may reach a row.
     """
     systems = []
     solutions = graded._System.solutions
@@ -375,11 +391,16 @@ def test_solutions_satisfy_assembled_rows_exactly(name, solver, monkeypatch):
         return basis
 
     monkeypatch.setattr(graded._System, "solutions", recording)
-    spec = catalog.build(RESIDUAL_DOMAINS[name])
+    spec = catalog.build(SOLVER_DOMAINS[name])
     solver.__wrapped__(spec)
     assert len(systems) == (0 if solver is solve_g_half and spec.m == 0 else 1)
     for n, rows, basis in systems:
-        assert all(type(c) is Fraction and c != 0 for row in rows for c in row.values())
+        types = {type(c) for row in rows for c in row.values()}
+        if name in RESIDUAL_DOMAINS:
+            assert types <= {int}  # empty for the tube t4's g0 and L: m = 0
+        else:
+            assert types == {int, Fraction}
+        assert all(c != 0 for row in rows for c in row.values())
         for v in basis:
             assert len(v) == n
             for row in rows:
@@ -406,6 +427,8 @@ LAYOUT_SHAPES = {
 
 
 def _entries(values, index=()):
+    if isinstance(values, Matrix):
+        values = values.entries
     if isinstance(values, tuple):
         for i, v in enumerate(values):
             yield from _entries(v, index + (i,))
@@ -486,6 +509,62 @@ def test_real_solver_data_is_fraction(name):
         assert all(type(x) is GaussianRational for _, x in _entries(b))
     basis = a_part_basis(sols.g0)
     assert basis and all(_all_fractions(a) for a in basis)
+
+
+def _json_leaves(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for v in value:
+            yield from _json_leaves(v)
+    else:
+        yield value
+
+
+def _boundary_spec(name):
+    if name.startswith("dense:"):
+        spec, _ = load_domain_spec(DENSE_SPECS[name.removeprefix("dense:")][0])
+        return spec
+    return catalog.build(SOLVER_DOMAINS[name])
+
+
+@pytest.mark.parametrize(
+    "name", sorted(RESIDUAL_DOMAINS) + sorted(RATIONAL_DOMAINS) + ["dense:ballproduct2_2"]
+)
+def test_no_int_leaves_the_assembly(name):
+    """Solver outputs hold only ``Fraction``s, and ``GaussianRational``s of ``Fraction`` parts.
+
+    Rows are assembled over ``int``s where the inputs are integral, and
+    ``sparse_rref`` builds its result entries as ``Fraction``s. An ``int``
+    that got through would be emitted by ``to_json`` as a bare JSON number
+    (``2``) instead of a string (``"2"``), so every emitted leaf is a string.
+    """
+    sols = solve_all(_boundary_spec(name))
+    scalars = [x for _, x in _entries((sols.g0, sols.skew, sols.g_half, sols.g_one))]
+    assert scalars
+    for x in scalars:
+        if type(x) is GaussianRational:
+            assert type(x.re) is Fraction and type(x.im) is Fraction
+        else:
+            assert type(x) is Fraction
+    leaves = list(_json_leaves(to_json(solutions_bases_to_json(sols))))
+    assert leaves and all(type(x) is str for x in leaves)
+
+
+# every classify candidate for n = 2..5, D1(4) and two domains with rational H
+INVARIANT_DOMAINS = list(dict.fromkeys(
+    [domain for n in range(2, 6) for domain in catalog._candidate_ids(n)]
+    + [catalog.d1(4), *RATIONAL_DOMAINS.values()]
+    + [catalog.d6((Fraction(3, 2), Fraction(1, 2), Fraction(1, 3)))]
+))
+
+
+@pytest.mark.parametrize("domain", INVARIANT_DOMAINS, ids=lambda d: d.label)
+def test_skew_part_is_the_kernel_of_the_a_part(domain):
+    """L is the kernel of (A, B) -> A on g0: s = dim g0 - dim of the span of the A-parts."""
+    spec = catalog.build(domain)
+    sols = solve_all(spec)
+    assert len(solve_L(spec)) == len(sols.skew) == len(sols.g0) - len(a_part_basis(sols.g0))
 
 
 SMALL_FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=3)

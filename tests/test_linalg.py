@@ -1,6 +1,7 @@
 """Exact scalar and matrix arithmetic."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -234,7 +235,21 @@ def _check_against_reference(ncols, rows, one):
     assert got_pivots == pivots
     assert [[row.get(j, zero) for j in range(ncols)] for row in reduced] == expected[: len(pivots)]
     assert all(x != zero for row in reduced for x in row.values())
-    assert len(sparse_nullspace(sparse, ncols, one)) == ncols - len(pivots)
+    nullspace = sparse_nullspace(sparse, ncols, one)
+    assert len(nullspace) == ncols - len(pivots)
+
+    if isinstance(one, Fraction):
+        # each row scaled to ints, as the solvers assemble integral systems, enters the
+        # kernel as it is: the results equal those for the same rows as Fractions
+        ints = [{j: int(x * lcm(*(y.denominator for y in row.values()))) for j, x in row.items()}
+                for row in sparse]
+        as_fractions = [{j: Fraction(x) for j, x in row.items()} for row in ints]
+        assert all(type(x) is int for row in ints for x in row.values())
+        assert sparse_rref(ints, one) == sparse_rref(as_fractions, one) == (reduced, got_pivots)
+        int_nullspace = sparse_nullspace(ints, ncols, one)
+        assert int_nullspace == sparse_nullspace(as_fractions, ncols, one) == nullspace
+        assert all(type(x) is Fraction for row in sparse_rref(ints, one)[0] for x in row.values())
+        assert all(type(x) is Fraction for v in int_nullspace for x in v)
 
     res = Matrix(
         len(rows), ncols, tuple(tuple(GaussianRational.of(x) for x in row) for row in rows)
