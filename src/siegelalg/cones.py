@@ -135,15 +135,15 @@ class ConeSpec(Frozen):
         ident = [int(i == j) for i in range(self.k) for j in range(self.k)]
         if span_rank(basis_rows + [ident], width) != len(basis_rows):
             raise ValidationError("g_basis must contain the scalar matrices in its span")
+        sparse = [{j: x for j, x in enumerate(row) if x} for row in basis_rows]
         if not self.annihilators:
-            sparse = [{j: x for j, x in enumerate(row) if x} for row in basis_rows]
             anns = tuple(tuple(v) for v in sparse_nullspace(sparse, width, Fraction(1)))
             object.__setattr__(self, "annihilators", anns)
         if len(self.annihilators) != width - len(self.g_basis):
             raise ValidationError("annihilator count mismatch")
         for a in self.annihilators:
-            for row in basis_rows:
-                if sum(c * x for c, x in zip(a, row)) != 0:
+            for row in sparse:
+                if sum(a[j] * x for j, x in row.items()) != 0:
                     raise ValidationError("annihilator does not kill g_basis")
         if classify_point(self, self.interior_point) is not Region.INTERIOR:
             raise ValidationError("interior point is not interior")

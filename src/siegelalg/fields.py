@@ -8,9 +8,13 @@ generator is an exact eigenvector of its adjoint action.
 A bracket is accumulated term by term, with no polynomial arithmetic: for each
 component c, every term of y_c with exponent e > 0 in variable u, paired with
 every term of x_u, adds the product of the two coefficients times e at the
-monomial m_x + m_y - e_u; the same walk over -x_c, with x and y swapped,
-subtracts Y(x_c). Each component is then built once with
-``Polynomial.from_dict``, which drops zeros and sorts, so the result is the
+monomial m_x + m_y - e_u; the same walk over x_c, with x and y swapped and the
+sign flipped, subtracts Y(x_c). The walk works on exact parts, not on
+``GaussianRational``s: each coefficient is read once by ``_exact`` (a part with
+denominator 1 as an ``int``), the real and imaginary parts of the result
+accumulate in two dicts, and a zero part costs no product. Each component is
+then built once with ``Polynomial.from_dict``, one ``GaussianRational`` of
+``Fraction``s per monomial; it drops zeros and sorts, so the result is the
 canonical polynomial.
 """
 
@@ -22,7 +26,7 @@ from typing import Optional, Sequence
 from .errors import ValidationError
 from .frozen import Frozen
 from .graded import GradedSolutions, SiegelDomainSpec
-from .linalg import GR_I, GR_ZERO, coordinate_units, sparse_rref
+from .linalg import GR_I, GR_ZERO, GaussianRational, _exact, coordinate_units, sparse_rref
 from .poly import Polynomial
 
 GRADES = (Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1))
@@ -144,17 +148,35 @@ def materialize(spec: SiegelDomainSpec, sols: GradedSolutions) -> tuple[PolyVect
     return tuple(fields)
 
 
-def _apply(acc: dict, x: PolyVectorField, p: Polynomial) -> None:
-    """Add X(p) = sum_u x_u dp/du into ``acc``, keyed by monomial."""
-    for mono, coeff in p.terms:
+def _apply(re: dict, im: dict, x_terms, p_terms, sign: int) -> None:
+    """Add sign * X(p) = sign * sum_u x_u dp/du into ``re`` and ``im``, keyed by monomial.
+
+    ``x_terms[u]`` and ``p_terms`` are the terms of x_u and of p with their
+    coefficients read by ``_exact``; a zero part adds nothing.
+    """
+    for mono, coeff in p_terms:
         for u, e in enumerate(mono):
             if not e:
                 continue
             lowered = mono[:u] + (e - 1,) + mono[u + 1:]
-            scaled = coeff * e if e > 1 else coeff  # skip four Fraction products by one
-            for xm, xc in x.components[u].terms:
+            pr, pi = sign * e * coeff.re, sign * e * coeff.im
+            for xm, xc in x_terms[u]:
                 key = tuple(a + b for a, b in zip(xm, lowered))
-                acc[key] = acc.get(key, GR_ZERO) + xc * scaled
+                xr, xi = xc.re, xc.im
+                if xr:
+                    if pr:
+                        re[key] = re.get(key, 0) + xr * pr
+                    if pi:
+                        im[key] = im.get(key, 0) + xr * pi
+                if xi:
+                    if pi:
+                        re[key] = re.get(key, 0) - xi * pi
+                    if pr:
+                        im[key] = im.get(key, 0) + xi * pr
+
+
+def _fraction(x) -> Fraction:
+    return x if x.__class__ is Fraction else Fraction(x)
 
 
 def bracket(x: PolyVectorField, y: PolyVectorField) -> PolyVectorField:
@@ -162,12 +184,19 @@ def bracket(x: PolyVectorField, y: PolyVectorField) -> PolyVectorField:
     if x.n != y.n:
         raise ValidationError("fields live on different spaces")
     n = x.n
+    x_terms, y_terms = (
+        [[(mono, _exact(c)) for mono, c in p.terms] for p in f.components] for f in (x, y)
+    )
     comps = []
     for c in range(n):
-        acc: dict = {}
-        _apply(acc, x, y.components[c])
-        _apply(acc, y, -x.components[c])
-        comps.append(Polynomial.from_dict(n, acc))
+        re: dict = {}
+        im: dict = {}
+        _apply(re, im, x_terms, y_terms[c], 1)
+        _apply(re, im, y_terms, x_terms[c], -1)
+        comps.append(Polynomial.from_dict(n, {
+            key: GaussianRational(_fraction(re.get(key, 0)), _fraction(im.get(key, 0)))
+            for key in re.keys() | im.keys()
+        }))
     grade = None
     if x.grade is not None and y.grade is not None:
         grade = x.grade + y.grade

@@ -67,6 +67,7 @@ from .linalg import (
     Matrix,
     RealRows,
     Scalar,
+    _exact,
     coordinate_units,
     sparse_nullspace,
 )
@@ -102,13 +103,6 @@ class SiegelDomainSpec(Frozen):
 
 # ---------------------------------------------------------------------------
 # linear expressions in real unknowns
-
-def _exact(x: Scalar) -> Scalar:
-    """``x`` with each rational part whose denominator is 1 read as an ``int``."""
-    if x.__class__ is GaussianRational:
-        return GaussianRational(_exact(x.re), _exact(x.im))
-    return x.numerator if x.denominator == 1 else x
-
 
 class _Lin:
     """Complex-linear expression in real unknowns, as two real sparse rows.
@@ -406,8 +400,9 @@ def solve_g0(spec: SiegelDomainSpec) -> tuple[tuple[RealRows, Matrix], ...]:
     A is real, so it is ``RealRows``; B is a complex ``Matrix``. A is
     parametrized in cone coordinates, which builds the cone membership
     into the unknowns; the association identity is matched entry by entry.
-    All solvers cache on the (immutable) domain, so repeated analyses of one
-    domain cost one solve.
+    All solvers cache on the (immutable) domain, so a repeated ``solve_all``
+    of one domain costs one solve; ``catalog.verify_paper`` analyzes each
+    domain once and needs them only where it reads a solution again.
     """
     k, m = spec.k, spec.m
     gbasis = spec.cone.g_basis
@@ -422,14 +417,18 @@ def solve_g0(spec: SiegelDomainSpec) -> tuple[tuple[RealRows, Matrix], ...]:
                 a_rows[j][l].add(coords[p], _exact(g[j][l]))
     _emit_association(system, _Nonzeros(spec.form), a_rows, b, m)
 
+    # A = sum_p x_p g_p, summed over the nonzero x_p and the nonzero entries of g_p
+    g_entries = [
+        [(j, l, x) for j, row in enumerate(g) for l, x in enumerate(row) if x] for g in gbasis
+    ]
     basis = []
     for sol in system.solutions():
-        x = coords.values(sol)
-        a_mat = tuple(
-            tuple(sum(xp * g[j][l] for xp, g in zip(x, gbasis)) for l in range(k))
-            for j in range(k)
-        )
-        basis.append((a_mat, Matrix.from_rows(b.values(sol))))
+        a_mat = [[Fraction(0)] * k for _ in range(k)]
+        for xp, entries in zip(coords.values(sol), g_entries):
+            if xp:
+                for j, l, x in entries:
+                    a_mat[j][l] += xp * x
+        basis.append((tuple(map(tuple, a_mat)), Matrix.from_rows(b.values(sol))))
     return tuple(basis)
 
 

@@ -125,6 +125,17 @@ class GaussianRational(Frozen):
         return f"{self.re}{sign}{abs(self.im)}i"
 
 
+def _exact(x: Scalar) -> Scalar:
+    """``x`` with each rational part whose denominator is 1 read as an ``int``.
+
+    The exact kernels (assembly, brackets) compute on such parts: ``int``
+    arithmetic where the data is integral, a ``Fraction`` only where it is not.
+    """
+    if x.__class__ is GaussianRational:
+        return GaussianRational(_exact(x.re), _exact(x.im))
+    return x.numerator if x.denominator == 1 else x
+
+
 GR_ZERO = GaussianRational(Fraction(0), Fraction(0))
 GR_ONE = GaussianRational(Fraction(1), Fraction(0))
 GR_I = GaussianRational(Fraction(0), Fraction(1))

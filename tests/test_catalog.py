@@ -1,5 +1,7 @@
 """Domain builders, classification tables, and the verification driver."""
 
+import functools
+
 import pytest
 
 from siegelalg import catalog
@@ -197,6 +199,12 @@ class TestClassify:
         assert a.total == b.total == c.total
         assert a.d_0 == b.d_0 == c.d_0
 
+    def test_reads_reports_through_its_analyzer(self):
+        # verify_paper hands _classify a lookup that analyzes each domain once
+        lookup = functools.cache(analyze)
+        for n in range(2, 6):
+            assert classify(n) == catalog._classify(n, analyze) == catalog._classify(n, lookup)
+
     def test_out_of_range(self):
         with pytest.raises(ValidationError):
             classify(6)
@@ -209,6 +217,24 @@ class TestVerifyPaper:
         report = verify_paper()
         assert report.failed == 0
         assert report.passed == len(report.checks)
+
+    def test_each_domain_analyzed_once(self, monkeypatch):
+        built, verdicts = [], []
+        build_original, verdict_original = catalog.build, catalog.homogeneity_verdict
+
+        def counted_build(domain):
+            built.append(domain)
+            return build_original(domain)
+
+        def counted_verdict(spec, g0):
+            verdicts.append(spec)
+            return verdict_original(spec, g0)
+
+        monkeypatch.setattr(catalog, "build", counted_build)
+        monkeypatch.setattr(catalog, "homogeneity_verdict", counted_verdict)
+        assert verify_paper().ok
+        assert len(set(built)) == 32
+        assert len(built) == len(verdicts) == 32
 
     def test_perturbed_expectation_fails_alone(self, monkeypatch):
         monkeypatch.setitem(catalog.EXPECTED, "d6_total", 11)

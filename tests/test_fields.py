@@ -354,6 +354,10 @@ def test_bracket_matches_reference_formula(data):
         expected = reference_bracket(a, b)
         got = bracket(a, b)
         assert got.components == expected.components
+        # == cannot tell an int from a Fraction: Fraction(1) == 1
+        for p in got.components:
+            for _, coeff in p.terms:
+                assert type(coeff.re) is Fraction and type(coeff.im) is Fraction
         assert got.grade == expected.grade
 
 
