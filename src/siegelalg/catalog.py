@@ -23,7 +23,7 @@ from .cones import CATALOG_IDS, _built_catalog_cone, catalog_cone, isotropy_boun
 from .errors import ValidationError
 from .frozen import Frozen
 from .fields import bracket_identities_hold, check_grading, materialize
-from .graded import GradedDims, SiegelDomainSpec, solve_all, solve_L
+from .graded import GradedDims, GradedSolutions, SiegelDomainSpec, solve_all, solve_L
 from .hermitian import (
     COUNTEREXAMPLE,
     HermitianFamily,
@@ -221,10 +221,17 @@ def build(domain: DomainId) -> SiegelDomainSpec:
 class DomainReport(Frozen):
     label: str
     spec: SiegelDomainSpec
-    dims: GradedDims
-    s: int
+    sols: GradedSolutions
     bounds: BoundReport
     homogeneity: HomogeneityVerdict
+
+    @property
+    def dims(self) -> GradedDims:
+        return self.sols.dims
+
+    @property
+    def s(self) -> int:   # dim L, the skew-Hermitian part of g_0
+        return len(self.sols.skew)
 
 
 def analyze(domain: DomainId) -> DomainReport:
@@ -233,14 +240,7 @@ def analyze(domain: DomainId) -> DomainReport:
     bounds = bound_chain(
         spec.n, spec.k, len(sols.skew), spec.cone.dim_g, sols.dims.d_half, sols.dims.d_1
     )
-    return DomainReport(
-        label=domain.label,
-        spec=spec,
-        dims=sols.dims,
-        s=len(sols.skew),
-        bounds=bounds,
-        homogeneity=homogeneity_verdict(spec, sols.g0),
-    )
+    return DomainReport(domain.label, spec, sols, bounds, homogeneity_verdict(spec, sols.g0))
 
 
 # how a driver obtains the report of a domain: ``analyze`` itself, or a lookup
@@ -350,66 +350,6 @@ def _classify(n: int, analyze: Analyzer) -> ClassifyReport:
 
 # ---------------------------------------------------------------------------
 # the verification driver
-
-EXPECTED: dict[str, object] = {
-    "cone_dim_omega1": 2,
-    "cone_dim_omega2": 3,
-    "cone_dim_omega3": 4,
-    "cone_dim_omega4": 4,
-    "cone_dim_omega5": 5,
-    "cone_dim_omega6": 7,
-    "isotropy_bound_k2": Fraction(2),
-    "isotropy_bound_k3": Fraction(4),
-    "isotropy_bound_k4": Fraction(7),
-    "isotropy_cap_respected": True,
-    # the cap is attained at k=2 as well: dim g(omega1) = 2 = bound(2)
-    "isotropy_equality_cases": ["omega1", "omega3", "omega6"],
-    "ball_total_n2": 8,
-    "ball_total_n3": 15,
-    "ball_total_n4": 24,
-    "ball_total_n5": 35,
-    "tube_total_omega2": 9,
-    "t3_total": 10,
-    "tube_total_omega4": 12,
-    "tube_total_omega5": 13,
-    "t4_total": 15,
-    "d1_total_n4": 18,
-    "d2_verdict": NOT_TRANSITIVE,
-    "d2_a_part_dim": 1,
-    "d3_1011_ghalf": 0,
-    "d3_1011_g1": 0,
-    "d3_1101_ghalf": 0,
-    "d3_1101_g1": 0,
-    "d3_totals_within_branch_bound": True,
-    "d4_separable_total": 23,
-    "d4_1011_ghalf": 0,
-    "d4_1011_g1": 0,
-    "d4_1101_ghalf": 0,
-    "d4_1101_g1": 0,
-    "d4_totals_within_branch_bound": True,
-    "d5_axis_totals": [14, 14, 14],
-    "d5_multi_verdicts": [NOT_TRANSITIVE, NOT_TRANSITIVE],
-    "d6_s": 1,
-    "d6_g0": 4,
-    "d6_ghalf": 0,
-    "d6_g1": 1,
-    "d6_g1_matches_known_basis": True,
-    "d6_total": 10,
-    "d6_interior_verdict": NOT_TRANSITIVE,
-    "skew_count_formula_matches_solver": True,
-    "high_cone_margins_all_negative": True,
-    "d3_branch_bound": Fraction(12),
-    "d4_branch_bound": Fraction(17),
-    "d6_branch_bound": Fraction(13),
-    "bound_chain_sound_on_catalog": True,
-    "grading_ball3": True,
-    "grading_d6": True,
-    "bracket_identities_d6": True,
-    "classify_n2": {"B2": 8, "B1xB1": 6},
-    "classify_n3": {"B3": 15, "B2xB1": 11, "B1xB1xB1": 9, "T3": 10},
-    "classify_n4_survivors": ["B2xB1xB1"],
-    "classify_n5_survivors": ["B3xB2"],
-}
 
 D6_KNOWN_QUADRATIC = {
     (0, 0, 0): Fraction(1), (0, 0, 1): Fraction(-1), (0, 1, 1): Fraction(1),
@@ -522,94 +462,104 @@ def _bound_chain_sound(analyze: Analyzer) -> bool:
 
 
 def verify_paper() -> VerifyReport:
-    """Run the complete acceptance battery and report ``EXPECTED`` vs computed.
+    """Run the complete acceptance battery: each check's expected value against the computed one.
 
-    Each domain is analyzed once per run: every check, the bound-chain sweep
-    and the four classification tables read their reports through one table
-    local to this call.
+    Each check is one ``check(name, expected, computed)`` call, and the checks
+    are reported in call order. Each domain is analyzed once per run: every
+    check, the bound-chain sweep and the four classification tables read
+    their reports, solutions included, through one table local to this call.
     """
     report = functools.cache(analyze)
-    computed: dict[str, object] = {}
+    checks: list[CheckResult] = []
+
+    def check(name: str, expected: object, computed: object) -> None:
+        checks.append(CheckResult(name, expected, computed, computed == expected))
 
     catalog_cones = {cone_id: catalog_cone(cone_id) for cone_id in CATALOG_IDS}
-    for cone_id, cone in catalog_cones.items():
-        computed[f"cone_dim_{cone_id}"] = cone.dim_g
-    for k in (2, 3, 4):
-        computed[f"isotropy_bound_k{k}"] = isotropy_bound(k)
-    computed["isotropy_cap_respected"] = all(
+    check("cone_dim_omega1", 2, catalog_cones["omega1"].dim_g)
+    check("cone_dim_omega2", 3, catalog_cones["omega2"].dim_g)
+    check("cone_dim_omega3", 4, catalog_cones["omega3"].dim_g)
+    check("cone_dim_omega4", 4, catalog_cones["omega4"].dim_g)
+    check("cone_dim_omega5", 5, catalog_cones["omega5"].dim_g)
+    check("cone_dim_omega6", 7, catalog_cones["omega6"].dim_g)
+    check("isotropy_bound_k2", Fraction(2), isotropy_bound(2))
+    check("isotropy_bound_k3", Fraction(4), isotropy_bound(3))
+    check("isotropy_bound_k4", Fraction(7), isotropy_bound(4))
+    check("isotropy_cap_respected", True, all(
         cone.dim_g <= isotropy_bound(cone.k) for cone in catalog_cones.values()
-    )
-    computed["isotropy_equality_cases"] = [
+    ))
+    # the cap is attained at k=2 as well: dim g(omega1) = 2 = bound(2)
+    check("isotropy_equality_cases", ["omega1", "omega3", "omega6"], [
         cone_id for cone_id, cone in catalog_cones.items() if cone.dim_g == isotropy_bound(cone.k)
-    ]
+    ])
 
-    for n in (2, 3, 4, 5):
-        computed[f"ball_total_n{n}"] = report(ball(n)).dims.total
-    computed["tube_total_omega2"] = report(tube("omega2")).dims.total
-    computed["t3_total"] = report(t3()).dims.total
-    computed["tube_total_omega4"] = report(tube("omega4")).dims.total
-    computed["tube_total_omega5"] = report(tube("omega5")).dims.total
-    computed["t4_total"] = report(t4()).dims.total
+    check("ball_total_n2", 8, report(ball(2)).dims.total)
+    check("ball_total_n3", 15, report(ball(3)).dims.total)
+    check("ball_total_n4", 24, report(ball(4)).dims.total)
+    check("ball_total_n5", 35, report(ball(5)).dims.total)
+    check("tube_total_omega2", 9, report(tube("omega2")).dims.total)
+    check("t3_total", 10, report(t3()).dims.total)
+    check("tube_total_omega4", 12, report(tube("omega4")).dims.total)
+    check("tube_total_omega5", 13, report(tube("omega5")).dims.total)
+    check("t4_total", 15, report(t4()).dims.total)
 
-    computed["d1_total_n4"] = report(d1(4)).dims.total
-    d2_report = report(d2(4))
-    computed["d2_verdict"] = d2_report.homogeneity.verdict
-    computed["d2_a_part_dim"] = d2_report.homogeneity.a_part_dim
+    check("d1_total_n4", 18, report(d1(4)).dims.total)
+    d2_verdict = report(d2(4)).homogeneity
+    check("d2_verdict", NOT_TRANSITIVE, d2_verdict.verdict)
+    check("d2_a_part_dim", 1, d2_verdict.a_part_dim)
 
-    for family, builder, cap in (("d3", d3, 10), ("d4", d4, 15)):
-        totals_ok = True
-        for tag, params in (("1011", (1, 0, 1, 1)), ("1101", (1, 1, 0, 1))):
-            dims = report(builder(*params)).dims
-            computed[f"{family}_{tag}_ghalf"] = dims.d_half
-            computed[f"{family}_{tag}_g1"] = dims.d_1
-            totals_ok = totals_ok and dims.total <= cap
-        computed[f"{family}_totals_within_branch_bound"] = totals_ok
-    computed["d4_separable_total"] = report(d4(1, 0, 0, 1)).dims.total
+    d3_1011, d3_1101 = report(d3(1, 0, 1, 1)).dims, report(d3(1, 1, 0, 1)).dims
+    check("d3_1011_ghalf", 0, d3_1011.d_half)
+    check("d3_1011_g1", 0, d3_1011.d_1)
+    check("d3_1101_ghalf", 0, d3_1101.d_half)
+    check("d3_1101_g1", 0, d3_1101.d_1)
+    check("d3_totals_within_branch_bound", True, d3_1011.total <= 10 and d3_1101.total <= 10)
+    check("d4_separable_total", 23, report(d4(1, 0, 0, 1)).dims.total)
+    d4_1011, d4_1101 = report(d4(1, 0, 1, 1)).dims, report(d4(1, 1, 0, 1)).dims
+    check("d4_1011_ghalf", 0, d4_1011.d_half)
+    check("d4_1011_g1", 0, d4_1011.d_1)
+    check("d4_1101_ghalf", 0, d4_1101.d_half)
+    check("d4_1101_g1", 0, d4_1101.d_1)
+    check("d4_totals_within_branch_bound", True, d4_1011.total <= 15 and d4_1101.total <= 15)
 
-    computed["d5_axis_totals"] = [
+    check("d5_axis_totals", [14, 14, 14], [
         report(d5(tuple(1 if i == j else 0 for i in range(3)))).dims.total
         for j in range(3)
-    ]
-    computed["d5_multi_verdicts"] = [
+    ])
+    check("d5_multi_verdicts", [NOT_TRANSITIVE, NOT_TRANSITIVE], [
         report(d5(v)).homogeneity.verdict for v in ((1, 1, 0), (1, 1, 1))
-    ]
+    ])
 
     d6_report = report(d6((1, 1, 0)))
-    d6_spec = d6_report.spec
-    d6_sols = solve_all(d6_spec)
-    computed["d6_s"] = d6_report.s
-    computed["d6_g0"] = d6_report.dims.d_0
-    computed["d6_ghalf"] = d6_report.dims.d_half
-    computed["d6_g1"] = d6_report.dims.d_1
-    computed["d6_g1_matches_known_basis"] = _d6_basis_matches(d6_sols)
-    computed["d6_total"] = d6_report.dims.total
-    computed["d6_interior_verdict"] = report(d6((2, 1, 0))).homogeneity.verdict
+    check("d6_s", 1, d6_report.s)
+    check("d6_g0", 4, d6_report.dims.d_0)
+    check("d6_ghalf", 0, d6_report.dims.d_half)
+    check("d6_g1", 1, d6_report.dims.d_1)
+    check("d6_g1_matches_known_basis", True, _d6_basis_matches(d6_report.sols))
+    check("d6_total", 10, d6_report.dims.total)
+    check("d6_interior_verdict", NOT_TRANSITIVE, report(d6((2, 1, 0))).homogeneity.verdict)
 
-    computed["skew_count_formula_matches_solver"] = _skew_formula_agrees()
-    computed["high_cone_margins_all_negative"] = all(
+    check("skew_count_formula_matches_solver", True, _skew_formula_agrees())
+    check("high_cone_margins_all_negative", True, all(
         e.margin < 0 for e in closed_form_sweep(16)
-    )
-    computed["d3_branch_bound"] = bound_chain(4, 2, 2, 2, 0, 2).component_bound
-    computed["d4_branch_bound"] = bound_chain(5, 2, 5, 2, 0, 2).component_bound
-    computed["d6_branch_bound"] = bound_chain(4, 3, 1, 4, 0, 3).component_bound
-    computed["bound_chain_sound_on_catalog"] = _bound_chain_sound(report)
+    ))
+    check("d3_branch_bound", Fraction(12), bound_chain(4, 2, 2, 2, 0, 2).component_bound)
+    check("d4_branch_bound", Fraction(17), bound_chain(5, 2, 5, 2, 0, 2).component_bound)
+    check("d6_branch_bound", Fraction(13), bound_chain(4, 3, 1, 4, 0, 3).component_bound)
+    check("bound_chain_sound_on_catalog", True, _bound_chain_sound(report))
 
-    ball3_spec = report(ball(3)).spec
-    computed["grading_ball3"] = check_grading(
-        ball3_spec, materialize(ball3_spec, solve_all(ball3_spec))
-    ).passed
-    d6_fields = materialize(d6_spec, d6_sols)
-    computed["grading_d6"] = check_grading(d6_spec, d6_fields).passed
-    computed["bracket_identities_d6"] = bracket_identities_hold(d6_fields)
+    ball3 = report(ball(3))
+    ball3_fields = materialize(ball3.spec, ball3.sols)
+    check("grading_ball3", True, check_grading(ball3.spec, ball3_fields).passed)
+    d6_fields = materialize(d6_report.spec, d6_report.sols)
+    check("grading_d6", True, check_grading(d6_report.spec, d6_fields).passed)
+    check("bracket_identities_d6", True, bracket_identities_hold(d6_fields))
 
-    computed["classify_n2"] = dict(_classify(2, report).homogeneous)
-    computed["classify_n3"] = dict(_classify(3, report).homogeneous)
-    computed["classify_n4_survivors"] = list(_classify(4, report).survivors_at_target)
-    computed["classify_n5_survivors"] = list(_classify(5, report).survivors_at_target)
+    check("classify_n2", {"B2": 8, "B1xB1": 6}, dict(_classify(2, report).homogeneous))
+    check("classify_n3", {"B3": 15, "B2xB1": 11, "B1xB1xB1": 9, "T3": 10},
+          dict(_classify(3, report).homogeneous))
+    check("classify_n4_survivors", ["B2xB1xB1"], list(_classify(4, report).survivors_at_target))
+    check("classify_n5_survivors", ["B3xB2"], list(_classify(5, report).survivors_at_target))
 
-    checks = []
-    for name, expected_value in EXPECTED.items():
-        value = computed.get(name)
-        checks.append(CheckResult(name, expected_value, value, value == expected_value))
     passed = sum(1 for c in checks if c.passed)
     return VerifyReport(tuple(checks), passed, len(checks) - passed)

@@ -24,12 +24,11 @@ from .serialize import (
     fraction_from_json,
     load_domain_spec,
     solutions_bases_to_json,
-    to_json,
 )
 
 
 def _emit_json(doc) -> None:
-    print(format_json(to_json(doc)))
+    print(format_json(doc))
 
 
 def _parse_vector(text: str) -> tuple[Fraction, ...]:
@@ -262,25 +261,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, domain_flags=True):
+    def add_common(p):
         p.add_argument("--format", choices=("table", "json"), default="table")
-        if domain_flags:
-            p.add_argument("--domain", help="catalog domain, e.g. ball, d6, t3, ballproduct")
-            p.add_argument("--spec", help="path to a JSON domain document")
-            p.add_argument("--n", type=int, help="dimension parameter for ball/d1/d2")
-            p.add_argument("--factors", help="ball product factors, e.g. 2,1,1")
-            p.add_argument("--v", help="parameter vector for d5/d6, e.g. 1,1,0")
-            p.add_argument("--alpha")
-            p.add_argument("--beta")
-            p.add_argument("--gamma")
-            p.add_argument("--delta")
-            p.add_argument("--cone", help="cone id for tube domains, e.g. omega4")
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument(
-                "--samples", type=int, default=32,
-                help=f"random vectors for the sampled cone check of a --spec document "
-                f"(0 to {SAMPLES_MAX}; --spec only)",
-            )
+        p.add_argument("--domain", help="catalog domain, e.g. ball, d6, t3, ballproduct")
+        p.add_argument("--spec", help="path to a JSON domain document")
+        p.add_argument("--n", type=int, help="dimension parameter for ball/d1/d2")
+        p.add_argument("--factors", help="ball product factors, e.g. 2,1,1")
+        p.add_argument("--v", help="parameter vector for d5/d6, e.g. 1,1,0")
+        p.add_argument("--alpha")
+        p.add_argument("--beta")
+        p.add_argument("--gamma")
+        p.add_argument("--delta")
+        p.add_argument("--cone", help="cone id for tube domains, e.g. omega4")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument(
+            "--samples", type=int, default=32,
+            help=f"random vectors for the sampled cone check of a --spec document "
+            f"(0 to {SAMPLES_MAX}; --spec only)",
+        )
 
     p_cone = sub.add_parser("cone-info", help="catalog cone summary")
     p_cone.add_argument("--cone", required=True)

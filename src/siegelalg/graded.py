@@ -401,8 +401,8 @@ def solve_g0(spec: SiegelDomainSpec) -> tuple[tuple[RealRows, Matrix], ...]:
     parametrized in cone coordinates, which builds the cone membership
     into the unknowns; the association identity is matched entry by entry.
     All solvers cache on the (immutable) domain, so a repeated ``solve_all``
-    of one domain costs one solve; ``catalog.verify_paper`` analyzes each
-    domain once and needs them only where it reads a solution again.
+    of one domain costs one solve. ``catalog.verify_paper`` solves each
+    domain once and reads every solution from that domain's report.
     """
     k, m = spec.k, spec.m
     gbasis = spec.cone.g_basis

@@ -28,41 +28,22 @@ SAMPLES_MAX = 10_000
 
 
 def to_json(value):
-    """``value`` with every rational, complex number and matrix in it encoded for JSON.
-
-    A ``Fraction`` becomes "p/q", a ``GaussianRational`` {"re", "im"}, a
-    ``Matrix`` its list of rows, a tuple a list; other values pass through.
-    Real data (``RealRows``, the ``Tensor`` a of g1) is nested tuples of
-    ``Fraction``s, so it becomes lists of "p/q" strings. An ``int`` passes
-    through as a JSON number.
-
-    The encoder is looked up by exact class, so a subclass passes through
-    too, and no value goes through the ``isinstance`` check of ``Fraction``'s
-    abstract bases.
-    """
-    encode = _ENCODERS.get(type(value))
-    return value if encode is None else encode(value)
-
-
-_ENCODERS = {
-    Fraction: str,
-    GaussianRational: lambda z: {"re": str(z.re), "im": str(z.im)},
-    Matrix: lambda m: to_json(m.entries),
-    dict: lambda d: {key: to_json(v) for key, v in d.items()},
-    list: lambda xs: [to_json(v) for v in xs],
-    tuple: lambda xs: [to_json(v) for v in xs],
-}
+    """``value`` as a JSON document: the parse of ``format_json(value)``, the one writer."""
+    return json.loads(format_json(value))
 
 
 def format_json(value) -> str:
-    """The text of ``json.dumps(value, indent=2)`` for ``to_json``'s output, in one pass.
+    """The text of ``json.dumps(value, indent=2)`` with exact values encoded, in one pass.
 
-    The standard library encodes an indented document with its pure-Python
-    encoder, one generator per container; this builds the same text from one
-    list of pieces, each a leaf with the separators before it. Dicts and
-    lists are laid out here, strings are escaped to ASCII as ``json.dumps``
-    does, and other leaves (numbers, booleans, None) go through
-    ``json.dumps``. Keys must be strings.
+    Values are encoded where they are met, by exact class: a ``Fraction`` as
+    "p/q" (bare "p" for an integer), a ``GaussianRational`` as {"re", "im"},
+    a ``Matrix`` as its rows, a tuple as a list. Real data (``RealRows``, the
+    ``Tensor`` a of g1) is nested tuples of ``Fraction``s, so it becomes
+    lists of "p/q" strings; an ``int`` is a JSON number. Dicts and lists
+    (subclasses too) are laid out here and strings escaped to ASCII as
+    ``json.dumps`` does; other leaves go through ``json.dumps``. Keys must be
+    strings. The standard library's indenting encoder runs one generator per
+    container; this appends to one list of pieces instead.
     """
     out: list[str] = []
     _format(value, "", "\n", out)
@@ -71,7 +52,15 @@ def format_json(value) -> str:
 
 def _format(value, prefix: str, newline: str, out: list[str]) -> None:
     """Append ``prefix`` and then ``value``, whose lines start with ``newline``."""
-    if isinstance(value, str):
+    cls = type(value)
+    if cls is Fraction:
+        out.append(f'{prefix}"{value}"')
+    elif cls is GaussianRational:
+        inner = newline + "  "
+        out.append(f'{prefix}{{{inner}"re": "{value.re}",{inner}"im": "{value.im}"{newline}}}')
+    elif cls is Matrix:
+        _format(value.entries, prefix, newline, out)
+    elif isinstance(value, str):
         out.append(prefix + encode_basestring_ascii(value))
     elif isinstance(value, dict):
         if not value:
@@ -85,7 +74,7 @@ def _format(value, prefix: str, newline: str, out: list[str]) -> None:
             _format(v, f"{sep}{encode_basestring_ascii(key)}: ", inner, out)
             sep = "," + inner
         out.append(newline + "}")
-    elif isinstance(value, list):
+    elif cls is tuple or isinstance(value, list):
         if not value:
             out.append(prefix + "[]")
             return
@@ -143,11 +132,11 @@ def _factor_from_json(doc) -> Union[PolyhedralFactor, LorentzFactor]:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValidationError("boundary factor must carry a 'kind'")
     if doc["kind"] == "lorentz":
-        _require_keys(doc, {"coords"}, "lorentz factor")
+        _require_keys(doc, {"kind", "coords"}, "lorentz factor")
         coords = _list_value(doc["coords"], "'coords'")
         return LorentzFactor(tuple(_int_value(c, "a Lorentz coordinate") for c in coords))
     if doc["kind"] == "polyhedral":
-        _require_keys(doc, {"functionals"}, "polyhedral factor")
+        _require_keys(doc, {"kind", "functionals"}, "polyhedral factor")
         functionals = _list_value(doc["functionals"], "'functionals'")
         return PolyhedralFactor(
             tuple(
@@ -184,7 +173,7 @@ def cone_from_json(doc) -> ConeSpec:
         raise ValidationError("cone must be a catalog id or an object")
     if set(doc) == {"cone"}:
         return cone_from_json(doc["cone"])
-    _require_keys(doc, {"k", "g_basis", "interior_point", "boundary"}, "cone document")
+    _require_keys(doc, {"k", "g_basis", "interior_point", "boundary"}, "cone document", ("name",))
     k = _int_value(doc["k"], "'k'")
     g_basis = tuple(
         _real_rows_from_json(rows, k) for rows in _list_value(doc["g_basis"], "'g_basis'")
@@ -192,15 +181,11 @@ def cone_from_json(doc) -> ConeSpec:
     interior = tuple(
         fraction_from_json(x) for x in _list_value(doc["interior_point"], "'interior_point'")
     )
-    boundary_doc = doc["boundary"]
-    if isinstance(boundary_doc, dict) and "factors" in boundary_doc:
-        factors = tuple(
-            _factor_from_json(f) for f in _list_value(boundary_doc["factors"], "'factors'")
-        )
-    elif isinstance(boundary_doc, list):
-        factors = tuple(_factor_from_json(f) for f in boundary_doc)
-    else:
-        factors = (_factor_from_json(boundary_doc),)
+    boundary = doc["boundary"]
+    if isinstance(boundary, dict) and "factors" in boundary:
+        _require_keys(boundary, {"factors"}, "boundary")
+        boundary = _list_value(boundary["factors"], "'factors'")
+    factors = tuple(map(_factor_from_json, boundary if isinstance(boundary, list) else [boundary]))
     return ConeSpec(
         name=str(doc.get("name", "custom")),
         k=k,
@@ -229,10 +214,14 @@ def spec_to_json(spec: SiegelDomainSpec) -> dict:
     })
 
 
-def _require_keys(doc: dict, keys: set[str], what: str) -> None:
+def _require_keys(doc: dict, keys: set[str], what: str, optional: tuple[str, ...] = ()) -> None:
+    """``doc`` has every key of ``keys`` and no key outside ``keys`` and ``optional``."""
     missing = keys - set(doc)
     if missing:
         raise ValidationError(f"{what} missing keys: {sorted(missing)}")
+    unknown = set(doc).difference(keys, optional)
+    if unknown:
+        raise ValidationError(f"{what} has unknown keys: {sorted(unknown)}")
 
 
 def _int_value(value, what: str) -> int:
@@ -280,7 +269,7 @@ def load_domain_spec(
 
 
 def solutions_bases_to_json(sols: GradedSolutions) -> dict:
-    """Explicit generator data for ``to_json``, gated behind a CLI flag to keep reports small."""
+    """Explicit generator data for ``format_json``, gated behind a CLI flag to keep reports small."""
     return {
         "g_0": [{"A": a, "B": b} for a, b in sols.g0],
         "g_half": [{"phi": phi, "c": c} for phi, c in sols.g_half],

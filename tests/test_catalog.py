@@ -219,8 +219,10 @@ class TestVerifyPaper:
         assert report.passed == len(report.checks)
 
     def test_each_domain_analyzed_once(self, monkeypatch):
-        built, verdicts = [], []
+        # every solution a check reads comes from its domain's report
+        built, verdicts, solved = [], [], []
         build_original, verdict_original = catalog.build, catalog.homogeneity_verdict
+        solve_original = catalog.solve_all
 
         def counted_build(domain):
             built.append(domain)
@@ -230,16 +232,21 @@ class TestVerifyPaper:
             verdicts.append(spec)
             return verdict_original(spec, g0)
 
+        def counted_solve(spec):
+            solved.append(spec)
+            return solve_original(spec)
+
         monkeypatch.setattr(catalog, "build", counted_build)
         monkeypatch.setattr(catalog, "homogeneity_verdict", counted_verdict)
+        monkeypatch.setattr(catalog, "solve_all", counted_solve)
         assert verify_paper().ok
         assert len(set(built)) == 32
-        assert len(built) == len(verdicts) == 32
+        assert len(built) == len(verdicts) == len(solved) == 32
 
     def test_perturbed_expectation_fails_alone(self, monkeypatch):
-        monkeypatch.setitem(catalog.EXPECTED, "d6_total", 11)
+        monkeypatch.setattr(catalog, "_d6_basis_matches", lambda sols: False)
         report = verify_paper()
-        assert [c.name for c in report.failures()] == ["d6_total"]
+        assert [c.name for c in report.failures()] == ["d6_g1_matches_known_basis"]
 
     def test_truncated_cone_fails_many(self, monkeypatch):
         def truncated(cone_id):

@@ -210,6 +210,13 @@ MALFORMED_CONES = {
     "no_factors": _with_factors(),
     "functionless_polyhedral": _with_factors({"kind": "polyhedral", "functionals": []}),
     "lorentz_on_two_of_three": _with_factors({"kind": "lorentz", "coords": [0, 1]}),
+    # unknown keys, at every level of a cone document
+    "unknown_cone_key": {**LORENTZ3_CONE, "extra": 1},
+    "misspelled_name": {**LORENTZ3_CONE, "nmae": "lorentz3"},
+    "unknown_boundary_key": {
+        **LORENTZ3_CONE, "boundary": {**LORENTZ3_CONE["boundary"], "extra": 1},
+    },
+    "unknown_factor_key": _with_factors({"kind": "lorentz", "coords": [0, 1, 2], "extra": 1}),
     # g(Omega) is real: an imaginary entry is refused where the document is read
     "complex_g_basis_entry": {**LORENTZ3_CONE, "g_basis": [
         LORENTZ3_CONE["g_basis"][0],
@@ -243,6 +250,14 @@ class TestCustomCone:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_unknown_domain_key_is_named(self, capsys, tmp_path):
+        doc = {"n": 4, "k": 3, "cone": "omega3", "H": [[["1"]], [["1"]], [["0"]]], "h": []}
+        path = tmp_path / "domain.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "dims", "--spec", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: domain document has unknown keys: ['h']\n"
 
 
 class TestSampledNote:

@@ -12,7 +12,7 @@ from siegelalg.cones import ConeSpec, catalog_cone
 from siegelalg.errors import ValidationError
 from siegelalg.graded import SiegelDomainSpec, graded_dims
 from siegelalg.hermitian import VERIFIED_EXACT, VERIFIED_ON_SAMPLES
-from siegelalg.linalg import Matrix, gr
+from siegelalg.linalg import GaussianRational, Matrix, gr
 from siegelalg.serialize import (
     cone_from_json,
     cone_to_json,
@@ -82,6 +82,21 @@ class TestCones:
             cone_from_json("omega0")
 
 
+def _ray_ball3_document() -> dict:
+    """B3 over the ray, the ray written out as a custom cone document."""
+    return {
+        "n": 3,
+        "k": 1,
+        "cone": {
+            "k": 1,
+            "g_basis": [[["1"]]],
+            "interior_point": ["1"],
+            "boundary": {"factors": [{"kind": "polyhedral", "functionals": [["1"]]}]},
+        },
+        "H": [[["1", "0"], ["0", "1"]]],
+    }
+
+
 def _on_cone(spec, cone):
     return SiegelDomainSpec(spec.n, spec.k, cone, spec.form)
 
@@ -143,6 +158,32 @@ class TestDomainDocuments:
     def test_missing_keys(self):
         with pytest.raises(ValidationError):
             load_domain_spec({"n": 4, "k": 3})
+
+    @pytest.mark.parametrize("what,part", [
+        ("domain document", lambda doc: doc),
+        ("cone document", lambda doc: doc["cone"]),
+        ("boundary", lambda doc: doc["cone"]["boundary"]),
+        ("polyhedral factor", lambda doc: doc["cone"]["boundary"]["factors"][0]),
+    ])
+    def test_unknown_keys_are_named(self, what, part):
+        doc = _ray_ball3_document()
+        part(doc)["extra"] = 1
+        with pytest.raises(ValidationError) as err:
+            load_domain_spec(doc)
+        assert str(err.value) == f"{what} has unknown keys: ['extra']"
+
+    def test_misspelled_cone_name_is_rejected(self):
+        doc = _ray_ball3_document()
+        doc["cone"]["nmae"] = "ray"
+        with pytest.raises(ValidationError) as err:
+            load_domain_spec(doc)
+        assert "'nmae'" in str(err.value)
+
+    def test_cone_name_is_optional(self):
+        doc = _ray_ball3_document()
+        assert load_domain_spec(doc)[0].cone.name == "custom"
+        doc["cone"]["name"] = "ray"
+        assert load_domain_spec(doc)[0].cone.name == "ray"
 
     def test_non_hermitian_entry_named(self):
         doc = {
@@ -219,3 +260,46 @@ def test_format_json_matches_json_dumps(value):
 def test_format_json_rejects_non_string_keys(key):
     with pytest.raises(TypeError):
         format_json({"ok": [{key: 1}]})
+
+
+def _reference_to_json(value):
+    """The former tree-copying encoder, kept here as the reference for ``format_json``."""
+    cls = type(value)
+    if cls is Fraction:
+        return str(value)
+    if cls is GaussianRational:
+        return {"re": str(value.re), "im": str(value.im)}
+    if cls is Matrix:
+        return _reference_to_json(value.entries)
+    if cls is dict:
+        return {key: _reference_to_json(v) for key, v in value.items()}
+    if cls in (list, tuple):
+        return [_reference_to_json(v) for v in value]
+    return value
+
+
+FRACTIONS = st.fractions(max_denominator=50)
+GAUSSIANS = st.builds(GaussianRational, FRACTIONS, FRACTIONS)
+MATRICES = st.integers(1, 3).flatmap(
+    lambda cols: st.lists(st.lists(GAUSSIANS, min_size=cols, max_size=cols), min_size=1, max_size=3)
+).map(Matrix.from_rows)
+EXACT_LEAVES = st.one_of(
+    FRACTIONS, GAUSSIANS, MATRICES, st.integers(), st.booleans(), st.none(), JSON_TEXT,
+)
+EXACT_VALUES = st.recursive(
+    EXACT_LEAVES,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(JSON_TEXT, inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+@given(value=EXACT_VALUES)
+@example(value={"m": Matrix.zeros(0, 0), "t": (), "z": gr(0), "q": (Fraction(-1, 3),)})
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_format_json_encodes_exact_values_as_the_reference(value):
+    assert format_json(value) == json.dumps(_reference_to_json(value), indent=2)
+    assert to_json(value) == _reference_to_json(value)
