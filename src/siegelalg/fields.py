@@ -10,12 +10,16 @@ component c, every term of y_c with exponent e > 0 in variable u, paired with
 every term of x_u, adds the product of the two coefficients times e at the
 monomial m_x + m_y - e_u; the same walk over x_c, with x and y swapped and the
 sign flipped, subtracts Y(x_c). The walk works on exact parts, not on
-``GaussianRational``s: each coefficient is read once by ``_exact`` (a part with
-denominator 1 as an ``int``), the real and imaginary parts of the result
-accumulate in two dicts, and a zero part costs no product. Each component is
-then built once with ``Polynomial.from_dict``, one ``GaussianRational`` of
-``Fraction``s per monomial; it drops zeros and sorts, so the result is the
-canonical polynomial.
+``GaussianRational``s: each polynomial's ``exact_terms`` (a part with
+denominator 1 as an ``int``) are read once and kept, the real and imaginary
+parts of the result accumulate in two dicts, and a zero part costs no
+product. Each component is then built once by ``Polynomial.from_parts``,
+already in canonical order and keeping its exact parts for the next bracket.
+A zero operand gives the zero field at once (with the summed grade).
+
+``bracket_identities_hold`` brackets each ordered pair once and adds the
+three outer brackets of each Jacobi sum in one exact-parts dict. ``check_grading`` eliminates each weight's span once and decides
+whether a bracket lies in it with one reduction pass against the reduced rows.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ from typing import Optional, Sequence
 from .errors import ValidationError
 from .frozen import Frozen
 from .graded import GradedSolutions, SiegelDomainSpec
-from .linalg import GR_I, GR_ZERO, GaussianRational, _exact, coordinate_units, sparse_rref
-from .poly import Polynomial
+from .linalg import GR_I, GR_ZERO, coordinate_units, sparse_rref
+from .poly import Exact, Polynomial
 
 GRADES = (Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1))
 
@@ -148,21 +152,19 @@ def materialize(spec: SiegelDomainSpec, sols: GradedSolutions) -> tuple[PolyVect
     return tuple(fields)
 
 
-def _apply(re: dict, im: dict, x_terms, p_terms, sign: int) -> None:
+def _apply(re: dict, im: dict, x: PolyVectorField, p: Polynomial, sign: int) -> None:
     """Add sign * X(p) = sign * sum_u x_u dp/du into ``re`` and ``im``, keyed by monomial.
 
-    ``x_terms[u]`` and ``p_terms`` are the terms of x_u and of p with their
-    coefficients read by ``_exact``; a zero part adds nothing.
+    Both are read through their exact parts; a zero part adds nothing.
     """
-    for mono, coeff in p_terms:
+    for mono, cr, ci in p.exact_terms():
         for u, e in enumerate(mono):
             if not e:
                 continue
             lowered = mono[:u] + (e - 1,) + mono[u + 1:]
-            pr, pi = sign * e * coeff.re, sign * e * coeff.im
-            for xm, xc in x_terms[u]:
+            pr, pi = sign * e * cr, sign * e * ci
+            for xm, xr, xi in x.components[u].exact_terms():
                 key = tuple(a + b for a, b in zip(xm, lowered))
-                xr, xi = xc.re, xc.im
                 if xr:
                     if pr:
                         re[key] = re.get(key, 0) + xr * pr
@@ -175,56 +177,70 @@ def _apply(re: dict, im: dict, x_terms, p_terms, sign: int) -> None:
                         im[key] = im.get(key, 0) + xi * pr
 
 
-def _fraction(x) -> Fraction:
-    return x if x.__class__ is Fraction else Fraction(x)
-
-
 def bracket(x: PolyVectorField, y: PolyVectorField) -> PolyVectorField:
     """Holomorphic vector-field bracket [X, Y] = X(Y) - Y(X), exact."""
     if x.n != y.n:
         raise ValidationError("fields live on different spaces")
     n = x.n
-    x_terms, y_terms = (
-        [[(mono, _exact(c)) for mono, c in p.terms] for p in f.components] for f in (x, y)
-    )
+    grade = None
+    if x.grade is not None and y.grade is not None:
+        grade = x.grade + y.grade
+        if grade not in GRADES:
+            grade = None
+    if x.is_zero() or y.is_zero():
+        return PolyVectorField(n, (Polynomial.zero(n),) * n, grade, "")
     comps = []
     for c in range(n):
         re: dict = {}
         im: dict = {}
-        _apply(re, im, x_terms, y_terms[c], 1)
-        _apply(re, im, y_terms, x_terms[c], -1)
-        comps.append(Polynomial.from_dict(n, {
-            key: GaussianRational(_fraction(re.get(key, 0)), _fraction(im.get(key, 0)))
-            for key in re.keys() | im.keys()
-        }))
-    grade = None
-    if x.grade is not None and y.grade is not None:
-        grade = x.grade + y.grade
-    return PolyVectorField(n, tuple(comps), grade if grade in GRADES else None)
+        _apply(re, im, x, y.components[c], 1)
+        _apply(re, im, y, x.components[c], -1)
+        comps.append(Polynomial.from_parts(n, re, im))
+    return PolyVectorField(n, tuple(comps), grade, "")
 
 
-def _real_coordinates(f: PolyVectorField) -> dict[tuple, Fraction]:
-    """The field as a sparse real row keyed by (component, monomial, part).
+def _real_coordinates(f: PolyVectorField) -> dict[tuple, Exact]:
+    """The field as a sparse real row keyed by (component, monomial, part), with exact entries.
 
     Part 0 holds the real and part 1 the imaginary part of a coefficient.
     """
     row = {}
     for c, p in enumerate(f.components):
-        for mono, coeff in p.terms:
-            for part, x in enumerate((coeff.re, coeff.im)):
-                if x:
-                    row[c, mono, part] = x
+        for mono, re, im in p.exact_terms():
+            if re:
+                row[c, mono, 0] = re
+            if im:
+                row[c, mono, 1] = im
     return row
 
 
-def _real_span(fields: Sequence[PolyVectorField]) -> list[dict[tuple, Fraction]]:
-    """The reduced rows of the real span of ``fields``; their count is its dimension."""
-    return sparse_rref([_real_coordinates(f) for f in fields], Fraction(1))[0]
+Span = list[tuple[tuple, dict[tuple, Fraction]]]
 
 
-def _escapes(span: list[dict[tuple, Fraction]], f: PolyVectorField) -> bool:
-    """Whether ``f`` lies outside the real span whose reduced rows are ``span``."""
-    return len(sparse_rref(span + [_real_coordinates(f)], Fraction(1))[1]) > len(span)
+def _real_span(fields: Sequence[PolyVectorField]) -> Span:
+    """The real span of ``fields`` as (pivot, reduced row) pairs; their count is its dimension."""
+    reduced, pivots = sparse_rref([_real_coordinates(f) for f in fields], Fraction(1))
+    return list(zip(pivots, reduced))
+
+
+def _escapes(span: Span, f: PolyVectorField) -> bool:
+    """Whether ``f`` lies outside the real span whose reduced rows are ``span``.
+
+    One pass: each reduced row is 1 at its pivot and 0 at the other pivots,
+    so subtracting f's pivot entry times each row, in any order, leaves the
+    part of f outside the span, which is zero exactly when f is inside.
+    """
+    v = _real_coordinates(f)
+    for pivot, row in span:
+        t = v.get(pivot)
+        if t:
+            for key, x in row.items():
+                y = v.get(key, 0) - t * x
+                if y:
+                    v[key] = y
+                else:
+                    del v[key]
+    return bool(v)
 
 
 class GradingReport(Frozen):
@@ -279,7 +295,8 @@ def bracket_identities_hold(fields: Sequence[PolyVectorField]) -> bool:
     """Antisymmetry on every ordered pair of distinct fields and Jacobi on every triple.
 
     The ordered pair brackets are computed once; each Jacobi sum
-    [x,[y,z]] + [y,[z,x]] + [z,[x,y]] takes its inner brackets from that table.
+    [x,[y,z]] + [y,[z,x]] + [z,[x,y]] takes its inner brackets from that table
+    and adds the exact parts of the three outer brackets in one dict.
     """
     count = len(fields)
     table = {
@@ -293,11 +310,14 @@ def bracket_identities_hold(fields: Sequence[PolyVectorField]) -> bool:
     for i in range(count):
         for j in range(i + 1, count):
             for l in range(j + 1, count):
-                defect = zip(
-                    bracket(fields[i], table[j, l]).components,
-                    bracket(fields[j], table[l, i]).components,
-                    bracket(fields[l], table[i, j]).components,
-                )
-                if not all((a + b + c).is_zero() for a, b, c in defect):
+                total: dict = {}
+                for f in (
+                    bracket(fields[i], table[j, l]),
+                    bracket(fields[j], table[l, i]),
+                    bracket(fields[l], table[i, j]),
+                ):
+                    for key, x in _real_coordinates(f).items():
+                        total[key] = total.get(key, 0) + x
+                if any(total.values()):
                     return False
     return True

@@ -8,7 +8,11 @@ for every nonzero w.
 Positive semidefiniteness is decided exactly by congruence diagonalization
 (``negative_direction``): the diagonal values of the reduced form are exact
 rationals, and a negative one comes with its vector as a witness. No
-eigenvalues or square roots are ever computed.
+eigenvalues or square roots are ever computed. The reduction keeps the Gram
+matrix of the remaining vectors and updates it in place, by Schur complement
+when a pivot is split off and by the same rotation as the vectors when the
+diagonal vanishes, so a d x d form costs O(d^3) exact operations and no
+pairing is ever recomputed.
 """
 
 from __future__ import annotations
@@ -91,61 +95,52 @@ def evaluate(
 
 
 def negative_direction(m: Matrix) -> Optional[tuple[GaussianRational, ...]]:
-    """A vector w with conj(w)^T M w < 0, or None when M is PSD.
+    """A vector w with conj(w)^T M w < 0, or None when the Hermitian M is PSD.
 
     Found by exact congruence diagonalization (no square roots): repeatedly
     pick a basis vector with nonzero self-pairing, split the rest off, and
-    read the signs of the diagonal values.
+    read the signs of the diagonal values. The Gram matrix of the remaining
+    vectors, gram[a][b] = pairing(b_a, b_b), starts as M (the vectors start
+    as the unit vectors) and follows each step: splitting off pivot p is its
+    Schur complement, gram[a][b] - gram[a][p] gram[p][b] / gram[p][p], and
+    adding s b_j to b_i adds conj(s) times row j to row i and then s times
+    column j to column i. That is O(d^2) work per step instead of O(d^2)
+    pairings, each O(d^2).
     """
     d = m.nrows
-    basis = [list(Matrix.identity(d).row(i)) for i in range(d)]
-
-    def pairing(u: list[GaussianRational], v: list[GaussianRational]) -> GaussianRational:
-        acc = GR_ZERO
-        for i in range(d):
-            for j in range(d):
-                acc = acc + u[i].conjugate() * m.entry(i, j) * v[j]
-        return acc
-
-    remaining = basis
-    while remaining:
-        pivot_idx = None
-        for i, b in enumerate(remaining):
-            val = pairing(b, b)
-            if val.re != 0:
-                pivot_idx = i
-                break
-        if pivot_idx is None:
+    vectors = [list(row) for row in Matrix.identity(d).entries]
+    gram = [list(row) for row in m.entries]
+    while vectors:
+        p = next((i for i, row in enumerate(gram) if row[i].re), None)
+        if p is None:
             # all self-pairings vanish: either the form is zero here or some
             # off-diagonal pairing can be rotated onto the diagonal
-            fixed = False
-            for i in range(len(remaining)):
-                for j in range(i + 1, len(remaining)):
-                    g = pairing(remaining[i], remaining[j])
-                    if g.is_zero():
-                        continue
-                    if g.re != 0:
-                        remaining[i] = [a + b for a, b in zip(remaining[i], remaining[j])]
-                    else:
-                        remaining[i] = [
-                            a + GR_I * b for a, b in zip(remaining[i], remaining[j])
-                        ]
-                    fixed = True
-                    break
-                if fixed:
-                    break
-            if not fixed:
+            pair = next(
+                ((i, j) for i in range(len(gram)) for j in range(i + 1, len(gram)) if gram[i][j]),
+                None,
+            )
+            if pair is None:
                 return None
+            i, j = pair
+            s = GR_ONE if gram[i][j].re else GR_I
+            vectors[i] = [a + s * b for a, b in zip(vectors[i], vectors[j])]
+            sbar = s.conjugate()
+            gram[i] = [a + sbar * b for a, b in zip(gram[i], gram[j])]
+            for row in gram:
+                row[i] = row[i] + s * row[j]
             continue
-        piv = remaining.pop(pivot_idx)
-        val = pairing(piv, piv)
+        piv = vectors.pop(p)
+        prow = gram.pop(p)
+        val = prow.pop(p)
         if val.re < 0:
             return tuple(piv)
-        reduced = []
-        for b in remaining:
-            t = pairing(piv, b) / val
-            reduced.append([bb - t * pp for bb, pp in zip(b, piv)])
-        remaining = reduced
+        for a, row in enumerate(gram):
+            g = row.pop(p)
+            if g:  # else b_a is orthogonal to the pivot and stays as it is
+                t = prow[a] / val
+                vectors[a] = [bb - t * pp for bb, pp in zip(vectors[a], piv)]
+                f = g / val
+                row[:] = [x - f * y for x, y in zip(row, prow)]
     return None
 
 
@@ -221,7 +216,7 @@ def is_omega_hermitian(
         m = family.m
         for factor in cone.boundary:
             for functional in factor.functionals:
-                terms = list(zip(functional, family.components))
+                terms = [(c, h) for c, h in zip(functional, family.components) if c]
                 combo = Matrix.from_rows([
                     [sum((h.entry(u, v) * c for c, h in terms), GR_ZERO) for v in range(m)]
                     for u in range(m)

@@ -64,18 +64,14 @@ def generic_orbit_rank(a_basis: Sequence[RealRows], k: int) -> int:
     """Generic rank of the orbit-direction matrix with rows A_i x, x symbolic."""
     if not a_basis:
         return 0
+    units = [tuple(int(i == l) for i in range(k)) for l in range(k)]
     rows = []
     for a in a_basis:
         if len(a) != k or any(len(r) != k for r in a):
             raise ValidationError("basis matrices must be k x k")
-        row = []
-        for j in range(k):
-            p = Polynomial.zero(k)
-            for l in range(k):
-                if a[j][l]:
-                    p = p + Polynomial.variable(k, l) * a[j][l]
-            row.append(p)
-        rows.append(row)
+        rows.append([
+            Polynomial.from_dict(k, {u: x for u, x in zip(units, a[j]) if x}) for j in range(k)
+        ])
     return generic_rank(rows, k)
 
 

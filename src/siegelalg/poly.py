@@ -3,18 +3,33 @@
 Polynomials carry a fixed variable count; monomials are exponent tuples. The
 ordering used everywhere (printing, leading terms, pivot selection) is graded
 lexicographic with earlier variables heavier.
+
+The exact kernels read a polynomial through ``exact_terms``: each
+coefficient's real and imaginary parts, an ``int`` where the denominator is 1,
+computed once per polynomial. ``from_parts`` is the way back: it builds the
+canonical polynomial from such parts, already sorted, and keeps them as its
+``exact_terms``.
+
+``generic_rank`` takes rows of polynomials with real coefficients (a nonreal
+one raises ``ValidationError``). It scales each row to integers and runs
+fraction-free Bareiss elimination (Bareiss 1968) over integer polynomials,
+``{monomial: int}`` dicts, so no ``Fraction`` or ``GaussianRational`` is
+built; an exact division that leaves a remainder raises ``ValidationError``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence, Union
 
 from .errors import ValidationError
 from .frozen import Frozen
-from .linalg import GR_ONE, GR_ZERO, GaussianRational, Scalar
+from .linalg import GR_ONE, GR_ZERO, GaussianRational, Scalar, _exact
 
 Monomial = tuple[int, ...]
+Exact = Union[int, Fraction]
+IntPoly = dict[Monomial, int]
 
 
 def _mono_key(mono: Monomial) -> tuple:
@@ -24,6 +39,10 @@ def _mono_key(mono: Monomial) -> tuple:
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
+
+
+def _fraction(x: Exact) -> Fraction:
+    return x if x.__class__ is Fraction else Fraction(x)
 
 
 class Polynomial(Frozen):
@@ -61,6 +80,39 @@ class Polynomial(Frozen):
             raise ValidationError("variable index out of range")
         mono = tuple(1 if j == i else 0 for j in range(nvars))
         return Polynomial(nvars, ((mono, GR_ONE),))
+
+    @staticmethod
+    def from_parts(
+        nvars: int, re: Mapping[Monomial, Exact], im: Mapping[Monomial, Exact]
+    ) -> "Polynomial":
+        """The polynomial with coefficient re[m] + i im[m] at each monomial m (0 where absent).
+
+        The parts are exact (``int``s or ``Fraction``s); zero terms are dropped
+        and the rest built in canonical order, with the parts kept as the
+        result's ``exact_terms``.
+        """
+        terms = []
+        parts = []
+        for mono in sorted(re.keys() | im.keys(), key=_mono_key):
+            r, i = re.get(mono, 0), im.get(mono, 0)
+            if r or i:
+                terms.append((mono, GaussianRational(_fraction(r), _fraction(i))))
+                parts.append((mono, r, i))
+        p = Polynomial(nvars, tuple(terms))
+        object.__setattr__(p, "_exact_terms", tuple(parts))
+        return p
+
+    def exact_terms(self) -> tuple[tuple[Monomial, Exact, Exact], ...]:
+        """The terms as (monomial, re, im) with exact parts; computed once.
+
+        Each part is read by ``_exact`` (an ``int`` where its denominator is 1),
+        unless the polynomial was built by ``from_parts`` from parts at hand.
+        """
+        parts = self.__dict__.get("_exact_terms")
+        if parts is None:
+            parts = tuple((m, _exact(c.re), _exact(c.im)) for m, c in self.terms)
+            object.__setattr__(self, "_exact_terms", parts)
+        return parts
 
     def as_dict(self) -> dict[Monomial, GaussianRational]:
         return dict(self.terms)
@@ -114,28 +166,6 @@ class Polynomial(Frozen):
 
     __rmul__ = __mul__
 
-    def leading(self) -> tuple[Monomial, GaussianRational]:
-        if not self.terms:
-            raise ValidationError("zero polynomial has no leading term")
-        return self.terms[-1]
-
-    def divide_exact(self, divisor: "Polynomial") -> "Polynomial":
-        """Exact quotient; raises if the divisor does not divide evenly."""
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = self
-        quot: dict[Monomial, GaussianRational] = {}
-        dm, dc = divisor.leading()
-        while not rem.is_zero():
-            rm, rc = rem.leading()
-            qm = tuple(a - b for a, b in zip(rm, dm))
-            if any(e < 0 for e in qm):
-                raise ValidationError("inexact polynomial division")
-            qc = rc / dc
-            quot[qm] = quot.get(qm, GR_ZERO) + qc
-            rem = rem - Polynomial(self.nvars, ((qm, qc),)) * divisor
-        return Polynomial.from_dict(self.nvars, quot)
-
     def format(self, names: Sequence[str]) -> str:
         if len(names) != self.nvars:
             raise ValidationError("name count mismatch")
@@ -170,39 +200,89 @@ class Polynomial(Frozen):
         return self.format([f"x{i+1}" for i in range(self.nvars)])
 
 
+def _int_row(row: Sequence[Polynomial], nvars: int) -> list[IntPoly]:
+    """The row of real polynomials times the lcm of its denominators, as integer polynomials."""
+    for p in row:
+        if p.nvars != nvars:
+            raise ValidationError("variable count mismatch")
+        if any(c.im for _, c in p.terms):
+            raise ValidationError("generic rank needs real coefficients")
+    scale = lcm(*(c.re.denominator for p in row for _, c in p.terms))
+    return [{m: c.re.numerator * (scale // c.re.denominator) for m, c in p.terms} for p in row]
+
+
+def _degree(p: IntPoly) -> int:
+    return max(map(sum, p))
+
+
+def _mul_into(acc: IntPoly, p: IntPoly, q: IntPoly, sign: int) -> None:
+    """Add sign * p * q into ``acc``, dropping the terms that cancel."""
+    for m1, c1 in p.items():
+        c1 *= sign
+        for m2, c2 in q.items():
+            m = _mono_mul(m1, m2)
+            c = acc.get(m, 0) + c1 * c2
+            if c:
+                acc[m] = c
+            else:
+                del acc[m]
+
+
+def _divide_exact(num: IntPoly, den: IntPoly) -> IntPoly:
+    """The quotient num / den in integer polynomials, by long division on leading terms.
+
+    A remainder raises ``ValidationError``.
+    """
+    dm = max(den, key=_mono_key)
+    dc = den[dm]
+    rem = dict(num)
+    quot = {}
+    while rem:
+        rm = max(rem, key=_mono_key)
+        q, r = divmod(rem[rm], dc)
+        qm = tuple(a - b for a, b in zip(rm, dm))
+        if r or any(e < 0 for e in qm):
+            raise ValidationError("inexact polynomial division")
+        quot[qm] = q
+        _mul_into(rem, {qm: q}, den, -1)
+    return quot
+
+
 def generic_rank(rows: Sequence[Sequence[Polynomial]], nvars: int) -> int:
     """Rank of the matrix ``rows`` over the rational functions in ``nvars`` indeterminates.
 
-    Computed by fraction-free (Bareiss-style) elimination: every division is by
-    the previous pivot and is exact, so intermediate entries stay polynomial.
-    Pivot choice within the current column prefers minimal total degree, then
-    the topmost row, which keeps growth small and the procedure deterministic.
-    The result equals the maximal rank of any rational-point evaluation.
+    The entries must have real coefficients. Each row is scaled to integers,
+    which leaves the rank unchanged, and eliminated fraction-free (Bareiss):
+    every division is by the previous pivot and is exact, so intermediate
+    entries stay integer polynomials. Pivot choice within the current column
+    prefers minimal total degree, then the topmost row, which keeps growth
+    small and the procedure deterministic. The result equals the maximal rank
+    of any rational-point evaluation.
     """
-    rows = [list(row) for row in rows]
-    nrows, ncols = len(rows), len(rows[0]) if rows else 0
-    prev = Polynomial.constant(nvars, 1)
+    mat = [_int_row(row, nvars) for row in rows]
+    nrows, ncols = len(mat), len(mat[0]) if mat else 0
+    prev = None
     r = 0
     for c in range(ncols):
         if r >= nrows:
             break
         best = None
         for i in range(r, nrows):
-            if rows[i][c].is_zero():
-                continue
-            deg = rows[i][c].total_degree()
-            if best is None or deg < rows[best][c].total_degree():
+            if mat[i][c] and (best is None or _degree(mat[i][c]) < _degree(mat[best][c])):
                 best = i
         if best is None:
             continue
-        if best != r:
-            rows[r], rows[best] = rows[best], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, nrows):
+        mat[r], mat[best] = mat[best], mat[r]
+        top = mat[r]
+        piv = top[c]
+        for row in mat[r + 1:]:
+            f = row[c]
             for j in range(c + 1, ncols):
-                num = piv * rows[i][j] - rows[i][c] * rows[r][j]
-                rows[i][j] = num.divide_exact(prev)
-            rows[i][c] = Polynomial.zero(nvars)
+                num: IntPoly = {}
+                _mul_into(num, piv, row[j], 1)
+                _mul_into(num, f, top[j], -1)
+                row[j] = num if prev is None else _divide_exact(num, prev)
+            row[c] = {}
         prev = piv
         r += 1
     return r

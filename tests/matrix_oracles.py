@@ -1,4 +1,5 @@
-"""Dense matrix and bilinear-form products the tests use as independent oracles.
+"""Dense matrix and bilinear-form products, and a polynomial-matrix rank, that the tests
+use as independent oracles.
 
 The package has no caller for them, so they live with the tests: each is
 written out in the plainest way, entry by entry.
@@ -6,6 +7,7 @@ written out in the plainest way, entry by entry.
 
 from siegelalg.errors import ValidationError
 from siegelalg.linalg import GR_ZERO, GaussianRational, Matrix
+from siegelalg.poly import Polynomial
 
 
 def conj_transpose(m: Matrix) -> Matrix:
@@ -69,3 +71,52 @@ def bilinear_apply(coeffs, u, v) -> tuple[GaussianRational, ...]:
                 acc = acc + c * uu[i] * vv[j]
         out.append(acc)
     return tuple(out)
+
+
+def _leading(p):
+    return p.terms[-1]
+
+
+def polynomial_divide_exact(p, divisor):
+    """Reference exact quotient in ``Polynomial`` arithmetic; a remainder raises."""
+    rem, quot = p, {}
+    dm, dc = _leading(divisor)
+    while not rem.is_zero():
+        rm, rc = _leading(rem)
+        qm = tuple(a - b for a, b in zip(rm, dm))
+        if any(e < 0 for e in qm):
+            raise ValidationError("inexact polynomial division")
+        qc = rc / dc
+        quot[qm] = quot.get(qm, GR_ZERO) + qc
+        rem = rem - Polynomial(p.nvars, ((qm, qc),)) * divisor
+    return Polynomial.from_dict(p.nvars, quot)
+
+
+def polynomial_generic_rank(rows, nvars):
+    """Reference: Bareiss elimination on ``Polynomial`` entries, as ``generic_rank`` did before it
+    moved to integer polynomials. Same pivot rule: minimal total degree, then topmost row."""
+    rows = [list(row) for row in rows]
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    prev = Polynomial.constant(nvars, 1)
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        best = None
+        for i in range(r, nrows):
+            if rows[i][c].is_zero():
+                continue
+            if best is None or rows[i][c].total_degree() < rows[best][c].total_degree():
+                best = i
+        if best is None:
+            continue
+        rows[r], rows[best] = rows[best], rows[r]
+        piv = rows[r][c]
+        for i in range(r + 1, nrows):
+            for j in range(c + 1, ncols):
+                num = piv * rows[i][j] - rows[i][c] * rows[r][j]
+                rows[i][j] = polynomial_divide_exact(num, prev)
+            rows[i][c] = Polynomial.zero(nvars)
+        prev = piv
+        r += 1
+    return r

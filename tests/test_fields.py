@@ -369,6 +369,19 @@ def test_bracket_matches_reference_on_d6_generators():
             assert bracket(x, y) == reference_bracket(x, y)
 
 
+def test_bracket_with_zero_operand_matches_reference():
+    """A zero operand short-cuts to the zero field; the grade still sums."""
+    spec = d6_spec()
+    operands = [euler_field(spec)] + list(materialize(spec, solve_all(spec)))
+    for grade in GRADES + (None, Fraction(-2)):
+        zero = PolyVectorField(4, (Polynomial.zero(4),) * 4, grade)
+        for x in operands + [zero]:
+            for a, b in ((x, zero), (zero, x)):
+                got = bracket(a, b)
+                assert got == reference_bracket(a, b)
+                assert got.is_zero()
+
+
 class TestJacobi:
     def test_d6_triples(self):
         spec = d6_spec()
@@ -397,3 +410,30 @@ class TestJacobi:
                 assert weighted(x, y).components == tuple(-p for p in weighted(y, x).components)
         monkeypatch.setattr(fields_module, "bracket", weighted)
         assert not bracket_identities_hold(fields)
+
+    def test_dropped_second_half_fails(self, monkeypatch):
+        # an _apply that skips the -Y(X) half brackets as X(Y) alone
+        spec = d6_spec()
+        fields = materialize(spec, solve_all(spec))
+        apply = fields_module._apply
+
+        def first_half_only(re, im, x, p, sign):
+            if sign > 0:
+                apply(re, im, x, p, sign)
+
+        monkeypatch.setattr(fields_module, "_apply", first_half_only)
+        assert not bracket_identities_hold(fields)
+
+
+def test_doubled_coefficient_escapes_the_grading():
+    spec = d6_spec()
+    fields = list(materialize(spec, solve_all(spec)))
+    (idx,) = [i for i, f in enumerate(fields) if f.grade == Fraction(1)]
+    f = fields[idx]
+    comp = f.components[0]
+    (mono, coeff), *rest = comp.terms
+    doubled = Polynomial(comp.nvars, ((mono, coeff + coeff), *rest))
+    fields[idx] = PolyVectorField(f.n, (doubled,) + f.components[1:], f.grade, f.label)
+    report = check_grading(spec, fields)
+    assert not report.passed
+    assert any("escapes" in msg for msg in report.failures)

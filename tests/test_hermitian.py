@@ -1,6 +1,10 @@
 """Hermitian families, exact negative directions, and cone compatibility."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siegelalg.cones import Region, catalog_cone, classify_point
 from siegelalg.errors import ValidationError
@@ -15,7 +19,7 @@ from siegelalg.hermitian import (
     negative_direction,
     validate,
 )
-from siegelalg.linalg import Matrix, gr
+from siegelalg.linalg import GR_I, GR_ZERO, Matrix, gr
 
 
 def diag(*vals):
@@ -73,6 +77,107 @@ class TestPsd:
         w = negative_direction(m)
         value = evaluate(family(m), w)[0]
         assert value.re < 0
+
+
+def pairing_negative_direction(m):
+    """Reference: the congruence diagonalization that recomputes every pairing from M.
+
+    This is how ``negative_direction`` worked before it kept the Gram matrix.
+    """
+    d = m.nrows
+    basis = [list(Matrix.identity(d).row(i)) for i in range(d)]
+
+    def pairing(u, v):
+        acc = GR_ZERO
+        for i in range(d):
+            for j in range(d):
+                acc = acc + u[i].conjugate() * m.entry(i, j) * v[j]
+        return acc
+
+    remaining = basis
+    while remaining:
+        pivot_idx = None
+        for i, b in enumerate(remaining):
+            val = pairing(b, b)
+            if val.re != 0:
+                pivot_idx = i
+                break
+        if pivot_idx is None:
+            fixed = False
+            for i in range(len(remaining)):
+                for j in range(i + 1, len(remaining)):
+                    g = pairing(remaining[i], remaining[j])
+                    if g.is_zero():
+                        continue
+                    if g.re != 0:
+                        remaining[i] = [a + b for a, b in zip(remaining[i], remaining[j])]
+                    else:
+                        remaining[i] = [a + GR_I * b for a, b in zip(remaining[i], remaining[j])]
+                    fixed = True
+                    break
+                if fixed:
+                    break
+            if not fixed:
+                return None
+            continue
+        piv = remaining.pop(pivot_idx)
+        val = pairing(piv, piv)
+        if val.re < 0:
+            return tuple(piv)
+        reduced = []
+        for b in remaining:
+            t = pairing(piv, b) / val
+            reduced.append([bb - t * pp for bb, pp in zip(b, piv)])
+        remaining = reduced
+    return None
+
+
+SMALL = st.integers(-2, 2)
+GAUSSIAN = st.builds(gr, SMALL, SMALL)
+
+
+@st.composite
+def hermitian_matrices(draw):
+    """Hermitian d x d matrices, d <= 4: general, zero-diagonal, singular or PSD.
+
+    A zero diagonal with imaginary off-diagonal entries needs the rotation by i.
+    """
+    d = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["general", "zero diagonal", "imaginary", "singular", "psd"]))
+    scale = Fraction(1, draw(st.integers(1, 3)))
+    if kind in ("general", "zero diagonal", "imaginary"):
+        rows = [[GR_ZERO] * d for _ in range(d)]
+        for i in range(d):
+            if kind == "general":
+                rows[i][i] = gr(draw(SMALL) * scale)
+            for j in range(i + 1, d):
+                if kind == "imaginary":
+                    rows[i][j] = gr(0, draw(SMALL) * scale)
+                else:
+                    rows[i][j] = draw(GAUSSIAN) * scale
+                rows[j][i] = rows[i][j].conjugate()
+        return Matrix.from_rows(rows)
+    # C^* D C with D real diagonal: rank at most r, PSD when D >= 0
+    r = draw(st.integers(1, d - 1)) if kind == "singular" and d > 1 else draw(st.integers(1, d))
+    scales = st.integers(0, 2) if kind == "psd" else st.integers(-2, 2)
+    diag_d = [draw(scales) for _ in range(r)]
+    c = [[draw(GAUSSIAN) * scale for _ in range(d)] for _ in range(r)]
+    return Matrix.from_rows([
+        [sum((c[p][i].conjugate() * diag_d[p] * c[p][j] for p in range(r)), GR_ZERO)
+         for j in range(d)]
+        for i in range(d)
+    ])
+
+
+@given(m=hermitian_matrices())
+@settings(derandomize=True, max_examples=60, deadline=None)
+def test_negative_direction_matches_pairing_reference(m):
+    w = negative_direction(m)
+    assert w == pairing_negative_direction(m)
+    if w is not None:
+        assert all(type(x.re) is Fraction and type(x.im) is Fraction for x in w)
+        value = evaluate(family(m), w)[0]
+        assert value.im == 0 and value.re < 0
 
 
 class TestOmegaHermitian:

@@ -2,6 +2,9 @@
 
 from fractions import Fraction
 
+import pytest
+
+from siegelalg import catalog
 from siegelalg.cones import catalog_cone, classify_point, Region
 from siegelalg.graded import SiegelDomainSpec, solve_g0
 from siegelalg.hermitian import HermitianFamily, _Lcg
@@ -13,6 +16,9 @@ from siegelalg.homogeneity import (
     homogeneity_verdict,
 )
 from siegelalg.linalg import Matrix
+from siegelalg.poly import Polynomial
+
+from matrix_oracles import polynomial_generic_rank
 
 
 def diag(*vals):
@@ -123,6 +129,33 @@ class TestGenericRank:
         for spec in specs:
             basis = a_parts(spec)
             assert generic_orbit_rank(basis, spec.k) == self._sampled_maximum(spec, basis)
+
+
+def orbit_rows(a_basis, k):
+    """The rows A_i x of ``generic_orbit_rank``, built in ``Polynomial`` arithmetic."""
+    rows = []
+    for a in a_basis:
+        row = []
+        for j in range(k):
+            p = Polynomial.zero(k)
+            for l in range(k):
+                p = p + Polynomial.variable(k, l) * a[j][l]
+            row.append(p)
+        rows.append(row)
+    return rows
+
+
+CANDIDATES = sorted(
+    {d for n in range(2, 6) for d in catalog._candidate_ids(n)}, key=lambda d: d.label
+)
+
+
+@pytest.mark.parametrize("domain", CANDIDATES, ids=lambda d: d.label)
+def test_orbit_rank_matches_polynomial_reference(domain):
+    spec = catalog.build(domain)
+    basis = a_part_basis(solve_g0(spec))
+    expected = polynomial_generic_rank(orbit_rows(basis, spec.k), spec.k) if basis else 0
+    assert generic_orbit_rank(basis, spec.k) == expected
 
 
 class TestVerdicts:

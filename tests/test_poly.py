@@ -3,11 +3,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siegelalg.errors import ValidationError
 from siegelalg.hermitian import _Lcg
 from siegelalg.linalg import GR_ZERO, GaussianRational, Matrix, gr
-from siegelalg.poly import Polynomial, generic_rank
+from siegelalg.poly import Polynomial, _divide_exact, generic_rank
+
+from matrix_oracles import polynomial_generic_rank
 
 
 def x(i, n=2):
@@ -41,13 +45,21 @@ class TestPolynomial:
         assert Polynomial.constant(2, 5).total_degree() == 0
         assert (x(0) * x(1) * x(1)).total_degree() == 3
 
+    # the exact division of generic_rank's Bareiss steps, on integer polynomials
     def test_exact_division(self):
-        p = (x(0) + x(1)) * (x(0) - x(1))
-        assert p.divide_exact(x(0) + x(1)) == x(0) - x(1)
+        # (x + y)(x - y) / (x + y), and 6xy / (-3y)
+        assert _divide_exact({(2, 0): 1, (0, 2): -1}, {(1, 0): 1, (0, 1): 1}) == {
+            (1, 0): 1, (0, 1): -1,
+        }
+        assert _divide_exact({(1, 1): 6}, {(0, 1): -3}) == {(1, 0): -2}
 
     def test_inexact_division_raises(self):
         with pytest.raises(ValidationError):
-            (x(0) + Polynomial.constant(2, 1)).divide_exact(x(1))
+            _divide_exact({(1, 0): 1, (0, 0): 1}, {(0, 1): 1})  # (x + 1) / y
+        with pytest.raises(ValidationError):
+            _divide_exact({(1, 0): 3}, {(0, 0): 2})  # 3x / 2 is not integral
+        with pytest.raises(ValidationError):
+            _divide_exact({(2, 0): 1, (0, 0): 1}, {(1, 0): 1, (0, 0): 1})  # (x^2 + 1) / (x + 1)
 
     def test_format_deterministic(self):
         p = x(0) * x(0) + x(0) * x(1) * 2 - Polynomial.constant(2, Fraction(1, 2))
@@ -98,3 +110,35 @@ class TestGenericRank:
             [x(0) * x(1), x(1) * x(1)],
         ]
         assert generic_rank(m, 2) == 1
+
+    def test_nonreal_coefficient_refused(self):
+        with pytest.raises(ValidationError):
+            generic_rank([[x(0) * gr(0, 1)]], 2)
+
+
+@st.composite
+def linear_form_rows(draw):
+    """Rows of k real linear forms in k indeterminates, k <= 4, with ``Fraction`` coefficients."""
+    k = draw(st.integers(1, 4))
+    units = [tuple(int(i == l) for i in range(k)) for l in range(k)]
+    coeff = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = []
+        for _ in range(k):
+            # sparse forms, so that rank deficiency and zero pivots occur
+            support = draw(st.lists(st.integers(0, k - 1), max_size=2))
+            row.append(Polynomial.from_dict(k, {units[l]: draw(coeff) for l in support}))
+        rows.append(row)
+    if draw(st.booleans()):
+        # a combination of the first rows, with a nonconstant coefficient
+        a, b = draw(coeff), draw(st.integers(0, k - 1))
+        rows.append([p * a + q * Polynomial.variable(k, b) for p, q in zip(rows[0], rows[-1])])
+    return k, rows
+
+
+@given(case=linear_form_rows())
+@settings(derandomize=True, max_examples=40, deadline=None)
+def test_generic_rank_matches_polynomial_reference(case):
+    k, rows = case
+    assert generic_rank(rows, k) == polynomial_generic_rank(rows, k)
