@@ -9,16 +9,17 @@ A bracket is accumulated term by term, with no polynomial arithmetic: for each
 component c, every term of y_c with exponent e > 0 in variable u, paired with
 every term of x_u, adds the product of the two coefficients times e at the
 monomial m_x + m_y - e_u; the same walk over x_c, with x and y swapped and the
-sign flipped, subtracts Y(x_c). The walk works on exact parts, not on
-``GaussianRational``s: each polynomial's ``exact_terms`` (a part with
-denominator 1 as an ``int``) are read once and kept, the real and imaginary
-parts of the result accumulate in two dicts, and a zero part costs no
-product. Each component is then built once by ``Polynomial.from_parts``,
-already in canonical order and keeping its exact parts for the next bracket.
-A zero operand gives the zero field at once (with the summed grade).
+sign flipped, subtracts Y(x_c). The walk reads each polynomial's terms as
+exact (re, im) parts, the real and imaginary parts of the result accumulate
+in two dicts, and a zero part costs no product. Each component is then built
+once by ``Polynomial.from_parts``, already in canonical order. A zero
+operand gives the zero field at once (with the summed grade).
 
-``bracket_identities_hold`` brackets each ordered pair once and adds the
-three outer brackets of each Jacobi sum in one exact-parts dict. ``check_grading`` eliminates each weight's span once and decides
+An identity between fields is decided in exact real coordinates: ``_vanishes``
+adds the fields' coefficients, each times its scalar, into one dict. It
+checks each eigenvalue relation of ``check_grading`` and each antisymmetry
+and Jacobi sum of ``bracket_identities_hold``, which brackets each ordered
+pair once. ``check_grading`` eliminates each weight's span once and decides
 whether a bracket lies in it with one reduction pass against the reduced rows.
 """
 
@@ -30,8 +31,8 @@ from typing import Optional, Sequence
 from .errors import ValidationError
 from .frozen import Frozen
 from .graded import GradedSolutions, SiegelDomainSpec
-from .linalg import GR_I, GR_ZERO, coordinate_units, sparse_rref
-from .poly import Exact, Polynomial
+from .linalg import GR_I, Exact, GaussianRational, _exact, coordinate_units, sparse_rref
+from .poly import Polynomial
 
 GRADES = (Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1))
 
@@ -52,14 +53,6 @@ class PolyVectorField(Frozen):
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.components)
 
-    def scale(self, c) -> "PolyVectorField":
-        return PolyVectorField(self.n, tuple(p * c for p in self.components), self.grade, self.label)
-
-    def __sub__(self, other: "PolyVectorField") -> "PolyVectorField":
-        return PolyVectorField(
-            self.n, tuple(a - b for a, b in zip(self.components, other.components))
-        )
-
     def format(self, names: Sequence[str]) -> str:
         return "(" + ", ".join(p.format(names) for p in self.components) + ")"
 
@@ -76,21 +69,26 @@ def euler_field(spec: SiegelDomainSpec) -> PolyVectorField:
     n, k = spec.n, spec.k
     comps = []
     for i in range(n):
-        var = Polynomial.variable(n, i)
-        comps.append(var if i < k else var * Fraction(1, 2))
+        mono = tuple(int(j == i) for j in range(n))
+        comps.append(Polynomial(n, ((mono, 1 if i < k else Fraction(1, 2), 0),)))
     return PolyVectorField(n, tuple(comps), Fraction(0), "euler")
 
 
 def _field(n: int, terms, grade: Fraction, label: str) -> PolyVectorField:
     """The field whose ``terms`` are (component, coefficient, variable...); equal monomials add up."""
-    coeffs: list[dict] = [{} for _ in range(n)]
+    re: list[dict] = [{} for _ in range(n)]
+    im: list[dict] = [{} for _ in range(n)]
     for component, coeff, *variables in terms:
         mono = [0] * n
         for x in variables:
             mono[x] += 1
         key = tuple(mono)
-        coeffs[component][key] = coeffs[component].get(key, GR_ZERO) + coeff
-    return PolyVectorField(n, tuple(Polynomial.from_dict(n, c) for c in coeffs), grade, label)
+        c = GaussianRational.of(coeff)
+        re[component][key] = re[component].get(key, 0) + _exact(c.re)
+        im[component][key] = im[component].get(key, 0) + _exact(c.im)
+    return PolyVectorField(
+        n, tuple(Polynomial.from_parts(n, r, i) for r, i in zip(re, im)), grade, label
+    )
 
 
 def materialize(spec: SiegelDomainSpec, sols: GradedSolutions) -> tuple[PolyVectorField, ...]:
@@ -157,13 +155,13 @@ def _apply(re: dict, im: dict, x: PolyVectorField, p: Polynomial, sign: int) -> 
 
     Both are read through their exact parts; a zero part adds nothing.
     """
-    for mono, cr, ci in p.exact_terms():
+    for mono, cr, ci in p.terms:
         for u, e in enumerate(mono):
             if not e:
                 continue
             lowered = mono[:u] + (e - 1,) + mono[u + 1:]
             pr, pi = sign * e * cr, sign * e * ci
-            for xm, xr, xi in x.components[u].exact_terms():
+            for xm, xr, xi in x.components[u].terms:
                 key = tuple(a + b for a, b in zip(xm, lowered))
                 if xr:
                     if pr:
@@ -188,7 +186,7 @@ def bracket(x: PolyVectorField, y: PolyVectorField) -> PolyVectorField:
         if grade not in GRADES:
             grade = None
     if x.is_zero() or y.is_zero():
-        return PolyVectorField(n, (Polynomial.zero(n),) * n, grade, "")
+        return PolyVectorField(n, (Polynomial(n, ()),) * n, grade, "")
     comps = []
     for c in range(n):
         re: dict = {}
@@ -206,12 +204,21 @@ def _real_coordinates(f: PolyVectorField) -> dict[tuple, Exact]:
     """
     row = {}
     for c, p in enumerate(f.components):
-        for mono, re, im in p.exact_terms():
+        for mono, re, im in p.terms:
             if re:
                 row[c, mono, 0] = re
             if im:
                 row[c, mono, 1] = im
     return row
+
+
+def _vanishes(*terms: tuple[Exact, PolyVectorField]) -> bool:
+    """Whether the sum of c * f over the (c, f) in ``terms``, c real, is zero in real coordinates."""
+    total: dict = {}
+    for c, f in terms:
+        for key, x in _real_coordinates(f).items():
+            total[key] = total.get(key, 0) + c * x
+    return not any(total.values())
 
 
 Span = list[tuple[tuple, dict[tuple, Fraction]]]
@@ -265,7 +272,7 @@ def check_grading(spec: SiegelDomainSpec, fields: Sequence[PolyVectorField]) -> 
     eigen = 0
     for f in graded:
         eigen += 1
-        if not (bracket(euler, f) - f.scale(f.grade)).is_zero():
+        if not _vanishes((1, bracket(euler, f)), (-f.grade, f)):
             failures.append(f"eigenvalue relation fails for {f.label or 'unlabeled field'}")
     by_grade: dict[Fraction, list[PolyVectorField]] = {}
     for f in graded:
@@ -295,8 +302,8 @@ def bracket_identities_hold(fields: Sequence[PolyVectorField]) -> bool:
     """Antisymmetry on every ordered pair of distinct fields and Jacobi on every triple.
 
     The ordered pair brackets are computed once; each Jacobi sum
-    [x,[y,z]] + [y,[z,x]] + [z,[x,y]] takes its inner brackets from that table
-    and adds the exact parts of the three outer brackets in one dict.
+    [x,[y,z]] + [y,[z,x]] + [z,[x,y]] takes its inner brackets from that table.
+    Each antisymmetry and Jacobi sum is decided by ``_vanishes``.
     """
     count = len(fields)
     table = {
@@ -305,19 +312,15 @@ def bracket_identities_hold(fields: Sequence[PolyVectorField]) -> bool:
     }
     for i in range(count):
         for j in range(i + 1, count):
-            if table[i, j].components != tuple(-p for p in table[j, i].components):
+            if not _vanishes((1, table[i, j]), (1, table[j, i])):
                 return False
     for i in range(count):
         for j in range(i + 1, count):
             for l in range(j + 1, count):
-                total: dict = {}
-                for f in (
-                    bracket(fields[i], table[j, l]),
-                    bracket(fields[j], table[l, i]),
-                    bracket(fields[l], table[i, j]),
+                if not _vanishes(
+                    (1, bracket(fields[i], table[j, l])),
+                    (1, bracket(fields[j], table[l, i])),
+                    (1, bracket(fields[l], table[i, j])),
                 ):
-                    for key, x in _real_coordinates(f).items():
-                        total[key] = total.get(key, 0) + x
-                if any(total.values()):
                     return False
     return True

@@ -55,7 +55,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Sequence, Union
+from typing import Sequence
 
 from .cones import ConeSpec
 from .errors import ValidationError
@@ -63,6 +63,7 @@ from .frozen import Frozen
 from .hermitian import HermitianFamily, validate
 from .linalg import (
     GR_ZERO,
+    Exact,
     GaussianRational,
     Matrix,
     RealRows,
@@ -71,9 +72,6 @@ from .linalg import (
     coordinate_units,
     sparse_nullspace,
 )
-
-# A row entry: an ``int`` where the inputs are integral, a ``Fraction`` otherwise.
-Exact = Union[int, Fraction]
 
 
 class SiegelDomainSpec(Frozen):

@@ -20,7 +20,7 @@ from .errors import ValidationError
 from .frozen import Frozen
 from .graded import SiegelDomainSpec
 from .linalg import Matrix, RealRows, sparse_rref
-from .poly import Polynomial, generic_rank
+from .poly import generic_rank
 
 NOT_TRANSITIVE = "not-transitive"
 GENERICALLY_OPEN_ORBITS = "generically-open-orbits"
@@ -69,9 +69,7 @@ def generic_orbit_rank(a_basis: Sequence[RealRows], k: int) -> int:
     for a in a_basis:
         if len(a) != k or any(len(r) != k for r in a):
             raise ValidationError("basis matrices must be k x k")
-        rows.append([
-            Polynomial.from_dict(k, {u: x for u, x in zip(units, a[j]) if x}) for j in range(k)
-        ])
+        rows.append([{u: x for u, x in zip(units, a[j]) if x} for j in range(k)])
     return generic_rank(rows, k)
 
 

@@ -125,6 +125,10 @@ class GaussianRational(Frozen):
         return f"{self.re}{sign}{abs(self.im)}i"
 
 
+# A real part or row entry: an ``int`` where its denominator is 1, a ``Fraction`` otherwise.
+Exact = Union[int, Fraction]
+
+
 def _exact(x: Scalar) -> Scalar:
     """``x`` with each rational part whose denominator is 1 read as an ``int``.
 

@@ -1,12 +1,15 @@
-"""Dense matrix and bilinear-form products, and a polynomial-matrix rank, that the tests
-use as independent oracles.
+"""Dense matrix and bilinear-form products, polynomial arithmetic and a polynomial-matrix
+rank, that the tests use as independent oracles.
 
 The package has no caller for them, so they live with the tests: each is
-written out in the plainest way, entry by entry.
+written out in the plainest way, entry by entry. A polynomial here is a dict
+{monomial: GaussianRational} with no zero coefficient.
 """
 
+from fractions import Fraction
+
 from siegelalg.errors import ValidationError
-from siegelalg.linalg import GR_ZERO, GaussianRational, Matrix
+from siegelalg.linalg import GR_ONE, GR_ZERO, GaussianRational, Matrix
 from siegelalg.poly import Polynomial
 
 
@@ -73,40 +76,89 @@ def bilinear_apply(coeffs, u, v) -> tuple[GaussianRational, ...]:
     return tuple(out)
 
 
+def coefficients(p: Polynomial) -> dict:
+    """The terms of ``p`` as {monomial: GaussianRational}."""
+    return {m: GaussianRational(Fraction(re), Fraction(im)) for m, re, im in p.terms}
+
+
+def polynomial(nvars, coeffs) -> Polynomial:
+    """The ``Polynomial`` with the coefficients {monomial: number or GaussianRational}."""
+    coeffs = {m: GaussianRational.of(c) for m, c in coeffs.items()}
+    return Polynomial.from_parts(
+        nvars, {m: c.re for m, c in coeffs.items()}, {m: c.im for m, c in coeffs.items()}
+    )
+
+
+def variable(nvars, i) -> dict:
+    return {tuple(int(j == i) for j in range(nvars)): GR_ONE}
+
+
+def poly_add(*ps) -> dict:
+    out = {}
+    for p in ps:
+        for m, c in p.items():
+            out[m] = out.get(m, GR_ZERO) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def poly_mul(p, q) -> dict:
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            out[m] = out.get(m, GR_ZERO) + GaussianRational.of(c1) * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def poly_scale(p, c) -> dict:
+    out = {m: GaussianRational.of(x) * c for m, x in p.items()}
+    return {m: x for m, x in out.items() if x}
+
+
+def degree(p) -> int:
+    """Total degree; the zero polynomial has degree -1."""
+    return max(map(sum, p), default=-1)
+
+
 def _leading(p):
-    return p.terms[-1]
+    # graded lex, earlier variables heavier
+    m = max(p, key=lambda mono: (sum(mono), tuple(-e for e in mono)))
+    return m, p[m]
 
 
 def polynomial_divide_exact(p, divisor):
-    """Reference exact quotient in ``Polynomial`` arithmetic; a remainder raises."""
+    """Reference exact quotient of two polynomials; a remainder raises."""
     rem, quot = p, {}
     dm, dc = _leading(divisor)
-    while not rem.is_zero():
+    while rem:
         rm, rc = _leading(rem)
         qm = tuple(a - b for a, b in zip(rm, dm))
         if any(e < 0 for e in qm):
             raise ValidationError("inexact polynomial division")
         qc = rc / dc
-        quot[qm] = quot.get(qm, GR_ZERO) + qc
-        rem = rem - Polynomial(p.nvars, ((qm, qc),)) * divisor
-    return Polynomial.from_dict(p.nvars, quot)
+        quot = poly_add(quot, {qm: qc})
+        rem = poly_add(rem, poly_mul({qm: -qc}, divisor))
+    return quot
 
 
 def polynomial_generic_rank(rows, nvars):
-    """Reference: Bareiss elimination on ``Polynomial`` entries, as ``generic_rank`` did before it
-    moved to integer polynomials. Same pivot rule: minimal total degree, then topmost row."""
-    rows = [list(row) for row in rows]
+    """Reference: Bareiss elimination on polynomial entries, as ``generic_rank`` did before it
+    moved to integer polynomials. Same pivot rule: minimal total degree, then topmost row.
+
+    The entries are {monomial: number or GaussianRational} dicts.
+    """
+    rows = [[poly_scale(p, GR_ONE) for p in row] for row in rows]
     nrows, ncols = len(rows), len(rows[0]) if rows else 0
-    prev = Polynomial.constant(nvars, 1)
+    prev = {(0,) * nvars: GR_ONE}
     r = 0
     for c in range(ncols):
         if r >= nrows:
             break
         best = None
         for i in range(r, nrows):
-            if rows[i][c].is_zero():
+            if not rows[i][c]:
                 continue
-            if best is None or rows[i][c].total_degree() < rows[best][c].total_degree():
+            if best is None or degree(rows[i][c]) < degree(rows[best][c]):
                 best = i
         if best is None:
             continue
@@ -114,9 +166,11 @@ def polynomial_generic_rank(rows, nvars):
         piv = rows[r][c]
         for i in range(r + 1, nrows):
             for j in range(c + 1, ncols):
-                num = piv * rows[i][j] - rows[i][c] * rows[r][j]
+                num = poly_add(
+                    poly_mul(piv, rows[i][j]), poly_scale(poly_mul(rows[i][c], rows[r][j]), -1)
+                )
                 rows[i][j] = polynomial_divide_exact(num, prev)
-            rows[i][c] = Polynomial.zero(nvars)
+            rows[i][c] = {}
         prev = piv
         r += 1
     return r

@@ -96,19 +96,46 @@ def _referenced_names(tree, skip=None):
     return names
 
 
-def test_every_function_has_a_caller():
+def _package_trees():
+    """Each module's tree (``__init__.py`` aside), mapped to every name read in it."""
     package = Path(siegelalg.__file__).parent
-    trees = {
-        path.name: ast.parse(path.read_text(encoding="utf-8"))
+    trees = [
+        ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(package.glob("*.py"))
         if path.name != "__init__.py"
-    }
-    uncalled = []
-    for name, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and not any(
-                node.name in _referenced_names(other, node if other is tree else None)
-                for other in trees.values()
-            ):
-                uncalled.append(node.name)
+    ]
+    return {tree: _referenced_names(tree) for tree in trees}
+
+
+def _has_caller(node, tree, trees):
+    """Whether the name ``node`` defines is read in the package outside ``node`` itself."""
+    return any(
+        node.name in (_referenced_names(tree, node) if other is tree else names)
+        for other, names in trees.items()
+    )
+
+
+def test_every_function_has_a_caller():
+    trees = _package_trees()
+    uncalled = [
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not _has_caller(node, tree, trees)
+    ]
     assert sorted(uncalled) == sorted(UNCALLED_ENTRY_POINTS)
+
+
+def test_every_public_method_has_a_caller():
+    trees = _package_trees()
+    uncalled = [
+        f"{cls.name}.{node.name}"
+        for tree in trees
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and not _has_caller(node, tree, trees)
+    ]
+    assert uncalled == []

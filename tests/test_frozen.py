@@ -81,7 +81,7 @@ class TestConstruction:
 
     def test_hand_written_constructors_take_keywords(self):
         assert GaussianRational(im=Fraction(2), re=Fraction(1)) == gr(1, 2)
-        assert Polynomial(nvars=2, terms=()) == Polynomial.zero(2)
+        assert Polynomial(nvars=2, terms=()) == Polynomial.from_parts(2, {}, {})
 
     @pytest.mark.parametrize("make", [
         lambda: DomainId(),
@@ -123,7 +123,7 @@ class TestImmutability:
     @pytest.mark.parametrize("value, name", [
         (DomainId("ball", n=3), "n"),
         (gr(1, 2), "re"),
-        (Polynomial.zero(2), "terms"),
+        (Polynomial.from_parts(2, {}, {}), "terms"),
         (half_line(), "k"),
     ])
     def test_assignment_and_deletion_raise(self, value, name):

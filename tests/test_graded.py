@@ -1,7 +1,7 @@
 """Graded component solvers against hand-checkable and published values."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -634,5 +634,56 @@ def test_w_coordinate_change_invariance(name, data):
     p = data.draw(invertible_gaussian(base.m))
     moved = fam(*(matmul(matmul(conj_transpose(p), h), p) for h in base.form.components))
     spec = SiegelDomainSpec(base.n, base.k, base.cone, moved)
+    assert graded_dims(spec) == graded_dims(base)
+    assert len(solve_L(spec)) == len(solve_L(base))
+
+
+def _orthant_maps(k):
+    """Each permutation of the k axes followed by the scaling diag(1, 2, 1/3), cut to k."""
+    scales = (1, 2, Fraction(1, 3))[:k]
+    return [
+        ("perm" + "".join(map(str, sigma)),
+         [[scales[j] if sigma[j] == l else 0 for l in range(k)] for j in range(k)])
+        for sigma in permutations(range(k))
+    ]
+
+
+# Lorentz maps of omega3 (x0 the axis): a boost from the triple (3, 4, 5) and a rotation
+LORENTZ_MAPS = [
+    ("boost", [[Fraction(5, 3), Fraction(4, 3), 0], [Fraction(4, 3), Fraction(5, 3), 0], [0, 0, 1]]),
+    ("rotation", [[1, 0, 0], [0, Fraction(3, 5), Fraction(-4, 5)], [0, Fraction(4, 5), Fraction(3, 5)]]),
+]
+CONE_AUTOMORPHISM_CASES = [
+    (domain, name, g)
+    for domain, k in [(catalog.d5((1, 1, 1)), 3), (catalog.d3(1, 0, 1, 1), 2),
+                      (catalog.d2(4), 2), (catalog.ball_product(2, 2), 2)]
+    for name, g in _orthant_maps(k)
+] + [
+    (catalog.d6(v), name, g)
+    for v in [(1, 1, 0), (2, 1, 0), (Fraction(3, 2), Fraction(1, 2), Fraction(1, 3))]
+    for name, g in LORENTZ_MAPS
+]
+
+
+@pytest.mark.parametrize(
+    "domain, g",
+    [(d, g) for d, _, g in CONE_AUTOMORPHISM_CASES],
+    ids=[f"{d.label}-{name}" for d, name, _ in CONE_AUTOMORPHISM_CASES],
+)
+def test_cone_automorphism_invariance(domain, g):
+    """z -> g z for g in Aut(Omega) is a biholomorphism onto the domain over the same cone with
+    H'_j = sum_l g_jl H_l, so dims and s are unchanged."""
+    base = catalog.build(domain)
+    comps = base.form.components
+    moved = fam(*(
+        Matrix.from_rows([
+            [sum((g[j][l] * h.entries[a][b] for l, h in enumerate(comps)), GR_ZERO)
+             for b in range(base.m)]
+            for a in range(base.m)
+        ])
+        for j in range(base.k)
+    ))
+    spec = SiegelDomainSpec(base.n, base.k, base.cone, moved)
+    assert moved != base.form
     assert graded_dims(spec) == graded_dims(base)
     assert len(solve_L(spec)) == len(solve_L(base))

@@ -16,9 +16,8 @@ from siegelalg.homogeneity import (
     homogeneity_verdict,
 )
 from siegelalg.linalg import Matrix
-from siegelalg.poly import Polynomial
 
-from matrix_oracles import polynomial_generic_rank
+from matrix_oracles import poly_add, poly_scale, polynomial_generic_rank, variable
 
 
 def diag(*vals):
@@ -132,14 +131,14 @@ class TestGenericRank:
 
 
 def orbit_rows(a_basis, k):
-    """The rows A_i x of ``generic_orbit_rank``, built in ``Polynomial`` arithmetic."""
+    """The rows A_i x of ``generic_orbit_rank``, built in the oracles' polynomial arithmetic."""
     rows = []
     for a in a_basis:
         row = []
         for j in range(k):
-            p = Polynomial.zero(k)
+            p = {}
             for l in range(k):
-                p = p + Polynomial.variable(k, l) * a[j][l]
+                p = poly_add(p, poly_scale(variable(k, l), a[j][l]))
             row.append(p)
         rows.append(row)
     return rows
