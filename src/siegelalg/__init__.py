@@ -54,6 +54,7 @@ from .graded import (
     GradedDims,
     GradedSolutions,
     SiegelDomainSpec,
+    a_part_basis,
     graded_dims,
     solve_all,
     solve_g0,
@@ -70,7 +71,6 @@ from .homogeneity import (
     GENERICALLY_OPEN_ORBITS,
     NOT_TRANSITIVE,
     HomogeneityVerdict,
-    a_part_basis,
     generic_orbit_rank,
     homogeneity_verdict,
 )

@@ -229,16 +229,12 @@ class DomainReport(Frozen):
     def dims(self) -> GradedDims:
         return self.sols.dims
 
-    @property
-    def s(self) -> int:   # dim L, the skew-Hermitian part of g_0
-        return len(self.sols.skew)
-
 
 def analyze(domain: DomainId) -> DomainReport:
     spec = build(domain)
     sols = solve_all(spec)
     bounds = bound_chain(
-        spec.n, spec.k, len(sols.skew), spec.cone.dim_g, sols.dims.d_half, sols.dims.d_1
+        spec.n, spec.k, sols.s, spec.cone.dim_g, sols.dims.d_half, sols.dims.d_1
     )
     return DomainReport(domain.label, spec, sols, bounds, homogeneity_verdict(spec, sols.g0))
 
@@ -425,7 +421,7 @@ def _skew_formula_agrees() -> bool:
                 [Matrix.identity(n - 2), _diag(eigs)]
             )
             spec = SiegelDomainSpec(n, 2, quadrant, fam)
-            if len(solve_L(spec)) != s_from_multiplicities(n, mults):
+            if solve_L(spec) != s_from_multiplicities(n, mults):
                 return False
     return True
 
@@ -454,7 +450,7 @@ def _bound_chain_sound(analyze: Analyzer) -> bool:
             return False
         if report.dims.d_half > 2 * report.spec.m or report.dims.d_1 > report.spec.k:
             return False
-        if report.s > report.spec.m * report.spec.m:
+        if report.sols.s > report.spec.m * report.spec.m:
             return False
         if is_omega_hermitian(report.spec.form, report.spec.cone).kind == COUNTEREXAMPLE:
             return False
@@ -531,7 +527,7 @@ def verify_paper() -> VerifyReport:
     ])
 
     d6_report = report(d6((1, 1, 0)))
-    check("d6_s", 1, d6_report.s)
+    check("d6_s", 1, d6_report.sols.s)
     check("d6_g0", 4, d6_report.dims.d_0)
     check("d6_ghalf", 0, d6_report.dims.d_half)
     check("d6_g1", 1, d6_report.dims.d_1)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import catalog
 from .bounds import SWEEP_MAX, bound_chain, closed_form_sweep
@@ -29,13 +28,6 @@ from .serialize import (
 
 def _emit_json(doc) -> None:
     print(format_json(doc))
-
-
-def _parse_vector(text: str) -> tuple[Fraction, ...]:
-    try:
-        return tuple(Fraction(part.strip()) for part in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"bad vector literal {text!r}") from exc
 
 
 def _parse_factors(text: str) -> tuple[int, ...]:
@@ -68,7 +60,7 @@ def _domain_from_args(args) -> catalog.DomainId:
     if kind in ("d5", "d6"):
         if not args.v:
             raise ValidationError(f"{kind} needs --v, e.g. --v 1,1,0")
-        v = _parse_vector(args.v)
+        v = tuple(map(fraction_from_json, args.v.split(",")))
         return catalog.d5(v) if kind == "d5" else catalog.d6(v)
     if kind == "t3":
         return catalog.t3()
@@ -92,7 +84,9 @@ def _load_spec(args):
         with open(args.spec, "r", encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
-            except (UnicodeDecodeError, RecursionError) as exc:
+            except json.JSONDecodeError as exc:
+                raise ValidationError(f"malformed JSON: {exc}") from exc
+            except (ValueError, RecursionError) as exc:  # undecodable bytes, an int past the digit limit
                 raise ValidationError(f"cannot read {args.spec}: {exc}") from exc
         spec, compat = load_domain_spec(doc, samples=args.samples, seed=args.seed)
         if compat.note:
@@ -137,7 +131,7 @@ def _cmd_dims(args) -> int:
         "n": spec.n,
         "k": spec.k,
         "dims": sols.dims.as_dict(),
-        "s": len(sols.skew),
+        "s": sols.s,
     }
     if args.emit_bases:
         doc["bases"] = solutions_bases_to_json(sols)
@@ -148,7 +142,7 @@ def _cmd_dims(args) -> int:
         print(f"domain {label}: n={spec.n} k={spec.k}")
         print(
             f"g_-1={d.d_m1} g_-1/2={d.d_mhalf} g_0={d.d_0} "
-            f"g_1/2={d.d_half} g_1={d.d_1} total={d.total} s={len(sols.skew)}"
+            f"g_1/2={d.d_half} g_1={d.d_1} total={d.total} s={sols.s}"
         )
         if args.emit_bases:
             _emit_json(solutions_bases_to_json(sols))
@@ -330,9 +324,6 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON: {exc}", file=sys.stderr)
         return 2
 
 

@@ -128,23 +128,22 @@ class ConeSpec(Frozen):
         if rank != self.k:
             raise ValidationError(f"the cone contains a line: its boundary rows have rank {rank}")
         object.__setattr__(self, "g_basis", tuple(_real_rows(m, self.k) for m in self.g_basis))
+        # one elimination: the kernel of the vectorized basis has k^2 - dim vectors iff the basis
+        # is independent, only traceless ones iff it spans the scalars, and is g(Omega)'s annihilators
         width = self.k * self.k
-        basis_rows = [[x for row in m for x in row] for m in self.g_basis]
-        if not basis_rows or span_rank(basis_rows, width) != len(basis_rows):
+        sparse = [{i * self.k + j: x for i, row in enumerate(m) for j, x in enumerate(row) if x}
+                  for m in self.g_basis]
+        kernel = sparse_nullspace(sparse, width, Fraction(1))
+        if not sparse or len(kernel) != width - len(sparse):
             raise ValidationError("g_basis is linearly dependent or empty")
-        ident = [int(i == j) for i in range(self.k) for j in range(self.k)]
-        if span_rank(basis_rows + [ident], width) != len(basis_rows):
+        if any(sum(a[i * self.k + i] for i in range(self.k)) for a in kernel):
             raise ValidationError("g_basis must contain the scalar matrices in its span")
-        sparse = [{j: x for j, x in enumerate(row) if x} for row in basis_rows]
         if not self.annihilators:
-            anns = tuple(tuple(v) for v in sparse_nullspace(sparse, width, Fraction(1)))
-            object.__setattr__(self, "annihilators", anns)
-        if len(self.annihilators) != width - len(self.g_basis):
+            object.__setattr__(self, "annihilators", tuple(map(tuple, kernel)))
+        elif len(self.annihilators) != len(kernel):
             raise ValidationError("annihilator count mismatch")
-        for a in self.annihilators:
-            for row in sparse:
-                if sum(a[j] * x for j, x in row.items()) != 0:
-                    raise ValidationError("annihilator does not kill g_basis")
+        elif any(sum(a[j] * x for j, x in row.items()) for a in self.annihilators for row in sparse):
+            raise ValidationError("annihilator does not kill g_basis")
         if classify_point(self, self.interior_point) is not Region.INTERIOR:
             raise ValidationError("interior point is not interior")
 

@@ -13,13 +13,12 @@ orbit dimension everywhere:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import ValidationError
 from .frozen import Frozen
-from .graded import SiegelDomainSpec
-from .linalg import Matrix, RealRows, sparse_rref
+from .graded import SiegelDomainSpec, a_part_basis
+from .linalg import Matrix, RealRows
 from .poly import generic_rank
 
 NOT_TRANSITIVE = "not-transitive"
@@ -40,24 +39,6 @@ class HomogeneityVerdict(Frozen):
             "verdict": self.verdict,
             "note": self.note,
         }
-
-
-def a_part_basis(g0: Sequence[tuple[RealRows, Matrix]]) -> tuple[RealRows, ...]:
-    """Canonical basis of the span of the A-components of the weight-0 pairs ``g0``.
-
-    Canonicalized through row reduction of the vectorized matrices, so the
-    result is deterministic and independent of the pairing with B.
-    """
-    if not g0:
-        return ()
-    k = len(g0[0][0])
-    rows = [{i * k + j: x for i, row in enumerate(a) for j, x in enumerate(row) if x} for a, _ in g0]
-    reduced, _ = sparse_rref(rows, Fraction(1))
-    zero = Fraction(0)
-    return tuple(
-        tuple(tuple(r.get(i * k + j, zero) for j in range(k)) for i in range(k))
-        for r in reduced
-    )
 
 
 def generic_orbit_rank(a_basis: Sequence[RealRows], k: int) -> int:

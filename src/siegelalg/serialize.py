@@ -7,6 +7,8 @@ complex entries as {"re": "p/q", "im": "r/s"}. No floats anywhere.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Union
@@ -89,15 +91,25 @@ def _format(value, prefix: str, newline: str, out: list[str]) -> None:
 
 
 def fraction_from_json(value: Union[str, int]) -> Fraction:
+    """An int, or a literal such as "-3/4", "0.5" or "2e3". A literal is refused if its value has
+    more digits than an int prints with, and a large exponent before 10**exponent is expanded."""
     if isinstance(value, bool):
         raise ValidationError("expected a rational, got a boolean")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        # (mantissa, exponent) of a decimal literal; ``Fraction`` checks the syntax
+        match = re.fullmatch(r"(\s*[-+]?[\d_]*\.?[\d_]*)e([-+]?[\d_]+)\s*", value, re.IGNORECASE)
+        try:  # a nonzero mantissa times 10**e has at least |e| - len(mantissa) digits
+            huge = match is not None and abs(int(match[2])) > limit + len(match[1])
+            q = Fraction(match[1] if huge else value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"bad rational literal {value!r}") from exc
+        big = max(abs(q.numerator), q.denominator)
+        if q and huge or big.bit_length() > 3 * limit and big >= 10**limit:  # 8**limit < 10**limit
+            raise ValidationError(f"rational literal {value!r} has more than {limit} digits")
+        return q
     raise ValidationError(f"bad rational value {value!r} (floats are not accepted)")
 
 
@@ -260,10 +272,13 @@ def load_domain_spec(
     spec = SiegelDomainSpec(n, k, cone, family)
     verdict = is_omega_hermitian(family, cone, samples=samples, seed=seed)
     if verdict.is_counterexample():
-        witness = "(" + ", ".join(str(x) for x in verdict.witness) + ")"
+        try:
+            where = "at w = (" + ", ".join(str(x) for x in verdict.witness) + ")"
+        except ValueError:  # an entry with more digits than an int may print with
+            where = "at a w whose entries are too long to print"
         raise ValidationError(
             f"family is not compatible with the cone: H(w,w) leaves the closed "
-            f"cone minus zero at w = {witness}"
+            f"cone minus zero {where}"
         )
     return spec, verdict
 

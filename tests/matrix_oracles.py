@@ -1,5 +1,6 @@
-"""Dense matrix and bilinear-form products, polynomial arithmetic and a polynomial-matrix
-rank, that the tests use as independent oracles.
+"""Dense matrix and bilinear-form products, dense Gauss-Jordan elimination and the skew space
+it solves for, polynomial arithmetic and a polynomial-matrix rank, that the tests use as
+independent oracles.
 
 The package has no caller for them, so they live with the tests: each is
 written out in the plainest way, entry by entry. A polynomial here is a dict
@@ -9,7 +10,7 @@ written out in the plainest way, entry by entry. A polynomial here is a dict
 from fractions import Fraction
 
 from siegelalg.errors import ValidationError
-from siegelalg.linalg import GR_ONE, GR_ZERO, GaussianRational, Matrix
+from siegelalg.linalg import GR_I, GR_ONE, GR_ZERO, GaussianRational, Matrix
 from siegelalg.poly import Polynomial
 
 
@@ -74,6 +75,63 @@ def bilinear_apply(coeffs, u, v) -> tuple[GaussianRational, ...]:
                 acc = acc + c * uu[i] * vv[j]
         out.append(acc)
     return tuple(out)
+
+
+def dense_rref(rows, ncols, one):
+    """Reference Gauss-Jordan on dense rows: the first nonzero row from the top pivots."""
+    zero = one - one
+    rows = [list(row) for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != zero), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = one / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != zero:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def skew_basis(form) -> list[Matrix]:
+    """A basis of {B : B* H_j + H_j B = 0 for every j}, the matrices associated to A = 0.
+
+    B is realified as B[t][u] = x[2(tm + u)] + i x[2(tm + u) + 1], and entry
+    (u, v) of B* H_j + H_j B, sum_t conj(B[t][u]) H_j[t][v] + H_j[u][t] B[t][v],
+    gives one row for its real part and one for its imaginary part. The kernel
+    is read off ``dense_rref``: one vector per free column.
+    """
+    m = form.m
+    ncols = 2 * m * m
+    rows = []
+    for h in form.components:
+        for u in range(m):
+            for v in range(m):
+                coeffs = [GR_ZERO] * ncols
+                for t in range(m):
+                    col = 2 * (t * m + u)  # conj(B[t][u]) = x[col] - i x[col + 1]
+                    coeffs[col] += h.entries[t][v]
+                    coeffs[col + 1] -= GR_I * h.entries[t][v]
+                    col = 2 * (t * m + v)  # B[t][v] = x[col] + i x[col + 1]
+                    coeffs[col] += h.entries[u][t]
+                    coeffs[col + 1] += GR_I * h.entries[u][t]
+                rows += [[c.re for c in coeffs], [c.im for c in coeffs]]
+    reduced, pivots = dense_rref(rows, ncols, Fraction(1))
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        x = [Fraction(int(c == free)) for c in range(ncols)]
+        for row, p in zip(reduced, pivots):
+            x[p] = -row[free]
+        basis.append(Matrix.from_rows([
+            [GaussianRational(x[2 * (t * m + u)], x[2 * (t * m + u) + 1]) for u in range(m)]
+            for t in range(m)
+        ]))
+    return basis
 
 
 def coefficients(p: Polynomial) -> dict:

@@ -119,7 +119,7 @@ def test_criterion_09_d5():
 def test_criterion_10_d6():
     r = analyze(d6((1, 1, 0)))
     sols = solve_all(r.spec)
-    assert len(sols.skew) == 1
+    assert sols.s == 1
     assert r.dims.d_0 == 4
     assert r.dims.d_half == 0
     assert r.dims.d_1 == 1
@@ -169,7 +169,7 @@ def test_criterion_11_skew_count_oracle_equivalence():
                 ]
             )
             spec = SiegelDomainSpec(n, 2, quadrant, fam)
-            assert len(solve_L(spec)) == s_from_multiplicities(n, mults)
+            assert solve_L(spec) == s_from_multiplicities(n, mults)
             checked += 1
     assert checked == 2 + 3 + 5
     report(f"criterion 11: skew-space formula matches the solver on {checked} eigenvalue patterns")
@@ -205,7 +205,7 @@ def test_criterion_13_bound_chain_soundness():
             assert r.dims.total <= bound
         assert r.dims.d_half <= 2 * r.spec.m
         assert r.dims.d_1 <= r.spec.k
-        assert r.s <= r.spec.m * r.spec.m
+        assert r.sols.s <= r.spec.m * r.spec.m
     assert bound_chain(4, 2, 2, 2, 0, 2).component_bound == 12
     assert bound_chain(5, 2, 5, 2, 0, 2).component_bound == 17
     assert bound_chain(4, 3, 1, 4, 0, 3).component_bound == 13

@@ -7,7 +7,7 @@ import json
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from siegelalg.cli import main
@@ -443,3 +443,140 @@ def test_mutated_spec_documents_end_cleanly(tmp_path_factory, doc, command):
     if code == 2:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+def _spec_file(tmp_path, doc, text=None):
+    path = tmp_path / "domain.json"
+    path.write_text(text if text is not None else json.dumps(doc))
+    return str(path)
+
+
+def _witness_past_the_digit_limit():
+    """H_1 = L D L* over the quadrant with D = diag(1, 1, 1, -1) and L unit lower bidiagonal with
+    subdiagonal 10**1500: its negative direction (10**4500, -10**3000, 10**1500, 1) has an entry
+    too long to print, while every entry of H_1 prints."""
+    h = 10**1500
+    lower = [[1 if i == j else h if i == j + 1 else 0 for j in range(4)] for i in range(4)]
+    signs = (1, 1, 1, -1)
+    h1 = [[str(sum(lower[i][t] * signs[t] * lower[j][t] for t in range(4))) for j in range(4)]
+          for i in range(4)]
+    identity = [[str(int(i == j)) for j in range(4)] for i in range(4)]
+    return {"n": 6, "k": 2, "cone": "omega1", "H": [h1, identity]}
+
+
+OVERSIZED = {
+    "d6-v": lambda tmp: ["dims", "--domain", "d6", "--v", "1e5000,0,0"],
+    "d3-alpha": lambda tmp: ["dims", "--domain", "d3", "--alpha", "1e5000", "--beta", "0",
+                             "--gamma", "0", "--delta", "1"],
+    "d3-alpha-slow": lambda tmp: ["dims", "--domain", "d3", "--alpha", "1e30000000", "--beta",
+                                  "0", "--gamma", "0", "--delta", "1"],
+    "spec-literal": lambda tmp: ["dims", "--spec", _spec_file(tmp, {
+        "n": 4, "k": 2, "cone": "omega1",
+        "H": [[["1", "1e5000"], ["1e5000", "1"]], [["1", "0"], ["0", "1"]]],
+    })],
+    "spec-json-int": lambda tmp: ["dims", "--spec", _spec_file(
+        tmp, None, '{"n": 4, "k": 2, "cone": "omega1", "H": [[[1, ' + "1" * 5000 + ']]]}'
+    )],
+    "spec-witness": lambda tmp: ["dims", "--spec", _spec_file(tmp, _witness_past_the_digit_limit())],
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZED))
+def test_oversized_values_are_one_error_line(capsys, tmp_path, name):
+    """Literals and witnesses past the int-to-str digit limit exit 2 at once, never raising."""
+    argv = OVERSIZED[name](tmp_path)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_large_literals_that_print_still_work(capsys):
+    code, out, _ = run_cli(capsys, "dims", "--domain", "d3", "--alpha", "4e400", "--beta", "0",
+                           "--gamma", "1", "--delta", "4e400")
+    assert code == 0
+    assert "total=9 s=2" in out
+
+
+LITERALS = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["1/2", "-2/3", "3/0", "1/0", "", " ", "x", "1.5", "-0.25", ".5", "2e3",
+                     "1e-2", "4e400", "1e5000", "1e-5000", "1e30000000", "0e30000000", "1e",
+                     "1,2", "nan", "inf"]),
+)
+DOMAIN_FLAGS = {
+    "--n": st.integers(-1, 4).map(str),
+    "--factors": st.lists(st.integers(0, 2).map(str), min_size=1, max_size=3).map(",".join)
+    | LITERALS,
+    "--v": st.lists(LITERALS, min_size=1, max_size=4).map(",".join),
+    "--alpha": LITERALS,
+    "--beta": LITERALS,
+    "--gamma": LITERALS,
+    "--delta": LITERALS,
+    "--cone": st.sampled_from(["omega1", "omega3", "omega5", "omega9", "", "ray"]),
+}
+PARAMETERS = ["--alpha", "--beta", "--gamma", "--delta"]
+# the flags each domain needs; "d9" is no domain
+DOMAINS = {
+    "ball": ["--n"], "ballproduct": ["--factors"], "d1": ["--n"], "d2": ["--n"],
+    "d3": PARAMETERS, "d4": PARAMETERS, "d5": ["--v"], "d6": ["--v"],
+    "t3": [], "t4": [], "tube": ["--cone"], "d9": [],
+}
+BOUNDS_FLAGS = {
+    flag: st.integers(-2, 6).map(str)
+    for flag in ("--n", "--k", "--s", "--dim-g-omega", "--g-half", "--g-one")
+}
+
+
+def _flags(draw, strategies, required):
+    """The required flags, the first of them sometimes left out, and up to two others."""
+    flags = list(required)
+    if flags and draw(st.integers(0, 4)) == 0:
+        flags.pop(0)
+    flags += draw(st.lists(st.sampled_from(sorted(set(strategies) - set(required))),
+                           unique=True, max_size=2))
+    return [f"{flag}={draw(strategies[flag])}" for flag in flags]
+
+
+@st.composite
+def cli_argv(draw):
+    """An argv that argparse accepts, for one of the commands that read flags."""
+    command = draw(st.sampled_from(["dims", "homogeneity", "classify", "bounds", "cone-info"]))
+    argv = [command]
+    if command in ("dims", "homogeneity"):
+        domain = draw(st.sampled_from(sorted(DOMAINS)))
+        argv += [f"--domain={domain}"] + _flags(draw, DOMAIN_FLAGS, DOMAINS[domain])
+    elif command == "classify":
+        argv.append(f"--n={draw(st.integers(-1, 6))}")
+    elif command == "bounds":
+        if draw(st.booleans()):
+            argv.append(f"--sweep={draw(st.integers(-1, 8))}")
+        else:
+            argv += _flags(draw, BOUNDS_FLAGS, ["--n", "--k", "--s", "--dim-g-omega"])
+    else:
+        argv.append(f"--cone={draw(DOMAIN_FLAGS['--cone'])}")
+        if draw(st.booleans()):
+            argv.append("--emit-bases")
+    if draw(st.booleans()):
+        argv.append("--format=json")
+    return argv
+
+
+@given(argv=cli_argv())
+@example(argv=["dims", "--domain=d6", "--v=1e5000,0,0"])
+@example(argv=["dims", "--domain=d3", "--alpha=1e5000", "--beta=0", "--gamma=0", "--delta=1"])
+@example(argv=["dims", "--domain=d3", "--alpha=1e30000000", "--beta=0", "--gamma=0", "--delta=1"])
+@example(argv=["homogeneity", "--domain=d5", "--v=1/0,1,"])
+@settings(derandomize=True, max_examples=120, deadline=None)
+def test_generated_flags_end_cleanly(argv):
+    """Any flag values end in exit 0, 1 or 2; exit 2 prints one `error:` line and nothing else."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""

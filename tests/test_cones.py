@@ -173,17 +173,34 @@ class TestClosure:
             classify_point(catalog_cone("omega1"), [1, 2, 3])
 
 
+def _quadrant_with(g_basis):
+    return ConeSpec(
+        name="bad",
+        k=2,
+        g_basis=g_basis,
+        interior_point=(Fraction(1), Fraction(1)),
+        boundary=(PolyhedralFactor(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))),),
+    )
+
+
+E00, E11, IDENTITY = ((1, 0), (0, 0)), ((0, 0), (0, 1)), ((1, 0), (0, 1))
+
+
 class TestValidation:
     def test_scalars_required(self):
-        with pytest.raises(ValidationError):
-            ConeSpec(
-                name="bad",
-                k=2,
-                g_basis=(((1, 0), (0, 0)),),
-                interior_point=(Fraction(1), Fraction(1)),
-                boundary=(PolyhedralFactor(((Fraction(1), Fraction(0)),
-                                            (Fraction(0), Fraction(1)))),),
-            )
+        with pytest.raises(ValidationError, match="must contain the scalar matrices in its span"):
+            _quadrant_with((E00,))
+
+    @pytest.mark.parametrize("g_basis", [
+        (),
+        (IDENTITY, E00, E11),
+        (IDENTITY, IDENTITY),
+        # also lacks the scalars: the dependence is reported first
+        (E00, ((2, 0), (0, 0))),
+    ], ids=["empty", "dependent", "repeated", "dependent-without-scalars"])
+    def test_dependent_or_empty_basis_rejected(self, g_basis):
+        with pytest.raises(ValidationError, match="g_basis is linearly dependent or empty"):
+            _quadrant_with(g_basis)
 
     def test_interior_point_checked(self):
         with pytest.raises(ValidationError):

@@ -12,6 +12,7 @@ from siegelalg.cones import CATALOG_IDS, catalog_cone, half_line, in_g_omega, lo
 from siegelalg.errors import ValidationError
 from siegelalg.graded import (
     SiegelDomainSpec,
+    a_part_basis,
     graded_dims,
     solve_all,
     solve_g0,
@@ -20,7 +21,6 @@ from siegelalg.graded import (
     solve_L,
 )
 from siegelalg.hermitian import HermitianFamily, evaluate
-from siegelalg.homogeneity import a_part_basis
 from siegelalg.linalg import GR_I, GR_ONE, GR_ZERO, GaussianRational, Matrix, gr
 from siegelalg.serialize import (
     cone_from_json,
@@ -28,9 +28,10 @@ from siegelalg.serialize import (
     solutions_bases_to_json,
     to_json,
 )
-from matrix_oracles import add, apply, bilinear_apply, conj_transpose, is_zero, matmul
+from matrix_oracles import (
+    add, apply, bilinear_apply, conj_transpose, dense_rref, is_zero, matmul, skew_basis,
+)
 from test_golden_bases import DENSE_SPECS
-from test_linalg import dense_rref
 
 TWO_I = GR_I + GR_I
 
@@ -138,23 +139,26 @@ class TestG0:
 class TestSkewSpace:
     def test_two_distinct_eigenvalues(self):
         spec = SiegelDomainSpec(4, 2, catalog_cone("omega1"), fam(Matrix.identity(2), diag(1, 2)))
-        assert len(solve_L(spec)) == 2
+        assert solve_L(spec) == 2
 
     def test_repeated_eigenvalue_block(self):
         spec = SiegelDomainSpec(5, 2, catalog_cone("omega1"), fam(Matrix.identity(3), diag(1, 2, 2)))
-        assert len(solve_L(spec)) == 5
+        assert solve_L(spec) == 5
 
     def test_d6(self):
-        assert len(solve_L(d6_spec())) == 1
+        assert solve_L(d6_spec()) == 1
 
     def test_basis_is_skew_for_all_components(self):
-        spec = d6_spec()
-        for b_mat in solve_L(spec):
-            for comp in spec.form.components:
-                assert is_zero(add(matmul(conj_transpose(b_mat), comp), matmul(comp, b_mat)))
+        # the oracle's basis, which the s of every test below is compared with
+        for spec in (d6_spec(), d3_spec(1, 0, 1, 1), ball(3)):
+            basis = skew_basis(spec.form)
+            assert len(basis) == solve_L(spec) > 0
+            for b_mat in basis:
+                for comp in spec.form.components:
+                    assert is_zero(add(matmul(conj_transpose(b_mat), comp), matmul(comp, b_mat)))
 
     def test_tube_s_zero(self):
-        assert len(solve_L(tube("omega4"))) == 0
+        assert solve_L(tube("omega4")) == 0
 
 
 class TestGHalf:
@@ -310,17 +314,17 @@ class TestGradedDims:
         assert graded_dims(ball(n)).total == n * n + 2 * n
 
     def test_projection_kernel_is_skew_space(self):
-        # rank-nullity: dim g0 = s + dim of the A-part image
+        # rank-nullity: dim g0 = s + dim of the A-part image, s from the direct skew solve
         for spec in (d6_spec(), d3_spec(1, 0, 1, 1), ball(3), tube("omega5")):
             sols = solve_all(spec)
             a_rows = [[x for row in a for x in row] for a, _ in sols.g0]
             a_rank = Matrix.from_rows(a_rows).rank() if a_rows else 0
-            assert len(sols.g0) == len(sols.skew) + a_rank
+            assert len(sols.g0) == len(skew_basis(spec.form)) + a_rank == sols.s + a_rank
 
     def test_structural_caps(self):
         for spec in (d6_spec(), ball(4), d4_spec(1, 0, 0, 1), tube("omega4")):
             dims = graded_dims(spec)
-            s = len(solve_L(spec))
+            s = solve_L(spec)
             assert dims.d_half <= 2 * spec.m
             assert dims.d_1 <= spec.k
             assert dims.d_0 <= s + spec.cone.dim_g
@@ -334,7 +338,7 @@ class TestGradedDims:
         for cone_id in ("omega2", "omega3"):
             spec = tube(cone_id)
             assert len(solve_g_half(spec)) == 0
-            assert len(solve_L(spec)) == 0
+            assert solve_L(spec) == 0
 
     @pytest.mark.parametrize("scales", [(2, 1), (1, 3), (Fraction(1, 2), 5)])
     def test_rescaling_equivariance(self, scales):
@@ -369,11 +373,19 @@ RATIONAL_DOMAINS = {
 SOLVER_DOMAINS = {**RESIDUAL_DOMAINS, **RATIONAL_DOMAINS}
 
 
+def _assembled(solver, spec) -> int:
+    """How many systems ``solver`` assembles for ``spec``: none for ``solve_L``, which reads s
+    off the weight-0 basis, none for ``solve_g_half`` when m = 0, one otherwise."""
+    return int(solver is not solve_L and not (solver is solve_g_half and spec.m == 0))
+
+
 @pytest.mark.parametrize("name", sorted(RESIDUAL_DOMAINS) + sorted(RATIONAL_DOMAINS))
 @pytest.mark.parametrize("solver", [solve_g0, solve_L, solve_g_half, solve_g1],
                          ids=lambda f: f.__name__)
 def test_solutions_satisfy_assembled_rows_exactly(name, solver, monkeypatch):
     """Every basis vector annihilates every assembled row; the count is n - rank.
+
+    ``solve_L`` assembles no row: it reads s off the cached weight-0 basis.
 
     Rows hold exact nonzero scalars: on the integral ``RESIDUAL_DOMAINS``
     (Gaussian-integer H over an integer cone) only ``int``s, so the rows reach
@@ -390,10 +402,11 @@ def test_solutions_satisfy_assembled_rows_exactly(name, solver, monkeypatch):
         systems.append((self.n, list(self.rows), basis))
         return basis
 
-    monkeypatch.setattr(graded._System, "solutions", recording)
     spec = catalog.build(SOLVER_DOMAINS[name])
+    solve_g0(spec)  # cached first: solve_L reads it
+    monkeypatch.setattr(graded._System, "solutions", recording)
     solver.__wrapped__(spec)
-    assert len(systems) == (0 if solver is solve_g_half and spec.m == 0 else 1)
+    assert len(systems) == _assembled(solver, spec)
     for n, rows, basis in systems:
         types = {type(c) for row in rows for c in row.values()}
         if name in RESIDUAL_DOMAINS:
@@ -414,7 +427,7 @@ def test_solutions_satisfy_assembled_rows_exactly(name, solver, monkeypatch):
 
 LAYOUT_SHAPES = {
     solve_g0: lambda spec: [("real", (spec.cone.dim_g,)), ("complex", (spec.m, spec.m))],
-    solve_L: lambda spec: [("complex", (spec.m, spec.m))],
+    solve_L: lambda spec: [],
     solve_g_half: lambda spec: [
         ("complex", (spec.m, spec.k)),
         ("complex", (spec.m, spec.m * (spec.m + 1) // 2)),
@@ -440,21 +453,26 @@ def _entries(values, index=()):
 @pytest.mark.parametrize("solver", [solve_g0, solve_L, solve_g_half, solve_g1],
                          ids=lambda f: f.__name__)
 def test_layout_round_trip(name, solver, monkeypatch):
-    """Each column is exactly one entry's re or im part, and the blocks tile the system."""
+    """Each column is exactly one entry's re or im part, and the blocks tile the system.
+
+    ``solve_L`` declares no unknowns and assembles no system.
+    """
     sizes = []
 
     def recording(self):
         sizes.append(self.n)
         return []
 
-    monkeypatch.setattr(graded._System, "solutions", recording)
     spec = catalog.build(RESIDUAL_DOMAINS[name])
+    solve_g0(spec)  # cached first: solve_L reads it, and the recording solve returns no basis
+    monkeypatch.setattr(graded._System, "solutions", recording)
     solver.__wrapped__(spec)
     system = graded._System()
     blocks = [getattr(system, kind)(*shape) for kind, shape in LAYOUT_SHAPES[solver](spec)]
-    assert sizes == ([] if solver is solve_g_half and spec.m == 0 else [system.n])
-    assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
-    assert blocks[-1].stop == system.n
+    assert sizes == [system.n] * _assembled(solver, spec)
+    stops = [0] + [b.stop for b in blocks]
+    assert [b.start for b in blocks] == stops[:-1]
+    assert stops[-1] == system.n
     for col in range(system.n):
         sol = [Fraction(0)] * system.n
         sol[col] = Fraction(1)
@@ -540,7 +558,7 @@ def test_no_int_leaves_the_assembly(name):
     (``2``) instead of a string (``"2"``), so every emitted leaf is a string.
     """
     sols = solve_all(_boundary_spec(name))
-    scalars = [x for _, x in _entries((sols.g0, sols.skew, sols.g_half, sols.g_one))]
+    scalars = [x for _, x in _entries((sols.g0, sols.g_half, sols.g_one))]
     assert scalars
     for x in scalars:
         if type(x) is GaussianRational:
@@ -551,20 +569,23 @@ def test_no_int_leaves_the_assembly(name):
     assert leaves and all(type(x) is str for x in leaves)
 
 
-# every classify candidate for n = 2..5, D1(4) and two domains with rational H
+# every classify candidate for n = 2..5, D1(4) and two domains with rational H; with
+# D4(1,0,0,1) and D5(1,0,0) these hold every domain of catalog._bound_chain_sound
 INVARIANT_DOMAINS = list(dict.fromkeys(
     [domain for n in range(2, 6) for domain in catalog._candidate_ids(n)]
     + [catalog.d1(4), *RATIONAL_DOMAINS.values()]
     + [catalog.d6((Fraction(3, 2), Fraction(1, 2), Fraction(1, 3)))]
+    + [catalog.d4(1, 0, 0, 1), catalog.d5((1, 0, 0))]
 ))
 
 
 @pytest.mark.parametrize("domain", INVARIANT_DOMAINS, ids=lambda d: d.label)
 def test_skew_part_is_the_kernel_of_the_a_part(domain):
-    """L is the kernel of (A, B) -> A on g0: s = dim g0 - dim of the span of the A-parts."""
+    """L is the kernel of (A, B) -> A on g0: s = dim g0 - dim of the span of the A-parts
+    equals the dimension of the direct solve of B* H_j + H_j B = 0 (``skew_basis``)."""
     spec = catalog.build(domain)
     sols = solve_all(spec)
-    assert len(solve_L(spec)) == len(sols.skew) == len(sols.g0) - len(a_part_basis(sols.g0))
+    assert solve_L(spec) == sols.s == len(skew_basis(spec.form))
 
 
 SMALL_FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -635,7 +656,7 @@ def test_w_coordinate_change_invariance(name, data):
     moved = fam(*(matmul(matmul(conj_transpose(p), h), p) for h in base.form.components))
     spec = SiegelDomainSpec(base.n, base.k, base.cone, moved)
     assert graded_dims(spec) == graded_dims(base)
-    assert len(solve_L(spec)) == len(solve_L(base))
+    assert solve_L(spec) == solve_L(base) == len(skew_basis(spec.form))
 
 
 def _orthant_maps(k):
@@ -686,4 +707,4 @@ def test_cone_automorphism_invariance(domain, g):
     spec = SiegelDomainSpec(base.n, base.k, base.cone, moved)
     assert moved != base.form
     assert graded_dims(spec) == graded_dims(base)
-    assert len(solve_L(spec)) == len(solve_L(base))
+    assert solve_L(spec) == solve_L(base) == len(skew_basis(spec.form))

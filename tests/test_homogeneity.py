@@ -6,12 +6,11 @@ import pytest
 
 from siegelalg import catalog
 from siegelalg.cones import catalog_cone, classify_point, Region
-from siegelalg.graded import SiegelDomainSpec, solve_g0
+from siegelalg.graded import SiegelDomainSpec, a_part_basis, solve_g0
 from siegelalg.hermitian import HermitianFamily, _Lcg
 from siegelalg.homogeneity import (
     GENERICALLY_OPEN_ORBITS,
     NOT_TRANSITIVE,
-    a_part_basis,
     generic_orbit_rank,
     homogeneity_verdict,
 )

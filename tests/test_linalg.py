@@ -18,7 +18,7 @@ from siegelalg.linalg import (
     sparse_nullspace,
     sparse_rref,
 )
-from matrix_oracles import apply, conj_transpose, matmul
+from matrix_oracles import apply, conj_transpose, dense_rref, matmul
 
 
 class TestGaussianRational:
@@ -165,27 +165,6 @@ def test_row_permutation_invariance(m, rnd):
 def test_rref_idempotence(m):
     reduced = m.rref().matrix
     assert reduced.rref().matrix == reduced
-
-
-def dense_rref(rows, ncols, one):
-    """Reference Gauss-Jordan on dense rows: the first nonzero row from the top pivots."""
-    zero = one - one
-    rows = [list(row) for row in rows]
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != zero), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = one / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != zero:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-    return rows, pivots
 
 
 # Mostly zeros, as in the solver systems.

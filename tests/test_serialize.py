@@ -1,6 +1,7 @@
 """JSON round trips for rationals, cones, families, and domain documents."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,27 @@ class TestScalars:
             fraction_from_json("three halves")
         with pytest.raises(ValidationError):
             fraction_from_json("1/0")
+
+    @pytest.mark.parametrize("literal, value", [
+        ("4e400", 4 * 10**400),
+        ("1e-4299", Fraction(1, 10**4299)),
+        ("5e-4300", Fraction(1, 2 * 10**4299)),  # 4300 digits once reduced
+        ("0e30000000", 0),
+        ("-0.00e-99999999", 0),
+        (" 1.5E2 ", 150),
+    ])
+    def test_literals_that_print_are_read(self, literal, value):
+        assert fraction_from_json(literal) == value
+
+    @pytest.mark.parametrize("literal", [
+        "1e5000", "-1e-4300", "1e30000000", "2.5e-30000000", "1" + "0" * 4300 + "/3",
+        "1e" + "9" * 5000, "0/5e30000000", "1/2e30000000", "x e30000000",
+    ])
+    def test_oversized_or_malformed_exponents_are_refused_at_once(self, literal):
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match="rational literal"):
+            fraction_from_json(literal)
+        assert time.perf_counter() - start < 1
 
     def test_gaussian_roundtrip(self):
         z = gr(Fraction(1, 3), Fraction(-2, 7))
