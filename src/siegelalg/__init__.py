@@ -62,11 +62,7 @@ from .graded import (
     solve_g_half,
     solve_L,
 )
-from .hermitian import (
-    HermitianFamily,
-    is_omega_hermitian,
-    validate,
-)
+from .hermitian import HermitianFamily, is_omega_hermitian
 from .homogeneity import (
     GENERICALLY_OPEN_ORBITS,
     NOT_TRANSITIVE,
@@ -136,6 +132,5 @@ __all__ = [
     "t3",
     "t4",
     "tube",
-    "validate",
     "verify_paper",
 ]

@@ -117,7 +117,8 @@ def t4() -> DomainId:
 
 
 def tube(cone_id: str) -> DomainId:
-    return DomainId("tube", cone_id=cone_id)
+    """The tube over a catalog cone; the id is read as ``catalog_cone`` reads it."""
+    return DomainId("tube", cone_id=cone_id.strip().lower())
 
 
 def _diag(values: Sequence[Union[int, Fraction]]) -> Matrix:
@@ -128,11 +129,11 @@ def _diag(values: Sequence[Union[int, Fraction]]) -> Matrix:
 
 
 def _empty_family(k: int) -> HermitianFamily:
-    return HermitianFamily(k, 0, tuple(Matrix.zeros(0, 0) for _ in range(k)))
+    return HermitianFamily(tuple(Matrix.zeros(0, 0) for _ in range(k)))
 
 
 def _rank_one_family(v: Sequence[Fraction]) -> HermitianFamily:
-    return HermitianFamily.from_matrices([_diag([x]) for x in v])
+    return HermitianFamily([_diag([x]) for x in v])
 
 
 def _ball(n: Optional[int]) -> SiegelDomainSpec:
@@ -140,7 +141,7 @@ def _ball(n: Optional[int]) -> SiegelDomainSpec:
     if n is None or n < 1:
         raise ValidationError("ball dimension must be at least 1")
     return SiegelDomainSpec(
-        n, 1, _built_catalog_cone("ray"), HermitianFamily.from_matrices([Matrix.identity(n - 1)])
+        n, 1, _built_catalog_cone("ray"), HermitianFamily([Matrix.identity(n - 1)])
     )
 
 
@@ -163,7 +164,7 @@ def product(*specs: SiegelDomainSpec) -> SiegelDomainSpec:
             comps.append(Matrix.from_rows(rows))
         offset += spec.m
     cone = cones.product(*(spec.cone for spec in specs))
-    return SiegelDomainSpec(m + cone.k, cone.k, cone, HermitianFamily(cone.k, m, tuple(comps)))
+    return SiegelDomainSpec(m + cone.k, cone.k, cone, HermitianFamily(comps))
 
 
 def build(domain: DomainId) -> SiegelDomainSpec:
@@ -183,7 +184,7 @@ def build(domain: DomainId) -> SiegelDomainSpec:
         second = Matrix.identity(n - 2) if kind == "d2" else Matrix.zeros(n - 2, n - 2)
         return SiegelDomainSpec(
             n, 2, catalog_cone("omega1"),
-            HermitianFamily.from_matrices([Matrix.identity(n - 2), second]),
+            HermitianFamily([Matrix.identity(n - 2), second]),
         )
     if kind in ("d3", "d4"):
         alpha, beta, gamma, delta = domain.params
@@ -192,13 +193,9 @@ def build(domain: DomainId) -> SiegelDomainSpec:
         if alpha * delta - beta * gamma == 0:
             raise ValidationError("parameter determinant must be nonzero")
         if kind == "d3":
-            fam = HermitianFamily.from_matrices(
-                [_diag([alpha, beta]), _diag([gamma, delta])]
-            )
+            fam = HermitianFamily([_diag([alpha, beta]), _diag([gamma, delta])])
             return SiegelDomainSpec(4, 2, catalog_cone("omega1"), fam)
-        fam = HermitianFamily.from_matrices(
-            [_diag([alpha, beta, beta]), _diag([gamma, delta, delta])]
-        )
+        fam = HermitianFamily([_diag([alpha, beta, beta]), _diag([gamma, delta, delta])])
         return SiegelDomainSpec(5, 2, catalog_cone("omega1"), fam)
     if kind == "d5":
         v = domain.v
@@ -417,9 +414,7 @@ def _skew_formula_agrees() -> bool:
             eigs = []
             for value, mult in enumerate(mults, start=1):
                 eigs.extend([value] * mult)
-            fam = HermitianFamily.from_matrices(
-                [Matrix.identity(n - 2), _diag(eigs)]
-            )
+            fam = HermitianFamily([Matrix.identity(n - 2), _diag(eigs)])
             spec = SiegelDomainSpec(n, 2, quadrant, fam)
             if solve_L(spec) != s_from_multiplicities(n, mults):
                 return False

@@ -2,7 +2,8 @@
 
 Results go to stdout, diagnostics to stderr. Exit codes: 0 on success (and on
 all checks passing), 1 on check failures or a not-transitive verdict from the
-homogeneity command, 2 on malformed input or invariant violations.
+homogeneity command, 2 on malformed input or invariant violations, reported as
+one ``error:`` line on stderr (bad arguments too).
 """
 
 from __future__ import annotations
@@ -17,13 +18,7 @@ from .cones import catalog_cone, isotropy_bound
 from .errors import ValidationError
 from .graded import solve_all, solve_g0
 from .homogeneity import NOT_TRANSITIVE, homogeneity_verdict
-from .serialize import (
-    SAMPLES_MAX,
-    format_json,
-    fraction_from_json,
-    load_domain_spec,
-    solutions_bases_to_json,
-)
+from .serialize import format_json, fraction_from_json, load_domain_spec, solutions_bases_to_json
 
 
 def _emit_json(doc) -> None:
@@ -88,7 +83,7 @@ def _load_spec(args):
                 raise ValidationError(f"malformed JSON: {exc}") from exc
             except (ValueError, RecursionError) as exc:  # undecodable bytes, an int past the digit limit
                 raise ValidationError(f"cannot read {args.spec}: {exc}") from exc
-        spec, compat = load_domain_spec(doc, samples=args.samples, seed=args.seed)
+        spec, compat = load_domain_spec(doc)
         if compat.note:
             print(f"note: {compat.note}", file=sys.stderr)
         return spec, f"custom({args.spec})"
@@ -245,8 +240,18 @@ def _cmd_verify_paper(args) -> int:
     return 0 if report.ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises its errors, so ``main`` reports them as one line.
+
+    Subparsers are made with the parser's own class, so theirs are raised too.
+    """
+
+    def error(self, message: str):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="siegelalg",
         description=(
             "Exact graded automorphism algebras of Siegel domains: component "
@@ -267,12 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gamma")
         p.add_argument("--delta")
         p.add_argument("--cone", help="cone id for tube domains, e.g. omega4")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument(
-            "--samples", type=int, default=32,
-            help=f"random vectors for the sampled cone check of a --spec document "
-            f"(0 to {SAMPLES_MAX}; --spec only)",
-        )
 
     p_cone = sub.add_parser("cone-info", help="catalog cone summary")
     p_cone.add_argument("--cone", required=True)
@@ -315,14 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -97,12 +97,18 @@ def _real_rows(m: Sequence[Sequence[Union[int, Fraction]]], k: int) -> RealRows:
 
 
 class ConeSpec(Frozen):
+    """A cone and a basis of g(Omega), validated on construction.
+
+    Construction also sets ``annihilators``, which is not a field: the
+    functionals on vectorized k x k matrices whose common kernel is the span
+    of ``g_basis``, one basis of the kernel that the validation computes.
+    """
+
     name: str
     k: int
     g_basis: tuple[RealRows, ...]
     interior_point: tuple[Fraction, ...]
     boundary: tuple[BoundaryFactor, ...]
-    annihilators: tuple[tuple[Fraction, ...], ...] = ()
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -138,12 +144,7 @@ class ConeSpec(Frozen):
             raise ValidationError("g_basis is linearly dependent or empty")
         if any(sum(a[i * self.k + i] for i in range(self.k)) for a in kernel):
             raise ValidationError("g_basis must contain the scalar matrices in its span")
-        if not self.annihilators:
-            object.__setattr__(self, "annihilators", tuple(map(tuple, kernel)))
-        elif len(self.annihilators) != len(kernel):
-            raise ValidationError("annihilator count mismatch")
-        elif any(sum(a[j] * x for j, x in row.items()) for a in self.annihilators for row in sparse):
-            raise ValidationError("annihilator does not kill g_basis")
+        object.__setattr__(self, "annihilators", tuple(map(tuple, kernel)))
         if classify_point(self, self.interior_point) is not Region.INTERIOR:
             raise ValidationError("interior point is not interior")
 

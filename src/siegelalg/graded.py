@@ -62,7 +62,7 @@ from typing import Sequence
 from .cones import ConeSpec
 from .errors import ValidationError
 from .frozen import Frozen
-from .hermitian import HermitianFamily, validate
+from .hermitian import HermitianFamily
 from .linalg import (
     GR_ZERO,
     Exact,
@@ -92,10 +92,6 @@ class SiegelDomainSpec(Frozen):
             raise ValidationError("cone dimension must equal k")
         if self.form.k != self.k or self.form.m != self.n - self.k:
             raise ValidationError("Hermitian family must have k components on C^(n-k)")
-        bad = validate(self.form)
-        if bad:
-            where = ", ".join(f"component {v.component} at {v.position}" for v in bad)
-            raise ValidationError(f"family is not Hermitian: {where}")
 
     @property
     def m(self) -> int:
@@ -247,7 +243,7 @@ class _Nonzeros:
 
     ``row[j][u]`` lists the pairs (v, H_j[u][v]) and ``col[j][v]`` the pairs
     (u, H_j[u][v]); ``at[u][v]`` lists the pairs (j, H_j[u][v]). Each H_j is
-    Hermitian (``SiegelDomainSpec`` validates it), so a column is the
+    Hermitian (``HermitianFamily`` validates it), so a column is the
     conjugated row of the same index.
     """
 

@@ -38,40 +38,43 @@ VERIFIED_EXACT = "verified-exact"
 VERIFIED_ON_SAMPLES = "verified-on-samples"
 COUNTEREXAMPLE = "counterexample"
 
+# random vectors the sampled cone check tries after the basis-like ones
+_SAMPLES = 32
+
 
 class HermitianFamily(Frozen):
-    k: int
-    m: int
+    """k Hermitian m x m matrices; k and m are read from the components.
+
+    Construction checks that the components are square of one size and
+    Hermitian, and names every cell (j, i), j >= i, that differs from the
+    conjugate of its mirror.
+    """
+
     components: tuple[Matrix, ...]
 
     def __post_init__(self) -> None:
-        if len(self.components) != self.k:
-            raise ValidationError("component count must equal k")
-        for c in self.components:
-            if (c.nrows, c.ncols) != (self.m, self.m):
-                raise ValidationError("components must be m x m")
+        comps = tuple(self.components)
+        object.__setattr__(self, "components", comps)
+        m = comps[0].nrows if comps else 0
+        if any((c.nrows, c.ncols) != (m, m) for c in comps):
+            raise ValidationError("components must be m x m")
+        bad = [
+            f"component {idx} at {(j, i)}"
+            for idx, comp in enumerate(comps)
+            for i in range(m)
+            for j in range(i, m)
+            if comp.entry(i, j) != comp.entry(j, i).conjugate()
+        ]
+        if bad:
+            raise ValidationError(f"family is not Hermitian: {', '.join(bad)}")
 
-    @staticmethod
-    def from_matrices(components: Sequence[Matrix]) -> "HermitianFamily":
-        k = len(components)
-        m = components[0].nrows if k else 0
-        return HermitianFamily(k, m, tuple(components))
+    @property
+    def k(self) -> int:
+        return len(self.components)
 
-
-class HermitianViolation(Frozen):
-    component: int
-    position: tuple[int, int]
-
-
-def validate(family: HermitianFamily) -> list[HermitianViolation]:
-    """Exact Hermitian-symmetry check; returns one entry per violating cell."""
-    out = []
-    for idx, comp in enumerate(family.components):
-        for i in range(family.m):
-            for j in range(i, family.m):
-                if comp.entry(i, j) != comp.entry(j, i).conjugate():
-                    out.append(HermitianViolation(idx, (j, i)))
-    return out
+    @property
+    def m(self) -> int:
+        return self.components[0].nrows if self.components else 0
 
 
 def evaluate(
@@ -82,13 +85,14 @@ def evaluate(
     """The vector H(w, w2), anti-linear in w; w2 defaults to w."""
     left = [GaussianRational.of(x).conjugate() for x in w]
     right = [GaussianRational.of(x) for x in (w2 if w2 is not None else w)]
-    if len(left) != family.m or len(right) != family.m:
+    m = family.m
+    if len(left) != m or len(right) != m:
         raise ValidationError("argument length must equal m")
     out = []
     for comp in family.components:
         acc = GR_ZERO
-        for i in range(family.m):
-            for j in range(family.m):
+        for i in range(m):
+            for j in range(m):
                 acc = acc + left[i] * comp.entry(i, j) * right[j]
         out.append(acc)
     return tuple(out)
@@ -193,19 +197,15 @@ def _basis_like_vectors(m: int) -> list[tuple[GaussianRational, ...]]:
     return vecs
 
 
-def is_omega_hermitian(
-    family: HermitianFamily,
-    cone: ConeSpec,
-    samples: int = 32,
-    seed: int = 0,
-) -> OmegaHermitianVerdict:
+def is_omega_hermitian(family: HermitianFamily, cone: ConeSpec) -> OmegaHermitianVerdict:
     """Decide (or sample-check) membership of H(w,w) in the closed cone minus zero.
 
     For purely polyhedral cones the check is exact: each boundary functional
     pulls the family back to a single Hermitian matrix that must be PSD, and
     the components must have no common kernel. Cones with a Lorentzian factor
-    are checked on a deterministic sample set instead, and the verdict says so;
-    sampling cannot prove the universal statement.
+    are checked on a fixed sample set instead, and the verdict says so;
+    sampling cannot prove the universal statement. The samples are the
+    basis-like vectors and then ``_SAMPLES`` vectors drawn from ``_Lcg(0)``.
     """
     if family.k != cone.k:
         raise ValidationError("family and cone dimensions differ")
@@ -232,17 +232,14 @@ def is_omega_hermitian(
         if kernel:
             return OmegaHermitianVerdict(COUNTEREXAMPLE, witness=tuple(kernel[0]))
         return OmegaHermitianVerdict(VERIFIED_EXACT)
-    rng = _Lcg(seed)
+    rng = _Lcg(0)
     candidates = _basis_like_vectors(family.m)
-    for _ in range(samples):
+    for _ in range(_SAMPLES):
         v = rng.next_vector(family.m)
         if any(not x.is_zero() for x in v):
             candidates.append(v)
     for w in candidates:
-        values = evaluate(family, w)
-        if any(v.im != 0 for v in values):
-            return OmegaHermitianVerdict(COUNTEREXAMPLE, witness=w)
-        real = tuple(v.re for v in values)
+        real = tuple(v.re for v in evaluate(family, w))  # real, since the family is Hermitian
         if all(v == 0 for v in real):
             return OmegaHermitianVerdict(COUNTEREXAMPLE, witness=w)
         if classify_point(cone, real) is Region.OUTSIDE:

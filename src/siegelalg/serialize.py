@@ -25,9 +25,6 @@ from .graded import GradedSolutions, SiegelDomainSpec
 from .hermitian import HermitianFamily, OmegaHermitianVerdict, is_omega_hermitian
 from .linalg import GaussianRational, Matrix, RealRows
 
-# cap on load_domain_spec's samples: more samples prove nothing more, they only take longer
-SAMPLES_MAX = 10_000
-
 
 def to_json(value):
     """``value`` as a JSON document: the parse of ``format_json(value)``, the one writer."""
@@ -211,7 +208,7 @@ def family_from_json(doc, k: int, m: int) -> HermitianFamily:
     if not isinstance(doc, list) or len(doc) != k:
         raise ValidationError(f"'H' must be a list of {k} matrices")
     comps = tuple(matrix_from_json(rows, (m, m)) for rows in doc)
-    return HermitianFamily(k, m, comps)
+    return HermitianFamily(comps)
 
 
 def spec_to_json(spec: SiegelDomainSpec) -> dict:
@@ -249,20 +246,14 @@ def _list_value(value, what: str) -> list:
     return value
 
 
-def load_domain_spec(
-    doc: dict, samples: int = 32, seed: int = 0
-) -> tuple[SiegelDomainSpec, OmegaHermitianVerdict]:
+def load_domain_spec(doc: dict) -> tuple[SiegelDomainSpec, OmegaHermitianVerdict]:
     """Parse and fully validate a domain document {"n", "k", "cone", "H"}.
 
     Structural invariants raise immediately; a cone-compatibility
     counterexample for the Hermitian family is also a validation error and
     names the witness vector. Otherwise the spec is returned with the
     compatibility verdict, which says whether the check was exact or sampled.
-    ``samples`` (0 to ``SAMPLES_MAX``) is the number of random vectors tried
-    when the cone check is sampled.
     """
-    if not 0 <= samples <= SAMPLES_MAX:
-        raise ValidationError(f"samples must be from 0 to {SAMPLES_MAX}, got {samples}")
     if not isinstance(doc, dict):
         raise ValidationError("domain document must be an object")
     _require_keys(doc, {"n", "k", "cone", "H"}, "domain document")
@@ -270,7 +261,7 @@ def load_domain_spec(
     cone = cone_from_json(doc["cone"])
     family = family_from_json(doc["H"], k, n - k)
     spec = SiegelDomainSpec(n, k, cone, family)
-    verdict = is_omega_hermitian(family, cone, samples=samples, seed=seed)
+    verdict = is_omega_hermitian(family, cone)
     if verdict.is_counterexample():
         try:
             where = "at w = (" + ", ".join(str(x) for x in verdict.witness) + ")"

@@ -160,7 +160,7 @@ def test_criterion_11_skew_count_oracle_equivalence():
             eigs = []
             for value, mult in enumerate(mults, start=1):
                 eigs.extend([value] * mult)
-            fam = HermitianFamily.from_matrices(
+            fam = HermitianFamily(
                 [
                     Matrix.identity(n - 2),
                     Matrix.from_rows(

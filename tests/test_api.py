@@ -126,6 +126,12 @@ def test_every_function_has_a_caller():
     assert sorted(uncalled) == sorted(UNCALLED_ENTRY_POINTS)
 
 
+# Methods with no caller inside the package because the standard library calls them.
+LIBRARY_HOOKS = {
+    "_Parser.error": "argparse calls it on every refused argument; it raises ValidationError",
+}
+
+
 def test_every_public_method_has_a_caller():
     trees = _package_trees()
     uncalled = [
@@ -138,4 +144,4 @@ def test_every_public_method_has_a_caller():
         and not node.name.startswith("_")
         and not _has_caller(node, tree, trees)
     ]
-    assert uncalled == []
+    assert sorted(uncalled) == sorted(LIBRARY_HOOKS)

@@ -114,7 +114,7 @@ class TestSkewCount:
             second = Matrix.from_rows(
                 [[eigs[i] if i == j else 0 for j in range(n - 2)] for i in range(n - 2)]
             )
-            fam = HermitianFamily.from_matrices(
+            fam = HermitianFamily(
                 [Matrix.from_rows([[1 if i == j else 0 for j in range(n - 2)] for i in range(n - 2)]), second]
             )
             spec = SiegelDomainSpec(n, 2, cone, fam)

@@ -141,6 +141,12 @@ class TestLabels:
         assert t3().label == "T3"
         assert tube("omega5").label == "B1xT3"
 
+    @pytest.mark.parametrize("cone_id", ["OMEGA3", " omega3", "Omega3\t", " OMEGA3 "])
+    def test_tube_ids_differing_in_case_or_spaces_are_one_domain(self, cone_id):
+        assert tube(cone_id) == tube("omega3") == t3()
+        assert tube(cone_id).label == "T3"
+        assert tube(cone_id.replace("3", "7")).label == "Tube(omega7)"
+
     def test_parameter_labels(self):
         assert d6((1, 1, 0)).label == "D6(1,1,0)"
         assert d3(1, 0, 1, 1).label == "D3(1,0,1,1)"

@@ -255,20 +255,5 @@ class TestValidation:
                 boundary=(PolyhedralFactor(((Fraction(1),),)),),
             )
 
-    @staticmethod
-    def _lorentz3_with(annihilators):
-        cone = lorentz(3)
-        return ConeSpec(cone.name, cone.k, cone.g_basis, cone.interior_point, cone.boundary,
-                        annihilators)
-
-    def test_supplied_annihilators_accepted(self):
-        assert self._lorentz3_with(lorentz(3).annihilators) == lorentz(3)
-
-    def test_annihilator_not_killing_g_basis_rejected(self):
-        # the (0, 0) entry of the identity, a basis element, is 1
-        first = (Fraction(1),) + (Fraction(0),) * 8
-        with pytest.raises(ValidationError, match="annihilator does not kill g_basis"):
-            self._lorentz3_with((first,) + lorentz(3).annihilators[1:])
-
     def test_orthant_one_is_half_line(self):
         assert orthant(1).k == half_line().k == 1

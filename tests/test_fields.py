@@ -33,21 +33,21 @@ def diag(*vals):
 
 def ball(n):
     return SiegelDomainSpec(
-        n, 1, half_line(), HermitianFamily.from_matrices([Matrix.identity(n - 1)])
+        n, 1, half_line(), HermitianFamily([Matrix.identity(n - 1)])
     )
 
 
 def d6_spec():
     return SiegelDomainSpec(
         4, 3, catalog_cone("omega3"),
-        HermitianFamily.from_matrices([diag(1), diag(1), diag(0)]),
+        HermitianFamily([diag(1), diag(1), diag(0)]),
     )
 
 
 def tube_omega3():
     return SiegelDomainSpec(
         3, 3, catalog_cone("omega3"),
-        HermitianFamily(3, 0, tuple(Matrix.zeros(0, 0) for _ in range(3))),
+        HermitianFamily(tuple(Matrix.zeros(0, 0) for _ in range(3))),
     )
 
 
@@ -63,7 +63,7 @@ class TestEulerField:
     def test_mixed(self):
         spec = SiegelDomainSpec(
             5, 2, catalog_cone("omega1"),
-            HermitianFamily.from_matrices([Matrix.identity(3), Matrix.zeros(3, 3)]),
+            HermitianFamily([Matrix.identity(3), Matrix.zeros(3, 3)]),
         )
         f = euler_field(spec)
         assert f.format(["z1", "z2", "w1", "w2", "w3"]) == "(z1, z2, 1/2*w1, 1/2*w2, 1/2*w3)"

@@ -31,7 +31,7 @@ class _Right(Frozen):
 
 def ball3_spec():
     """A fresh spec of ball(3), built without any cached part."""
-    return SiegelDomainSpec(3, 1, half_line(), HermitianFamily.from_matrices([Matrix.identity(2)]))
+    return SiegelDomainSpec(3, 1, half_line(), HermitianFamily([Matrix.identity(2)]))
 
 
 class TestEqualityAndHash:

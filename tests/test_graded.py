@@ -42,11 +42,11 @@ def diag(*vals):
 
 
 def fam(*comps):
-    return HermitianFamily.from_matrices(list(comps))
+    return HermitianFamily(comps)
 
 
 def empty_fam(k):
-    return HermitianFamily(k, 0, tuple(Matrix.zeros(0, 0) for _ in range(k)))
+    return HermitianFamily(tuple(Matrix.zeros(0, 0) for _ in range(k)))
 
 
 def ball(n):

@@ -17,7 +17,6 @@ from siegelalg.hermitian import (
     evaluate,
     is_omega_hermitian,
     negative_direction,
-    validate,
 )
 from siegelalg.linalg import GR_I, GR_ZERO, Matrix, gr
 
@@ -28,7 +27,7 @@ def diag(*vals):
 
 
 def family(*components):
-    return HermitianFamily.from_matrices(list(components))
+    return HermitianFamily(components)
 
 
 def real_value(fam, w):
@@ -42,16 +41,39 @@ D6_FORM = family(diag(1), diag(1), diag(0))
 
 
 class TestValidate:
+    """Construction checks that the components are square of one size and Hermitian."""
+
     def test_ok(self):
-        assert validate(family(diag(1, 0), diag(1, 1))) == []
+        fam = family(diag(1, 0), diag(1, 1))
+        assert (fam.k, fam.m, fam.components) == (2, 2, (diag(1, 0), diag(1, 1)))
+        assert fam == HermitianFamily([diag(1, 0), diag(1, 1)])
 
     def test_non_hermitian_reported(self):
         bad = Matrix.from_rows([[gr(0), gr(1)], [gr(0), gr(0)]])
-        violations = validate(family(bad))
-        assert [(v.component, v.position) for v in violations] == [(0, (1, 0))]
+        with pytest.raises(ValidationError) as err:
+            family(bad)
+        assert str(err.value) == "family is not Hermitian: component 0 at (1, 0)"
+
+    def test_every_bad_cell_named_in_order(self):
+        # component 1 has a non-real diagonal entry and an asymmetric pair; component 0 is fine
+        bad = Matrix.from_rows([[gr(0, 1), gr(2)], [gr(3), gr(0)]])
+        with pytest.raises(ValidationError) as err:
+            family(diag(1, 1), bad)
+        assert str(err.value) == (
+            "family is not Hermitian: component 1 at (0, 0), component 1 at (1, 0)"
+        )
+
+    @pytest.mark.parametrize("components", [
+        (Matrix.zeros(2, 3),),
+        (diag(1, 1), diag(1)),
+    ], ids=["not_square", "sizes_differ"])
+    def test_components_must_be_square_of_one_size(self, components):
+        with pytest.raises(ValidationError, match="components must be m x m"):
+            HermitianFamily(components)
 
     def test_empty_family_ok(self):
-        assert validate(HermitianFamily(2, 0, (Matrix.zeros(0, 0), Matrix.zeros(0, 0)))) == []
+        fam = HermitianFamily((Matrix.zeros(0, 0), Matrix.zeros(0, 0)))
+        assert (fam.k, fam.m) == (2, 0)
 
 
 class TestPsd:
@@ -206,22 +228,22 @@ class TestOmegaHermitian:
         assert real_value(family(diag(1, 0), diag(1, 0)), verdict.witness) == (0, 0)
 
     def test_lorentz_boundary_family_verified_on_samples(self):
-        verdict = is_omega_hermitian(D6_FORM, catalog_cone("omega3"), samples=16, seed=0)
-        assert verdict.kind == VERIFIED_ON_SAMPLES
-        assert verdict.samples >= 16
+        # the two basis-like vectors of C^1, then 32 drawn vectors
+        verdict = is_omega_hermitian(D6_FORM, catalog_cone("omega3"))
+        assert (verdict.kind, verdict.samples) == (VERIFIED_ON_SAMPLES, 34)
 
     def test_lorentz_counterexample(self):
         bad = family(diag(0), diag(1), diag(0))
-        verdict = is_omega_hermitian(bad, catalog_cone("omega3"), samples=8, seed=0)
+        verdict = is_omega_hermitian(bad, catalog_cone("omega3"))
         assert verdict.kind == COUNTEREXAMPLE
 
     def test_tube_vacuous(self):
-        empty = HermitianFamily(3, 0, tuple(Matrix.zeros(0, 0) for _ in range(3)))
+        empty = HermitianFamily(tuple(Matrix.zeros(0, 0) for _ in range(3)))
         assert is_omega_hermitian(empty, catalog_cone("omega3")).kind == VERIFIED_EXACT
 
     def test_determinism(self):
-        v1 = is_omega_hermitian(D6_FORM, catalog_cone("omega3"), samples=12, seed=5)
-        v2 = is_omega_hermitian(D6_FORM, catalog_cone("omega3"), samples=12, seed=5)
+        v1 = is_omega_hermitian(D6_FORM, catalog_cone("omega3"))
+        v2 = is_omega_hermitian(D6_FORM, catalog_cone("omega3"))
         assert v1 == v2
 
     def test_dimension_mismatch(self):

@@ -25,7 +25,7 @@ def diag(*vals):
 
 
 def fam(*comps):
-    return HermitianFamily.from_matrices(list(comps))
+    return HermitianFamily(comps)
 
 
 def d2_spec(n=4):
