@@ -142,9 +142,12 @@ class ConeSpec(Frozen):
         kernel = sparse_nullspace(sparse, width, Fraction(1))
         if not sparse or len(kernel) != width - len(sparse):
             raise ValidationError("g_basis is linearly dependent or empty")
-        if any(sum(a[i * self.k + i] for i in range(self.k)) for a in kernel):
+        if any(sum(a.get(i * self.k + i, 0) for i in range(self.k)) for a in kernel):
             raise ValidationError("g_basis must contain the scalar matrices in its span")
-        object.__setattr__(self, "annihilators", tuple(map(tuple, kernel)))
+        zero = Fraction(0)
+        object.__setattr__(
+            self, "annihilators", tuple(tuple(a.get(i, zero) for i in range(width)) for a in kernel)
+        )
         if classify_point(self, self.interior_point) is not Region.INTERIOR:
             raise ValidationError("interior point is not interior")
 

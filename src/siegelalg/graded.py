@@ -17,6 +17,13 @@ conditions on matrix and bilinear-form coefficients:
 All universally quantified conditions here are polynomial of known multidegree
 in the quantified vectors, so instantiating at coordinate vectors (and their
 i-multiples) plus coefficient matching is exact, never a sampling argument.
+Instances that only repeat the rows of others are left out. The association
+identity B^* H_j + H_j B = sum_l A_jl H_l is an equation between Hermitian
+matrices, so entry (v, u) is the conjugate of entry (u, v): the entries
+u <= v suffice, and a diagonal entry has only a real part. In g1's mixed
+membership, Im H(w1, b(x, w0)) is sesquilinear in (w1, w0), so
+H(i e_u, b(x, w0)) = -H(e_u, b(x, i w0)): with w0 over both units of e_p,
+w1 = e_u alone gives every row up to sign.
 Unknowns are realified (a complex unknown is its ordered pair of real parts);
 each solver assembles one rational linear system and reads the answer off an
 exact nullspace. Bases are therefore reproducible byte for byte. L, the matrices
@@ -29,9 +36,12 @@ its real and imaginary parts in adjacent columns, real first. The order fixes
 which unknowns are free in the nullspace, and with it every basis vector.
 
 Work in proportion to the nonzeros: each solver tables the nonzero entries of
-H_1..H_k once (``_Nonzeros``), and every sum over an index of some H_j runs
-over that table instead of testing each entry. A coordinate vector is read as
-its one nonzero entry (``coordinate_units``).
+H_1..H_k once (``_Nonzeros``) and those of the cone's annihilators once
+(``_annihilators``), and every sum over an index of some H_j or over a
+functional runs over that table instead of testing each entry. g1's
+three-argument identity visits only the tuples with a term. A coordinate
+vector is read as its one nonzero entry (``coordinate_units``). The nullspace
+vectors are sparse, and a solution is unpacked from its present columns only.
 
 Each identity is accumulated once, into one ``_Lin``: ``expr.add(x, *factors)``
 adds the product of the factors times ``x`` to ``expr`` in place. The factors
@@ -57,6 +67,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import prod
 from typing import Sequence
 
 from .cones import ConeSpec
@@ -64,6 +75,7 @@ from .errors import ValidationError
 from .frozen import Frozen
 from .hermitian import HermitianFamily
 from .linalg import (
+    GR_ONE,
     GR_ZERO,
     Exact,
     GaussianRational,
@@ -75,6 +87,8 @@ from .linalg import (
     sparse_nullspace,
     sparse_rref,
 )
+
+_ZERO = Fraction(0)
 
 
 class SiegelDomainSpec(Frozen):
@@ -188,8 +202,8 @@ class _System:
         if row:
             self.rows.append(row)
 
-    def solutions(self) -> list[list[Fraction]]:
-        """Nullspace basis, one vector per free unknown in index order."""
+    def solutions(self) -> list[dict[int, Fraction]]:
+        """Nullspace basis, one sparse vector per free unknown in index order."""
         return sparse_nullspace(self.rows, self.n, Fraction(1))
 
 
@@ -214,28 +228,35 @@ class _Block:
     def __getitem__(self, index: int | tuple[int, ...]) -> _Lin:
         return self._lins[index if isinstance(index, tuple) else (index,)]
 
-    def values(self, sol: Sequence[Fraction]):
-        """The entries in a solution vector, as nested tuples.
+    def present(self, sol: dict[int, Fraction]) -> list[tuple[int, Scalar]]:
+        """The (flat index, value) of each entry present in the sparse solution vector ``sol``.
 
         A real block reads plain ``Fraction``s; a complex block reads each
-        adjacent (re, im) column pair as one ``GaussianRational``, a pair of
-        zeros as the shared ``GR_ZERO``.
+        (re, im) column pair with a column present as one ``GaussianRational``.
         """
-        w = self.width
+        start, stop = self.start, self.stop
+        if self.width == 1:
+            return [(c - start, x) for c, x in sol.items() if start <= c < stop]
+        parts: dict[int, list[Fraction]] = {}
+        for c, x in sol.items():
+            if start <= c < stop:
+                flat, part = divmod(c - start, 2)
+                parts.setdefault(flat, [_ZERO, _ZERO])[part] = x
+        return [(flat, GaussianRational(re, im)) for flat, (re, im) in parts.items()]
 
-        def read(axis: int, flat: int):
+    def values(self, sol: dict[int, Fraction]):
+        """The entries in a sparse solution vector, as nested tuples.
+
+        Only the present columns are read; every other entry is the shared
+        zero, a ``Fraction`` in a real block and ``GR_ZERO`` in a complex one.
+        """
+        flat = [_ZERO if self.width == 1 else GR_ZERO] * ((self.stop - self.start) // self.width)
+        for i, x in self.present(sol):
+            flat[i] = x
+        for axis in range(len(self.shape) - 1, 0, -1):
             d = self.shape[axis]
-            if axis + 1 < len(self.shape):
-                return tuple(read(axis + 1, flat * d + i) for i in range(d))
-            col = self.start + w * flat * d
-            if w == 1:
-                return tuple(sol[col:col + d])
-            return tuple(
-                GaussianRational(sol[c], sol[c + 1]) if sol[c] or sol[c + 1] else GR_ZERO
-                for c in range(col, col + 2 * d, 2)
-            )
-
-        return read(0, 0)
+            flat = [tuple(flat[g * d:g * d + d]) for g in range(prod(self.shape[:axis]))]
+        return tuple(flat)
 
 
 class _Nonzeros:
@@ -277,18 +298,23 @@ def _sym_pairs(n: int) -> list[tuple[int, int]]:
 Tensor = tuple[tuple[tuple[Scalar, ...], ...], ...]
 
 
-def _symmetric(packed: tuple[tuple[Scalar, ...], ...], n: int) -> Tensor:
-    """The symmetric form whose coefficients ``packed[l]`` run over the pairs i <= j.
+def _symmetric(block: _Block, sol: dict[int, Fraction], n: int) -> Tensor:
+    """The symmetric form whose coefficients, the entries of ``block`` in ``sol``, run over the
+    pairs i <= j, one row of the block per form.
 
     Both c[l][i][j] and c[l][j][i] hold the pair's coefficient, so a sum over
     all (i, j) counts an off-diagonal coefficient twice:
     value_l(u, u) = sum_i c[l,ii] u_i^2 + 2 sum_{i<j} c[l,ij] u_i u_j.
+    Only the present entries are read; the others are the block's zero.
     """
-    index = {pair: idx for idx, pair in enumerate(_sym_pairs(n))}
-    return tuple(
-        tuple(tuple(row[index[min(i, j), max(i, j)]] for j in range(n)) for i in range(n))
-        for row in packed
-    )
+    pairs = _sym_pairs(n)
+    zero = _ZERO if block.width == 1 else GR_ZERO
+    forms = [[[zero] * n for _ in range(n)] for _ in range(block.shape[0])]
+    for flat, x in block.present(sol):
+        l, idx = divmod(flat, len(pairs))
+        i, j = pairs[idx]
+        forms[l][i][j] = forms[l][j][i] = x
+    return tuple(tuple(map(tuple, form)) for form in forms)
 
 
 class GradedDims(Frozen):
@@ -320,11 +346,16 @@ def _emit_association(
     b_entries: _Block | dict[tuple[int, int], _Lin],
     m: int,
 ) -> None:
-    """Rows for B^* H_j + H_j B = sum_l A[j][l] H_l for every j; ``b_entries[t, u]`` is B[t][u]."""
+    """Rows for B^* H_j + H_j B = sum_l A[j][l] H_l for every j; ``b_entries[t, u]`` is B[t][u].
+
+    Both sides are Hermitian, so entry (v, u) is the conjugate of entry (u, v):
+    the rows are those of the entries u <= v, and only the real part of a
+    diagonal entry (its imaginary part vanishes identically).
+    """
     b_bar = {(t, u): b_entries[t, u].conj() for t in range(m) for u in range(m)}
     for j, (rows, cols) in enumerate(zip(nz.row, nz.col)):
         for u in range(m):
-            for v in range(m):
+            for v in range(u, m):
                 expr = _Lin()
                 for t, h in cols[v]:  # H_j[t][v]
                     expr.add(b_bar[t, u], h)
@@ -332,12 +363,33 @@ def _emit_association(
                     expr.add(b_entries[t, v], h)
                 for l, h in nz.at[u][v]:  # H_l[u][v]
                     expr.add(a_rows[j][l], h, -1)
-                system.require_zero(expr)
+                if u == v:
+                    system.require_real_zero(expr.re)
+                else:
+                    system.require_zero(expr)
 
 
-def _annihilators(cone: ConeSpec) -> list[list[Exact]]:
-    """The functionals on gl(k, R) that cut out g(Omega), tabled once per solver call."""
-    return [[_exact(x) for x in functional] for functional in cone.annihilators]
+def _annihilators(cone: ConeSpec) -> list[list[tuple[int, int, Exact]]]:
+    """The functionals on gl(k, R) that cut out g(Omega), tabled once per solver call: each
+    as its nonzero coefficients (j, l, x) on the entries (j, l), read by ``_exact``."""
+    return [
+        [(*divmod(i, cone.k), _exact(x)) for i, x in enumerate(functional) if x]
+        for functional in cone.annihilators
+    ]
+
+
+def _annihilator_rows(
+    system: _System,
+    annihilators: list[list[tuple[int, int, Exact]]],
+    grid: dict[tuple[int, int], _Lin],
+) -> None:
+    """Rows forcing the real k x k matrix whose (j, l) entry is the ``re`` row of ``grid[j, l]``
+    into g(Omega)."""
+    for functional in annihilators:
+        acc = _Lin()
+        for j, l, x in functional:
+            acc.add(grid[j, l], x)
+        system.require_real_zero(acc.re)
 
 
 def _units(m: int) -> list[tuple[int, GaussianRational]]:
@@ -345,22 +397,9 @@ def _units(m: int) -> list[tuple[int, GaussianRational]]:
     return [(u, _exact(unit)) for u, unit in coordinate_units(m)]
 
 
-def _annihilator_rows(
-    system: _System, annihilators: list[list[Exact]], grid: list[list[_Lin]]
-) -> None:
-    """Rows forcing the real k x k matrix whose entries are the ``re`` rows of ``grid`` into g(Omega)."""
-    k = len(grid)
-    for functional in annihilators:
-        acc = _Lin()
-        for j in range(k):
-            for l in range(k):
-                acc.add(grid[j][l], functional[j * k + l])
-        system.require_real_zero(acc.re)
-
-
 def _pairing_rows(
     system: _System,
-    annihilators: list[list[Exact]],
+    annihilators: list[list[tuple[int, int, Exact]]],
     nz: _Nonzeros,
     u: int,
     unit: GaussianRational,
@@ -374,16 +413,13 @@ def _pairing_rows(
     if not annihilators:
         return
     unit_bar = unit.conjugate()
-    k = len(nz.row)  # one table per H_j
-    grid = []
-    for rows in nz.row:
-        row = []
-        for l in range(k):
+    grid = {}
+    for j, rows in enumerate(nz.row):
+        for l in range(len(nz.row)):  # one table per H_j
             acc = _Lin()
             for vp, h in rows[u]:  # H_j[u][vp]
                 acc.add(x_map[vp, l], unit_bar, h)
-            row.append(_Lin(acc.im))  # the imaginary part, as a real expression
-        grid.append(row)
+            grid[j, l] = _Lin(acc.im)  # the imaginary part, as a real expression
     _annihilator_rows(system, annihilators, grid)
 
 
@@ -420,11 +456,10 @@ def solve_g0(spec: SiegelDomainSpec) -> tuple[tuple[RealRows, Matrix], ...]:
     ]
     basis = []
     for sol in system.solutions():
-        a_mat = [[Fraction(0)] * k for _ in range(k)]
-        for xp, entries in zip(coords.values(sol), g_entries):
-            if xp:
-                for j, l, x in entries:
-                    a_mat[j][l] += xp * x
+        a_mat = [[_ZERO] * k for _ in range(k)]
+        for p, xp in coords.present(sol):
+            for j, l, x in g_entries[p]:
+                a_mat[j][l] += xp * x
         basis.append((tuple(map(tuple, a_mat)), Matrix.from_rows(b.values(sol))))
     return tuple(basis)
 
@@ -499,7 +534,7 @@ def solve_g_half(spec: SiegelDomainSpec) -> tuple[tuple[Matrix, Tensor], ...]:
                 system.require_zero(expr)
 
     return tuple(
-        (Matrix.from_rows(phi.values(sol)), _symmetric(c.values(sol), m))
+        (Matrix.from_rows(phi.values(sol)), _symmetric(c, sol, m))
         for sol in system.solutions()
     )
 
@@ -532,7 +567,7 @@ def solve_g1(spec: SiegelDomainSpec) -> tuple[tuple[Tensor, Tensor], ...]:
 
     for t in range(k):
         # membership of x -> a(e_t, x)
-        grid = [[a_lin(l, t, j) for j in range(k)] for l in range(k)]
+        grid = {(l, j): a_lin(l, t, j) for l, j in product(range(k), repeat=2)}
         _annihilator_rows(system, annihilators, grid)
         if m:
             # association of w -> b(e_t, w)/2 to a(e_t, .), each row doubled:
@@ -550,35 +585,47 @@ def solve_g1(spec: SiegelDomainSpec) -> tuple[tuple[Tensor, Tensor], ...]:
             system.require_real_zero(trace.im)
 
     if m:
-        # membership of x -> Im H(w1, b(x, w0)) for coordinate pairs (w0, w1)
+        # membership of x -> Im H(w1, b(x, w0)) for w0 in the coordinate set, w1 = e_u
         units = _units(m)
+        one = _exact(GR_ONE)
         for p, unit in units:
             # b_w0[l, t] = b(e_t, w0)_l for w0 = unit * e_p
             b_w0 = {key: _Lin() for key in product(range(m), range(k))}
             for (l, t), entry in b_w0.items():
                 entry.add(b[l, t, p], unit)
-            for u, unit1 in units:
-                _pairing_rows(system, annihilators, nz, u, unit1, b_w0)
-
-        # three-argument symmetry, matched on conj(w)_u conj(w')_v w''_i w''_j
-        b_bar = {key: b[key].conj() for key in product(range(m), range(k), range(m))}
-        for rows, cols in zip(nz.row, nz.col):
             for u in range(m):
-                for v in range(m):
-                    for (i, jp) in _sym_pairs(m):
-                        expr = _Lin()
-                        # the terms for (i, jp) and, off the diagonal, their mirror (jp, i)
-                        for i1, i2 in ((i, jp), (jp, i)) if i != jp else ((i, jp),):
-                            for l, h in rows[u]:  # H_j[u][l]
-                                for t, g in nz.at[v][i1]:  # H_t[v][i1]
-                                    expr.add(b[l, t, i2], h, g)
-                            for t, g in nz.at[u][i1]:  # H_t[u][i1]
-                                for l, h in cols[i2]:  # H_j[l][i2]
-                                    expr.add(b_bar[l, t, v], g, h, -1)
-                        system.require_zero(expr)
+                _pairing_rows(system, annihilators, nz, u, one, b_w0)
+
+        # three-argument symmetry, matched on conj(w)_u conj(w')_v w''_i w''_j, for the tuples
+        # (u, v, i <= j) with a term: H_j[u][.] and some H_t[v][i1], or some H_t[u][i1] and
+        # H_j[.][i2], where (i1, i2) is (i, j) or (j, i)
+        b_bar = {key: b[key].conj() for key in product(range(m), range(k), range(m))}
+        held = [[i1 for i1 in range(m) if nz.at[v][i1]] for v in range(m)]
+        from_row = {
+            (v, min(i1, i2), max(i1, i2)) for v in range(m) for i1 in held[v] for i2 in range(m)
+        }
+        for rows, cols in zip(nz.row, nz.col):
+            col_held = [i2 for i2 in range(m) if cols[i2]]
+            for u in range(m):
+                tuples = set(from_row) if rows[u] else set()
+                tuples.update(
+                    (v, min(i1, i2), max(i1, i2))
+                    for i1 in held[u] for i2 in col_held for v in range(m)
+                )
+                for v, i, jp in sorted(tuples):
+                    expr = _Lin()
+                    # the terms for (i, jp) and, off the diagonal, their mirror (jp, i)
+                    for i1, i2 in ((i, jp), (jp, i)) if i != jp else ((i, jp),):
+                        for l, h in rows[u]:  # H_j[u][l]
+                            for t, g in nz.at[v][i1]:  # H_t[v][i1]
+                                expr.add(b[l, t, i2], h, g)
+                        for t, g in nz.at[u][i1]:  # H_t[u][i1]
+                            for l, h in cols[i2]:  # H_j[l][i2]
+                                expr.add(b_bar[l, t, v], g, h, -1)
+                    system.require_zero(expr)
 
     return tuple(
-        (_symmetric(a.values(sol), k), b.values(sol))
+        (_symmetric(a, sol, k), b.values(sol))
         for sol in system.solutions()
     )
 

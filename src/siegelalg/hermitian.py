@@ -18,6 +18,7 @@ pairing is ever recomputed.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .cones import ConeSpec, LorentzFactor, Region, classify_point
@@ -29,7 +30,6 @@ from .linalg import (
     GR_ZERO,
     GaussianRational,
     Matrix,
-    Scalar,
     coordinate_units,
     sparse_nullspace,
 )
@@ -75,27 +75,6 @@ class HermitianFamily(Frozen):
     @property
     def m(self) -> int:
         return self.components[0].nrows if self.components else 0
-
-
-def evaluate(
-    family: HermitianFamily,
-    w: Sequence[Scalar],
-    w2: Optional[Sequence[Scalar]] = None,
-) -> tuple[GaussianRational, ...]:
-    """The vector H(w, w2), anti-linear in w; w2 defaults to w."""
-    left = [GaussianRational.of(x).conjugate() for x in w]
-    right = [GaussianRational.of(x) for x in (w2 if w2 is not None else w)]
-    m = family.m
-    if len(left) != m or len(right) != m:
-        raise ValidationError("argument length must equal m")
-    out = []
-    for comp in family.components:
-        acc = GR_ZERO
-        for i in range(m):
-            for j in range(m):
-                acc = acc + left[i] * comp.entry(i, j) * right[j]
-        out.append(acc)
-    return tuple(out)
 
 
 def negative_direction(m: Matrix) -> Optional[tuple[GaussianRational, ...]]:
@@ -206,6 +185,9 @@ def is_omega_hermitian(family: HermitianFamily, cone: ConeSpec) -> OmegaHermitia
     are checked on a fixed sample set instead, and the verdict says so;
     sampling cannot prove the universal statement. The samples are the
     basis-like vectors and then ``_SAMPLES`` vectors drawn from ``_Lcg(0)``.
+    Each is tested on a positive multiple of H(w, w) computed in ``int``s
+    (``_scaled_value``), which has the same zero test and the same region;
+    a witness is the sample itself.
     """
     if family.k != cone.k:
         raise ValidationError("family and cone dimensions differ")
@@ -230,7 +212,8 @@ def is_omega_hermitian(family: HermitianFamily, cone: ConeSpec) -> OmegaHermitia
         ]
         kernel = sparse_nullspace(stacked, m, GR_ONE)
         if kernel:
-            return OmegaHermitianVerdict(COUNTEREXAMPLE, witness=tuple(kernel[0]))
+            witness = tuple(kernel[0].get(j, GR_ZERO) for j in range(m))
+            return OmegaHermitianVerdict(COUNTEREXAMPLE, witness=witness)
         return OmegaHermitianVerdict(VERIFIED_EXACT)
     rng = _Lcg(0)
     candidates = _basis_like_vectors(family.m)
@@ -238,10 +221,50 @@ def is_omega_hermitian(family: HermitianFamily, cone: ConeSpec) -> OmegaHermitia
         v = rng.next_vector(family.m)
         if any(not x.is_zero() for x in v):
             candidates.append(v)
+    entries = _integer_entries(family)
     for w in candidates:
-        real = tuple(v.re for v in evaluate(family, w))  # real, since the family is Hermitian
-        if all(v == 0 for v in real):
+        # a positive multiple of H(w, w): the same zero test and the same region
+        value = _scaled_value(entries, w)
+        if not any(value):
             return OmegaHermitianVerdict(COUNTEREXAMPLE, witness=w)
-        if classify_point(cone, real) is Region.OUTSIDE:
+        if classify_point(cone, value) is Region.OUTSIDE:
             return OmegaHermitianVerdict(COUNTEREXAMPLE, witness=w)
     return OmegaHermitianVerdict(VERIFIED_ON_SAMPLES, samples=len(candidates))
+
+
+def _integer_entries(family: HermitianFamily) -> list[list[tuple[int, int, int, int]]]:
+    """D H_1, ..., D H_k for D > 0 the lcm of the family's denominators: for each component,
+    its nonzero entries (a, b, re, im) with ``int`` parts."""
+    scale = lcm(*(
+        part.denominator for comp in family.components for row in comp.entries
+        for x in row for part in (x.re, x.im)
+    ))
+    return [
+        [
+            (a, b, x.re.numerator * (scale // x.re.denominator),
+             x.im.numerator * (scale // x.im.denominator))
+            for a, row in enumerate(comp.entries) for b, x in enumerate(row) if x
+        ]
+        for comp in family.components
+    ]
+
+
+def _scaled_value(entries: list[list[tuple[int, int, int, int]]], w: Sequence[GaussianRational]):
+    """d^2 D H(w, w), a real vector of ``int``s, for d > 0 the lcm of w's denominators and
+    ``entries`` the nonzero entries of D H_j (``_integer_entries``).
+
+    With w = (wr + i wi) / d, each entry adds
+    (wr_a wr_b + wi_a wi_b) hr - (wr_a wi_b - wi_a wr_b) hi,
+    the real part of conj(w_a) H_j[a][b] w_b; the family is Hermitian, so
+    H(w, w) has no imaginary part.
+    """
+    d = lcm(*(part.denominator for x in w for part in (x.re, x.im)))
+    wr = [x.re.numerator * (d // x.re.denominator) for x in w]
+    wi = [x.im.numerator * (d // x.im.denominator) for x in w]
+    return tuple(
+        sum(
+            (wr[a] * wr[b] + wi[a] * wi[b]) * hr - (wr[a] * wi[b] - wi[a] * wr[b]) * hi
+            for a, b, hr, hi in comp
+        )
+        for comp in entries
+    )

@@ -9,17 +9,22 @@ Real data (cone algebras, the A-parts of weight-0 pairs, the forms a of
 weight 1) is kept as ``RealRows``, plain nested tuples of ``Fraction``;
 ``Matrix`` holds complex data.
 
-All elimination goes through ``sparse_rref``, whose rows store only their
-nonzero entries; ``Matrix.rref`` is a dense view of its result. It eliminates
-over the integers, fraction-free (Bareiss 1968): each row is kept primitive,
-scaled to integers with no common factor, so every step is ``int``
-arithmetic, and a ``Fraction`` is built only for the entries of the result.
-A real row may hold ``int``s as well as ``Fraction``s: the graded solvers
-assemble their systems over the integers wherever their inputs are integral,
-and such rows enter the kernel as they are.
+All elimination goes through one integer kernel, ``_integer_rref``, whose
+rows store only their nonzero entries. It eliminates fraction-free (Bareiss
+1968): each row is kept primitive, scaled to integers with no common factor,
+so every step is ``int`` arithmetic, and a ``Fraction`` is built only for the
+entries of a result. A real row may hold ``int``s as well as ``Fraction``s:
+the graded solvers assemble their systems over the integers wherever their
+inputs are integral, and such a row costs one gcd pass to enter the kernel.
 An index from each column to the rows holding it confines a pivot's work to
 those rows. Complex rows are realified over interleaved (re, im) columns and
 go through the same integer kernel.
+
+``sparse_rref`` divides the reduced rows by their pivot entries, and
+``Matrix.rref`` is a dense view of that. Kernel vectors are sparse as well:
+``sparse_nullspace`` reads each one off the integer reduced rows as
+``{column: nonzero scalar}``, one ``Fraction`` per nonzero, so its readers
+visit only the columns present.
 """
 
 from __future__ import annotations
@@ -246,8 +251,8 @@ def sparse_rref(rows: Sequence[dict[Any, S]], one: S) -> tuple[list[dict[Any, S]
     a real row of ``int``s. The input rows are not modified.
 
     The work is done on integers. A rational row is scaled by the lcm of its
-    denominators and divided by the gcd of its entries; an integer row (the
-    graded solvers' rows over integral inputs) enters as it is, with lcm 1. A
+    denominators and divided by the gcd of its entries; an all-``int`` row
+    (the graded solvers' rows over integral inputs) is only divided. A
     complex row a (with integer columns) is realified first, as the real rows
     a and i*a over interleaved (re, im) columns 2j, 2j + 1: the real reduced
     rows whose pivot is an re column are the realified complex reduced rows,
@@ -288,12 +293,20 @@ def _realified(row: dict[int, GaussianRational]) -> tuple[dict[int, Fraction], d
     return a, ia
 
 
-def _primitive(row: dict[Any, Fraction]) -> dict[Any, int]:
-    """The nonzero rational row as integers with no common factor, up to sign."""
-    scale = lcm(*(x.denominator for x in row.values()))
-    ints = {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
-    g = gcd(*ints.values())
-    return {j: x // g for j, x in ints.items()} if g != 1 else ints
+def _primitive(row: dict[Any, Exact]) -> dict[Any, int]:
+    """The nonzero row as integers with no common factor, up to sign, in a new dict.
+
+    An all-``int`` row takes one gcd pass; a row with a ``Fraction`` is first
+    scaled by the lcm of its denominators. The result is always a copy,
+    because ``_integer_rref`` edits its rows in place.
+    """
+    try:
+        g = gcd(*row.values())
+    except TypeError:  # a Fraction entry
+        scale = lcm(*(x.denominator for x in row.values()))
+        row = {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
+        g = gcd(*row.values())
+    return {j: x // g for j, x in row.items()} if g != 1 else dict(row)
 
 
 def _integer_rref(rows: list[dict[Any, int]]) -> list[tuple[Any, dict[Any, int]]]:
@@ -352,28 +365,30 @@ def _integer_rref(rows: list[dict[Any, int]]) -> list[tuple[Any, dict[Any, int]]
     return [(c, rows[i]) for c, i in order]
 
 
-def sparse_nullspace(rows: Sequence[dict[int, S]], ncols: int, one: S) -> list[list[S]]:
-    """Basis of the right kernel of sparse rows over ``ncols`` columns.
+def sparse_nullspace(rows: Sequence[dict[int, S]], ncols: int, one: S) -> list[dict[int, S]]:
+    """Basis of the right kernel of sparse rows over ``ncols`` columns, as sparse vectors.
 
     Deterministic: each free column, taken in column order, is set to one in
-    turn and the pivot unknowns are read off the reduced rows. The count
-    always equals ``ncols - rank``.
+    turn and the pivot unknowns are read off the reduced rows. A vector is
+    ``{column: nonzero scalar}``: its free column, then the pivot column of
+    each reduced row that holds the free column. The count always equals
+    ``ncols - rank``. Real rows are read straight off the integer reduced
+    rows, one ``Fraction(-x, pivot entry)`` per nonzero x off the pivot.
     """
-    zero = one - one
-    reduced, pivots = sparse_rref(rows, one)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [zero] * ncols
-        v[f] = one
-        for row, p in zip(reduced, pivots):
-            x = row.get(f)
-            if x is not None:
-                v[p] = -x
-        basis.append(v)
-    return basis
+    complex_rows = isinstance(one, GaussianRational)
+    if complex_rows:  # reduced rows with pivot entry one
+        reduced, pivots = sparse_rref(rows, one)
+        reduced = list(zip(pivots, reduced))
+    else:
+        reduced = _integer_rref([_primitive(row) for row in rows if row])
+    pivot_set = {p for p, _ in reduced}
+    basis = {f: {f: one} for f in range(ncols) if f not in pivot_set}
+    for p, row in reduced:
+        a = row[p]
+        for j, x in row.items():
+            if j != p:  # a reduced row is zero in every other pivot column
+                basis[j][p] = -x if complex_rows else Fraction(-x, a)
+    return list(basis.values())
 
 
 def span_rank(vectors: Sequence[Sequence[Scalar]], width: int) -> int:

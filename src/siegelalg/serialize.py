@@ -42,7 +42,9 @@ def format_json(value) -> str:
     (subclasses too) are laid out here and strings escaped to ASCII as
     ``json.dumps`` does; other leaves go through ``json.dumps``. Keys must be
     strings. The standard library's indenting encoder runs one generator per
-    container; this appends to one list of pieces instead.
+    container; this appends to one list of pieces instead. A tuple or list
+    writes its ``Fraction`` and ``GaussianRational`` entries in its own loop,
+    and makes the text of a zero ``GaussianRational`` once.
     """
     out: list[str] = []
     _format(value, "", "\n", out)
@@ -55,8 +57,7 @@ def _format(value, prefix: str, newline: str, out: list[str]) -> None:
     if cls is Fraction:
         out.append(f'{prefix}"{value}"')
     elif cls is GaussianRational:
-        inner = newline + "  "
-        out.append(f'{prefix}{{{inner}"re": "{value.re}",{inner}"im": "{value.im}"{newline}}}')
+        out.append(prefix + _gaussian(value, newline))
     elif cls is Matrix:
         _format(value.entries, prefix, newline, out)
     elif isinstance(value, str):
@@ -79,12 +80,29 @@ def _format(value, prefix: str, newline: str, out: list[str]) -> None:
             return
         inner = newline + "  "
         sep = prefix + "[" + inner
+        zero = None  # the text of a zero GaussianRational at this indentation, made once
         for v in value:
-            _format(v, sep, inner, out)
+            vcls = type(v)
+            if vcls is Fraction:  # leaves are written here, without a call each
+                out.append(f'{sep}"{v}"')
+            elif vcls is GaussianRational:
+                if v:
+                    out.append(sep + _gaussian(v, inner))
+                else:
+                    zero = zero or _gaussian(v, inner)
+                    out.append(sep + zero)
+            else:
+                _format(v, sep, inner, out)
             sep = "," + inner
         out.append(newline + "]")
     else:
         out.append(prefix + json.dumps(value))
+
+
+def _gaussian(value: GaussianRational, newline: str) -> str:
+    """The text of a ``GaussianRational``, whose lines start with ``newline``."""
+    inner = newline + "  "
+    return f'{{{inner}"re": "{value.re}",{inner}"im": "{value.im}"{newline}}}'
 
 
 def fraction_from_json(value: Union[str, int]) -> Fraction:
@@ -258,6 +276,8 @@ def load_domain_spec(doc: dict) -> tuple[SiegelDomainSpec, OmegaHermitianVerdict
         raise ValidationError("domain document must be an object")
     _require_keys(doc, {"n", "k", "cone", "H"}, "domain document")
     n, k = _int_value(doc["n"], "'n'"), _int_value(doc["k"], "'k'")
+    if not 1 <= k <= n:  # before H is read with shape (n - k) x (n - k)
+        raise ValidationError("need 1 <= k <= n")
     cone = cone_from_json(doc["cone"])
     family = family_from_json(doc["H"], k, n - k)
     spec = SiegelDomainSpec(n, k, cone, family)

@@ -1,6 +1,6 @@
-"""Dense matrix and bilinear-form products, dense Gauss-Jordan elimination and the skew space
-it solves for, polynomial arithmetic and a polynomial-matrix rank, that the tests use as
-independent oracles.
+"""Dense matrix and bilinear-form products, the value of a Hermitian family, dense Gauss-Jordan
+elimination and the skew space it solves for, polynomial arithmetic and a polynomial-matrix
+rank, that the tests use as independent oracles.
 
 The package has no caller for them, so they live with the tests: each is
 written out in the plainest way, entry by entry. A polynomial here is a dict
@@ -55,6 +55,23 @@ def apply(m: Matrix, v) -> tuple[GaussianRational, ...]:
         acc = GR_ZERO
         for t in range(m.ncols):
             acc = acc + m.entries[i][t] * vv[t]
+        out.append(acc)
+    return tuple(out)
+
+
+def evaluate(family, w, w2=None) -> tuple[GaussianRational, ...]:
+    """The vector H(w, w2) of a ``HermitianFamily``, anti-linear in w; w2 defaults to w."""
+    left = [GaussianRational.of(x).conjugate() for x in w]
+    right = [GaussianRational.of(x) for x in (w2 if w2 is not None else w)]
+    m = family.m
+    if len(left) != m or len(right) != m:
+        raise ValidationError("argument length must equal m")
+    out = []
+    for comp in family.components:
+        acc = GR_ZERO
+        for i in range(m):
+            for j in range(m):
+                acc = acc + left[i] * comp.entry(i, j) * right[j]
         out.append(acc)
     return tuple(out)
 

@@ -107,11 +107,21 @@ class TestSpecFile:
         assert "w = (" in err
 
     def test_k_exceeding_n(self, capsys, tmp_path):
+        # the range of k is checked before H is read with shape (n - k) x (n - k)
         doc = {"n": 2, "k": 3, "cone": "omega2", "H": [[], [], []]}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        code, _, err = run_cli(capsys, "dims", "--spec", str(path))
+        code, out, err = run_cli(capsys, "dims", "--spec", str(path))
         assert code == 2
+        assert (out, err) == ("", "error: need 1 <= k <= n\n")
+
+    @pytest.mark.parametrize("n, k", [(2, 0), (0, 0), (3, -1)])
+    def test_k_below_one(self, capsys, tmp_path, n, k):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": n, "k": k, "cone": "omega2", "H": []}))
+        code, out, err = run_cli(capsys, "dims", "--spec", str(path))
+        assert code == 2
+        assert (out, err) == ("", "error: need 1 <= k <= n\n")
 
     @pytest.mark.parametrize("family", [
         [[[{"re": "1", "imag": "2"}]], [["1"]], [["0"]]],

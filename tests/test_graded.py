@@ -20,7 +20,7 @@ from siegelalg.graded import (
     solve_g1,
     solve_L,
 )
-from siegelalg.hermitian import HermitianFamily, evaluate
+from siegelalg.hermitian import HermitianFamily
 from siegelalg.linalg import GR_I, GR_ONE, GR_ZERO, GaussianRational, Matrix, gr
 from siegelalg.serialize import (
     cone_from_json,
@@ -29,7 +29,7 @@ from siegelalg.serialize import (
     to_json,
 )
 from matrix_oracles import (
-    add, apply, bilinear_apply, conj_transpose, dense_rref, is_zero, matmul, skew_basis,
+    add, apply, bilinear_apply, conj_transpose, dense_rref, evaluate, is_zero, matmul, skew_basis,
 )
 from test_golden_bases import DENSE_SPECS
 
@@ -415,13 +415,14 @@ def test_solutions_satisfy_assembled_rows_exactly(name, solver, monkeypatch):
             assert types == {int, Fraction}
         assert all(c != 0 for row in rows for c in row.values())
         for v in basis:
-            assert len(v) == n
+            assert all(0 <= j < n and x != 0 for j, x in v.items())  # sparse: nonzeros only
             for row in rows:
-                assert sum((c * v[j] for j, c in row.items()), Fraction(0)) == 0
+                assert sum((c * v.get(j, 0) for j, c in row.items()), Fraction(0)) == 0
         dense = [[row.get(j, Fraction(0)) for j in range(n)] for row in rows]
         _, pivots = dense_rref(dense, n, Fraction(1))
         assert len(basis) == n - len(pivots)
-        _, basis_pivots = dense_rref(basis, n, Fraction(1))
+        dense_basis = [[v.get(j, Fraction(0)) for j in range(n)] for v in basis]
+        _, basis_pivots = dense_rref(dense_basis, n, Fraction(1))
         assert len(basis_pivots) == len(basis)
 
 
@@ -474,8 +475,7 @@ def test_layout_round_trip(name, solver, monkeypatch):
     assert [b.start for b in blocks] == stops[:-1]
     assert stops[-1] == system.n
     for col in range(system.n):
-        sol = [Fraction(0)] * system.n
-        sol[col] = Fraction(1)
+        sol = {col: Fraction(1)}  # the sparse vector with one unit entry
         hits = [
             (block, index, value)
             for block in blocks
@@ -708,3 +708,65 @@ def test_cone_automorphism_invariance(domain, g):
     assert moved != base.form
     assert graded_dims(spec) == graded_dims(base)
     assert solve_L(spec) == solve_L(base) == len(skew_basis(spec.form))
+
+
+def _moved(domain, p):
+    """The domain after the w-coordinate change H_j -> P* H_j P."""
+    base = catalog.build(domain)
+    comps = [matmul(matmul(conj_transpose(p), h), p) for h in base.form.components]
+    return SiegelDomainSpec(base.n, base.k, base.cone, fam(*comps))
+
+
+# dense Gaussian-integer coordinate changes: every entry of every moved H_j is read
+P1 = Matrix.from_rows([[gr(1, 1)]])
+P2 = Matrix.from_rows([[GR_ONE, GR_I], [gr(1, 1), gr(-1)]])
+DENSE_CHANGES = {
+    "ball3": (catalog.ball(3), P2),
+    "d1_4": (catalog.d1(4), P2),
+    "d6_110": (catalog.d6((1, 1, 0)), P1),
+}
+IDENTITY_DOMAINS = sorted(SOLVER_DOMAINS) + [f"dense:{name}" for name in sorted(DENSE_CHANGES)]
+
+
+def _identity_spec(name):
+    if name.startswith("dense:"):
+        return _moved(*DENSE_CHANGES[name.removeprefix("dense:")])
+    return catalog.build(SOLVER_DOMAINS[name])
+
+
+def _unit(k, t):
+    return [1 if i == t else 0 for i in range(k)]
+
+
+@pytest.mark.parametrize("name", IDENTITY_DOMAINS)
+def test_g0_association_holds_at_every_pair_of_units(name):
+    """A H(w, w') = H(Bw, w') + H(w, Bw') for every (w, w') of the coordinate set, in both
+    orders, though the solver emits the association only for entries u <= v."""
+    spec = _identity_spec(name)
+    sols = solve_all(spec)
+    assert sols.g0
+    for a_mat, b_mat in sols.g0:
+        check_associated(spec, a_mat, b_mat)
+        assert in_g_omega(spec.cone, a_mat)
+
+
+@pytest.mark.parametrize("name", IDENTITY_DOMAINS)
+def test_g1_identities_hold_at_every_pair_of_units(name):
+    """For every (a, b) of g1: w -> b(e_t, w)/2 is associated to a(e_t, .) at every pair of
+    units, and x -> Im H(w1, b(x, w0)) is in g(Omega) for all four kinds of unit pairs
+    (w0, w1), though the solver instantiates w1 = e_u only."""
+    spec = _identity_spec(name)
+    k, m = spec.k, spec.m
+    sols = solve_all(spec)
+    assert sols.g_one or name.startswith("d3")
+    for a, b in sols.g_one:
+        for t in range(k):
+            a_t = [[a[l][t][j] for j in range(k)] for l in range(k)]
+            b_t = Matrix.from_rows([[b[l][t][p] / 2 for p in range(m)] for l in range(m)])
+            check_associated(spec, a_t, b_t)
+        for w0 in complex_basis(m):
+            b_w0 = [bilinear_apply(b, _unit(k, t), w0) for t in range(k)]  # b(e_t, w0)
+            for w1 in complex_basis(m):
+                values = [evaluate(spec.form, w1, col) for col in b_w0]
+                rows = [[values[t][j].im for t in range(k)] for j in range(k)]
+                assert in_g_omega(spec.cone, rows)

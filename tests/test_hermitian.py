@@ -1,11 +1,13 @@
 """Hermitian families, exact negative directions, and cone compatibility."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from siegelalg import catalog
 from siegelalg.cones import Region, catalog_cone, classify_point
 from siegelalg.errors import ValidationError
 from siegelalg.hermitian import (
@@ -13,12 +15,15 @@ from siegelalg.hermitian import (
     VERIFIED_EXACT,
     VERIFIED_ON_SAMPLES,
     HermitianFamily,
+    _basis_like_vectors,
+    _integer_entries,
     _Lcg,
-    evaluate,
+    _scaled_value,
     is_omega_hermitian,
     negative_direction,
 )
 from siegelalg.linalg import GR_I, GR_ZERO, Matrix, gr
+from matrix_oracles import evaluate
 
 
 def diag(*vals):
@@ -264,3 +269,60 @@ class TestOmegaHermitian:
             assert any(v != 0 for v in value)
             assert classify_point(cone, value) in (Region.INTERIOR, Region.BOUNDARY)
             checked += 1
+
+
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@st.composite
+def families_and_vectors(draw):
+    """A Hermitian family with rational parts of mixed denominators, and a nonzero w."""
+    k, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    comps = []
+    for _ in range(k):
+        rows = [[GR_ZERO] * m for _ in range(m)]
+        for a in range(m):
+            rows[a][a] = gr(draw(RATIONALS))
+            for b in range(a + 1, m):
+                rows[a][b] = gr(draw(RATIONALS), draw(RATIONALS))
+                rows[b][a] = rows[a][b].conjugate()
+        comps.append(Matrix.from_rows(rows))
+    w = tuple(draw(st.builds(gr, RATIONALS, RATIONALS)) for _ in range(m))
+    return HermitianFamily(comps), w
+
+
+def _check_scaled_value(fam, w):
+    """``_scaled_value`` is D d^2 H(w, w): D and d the lcms of the family's and w's denominators."""
+    scale = lcm(*(part.denominator for comp in fam.components for row in comp.entries
+                  for x in row for part in (x.re, x.im)))
+    d = lcm(*(part.denominator for x in w for part in (x.re, x.im)))
+    value = _scaled_value(_integer_entries(fam), w)
+    assert all(type(x) is int for x in value)
+    assert value == tuple(scale * d * d * x for x in real_value(fam, w))
+
+
+@given(case=families_and_vectors())
+@settings(derandomize=True, max_examples=80, deadline=None)
+def test_scaled_value_is_a_positive_multiple_on_random_samples(case):
+    _check_scaled_value(*case)
+
+
+# the catalog families over omega3 (Lorentz), and a dense one with a denominator in each entry
+_H = gr(4, 3) * Fraction(10001, 50000)
+LORENTZ_FAMILIES = {
+    **{
+        domain.label: catalog.build(domain).form
+        for domain in (catalog.d6((1, 1, 0)), catalog.d6((2, 1, 0)),
+                       catalog.d6((Fraction(3, 2), Fraction(1, 2), Fraction(1, 3))))
+    },
+    "dense": family(diag(1, 1), diag(1, -1), Matrix.from_rows([[0, _H], [_H.conjugate(), 0]])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LORENTZ_FAMILIES))
+def test_scaled_value_is_a_positive_multiple_on_lorentz_families(name):
+    """On the samples the sampled check tries: the basis-like vectors and ``_Lcg(0)``'s."""
+    fam = LORENTZ_FAMILIES[name]
+    rng = _Lcg(0)
+    for w in _basis_like_vectors(fam.m) + [rng.next_vector(fam.m) for _ in range(32)]:
+        _check_scaled_value(fam, w)

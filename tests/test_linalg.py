@@ -95,10 +95,16 @@ class TestRref:
         assert once.rref().matrix == once
 
 
+def dense(vectors, ncols, zero):
+    """Sparse kernel vectors ``{column: nonzero scalar}`` as dense tuples over ``ncols`` columns."""
+    assert all(0 <= j < ncols and x != zero for v in vectors for j, x in v.items())
+    return [tuple(v.get(j, zero) for j in range(ncols)) for v in vectors]
+
+
 def nullspace(m):
-    """``sparse_nullspace`` of the rows of ``m``, each basis vector a tuple."""
+    """``sparse_nullspace`` of the rows of ``m``, each basis vector a dense tuple."""
     rows = [{j: x for j, x in enumerate(row) if x} for row in m.entries]
-    return [tuple(v) for v in sparse_nullspace(rows, m.ncols, GR_ONE)]
+    return dense(sparse_nullspace(rows, m.ncols, GR_ONE), m.ncols, GR_ZERO)
 
 
 class TestNullspace:
@@ -216,6 +222,15 @@ def _check_against_reference(ncols, rows, one):
     assert all(x != zero for row in reduced for x in row.values())
     nullspace = sparse_nullspace(sparse, ncols, one)
     assert len(nullspace) == ncols - len(pivots)
+    # the reference kernel: each free column set to one, the pivots read off the dense form
+    reference = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        v = [zero] * ncols
+        v[f] = one
+        for r, p in enumerate(pivots):
+            v[p] = -expected[r][f]
+        reference.append(tuple(v))
+    assert dense(nullspace, ncols, zero) == reference
 
     if isinstance(one, Fraction):
         # each row scaled to ints, as the solvers assemble integral systems, enters the
@@ -228,7 +243,7 @@ def _check_against_reference(ncols, rows, one):
         int_nullspace = sparse_nullspace(ints, ncols, one)
         assert int_nullspace == sparse_nullspace(as_fractions, ncols, one) == nullspace
         assert all(type(x) is Fraction for row in sparse_rref(ints, one)[0] for x in row.values())
-        assert all(type(x) is Fraction for v in int_nullspace for x in v)
+        assert all(type(x) is Fraction for v in int_nullspace for x in v.values())
 
     res = Matrix(
         len(rows), ncols, tuple(tuple(GaussianRational.of(x) for x in row) for row in rows)
