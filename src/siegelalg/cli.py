@@ -132,15 +132,17 @@ def _cmd_dims(args) -> int:
         doc["bases"] = solutions_bases_to_json(sols)
     if args.format == "json":
         _emit_json(doc)
-    else:
-        d = sols.dims
-        print(f"domain {label}: n={spec.n} k={spec.k}")
-        print(
-            f"g_-1={d.d_m1} g_-1/2={d.d_mhalf} g_0={d.d_0} "
-            f"g_1/2={d.d_half} g_1={d.d_1} total={d.total} s={sols.s}"
-        )
-        if args.emit_bases:
-            _emit_json(solutions_bases_to_json(sols))
+        return 0
+    # formatted before anything is printed, so a value too long to print leaves stdout empty
+    bases = format_json(doc["bases"]) if args.emit_bases else None
+    d = sols.dims
+    print(f"domain {label}: n={spec.n} k={spec.k}")
+    print(
+        f"g_-1={d.d_m1} g_-1/2={d.d_mhalf} g_0={d.d_0} "
+        f"g_1/2={d.d_half} g_1={d.d_1} total={d.total} s={sols.s}"
+    )
+    if bases is not None:
+        print(bases)
     return 0
 
 

@@ -139,7 +139,7 @@ class ConeSpec(Frozen):
         width = self.k * self.k
         sparse = [{i * self.k + j: x for i, row in enumerate(m) for j, x in enumerate(row) if x}
                   for m in self.g_basis]
-        kernel = sparse_nullspace(sparse, width, Fraction(1))
+        kernel = sparse_nullspace(sparse, width)
         if not sparse or len(kernel) != width - len(sparse):
             raise ValidationError("g_basis is linearly dependent or empty")
         if any(sum(a.get(i * self.k + i, 0) for i in range(self.k)) for a in kernel):

@@ -226,7 +226,7 @@ Span = list[tuple[tuple, dict[tuple, Fraction]]]
 
 def _real_span(fields: Sequence[PolyVectorField]) -> Span:
     """The real span of ``fields`` as (pivot, reduced row) pairs; their count is its dimension."""
-    reduced, pivots = sparse_rref([_real_coordinates(f) for f in fields], Fraction(1))
+    reduced, pivots = sparse_rref([_real_coordinates(f) for f in fields])
     return list(zip(pivots, reduced))
 
 

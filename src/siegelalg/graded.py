@@ -204,7 +204,7 @@ class _System:
 
     def solutions(self) -> list[dict[int, Fraction]]:
         """Nullspace basis, one sparse vector per free unknown in index order."""
-        return sparse_nullspace(self.rows, self.n, Fraction(1))
+        return sparse_nullspace(self.rows, self.n)
 
 
 class _Block:
@@ -471,7 +471,7 @@ def a_part_basis(g0: Sequence[tuple[RealRows, Matrix]]) -> tuple[RealRows, ...]:
         return ()
     k = len(g0[0][0])
     rows = [{i * k + j: x for i, row in enumerate(a) for j, x in enumerate(row) if x} for a, _ in g0]
-    reduced, _ = sparse_rref(rows, Fraction(1))
+    reduced, _ = sparse_rref(rows)
     zero = Fraction(0)
     return tuple(
         tuple(tuple(r.get(i * k + j, zero) for j in range(k)) for i in range(k))

@@ -13,6 +13,13 @@ matrix of the remaining vectors and updates it in place, by Schur complement
 when a pivot is split off and by the same rotation as the vectors when the
 diagonal vanishes, so a d x d form costs O(d^3) exact operations and no
 pairing is ever recomputed.
+
+Over a polyhedral cone the components must also have no common kernel.
+That check is real: the rows of every H_j are realified (``linalg._realified``)
+and their real kernel is taken over 2m interleaved (re, im) columns. Those
+rows kill exactly the conjugates of the common complex kernel, so the first
+kernel vector, whose free column is an re column, is read back conjugated as
+the witness.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from .linalg import (
     GR_ZERO,
     GaussianRational,
     Matrix,
+    _realified,
     coordinate_units,
     sparse_nullspace,
 )
@@ -206,13 +214,13 @@ def is_omega_hermitian(family: HermitianFamily, cone: ConeSpec) -> OmegaHermitia
                 witness = negative_direction(combo)
                 if witness is not None:
                     return OmegaHermitianVerdict(COUNTEREXAMPLE, witness=witness)
-        stacked = [
-            {j: x for j, x in enumerate(row) if x}
-            for comp in family.components for row in comp.entries
-        ]
-        kernel = sparse_nullspace(stacked, m, GR_ONE)
-        if kernel:
-            witness = tuple(kernel[0].get(j, GR_ZERO) for j in range(m))
+        stacked = [r for comp in family.components for row in comp.entries
+                   for r in _realified(dict(enumerate(row)))]
+        kernel = sparse_nullspace(stacked, 2 * m)
+        if kernel:  # the conjugate of a common kernel vector, with an re free column set to one
+            v, zero = kernel[0], Fraction(0)
+            witness = tuple(GaussianRational(v.get(2 * j, zero), -v.get(2 * j + 1, zero))
+                            for j in range(m))
             return OmegaHermitianVerdict(COUNTEREXAMPLE, witness=witness)
         return OmegaHermitianVerdict(VERIFIED_EXACT)
     rng = _Lcg(0)

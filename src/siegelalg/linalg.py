@@ -17,21 +17,24 @@ entries of a result. A real row may hold ``int``s as well as ``Fraction``s:
 the graded solvers assemble their systems over the integers wherever their
 inputs are integral, and such a row costs one gcd pass to enter the kernel.
 An index from each column to the rows holding it confines a pivot's work to
-those rows. Complex rows are realified over interleaved (re, im) columns and
-go through the same integer kernel.
+those rows.
 
-``sparse_rref`` divides the reduced rows by their pivot entries, and
-``Matrix.rref`` is a dense view of that. Kernel vectors are sparse as well:
-``sparse_nullspace`` reads each one off the integer reduced rows as
-``{column: nonzero scalar}``, one ``Fraction`` per nonzero, so its readers
-visit only the columns present.
+Elimination is real. ``sparse_rref`` divides the reduced rows by their pivot
+entries. Kernel vectors are sparse as well: ``sparse_nullspace`` reads each
+one off the integer reduced rows as ``{column: nonzero Fraction}``, one
+``Fraction`` per nonzero, so its readers visit only the columns present.
+Complex rows enter only through ``_realified``, which writes a row a as the
+real rows a and i*a over interleaved (re, im) columns 2j, 2j + 1, the layout
+of the graded solvers' complex unknowns. Its two callers read the results
+back: ``Matrix.rref``, a dense complex view of the real reduced rows, and
+the common-kernel check of ``hermitian.is_omega_hermitian``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Any, Sequence, TypeVar, Union
+from typing import Any, Sequence, Union
 
 from .errors import ValidationError
 from .frozen import Frozen
@@ -214,23 +217,27 @@ class Matrix(Frozen):
     def row(self, i: int) -> tuple[GaussianRational, ...]:
         return self.entries[i]
 
-    def _sparse_rows(self) -> list[dict[int, GaussianRational]]:
-        """The rows as ``{column: nonzero entry}``, the input of ``sparse_rref``."""
-        return [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in self.entries]
-
     def rref(self) -> RrefResult:
-        """Reduced row echelon form over the exact scalar field.
+        """Reduced row echelon form over the Gaussian rationals.
 
-        Zero rows are moved to the bottom. The reduced form of a matrix is
-        unique, so the result does not depend on how ``sparse_rref`` picks
-        its pivot rows.
+        Zero rows are moved to the bottom. The rows are realified
+        (``_realified``) and eliminated as real rows; the real reduced rows
+        whose pivot is an re column 2j are the realified complex reduced rows,
+        read back here, and the others are dropped. The reduced form of a
+        matrix is unique, so the result does not depend on how ``sparse_rref``
+        picks its pivot rows.
         """
-        reduced, pivots = sparse_rref(self._sparse_rows(), GR_ONE)
-        zero_row = (GR_ZERO,) * self.ncols
+        rows = [r for row in self.entries for r in _realified(dict(enumerate(row)))]
+        reduced, pivots = sparse_rref(rows)
+        zero = Fraction(0)
         entries = tuple(
-            tuple(row.get(j, GR_ZERO) for j in range(self.ncols)) for row in reduced
-        ) + (zero_row,) * (self.nrows - len(reduced))
-        return RrefResult(Matrix(self.nrows, self.ncols, entries), len(pivots), tuple(pivots))
+            tuple(GaussianRational(row.get(2 * j, zero), row.get(2 * j + 1, zero))
+                  for j in range(self.ncols))
+            for row, c in zip(reduced, pivots) if c % 2 == 0
+        )
+        pivots = tuple(c // 2 for c in pivots if c % 2 == 0)
+        entries += ((GR_ZERO,) * self.ncols,) * (self.nrows - len(pivots))
+        return RrefResult(Matrix(self.nrows, self.ncols, entries), len(pivots), pivots)
 
     def rank(self) -> int:
         return self.rref().rank
@@ -239,49 +246,34 @@ class Matrix(Frozen):
         return "[" + "; ".join(", ".join(str(x) for x in row) for row in self.entries) + "]"
 
 
-S = TypeVar("S", Fraction, GaussianRational)
-
-
-def sparse_rref(rows: Sequence[dict[Any, S]], one: S) -> tuple[list[dict[Any, S]], list[Any]]:
-    """Exact Gauss-Jordan elimination of sparse rows ``{column: nonzero scalar}``.
+def sparse_rref(rows: Sequence[dict[Any, Exact]]) -> tuple[list[dict[Any, Fraction]], list[Any]]:
+    """Exact Gauss-Jordan elimination of real sparse rows ``{column: nonzero int or Fraction}``.
 
     Returns the nonzero rows of the reduced row echelon form in pivot order,
     with their pivot columns; the form is unique, so neither depends on the
-    order of elimination. Result entries have the type of ``one``, also for
-    a real row of ``int``s. The input rows are not modified.
+    order of elimination. Every result entry is a ``Fraction``, also for a
+    row of ``int``s. The input rows are not modified.
 
     The work is done on integers. A rational row is scaled by the lcm of its
     denominators and divided by the gcd of its entries; an all-``int`` row
-    (the graded solvers' rows over integral inputs) is only divided. A
-    complex row a (with integer columns) is realified first, as the real rows
-    a and i*a over interleaved (re, im) columns 2j, 2j + 1: the real reduced
-    rows whose pivot is an re column are the realified complex reduced rows,
-    and the others are dropped. Each reduced row is divided by its pivot entry
-    only at the end, so ``Fraction``s are built only for the entries of the
-    result.
+    (the graded solvers' rows over integral inputs) is only divided. Each
+    reduced row is divided by its pivot entry only at the end, so
+    ``Fraction``s are built only for the entries of the result.
     """
-    complex_rows = isinstance(one, GaussianRational)
-    if complex_rows:
-        rows = [r for row in rows for r in _realified(row)]
     reduced = _integer_rref([_primitive(row) for row in rows if row])
-    if not complex_rows:
-        pivots = [c for c, _ in reduced]
-        return [{j: Fraction(x, row[c]) for j, x in row.items()} for c, row in reduced], pivots
-    out, pivots = [], []
-    for c, row in reduced:
-        if c % 2:
-            continue
-        p = row[c]
-        out.append({
-            k: GaussianRational(Fraction(row.get(2 * k, 0), p), Fraction(row.get(2 * k + 1, 0), p))
-            for k in {j // 2 for j in row}
-        })
-        pivots.append(c // 2)
-    return out, pivots
+    pivots = [c for c, _ in reduced]
+    return [{j: Fraction(x, row[c]) for j, x in row.items()} for c, row in reduced], pivots
 
 
 def _realified(row: dict[int, GaussianRational]) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
-    """The complex row a as the real rows a and i*a over interleaved (re, im) columns."""
+    """The complex row a as the real rows a and i*a over interleaved (re, im) columns 2j, 2j + 1.
+
+    Zero entries write nothing. The two rows
+    span the realified complex span of a, so the real reduced rows of
+    realified rows whose pivot is an re column are the realified complex
+    reduced rows. Their real kernel is the realified *conjugate* of the
+    complex kernel: they kill z = x + iy exactly when sum_j conj(a_j) z_j = 0.
+    """
     a: dict[int, Fraction] = {}
     ia: dict[int, Fraction] = {}
     for j, z in row.items():
@@ -365,29 +357,24 @@ def _integer_rref(rows: list[dict[Any, int]]) -> list[tuple[Any, dict[Any, int]]
     return [(c, rows[i]) for c, i in order]
 
 
-def sparse_nullspace(rows: Sequence[dict[int, S]], ncols: int, one: S) -> list[dict[int, S]]:
-    """Basis of the right kernel of sparse rows over ``ncols`` columns, as sparse vectors.
+def sparse_nullspace(rows: Sequence[dict[int, Exact]], ncols: int) -> list[dict[int, Fraction]]:
+    """Basis of the right kernel of real sparse rows over ``ncols`` columns, as sparse vectors.
 
     Deterministic: each free column, taken in column order, is set to one in
     turn and the pivot unknowns are read off the reduced rows. A vector is
-    ``{column: nonzero scalar}``: its free column, then the pivot column of
+    ``{column: nonzero Fraction}``: its free column, then the pivot column of
     each reduced row that holds the free column. The count always equals
-    ``ncols - rank``. Real rows are read straight off the integer reduced
+    ``ncols - rank``. The entries are read straight off the integer reduced
     rows, one ``Fraction(-x, pivot entry)`` per nonzero x off the pivot.
     """
-    complex_rows = isinstance(one, GaussianRational)
-    if complex_rows:  # reduced rows with pivot entry one
-        reduced, pivots = sparse_rref(rows, one)
-        reduced = list(zip(pivots, reduced))
-    else:
-        reduced = _integer_rref([_primitive(row) for row in rows if row])
+    reduced = _integer_rref([_primitive(row) for row in rows if row])
     pivot_set = {p for p, _ in reduced}
-    basis = {f: {f: one} for f in range(ncols) if f not in pivot_set}
+    basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in pivot_set}
     for p, row in reduced:
         a = row[p]
         for j, x in row.items():
             if j != p:  # a reduced row is zero in every other pivot column
-                basis[j][p] = -x if complex_rows else Fraction(-x, a)
+                basis[j][p] = Fraction(-x, a)
     return list(basis.values())
 
 

@@ -45,9 +45,19 @@ def format_json(value) -> str:
     container; this appends to one list of pieces instead. A tuple or list
     writes its ``Fraction`` and ``GaussianRational`` entries in its own loop,
     and makes the text of a zero ``GaussianRational`` once.
+
+    A number with more digits than Python prints an int with
+    (``sys.get_int_max_str_digits()``) is refused with a ``ValidationError``;
+    the text is built whole before the caller writes any of it.
     """
     out: list[str] = []
-    _format(value, "", "\n", out)
+    try:
+        _format(value, "", "\n", out)
+    except ValueError as exc:  # str() of an int past the digit limit
+        raise ValidationError(
+            f"a result has a number with more than {sys.get_int_max_str_digits()} digits, "
+            "the most that Python prints an int with"
+        ) from exc
     return "".join(out)
 
 
@@ -106,16 +116,19 @@ def _gaussian(value: GaussianRational, newline: str) -> str:
 
 
 def fraction_from_json(value: Union[str, int]) -> Fraction:
-    """An int, or a literal such as "-3/4", "0.5" or "2e3". A literal is refused if its value has
+    """An int, or a literal such as "-3/4", "0.5" or "2e3". A literal is refused if it groups
+    digits with "_" (``Fraction`` accepts that only on some Python versions), or if its value has
     more digits than an int prints with, and a large exponent before 10**exponent is expanded."""
     if isinstance(value, bool):
         raise ValidationError("expected a rational, got a boolean")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if "_" in value:
+            raise ValidationError(f"bad rational literal {value!r}")
         limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
         # (mantissa, exponent) of a decimal literal; ``Fraction`` checks the syntax
-        match = re.fullmatch(r"(\s*[-+]?[\d_]*\.?[\d_]*)e([-+]?[\d_]+)\s*", value, re.IGNORECASE)
+        match = re.fullmatch(r"(\s*[-+]?\d*\.?\d*)e([-+]?\d+)\s*", value, re.IGNORECASE)
         try:  # a nonzero mantissa times 10**e has at least |e| - len(mantissa) digits
             huge = match is not None and abs(int(match[2])) > limit + len(match[1])
             q = Fraction(match[1] if huge else value)
@@ -201,7 +214,12 @@ def cone_from_json(doc) -> ConeSpec:
     if set(doc) == {"cone"}:
         return cone_from_json(doc["cone"])
     _require_keys(doc, {"k", "g_basis", "interior_point", "boundary"}, "cone document", ("name",))
+    name = doc.get("name", "custom")
+    if not isinstance(name, str):
+        raise ValidationError(f"cone 'name' must be a string, got {name!r}")
     k = _int_value(doc["k"], "'k'")
+    if k < 1:  # before g_basis is read with shape k x k
+        raise ValidationError("cone dimension must be at least 1")
     g_basis = tuple(
         _real_rows_from_json(rows, k) for rows in _list_value(doc["g_basis"], "'g_basis'")
     )
@@ -214,7 +232,7 @@ def cone_from_json(doc) -> ConeSpec:
         boundary = _list_value(boundary["factors"], "'factors'")
     factors = tuple(map(_factor_from_json, boundary if isinstance(boundary, list) else [boundary]))
     return ConeSpec(
-        name=str(doc.get("name", "custom")),
+        name=name,
         k=k,
         g_basis=g_basis,
         interior_point=interior,

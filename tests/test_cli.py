@@ -115,6 +115,19 @@ class TestSpecFile:
         assert code == 2
         assert (out, err) == ("", "error: need 1 <= k <= n\n")
 
+    @pytest.mark.parametrize("command", [["dims"], ["dims", "--format", "json"], ["homogeneity"]])
+    def test_common_kernel_witness_is_read_back_conjugated(self, capsys, tmp_path, command):
+        # H_2 = 3 H_1 and H_1 = [[1, i], [-i, 1]] is PSD with kernel spanned by (-i, 1);
+        # the realified rows kill its conjugate (i, 1), so a read without conjugation is wrong
+        h1 = [["1", {"im": "1"}], [{"im": "-1"}, "1"]]
+        h2 = [["3", {"im": "3"}], [{"im": "-3"}, "3"]]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": 4, "k": 2, "cone": "omega1", "H": [h1, h2]}))
+        code, out, err = run_cli(capsys, *command, "--spec", str(path))
+        assert (code, out) == (2, "")
+        assert err == ("error: family is not compatible with the cone: H(w,w) leaves the closed "
+                       "cone minus zero at w = (-1i, 1)\n")
+
     @pytest.mark.parametrize("n, k", [(2, 0), (0, 0), (3, -1)])
     def test_k_below_one(self, capsys, tmp_path, n, k):
         path = tmp_path / "bad.json"
@@ -221,6 +234,45 @@ MALFORMED_CONES = {
         *LORENTZ3_CONE["g_basis"][2:],
     ]},
 }
+
+
+RAY_CONE = {
+    "k": 1,
+    "g_basis": [[["1"]]],
+    "interior_point": ["1"],
+    "boundary": {"kind": "polyhedral", "functionals": [["1"]]},
+}
+
+
+class TestDocumentsReadAlike:
+    """Each document and literal is read the same way on every supported Python version."""
+
+    def _run(self, capsys, tmp_path, cone, entry="1"):
+        doc = {"n": 3, "k": 1, "cone": cone, "H": [[[entry, "0"], ["0", "1"]]]}
+        path = tmp_path / "domain.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "dims", "--spec", str(path))
+        assert (code, out) == (2, "")
+        return err
+
+    def test_cone_dimension_checked_before_g_basis(self, capsys, tmp_path):
+        err = self._run(capsys, tmp_path, {**RAY_CONE, "k": -1, "g_basis": [[]]})
+        assert err == "error: cone dimension must be at least 1\n"
+
+    @pytest.mark.parametrize("name", [{"a": 1}, 3, None, ["ray"]])
+    def test_cone_name_must_be_a_string(self, capsys, tmp_path, name):
+        err = self._run(capsys, tmp_path, {**RAY_CONE, "name": name})
+        assert err == f"error: cone 'name' must be a string, got {name!r}\n"
+
+    @pytest.mark.parametrize("literal", ["1_0", "1_0/3", "0.5_0", "1e1_0", "_1"])
+    def test_underscore_literal_refused_in_a_document(self, capsys, tmp_path, literal):
+        err = self._run(capsys, tmp_path, RAY_CONE, entry=literal)
+        assert err == f"error: bad rational literal {literal!r}\n"
+
+    def test_underscore_literal_refused_in_a_flag(self, capsys):
+        code, out, err = run_cli(capsys, "dims", "--domain", "d6", "--v", "1_0,1,0")
+        assert (code, out) == (2, "")
+        assert err == "error: bad rational literal '1_0'\n"
 
 
 class TestCustomCone:
@@ -487,6 +539,18 @@ def test_oversized_values_are_one_error_line(capsys, tmp_path, name):
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_bases_too_long_to_print_are_one_error_line(capsys, tmp_path, fmt):
+    """Bases with a number past the int-to-str digit limit end in one error line and print
+    nothing, in both formats: the bases are formatted before anything is written."""
+    a, b = str(10**4000 + 1), "3" * 4000  # each within the literal limit
+    path = _spec_file(tmp_path, {"n": 3, "k": 1, "cone": RAY_CONE, "H": [[[a, "1"], ["1", b]]]})
+    code, out, err = run_cli(capsys, "dims", "--spec", path, "--emit-bases", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == ("error: a result has a number with more than 4300 digits, the most that "
+                   "Python prints an int with\n")
 
 
 def test_large_literals_that_print_still_work(capsys):

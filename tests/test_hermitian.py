@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from siegelalg import catalog
@@ -22,8 +22,8 @@ from siegelalg.hermitian import (
     is_omega_hermitian,
     negative_direction,
 )
-from siegelalg.linalg import GR_I, GR_ZERO, Matrix, gr
-from matrix_oracles import evaluate
+from siegelalg.linalg import GR_I, GR_ONE, GR_ZERO, Matrix, gr
+from matrix_oracles import apply, conj_transpose, dense_rref, evaluate, matmul
 
 
 def diag(*vals):
@@ -269,6 +269,47 @@ class TestOmegaHermitian:
             assert any(v != 0 for v in value)
             assert classify_point(cone, value) in (Region.INTERIOR, Region.BOUNDARY)
             checked += 1
+
+
+@st.composite
+def singular_families(draw):
+    """(family, cone): H_j = P* D_j P over an orthant, with P an invertible Gaussian-integer matrix
+    and D_j >= 0 diagonal with a common zero, so every H_j is PSD and they share a kernel; at
+    least one entry of the family is not real."""
+    cone = catalog_cone(draw(st.sampled_from(["omega1", "omega2", "omega4"])))
+    m = draw(st.integers(2, 3))
+    parts = st.integers(-2, 2)
+    p = Matrix.from_rows([[gr(draw(parts), draw(parts)) for _ in range(m)] for _ in range(m)])
+    assume(p.rank() == m)
+    zero_at = draw(st.integers(0, m - 1))
+    components = [
+        matmul(conj_transpose(p), matmul(diag(*[0 if i == zero_at else draw(st.integers(0, 3))
+                                                for i in range(m)]), p))
+        for _ in range(cone.k)
+    ]
+    assume(any(x.im for comp in components for row in comp.entries for x in row))
+    return HermitianFamily(components), cone
+
+
+@given(case=singular_families())
+@settings(derandomize=True, max_examples=60, deadline=None)
+def test_common_kernel_witness_is_the_first_kernel_vector(case):
+    """The witness of a common kernel is its first vector as ``dense_rref`` reads it off the
+    stacked rows of the H_j (first free column set to one), and every H_j kills it. The check
+    takes the kernel through realified rows, whose kernel is the conjugate one."""
+    fam, cone = case
+    verdict = is_omega_hermitian(fam, cone)
+    assert verdict.kind == COUNTEREXAMPLE
+    m = fam.m
+    rows = [row for comp in fam.components for row in comp.entries]
+    reduced, pivots = dense_rref(rows, m, GR_ONE)
+    free = next(j for j in range(m) if j not in pivots)
+    expected = [GR_ZERO] * m
+    expected[free] = GR_ONE
+    for r, p in enumerate(pivots):
+        expected[p] = -reduced[r][free]
+    assert verdict.witness == tuple(expected)
+    assert all(not x for comp in fam.components for x in apply(comp, verdict.witness))
 
 
 RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=5)

@@ -14,6 +14,7 @@ from siegelalg.linalg import (
     GR_ZERO,
     GaussianRational,
     Matrix,
+    _realified,
     gr,
     sparse_nullspace,
     sparse_rref,
@@ -101,10 +102,27 @@ def dense(vectors, ncols, zero):
     return [tuple(v.get(j, zero) for j in range(ncols)) for v in vectors]
 
 
+def complex_kernel(rows, ncols):
+    """The complex kernel of sparse Gaussian rows, taken through their realified rows.
+
+    The realified rows kill exactly the conjugates of the complex kernel, so
+    each real kernel vector whose free column is an re column 2f (its first
+    key) is read back conjugated; with f set to one it is the complex vector
+    of free column f.
+    """
+    real = [r for row in rows for r in _realified(row)]
+    zero = Fraction(0)
+    return [
+        {j: GaussianRational(v.get(2 * j, zero), -v.get(2 * j + 1, zero))
+         for j in {c // 2 for c in v}}
+        for v in sparse_nullspace(real, 2 * ncols) if next(iter(v)) % 2 == 0
+    ]
+
+
 def nullspace(m):
-    """``sparse_nullspace`` of the rows of ``m``, each basis vector a dense tuple."""
+    """The kernel of ``m`` through its realified rows, each basis vector a dense tuple."""
     rows = [{j: x for j, x in enumerate(row) if x} for row in m.entries]
-    return dense(sparse_nullspace(rows, m.ncols, GR_ONE), m.ncols, GR_ZERO)
+    return dense(complex_kernel(rows, m.ncols), m.ncols, GR_ZERO)
 
 
 class TestNullspace:
@@ -215,12 +233,21 @@ def _check_against_reference(ncols, rows, one):
     expected, pivots = dense_rref(rows, ncols, one)
     sparse = [{j: x for j, x in enumerate(row) if x != zero} for row in rows]
     before = [dict(row) for row in sparse]
-    reduced, got_pivots = sparse_rref(sparse, one)
+    matrix = Matrix(
+        len(rows), ncols, tuple(tuple(GaussianRational.of(x) for x in row) for row in rows)
+    )
+    if isinstance(one, Fraction):
+        reduced, got_pivots = sparse_rref(sparse)
+        nullspace = sparse_nullspace(sparse, ncols)
+    else:  # complex rows are eliminated through their realified rows
+        res = matrix.rref()
+        reduced = [{j: x for j, x in enumerate(row) if x} for row in res.matrix.entries[: res.rank]]
+        got_pivots = list(res.pivots)
+        nullspace = complex_kernel(sparse, ncols)
     assert sparse == before
     assert got_pivots == pivots
     assert [[row.get(j, zero) for j in range(ncols)] for row in reduced] == expected[: len(pivots)]
     assert all(x != zero for row in reduced for x in row.values())
-    nullspace = sparse_nullspace(sparse, ncols, one)
     assert len(nullspace) == ncols - len(pivots)
     # the reference kernel: each free column set to one, the pivots read off the dense form
     reference = []
@@ -239,15 +266,13 @@ def _check_against_reference(ncols, rows, one):
                 for row in sparse]
         as_fractions = [{j: Fraction(x) for j, x in row.items()} for row in ints]
         assert all(type(x) is int for row in ints for x in row.values())
-        assert sparse_rref(ints, one) == sparse_rref(as_fractions, one) == (reduced, got_pivots)
-        int_nullspace = sparse_nullspace(ints, ncols, one)
-        assert int_nullspace == sparse_nullspace(as_fractions, ncols, one) == nullspace
-        assert all(type(x) is Fraction for row in sparse_rref(ints, one)[0] for x in row.values())
+        assert sparse_rref(ints) == sparse_rref(as_fractions) == (reduced, got_pivots)
+        int_nullspace = sparse_nullspace(ints, ncols)
+        assert int_nullspace == sparse_nullspace(as_fractions, ncols) == nullspace
+        assert all(type(x) is Fraction for row in sparse_rref(ints)[0] for x in row.values())
         assert all(type(x) is Fraction for v in int_nullspace for x in v.values())
 
-    res = Matrix(
-        len(rows), ncols, tuple(tuple(GaussianRational.of(x) for x in row) for row in rows)
-    ).rref()
+    res = matrix.rref()
     assert res.rank == len(pivots)
     assert res.pivots == tuple(pivots)
     assert res.matrix.entries == tuple(
@@ -305,11 +330,17 @@ def wide_inputs(draw, entries, coeffs):
 
 
 def _check_typed(ncols, rows, one):
-    """``_check_against_reference``, and every result entry has the type of ``one``."""
+    """``_check_against_reference``, and every result entry has the type of ``one``, with
+    ``Fraction`` parts for a ``GaussianRational``."""
     rank = _check_against_reference(ncols, rows, one)
     zero = one - one
-    reduced, _ = sparse_rref([{j: x for j, x in enumerate(row) if x != zero} for row in rows], one)
-    assert all(type(x) is type(one) for row in reduced for x in row.values())
+    if isinstance(one, Fraction):
+        reduced, _ = sparse_rref([{j: x for j, x in enumerate(row) if x != zero} for row in rows])
+        entries = [x for row in reduced for x in row.values()]
+    else:
+        entries = [x for row in Matrix.from_rows(rows).rref().matrix.entries for x in row]
+        assert all(type(x.re) is Fraction and type(x.im) is Fraction for x in entries)
+    assert all(type(x) is type(one) for x in entries)
     return rank
 
 
