@@ -18,11 +18,17 @@ from .cones import catalog_cone, isotropy_bound
 from .errors import ValidationError
 from .graded import solve_all, solve_g0
 from .homogeneity import NOT_TRANSITIVE, homogeneity_verdict
-from .serialize import format_json, fraction_from_json, load_domain_spec, solutions_bases_to_json
+from .serialize import fraction_from_json, json_pieces, load_domain_spec, solutions_bases_to_json
+
+
+def _write_json(pieces: list[str]) -> None:
+    """Write the pieces of a JSON text (``json_pieces``) and a newline, never joined into one text."""
+    sys.stdout.writelines(pieces)
+    sys.stdout.write("\n")
 
 
 def _emit_json(doc) -> None:
-    print(format_json(doc))
+    _write_json(json_pieces(doc))
 
 
 def _parse_factors(text: str) -> tuple[int, ...]:
@@ -134,7 +140,7 @@ def _cmd_dims(args) -> int:
         _emit_json(doc)
         return 0
     # formatted before anything is printed, so a value too long to print leaves stdout empty
-    bases = format_json(doc["bases"]) if args.emit_bases else None
+    bases = json_pieces(doc["bases"]) if args.emit_bases else None
     d = sols.dims
     print(f"domain {label}: n={spec.n} k={spec.k}")
     print(
@@ -142,7 +148,7 @@ def _cmd_dims(args) -> int:
         f"g_1/2={d.d_half} g_1={d.d_1} total={d.total} s={sols.s}"
     )
     if bases is not None:
-        print(bases)
+        _write_json(bases)
     return 0
 
 

@@ -98,7 +98,7 @@ def materialize(spec: SiegelDomainSpec, sols: GradedSolutions) -> tuple[PolyVect
     coefficient enters twice: the doubled convention of ``graded._symmetric``.
     """
     n, k, m = spec.n, spec.k, spec.m
-    comps = spec.form.components
+    h_rows = spec.form.row
     two_i = GR_I + GR_I
     fields: list[PolyVectorField] = []
 
@@ -110,8 +110,8 @@ def materialize(spec: SiegelDomainSpec, sols: GradedSolutions) -> tuple[PolyVect
     # each nonzero only at its coordinate u
     for idx, (u, unit) in enumerate(coordinate_units(m)):
         terms = [
-            (t, two_i * unit.conjugate() * comps[t].entry(u, l), k + l)
-            for t in range(k) for l in range(m)
+            (t, two_i * unit.conjugate() * h, k + l)
+            for t, rows in enumerate(h_rows) for l, h in rows[u]
         ]
         terms.append((k + u, unit))
         fields.append(_field(n, terms, Fraction(-1, 2), f"g-1/2[{idx}]"))
@@ -119,16 +119,16 @@ def materialize(spec: SiegelDomainSpec, sols: GradedSolutions) -> tuple[PolyVect
     # weight 0: (Az) . d/dz + (Bw) . d/dw
     for idx, (a_mat, b_mat) in enumerate(sols.g0):
         terms = [(t, a_mat[t][l], l) for t in range(k) for l in range(k)]
-        terms += [(k + l, b_mat.entry(l, p), k + p) for l in range(m) for p in range(m)]
+        terms += [(k + l, b_mat[l][p], k + p) for l in range(m) for p in range(m)]
         fields.append(_field(n, terms, Fraction(0), f"g0[{idx}]"))
 
     # weight 1/2: 2i H(Phi(conj z), w) . d/dz + (Phi z + c(w,w)) . d/dw
     for idx, (phi, c) in enumerate(sols.g_half):
         terms = [
-            (t, two_i * phi.entry(v, i).conjugate() * comps[t].entry(v, l), i, k + l)
-            for t in range(k) for i in range(k) for l in range(m) for v in range(m)
+            (t, two_i * phi[v][i].conjugate() * h, i, k + l)
+            for t, rows in enumerate(h_rows) for i in range(k) for v in range(m) for l, h in rows[v]
         ]
-        terms += [(k + l, phi.entry(l, t), t) for l in range(m) for t in range(k)]
+        terms += [(k + l, phi[l][t], t) for l in range(m) for t in range(k)]
         terms += [
             (k + l, c[l][i][j], k + i, k + j)
             for l in range(m) for i in range(m) for j in range(m)

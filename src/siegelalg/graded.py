@@ -35,10 +35,11 @@ the order it declares them. Each block is row-major, and a complex entry takes
 its real and imaginary parts in adjacent columns, real first. The order fixes
 which unknowns are free in the nullspace, and with it every basis vector.
 
-Work in proportion to the nonzeros: each solver tables the nonzero entries of
-H_1..H_k once (``_Nonzeros``) and those of the cone's annihilators once
-(``_annihilators``), and every sum over an index of some H_j or over a
-functional runs over that table instead of testing each entry. g1's
+Work in proportion to the nonzeros: every sum over an index of some H_j runs
+over the family's table of nonzero entries (``row``, ``col`` and ``at`` of
+``HermitianFamily``, built once with the family), and every sum over a
+functional over the nonzero coefficients of the cone's annihilators, tabled
+once per solver call (``_annihilators``). Neither tests each entry. g1's
 three-argument identity visits only the tuples with a term. A coordinate
 vector is read as its one nonzero entry (``coordinate_units``). The nullspace
 vectors are sparse, and a solution is unpacked from its present columns only.
@@ -52,14 +53,15 @@ the accumulator changes: a block's entries are shared by every identity that
 reads them, so ``add`` never modifies its argument.
 
 Rows hold exact nonzero ``int``s where the inputs are integral and
-``Fraction``s otherwise: the unknowns carry the unit ``1``, and each solver
-reads its inputs (H's entries, the cone's basis and annihilators, the
-coordinate units) through ``_exact``, which turns a rational with denominator 1
-into an ``int``. So the rows of a Gaussian-integer H over an integer cone reach
-``sparse_rref`` integral, as its kernel works. No ``int`` leaves the assembly:
-``sparse_rref`` builds every result entry as a ``Fraction``. The g1 association
-is assembled for w -> b(e_t, w) and 2 a(e_t, .), rather than for b/2 and a: the
-rows are scaled by 2, so the row space and the bases are the same.
+``Fraction``s otherwise: the unknowns carry the unit ``1``, and every input
+(H's entries in the family's table, the cone's basis and annihilators, the
+coordinate units) is read through ``_exact``, which turns a rational with
+denominator 1 into an ``int``. So the rows of a Gaussian-integer H over an
+integer cone reach ``sparse_rref`` integral, as its kernel works. No ``int``
+leaves the assembly: ``sparse_rref`` builds every result entry as a
+``Fraction``. The g1 association is assembled for w -> b(e_t, w) and
+2 a(e_t, .), rather than for b/2 and a: the rows are scaled by 2, so the row
+space and the bases are the same.
 """
 
 from __future__ import annotations
@@ -77,9 +79,9 @@ from .hermitian import HermitianFamily
 from .linalg import (
     GR_ONE,
     GR_ZERO,
+    ComplexRows,
     Exact,
     GaussianRational,
-    Matrix,
     RealRows,
     Scalar,
     _exact,
@@ -259,33 +261,6 @@ class _Block:
         return tuple(flat)
 
 
-class _Nonzeros:
-    """The nonzero entries of H_1..H_k, tabled once per solver call, read by ``_exact``.
-
-    ``row[j][u]`` lists the pairs (v, H_j[u][v]) and ``col[j][v]`` the pairs
-    (u, H_j[u][v]); ``at[u][v]`` lists the pairs (j, H_j[u][v]). Each H_j is
-    Hermitian (``HermitianFamily`` validates it), so a column is the
-    conjugated row of the same index.
-    """
-
-    __slots__ = ("row", "col", "at")
-
-    def __init__(self, form: HermitianFamily) -> None:
-        m = form.m
-        self.row = [
-            [[(v, _exact(h)) for v, h in enumerate(hj.row(u)) if h] for u in range(m)]
-            for hj in form.components
-        ]
-        self.col = [
-            [[(u, h.conjugate()) for u, h in rows[v]] for v in range(m)] for rows in self.row
-        ]
-        self.at = [[[] for _ in range(m)] for _ in range(m)]
-        for j, rows in enumerate(self.row):
-            for u, entries in enumerate(rows):
-                for v, h in entries:
-                    self.at[u][v].append((j, h))
-
-
 def _sym_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i, n)]
 
@@ -341,7 +316,7 @@ class GradedDims(Frozen):
 
 def _emit_association(
     system: _System,
-    nz: _Nonzeros,
+    form: HermitianFamily,
     a_rows: list[list[_Lin]],
     b_entries: _Block | dict[tuple[int, int], _Lin],
     m: int,
@@ -353,7 +328,7 @@ def _emit_association(
     diagonal entry (its imaginary part vanishes identically).
     """
     b_bar = {(t, u): b_entries[t, u].conj() for t in range(m) for u in range(m)}
-    for j, (rows, cols) in enumerate(zip(nz.row, nz.col)):
+    for j, (rows, cols) in enumerate(zip(form.row, form.col)):
         for u in range(m):
             for v in range(u, m):
                 expr = _Lin()
@@ -361,7 +336,7 @@ def _emit_association(
                     expr.add(b_bar[t, u], h)
                 for t, h in rows[u]:  # H_j[u][t]
                     expr.add(b_entries[t, v], h)
-                for l, h in nz.at[u][v]:  # H_l[u][v]
+                for l, h in form.at[u][v]:  # H_l[u][v]
                     expr.add(a_rows[j][l], h, -1)
                 if u == v:
                     system.require_real_zero(expr.re)
@@ -400,7 +375,7 @@ def _units(m: int) -> list[tuple[int, GaussianRational]]:
 def _pairing_rows(
     system: _System,
     annihilators: list[list[tuple[int, int, Exact]]],
-    nz: _Nonzeros,
+    form: HermitianFamily,
     u: int,
     unit: GaussianRational,
     x_map: _Block | dict[tuple[int, int], _Lin],
@@ -414,8 +389,8 @@ def _pairing_rows(
         return
     unit_bar = unit.conjugate()
     grid = {}
-    for j, rows in enumerate(nz.row):
-        for l in range(len(nz.row)):  # one table per H_j
+    for j, rows in enumerate(form.row):
+        for l in range(form.k):
             acc = _Lin()
             for vp, h in rows[u]:  # H_j[u][vp]
                 acc.add(x_map[vp, l], unit_bar, h)
@@ -427,10 +402,10 @@ def _pairing_rows(
 # solvers
 
 @lru_cache(maxsize=None)
-def solve_g0(spec: SiegelDomainSpec) -> tuple[tuple[RealRows, Matrix], ...]:
+def solve_g0(spec: SiegelDomainSpec) -> tuple[tuple[RealRows, ComplexRows], ...]:
     """A basis of pairs (A, B): A in g(Omega) with B associated to A.
 
-    A is real, so it is ``RealRows``; B is a complex ``Matrix``. A is
+    A is real, so it is ``RealRows``; B is complex, ``ComplexRows``. A is
     parametrized in cone coordinates, which builds the cone membership
     into the unknowns; the association identity is matched entry by entry.
     All solvers cache on the (immutable) domain, so a repeated ``solve_all``
@@ -448,7 +423,7 @@ def solve_g0(spec: SiegelDomainSpec) -> tuple[tuple[RealRows, Matrix], ...]:
         for j in range(k):
             for l in range(k):
                 a_rows[j][l].add(coords[p], _exact(g[j][l]))
-    _emit_association(system, _Nonzeros(spec.form), a_rows, b, m)
+    _emit_association(system, spec.form, a_rows, b, m)
 
     # A = sum_p x_p g_p, summed over the nonzero x_p and the nonzero entries of g_p
     g_entries = [
@@ -460,11 +435,11 @@ def solve_g0(spec: SiegelDomainSpec) -> tuple[tuple[RealRows, Matrix], ...]:
         for p, xp in coords.present(sol):
             for j, l, x in g_entries[p]:
                 a_mat[j][l] += xp * x
-        basis.append((tuple(map(tuple, a_mat)), Matrix.from_rows(b.values(sol))))
+        basis.append((tuple(map(tuple, a_mat)), b.values(sol)))
     return tuple(basis)
 
 
-def a_part_basis(g0: Sequence[tuple[RealRows, Matrix]]) -> tuple[RealRows, ...]:
+def a_part_basis(g0: Sequence[tuple[RealRows, ComplexRows]]) -> tuple[RealRows, ...]:
     """Canonical basis of the span of the A-parts of ``g0``: the reduced rows of the vectorized
     matrices, so it does not depend on the pairing with B."""
     if not g0:
@@ -488,10 +463,10 @@ def solve_L(spec: SiegelDomainSpec) -> int:
 
 
 @lru_cache(maxsize=None)
-def solve_g_half(spec: SiegelDomainSpec) -> tuple[tuple[Matrix, Tensor], ...]:
+def solve_g_half(spec: SiegelDomainSpec) -> tuple[tuple[ComplexRows, Tensor], ...]:
     """A basis of the weight-1/2 component: pairs (Phi, c).
 
-    Phi is the m x k C-linear map on the z-block, a ``Matrix``; c is the
+    Phi is the m x k C-linear map on the z-block, ``ComplexRows``; c is the
     symmetric C-bilinear form on the w-block, a ``Tensor`` indexed c[l][i][j].
 
     Membership of the induced real maps is instantiated at coordinate vectors
@@ -502,7 +477,7 @@ def solve_g_half(spec: SiegelDomainSpec) -> tuple[tuple[Matrix, Tensor], ...]:
     k, m = spec.k, spec.m
     if m == 0:
         return ()
-    nz = _Nonzeros(spec.form)
+    form = spec.form
     annihilators = _annihilators(spec.cone)
     pairs = _sym_pairs(m)
     system = _System()
@@ -511,12 +486,12 @@ def solve_g_half(spec: SiegelDomainSpec) -> tuple[tuple[Matrix, Tensor], ...]:
 
     # cone membership of [x -> Im H(w0, Phi x)] for w0 in the coordinate set
     for u, unit in _units(m):
-        _pairing_rows(system, annihilators, nz, u, unit, phi)
+        _pairing_rows(system, annihilators, form, u, unit, phi)
 
     # compatibility of c with Phi: match coefficients of conj(w)_u w'_i w'_j
     minus_two_i = _exact(GaussianRational(Fraction(0), Fraction(-2)))
     phi_bar = {(v, t): phi[v, t].conj() for v in range(m) for t in range(k)}
-    for rows, cols in zip(nz.row, nz.col):
+    for rows, cols in zip(form.row, form.col):
         # phibar_h[t, l] = sum_v conj(Phi[v][t]) H_j[v][l]
         phibar_h = {key: _Lin() for key in product(range(k), range(m))}
         for (t, l), entry in phibar_h.items():
@@ -529,12 +504,12 @@ def solve_g_half(spec: SiegelDomainSpec) -> tuple[tuple[Matrix, Tensor], ...]:
                     expr.add(c[l, idx], h, 1 if i == jp else 2)
                 # the terms for (i, jp) and, off the diagonal, their mirror (jp, i)
                 for i1, i2 in ((i, jp), (jp, i)) if i != jp else ((i, jp),):
-                    for t, h in nz.at[u][i1]:  # H_t[u][i1]
+                    for t, h in form.at[u][i1]:  # H_t[u][i1]
                         expr.add(phibar_h[t, i2], h, minus_two_i)
                 system.require_zero(expr)
 
     return tuple(
-        (Matrix.from_rows(phi.values(sol)), _symmetric(c, sol, m))
+        (phi.values(sol), _symmetric(c, sol, m))
         for sol in system.solutions()
     )
 
@@ -554,7 +529,7 @@ def solve_g1(spec: SiegelDomainSpec) -> tuple[tuple[Tensor, Tensor], ...]:
     on monomial coefficients.
     """
     k, m = spec.k, spec.m
-    nz = _Nonzeros(spec.form)
+    form = spec.form
     annihilators = _annihilators(spec.cone)
     spairs = _sym_pairs(k)
     spair_index = {p: idx for idx, p in enumerate(spairs)}
@@ -577,7 +552,7 @@ def solve_g1(spec: SiegelDomainSpec) -> tuple[tuple[Tensor, Tensor], ...]:
                 for l in range(k):
                     a_rows[j][l].add(a_lin(j, t, l), 2)
             b_t = {(lp, p): b[lp, t, p] for lp, p in product(range(m), repeat=2)}
-            _emit_association(system, nz, a_rows, b_t, m)
+            _emit_association(system, form, a_rows, b_t, m)
             # reality of the trace
             trace = _Lin()
             for l in range(m):
@@ -594,17 +569,17 @@ def solve_g1(spec: SiegelDomainSpec) -> tuple[tuple[Tensor, Tensor], ...]:
             for (l, t), entry in b_w0.items():
                 entry.add(b[l, t, p], unit)
             for u in range(m):
-                _pairing_rows(system, annihilators, nz, u, one, b_w0)
+                _pairing_rows(system, annihilators, form, u, one, b_w0)
 
         # three-argument symmetry, matched on conj(w)_u conj(w')_v w''_i w''_j, for the tuples
         # (u, v, i <= j) with a term: H_j[u][.] and some H_t[v][i1], or some H_t[u][i1] and
         # H_j[.][i2], where (i1, i2) is (i, j) or (j, i)
         b_bar = {key: b[key].conj() for key in product(range(m), range(k), range(m))}
-        held = [[i1 for i1 in range(m) if nz.at[v][i1]] for v in range(m)]
+        held = [[i1 for i1 in range(m) if form.at[v][i1]] for v in range(m)]
         from_row = {
             (v, min(i1, i2), max(i1, i2)) for v in range(m) for i1 in held[v] for i2 in range(m)
         }
-        for rows, cols in zip(nz.row, nz.col):
+        for rows, cols in zip(form.row, form.col):
             col_held = [i2 for i2 in range(m) if cols[i2]]
             for u in range(m):
                 tuples = set(from_row) if rows[u] else set()
@@ -617,9 +592,9 @@ def solve_g1(spec: SiegelDomainSpec) -> tuple[tuple[Tensor, Tensor], ...]:
                     # the terms for (i, jp) and, off the diagonal, their mirror (jp, i)
                     for i1, i2 in ((i, jp), (jp, i)) if i != jp else ((i, jp),):
                         for l, h in rows[u]:  # H_j[u][l]
-                            for t, g in nz.at[v][i1]:  # H_t[v][i1]
+                            for t, g in form.at[v][i1]:  # H_t[v][i1]
                                 expr.add(b[l, t, i2], h, g)
-                        for t, g in nz.at[u][i1]:  # H_t[u][i1]
+                        for t, g in form.at[u][i1]:  # H_t[u][i1]
                             for l, h in cols[i2]:  # H_j[l][i2]
                                 expr.add(b_bar[l, t, v], g, h, -1)
                     system.require_zero(expr)
@@ -633,9 +608,9 @@ def solve_g1(spec: SiegelDomainSpec) -> tuple[tuple[Tensor, Tensor], ...]:
 class GradedSolutions(Frozen):
     """The bases of g_0, g_1/2 and g_1, and s = dim L, the skew-Hermitian part of g_0."""
 
-    g0: tuple[tuple[RealRows, Matrix], ...]
+    g0: tuple[tuple[RealRows, ComplexRows], ...]
     s: int
-    g_half: tuple[tuple[Matrix, Tensor], ...]
+    g_half: tuple[tuple[ComplexRows, Tensor], ...]
     g_one: tuple[tuple[Tensor, Tensor], ...]
     dims: GradedDims
 

@@ -1,9 +1,11 @@
 """Vector-valued Hermitian form families and the cone-compatibility check.
 
 A family holds k Hermitian m x m matrices H_1..H_k; the form evaluates as
-H(w, w')_j = conj(w)^T H_j w', anti-linear in the first slot. The family is
-compatible with a cone when H(w, w) lies in the closed cone minus the origin
-for every nonzero w.
+H(w, w')_j = conj(w)^T H_j w', anti-linear in the first slot. The family
+tables its nonzero entries once, when it is built, and every computation on
+it (the graded solvers, the checks here, the field realization) reads that
+table, so no reader visits a zero entry. The family is compatible with a cone
+when H(w, w) lies in the closed cone minus the origin for every nonzero w.
 
 Positive semidefiniteness is decided exactly by congruence diagonalization
 (``negative_direction``): the diagonal values of the reduced form are exact
@@ -37,6 +39,7 @@ from .linalg import (
     GR_ZERO,
     GaussianRational,
     Matrix,
+    _exact,
     _realified,
     coordinate_units,
     sparse_nullspace,
@@ -55,7 +58,11 @@ class HermitianFamily(Frozen):
 
     Construction checks that the components are square of one size and
     Hermitian, and names every cell (j, i), j >= i, that differs from the
-    conjugate of its mirror.
+    conjugate of its mirror. The same pass tables the nonzero entries, read
+    by ``_exact``, as three attributes that are not fields: ``row[j][u]``
+    lists the pairs (v, H_j[u][v]) and ``col[j][v]`` the pairs
+    (u, H_j[u][v]), both in index order, and ``at[u][v]`` lists the pairs
+    (j, H_j[u][v]).
     """
 
     components: tuple[Matrix, ...]
@@ -66,15 +73,25 @@ class HermitianFamily(Frozen):
         m = comps[0].nrows if comps else 0
         if any((c.nrows, c.ncols) != (m, m) for c in comps):
             raise ValidationError("components must be m x m")
-        bad = [
-            f"component {idx} at {(j, i)}"
-            for idx, comp in enumerate(comps)
-            for i in range(m)
-            for j in range(i, m)
-            if comp.entry(i, j) != comp.entry(j, i).conjugate()
-        ]
+        row = [[[] for _ in range(m)] for _ in comps]
+        col = [[[] for _ in range(m)] for _ in comps]
+        at = [[[] for _ in range(m)] for _ in range(m)]
+        bad = []
+        for j, comp in enumerate(comps):
+            for u, entries in enumerate(comp.entries):
+                for v, h in enumerate(entries):
+                    if v >= u and h != comp.entries[v][u].conjugate():
+                        bad.append(f"component {j} at {(v, u)}")
+                    if h:
+                        h = _exact(h)
+                        row[j][u].append((v, h))
+                        col[j][v].append((u, h))
+                        at[u][v].append((j, h))
         if bad:
             raise ValidationError(f"family is not Hermitian: {', '.join(bad)}")
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "col", col)
+        object.__setattr__(self, "at", at)
 
     @property
     def k(self) -> int:
@@ -206,16 +223,15 @@ def is_omega_hermitian(family: HermitianFamily, cone: ConeSpec) -> OmegaHermitia
         m = family.m
         for factor in cone.boundary:
             for functional in factor.functionals:
-                terms = [(c, h) for c, h in zip(functional, family.components) if c]
                 combo = Matrix.from_rows([
-                    [sum((h.entry(u, v) * c for c, h in terms), GR_ZERO) for v in range(m)]
+                    [sum((h * functional[j] for j, h in family.at[u][v] if functional[j]), GR_ZERO)
+                     for v in range(m)]
                     for u in range(m)
                 ])
                 witness = negative_direction(combo)
                 if witness is not None:
                     return OmegaHermitianVerdict(COUNTEREXAMPLE, witness=witness)
-        stacked = [r for comp in family.components for row in comp.entries
-                   for r in _realified(dict(enumerate(row)))]
+        stacked = [r for rows in family.row for row in rows for r in _realified(dict(row))]
         kernel = sparse_nullspace(stacked, 2 * m)
         if kernel:  # the conjugate of a common kernel vector, with an re free column set to one
             v, zero = kernel[0], Fraction(0)
@@ -244,16 +260,16 @@ def _integer_entries(family: HermitianFamily) -> list[list[tuple[int, int, int, 
     """D H_1, ..., D H_k for D > 0 the lcm of the family's denominators: for each component,
     its nonzero entries (a, b, re, im) with ``int`` parts."""
     scale = lcm(*(
-        part.denominator for comp in family.components for row in comp.entries
-        for x in row for part in (x.re, x.im)
+        part.denominator for rows in family.row for row in rows for _, x in row
+        for part in (x.re, x.im)
     ))
     return [
         [
             (a, b, x.re.numerator * (scale // x.re.denominator),
              x.im.numerator * (scale // x.im.denominator))
-            for a, row in enumerate(comp.entries) for b, x in enumerate(row) if x
+            for a, row in enumerate(rows) for b, x in row
         ]
-        for comp in family.components
+        for rows in family.row
     ]
 
 

@@ -18,7 +18,7 @@ from typing import Sequence
 from .errors import ValidationError
 from .frozen import Frozen
 from .graded import SiegelDomainSpec, a_part_basis
-from .linalg import Matrix, RealRows
+from .linalg import ComplexRows, RealRows
 from .poly import generic_rank
 
 NOT_TRANSITIVE = "not-transitive"
@@ -55,7 +55,7 @@ def generic_orbit_rank(a_basis: Sequence[RealRows], k: int) -> int:
 
 
 def homogeneity_verdict(
-    spec: SiegelDomainSpec, g0: Sequence[tuple[RealRows, Matrix]]
+    spec: SiegelDomainSpec, g0: Sequence[tuple[RealRows, ComplexRows]]
 ) -> HomogeneityVerdict:
     """The verdict for ``spec`` from its weight-0 pairs ``g0`` (``solve_g0(spec)``)."""
     basis = a_part_basis(g0)

@@ -5,9 +5,10 @@ or a Gaussian rational (complex number with rational real and imaginary parts).
 No floating point is used anywhere: ranks and nullspace dimensions are the
 answers, so a single rounding error could flip a result.
 
-Real data (cone algebras, the A-parts of weight-0 pairs, the forms a of
-weight 1) is kept as ``RealRows``, plain nested tuples of ``Fraction``;
-``Matrix`` holds complex data.
+Results are plain nested tuples: real data (cone algebras, the A-parts of
+weight-0 pairs, the forms a of weight 1) as ``RealRows`` of ``Fraction``s,
+the complex matrices B and Phi as ``ComplexRows`` of ``GaussianRational``s.
+``Matrix`` holds the components of a Hermitian family.
 
 All elimination goes through one integer kernel, ``_integer_rref``, whose
 rows store only their nonzero entries. It eliminates fraction-free (Bareiss
@@ -41,6 +42,7 @@ from .frozen import Frozen
 
 Scalar = Union[int, Fraction, "GaussianRational"]
 RealRows = tuple[tuple[Fraction, ...], ...]
+ComplexRows = tuple[tuple["GaussianRational", ...], ...]
 
 
 def _frac(x: Union[int, Fraction]) -> Fraction:
@@ -211,12 +213,6 @@ class Matrix(Frozen):
             tuple(tuple(GR_ONE if i == j else GR_ZERO for j in range(n)) for i in range(n)),
         )
 
-    def entry(self, i: int, j: int) -> GaussianRational:
-        return self.entries[i][j]
-
-    def row(self, i: int) -> tuple[GaussianRational, ...]:
-        return self.entries[i]
-
     def rref(self) -> RrefResult:
         """Reduced row echelon form over the Gaussian rationals.
 
@@ -265,7 +261,7 @@ def sparse_rref(rows: Sequence[dict[Any, Exact]]) -> tuple[list[dict[Any, Fracti
     return [{j: Fraction(x, row[c]) for j, x in row.items()} for c, row in reduced], pivots
 
 
-def _realified(row: dict[int, GaussianRational]) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
+def _realified(row: dict[int, GaussianRational]) -> tuple[dict[int, Exact], dict[int, Exact]]:
     """The complex row a as the real rows a and i*a over interleaved (re, im) columns 2j, 2j + 1.
 
     Zero entries write nothing. The two rows
@@ -274,8 +270,8 @@ def _realified(row: dict[int, GaussianRational]) -> tuple[dict[int, Fraction], d
     reduced rows. Their real kernel is the realified *conjugate* of the
     complex kernel: they kill z = x + iy exactly when sum_j conj(a_j) z_j = 0.
     """
-    a: dict[int, Fraction] = {}
-    ia: dict[int, Fraction] = {}
+    a: dict[int, Exact] = {}
+    ia: dict[int, Exact] = {}
     for j, z in row.items():
         if z.re:
             a[2 * j] = ia[2 * j + 1] = z.re

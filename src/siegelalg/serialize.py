@@ -32,7 +32,12 @@ def to_json(value):
 
 
 def format_json(value) -> str:
-    """The text of ``json.dumps(value, indent=2)`` with exact values encoded, in one pass.
+    """The text of ``json.dumps(value, indent=2)`` with exact values encoded: ``json_pieces`` joined."""
+    return "".join(json_pieces(value))
+
+
+def json_pieces(value) -> list[str]:
+    """The text of ``format_json(value)`` as a list of pieces, built in one pass.
 
     Values are encoded where they are met, by exact class: a ``Fraction`` as
     "p/q" (bare "p" for an integer), a ``GaussianRational`` as {"re", "im"},
@@ -44,11 +49,12 @@ def format_json(value) -> str:
     strings. The standard library's indenting encoder runs one generator per
     container; this appends to one list of pieces instead. A tuple or list
     writes its ``Fraction`` and ``GaussianRational`` entries in its own loop,
-    and makes the text of a zero ``GaussianRational`` once.
+    and makes the text of a zero ``GaussianRational`` once. A writer passes
+    the pieces to ``writelines``, so the text is never held twice.
 
     A number with more digits than Python prints an int with
     (``sys.get_int_max_str_digits()``) is refused with a ``ValidationError``;
-    the text is built whole before the caller writes any of it.
+    every piece is built before the caller writes any of them.
     """
     out: list[str] = []
     try:
@@ -58,7 +64,7 @@ def format_json(value) -> str:
             f"a result has a number with more than {sys.get_int_max_str_digits()} digits, "
             "the most that Python prints an int with"
         ) from exc
-    return "".join(out)
+    return out
 
 
 def _format(value, prefix: str, newline: str, out: list[str]) -> None:

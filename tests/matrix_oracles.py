@@ -1,6 +1,6 @@
-"""Dense matrix and bilinear-form products, the value of a Hermitian family, dense Gauss-Jordan
-elimination and the skew space it solves for, polynomial arithmetic and a polynomial-matrix
-rank, that the tests use as independent oracles.
+"""Dense matrix and bilinear-form products, the value and the nonzero entries of a Hermitian
+family, dense Gauss-Jordan elimination and the skew space it solves for, polynomial arithmetic
+and a polynomial-matrix rank, that the tests use as independent oracles.
 
 The package has no caller for them, so they live with the tests: each is
 written out in the plainest way, entry by entry. A polynomial here is a dict
@@ -71,9 +71,24 @@ def evaluate(family, w, w2=None) -> tuple[GaussianRational, ...]:
         acc = GR_ZERO
         for i in range(m):
             for j in range(m):
-                acc = acc + left[i] * comp.entry(i, j) * right[j]
+                acc = acc + left[i] * comp.entries[i][j] * right[j]
         out.append(acc)
     return tuple(out)
+
+
+def nonzero_table(family):
+    """The nonzero entries of a ``HermitianFamily`` by a dense scan of its components.
+
+    Returns (row, col, at): row[j][u] lists the pairs (v, H_j[u][v]) and
+    col[j][v] the pairs (u, H_j[u][v]), and at[u][v] lists the pairs
+    (j, H_j[u][v]), each in index order.
+    """
+    hs = [comp.entries for comp in family.components]
+    m = range(family.m)
+    row = [[[(v, h[u][v]) for v in m if not h[u][v].is_zero()] for u in m] for h in hs]
+    col = [[[(u, h[u][v]) for u in m if not h[u][v].is_zero()] for v in m] for h in hs]
+    at = [[[(j, h[u][v]) for j, h in enumerate(hs) if not h[u][v].is_zero()] for v in m] for u in m]
+    return row, col, at
 
 
 def is_zero(m: Matrix) -> bool:

@@ -85,12 +85,13 @@ def complex_basis(m):
 def check_associated(spec, a_mat, b_mat):
     """Independent check of A H(w,w') = H(Bw,w') + H(w,Bw') on basis pairs."""
     m = spec.m
+    b = Matrix.from_rows(b_mat)
     for w in complex_basis(m):
         for wp in complex_basis(m):
             hval = evaluate(spec.form, w, wp)
             lhs = apply(Matrix.from_rows(a_mat), hval)
-            bw = apply(b_mat, w)
-            bwp = apply(b_mat, wp)
+            bw = apply(b, w)
+            bwp = apply(b, wp)
             rhs = tuple(
                 x + y
                 for x, y in zip(evaluate(spec.form, bw, wp), evaluate(spec.form, w, bwp))
@@ -197,7 +198,7 @@ class TestGHalf:
                 for wp in samples:
                     lhs = evaluate(spec.form, w, bilinear_apply(c, wp, wp))
                     inner = evaluate(spec.form, wp, w)
-                    phi_val = apply(phi, inner)
+                    phi_val = apply(Matrix.from_rows(phi), inner)
                     rhs = tuple(x * TWO_I for x in evaluate(spec.form, phi_val, wp))
                     assert lhs == rhs
 
@@ -213,7 +214,7 @@ class TestGHalf:
                 for j in range(spec.k):
                     row = []
                     for l in range(spec.k):
-                        col = [phi.entry(v, l) for v in range(spec.m)]
+                        col = [phi[v][l] for v in range(spec.m)]
                         val = evaluate(spec.form, w0, col)[j]
                         row.append(val.im)
                     rows.append(row)
@@ -441,8 +442,6 @@ LAYOUT_SHAPES = {
 
 
 def _entries(values, index=()):
-    if isinstance(values, Matrix):
-        values = values.entries
     if isinstance(values, tuple):
         for i, v in enumerate(values):
             yield from _entries(v, index + (i,))
@@ -762,7 +761,7 @@ def test_g1_identities_hold_at_every_pair_of_units(name):
     for a, b in sols.g_one:
         for t in range(k):
             a_t = [[a[l][t][j] for j in range(k)] for l in range(k)]
-            b_t = Matrix.from_rows([[b[l][t][p] / 2 for p in range(m)] for l in range(m)])
+            b_t = [[b[l][t][p] / 2 for p in range(m)] for l in range(m)]
             check_associated(spec, a_t, b_t)
         for w0 in complex_basis(m):
             b_w0 = [bilinear_apply(b, _unit(k, t), w0) for t in range(k)]  # b(e_t, w0)

@@ -23,7 +23,7 @@ from siegelalg.hermitian import (
     negative_direction,
 )
 from siegelalg.linalg import GR_I, GR_ONE, GR_ZERO, Matrix, gr
-from matrix_oracles import apply, conj_transpose, dense_rref, evaluate, matmul
+from matrix_oracles import apply, conj_transpose, dense_rref, evaluate, matmul, nonzero_table
 
 
 def diag(*vals):
@@ -81,6 +81,48 @@ class TestValidate:
         assert (fam.k, fam.m) == (2, 0)
 
 
+PARTS = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def sparse_families(draw):
+    """Hermitian families with zero and non-integer Gaussian entries, some zero components, and
+    m = 0 among the sizes."""
+    k, m = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    comps = []
+    for _ in range(k):
+        rows = [[GR_ZERO] * m for _ in range(m)]
+        if draw(st.booleans()):  # else the zero component
+            for a in range(m):
+                rows[a][a] = gr(draw(PARTS))
+                for b in range(a + 1, m):
+                    rows[a][b] = gr(draw(PARTS), draw(PARTS))
+                    rows[b][a] = rows[a][b].conjugate()
+        comps.append(Matrix(m, m, tuple(map(tuple, rows))))
+    return HermitianFamily(comps)
+
+
+def _exact_parts(x):
+    """Whether each part of ``x`` is an ``int`` where its denominator is 1, else a ``Fraction``."""
+    return all(type(p) is (int if p.denominator == 1 else Fraction) for p in (x.re, x.im))
+
+
+@given(fam=sparse_families())
+@settings(derandomize=True, max_examples=80, deadline=None)
+def test_nonzero_table_matches_a_dense_scan(fam):
+    """``row``, ``col`` and ``at`` list the nonzero entries in index order, with their values read
+    by ``_exact``; they are not fields, so a family built from distinct but equal matrices is
+    equal, hashes alike, and its repr shows only the components."""
+    assert (fam.row, fam.col, fam.at) == nonzero_table(fam)
+    assert all(_exact_parts(h) for table in (fam.row, fam.col) for rows in table
+               for pairs in rows for _, h in pairs)
+    assert all(_exact_parts(h) for cells in fam.at for pairs in cells for _, h in pairs)
+    twin = HermitianFamily([Matrix.from_rows(comp.entries) for comp in fam.components])
+    assert all(a is not b for a, b in zip(twin.components, fam.components))
+    assert twin == fam and hash(twin) == hash(fam)
+    assert repr(twin) == repr(fam) == f"HermitianFamily(components={fam.components!r})"
+
+
 class TestPsd:
     def test_psd_cases(self):
         assert negative_direction(diag(1, 0)) is None
@@ -112,13 +154,13 @@ def pairing_negative_direction(m):
     This is how ``negative_direction`` worked before it kept the Gram matrix.
     """
     d = m.nrows
-    basis = [list(Matrix.identity(d).row(i)) for i in range(d)]
+    basis = [list(row) for row in Matrix.identity(d).entries]
 
     def pairing(u, v):
         acc = GR_ZERO
         for i in range(d):
             for j in range(d):
-                acc = acc + u[i].conjugate() * m.entry(i, j) * v[j]
+                acc = acc + u[i].conjugate() * m.entries[i][j] * v[j]
         return acc
 
     remaining = basis

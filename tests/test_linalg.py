@@ -374,4 +374,4 @@ class TestMatrixStructure:
         a = Matrix.from_rows([[gr(0, 1), gr(1)]])
         assert conj_transpose(a).entries[0][0] == gr(0, -1)
         prod = matmul(a, conj_transpose(a))
-        assert prod.entry(0, 0) == gr(2)
+        assert prod.entries[0][0] == gr(2)
