@@ -70,7 +70,7 @@ from .homogeneity import (
     generic_orbit_rank,
     homogeneity_verdict,
 )
-from .linalg import GaussianRational, Matrix, gr
+from .linalg import GaussianRational, gr
 from .poly import Polynomial, generic_rank
 from .serialize import load_domain_spec, spec_to_json
 
@@ -85,7 +85,6 @@ __all__ = [
     "GradedSolutions",
     "HermitianFamily",
     "HomogeneityVerdict",
-    "Matrix",
     "NOT_TRANSITIVE",
     "PolyVectorField",
     "Polynomial",

@@ -34,7 +34,7 @@ from .homogeneity import (
     HomogeneityVerdict,
     homogeneity_verdict,
 )
-from .linalg import Matrix
+from .linalg import GR_ONE, GR_ZERO, Scalar
 
 
 _TUBE_LABELS = {
@@ -121,15 +121,9 @@ def tube(cone_id: str) -> DomainId:
     return DomainId("tube", cone_id=cone_id.strip().lower())
 
 
-def _diag(values: Sequence[Union[int, Fraction]]) -> Matrix:
+def _diag(values: Sequence[Scalar]) -> list[list[Scalar]]:
     n = len(values)
-    return Matrix.from_rows(
-        [[values[i] if i == j else 0 for j in range(n)] for i in range(n)]
-    )
-
-
-def _empty_family(k: int) -> HermitianFamily:
-    return HermitianFamily(tuple(Matrix.zeros(0, 0) for _ in range(k)))
+    return [[values[i] if i == j else GR_ZERO for j in range(n)] for i in range(n)]
 
 
 def _rank_one_family(v: Sequence[Fraction]) -> HermitianFamily:
@@ -141,7 +135,7 @@ def _ball(n: Optional[int]) -> SiegelDomainSpec:
     if n is None or n < 1:
         raise ValidationError("ball dimension must be at least 1")
     return SiegelDomainSpec(
-        n, 1, _built_catalog_cone("ray"), HermitianFamily([Matrix.identity(n - 1)])
+        n, 1, _built_catalog_cone("ray"), HermitianFamily([_diag([GR_ONE] * (n - 1))])
     )
 
 
@@ -158,10 +152,10 @@ def product(*specs: SiegelDomainSpec) -> SiegelDomainSpec:
     comps, offset = [], 0
     for spec in specs:
         for h in spec.form.components:
-            rows = [[0] * m for _ in range(m)]
-            for i, row in enumerate(h.entries):
+            rows = [[GR_ZERO] * m for _ in range(m)]
+            for i, row in enumerate(h):
                 rows[offset + i][offset:offset + spec.m] = row
-            comps.append(Matrix.from_rows(rows))
+            comps.append(rows)
         offset += spec.m
     cone = cones.product(*(spec.cone for spec in specs))
     return SiegelDomainSpec(m + cone.k, cone.k, cone, HermitianFamily(comps))
@@ -181,10 +175,10 @@ def build(domain: DomainId) -> SiegelDomainSpec:
         n = domain.n
         if n is None or n < 3:
             raise ValidationError("need n >= 3 for the quadrant families")
-        second = Matrix.identity(n - 2) if kind == "d2" else Matrix.zeros(n - 2, n - 2)
+        second = [GR_ONE if kind == "d2" else GR_ZERO] * (n - 2)
         return SiegelDomainSpec(
             n, 2, catalog_cone("omega1"),
-            HermitianFamily([Matrix.identity(n - 2), second]),
+            HermitianFamily([_diag([GR_ONE] * (n - 2)), _diag(second)]),
         )
     if kind in ("d3", "d4"):
         alpha, beta, gamma, delta = domain.params
@@ -211,7 +205,8 @@ def build(domain: DomainId) -> SiegelDomainSpec:
         return SiegelDomainSpec(4, 3, catalog_cone("omega3"), _rank_one_family(v))
     if kind == "tube":
         cone_spec = catalog_cone(domain.cone_id)
-        return SiegelDomainSpec(cone_spec.k, cone_spec.k, cone_spec, _empty_family(cone_spec.k))
+        k = cone_spec.k
+        return SiegelDomainSpec(k, k, cone_spec, HermitianFamily([()] * k))
     raise ValidationError(f"unknown domain kind {kind!r}")
 
 
@@ -414,7 +409,7 @@ def _skew_formula_agrees() -> bool:
             eigs = []
             for value, mult in enumerate(mults, start=1):
                 eigs.extend([value] * mult)
-            fam = HermitianFamily([Matrix.identity(n - 2), _diag(eigs)])
+            fam = HermitianFamily([_diag([GR_ONE] * (n - 2)), _diag(eigs)])
             spec = SiegelDomainSpec(n, 2, quadrant, fam)
             if solve_L(spec) != s_from_multiplicities(n, mults):
                 return False

@@ -27,7 +27,7 @@ from typing import Optional, Sequence, Union
 
 from .errors import ValidationError
 from .frozen import Frozen
-from .linalg import RealRows, sparse_nullspace, span_rank
+from .linalg import RealRows, _exact, sparse_nullspace, span_rank
 
 
 class Region(enum.Enum):
@@ -99,9 +99,13 @@ def _real_rows(m: Sequence[Sequence[Union[int, Fraction]]], k: int) -> RealRows:
 class ConeSpec(Frozen):
     """A cone and a basis of g(Omega), validated on construction.
 
-    Construction also sets ``annihilators``, which is not a field: the
-    functionals on vectorized k x k matrices whose common kernel is the span
-    of ``g_basis``, one basis of the kernel that the validation computes.
+    Construction also sets two attributes that are not fields.
+    ``annihilators`` holds the functionals on vectorized k x k matrices
+    whose common kernel is the span of ``g_basis``, one basis of the kernel
+    that the validation computes. ``annihilator_terms`` holds the same
+    functionals as their nonzero coefficients (j, l, x) on the entries
+    (j, l), in index order and read by ``_exact``: the graded solvers'
+    table.
     """
 
     name: str
@@ -148,6 +152,9 @@ class ConeSpec(Frozen):
         object.__setattr__(
             self, "annihilators", tuple(tuple(a.get(i, zero) for i in range(width)) for a in kernel)
         )
+        object.__setattr__(self, "annihilator_terms", tuple(
+            tuple((*divmod(i, self.k), _exact(a[i])) for i in sorted(a)) for a in kernel
+        ))
         if classify_point(self, self.interior_point) is not Region.INTERIOR:
             raise ValidationError("interior point is not interior")
 

@@ -39,10 +39,11 @@ Work in proportion to the nonzeros: every sum over an index of some H_j runs
 over the family's table of nonzero entries (``row``, ``col`` and ``at`` of
 ``HermitianFamily``, built once with the family), and every sum over a
 functional over the nonzero coefficients of the cone's annihilators, tabled
-once per solver call (``_annihilators``). Neither tests each entry. g1's
-three-argument identity visits only the tuples with a term. A coordinate
-vector is read as its one nonzero entry (``coordinate_units``). The nullspace
-vectors are sparse, and a solution is unpacked from its present columns only.
+once with the cone (``ConeSpec.annihilator_terms``). Neither tests each
+entry. g1's three-argument identity visits only the tuples with a term. A
+coordinate vector is read as its one nonzero entry (``coordinate_units``).
+The nullspace vectors are sparse, and a solution is unpacked from its present
+columns only.
 
 Each identity is accumulated once, into one ``_Lin``: ``expr.add(x, *factors)``
 adds the product of the factors times ``x`` to ``expr`` in place. The factors
@@ -344,18 +345,9 @@ def _emit_association(
                     system.require_zero(expr)
 
 
-def _annihilators(cone: ConeSpec) -> list[list[tuple[int, int, Exact]]]:
-    """The functionals on gl(k, R) that cut out g(Omega), tabled once per solver call: each
-    as its nonzero coefficients (j, l, x) on the entries (j, l), read by ``_exact``."""
-    return [
-        [(*divmod(i, cone.k), _exact(x)) for i, x in enumerate(functional) if x]
-        for functional in cone.annihilators
-    ]
-
-
 def _annihilator_rows(
     system: _System,
-    annihilators: list[list[tuple[int, int, Exact]]],
+    annihilators: Sequence[Sequence[tuple[int, int, Exact]]],
     grid: dict[tuple[int, int], _Lin],
 ) -> None:
     """Rows forcing the real k x k matrix whose (j, l) entry is the ``re`` row of ``grid[j, l]``
@@ -374,7 +366,7 @@ def _units(m: int) -> list[tuple[int, GaussianRational]]:
 
 def _pairing_rows(
     system: _System,
-    annihilators: list[list[tuple[int, int, Exact]]],
+    annihilators: Sequence[Sequence[tuple[int, int, Exact]]],
     form: HermitianFamily,
     u: int,
     unit: GaussianRational,
@@ -478,7 +470,7 @@ def solve_g_half(spec: SiegelDomainSpec) -> tuple[tuple[ComplexRows, Tensor], ..
     if m == 0:
         return ()
     form = spec.form
-    annihilators = _annihilators(spec.cone)
+    annihilators = spec.cone.annihilator_terms
     pairs = _sym_pairs(m)
     system = _System()
     phi = system.complex(m, k)
@@ -530,7 +522,7 @@ def solve_g1(spec: SiegelDomainSpec) -> tuple[tuple[Tensor, Tensor], ...]:
     """
     k, m = spec.k, spec.m
     form = spec.form
-    annihilators = _annihilators(spec.cone)
+    annihilators = spec.cone.annihilator_terms
     spairs = _sym_pairs(k)
     spair_index = {p: idx for idx, p in enumerate(spairs)}
     system = _System()

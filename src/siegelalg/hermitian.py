@@ -1,6 +1,7 @@
 """Vector-valued Hermitian form families and the cone-compatibility check.
 
-A family holds k Hermitian m x m matrices H_1..H_k; the form evaluates as
+A family holds k Hermitian m x m matrices H_1..H_k, each as ``ComplexRows``:
+m rows of m ``GaussianRational``s. The form evaluates as
 H(w, w')_j = conj(w)^T H_j w', anti-linear in the first slot. The family
 tables its nonzero entries once, when it is built, and every computation on
 it (the graded solvers, the checks here, the field realization) reads that
@@ -37,8 +38,8 @@ from .linalg import (
     GR_I,
     GR_ONE,
     GR_ZERO,
+    ComplexRows,
     GaussianRational,
-    Matrix,
     _exact,
     _realified,
     coordinate_units,
@@ -56,31 +57,32 @@ _SAMPLES = 32
 class HermitianFamily(Frozen):
     """k Hermitian m x m matrices; k and m are read from the components.
 
-    Construction checks that the components are square of one size and
-    Hermitian, and names every cell (j, i), j >= i, that differs from the
-    conjugate of its mirror. The same pass tables the nonzero entries, read
-    by ``_exact``, as three attributes that are not fields: ``row[j][u]``
-    lists the pairs (v, H_j[u][v]) and ``col[j][v]`` the pairs
-    (u, H_j[u][v]), both in index order, and ``at[u][v]`` lists the pairs
-    (j, H_j[u][v]).
+    The components are given as nested sequences of scalars (``int``,
+    ``Fraction`` or ``GaussianRational``) and stored as ``ComplexRows``.
+    Construction checks that they are square of one size and Hermitian, and
+    names every cell (j, i), j >= i, that differs from the conjugate of its
+    mirror. The same pass tables the nonzero entries, read by ``_exact``, as
+    three attributes that are not fields: ``row[j][u]`` lists the pairs
+    (v, H_j[u][v]) and ``col[j][v]`` the pairs (u, H_j[u][v]), both in index
+    order, and ``at[u][v]`` lists the pairs (j, H_j[u][v]).
     """
 
-    components: tuple[Matrix, ...]
+    components: tuple[ComplexRows, ...]
 
     def __post_init__(self) -> None:
-        comps = tuple(self.components)
+        comps = tuple(tuple(tuple(map(GaussianRational.of, r)) for r in c) for c in self.components)
         object.__setattr__(self, "components", comps)
-        m = comps[0].nrows if comps else 0
-        if any((c.nrows, c.ncols) != (m, m) for c in comps):
+        m = len(comps[0]) if comps else 0
+        if any(len(c) != m or any(len(r) != m for r in c) for c in comps):
             raise ValidationError("components must be m x m")
         row = [[[] for _ in range(m)] for _ in comps]
         col = [[[] for _ in range(m)] for _ in comps]
         at = [[[] for _ in range(m)] for _ in range(m)]
         bad = []
         for j, comp in enumerate(comps):
-            for u, entries in enumerate(comp.entries):
+            for u, entries in enumerate(comp):
                 for v, h in enumerate(entries):
-                    if v >= u and h != comp.entries[v][u].conjugate():
+                    if v >= u and h != comp[v][u].conjugate():
                         bad.append(f"component {j} at {(v, u)}")
                     if h:
                         h = _exact(h)
@@ -99,10 +101,10 @@ class HermitianFamily(Frozen):
 
     @property
     def m(self) -> int:
-        return self.components[0].nrows if self.components else 0
+        return len(self.components[0]) if self.components else 0
 
 
-def negative_direction(m: Matrix) -> Optional[tuple[GaussianRational, ...]]:
+def negative_direction(m: ComplexRows) -> Optional[tuple[GaussianRational, ...]]:
     """A vector w with conj(w)^T M w < 0, or None when the Hermitian M is PSD.
 
     Found by exact congruence diagonalization (no square roots): repeatedly
@@ -115,9 +117,9 @@ def negative_direction(m: Matrix) -> Optional[tuple[GaussianRational, ...]]:
     column j to column i. That is O(d^2) work per step instead of O(d^2)
     pairings, each O(d^2).
     """
-    d = m.nrows
-    vectors = [list(row) for row in Matrix.identity(d).entries]
-    gram = [list(row) for row in m.entries]
+    d = len(m)
+    vectors = [[GR_ONE if i == j else GR_ZERO for j in range(d)] for i in range(d)]
+    gram = [list(row) for row in m]
     while vectors:
         p = next((i for i, row in enumerate(gram) if row[i].re), None)
         if p is None:
@@ -223,11 +225,11 @@ def is_omega_hermitian(family: HermitianFamily, cone: ConeSpec) -> OmegaHermitia
         m = family.m
         for factor in cone.boundary:
             for functional in factor.functionals:
-                combo = Matrix.from_rows([
+                combo = [
                     [sum((h * functional[j] for j, h in family.at[u][v] if functional[j]), GR_ZERO)
                      for v in range(m)]
                     for u in range(m)
-                ])
+                ]
                 witness = negative_direction(combo)
                 if witness is not None:
                     return OmegaHermitianVerdict(COUNTEREXAMPLE, witness=witness)

@@ -5,10 +5,11 @@ or a Gaussian rational (complex number with rational real and imaginary parts).
 No floating point is used anywhere: ranks and nullspace dimensions are the
 answers, so a single rounding error could flip a result.
 
-Results are plain nested tuples: real data (cone algebras, the A-parts of
+Data is plain nested tuples: real data (cone algebras, the A-parts of
 weight-0 pairs, the forms a of weight 1) as ``RealRows`` of ``Fraction``s,
-the complex matrices B and Phi as ``ComplexRows`` of ``GaussianRational``s.
-``Matrix`` holds the components of a Hermitian family.
+and every complex matrix (the components of a Hermitian family, B and Phi)
+as ``ComplexRows`` of ``GaussianRational``s. ``Matrix`` is only the input
+of ``span_rank``, which ranks it with ``Matrix.rref``.
 
 All elimination goes through one integer kernel, ``_integer_rref``, whose
 rows store only their nonzero entries. It eliminates fraction-free (Bareiss
@@ -177,10 +178,9 @@ class RrefResult(Frozen):
 
 
 class Matrix(Frozen):
-    """Immutable dense matrix with Gaussian-rational entries.
+    """Immutable dense matrix with Gaussian-rational entries: the input of ``span_rank``.
 
-    Matrices of any shape are allowed, including zero rows or columns, which
-    occur naturally for tube domains (empty Hermitian families).
+    Matrices of any shape are allowed, including zero rows or columns.
     """
 
     nrows: int
@@ -201,17 +201,6 @@ class Matrix(Frozen):
         nrows = len(ent)
         ncols = len(ent[0]) if nrows else 0
         return Matrix(nrows, ncols, ent)
-
-    @staticmethod
-    def zeros(nrows: int, ncols: int) -> "Matrix":
-        return Matrix(nrows, ncols, tuple(tuple(GR_ZERO for _ in range(ncols)) for _ in range(nrows)))
-
-    @staticmethod
-    def identity(n: int) -> "Matrix":
-        return Matrix(
-            n, n,
-            tuple(tuple(GR_ONE if i == j else GR_ZERO for j in range(n)) for i in range(n)),
-        )
 
     def rref(self) -> RrefResult:
         """Reduced row echelon form over the Gaussian rationals.
@@ -237,9 +226,6 @@ class Matrix(Frozen):
 
     def rank(self) -> int:
         return self.rref().rank
-
-    def __str__(self) -> str:
-        return "[" + "; ".join(", ".join(str(x) for x in row) for row in self.entries) + "]"
 
 
 def sparse_rref(rows: Sequence[dict[Any, Exact]]) -> tuple[list[dict[Any, Fraction]], list[Any]]:

@@ -11,7 +11,7 @@ import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Optional, Union
+from typing import Union
 
 from .cones import (
     CATALOG_IDS,
@@ -23,7 +23,7 @@ from .cones import (
 from .errors import ValidationError
 from .graded import GradedSolutions, SiegelDomainSpec
 from .hermitian import HermitianFamily, OmegaHermitianVerdict, is_omega_hermitian
-from .linalg import GaussianRational, Matrix, RealRows
+from .linalg import ComplexRows, GaussianRational, RealRows
 
 
 def to_json(value):
@@ -41,9 +41,11 @@ def json_pieces(value) -> list[str]:
 
     Values are encoded where they are met, by exact class: a ``Fraction`` as
     "p/q" (bare "p" for an integer), a ``GaussianRational`` as {"re", "im"},
-    a ``Matrix`` as its rows, a tuple as a list. Real data (``RealRows``, the
-    ``Tensor`` a of g1) is nested tuples of ``Fraction``s, so it becomes
-    lists of "p/q" strings; an ``int`` is a JSON number. Dicts and lists
+    a tuple as a list. Complex data (``ComplexRows``: B, Phi and the
+    components of a Hermitian family) is nested tuples of
+    ``GaussianRational``s, and real data (``RealRows``, the ``Tensor`` a of
+    g1) nested tuples of ``Fraction``s, so each becomes nested lists of
+    those encodings; an ``int`` is a JSON number. Dicts and lists
     (subclasses too) are laid out here and strings escaped to ASCII as
     ``json.dumps`` does; other leaves go through ``json.dumps``. Keys must be
     strings. The standard library's indenting encoder runs one generator per
@@ -74,8 +76,6 @@ def _format(value, prefix: str, newline: str, out: list[str]) -> None:
         out.append(f'{prefix}"{value}"')
     elif cls is GaussianRational:
         out.append(prefix + _gaussian(value, newline))
-    elif cls is Matrix:
-        _format(value.entries, prefix, newline, out)
     elif isinstance(value, str):
         out.append(prefix + encode_basestring_ascii(value))
     elif isinstance(value, dict):
@@ -157,14 +157,15 @@ def gaussian_from_json(value) -> GaussianRational:
     return GaussianRational(fraction_from_json(value), Fraction(0))
 
 
-def matrix_from_json(rows, expect_shape: Optional[tuple[int, int]] = None) -> Matrix:
+def matrix_from_json(rows, expect_shape: tuple[int, int]) -> ComplexRows:
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise ValidationError("matrix must be a list of rows")
-    m = Matrix.from_rows(
-        [[gaussian_from_json(x) for x in row] for row in rows]
-    ) if rows else Matrix.zeros(0, 0)
-    if expect_shape is not None and (m.nrows, m.ncols) != expect_shape:
-        raise ValidationError(f"matrix shape {m.nrows}x{m.ncols} != expected {expect_shape}")
+    m = tuple(tuple(gaussian_from_json(x) for x in row) for row in rows)
+    ncols = len(m[0]) if m else 0
+    if any(len(row) != ncols for row in m):
+        raise ValidationError("column count mismatch")
+    if (len(m), ncols) != expect_shape:
+        raise ValidationError(f"matrix shape {len(m)}x{ncols} != expected {expect_shape}")
     return m
 
 
@@ -206,9 +207,9 @@ def cone_to_json(cone: ConeSpec) -> dict:
 def _real_rows_from_json(rows, k: int) -> RealRows:
     """A real k x k matrix; an entry with a nonzero imaginary part is rejected here."""
     m = matrix_from_json(rows, (k, k))
-    if any(x.im for row in m.entries for x in row):
+    if any(x.im for row in m for x in row):
         raise ValidationError("g_basis matrices must be real")
-    return tuple(tuple(x.re for x in row) for row in m.entries)
+    return tuple(tuple(x.re for x in row) for row in m)
 
 
 def cone_from_json(doc) -> ConeSpec:

@@ -3,58 +3,80 @@ family, dense Gauss-Jordan elimination and the skew space it solves for, polynom
 and a polynomial-matrix rank, that the tests use as independent oracles.
 
 The package has no caller for them, so they live with the tests: each is
-written out in the plainest way, entry by entry. A polynomial here is a dict
-{monomial: GaussianRational} with no zero coefficient.
+written out in the plainest way, entry by entry. A matrix is nested rows, as
+the package holds one (``ComplexRows``); ``as_rows`` makes one from nested
+sequences of scalars. A polynomial here is a dict {monomial: GaussianRational}
+with no zero coefficient.
 """
 
 from fractions import Fraction
 
 from siegelalg.errors import ValidationError
-from siegelalg.linalg import GR_I, GR_ONE, GR_ZERO, GaussianRational, Matrix
+from siegelalg.linalg import GR_I, GR_ONE, GR_ZERO, GaussianRational, span_rank
 from siegelalg.poly import Polynomial
 
 
-def conj_transpose(m: Matrix) -> Matrix:
-    return Matrix(
-        m.ncols, m.nrows,
-        tuple(tuple(m.entries[i][j].conjugate() for i in range(m.nrows)) for j in range(m.ncols)),
+def as_rows(m) -> tuple[tuple[GaussianRational, ...], ...]:
+    """The nested sequence ``m`` of scalars as nested tuples of ``GaussianRational``s."""
+    return tuple(tuple(GaussianRational.of(x) for x in row) for row in m)
+
+
+def identity(n: int) -> tuple[tuple[GaussianRational, ...], ...]:
+    return tuple(tuple(GR_ONE if i == j else GR_ZERO for j in range(n)) for i in range(n))
+
+
+def zeros(nrows: int, ncols: int) -> tuple[tuple[GaussianRational, ...], ...]:
+    return ((GR_ZERO,) * ncols,) * nrows
+
+
+def _ncols(m) -> int:
+    return len(m[0]) if m else 0
+
+
+def rank(m) -> int:
+    """The rank of the matrix ``m``, through ``span_rank``."""
+    return span_rank(m, _ncols(m))
+
+
+def conj_transpose(m):
+    return tuple(
+        tuple(m[i][j].conjugate() for i in range(len(m))) for j in range(_ncols(m))
     )
 
 
-def add(a: Matrix, b: Matrix) -> Matrix:
-    if (a.nrows, a.ncols) != (b.nrows, b.ncols):
+def add(a, b):
+    if (len(a), _ncols(a)) != (len(b), _ncols(b)):
         raise ValidationError("shape mismatch")
-    return Matrix(
-        a.nrows, a.ncols,
-        tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(a.entries, b.entries)),
-    )
+    return tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(a, b))
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    if a.ncols != b.nrows:
-        raise ValidationError(f"cannot multiply {a.nrows}x{a.ncols} by {b.nrows}x{b.ncols}")
-    rows = []
-    for i in range(a.nrows):
+def matmul(a, b):
+    if _ncols(a) != len(b):
+        raise ValidationError(
+            f"cannot multiply {len(a)}x{_ncols(a)} by {len(b)}x{_ncols(b)}"
+        )
+    out = []
+    for i in range(len(a)):
         row = []
-        for j in range(b.ncols):
+        for j in range(_ncols(b)):
             acc = GR_ZERO
-            for t in range(a.ncols):
-                acc = acc + a.entries[i][t] * b.entries[t][j]
+            for t in range(len(b)):
+                acc = acc + a[i][t] * b[t][j]
             row.append(acc)
-        rows.append(tuple(row))
-    return Matrix(a.nrows, b.ncols, tuple(rows))
+        out.append(tuple(row))
+    return tuple(out)
 
 
-def apply(m: Matrix, v) -> tuple[GaussianRational, ...]:
+def apply(m, v) -> tuple[GaussianRational, ...]:
     """Matrix-vector product."""
-    if len(v) != m.ncols:
+    if len(v) != _ncols(m):
         raise ValidationError("vector length mismatch")
     vv = [GaussianRational.of(x) for x in v]
     out = []
-    for i in range(m.nrows):
+    for row in m:
         acc = GR_ZERO
-        for t in range(m.ncols):
-            acc = acc + m.entries[i][t] * vv[t]
+        for x, y in zip(row, vv):
+            acc = acc + x * y
         out.append(acc)
     return tuple(out)
 
@@ -71,7 +93,7 @@ def evaluate(family, w, w2=None) -> tuple[GaussianRational, ...]:
         acc = GR_ZERO
         for i in range(m):
             for j in range(m):
-                acc = acc + left[i] * comp.entries[i][j] * right[j]
+                acc = acc + left[i] * comp[i][j] * right[j]
         out.append(acc)
     return tuple(out)
 
@@ -83,7 +105,7 @@ def nonzero_table(family):
     col[j][v] the pairs (u, H_j[u][v]), and at[u][v] lists the pairs
     (j, H_j[u][v]), each in index order.
     """
-    hs = [comp.entries for comp in family.components]
+    hs = family.components
     m = range(family.m)
     row = [[[(v, h[u][v]) for v in m if not h[u][v].is_zero()] for u in m] for h in hs]
     col = [[[(u, h[u][v]) for u in m if not h[u][v].is_zero()] for v in m] for h in hs]
@@ -91,8 +113,8 @@ def nonzero_table(family):
     return row, col, at
 
 
-def is_zero(m: Matrix) -> bool:
-    return all(x.is_zero() for row in m.entries for x in row)
+def is_zero(m) -> bool:
+    return all(x.is_zero() for row in m for x in row)
 
 
 def bilinear_apply(coeffs, u, v) -> tuple[GaussianRational, ...]:
@@ -130,7 +152,7 @@ def dense_rref(rows, ncols, one):
     return rows, pivots
 
 
-def skew_basis(form) -> list[Matrix]:
+def skew_basis(form) -> list[tuple[tuple[GaussianRational, ...], ...]]:
     """A basis of {B : B* H_j + H_j B = 0 for every j}, the matrices associated to A = 0.
 
     B is realified as B[t][u] = x[2(tm + u)] + i x[2(tm + u) + 1], and entry
@@ -147,11 +169,11 @@ def skew_basis(form) -> list[Matrix]:
                 coeffs = [GR_ZERO] * ncols
                 for t in range(m):
                     col = 2 * (t * m + u)  # conj(B[t][u]) = x[col] - i x[col + 1]
-                    coeffs[col] += h.entries[t][v]
-                    coeffs[col + 1] -= GR_I * h.entries[t][v]
+                    coeffs[col] += h[t][v]
+                    coeffs[col + 1] -= GR_I * h[t][v]
                     col = 2 * (t * m + v)  # B[t][v] = x[col] + i x[col + 1]
-                    coeffs[col] += h.entries[u][t]
-                    coeffs[col + 1] += GR_I * h.entries[u][t]
+                    coeffs[col] += h[u][t]
+                    coeffs[col + 1] += GR_I * h[u][t]
                 rows += [[c.re for c in coeffs], [c.im for c in coeffs]]
     reduced, pivots = dense_rref(rows, ncols, Fraction(1))
     basis = []
@@ -159,10 +181,10 @@ def skew_basis(form) -> list[Matrix]:
         x = [Fraction(int(c == free)) for c in range(ncols)]
         for row, p in zip(reduced, pivots):
             x[p] = -row[free]
-        basis.append(Matrix.from_rows([
-            [GaussianRational(x[2 * (t * m + u)], x[2 * (t * m + u) + 1]) for u in range(m)]
+        basis.append(tuple(
+            tuple(GaussianRational(x[2 * (t * m + u)], x[2 * (t * m + u) + 1]) for u in range(m))
             for t in range(m)
-        ]))
+        ))
     return basis
 
 

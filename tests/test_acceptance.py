@@ -34,7 +34,6 @@ from siegelalg.homogeneity import (
     NOT_TRANSITIVE,
     homogeneity_verdict,
 )
-from siegelalg.linalg import Matrix
 
 
 def report(line: str) -> None:
@@ -162,10 +161,8 @@ def test_criterion_11_skew_count_oracle_equivalence():
                 eigs.extend([value] * mult)
             fam = HermitianFamily(
                 [
-                    Matrix.identity(n - 2),
-                    Matrix.from_rows(
-                        [[eigs[i] if i == j else 0 for j in range(n - 2)] for i in range(n - 2)]
-                    ),
+                    [[1 if i == j else 0 for j in range(n - 2)] for i in range(n - 2)],
+                    [[eigs[i] if i == j else 0 for j in range(n - 2)] for i in range(n - 2)],
                 ]
             )
             spec = SiegelDomainSpec(n, 2, quadrant, fam)

@@ -45,8 +45,8 @@ class TestBuild:
         spec = build(ball_product(3, 2))
         assert (spec.n, spec.k, spec.m) == (5, 2, 3)
         # first factor occupies the first two w-coordinates
-        assert [spec.form.components[0].entries[i][i].re for i in range(3)] == [1, 1, 0]
-        assert [spec.form.components[1].entries[i][i].re for i in range(3)] == [0, 0, 1]
+        assert [spec.form.components[0][i][i].re for i in range(3)] == [1, 1, 0]
+        assert [spec.form.components[1][i][i].re for i in range(3)] == [0, 0, 1]
 
     def test_ball_product_oracle_total(self):
         # oracle: d(B^3 x B^2) = 15 + 8
@@ -125,10 +125,10 @@ class TestProduct:
         spec = product(build(d6((1, 1, 0))), build(ball(3)))
         assert (spec.n, spec.k, spec.m) == (7, 4, 3)
         assert spec.cone.name == "omega3xray"
-        diagonals = [[h.entries[i][i].re for i in range(3)] for h in spec.form.components]
+        diagonals = [[h[i][i].re for i in range(3)] for h in spec.form.components]
         assert diagonals == [[1, 0, 0], [1, 0, 0], [0, 0, 0], [0, 1, 1]]
         assert all(
-            h.entries[i][j].is_zero()
+            h[i][j].is_zero()
             for h in spec.form.components for i in range(3) for j in range(3) if i != j
         )
 

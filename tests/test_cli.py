@@ -500,6 +500,46 @@ def _spec_file(tmp_path, doc, text=None):
     return str(path)
 
 
+_I2 = [["1", "0"], ["0", "1"]]
+
+
+def _quadrant_doc(h1):
+    return {"n": 4, "k": 2, "cone": "omega1", "H": [h1, _I2]}
+
+
+def _ragged_g_basis_doc():
+    basis = list(LORENTZ3_CONE["g_basis"])
+    basis[1] = [["0", "1", "0"], ["1", "0"], ["0", "0", "0"]]
+    cone = {**LORENTZ3_CONE, "g_basis": basis}
+    return {"n": 4, "k": 3, "cone": cone, "H": [[["1"]], [["1"]], [["0"]]]}
+
+
+# a matrix is refused for its first fault in this order: rows that are not lists, a bad
+# literal, rows of different lengths, then a shape other than the expected one
+MATRIX_READER_ERRORS = {
+    "h_row_wrong_length": (_quadrant_doc([["1", "0"], ["0"]]), "column count mismatch"),
+    "h_wrong_shape": (
+        _quadrant_doc([["1", "0", "0"], ["0", "1", "0"]]), "matrix shape 2x3 != expected (2, 2)"
+    ),
+    "h_rows_not_lists": (_quadrant_doc(["1", "2"]), "matrix must be a list of rows"),
+    "ragged_g_basis": (_ragged_g_basis_doc(), "column count mismatch"),
+    "rows_not_lists_before_bad_literal": (
+        _quadrant_doc([["1/0", "0"], "0"]), "matrix must be a list of rows"
+    ),
+    "bad_literal_before_row_length": (
+        _quadrant_doc([["1", "0"], ["1/0"]]), "bad rational literal '1/0'"
+    ),
+    "row_length_before_shape": (_quadrant_doc([["1", "0", "0"], ["0"]]), "column count mismatch"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_READER_ERRORS))
+def test_matrix_reader_errors_are_one_exact_line(capsys, tmp_path, name):
+    doc, message = MATRIX_READER_ERRORS[name]
+    code, out, err = run_cli(capsys, "dims", "--spec", _spec_file(tmp_path, doc))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def _witness_past_the_digit_limit():
     """H_1 = L D L* over the quadrant with D = diag(1, 1, 1, -1) and L unit lower bidiagonal with
     subdiagonal 10**1500: its negative direction (10**4500, -10**3000, 10**1500, 1) has an entry

@@ -20,7 +20,8 @@ from siegelalg.cones import (
     product,
 )
 from siegelalg.errors import ValidationError
-from siegelalg.linalg import Matrix, gr
+from siegelalg.linalg import gr
+from matrix_oracles import rank
 
 EXPECTED_DIMS = {
     "omega1": 2,
@@ -51,7 +52,7 @@ class TestCatalog:
         cone = catalog_cone(cone_id)
         rows = [[x for row in m for x in row] for m in cone.g_basis]
         rows += [list(a) for a in cone.annihilators]
-        assert Matrix.from_rows(rows).rank() == cone.k * cone.k
+        assert rank(rows) == cone.k * cone.k
 
     @pytest.mark.parametrize("cone_id", CATALOG_IDS)
     def test_flow_smoke_check(self, cone_id):

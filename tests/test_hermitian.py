@@ -22,13 +22,15 @@ from siegelalg.hermitian import (
     is_omega_hermitian,
     negative_direction,
 )
-from siegelalg.linalg import GR_I, GR_ONE, GR_ZERO, Matrix, gr
-from matrix_oracles import apply, conj_transpose, dense_rref, evaluate, matmul, nonzero_table
+from siegelalg.linalg import GR_I, GR_ONE, GR_ZERO, GaussianRational, gr
+from matrix_oracles import (
+    apply, as_rows, conj_transpose, dense_rref, evaluate, identity, matmul, nonzero_table, rank, zeros,
+)
 
 
 def diag(*vals):
     n = len(vals)
-    return Matrix.from_rows([[vals[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    return as_rows([[vals[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 def family(*components):
@@ -54,14 +56,14 @@ class TestValidate:
         assert fam == HermitianFamily([diag(1, 0), diag(1, 1)])
 
     def test_non_hermitian_reported(self):
-        bad = Matrix.from_rows([[gr(0), gr(1)], [gr(0), gr(0)]])
+        bad = [[gr(0), gr(1)], [gr(0), gr(0)]]
         with pytest.raises(ValidationError) as err:
             family(bad)
         assert str(err.value) == "family is not Hermitian: component 0 at (1, 0)"
 
     def test_every_bad_cell_named_in_order(self):
         # component 1 has a non-real diagonal entry and an asymmetric pair; component 0 is fine
-        bad = Matrix.from_rows([[gr(0, 1), gr(2)], [gr(3), gr(0)]])
+        bad = [[gr(0, 1), gr(2)], [gr(3), gr(0)]]
         with pytest.raises(ValidationError) as err:
             family(diag(1, 1), bad)
         assert str(err.value) == (
@@ -69,16 +71,62 @@ class TestValidate:
         )
 
     @pytest.mark.parametrize("components", [
-        (Matrix.zeros(2, 3),),
+        (zeros(2, 3),),
         (diag(1, 1), diag(1)),
-    ], ids=["not_square", "sizes_differ"])
+        ([[1, 0], [0]],),
+        ([[1], [0, 1]],),
+        ([[1], [0]],),
+        ([[1, 0], [0, 1]], [[1, 0], [0, 1, 0]]),
+    ], ids=["not_square", "sizes_differ", "short_row", "short_first_row", "tall", "second_ragged"])
     def test_components_must_be_square_of_one_size(self, components):
         with pytest.raises(ValidationError, match="components must be m x m"):
             HermitianFamily(components)
 
     def test_empty_family_ok(self):
-        fam = HermitianFamily((Matrix.zeros(0, 0), Matrix.zeros(0, 0)))
+        fam = HermitianFamily(((), ()))
         assert (fam.k, fam.m) == (2, 0)
+
+
+class TestInputContract:
+    """Components are nested sequences of scalars, stored once as nested tuples of
+    ``GaussianRational``s."""
+
+    def test_sequence_and_scalar_types_do_not_matter(self):
+        half = Fraction(1, 2)
+        variants = [
+            HermitianFamily([[[1, 0], [0, half]], [[2, gr(0, 1)], [gr(0, -1), 0]]]),
+            HermitianFamily((((1, 0), (0, half)), ((2, gr(0, 1)), (gr(0, -1), 0)))),
+            HermitianFamily([
+                [[Fraction(1), Fraction(0)], [Fraction(0), half]],
+                [[Fraction(2), gr(0, 1)], [gr(0, -1), Fraction(0)]],
+            ]),
+            HermitianFamily([
+                [[gr(1), gr(0)], [gr(0), gr(half)]],
+                [[gr(2), gr(0, 1)], [gr(0, -1), gr(0)]],
+            ]),
+        ]
+        first = variants[0]
+        assert all(v == first and hash(v) == hash(first) for v in variants)
+        assert all(v.row == first.row and v.at == first.at for v in variants)
+
+    def test_components_are_nested_tuples_of_gaussian_rationals(self):
+        half = Fraction(1, 2)
+        fam = HermitianFamily([[[1, half], [half, gr(3)]], [[0, 0], [0, 1]]])
+        assert type(fam.components) is tuple
+        assert all(type(comp) is tuple for comp in fam.components)
+        assert all(type(row) is tuple for comp in fam.components for row in comp)
+        assert all(
+            type(x) is GaussianRational for comp in fam.components for row in comp for x in row
+        )
+        assert fam.components == (
+            ((gr(1), gr(half)), (gr(half), gr(3))),
+            ((gr(0), gr(0)), (gr(0), gr(1))),
+        )
+
+    @pytest.mark.parametrize("empty", [(), []], ids=["tuple", "list"])
+    def test_empty_components_give_m_zero(self, empty):
+        fam = HermitianFamily([empty] * 3)
+        assert (fam.k, fam.m, fam.components) == (3, 0, ((),) * 3)
 
 
 PARTS = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-3, max_value=3, max_denominator=4))
@@ -98,7 +146,7 @@ def sparse_families(draw):
                 for b in range(a + 1, m):
                     rows[a][b] = gr(draw(PARTS), draw(PARTS))
                     rows[b][a] = rows[a][b].conjugate()
-        comps.append(Matrix(m, m, tuple(map(tuple, rows))))
+        comps.append(tuple(map(tuple, rows)))
     return HermitianFamily(comps)
 
 
@@ -112,13 +160,14 @@ def _exact_parts(x):
 def test_nonzero_table_matches_a_dense_scan(fam):
     """``row``, ``col`` and ``at`` list the nonzero entries in index order, with their values read
     by ``_exact``; they are not fields, so a family built from distinct but equal matrices is
-    equal, hashes alike, and its repr shows only the components."""
+    equal, hashes alike, and its repr shows only the components. An empty component is the
+    one empty tuple, so only the others are distinct objects."""
     assert (fam.row, fam.col, fam.at) == nonzero_table(fam)
     assert all(_exact_parts(h) for table in (fam.row, fam.col) for rows in table
                for pairs in rows for _, h in pairs)
     assert all(_exact_parts(h) for cells in fam.at for pairs in cells for _, h in pairs)
-    twin = HermitianFamily([Matrix.from_rows(comp.entries) for comp in fam.components])
-    assert all(a is not b for a, b in zip(twin.components, fam.components))
+    twin = HermitianFamily([[list(row) for row in comp] for comp in fam.components])
+    assert all(a is not b for a, b in zip(twin.components, fam.components) if a)
     assert twin == fam and hash(twin) == hash(fam)
     assert repr(twin) == repr(fam) == f"HermitianFamily(components={fam.components!r})"
 
@@ -133,7 +182,7 @@ class TestPsd:
         assert value.im == 0 and value.re < 0
 
     def test_complex_case(self):
-        m = Matrix.from_rows([[gr(1), gr(0, 2)], [gr(0, -2), gr(1)]])
+        m = [[gr(1), gr(0, 2)], [gr(0, -2), gr(1)]]
         w = negative_direction(m)
         value = evaluate(family(m), w)[0]
         assert value.im == 0 and value.re < 0
@@ -142,7 +191,7 @@ class TestPsd:
         assert negative_direction(diag(3, 0)) is None
 
     def test_negative_direction_zero_diagonal(self):
-        m = Matrix.from_rows([[gr(0), gr(1)], [gr(1), gr(0)]])
+        m = [[gr(0), gr(1)], [gr(1), gr(0)]]
         w = negative_direction(m)
         value = evaluate(family(m), w)[0]
         assert value.re < 0
@@ -153,14 +202,14 @@ def pairing_negative_direction(m):
 
     This is how ``negative_direction`` worked before it kept the Gram matrix.
     """
-    d = m.nrows
-    basis = [list(row) for row in Matrix.identity(d).entries]
+    d = len(m)
+    basis = [list(row) for row in identity(d)]
 
     def pairing(u, v):
         acc = GR_ZERO
         for i in range(d):
             for j in range(d):
-                acc = acc + u[i].conjugate() * m.entries[i][j] * v[j]
+                acc = acc + u[i].conjugate() * m[i][j] * v[j]
         return acc
 
     remaining = basis
@@ -225,17 +274,17 @@ def hermitian_matrices(draw):
                 else:
                     rows[i][j] = draw(GAUSSIAN) * scale
                 rows[j][i] = rows[i][j].conjugate()
-        return Matrix.from_rows(rows)
+        return tuple(map(tuple, rows))
     # C^* D C with D real diagonal: rank at most r, PSD when D >= 0
     r = draw(st.integers(1, d - 1)) if kind == "singular" and d > 1 else draw(st.integers(1, d))
     scales = st.integers(0, 2) if kind == "psd" else st.integers(-2, 2)
     diag_d = [draw(scales) for _ in range(r)]
     c = [[draw(GAUSSIAN) * scale for _ in range(d)] for _ in range(r)]
-    return Matrix.from_rows([
-        [sum((c[p][i].conjugate() * diag_d[p] * c[p][j] for p in range(r)), GR_ZERO)
-         for j in range(d)]
+    return tuple(
+        tuple(sum((c[p][i].conjugate() * diag_d[p] * c[p][j] for p in range(r)), GR_ZERO)
+              for j in range(d))
         for i in range(d)
-    ])
+    )
 
 
 @given(m=hermitian_matrices())
@@ -285,7 +334,7 @@ class TestOmegaHermitian:
         assert verdict.kind == COUNTEREXAMPLE
 
     def test_tube_vacuous(self):
-        empty = HermitianFamily(tuple(Matrix.zeros(0, 0) for _ in range(3)))
+        empty = HermitianFamily([()] * 3)
         assert is_omega_hermitian(empty, catalog_cone("omega3")).kind == VERIFIED_EXACT
 
     def test_determinism(self):
@@ -321,15 +370,15 @@ def singular_families(draw):
     cone = catalog_cone(draw(st.sampled_from(["omega1", "omega2", "omega4"])))
     m = draw(st.integers(2, 3))
     parts = st.integers(-2, 2)
-    p = Matrix.from_rows([[gr(draw(parts), draw(parts)) for _ in range(m)] for _ in range(m)])
-    assume(p.rank() == m)
+    p = [[gr(draw(parts), draw(parts)) for _ in range(m)] for _ in range(m)]
+    assume(rank(p) == m)
     zero_at = draw(st.integers(0, m - 1))
     components = [
         matmul(conj_transpose(p), matmul(diag(*[0 if i == zero_at else draw(st.integers(0, 3))
                                                 for i in range(m)]), p))
         for _ in range(cone.k)
     ]
-    assume(any(x.im for comp in components for row in comp.entries for x in row))
+    assume(any(x.im for comp in components for row in comp for x in row))
     return HermitianFamily(components), cone
 
 
@@ -343,7 +392,7 @@ def test_common_kernel_witness_is_the_first_kernel_vector(case):
     verdict = is_omega_hermitian(fam, cone)
     assert verdict.kind == COUNTEREXAMPLE
     m = fam.m
-    rows = [row for comp in fam.components for row in comp.entries]
+    rows = [row for comp in fam.components for row in comp]
     reduced, pivots = dense_rref(rows, m, GR_ONE)
     free = next(j for j in range(m) if j not in pivots)
     expected = [GR_ZERO] * m
@@ -369,14 +418,14 @@ def families_and_vectors(draw):
             for b in range(a + 1, m):
                 rows[a][b] = gr(draw(RATIONALS), draw(RATIONALS))
                 rows[b][a] = rows[a][b].conjugate()
-        comps.append(Matrix.from_rows(rows))
+        comps.append(rows)
     w = tuple(draw(st.builds(gr, RATIONALS, RATIONALS)) for _ in range(m))
     return HermitianFamily(comps), w
 
 
 def _check_scaled_value(fam, w):
     """``_scaled_value`` is D d^2 H(w, w): D and d the lcms of the family's and w's denominators."""
-    scale = lcm(*(part.denominator for comp in fam.components for row in comp.entries
+    scale = lcm(*(part.denominator for comp in fam.components for row in comp
                   for x in row for part in (x.re, x.im)))
     d = lcm(*(part.denominator for x in w for part in (x.re, x.im)))
     value = _scaled_value(_integer_entries(fam), w)
@@ -398,7 +447,7 @@ LORENTZ_FAMILIES = {
         for domain in (catalog.d6((1, 1, 0)), catalog.d6((2, 1, 0)),
                        catalog.d6((Fraction(3, 2), Fraction(1, 2), Fraction(1, 3))))
     },
-    "dense": family(diag(1, 1), diag(1, -1), Matrix.from_rows([[0, _H], [_H.conjugate(), 0]])),
+    "dense": family(diag(1, 1), diag(1, -1), [[0, _H], [_H.conjugate(), 0]]),
 }
 
 

@@ -14,14 +14,14 @@ from siegelalg.homogeneity import (
     generic_orbit_rank,
     homogeneity_verdict,
 )
-from siegelalg.linalg import Matrix
-
-from matrix_oracles import poly_add, poly_scale, polynomial_generic_rank, variable
+from matrix_oracles import (
+    as_rows, identity, poly_add, poly_scale, polynomial_generic_rank, rank, variable, zeros,
+)
 
 
 def diag(*vals):
     n = len(vals)
-    return Matrix.from_rows([[vals[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    return as_rows([[vals[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 def fam(*comps):
@@ -30,13 +30,13 @@ def fam(*comps):
 
 def d2_spec(n=4):
     return SiegelDomainSpec(
-        n, 2, catalog_cone("omega1"), fam(Matrix.identity(n - 2), Matrix.identity(n - 2))
+        n, 2, catalog_cone("omega1"), fam(identity(n - 2), identity(n - 2))
     )
 
 
 def d1_spec(n=4):
     return SiegelDomainSpec(
-        n, 2, catalog_cone("omega1"), fam(Matrix.identity(n - 2), Matrix.zeros(n - 2, n - 2))
+        n, 2, catalog_cone("omega1"), fam(identity(n - 2), zeros(n - 2, n - 2))
     )
 
 
@@ -107,7 +107,7 @@ class TestGenericRank:
                 continue
             found += 1
             rows = [[sum(aij * xj for aij, xj in zip(row, point)) for row in a] for a in basis]
-            best = max(best, Matrix.from_rows(rows).rank())
+            best = max(best, rank(rows))
         return best
 
     def test_rank_matches_sampled_maximum(self):

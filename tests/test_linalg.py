@@ -19,7 +19,7 @@ from siegelalg.linalg import (
     sparse_nullspace,
     sparse_rref,
 )
-from matrix_oracles import apply, conj_transpose, dense_rref, matmul
+from matrix_oracles import apply, as_rows, conj_transpose, dense_rref, identity, matmul, rank, zeros
 
 
 class TestGaussianRational:
@@ -75,12 +75,12 @@ def test_product_matches_the_four_product_formula(z, y):
 
 class TestRref:
     def test_identity(self):
-        res = Matrix.identity(3).rref()
+        res = Matrix.from_rows(identity(3)).rref()
         assert res.rank == 3
         assert res.pivots == (0, 1, 2)
 
     def test_zero_matrix(self):
-        res = Matrix.zeros(2, 2).rref()
+        res = Matrix.from_rows(zeros(2, 2)).rref()
         assert res.rank == 0
         assert res.pivots == ()
 
@@ -119,30 +119,31 @@ def complex_kernel(rows, ncols):
     ]
 
 
-def nullspace(m):
-    """The kernel of ``m`` through its realified rows, each basis vector a dense tuple."""
-    rows = [{j: x for j, x in enumerate(row) if x} for row in m.entries]
-    return dense(complex_kernel(rows, m.ncols), m.ncols, GR_ZERO)
+def nullspace(m, ncols):
+    """The kernel of the rows ``m`` over ``ncols`` columns, through its realified rows, each basis
+    vector a dense tuple."""
+    rows = [{j: x for j, x in enumerate(row) if x} for row in m]
+    return dense(complex_kernel(rows, ncols), ncols, GR_ZERO)
 
 
 class TestNullspace:
     def test_identity_has_trivial_kernel(self):
-        assert nullspace(Matrix.identity(2)) == []
+        assert nullspace(identity(2), 2) == []
 
     def test_single_equation(self):
-        m = Matrix.from_rows([[1, -1]])
-        (v,) = nullspace(m)
+        m = as_rows([[1, -1]])
+        (v,) = nullspace(m, 2)
         assert v == (GR_ONE, GR_ONE)
 
     def test_rank_one(self):
-        m = Matrix.from_rows([[1, 2], [2, 4]])
-        (v,) = nullspace(m)
+        m = as_rows([[1, 2], [2, 4]])
+        (v,) = nullspace(m, 2)
         # free column 1 set to one
         assert v == (gr(-2), GR_ONE)
 
     def test_zero_rows_matrix(self):
-        m = Matrix.zeros(0, 3)
-        basis = nullspace(m)
+        m = zeros(0, 3)
+        basis = nullspace(m, 3)
         assert len(basis) == 3
 
 
@@ -158,36 +159,35 @@ def small_matrices(draw):
     rows = [
         [draw(small_fractions) for _ in range(ncols)] for _ in range(nrows)
     ]
-    return Matrix.from_rows(rows)
+    return as_rows(rows)
 
 
 @given(small_matrices())
 @settings(derandomize=True, max_examples=60, deadline=None)
 def test_rank_nullity(m):
-    assert m.rank() + len(nullspace(m)) == m.ncols
+    assert rank(m) + len(nullspace(m, len(m[0]))) == len(m[0])
 
 
 @given(small_matrices())
 @settings(derandomize=True, max_examples=60, deadline=None)
 def test_nullspace_vectors_annihilated(m):
-    for v in nullspace(m):
+    for v in nullspace(m, len(m[0])):
         assert all(x.is_zero() for x in apply(m, v))
 
 
 @given(small_matrices(), st.randoms(use_true_random=False))
 @settings(derandomize=True, max_examples=40, deadline=None)
 def test_row_permutation_invariance(m, rnd):
-    rows = list(m.entries)
-    rnd.shuffle(rows)
-    permuted = Matrix(m.nrows, m.ncols, tuple(rows))
-    assert permuted.rank() == m.rank()
-    assert len(nullspace(permuted)) == len(nullspace(m))
+    permuted = list(m)
+    rnd.shuffle(permuted)
+    assert rank(permuted) == rank(m)
+    assert len(nullspace(permuted, len(m[0]))) == len(nullspace(m, len(m[0])))
 
 
 @given(small_matrices())
 @settings(derandomize=True, max_examples=40, deadline=None)
 def test_rref_idempotence(m):
-    reduced = m.rref().matrix
+    reduced = Matrix.from_rows(m).rref().matrix
     assert reduced.rref().matrix == reduced
 
 
@@ -371,7 +371,7 @@ def test_kernel_negative_pivots():
 
 class TestMatrixStructure:
     def test_matmul_and_conj_transpose(self):
-        a = Matrix.from_rows([[gr(0, 1), gr(1)]])
-        assert conj_transpose(a).entries[0][0] == gr(0, -1)
+        a = ((gr(0, 1), gr(1)),)
+        assert conj_transpose(a)[0][0] == gr(0, -1)
         prod = matmul(a, conj_transpose(a))
-        assert prod.entries[0][0] == gr(2)
+        assert prod[0][0] == gr(2)
