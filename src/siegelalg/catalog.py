@@ -34,7 +34,7 @@ from .homogeneity import (
     HomogeneityVerdict,
     homogeneity_verdict,
 )
-from .linalg import GR_ONE, GR_ZERO, Scalar
+from .linalg import GR_ONE, GR_ZERO, Scalar, _frac
 
 
 _TUBE_LABELS = {
@@ -88,24 +88,20 @@ def d2(n: int) -> DomainId:
     return DomainId("d2", n=n)
 
 
-def _params4(values: Sequence[Union[int, Fraction]]) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x) for x in values)
-
-
 def d3(alpha, beta, gamma, delta) -> DomainId:
-    return DomainId("d3", n=4, params=_params4((alpha, beta, gamma, delta)))
+    return DomainId("d3", n=4, params=tuple(map(_frac, (alpha, beta, gamma, delta))))
 
 
 def d4(alpha, beta, gamma, delta) -> DomainId:
-    return DomainId("d4", n=5, params=_params4((alpha, beta, gamma, delta)))
+    return DomainId("d4", n=5, params=tuple(map(_frac, (alpha, beta, gamma, delta))))
 
 
 def d5(v: Sequence[Union[int, Fraction]]) -> DomainId:
-    return DomainId("d5", n=4, v=tuple(Fraction(x) for x in v))
+    return DomainId("d5", n=4, v=tuple(map(_frac, v)))
 
 
 def d6(v: Sequence[Union[int, Fraction]]) -> DomainId:
-    return DomainId("d6", n=4, v=tuple(Fraction(x) for x in v))
+    return DomainId("d6", n=4, v=tuple(map(_frac, v)))
 
 
 def t3() -> DomainId:

@@ -107,7 +107,7 @@ def _cmd_cone_info(args) -> int:
         "dim_g": cone.dim_g,
         "isotropy_bound": isotropy_bound(cone.k),
         "interior_point": cone.interior_point,
-        "annihilator_count": len(cone.annihilators),
+        "annihilator_count": len(cone.annihilator_terms),
     }
     if args.emit_bases:
         doc["g_basis"] = cone.g_basis
@@ -117,7 +117,7 @@ def _cmd_cone_info(args) -> int:
         print(f"cone {cone.name}: k={cone.k} dim g={cone.dim_g} "
               f"isotropy bound={isotropy_bound(cone.k)}")
         print(f"interior point: ({', '.join(map(str, cone.interior_point))})")
-        print(f"annihilators: {len(cone.annihilators)}")
+        print(f"annihilators: {len(cone.annihilator_terms)}")
         if args.emit_bases:
             for i, m in enumerate(cone.g_basis):
                 print(f"g_basis[{i}]: [" + "; ".join(", ".join(map(str, r)) for r in m) + "]")

@@ -9,9 +9,10 @@ orthants are omega1, omega2 and omega4, the Lorentz cones lorentz(3) and
 lorentz(4) are omega3 and omega6, and omega5 is lorentz(3) x ray.
 
 g(Omega) is a real Lie algebra, so its basis matrices are ``RealRows``: k
-rows of k ``Fraction``s. ``ConeSpec`` converts int entries to ``Fraction``
-and rejects any other entry type; every consumer downstream reads plain
-rationals.
+rows of k ``Fraction``s. ``ConeSpec`` reads the entries of its basis, its
+interior point and its polyhedral functionals through ``linalg._frac``, which
+turns an int into a ``Fraction`` and rejects any other type with a
+``ValidationError``; every consumer downstream reads plain rationals.
 
 Custom cones are accepted with a user-supplied basis and are trusted: checking
 that a given basis really spans the full automorphism algebra of the cone is
@@ -27,7 +28,7 @@ from typing import Optional, Sequence, Union
 
 from .errors import ValidationError
 from .frozen import Frozen
-from .linalg import RealRows, _exact, sparse_nullspace, span_rank
+from .linalg import RealRows, _exact, _frac, sparse_nullspace, span_rank
 
 
 class Region(enum.Enum):
@@ -83,29 +84,22 @@ class LorentzFactor(Frozen):
 BoundaryFactor = Union[PolyhedralFactor, LorentzFactor]
 
 
-def _frac_vec(v: Sequence[Union[int, Fraction]]) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x) for x in v)
-
-
 def _real_rows(m: Sequence[Sequence[Union[int, Fraction]]], k: int) -> RealRows:
-    """``m`` as k rows of k ``Fraction``s; an entry that is not an int or a Fraction is rejected."""
+    """``m`` as k rows of k ``Fraction``s, each entry read by ``_frac``."""
     if len(m) != k or any(len(row) != k for row in m):
         raise ValidationError("g_basis matrices must be k x k")
-    if any(isinstance(x, bool) or not isinstance(x, (int, Fraction)) for row in m for x in row):
-        raise ValidationError("g_basis entries must be rationals")
-    return tuple(tuple(Fraction(x) for x in row) for row in m)
+    return tuple(tuple(map(_frac, row)) for row in m)
 
 
 class ConeSpec(Frozen):
     """A cone and a basis of g(Omega), validated on construction.
 
-    Construction also sets two attributes that are not fields.
-    ``annihilators`` holds the functionals on vectorized k x k matrices
-    whose common kernel is the span of ``g_basis``, one basis of the kernel
-    that the validation computes. ``annihilator_terms`` holds the same
-    functionals as their nonzero coefficients (j, l, x) on the entries
-    (j, l), in index order and read by ``_exact``: the graded solvers'
-    table.
+    Construction stores the basis, the interior point and the polyhedral
+    functionals as ``Fraction``s, and sets one attribute that is not a field:
+    ``annihilator_terms``, the functionals on k x k matrices whose common
+    kernel is the span of ``g_basis`` (one basis of the kernel that the
+    validation computes). Each functional is its nonzero coefficients
+    (j, l, x) on the entries (j, l), in index order and read by ``_exact``.
     """
 
     name: str
@@ -119,8 +113,10 @@ class ConeSpec(Frozen):
             raise ValidationError("cone dimension must be at least 1")
         if len(self.interior_point) != self.k:
             raise ValidationError("interior point has wrong length")
+        object.__setattr__(self, "interior_point", tuple(map(_frac, self.interior_point)))
         # the lineality space of the closed cone is the common kernel of these rows
         normals = []
+        boundary = []
         for factor in self.boundary:
             if isinstance(factor, LorentzFactor):
                 coords = factor.coords
@@ -133,7 +129,10 @@ class ConeSpec(Frozen):
             elif any(len(f) != self.k for f in factor.functionals):
                 raise ValidationError(f"polyhedral functionals must have length {self.k}")
             else:
+                factor = PolyhedralFactor(tuple(tuple(map(_frac, f)) for f in factor.functionals))
                 normals += factor.functionals
+            boundary.append(factor)
+        object.__setattr__(self, "boundary", tuple(boundary))
         rank = span_rank(normals, self.k)
         if rank != self.k:
             raise ValidationError(f"the cone contains a line: its boundary rows have rank {rank}")
@@ -148,10 +147,6 @@ class ConeSpec(Frozen):
             raise ValidationError("g_basis is linearly dependent or empty")
         if any(sum(a.get(i * self.k + i, 0) for i in range(self.k)) for a in kernel):
             raise ValidationError("g_basis must contain the scalar matrices in its span")
-        zero = Fraction(0)
-        object.__setattr__(
-            self, "annihilators", tuple(tuple(a.get(i, zero) for i in range(width)) for a in kernel)
-        )
         object.__setattr__(self, "annihilator_terms", tuple(
             tuple((*divmod(i, self.k), _exact(a[i])) for i in sorted(a)) for a in kernel
         ))
@@ -172,7 +167,7 @@ def classify_point(cone: ConeSpec, x: Sequence[Union[int, Fraction]]) -> Region:
     """
     if len(x) != cone.k:
         raise ValidationError("point has wrong dimension")
-    xx = _frac_vec(x)
+    xx = tuple(map(_frac, x))
     regions = [f.classify(xx) for f in cone.boundary]
     if any(r is Region.OUTSIDE for r in regions):
         return Region.OUTSIDE
@@ -185,10 +180,8 @@ def in_g_omega(cone: ConeSpec, m: RealRows) -> bool:
     """Whether the real k x k matrix ``m`` lies in g(Omega)."""
     if len(m) != cone.k or any(len(row) != cone.k for row in m):
         raise ValidationError("matrix has wrong shape")
-    vec = [x for row in m for x in row]
-    return all(
-        sum(c * x for c, x in zip(a, vec)) == 0 for a in cone.annihilators
-    )
+    rows = tuple(tuple(map(_frac, row)) for row in m)
+    return all(sum(x * rows[j][l] for j, l, x in a) == 0 for a in cone.annihilator_terms)
 
 
 def isotropy_bound(k: int) -> Fraction:

@@ -55,14 +55,15 @@ reads them, so ``add`` never modifies its argument.
 
 Rows hold exact nonzero ``int``s where the inputs are integral and
 ``Fraction``s otherwise: the unknowns carry the unit ``1``, and every input
-(H's entries in the family's table, the cone's basis and annihilators, the
-coordinate units) is read through ``_exact``, which turns a rational with
-denominator 1 into an ``int``. So the rows of a Gaussian-integer H over an
-integer cone reach ``sparse_rref`` integral, as its kernel works. No ``int``
-leaves the assembly: ``sparse_rref`` builds every result entry as a
-``Fraction``. The g1 association is assembled for w -> b(e_t, w) and
-2 a(e_t, .), rather than for b/2 and a: the rows are scaled by 2, so the row
-space and the bases are the same.
+(H's entries in the family's table, the cone's basis and annihilator
+table) is read through ``_exact``, which turns a rational with denominator 1
+into an ``int``; ``coordinate_units`` gives its units in that form. So the
+rows of a Gaussian-integer H over an integer cone reach ``sparse_rref``
+integral, as its kernel works. No ``int`` leaves the assembly:
+``sparse_rref`` builds every result entry as a ``Fraction``. The g1
+association is assembled for w -> b(e_t, w) and 2 a(e_t, .), rather than for
+b/2 and a: the rows are scaled by 2, so the row space and the bases are the
+same.
 """
 
 from __future__ import annotations
@@ -359,11 +360,6 @@ def _annihilator_rows(
         system.require_real_zero(acc.re)
 
 
-def _units(m: int) -> list[tuple[int, GaussianRational]]:
-    """``coordinate_units(m)``, read by ``_exact``."""
-    return [(u, _exact(unit)) for u, unit in coordinate_units(m)]
-
-
 def _pairing_rows(
     system: _System,
     annihilators: Sequence[Sequence[tuple[int, int, Exact]]],
@@ -477,7 +473,7 @@ def solve_g_half(spec: SiegelDomainSpec) -> tuple[tuple[ComplexRows, Tensor], ..
     c = system.complex(m, len(pairs))
 
     # cone membership of [x -> Im H(w0, Phi x)] for w0 in the coordinate set
-    for u, unit in _units(m):
+    for u, unit in coordinate_units(m):
         _pairing_rows(system, annihilators, form, u, unit, phi)
 
     # compatibility of c with Phi: match coefficients of conj(w)_u w'_i w'_j
@@ -553,9 +549,8 @@ def solve_g1(spec: SiegelDomainSpec) -> tuple[tuple[Tensor, Tensor], ...]:
 
     if m:
         # membership of x -> Im H(w1, b(x, w0)) for w0 in the coordinate set, w1 = e_u
-        units = _units(m)
         one = _exact(GR_ONE)
-        for p, unit in units:
+        for p, unit in coordinate_units(m):
             # b_w0[l, t] = b(e_t, w0)_l for w0 = unit * e_p
             b_w0 = {key: _Lin() for key in product(range(m), range(k))}
             for (l, t), entry in b_w0.items():

@@ -58,7 +58,8 @@ class HermitianFamily(Frozen):
     """k Hermitian m x m matrices; k and m are read from the components.
 
     The components are given as nested sequences of scalars (``int``,
-    ``Fraction`` or ``GaussianRational``) and stored as ``ComplexRows``.
+    ``Fraction`` or ``GaussianRational``; any other entry is a
+    ``ValidationError``) and stored as ``ComplexRows``.
     Construction checks that they are square of one size and Hermitian, and
     names every cell (j, i), j >= i, that differs from the conjugate of its
     mirror. The same pass tables the nonzero entries, read by ``_exact``, as

@@ -47,11 +47,18 @@ ComplexRows = tuple[tuple["GaussianRational", ...], ...]
 
 
 def _frac(x: Union[int, Fraction]) -> Fraction:
+    """A caller's rational as a ``Fraction``: an ``int`` (not a ``bool``) or a ``Fraction``.
+
+    The one reader of rational data in the library: every constructor and
+    query that takes a rational reads it here, so a float, a string, a
+    boolean or ``None`` ends in the same ``ValidationError`` everywhere. Text
+    is read by ``serialize.fraction_from_json`` first.
+    """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if x.__class__ is int:
         return Fraction(x)
-    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+    raise ValidationError(f"entries must be rationals (int or Fraction), got {type(x).__name__}")
 
 
 class GaussianRational(Frozen):
@@ -167,8 +174,10 @@ def coordinate_units(m: int) -> list[tuple[int, GaussianRational]]:
     Each vector is given by its one nonzero entry, as the pair (position,
     entry). Together they form a basis of C^m over the reals, so a real-linear
     identity in a vector of C^m holds everywhere once it holds on these.
+    The entries are in the exact kernels' form (``_exact``): ``int`` parts.
     """
-    return [(u, unit) for u in range(m) for unit in (GR_ONE, GR_I)]
+    one, i = GaussianRational(1, 0), GaussianRational(0, 1)
+    return [(u, unit) for u in range(m) for unit in (one, i)]
 
 
 class RrefResult(Frozen):

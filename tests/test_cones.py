@@ -45,13 +45,17 @@ class TestCatalog:
     @pytest.mark.parametrize("cone_id", CATALOG_IDS)
     def test_annihilator_counts(self, cone_id):
         cone = catalog_cone(cone_id)
-        assert len(cone.annihilators) == cone.k * cone.k - cone.dim_g
+        assert len(cone.annihilator_terms) == cone.k * cone.k - cone.dim_g
 
     @pytest.mark.parametrize("cone_id", CATALOG_IDS)
     def test_basis_plus_annihilators_fill_matrix_space(self, cone_id):
         cone = catalog_cone(cone_id)
         rows = [[x for row in m for x in row] for m in cone.g_basis]
-        rows += [list(a) for a in cone.annihilators]
+        for a in cone.annihilator_terms:
+            dense = [0] * (cone.k * cone.k)
+            for j, l, x in a:
+                dense[j * cone.k + l] = x
+            rows.append(dense)
         assert rank(rows) == cone.k * cone.k
 
     @pytest.mark.parametrize("cone_id", CATALOG_IDS)
@@ -92,9 +96,9 @@ class TestBuilders:
     def test_catalog_cones_are_the_builders_under_their_ids(self, cone_id, built):
         cone, catalogued = built(), catalog_cone(cone_id)
         assert catalogued.name == cone_id
-        assert (cone.k, cone.g_basis, cone.interior_point, cone.boundary, cone.annihilators) == (
+        assert (cone.k, cone.g_basis, cone.interior_point, cone.boundary, cone.annihilator_terms) == (
             catalogued.k, catalogued.g_basis, catalogued.interior_point,
-            catalogued.boundary, catalogued.annihilators,
+            catalogued.boundary, catalogued.annihilator_terms,
         )
 
     def test_product_blocks(self):

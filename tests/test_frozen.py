@@ -103,7 +103,7 @@ class TestConstruction:
     def test_post_init_may_normalise_a_field(self):
         cone = ConeSpec("ray", 1, (((1,),),), (Fraction(1),), (PolyhedralFactor(((Fraction(1),),)),))
         assert type(cone.g_basis[0][0][0]) is Fraction
-        assert cone.annihilators == ()
+        assert cone.annihilator_terms == ()
         assert cone == half_line()
 
     def test_post_init_patched_on_the_class_runs(self, monkeypatch):

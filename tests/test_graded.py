@@ -8,7 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from siegelalg import catalog, graded
-from siegelalg.cones import CATALOG_IDS, catalog_cone, half_line, in_g_omega, lorentz
+from siegelalg.cones import (
+    CATALOG_IDS, PolyhedralFactor, catalog_cone, half_line, in_g_omega, lorentz,
+)
 from siegelalg.errors import ValidationError
 from siegelalg.graded import (
     SiegelDomainSpec,
@@ -508,10 +510,16 @@ CUSTOM_QUADRANT = {
 
 @pytest.mark.parametrize("cone_id", list(CATALOG_IDS) + ["custom"])
 def test_cone_data_is_fraction(cone_id):
-    """A cone's basis and annihilators are plain Fractions, never ints or Gaussian rationals."""
+    """A cone's basis, interior point and functionals are plain Fractions, never ints or Gaussian
+    rationals; an annihilator coefficient is an int exactly where its denominator is 1."""
     cone = cone_from_json(CUSTOM_QUADRANT) if cone_id == "custom" else catalog_cone(cone_id)
     assert _all_fractions(cone.g_basis)
-    assert _all_fractions(cone.annihilators)
+    assert _all_fractions(cone.interior_point)
+    functionals = [f for factor in cone.boundary if isinstance(factor, PolyhedralFactor)
+                   for f in factor.functionals]
+    assert all(type(x) is Fraction for f in functionals for x in f)
+    coefficients = [x for a in cone.annihilator_terms for _, _, x in a]
+    assert all(type(x) is (int if x.denominator == 1 else Fraction) for x in coefficients)
 
 
 @pytest.mark.parametrize("name", ["ball3", "ballproduct2_2", "d6_110", "t4"])
