@@ -16,6 +16,7 @@ from typing import Sequence
 
 from .errors import ValidationError
 from .frozen import Frozen
+from .linalg import _int
 
 
 class BoundReport(Frozen):
@@ -33,6 +34,7 @@ class BoundReport(Frozen):
 
 def closed_form_bound(n: int, k: int) -> Fraction:
     """The (n, k)-only cap: 3k^2/2 - k(2n + 5/2) + n^2 + 4n + 1."""
+    n, k = _int(n, "n"), _int(k, "k")
     if not 1 <= k <= n:
         raise ValidationError("need 1 <= k <= n")
     return (
@@ -52,9 +54,9 @@ def bound_chain(
     dim_g_half: int,
     dim_g_1: int,
 ) -> BoundReport:
-    if not 1 <= k <= n:
-        raise ValidationError("need 1 <= k <= n")
-    if min(s, dim_g_omega, dim_g_half, dim_g_1) < 0:
+    closed_form = closed_form_bound(n, k)  # reads n and k, and checks 1 <= k <= n
+    counts = {"s": s, "dim_g_omega": dim_g_omega, "dim_g_half": dim_g_half, "dim_g_1": dim_g_1}
+    if min(_int(x, what) for what, x in counts.items()) < 0:
         raise ValidationError("counts must be nonnegative")
     m = n - k
     base = k + 2 * m + s + dim_g_omega
@@ -71,7 +73,7 @@ def bound_chain(
         component_bound=component,
         graded_cap_bound=graded_cap,
         skew_cap_bound=skew_cap,
-        closed_form_bound=closed_form_bound(n, k),
+        closed_form_bound=closed_form,
     )
 
 
@@ -94,7 +96,7 @@ def closed_form_sweep(n_max: int) -> tuple[SweepEntry, ...]:
     Values below n = 5 are deliberately not swept: the exclusion argument
     starts there. Sweeps past ``SWEEP_MAX`` are refused.
     """
-    if n_max < 5:
+    if _int(n_max, "n_max") < 5:
         raise ValidationError("sweep starts at n = 5")
     if n_max > SWEEP_MAX:
         raise ValidationError(f"sweep stops at n = {SWEEP_MAX}")
@@ -114,7 +116,7 @@ def s_from_multiplicities(n: int, multiplicities: Sequence[int]) -> int:
     partition; each unordered pair of distinct eigenvalues kills two real
     parameters, so s = (n - 2)^2 - 2 * (number of such pairs).
     """
-    mults = list(multiplicities)
+    n, mults = _int(n, "n"), [_int(x, "a multiplicity") for x in multiplicities]
     if any(x < 1 for x in mults) or sum(mults) != n - 2:
         raise ValidationError("multiplicities must be a partition of n - 2")
     total = n - 2

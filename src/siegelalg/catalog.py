@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from .bounds import BoundReport, bound_chain, closed_form_bound, closed_form_sweep, s_from_multiplicities
 from . import cones
-from .cones import CATALOG_IDS, _built_catalog_cone, catalog_cone, isotropy_bound
+from .cones import CATALOG_IDS, _built_catalog_cone, catalog_cone, cone_key, isotropy_bound
 from .errors import ValidationError
 from .frozen import Frozen
 from .fields import bracket_identities_hold, check_grading, materialize
@@ -34,7 +34,7 @@ from .homogeneity import (
     HomogeneityVerdict,
     homogeneity_verdict,
 )
-from .linalg import GR_ONE, GR_ZERO, Scalar, _frac
+from .linalg import GR_ONE, GR_ZERO, Scalar, _frac, _int
 
 
 _TUBE_LABELS = {
@@ -73,19 +73,19 @@ class DomainId(Frozen):
 
 
 def ball(n: int) -> DomainId:
-    return DomainId("ball", n=n)
+    return DomainId("ball", n=_int(n, "ball dimension"))
 
 
 def ball_product(*factors: int) -> DomainId:
-    return DomainId("ball-product", factors=tuple(factors))
+    return DomainId("ball-product", factors=tuple(_int(p, "a ball factor") for p in factors))
 
 
 def d1(n: int) -> DomainId:
-    return DomainId("d1", n=n)
+    return DomainId("d1", n=_int(n, "n"))
 
 
 def d2(n: int) -> DomainId:
-    return DomainId("d2", n=n)
+    return DomainId("d2", n=_int(n, "n"))
 
 
 def d3(alpha, beta, gamma, delta) -> DomainId:
@@ -114,7 +114,7 @@ def t4() -> DomainId:
 
 def tube(cone_id: str) -> DomainId:
     """The tube over a catalog cone; the id is read as ``catalog_cone`` reads it."""
-    return DomainId("tube", cone_id=cone_id.strip().lower())
+    return DomainId("tube", cone_id=cone_key(cone_id))
 
 
 def _diag(values: Sequence[Scalar]) -> list[list[Scalar]]:
@@ -291,7 +291,7 @@ def classify(n: int) -> ClassifyReport:
     bound when n >= 5. Survivors at the target are the homogeneous entries
     whose exact total equals n^2 - 2.
     """
-    return _classify(n, analyze)
+    return _classify(_int(n, "n"), analyze)
 
 
 def _classify(n: int, analyze: Analyzer) -> ClassifyReport:

@@ -12,7 +12,9 @@ g(Omega) is a real Lie algebra, so its basis matrices are ``RealRows``: k
 rows of k ``Fraction``s. ``ConeSpec`` reads the entries of its basis, its
 interior point and its polyhedral functionals through ``linalg._frac``, which
 turns an int into a ``Fraction`` and rejects any other type with a
-``ValidationError``; every consumer downstream reads plain rationals.
+``ValidationError``; every consumer downstream reads plain rationals. Its
+dimension, its Lorentz coordinates and every size passed to a builder are read
+by ``linalg._int``, and a catalog id by ``cone_key``, which wants a string.
 
 Custom cones are accepted with a user-supplied basis and are trusted: checking
 that a given basis really spans the full automorphism algebra of the cone is
@@ -28,7 +30,7 @@ from typing import Optional, Sequence, Union
 
 from .errors import ValidationError
 from .frozen import Frozen
-from .linalg import RealRows, _exact, _frac, sparse_nullspace, span_rank
+from .linalg import RealRows, _exact, _frac, _int, sparse_nullspace, span_rank
 
 
 class Region(enum.Enum):
@@ -109,7 +111,7 @@ class ConeSpec(Frozen):
     boundary: tuple[BoundaryFactor, ...]
 
     def __post_init__(self) -> None:
-        if self.k < 1:
+        if _int(self.k, "cone dimension") < 1:
             raise ValidationError("cone dimension must be at least 1")
         if len(self.interior_point) != self.k:
             raise ValidationError("interior point has wrong length")
@@ -119,12 +121,13 @@ class ConeSpec(Frozen):
         boundary = []
         for factor in self.boundary:
             if isinstance(factor, LorentzFactor):
-                coords = factor.coords
+                coords = tuple(_int(c, "a Lorentz coordinate") for c in factor.coords)
                 if len(coords) < 2 or len(set(coords) & set(range(self.k))) != len(coords):
                     raise ValidationError(
                         f"Lorentz coordinates {list(coords)} must be at least two "
                         f"distinct indices in 0..{self.k - 1}"
                     )
+                factor = LorentzFactor(coords)
                 normals += [[int(i == c) for i in range(self.k)] for c in coords]
             elif any(len(f) != self.k for f in factor.functionals):
                 raise ValidationError(f"polyhedral functionals must have length {self.k}")
@@ -186,7 +189,7 @@ def in_g_omega(cone: ConeSpec, m: RealRows) -> bool:
 
 def isotropy_bound(k: int) -> Fraction:
     """Dimension cap for g(Omega) of a k-dimensional cone without lines."""
-    if k < 1:
+    if _int(k, "k") < 1:
         raise ValidationError("k must be at least 1")
     return Fraction(k * k, 2) - Fraction(k, 2) + 1
 
@@ -211,6 +214,7 @@ def half_line() -> ConeSpec:
 
 def orthant(k: int, name: Optional[str] = None) -> ConeSpec:
     """Positive orthant in R^k; its automorphism algebra is the diagonal matrices."""
+    k = _int(k, "k")
     return ConeSpec(
         name=name or f"orthant{k}",
         k=k,
@@ -226,6 +230,7 @@ def lorentz(d: int, name: Optional[str] = None) -> ConeSpec:
     Basis order: the identity, the boosts (0, j), then the rotations (i, j)
     with i < j.
     """
+    d = _int(d, "d")
     gens = [_identity(d)]
     gens += [_matrix(d, {(0, j): 1, (j, 0): 1}) for j in range(1, d)]
     gens += [_matrix(d, {(i, j): 1, (j, i): -1}) for i in range(1, d) for j in range(i + 1, d)]
@@ -281,8 +286,15 @@ _CATALOG = {
 CATALOG_IDS = tuple(sorted(set(_CATALOG) - {"ray"}))
 
 
+def cone_key(cone_id: str) -> str:
+    """A cone id as the catalog reads it: a string, stripped and lower-cased."""
+    if not isinstance(cone_id, str):
+        raise ValidationError(f"a cone id must be a string, got {cone_id!r}")
+    return cone_id.strip().lower()
+
+
 def catalog_cone(cone_id: str) -> ConeSpec:
-    key = cone_id.strip().lower()
+    key = cone_key(cone_id)
     if key not in CATALOG_IDS:
         raise ValidationError(
             f"unknown catalog cone {cone_id!r}; expected one of {', '.join(CATALOG_IDS)}"

@@ -87,6 +87,7 @@ from .linalg import (
     RealRows,
     Scalar,
     _exact,
+    _int,
     coordinate_units,
     sparse_nullspace,
     sparse_rref,
@@ -104,7 +105,8 @@ class SiegelDomainSpec(Frozen):
     form: HermitianFamily
 
     def __post_init__(self) -> None:
-        if not 1 <= self.k <= self.n:
+        n, k = _int(self.n, "n"), _int(self.k, "k")
+        if not 1 <= k <= n:
             raise ValidationError("need 1 <= k <= n")
         if self.cone.k != self.k:
             raise ValidationError("cone dimension must equal k")

@@ -40,7 +40,9 @@ from .linalg import (
     GR_ZERO,
     ComplexRows,
     GaussianRational,
+    Scalar,
     _exact,
+    _frac,
     _realified,
     coordinate_units,
     sparse_nullspace,
@@ -58,8 +60,9 @@ class HermitianFamily(Frozen):
     """k Hermitian m x m matrices; k and m are read from the components.
 
     The components are given as nested sequences of scalars (``int``,
-    ``Fraction`` or ``GaussianRational``; any other entry is a
-    ``ValidationError``) and stored as ``ComplexRows``.
+    ``Fraction`` or ``GaussianRational``, whose parts are read by ``_frac``
+    too; any other entry or part is a ``ValidationError``) and stored as
+    ``ComplexRows`` of ``Fraction`` parts.
     Construction checks that they are square of one size and Hermitian, and
     names every cell (j, i), j >= i, that differs from the conjugate of its
     mirror. The same pass tables the nonzero entries, read by ``_exact``, as
@@ -71,7 +74,7 @@ class HermitianFamily(Frozen):
     components: tuple[ComplexRows, ...]
 
     def __post_init__(self) -> None:
-        comps = tuple(tuple(tuple(map(GaussianRational.of, r)) for r in c) for c in self.components)
+        comps = tuple(tuple(tuple(map(_entry, r)) for r in c) for c in self.components)
         object.__setattr__(self, "components", comps)
         m = len(comps[0]) if comps else 0
         if any(len(c) != m or any(len(r) != m for r in c) for c in comps):
@@ -103,6 +106,14 @@ class HermitianFamily(Frozen):
     @property
     def m(self) -> int:
         return len(self.components[0]) if self.components else 0
+
+
+def _entry(x: Scalar) -> GaussianRational:
+    """A family entry with ``Fraction`` parts, a ``GaussianRational``'s read by ``_frac``."""
+    if x.__class__ is not GaussianRational:
+        return GaussianRational.of(x)
+    re, im = _frac(x.re), _frac(x.im)
+    return x if re is x.re and im is x.im else GaussianRational(re, im)
 
 
 def negative_direction(m: ComplexRows) -> Optional[tuple[GaussianRational, ...]]:
@@ -207,10 +218,12 @@ def _basis_like_vectors(m: int) -> list[tuple[GaussianRational, ...]]:
 def is_omega_hermitian(family: HermitianFamily, cone: ConeSpec) -> OmegaHermitianVerdict:
     """Decide (or sample-check) membership of H(w,w) in the closed cone minus zero.
 
-    For purely polyhedral cones the check is exact: each boundary functional
-    pulls the family back to a single Hermitian matrix that must be PSD, and
-    the components must have no common kernel. Cones with a Lorentzian factor
-    are checked on a fixed sample set instead, and the verdict says so;
+    For m = 1 the check is exact over every cone: H(w, w) = |w|^2 h, so one
+    ``classify_point`` of h decides it, with the witness w = (1). For purely
+    polyhedral cones it is exact as well: each boundary functional pulls the
+    family back to a single Hermitian matrix that must be PSD, and the
+    components must have no common kernel. For m >= 2, cones with a Lorentzian
+    factor are checked on a fixed sample set instead, and the verdict says so;
     sampling cannot prove the universal statement. The samples are the
     basis-like vectors and then ``_SAMPLES`` vectors drawn from ``_Lcg(0)``.
     Each is tested on a positive multiple of H(w, w) computed in ``int``s
@@ -221,6 +234,11 @@ def is_omega_hermitian(family: HermitianFamily, cone: ConeSpec) -> OmegaHermitia
         raise ValidationError("family and cone dimensions differ")
     if family.m == 0:
         return OmegaHermitianVerdict(VERIFIED_EXACT)
+    if family.m == 1:  # H(w, w) = |w|^2 h, with h the real 1 x 1 components
+        h = tuple(c[0][0].re for c in family.components)
+        if any(h) and classify_point(cone, h) is not Region.OUTSIDE:
+            return OmegaHermitianVerdict(VERIFIED_EXACT)
+        return OmegaHermitianVerdict(COUNTEREXAMPLE, witness=(GR_ONE,))
     polyhedral = all(not isinstance(f, LorentzFactor) for f in cone.boundary)
     if polyhedral:
         m = family.m

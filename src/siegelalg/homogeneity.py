@@ -18,7 +18,7 @@ from typing import Sequence
 from .errors import ValidationError
 from .frozen import Frozen
 from .graded import SiegelDomainSpec, a_part_basis
-from .linalg import ComplexRows, RealRows
+from .linalg import ComplexRows, RealRows, _int
 from .poly import generic_rank
 
 NOT_TRANSITIVE = "not-transitive"
@@ -43,6 +43,7 @@ class HomogeneityVerdict(Frozen):
 
 def generic_orbit_rank(a_basis: Sequence[RealRows], k: int) -> int:
     """Generic rank of the orbit-direction matrix with rows A_i x, x symbolic."""
+    k = _int(k, "k")
     if not a_basis:
         return 0
     units = [tuple(int(i == l) for i in range(k)) for l in range(k)]

@@ -34,6 +34,7 @@ the common-kernel check of ``hermitian.is_omega_hermitian``.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Any, Sequence, Union
@@ -52,13 +53,28 @@ def _frac(x: Union[int, Fraction]) -> Fraction:
     The one reader of rational data in the library: every constructor and
     query that takes a rational reads it here, so a float, a string, a
     boolean or ``None`` ends in the same ``ValidationError`` everywhere. Text
-    is read by ``serialize.fraction_from_json`` first.
+    is read by ``serialize.fraction_from_json`` first. Integers (sizes,
+    indices, counts) have their own reader, ``_int``.
     """
     if isinstance(x, Fraction):
         return x
     if x.__class__ is int:
         return Fraction(x)
     raise ValidationError(f"entries must be rationals (int or Fraction), got {type(x).__name__}")
+
+
+def _int(x: int, what: str) -> int:
+    """A caller's size, index or count, named ``what`` in the error: an ``int``, not a ``bool``.
+
+    The one reader of integer data, the counterpart of ``_frac``. A value
+    beyond ``sys.maxsize``, the most items a list can hold, is refused here
+    rather than in an ``OverflowError`` where it meets a list.
+    """
+    if x.__class__ is not int:
+        raise ValidationError(f"{what} must be an integer, got {x!r}")
+    if abs(x) > sys.maxsize:
+        raise ValidationError(f"{what} is too large: {x}")
+    return x
 
 
 class GaussianRational(Frozen):

@@ -25,6 +25,7 @@ from typing import Mapping, Sequence
 
 from .errors import ValidationError
 from .frozen import Frozen
+from .linalg import _int
 
 Monomial = tuple[int, ...]
 Term = tuple[Monomial, int | Fraction, int | Fraction]  # (monomial, re, im)
@@ -161,6 +162,7 @@ def generic_rank(rows: Sequence[Sequence[Mapping[Monomial, int | Fraction]]], nv
     deterministic. The result equals the maximal rank of any rational-point
     evaluation.
     """
+    nvars = _int(nvars, "nvars")
     mat = [_int_row(row, nvars) for row in rows]
     nrows, ncols = len(mat), len(mat[0]) if mat else 0
     prev = None

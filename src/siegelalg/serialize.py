@@ -23,7 +23,7 @@ from .cones import (
 from .errors import ValidationError
 from .graded import GradedSolutions, SiegelDomainSpec
 from .hermitian import HermitianFamily, OmegaHermitianVerdict, is_omega_hermitian
-from .linalg import ComplexRows, GaussianRational, RealRows
+from .linalg import ComplexRows, GaussianRational, RealRows, _int
 
 
 def to_json(value):
@@ -181,7 +181,7 @@ def _factor_from_json(doc) -> Union[PolyhedralFactor, LorentzFactor]:
     if doc["kind"] == "lorentz":
         _require_keys(doc, {"kind", "coords"}, "lorentz factor")
         coords = _list_value(doc["coords"], "'coords'")
-        return LorentzFactor(tuple(_int_value(c, "a Lorentz coordinate") for c in coords))
+        return LorentzFactor(tuple(_int(c, "a Lorentz coordinate") for c in coords))
     if doc["kind"] == "polyhedral":
         _require_keys(doc, {"kind", "functionals"}, "polyhedral factor")
         functionals = _list_value(doc["functionals"], "'functionals'")
@@ -224,7 +224,7 @@ def cone_from_json(doc) -> ConeSpec:
     name = doc.get("name", "custom")
     if not isinstance(name, str):
         raise ValidationError(f"cone 'name' must be a string, got {name!r}")
-    k = _int_value(doc["k"], "'k'")
+    k = _int(doc["k"], "'k'")
     if k < 1:  # before g_basis is read with shape k x k
         raise ValidationError("cone dimension must be at least 1")
     g_basis = tuple(
@@ -276,13 +276,6 @@ def _require_keys(doc: dict, keys: set[str], what: str, optional: tuple[str, ...
         raise ValidationError(f"{what} has unknown keys: {sorted(unknown)}")
 
 
-def _int_value(value, what: str) -> int:
-    """A JSON integer; floats and booleans are rejected, never truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _list_value(value, what: str) -> list:
     if not isinstance(value, list):
         raise ValidationError(f"{what} must be a list, got {value!r}")
@@ -300,7 +293,7 @@ def load_domain_spec(doc: dict) -> tuple[SiegelDomainSpec, OmegaHermitianVerdict
     if not isinstance(doc, dict):
         raise ValidationError("domain document must be an object")
     _require_keys(doc, {"n", "k", "cone", "H"}, "domain document")
-    n, k = _int_value(doc["n"], "'n'"), _int_value(doc["k"], "'k'")
+    n, k = _int(doc["n"], "'n'"), _int(doc["k"], "'k'")
     if not 1 <= k <= n:  # before H is read with shape (n - k) x (n - k)
         raise ValidationError("need 1 <= k <= n")
     cone = cone_from_json(doc["cone"])

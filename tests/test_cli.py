@@ -10,7 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from siegelalg import serialize
 from siegelalg.cli import main
+from siegelalg.hermitian import VERIFIED_EXACT, OmegaHermitianVerdict
 
 
 def run_cli(capsys, *argv):
@@ -312,7 +314,13 @@ class TestCustomCone:
 class TestSampledNote:
     """A sampled cone check is noted once on stderr; stdout and the exit code do not change."""
 
-    LORENTZ_DOC = {"n": 4, "k": 3, "cone": "omega3", "H": [[["1"]], [["1"]], [["0"]]]}
+    # sampled: m = 2 over a Lorentz cone
+    LORENTZ_DOC = {
+        "n": 5, "k": 3, "cone": "omega3",
+        "H": [[["1", "0"], ["0", "1"]], [["1", "0"], ["0", "-1"]], [["0", "0"], ["0", "0"]]],
+    }
+    # exact: m = 1 over every cone
+    D6_DOC = {"n": 4, "k": 3, "cone": "omega3", "H": [[["1"]], [["1"]], [["0"]]]}
     QUADRANT_DOC = {
         "n": 4, "k": 2, "cone": "omega1",
         "H": [[["1", "0"], ["0", "1"]], [["1", "0"], ["0", "2"]]],
@@ -329,10 +337,19 @@ class TestSampledNote:
         return code, out.replace(label, "LABEL"), err
 
     @pytest.mark.parametrize("command", ["dims", "homogeneity"])
-    def test_lorentz_spec_gets_one_note(self, capsys, tmp_path, command):
+    def test_lorentz_spec_gets_one_note(self, capsys, tmp_path, monkeypatch, command):
         code, out, err = self._run_spec(capsys, tmp_path, command, self.LORENTZ_DOC)
-        assert err == "note: cone compatibility was checked on 34 sampled vectors, not proved\n"
-        assert (code, out, "") == self._run_domain(
+        assert err == "note: cone compatibility was checked on 38 sampled vectors, not proved\n"
+        # the same run with the check taken as exact: no note, and nothing else changes
+        monkeypatch.setattr(
+            serialize, "is_omega_hermitian", lambda *_: OmegaHermitianVerdict(VERIFIED_EXACT)
+        )
+        assert (code, out, "") == self._run_spec(capsys, tmp_path, command, self.LORENTZ_DOC)
+
+    @pytest.mark.parametrize("command", ["dims", "homogeneity"])
+    def test_m1_lorentz_spec_gets_none(self, capsys, tmp_path, command):
+        code, out, err = self._run_spec(capsys, tmp_path, command, self.D6_DOC)
+        assert (code, out, err) == self._run_domain(
             capsys, command, "D6(1,1,0)", "--domain", "d6", "--v", "1,1,0"
         )
 
@@ -678,6 +695,9 @@ def cli_argv(draw):
 @example(argv=["dims", "--domain=d3", "--alpha=1e5000", "--beta=0", "--gamma=0", "--delta=1"])
 @example(argv=["dims", "--domain=d3", "--alpha=1e30000000", "--beta=0", "--gamma=0", "--delta=1"])
 @example(argv=["homogeneity", "--domain=d5", "--v=1/0,1,"])
+@example(argv=["dims", "--domain=ball", "--n=99999999999999999999"])
+@example(argv=["dims", "--domain=ballproduct", "--factors=2,99999999999999999999"])
+@example(argv=["dims", "--domain=d1", "--n=99999999999999999999"])
 @settings(derandomize=True, max_examples=120, deadline=None)
 def test_generated_flags_end_cleanly(argv):
     """Any flag values end in exit 0, 1 or 2; exit 2 prints one `error:` line and nothing else."""
@@ -702,6 +722,19 @@ def test_generated_flags_end_cleanly(argv):
      "argument --format: invalid choice: 'xml' (choose from 'table', 'json')"),
 ])
 def test_refused_arguments_are_one_error_line(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+HUGE = "99999999999999999999"  # more than sys.maxsize, the most items a list can hold
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dims", "--domain", "ball", "--n", HUGE], f"ball dimension is too large: {HUGE}"),
+    (["dims", "--domain", "ballproduct", "--factors", f"2,{HUGE}"],
+     f"a ball factor is too large: {HUGE}"),
+    (["dims", "--domain", "d1", "--n", HUGE], f"n is too large: {HUGE}"),
+])
+def test_integers_too_large_for_a_list_are_one_error_line(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 

@@ -15,6 +15,7 @@ from siegelalg.hermitian import (
     VERIFIED_EXACT,
     VERIFIED_ON_SAMPLES,
     HermitianFamily,
+    OmegaHermitianVerdict,
     _basis_like_vectors,
     _integer_entries,
     _Lcg,
@@ -45,6 +46,15 @@ def real_value(fam, w):
 
 
 D6_FORM = family(diag(1), diag(1), diag(0))
+# compatible with omega3, on its boundary where w1 or w2 vanishes:
+# H(w, w) = (|w1|^2 + |w2|^2, |w1|^2 - |w2|^2, 0)
+LORENTZ_M2_FORM = family(diag(1, 1), diag(1, -1), diag(0, 0))
+
+# a point on the boundary of each catalog cone, for the m = 1 check
+M1_BOUNDARY = {
+    "omega1": (1, 0), "omega2": (1, 0, 0), "omega3": (1, 1, 0), "omega4": (1, 0, 0, 0),
+    "omega5": (1, 1, 0, 1), "omega6": (1, 1, 0, 0),
+}
 
 
 class TestValidate:
@@ -324,9 +334,29 @@ class TestOmegaHermitian:
         assert real_value(family(diag(1, 0), diag(1, 0)), verdict.witness) == (0, 0)
 
     def test_lorentz_boundary_family_verified_on_samples(self):
-        # the two basis-like vectors of C^1, then 32 drawn vectors
-        verdict = is_omega_hermitian(D6_FORM, catalog_cone("omega3"))
-        assert (verdict.kind, verdict.samples) == (VERIFIED_ON_SAMPLES, 34)
+        # the six basis-like vectors of C^2, then 32 drawn vectors
+        verdict = is_omega_hermitian(LORENTZ_M2_FORM, catalog_cone("omega3"))
+        assert (verdict.kind, verdict.samples) == (VERIFIED_ON_SAMPLES, 38)
+
+    @pytest.mark.parametrize("cone_id, h, region", [
+        (cone_id, h, region)
+        for cone_id, boundary in M1_BOUNDARY.items()
+        for h, region in [
+            (catalog_cone(cone_id).interior_point, Region.INTERIOR),
+            (boundary, Region.BOUNDARY),
+            (tuple(-x for x in catalog_cone(cone_id).interior_point), Region.OUTSIDE),
+            ((0,) * len(boundary), Region.BOUNDARY),
+        ]
+    ])
+    def test_m1_is_exact_on_every_catalog_cone(self, cone_id, h, region):
+        """At m = 1, H(w, w) = |w|^2 h: compatible exactly when h is nonzero and not outside."""
+        cone = catalog_cone(cone_id)
+        assert classify_point(cone, h) is region
+        verdict = is_omega_hermitian(family(*(diag(x) for x in h)), cone)
+        if any(h) and region is not Region.OUTSIDE:
+            assert verdict == OmegaHermitianVerdict(VERIFIED_EXACT)
+        else:
+            assert verdict == OmegaHermitianVerdict(COUNTEREXAMPLE, witness=(GR_ONE,))
 
     def test_lorentz_counterexample(self):
         bad = family(diag(0), diag(1), diag(0))
@@ -338,8 +368,8 @@ class TestOmegaHermitian:
         assert is_omega_hermitian(empty, catalog_cone("omega3")).kind == VERIFIED_EXACT
 
     def test_determinism(self):
-        v1 = is_omega_hermitian(D6_FORM, catalog_cone("omega3"))
-        v2 = is_omega_hermitian(D6_FORM, catalog_cone("omega3"))
+        v1 = is_omega_hermitian(LORENTZ_M2_FORM, catalog_cone("omega3"))
+        v2 = is_omega_hermitian(LORENTZ_M2_FORM, catalog_cone("omega3"))
         assert v1 == v2
 
     def test_dimension_mismatch(self):

@@ -1,34 +1,48 @@
-"""One reader for a caller's rational data, at every constructor and query.
+"""One reader for a caller's rational data, one for its integers and one for a cone id.
 
 An ``int`` (not a ``bool``) or a ``Fraction`` is accepted and stored as a
 ``Fraction``; anything else (a float, a string, a boolean, ``None``, or a
-``GaussianRational`` where the data is real) is a ``ValidationError``. A cone
+``GaussianRational`` where the data is real) is a ``ValidationError``. An
+integer (a size, an index or a count) must be an ``int`` that is not a
+``bool``, of at most ``sys.maxsize``, and a cone id a string. A cone
 and a family built from accepted inputs survive ``spec_to_json`` and
 ``load_domain_spec`` exactly, and the document writes every rational as a
 string.
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siegelalg.catalog import d3, d4, d5, d6
+from siegelalg.bounds import (
+    bound_chain,
+    closed_form_bound,
+    closed_form_sweep,
+    s_from_multiplicities,
+)
+from siegelalg.catalog import ball, ball_product, classify, d1, d2, d3, d4, d5, d6, tube
 from siegelalg.cones import (
     ConeSpec,
     LorentzFactor,
     PolyhedralFactor,
+    catalog_cone,
     classify_point,
     half_line,
     in_g_omega,
+    isotropy_bound,
     lorentz,
+    orthant,
     product,
 )
 from siegelalg.errors import ValidationError
 from siegelalg.graded import SiegelDomainSpec
 from siegelalg.hermitian import HermitianFamily
-from siegelalg.linalg import GaussianRational, gr
+from siegelalg.homogeneity import generic_orbit_rank
+from siegelalg.linalg import GR_ZERO, GaussianRational, gr
+from siegelalg.poly import generic_rank
 from siegelalg.serialize import load_domain_spec, spec_to_json
 
 
@@ -65,6 +79,113 @@ CASES = [
 def test_non_rational_input_is_a_validation_error(site, value):
     with pytest.raises(ValidationError, match="must be rationals"):
         SITES[site](value)
+
+
+def _ball_document(n=2, k=1, cone_k=1) -> dict:
+    """The ball of C^2 over the ray, as a document."""
+    cone = {"k": cone_k, "g_basis": [[["1"]]], "interior_point": ["1"],
+            "boundary": {"factors": [{"kind": "polyhedral", "functionals": [["1"]]}]}}
+    return {"n": n, "k": k, "cone": cone, "H": [[["1"]]]}
+
+
+def _tube_document(coord) -> dict:
+    """The tube over lorentz(2), as a document whose Lorentz factor has coordinates (coord, 1)."""
+    cone = {"k": 2, "g_basis": [[["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]],
+            "interior_point": ["1", "0"],
+            "boundary": {"factors": [{"kind": "lorentz", "coords": [coord, 1]}]}}
+    return {"n": 2, "k": 2, "cone": cone, "H": [[], []]}
+
+
+# n, k, s, dim g(Omega), dim g_1/2 and dim g_1 of D6(1,1,0)
+D6_COUNTS = (4, 3, 1, 4, 0, 3)
+
+
+def _bound_chain_with(i: int):
+    """``bound_chain`` on D6(1,1,0)'s counts with count ``i`` replaced by the argument."""
+    return lambda x: bound_chain(*D6_COUNTS[:i], x, *D6_COUNTS[i + 1:])
+
+
+# every call that takes a caller's integer, with that integer as ``x``
+INT_SITES = {
+    "ConeSpec.k": lambda x: ConeSpec("ray", x, (((1,),),), (1,), (PolyhedralFactor(((1,),)),)),
+    "ConeSpec.coords": lambda x: ConeSpec(
+        "l", 2, lorentz(2).g_basis, (1, 0), (LorentzFactor((x, 1)),)
+    ),
+    "orthant": lambda x: orthant(x),
+    "lorentz": lambda x: lorentz(x),
+    "isotropy_bound": lambda x: isotropy_bound(x),
+    "SiegelDomainSpec.n": lambda x: SiegelDomainSpec(x, 1, half_line(), HermitianFamily([[[1]]])),
+    "SiegelDomainSpec.k": lambda x: SiegelDomainSpec(2, x, half_line(), HermitianFamily([[[1]]])),
+    "ball": lambda x: ball(x),
+    "ball_product": lambda x: ball_product(1, x),
+    "d1": lambda x: d1(x),
+    "d2": lambda x: d2(x),
+    "classify": lambda x: classify(x),
+    "closed_form_bound.n": lambda x: closed_form_bound(x, 1),
+    "closed_form_bound.k": lambda x: closed_form_bound(5, x),
+    **{
+        f"bound_chain.{name}": _bound_chain_with(i)
+        for i, name in enumerate(["n", "k", "s", "dim_g_omega", "dim_g_half", "dim_g_1"])
+    },
+    "closed_form_sweep": lambda x: closed_form_sweep(x),
+    "s_from_multiplicities.n": lambda x: s_from_multiplicities(x, (1, 1)),
+    "s_from_multiplicities.multiplicity": lambda x: s_from_multiplicities(4, (1, x)),
+    "generic_orbit_rank": lambda x: generic_orbit_rank((), x),
+    "generic_rank": lambda x: generic_rank([], x),
+    "load_domain_spec.n": lambda x: load_domain_spec(_ball_document(n=x)),
+    "load_domain_spec.k": lambda x: load_domain_spec(_ball_document(k=x)),
+    "load_domain_spec.cone.k": lambda x: load_domain_spec(_ball_document(cone_k=x)),
+    "load_domain_spec.coords": lambda x: load_domain_spec(_tube_document(x)),
+}
+NOT_INTEGER = {"float": 2.0, "bool": True, "str": "2", "None": None, "Fraction": Fraction(2),
+               "huge": 10**20, "-huge": -10**20}
+
+
+@pytest.mark.parametrize("value", NOT_INTEGER.values(), ids=NOT_INTEGER)
+@pytest.mark.parametrize("site", INT_SITES)
+def test_non_integer_input_is_a_validation_error(site, value):
+    with pytest.raises(ValidationError, match="must be an integer|is too large"):
+        INT_SITES[site](value)
+
+
+def test_integers_up_to_a_list_size_are_accepted():
+    big = sys.maxsize
+    assert isotropy_bound(big) == Fraction(big * (big - 1), 2) + 1
+    assert closed_form_bound(big, big) == Fraction(big * big + 3 * big, 2) + 1
+    with pytest.raises(ValidationError, match=f"^k is too large: {big + 1}$"):
+        closed_form_bound(big, big + 1)
+
+
+@pytest.mark.parametrize("cone_id", [3, None, b"omega3"])
+@pytest.mark.parametrize("site", [catalog_cone, tube])
+def test_non_string_cone_id_is_a_validation_error(site, cone_id):
+    with pytest.raises(ValidationError, match="a cone id must be a string"):
+        site(cone_id)
+
+
+@pytest.mark.parametrize("part", [1.5, True, "1", None], ids=["float", "bool", "str", "None"])
+@pytest.mark.parametrize("where", ["re", "im"])
+def test_gaussian_entry_with_a_non_rational_part_is_a_validation_error(where, part):
+    parts = (part, Fraction(0)) if where == "re" else (Fraction(0), part)
+    with pytest.raises(ValidationError, match="must be rationals"):
+        HermitianFamily([[[GaussianRational(*parts)]]])
+
+
+def test_int_part_gaussian_entries_are_stored_as_fractions():
+    rows = [[(2, 0), (1, -1)], [(1, 1), (3, 0)]]
+    ints = HermitianFamily([[[GaussianRational(re, im) for re, im in row] for row in rows]])
+    fractions = HermitianFamily([[[gr(re, im) for re, im in row] for row in rows]])
+    assert ints == fractions and hash(ints) == hash(fractions)
+    assert all(type(part) is Fraction
+               for row in ints.components[0] for x in row for part in (x.re, x.im))
+    entry = fractions.components[0][0][1]  # Fraction parts: kept as it is
+    kept = HermitianFamily([[[GR_ZERO, entry], [entry.conjugate(), GR_ZERO]]])
+    assert kept.components[0][0][1] is entry
+
+
+def test_lorentz_coordinates_are_stored_as_a_tuple():
+    listed = ConeSpec("l", 2, lorentz(2).g_basis, (1, 0), (LorentzFactor([0, 1]),))
+    assert listed == lorentz(2, name="l") and hash(listed) == hash(lorentz(2, name="l"))
 
 
 def test_int_inputs_are_stored_as_fractions():

@@ -171,11 +171,13 @@ class TestDomainDocuments:
         assert graded_dims(reloaded).total == 13
 
     def test_verdict_says_whether_the_check_was_sampled(self):
-        _, lorentz = load_domain_spec(spec_to_json(build(d6((1, 1, 0)))))
-        assert (lorentz.kind, lorentz.samples) == (VERIFIED_ON_SAMPLES, 34)
-        assert "34 sampled vectors" in lorentz.note
-        _, quadrant = load_domain_spec(spec_to_json(build(d1(4))))
-        assert quadrant.kind == VERIFIED_EXACT and quadrant.note is None
+        h = [[["1", "0"], ["0", "1"]], [["1", "0"], ["0", "-1"]], [["0", "0"], ["0", "0"]]]
+        _, lorentz = load_domain_spec({"n": 5, "k": 3, "cone": "omega3", "H": h})
+        assert (lorentz.kind, lorentz.samples) == (VERIFIED_ON_SAMPLES, 38)
+        assert "38 sampled vectors" in lorentz.note
+        for domain in (d6((1, 1, 0)), d1(4)):  # m = 1 over a Lorentz cone; a quadrant
+            _, exact = load_domain_spec(spec_to_json(build(domain)))
+            assert exact.kind == VERIFIED_EXACT and exact.note is None
 
     def test_missing_keys(self):
         with pytest.raises(ValidationError):
