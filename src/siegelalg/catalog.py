@@ -194,10 +194,10 @@ def build(domain: DomainId) -> SiegelDomainSpec:
         return SiegelDomainSpec(4, 3, catalog_cone("omega2"), _rank_one_family(v))
     if kind == "d6":
         v = domain.v
-        if len(v) != 3 or v[0] <= 0 or v[0] * v[0] < v[1] * v[1] + v[2] * v[2]:
-            raise ValidationError(
-                "need v1 > 0 and v1^2 >= v2^2 + v3^2"
-            )
+        if len(v) != 3:
+            raise ValidationError(f"need a 3-vector, got {len(v)} entries")
+        if v[0] <= 0 or v[0] * v[0] < v[1] * v[1] + v[2] * v[2]:
+            raise ValidationError("need v1 > 0 and v1^2 >= v2^2 + v3^2")
         return SiegelDomainSpec(4, 3, catalog_cone("omega3"), _rank_one_family(v))
     if kind == "tube":
         cone_spec = catalog_cone(domain.cone_id)

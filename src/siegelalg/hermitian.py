@@ -21,15 +21,14 @@ Over a polyhedral cone the components must also have no common kernel.
 That check is real: the rows of every H_j are realified (``linalg._realified``)
 and their real kernel is taken over 2m interleaved (re, im) columns. Those
 rows kill exactly the conjugates of the common complex kernel, so the first
-kernel vector, whose free column is an re column, is read back conjugated as
-the witness.
+kernel vector, whose free column is an re column, is read back
+(``linalg._complex_row``) and conjugated as the witness.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Optional, Sequence
+from typing import Optional
 
 from .cones import ConeSpec, LorentzFactor, Region, classify_point
 from .errors import ValidationError
@@ -41,6 +40,7 @@ from .linalg import (
     ComplexRows,
     GaussianRational,
     Scalar,
+    _complex_row,
     _exact,
     _frac,
     _realified,
@@ -225,10 +225,9 @@ def is_omega_hermitian(family: HermitianFamily, cone: ConeSpec) -> OmegaHermitia
     components must have no common kernel. For m >= 2, cones with a Lorentzian
     factor are checked on a fixed sample set instead, and the verdict says so;
     sampling cannot prove the universal statement. The samples are the
-    basis-like vectors and then ``_SAMPLES`` vectors drawn from ``_Lcg(0)``.
-    Each is tested on a positive multiple of H(w, w) computed in ``int``s
-    (``_scaled_value``), which has the same zero test and the same region;
-    a witness is the sample itself.
+    basis-like vectors and then ``_SAMPLES`` nonzero vectors drawn from
+    ``_Lcg(0)``. For each, H(w, w) is summed exactly over the family's nonzero
+    table and tested with ``classify_point``; a witness is the sample itself.
     """
     if family.k != cone.k:
         raise ValidationError("family and cone dimensions differ")
@@ -255,61 +254,22 @@ def is_omega_hermitian(family: HermitianFamily, cone: ConeSpec) -> OmegaHermitia
         stacked = [r for rows in family.row for row in rows for r in _realified(dict(row))]
         kernel = sparse_nullspace(stacked, 2 * m)
         if kernel:  # the conjugate of a common kernel vector, with an re free column set to one
-            v, zero = kernel[0], Fraction(0)
-            witness = tuple(GaussianRational(v.get(2 * j, zero), -v.get(2 * j + 1, zero))
-                            for j in range(m))
+            witness = tuple(x.conjugate() for x in _complex_row(kernel[0], m))
             return OmegaHermitianVerdict(COUNTEREXAMPLE, witness=witness)
         return OmegaHermitianVerdict(VERIFIED_EXACT)
     rng = _Lcg(0)
     candidates = _basis_like_vectors(family.m)
     for _ in range(_SAMPLES):
         v = rng.next_vector(family.m)
-        if any(not x.is_zero() for x in v):
+        if any(v):
             candidates.append(v)
-    entries = _integer_entries(family)
     for w in candidates:
-        # a positive multiple of H(w, w): the same zero test and the same region
-        value = _scaled_value(entries, w)
-        if not any(value):
-            return OmegaHermitianVerdict(COUNTEREXAMPLE, witness=w)
-        if classify_point(cone, value) is Region.OUTSIDE:
+        # H(w, w) is real, the family being Hermitian
+        value = tuple(
+            sum((w[u].conjugate() * h * w[v] for u, row in enumerate(rows) for v, h in row),
+                GR_ZERO).re
+            for rows in family.row
+        )
+        if not any(value) or classify_point(cone, value) is Region.OUTSIDE:
             return OmegaHermitianVerdict(COUNTEREXAMPLE, witness=w)
     return OmegaHermitianVerdict(VERIFIED_ON_SAMPLES, samples=len(candidates))
-
-
-def _integer_entries(family: HermitianFamily) -> list[list[tuple[int, int, int, int]]]:
-    """D H_1, ..., D H_k for D > 0 the lcm of the family's denominators: for each component,
-    its nonzero entries (a, b, re, im) with ``int`` parts."""
-    scale = lcm(*(
-        part.denominator for rows in family.row for row in rows for _, x in row
-        for part in (x.re, x.im)
-    ))
-    return [
-        [
-            (a, b, x.re.numerator * (scale // x.re.denominator),
-             x.im.numerator * (scale // x.im.denominator))
-            for a, row in enumerate(rows) for b, x in row
-        ]
-        for rows in family.row
-    ]
-
-
-def _scaled_value(entries: list[list[tuple[int, int, int, int]]], w: Sequence[GaussianRational]):
-    """d^2 D H(w, w), a real vector of ``int``s, for d > 0 the lcm of w's denominators and
-    ``entries`` the nonzero entries of D H_j (``_integer_entries``).
-
-    With w = (wr + i wi) / d, each entry adds
-    (wr_a wr_b + wi_a wi_b) hr - (wr_a wi_b - wi_a wr_b) hi,
-    the real part of conj(w_a) H_j[a][b] w_b; the family is Hermitian, so
-    H(w, w) has no imaginary part.
-    """
-    d = lcm(*(part.denominator for x in w for part in (x.re, x.im)))
-    wr = [x.re.numerator * (d // x.re.denominator) for x in w]
-    wi = [x.im.numerator * (d // x.im.denominator) for x in w]
-    return tuple(
-        sum(
-            (wr[a] * wr[b] + wi[a] * wi[b]) * hr - (wr[a] * wi[b] - wi[a] * wr[b]) * hi
-            for a, b, hr, hi in comp
-        )
-        for comp in entries
-    )

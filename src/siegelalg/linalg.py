@@ -27,8 +27,9 @@ one off the integer reduced rows as ``{column: nonzero Fraction}``, one
 ``Fraction`` per nonzero, so its readers visit only the columns present.
 Complex rows enter only through ``_realified``, which writes a row a as the
 real rows a and i*a over interleaved (re, im) columns 2j, 2j + 1, the layout
-of the graded solvers' complex unknowns. Its two callers read the results
-back: ``Matrix.rref``, a dense complex view of the real reduced rows, and
+of the graded solvers' complex unknowns, and leave only through
+``_complex_row``, the one reader of that layout. Both have the same two
+callers: ``Matrix.rref``, a dense complex view of the real reduced rows, and
 the common-kernel check of ``hermitian.is_omega_hermitian``.
 """
 
@@ -233,17 +234,14 @@ class Matrix(Frozen):
         Zero rows are moved to the bottom. The rows are realified
         (``_realified``) and eliminated as real rows; the real reduced rows
         whose pivot is an re column 2j are the realified complex reduced rows,
-        read back here, and the others are dropped. The reduced form of a
-        matrix is unique, so the result does not depend on how ``sparse_rref``
-        picks its pivot rows.
+        read back by ``_complex_row``, and the others are dropped. The reduced
+        form of a matrix is unique, so the result does not depend on how
+        ``sparse_rref`` picks its pivot rows.
         """
         rows = [r for row in self.entries for r in _realified(dict(enumerate(row)))]
         reduced, pivots = sparse_rref(rows)
-        zero = Fraction(0)
         entries = tuple(
-            tuple(GaussianRational(row.get(2 * j, zero), row.get(2 * j + 1, zero))
-                  for j in range(self.ncols))
-            for row, c in zip(reduced, pivots) if c % 2 == 0
+            _complex_row(row, self.ncols) for row, c in zip(reduced, pivots) if c % 2 == 0
         )
         pivots = tuple(c // 2 for c in pivots if c % 2 == 0)
         entries += ((GR_ZERO,) * self.ncols,) * (self.nrows - len(pivots))
@@ -290,6 +288,13 @@ def _realified(row: dict[int, GaussianRational]) -> tuple[dict[int, Exact], dict
             a[2 * j + 1] = z.im
             ia[2 * j] = -z.im
     return a, ia
+
+
+def _complex_row(row: dict[int, Fraction], m: int) -> tuple[GaussianRational, ...]:
+    """The m complex entries of a real row over ``_realified``'s columns: (re, im) at 2j, 2j + 1."""
+    zero = Fraction(0)
+    return tuple(GaussianRational(row.get(2 * j, zero), row.get(2 * j + 1, zero))
+                 for j in range(m))
 
 
 def _primitive(row: dict[Any, Exact]) -> dict[Any, int]:

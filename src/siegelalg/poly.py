@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 from .errors import ValidationError
 from .frozen import Frozen
-from .linalg import _int
+from .linalg import GaussianRational, _int
 
 Monomial = tuple[int, ...]
 Term = tuple[Monomial, int | Fraction, int | Fraction]  # (monomial, re, im)
@@ -83,12 +83,7 @@ class Polynomial(Frozen):
                 elif e > 1:
                     factors.append(f"{name}^{e}")
             body = "*".join(factors)
-            if not im:
-                cs = str(re)
-            elif not re:
-                cs = f"{im}i"
-            else:
-                cs = f"{re}{'+' if im > 0 else '-'}{abs(im)}i"
+            cs = str(GaussianRational(re, im))
             if body:
                 if re == 1 and not im:
                     parts.append(body)

@@ -311,6 +311,45 @@ class TestCustomCone:
         assert err == "error: domain document has unknown keys: ['h']\n"
 
 
+class TestFalseOutputs:
+    """Documents that still give a false output with exit 0. Each test asserts the right outcome,
+    exit 2 with one `error:` line, and is expected to fail until the defect is mended."""
+
+    def _assert_refused(self, capsys, tmp_path, doc):
+        path = tmp_path / "domain.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "dims", "--spec", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.xfail(raises=AssertionError, reason=(
+        "the sampled cone check misses w = (1, (4 - 3i)/5), where H(w, w) leaves the cone"))
+    def test_lorentz_family_outside_the_cone_is_refused(self, capsys, tmp_path):
+        # H2 = [[0, h], [conj(h), 0]] with h = (10001/10000)(4 + 3i)/5
+        h = {"re": "10001/12500", "im": "30003/50000"}
+        doc = {
+            "n": 5, "k": 3, "cone": "omega3",
+            "H": [[["1", "0"], ["0", "1"]], [["1", "0"], ["0", "-1"]],
+                  [["0", h], [{**h, "im": "-30003/50000"}, "0"]]],
+        }
+        self._assert_refused(capsys, tmp_path, doc)
+
+    @pytest.mark.xfail(raises=AssertionError, reason=(
+        "a g_basis smaller than the cone's algebra is trusted: total=7, not 10"))
+    def test_g_basis_missing_generators_is_refused(self, capsys, tmp_path):
+        identity = LORENTZ3_CONE["g_basis"][0]
+        doc = {"n": 4, "k": 3, "cone": {**LORENTZ3_CONE, "g_basis": [identity]},
+               "H": [[["1"]], [["1"]], [["0"]]]}
+        self._assert_refused(capsys, tmp_path, doc)
+
+    @pytest.mark.xfail(raises=AssertionError, reason=(
+        "a g_basis larger than the cone's algebra is trusted: total=14, not 10"))
+    def test_g_basis_outside_the_cone_algebra_is_refused(self, capsys, tmp_path):
+        e01 = [["0", "1", "0"], ["0", "0", "0"], ["0", "0", "0"]]
+        cone = {**LORENTZ3_CONE, "g_basis": LORENTZ3_CONE["g_basis"] + [e01]}
+        self._assert_refused(capsys, tmp_path, {"n": 3, "k": 3, "cone": cone, "H": [[], [], []]})
+
+
 class TestSampledNote:
     """A sampled cone check is noted once on stderr; stdout and the exit code do not change."""
 
@@ -736,6 +775,12 @@ HUGE = "99999999999999999999"  # more than sys.maxsize, the most items a list ca
 ])
 def test_integers_too_large_for_a_list_are_one_error_line(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("v", ["1,1", "1,1,0,0"])
+def test_d6_vector_of_the_wrong_length_is_named(capsys, v):
+    message = f"need a 3-vector, got {len(v.split(','))} entries"
+    assert run_cli(capsys, "dims", "--domain", "d6", "--v", v) == (2, "", f"error: {message}\n")
 
 
 def test_help_still_prints_usage_and_exits_zero(capsys):

@@ -1,7 +1,6 @@
 """Hermitian families, exact negative directions, and cone compatibility."""
 
 from fractions import Fraction
-from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,9 +16,7 @@ from siegelalg.hermitian import (
     HermitianFamily,
     OmegaHermitianVerdict,
     _basis_like_vectors,
-    _integer_entries,
     _Lcg,
-    _scaled_value,
     is_omega_hermitian,
     negative_direction,
 )
@@ -49,6 +46,9 @@ D6_FORM = family(diag(1), diag(1), diag(0))
 # compatible with omega3, on its boundary where w1 or w2 vanishes:
 # H(w, w) = (|w1|^2 + |w2|^2, |w1|^2 - |w2|^2, 0)
 LORENTZ_M2_FORM = family(diag(1, 1), diag(1, -1), diag(0, 0))
+# incompatible with omega3, but no basis-like vector shows it: the first witness is a drawn one
+_H_DRAWN = gr(Fraction(17, 20), Fraction(17, 20))
+DRAWN_WITNESS_FORM = family(diag(1, 1), diag(1, -1), [[0, _H_DRAWN], [_H_DRAWN.conjugate(), 0]])
 
 # a point on the boundary of each catalog cone, for the m = 1 check
 M1_BOUNDARY = {
@@ -358,6 +358,14 @@ class TestOmegaHermitian:
         else:
             assert verdict == OmegaHermitianVerdict(COUNTEREXAMPLE, witness=(GR_ONE,))
 
+    def test_lorentz_counterexample_drawn_from_the_random_samples(self):
+        verdict = is_omega_hermitian(DRAWN_WITNESS_FORM, catalog_cone("omega3"))
+        witness = (gr(-2, Fraction(-3, 7)), gr(Fraction(3, 4), Fraction(-1, 2)))
+        assert verdict == OmegaHermitianVerdict(COUNTEREXAMPLE, witness=witness)
+        assert witness not in _basis_like_vectors(2)
+        assert classify_point(catalog_cone("omega3"),
+                              real_value(DRAWN_WITNESS_FORM, witness)) is Region.OUTSIDE
+
     def test_lorentz_counterexample(self):
         bad = family(diag(0), diag(1), diag(0))
         verdict = is_omega_hermitian(bad, catalog_cone("omega3"))
@@ -433,43 +441,8 @@ def test_common_kernel_witness_is_the_first_kernel_vector(case):
     assert all(not x for comp in fam.components for x in apply(comp, verdict.witness))
 
 
-RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=5)
-
-
-@st.composite
-def families_and_vectors(draw):
-    """A Hermitian family with rational parts of mixed denominators, and a nonzero w."""
-    k, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    comps = []
-    for _ in range(k):
-        rows = [[GR_ZERO] * m for _ in range(m)]
-        for a in range(m):
-            rows[a][a] = gr(draw(RATIONALS))
-            for b in range(a + 1, m):
-                rows[a][b] = gr(draw(RATIONALS), draw(RATIONALS))
-                rows[b][a] = rows[a][b].conjugate()
-        comps.append(rows)
-    w = tuple(draw(st.builds(gr, RATIONALS, RATIONALS)) for _ in range(m))
-    return HermitianFamily(comps), w
-
-
-def _check_scaled_value(fam, w):
-    """``_scaled_value`` is D d^2 H(w, w): D and d the lcms of the family's and w's denominators."""
-    scale = lcm(*(part.denominator for comp in fam.components for row in comp
-                  for x in row for part in (x.re, x.im)))
-    d = lcm(*(part.denominator for x in w for part in (x.re, x.im)))
-    value = _scaled_value(_integer_entries(fam), w)
-    assert all(type(x) is int for x in value)
-    assert value == tuple(scale * d * d * x for x in real_value(fam, w))
-
-
-@given(case=families_and_vectors())
-@settings(derandomize=True, max_examples=80, deadline=None)
-def test_scaled_value_is_a_positive_multiple_on_random_samples(case):
-    _check_scaled_value(*case)
-
-
-# the catalog families over omega3 (Lorentz), and a dense one with a denominator in each entry
+# the catalog families over omega3 (Lorentz), a dense one with a denominator in each entry, and
+# one whose first witness is a drawn sample
 _H = gr(4, 3) * Fraction(10001, 50000)
 LORENTZ_FAMILIES = {
     **{
@@ -478,13 +451,25 @@ LORENTZ_FAMILIES = {
                        catalog.d6((Fraction(3, 2), Fraction(1, 2), Fraction(1, 3))))
     },
     "dense": family(diag(1, 1), diag(1, -1), [[0, _H], [_H.conjugate(), 0]]),
+    "drawn-witness": DRAWN_WITNESS_FORM,
 }
 
 
 @pytest.mark.parametrize("name", sorted(LORENTZ_FAMILIES))
-def test_scaled_value_is_a_positive_multiple_on_lorentz_families(name):
-    """On the samples the sampled check tries: the basis-like vectors and ``_Lcg(0)``'s."""
-    fam = LORENTZ_FAMILIES[name]
+def test_sampled_check_agrees_with_a_real_value_oracle(name):
+    """The verdict is a counterexample at the first sample whose ``real_value`` is zero or outside
+    the cone, trying the basis-like vectors and then ``_Lcg(0)``'s nonzero draws, and otherwise
+    verified on that many samples. At m = 1 the check is exact: H(w, w) = |w|^2 h, so its first
+    sample, e_1, decides it."""
+    fam, cone = LORENTZ_FAMILIES[name], catalog_cone("omega3")
     rng = _Lcg(0)
-    for w in _basis_like_vectors(fam.m) + [rng.next_vector(fam.m) for _ in range(32)]:
-        _check_scaled_value(fam, w)
+    samples = _basis_like_vectors(fam.m) + [w for w in (rng.next_vector(fam.m) for _ in range(32))
+                                            if any(w)]
+    passed = (OmegaHermitianVerdict(VERIFIED_EXACT) if fam.m == 1
+              else OmegaHermitianVerdict(VERIFIED_ON_SAMPLES, samples=len(samples)))
+    expected = next(
+        (OmegaHermitianVerdict(COUNTEREXAMPLE, witness=w) for w in samples
+         if not any(real_value(fam, w)) or classify_point(cone, real_value(fam, w)) is Region.OUTSIDE),
+        passed,
+    )
+    assert is_omega_hermitian(fam, cone) == expected
