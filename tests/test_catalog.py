@@ -1,6 +1,8 @@
 """Domain builders, classification tables, and the verification driver."""
 
 import functools
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -28,6 +30,7 @@ from siegelalg.errors import ValidationError
 from siegelalg.graded import graded_dims
 from siegelalg.hermitian import COUNTEREXAMPLE, is_omega_hermitian
 from siegelalg.homogeneity import GENERICALLY_OPEN_ORBITS
+from siegelalg.linalg import GR_ZERO, gr
 from matrix_oracles import conj_transpose
 
 
@@ -80,6 +83,30 @@ class TestBuild:
     def test_unknown_tube_cone(self):
         with pytest.raises(ValidationError):
             build(tube("omega7"))
+
+    @pytest.mark.parametrize("domain, cone_id, rows", [
+        (d3(1, 0, 1, 1), "omega1", [[[1, 0], [0, 0]], [[1, 0], [0, 1]]]),
+        (d4(2, Fraction(1, 2), 0, 3), "omega1", [
+            [[2, 0, 0], [0, Fraction(1, 2), 0], [0, 0, Fraction(1, 2)]],
+            [[0, 0, 0], [0, 3, 0], [0, 0, 3]],
+        ]),
+        (d5((1, 2, 0)), "omega2", [[[1]], [[2]], [[0]]]),
+        (tube("omega1"), "omega1", [[]] * 2),
+        (tube("omega2"), "omega2", [[]] * 3),
+        (tube("omega4"), "omega4", [[]] * 4),
+        (tube("omega5"), "omega5", [[]] * 4),
+    ], ids=["d3", "d4", "d5", "tube-omega1", "tube-omega2", "tube-omega4", "tube-omega5"])
+    def test_named_family_is_its_cone_with_diagonal_components(self, domain, cone_id, rows):
+        spec = build(domain)
+        m, k = len(rows[0]), len(rows)
+        assert spec.cone == catalog_cone(cone_id)
+        assert (spec.n, spec.k, spec.m) == (m + k, k, m)
+        assert spec.form.components == tuple(
+            tuple(tuple(gr(x) for x in row) for row in comp) for comp in rows
+        )
+        # the off-diagonal zeros are the one shared zero
+        assert all(comp[i][j] is GR_ZERO
+                   for comp in spec.form.components for i in range(m) for j in range(m) if i != j)
 
     def test_builds_are_compatible_with_their_cones(self):
         domains = [
@@ -284,3 +311,49 @@ class TestVerifyPaper:
         assert len(failed) > 1
         assert "cone_dim_omega3" in failed
         assert "t3_total" in failed
+
+
+def _with_g_one(sols, *elements):
+    return SimpleNamespace(g_one=elements if elements else sols.g_one)
+
+
+def _map_tensor(t, f):
+    return tuple(tuple(tuple(f((l, i, j), x) for j, x in enumerate(row)) for i, row in enumerate(plane))
+                 for l, plane in enumerate(t))
+
+
+class TestD6Reference:
+    """``_d6_basis_matches``: g_1 is one (a, 0), a a nonzero multiple of the known quadratic form."""
+
+    @pytest.fixture(scope="class")
+    def sols(self):
+        return analyze(d6((1, 1, 0))).sols
+
+    def test_the_computed_basis_matches(self, sols):
+        assert catalog._d6_basis_matches(sols)
+
+    def test_a_rescaled_form_matches(self, sols):
+        ((a, b),) = sols.g_one
+        scaled = _map_tensor(a, lambda key, x: x * Fraction(-7, 3))
+        assert catalog._d6_basis_matches(_with_g_one(sols, (scaled, b)))
+
+    # two coefficients of the known form and one outside its support, all in the upper triangle
+    @pytest.mark.parametrize("key", [(0, 0, 0), (2, 1, 2), (1, 1, 2)])
+    def test_one_perturbed_coefficient_fails(self, sols, key):
+        ((a, b),) = sols.g_one
+        perturbed = _map_tensor(a, lambda at, x: x + 1 if at == key else x)
+        assert not catalog._d6_basis_matches(_with_g_one(sols, (perturbed, b)))
+
+    def test_a_nonzero_b_fails(self, sols):
+        ((a, b),) = sols.g_one
+        bumped = _map_tensor(b, lambda at, x: x + 1 if at == (0, 0, 0) else x)
+        assert not catalog._d6_basis_matches(_with_g_one(sols, (a, bumped)))
+
+    def test_two_elements_fail(self, sols):
+        ((a, b),) = sols.g_one
+        assert not catalog._d6_basis_matches(_with_g_one(sols, (a, b), (a, b)))
+
+    def test_a_zero_form_fails(self, sols):
+        ((a, b),) = sols.g_one
+        zero = _map_tensor(a, lambda at, x: 0 * x)
+        assert not catalog._d6_basis_matches(_with_g_one(sols, (zero, b)))
