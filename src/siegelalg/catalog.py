@@ -1,11 +1,13 @@
 """Builders for the named domain families, classification, and verification.
 
 Every domain analyzed here is a Siegel presentation: a cone from the built-in
-catalog plus an explicit Hermitian family. ``product`` composes presentations
+catalog plus an explicit Hermitian family. A named family is a catalog cone
+plus diagonal components, so one constructor builds them all from the cone and
+the diagonals: the ball is the ray with the identity, D1-D4 the quadrant with
+two diagonals, D5 and D6 the orthant and Lorentz cone with one entry per
+component, and a tube has empty ones. ``product`` composes presentations
 (product cone, block-diagonal family), and a ball product is the product of
-its balls. The two- and three-parameter families over the quadrant and the
-rank-one families over the three dimensional cones carry their defining
-parameter vectors.
+its balls. A ``DomainId`` carries a family's defining parameters.
 
 The classification driver enumerates this fixed candidate list, not all
 homogeneous cones and forms; the report says so in its note field.
@@ -19,22 +21,14 @@ from typing import Callable, Optional, Sequence, Union
 
 from .bounds import BoundReport, bound_chain, closed_form_bound, closed_form_sweep, s_from_multiplicities
 from . import cones
-from .cones import CATALOG_IDS, _built_catalog_cone, catalog_cone, cone_key, isotropy_bound
+from .cones import CATALOG_IDS, ConeSpec, _built_catalog_cone, catalog_cone, cone_key, isotropy_bound
 from .errors import ValidationError
 from .frozen import Frozen
 from .fields import bracket_identities_hold, check_grading, materialize
 from .graded import GradedDims, GradedSolutions, SiegelDomainSpec, solve_all, solve_L
-from .hermitian import (
-    COUNTEREXAMPLE,
-    HermitianFamily,
-    is_omega_hermitian,
-)
-from .homogeneity import (
-    NOT_TRANSITIVE,
-    HomogeneityVerdict,
-    homogeneity_verdict,
-)
-from .linalg import GR_ONE, GR_ZERO, Scalar, _frac, _int
+from .hermitian import COUNTEREXAMPLE, HermitianFamily, is_omega_hermitian
+from .homogeneity import NOT_TRANSITIVE, HomogeneityVerdict, homogeneity_verdict
+from .linalg import GR_ZERO, Scalar, _frac, _int
 
 
 _TUBE_LABELS = {
@@ -55,6 +49,16 @@ class DomainId(Frozen):
     params: Optional[tuple[Fraction, Fraction, Fraction, Fraction]] = None
     cone_id: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        # every field is read here, so an id built directly is checked as the builders' are
+        if self.n is not None or self.kind in ("ball", "d1", "d2"):
+            object.__setattr__(self, "n", _int(self.n, "ball dimension" if self.kind == "ball" else "n"))
+        if self.factors is not None:
+            object.__setattr__(self, "factors", tuple(_int(p, "a ball factor") for p in self.factors))
+        for name in ("v", "params"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(map(_frac, getattr(self, name))))
+
     @property
     def label(self) -> str:
         if self.kind == "ball":
@@ -73,35 +77,35 @@ class DomainId(Frozen):
 
 
 def ball(n: int) -> DomainId:
-    return DomainId("ball", n=_int(n, "ball dimension"))
+    return DomainId("ball", n=n)
 
 
 def ball_product(*factors: int) -> DomainId:
-    return DomainId("ball-product", factors=tuple(_int(p, "a ball factor") for p in factors))
+    return DomainId("ball-product", factors=factors)
 
 
 def d1(n: int) -> DomainId:
-    return DomainId("d1", n=_int(n, "n"))
+    return DomainId("d1", n=n)
 
 
 def d2(n: int) -> DomainId:
-    return DomainId("d2", n=_int(n, "n"))
+    return DomainId("d2", n=n)
 
 
 def d3(alpha, beta, gamma, delta) -> DomainId:
-    return DomainId("d3", n=4, params=tuple(map(_frac, (alpha, beta, gamma, delta))))
+    return DomainId("d3", n=4, params=(alpha, beta, gamma, delta))
 
 
 def d4(alpha, beta, gamma, delta) -> DomainId:
-    return DomainId("d4", n=5, params=tuple(map(_frac, (alpha, beta, gamma, delta))))
+    return DomainId("d4", n=5, params=(alpha, beta, gamma, delta))
 
 
 def d5(v: Sequence[Union[int, Fraction]]) -> DomainId:
-    return DomainId("d5", n=4, v=tuple(map(_frac, v)))
+    return DomainId("d5", n=4, v=v)
 
 
 def d6(v: Sequence[Union[int, Fraction]]) -> DomainId:
-    return DomainId("d6", n=4, v=tuple(map(_frac, v)))
+    return DomainId("d6", n=4, v=v)
 
 
 def t3() -> DomainId:
@@ -117,22 +121,19 @@ def tube(cone_id: str) -> DomainId:
     return DomainId("tube", cone_id=cone_key(cone_id))
 
 
-def _diag(values: Sequence[Scalar]) -> list[list[Scalar]]:
-    n = len(values)
-    return [[values[i] if i == j else GR_ZERO for j in range(n)] for i in range(n)]
+def _diagonal(cone: ConeSpec, diagonals: Sequence[Sequence[Scalar]]) -> SiegelDomainSpec:
+    """The domain over ``cone`` whose j-th Hermitian component is diagonal with entries
+    ``diagonals[j]``; m is their length, so ``[()] * cone.k`` gives the tube."""
+    m = len(diagonals[0])
+    comps = [[[d[i] if i == j else GR_ZERO for j in range(m)] for i in range(m)] for d in diagonals]
+    return SiegelDomainSpec(m + cone.k, cone.k, cone, HermitianFamily(comps))
 
 
-def _rank_one_family(v: Sequence[Fraction]) -> HermitianFamily:
-    return HermitianFamily([_diag([x]) for x in v])
-
-
-def _ball(n: Optional[int]) -> SiegelDomainSpec:
+def _ball(n: int) -> SiegelDomainSpec:
     """The unit ball of C^n over the ray, with H = the identity on C^(n-1)."""
-    if n is None or n < 1:
+    if n < 1:
         raise ValidationError("ball dimension must be at least 1")
-    return SiegelDomainSpec(
-        n, 1, _built_catalog_cone("ray"), HermitianFamily([_diag([GR_ONE] * (n - 1))])
-    )
+    return _diagonal(_built_catalog_cone("ray"), [[1] * (n - 1)])
 
 
 def product(*specs: SiegelDomainSpec) -> SiegelDomainSpec:
@@ -158,7 +159,8 @@ def product(*specs: SiegelDomainSpec) -> SiegelDomainSpec:
 
 
 def build(domain: DomainId) -> SiegelDomainSpec:
-    """Siegel presentation of a named domain; validates the parameters."""
+    """Siegel presentation of a named domain, a catalog cone with diagonal components; validates
+    the parameters."""
     kind = domain.kind
     if kind == "ball":
         return _ball(domain.n)
@@ -166,43 +168,35 @@ def build(domain: DomainId) -> SiegelDomainSpec:
         factors = domain.factors
         if not factors or any(p < 1 for p in factors):
             raise ValidationError("ball factors must be positive")
-        return product(*(_ball(p) for p in factors))
+        return product(*map(_ball, factors))
     if kind in ("d1", "d2"):
         n = domain.n
-        if n is None or n < 3:
+        if n < 3:
             raise ValidationError("need n >= 3 for the quadrant families")
-        second = [GR_ONE if kind == "d2" else GR_ZERO] * (n - 2)
-        return SiegelDomainSpec(
-            n, 2, catalog_cone("omega1"),
-            HermitianFamily([_diag([GR_ONE] * (n - 2)), _diag(second)]),
-        )
+        return _diagonal(catalog_cone("omega1"), [[1] * (n - 2), [int(kind == "d2")] * (n - 2)])
     if kind in ("d3", "d4"):
-        alpha, beta, gamma, delta = domain.params
-        if min(alpha, beta, gamma, delta) < 0:
+        params = domain.params or ()
+        if len(params) != 4:
+            raise ValidationError(f"need 4 parameters, got {len(params)}")
+        alpha, beta, gamma, delta = params
+        if min(params) < 0:
             raise ValidationError("parameters must be nonnegative")
         if alpha * delta - beta * gamma == 0:
             raise ValidationError("parameter determinant must be nonzero")
-        if kind == "d3":
-            fam = HermitianFamily([_diag([alpha, beta]), _diag([gamma, delta])])
-            return SiegelDomainSpec(4, 2, catalog_cone("omega1"), fam)
-        fam = HermitianFamily([_diag([alpha, beta, beta]), _diag([gamma, delta, delta])])
-        return SiegelDomainSpec(5, 2, catalog_cone("omega1"), fam)
-    if kind == "d5":
-        v = domain.v
-        if len(v) != 3 or min(v) < 0 or all(x == 0 for x in v):
+        r = 1 if kind == "d3" else 2
+        return _diagonal(catalog_cone("omega1"), [[alpha] + [beta] * r, [gamma] + [delta] * r])
+    if kind in ("d5", "d6"):
+        v = domain.v or ()
+        if kind == "d5" and (len(v) != 3 or min(v) < 0 or all(x == 0 for x in v)):
             raise ValidationError("need a nonzero nonnegative 3-vector")
-        return SiegelDomainSpec(4, 3, catalog_cone("omega2"), _rank_one_family(v))
-    if kind == "d6":
-        v = domain.v
         if len(v) != 3:
             raise ValidationError(f"need a 3-vector, got {len(v)} entries")
-        if v[0] <= 0 or v[0] * v[0] < v[1] * v[1] + v[2] * v[2]:
+        if kind == "d6" and (v[0] <= 0 or v[0] * v[0] < v[1] * v[1] + v[2] * v[2]):
             raise ValidationError("need v1 > 0 and v1^2 >= v2^2 + v3^2")
-        return SiegelDomainSpec(4, 3, catalog_cone("omega3"), _rank_one_family(v))
+        return _diagonal(catalog_cone("omega2" if kind == "d5" else "omega3"), [[x] for x in v])
     if kind == "tube":
-        cone_spec = catalog_cone(domain.cone_id)
-        k = cone_spec.k
-        return SiegelDomainSpec(k, k, cone_spec, HermitianFamily([()] * k))
+        cone = catalog_cone(domain.cone_id)
+        return _diagonal(cone, [()] * cone.k)
     raise ValidationError(f"unknown domain kind {kind!r}")
 
 
@@ -365,27 +359,17 @@ class VerifyReport(Frozen):
 
 
 def _d6_basis_matches(sols) -> bool:
+    """Whether g_1 is one element (a, 0) with a a nonzero multiple of ``D6_KNOWN_QUADRATIC``."""
     if len(sols.g_one) != 1:
         return False
     ((a, b),) = sols.g_one
-    if any(x for plane in b for row in plane for x in row):
-        return False
-    scale = None
-    for l in range(3):
-        for i in range(3):
-            for j in range(i, 3):
-                coeff = a[l][i][j]
-                known = D6_KNOWN_QUADRATIC.get((l, i, j), Fraction(0))
-                if known == 0:
-                    if coeff:
-                        return False
-                    continue
-                ratio = coeff / known
-                if scale is None:
-                    scale = ratio
-                elif ratio != scale:
-                    return False
-    return scale is not None and scale != 0
+    upper = {(l, i, j): x for l, plane in enumerate(a) for i, row in enumerate(plane)
+             for j, x in enumerate(row) if j >= i and x}
+    return (
+        not any(x for plane in b for row in plane for x in row)
+        and upper.keys() == D6_KNOWN_QUADRATIC.keys()
+        and len({upper[key] / x for key, x in D6_KNOWN_QUADRATIC.items()}) == 1
+    )
 
 
 def _partitions(total: int):
@@ -402,12 +386,8 @@ def _skew_formula_agrees() -> bool:
     quadrant = catalog_cone("omega1")
     for n in (4, 5, 6):
         for mults in _partitions(n - 2):
-            eigs = []
-            for value, mult in enumerate(mults, start=1):
-                eigs.extend([value] * mult)
-            fam = HermitianFamily([_diag([GR_ONE] * (n - 2)), _diag(eigs)])
-            spec = SiegelDomainSpec(n, 2, quadrant, fam)
-            if solve_L(spec) != s_from_multiplicities(n, mults):
+            eigs = [value for value, mult in enumerate(mults, start=1) for _ in range(mult)]
+            if solve_L(_diagonal(quadrant, [[1] * (n - 2), eigs])) != s_from_multiplicities(n, mults):
                 return False
     return True
 

@@ -2,8 +2,9 @@
 
 Results go to stdout, diagnostics to stderr. Exit codes: 0 on success (and on
 all checks passing), 1 on check failures or a not-transitive verdict from the
-homogeneity command, 2 on malformed input or invariant violations, reported as
-one ``error:`` line on stderr (bad arguments too).
+homogeneity command, 2 on malformed input, invariant violations or a domain too
+large to hold in memory, reported as one ``error:`` line on stderr (bad
+arguments too).
 """
 
 from __future__ import annotations
@@ -327,6 +328,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # a domain too large to hold, refused by the allocator
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

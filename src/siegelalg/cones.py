@@ -111,6 +111,8 @@ class ConeSpec(Frozen):
     boundary: tuple[BoundaryFactor, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ValidationError(f"cone 'name' must be a string, got {self.name!r}")
         if _int(self.k, "cone dimension") < 1:
             raise ValidationError("cone dimension must be at least 1")
         if len(self.interior_point) != self.k:

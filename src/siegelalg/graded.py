@@ -391,16 +391,17 @@ def _pairing_rows(
 # ---------------------------------------------------------------------------
 # solvers
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def solve_g0(spec: SiegelDomainSpec) -> tuple[tuple[RealRows, ComplexRows], ...]:
     """A basis of pairs (A, B): A in g(Omega) with B associated to A.
 
     A is real, so it is ``RealRows``; B is complex, ``ComplexRows``. A is
     parametrized in cone coordinates, which builds the cone membership
     into the unknowns; the association identity is matched entry by entry.
-    All solvers cache on the (immutable) domain, so a repeated ``solve_all``
-    of one domain costs one solve. ``catalog.verify_paper`` solves each
-    domain once and reads every solution from that domain's report.
+    Each solver keeps the result for its last (immutable) domain only, so
+    ``solve_L`` inside ``solve_all`` reads this basis without a second solve
+    and no earlier domain's bases stay in memory. ``catalog.verify_paper``
+    solves each domain once and reads every solution from that domain's report.
     """
     k, m = spec.k, spec.m
     gbasis = spec.cone.g_basis
@@ -444,7 +445,7 @@ def a_part_basis(g0: Sequence[tuple[RealRows, ComplexRows]]) -> tuple[RealRows, 
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def solve_L(spec: SiegelDomainSpec) -> int:
     """s = dim L, L = {B associated to A = 0}, the kernel of (A, B) -> A on g_0; cached only
     because the benchmark tracer reads ``cache_info()`` of every solver."""
@@ -452,7 +453,7 @@ def solve_L(spec: SiegelDomainSpec) -> int:
     return len(g0) - len(a_part_basis(g0))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def solve_g_half(spec: SiegelDomainSpec) -> tuple[tuple[ComplexRows, Tensor], ...]:
     """A basis of the weight-1/2 component: pairs (Phi, c).
 
@@ -504,7 +505,7 @@ def solve_g_half(spec: SiegelDomainSpec) -> tuple[tuple[ComplexRows, Tensor], ..
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def solve_g1(spec: SiegelDomainSpec) -> tuple[tuple[Tensor, Tensor], ...]:
     """A basis of the weight-1 component: pairs (a, b).
 

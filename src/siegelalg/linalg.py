@@ -68,8 +68,10 @@ def _int(x: int, what: str) -> int:
     """A caller's size, index or count, named ``what`` in the error: an ``int``, not a ``bool``.
 
     The one reader of integer data, the counterpart of ``_frac``. A value
-    beyond ``sys.maxsize``, the most items a list can hold, is refused here
-    rather than in an ``OverflowError`` where it meets a list.
+    beyond ``sys.maxsize``, the largest length CPython can report, is refused
+    here rather than in an ``OverflowError`` where it meets a list. A list
+    holds fewer: about ``sys.maxsize / 8`` references on a 64-bit build, so a
+    size read here can still end in a ``MemoryError``.
     """
     if x.__class__ is not int:
         raise ValidationError(f"{what} must be an integer, got {x!r}")

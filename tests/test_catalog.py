@@ -8,6 +8,7 @@ import pytest
 
 from siegelalg import catalog
 from siegelalg.catalog import (
+    DomainId,
     analyze,
     ball,
     ball_product,
@@ -79,6 +80,29 @@ class TestBuild:
     def test_invalid_parameters(self, bad):
         with pytest.raises(ValidationError):
             build(bad)
+
+    @pytest.mark.parametrize("domain, message", [
+        (lambda: DomainId("ball", n=2.0), "ball dimension must be an integer, got 2.0"),
+        (lambda: DomainId("ball"), "ball dimension must be an integer, got None"),
+        (lambda: DomainId("ball-product", factors=(2, True)), "a ball factor must be an integer, got True"),
+        (lambda: build(DomainId("ball-product")), "ball factors must be positive"),
+        (lambda: DomainId("d1", n=True), "n must be an integer, got True"),
+        (lambda: DomainId("d2"), "n must be an integer, got None"),
+        (lambda: DomainId("d3", params=(1.0, 0, 1, 1)), "entries must be rationals"),
+        (lambda: build(DomainId("d3")), "need 4 parameters, got 0"),
+        (lambda: build(DomainId("d4", params=(1, 0, 1))), "need 4 parameters, got 3"),
+        (lambda: DomainId("d5", v=(1, False, 0)), "entries must be rationals"),
+        (lambda: build(DomainId("d5")), "need a nonzero nonnegative 3-vector"),
+        (lambda: DomainId("d6", v=(1, 1, 0.5)), "entries must be rationals"),
+        (lambda: build(DomainId("d6")), "need a 3-vector, got 0 entries"),
+        (lambda: build(DomainId("tube")), "a cone id must be a string, got None"),
+    ], ids=["ball-float", "ball-missing", "ballproduct-bool", "ballproduct-missing", "d1-bool",
+            "d2-missing", "d3-float", "d3-missing", "d4-short", "d5-bool", "d5-missing", "d6-float",
+            "d6-missing", "tube-missing"])
+    def test_an_id_built_directly_is_read_as_the_builders_read_it(self, domain, message):
+        with pytest.raises(ValidationError) as exc:
+            domain()
+        assert str(exc.value).startswith(message)
 
     def test_unknown_tube_cone(self):
         with pytest.raises(ValidationError):

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import sys
 import time
 
 import pytest
@@ -737,6 +738,9 @@ def cli_argv(draw):
 @example(argv=["dims", "--domain=ball", "--n=99999999999999999999"])
 @example(argv=["dims", "--domain=ballproduct", "--factors=2,99999999999999999999"])
 @example(argv=["dims", "--domain=d1", "--n=99999999999999999999"])
+@example(argv=["dims", "--domain=ball", f"--n={sys.maxsize}"])
+@example(argv=["dims", "--domain=d1", f"--n={sys.maxsize}"])
+@example(argv=["dims", "--domain=ballproduct", f"--factors=2,{sys.maxsize}"])
 @settings(derandomize=True, max_examples=120, deadline=None)
 def test_generated_flags_end_cleanly(argv):
     """Any flag values end in exit 0, 1 or 2; exit 2 prints one `error:` line and nothing else."""
@@ -764,7 +768,7 @@ def test_refused_arguments_are_one_error_line(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
-HUGE = "99999999999999999999"  # more than sys.maxsize, the most items a list can hold
+HUGE = "99999999999999999999"  # more than sys.maxsize, the largest size the library reads
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -775,6 +779,12 @@ HUGE = "99999999999999999999"  # more than sys.maxsize, the most items a list ca
 ])
 def test_integers_too_large_for_a_list_are_one_error_line(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_a_domain_too_large_to_hold_is_one_error_line(capsys):
+    # CPython refuses a list of sys.maxsize items before allocating any of it
+    argv = ["dims", "--domain", "ball", "--n", str(sys.maxsize)]
+    assert run_cli(capsys, *argv) == (2, "", "error: out of memory\n")
 
 
 @pytest.mark.parametrize("v", ["1,1", "1,1,0,0"])

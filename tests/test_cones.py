@@ -207,6 +207,11 @@ class TestValidation:
         with pytest.raises(ValidationError, match="g_basis is linearly dependent or empty"):
             _quadrant_with(g_basis)
 
+    def test_non_string_name_refused(self):
+        # with the document reader's text: a cone ``spec_to_json`` writes is one it reads back
+        with pytest.raises(ValidationError, match="^cone 'name' must be a string, got 5$"):
+            orthant(2, name=5)
+
     def test_interior_point_checked(self):
         with pytest.raises(ValidationError):
             ConeSpec(

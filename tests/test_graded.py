@@ -596,6 +596,13 @@ def test_skew_part_is_the_kernel_of_the_a_part(domain):
     assert solve_L(spec) == sols.s == len(skew_basis(spec.form))
 
 
+def test_solver_caches_keep_one_domain():
+    solve_all(catalog.build(catalog.ball(3)))
+    solve_all(catalog.build(catalog.d6((1, 1, 0))))
+    for solver in (solve_g0, solve_L, solve_g_half, solve_g1):
+        assert solver.cache_info().currsize == 1
+
+
 SMALL_FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 SPARSE_ROWS = st.dictionaries(st.integers(0, 6), SMALL_FRACTIONS, max_size=5)
 FACTORS = st.one_of(
