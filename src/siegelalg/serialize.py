@@ -221,7 +221,7 @@ def cone_from_json(doc) -> ConeSpec:
     if set(doc) == {"cone"}:
         return cone_from_json(doc["cone"])
     _require_keys(doc, {"k", "g_basis", "interior_point", "boundary"}, "cone document", ("name",))
-    name = doc.get("name", "custom")  # read by ConeSpec
+    name = doc.get("name", "custom")  # ConeSpec refuses a non-string
     k = _int(doc["k"], "'k'")
     if k < 1:  # before g_basis is read with shape k x k
         raise ValidationError("cone dimension must be at least 1")

@@ -84,7 +84,8 @@ class TestBuild:
     @pytest.mark.parametrize("domain, message", [
         (lambda: DomainId("ball", n=2.0), "ball dimension must be an integer, got 2.0"),
         (lambda: DomainId("ball"), "ball dimension must be an integer, got None"),
-        (lambda: DomainId("ball-product", factors=(2, True)), "a ball factor must be an integer, got True"),
+        (lambda: DomainId("ball-product", factors=(2, True)),
+         "a ball factor must be an integer, got True"),
         (lambda: build(DomainId("ball-product")), "ball factors must be positive"),
         (lambda: DomainId("d1", n=True), "n must be an integer, got True"),
         (lambda: DomainId("d2"), "n must be an integer, got None"),
@@ -337,8 +338,8 @@ class TestVerifyPaper:
         assert "t3_total" in failed
 
 
-def _with_g_one(sols, *elements):
-    return SimpleNamespace(g_one=elements if elements else sols.g_one)
+def _g_one(*elements):
+    return SimpleNamespace(g_one=elements)
 
 
 def _map_tensor(t, f):
@@ -359,25 +360,25 @@ class TestD6Reference:
     def test_a_rescaled_form_matches(self, sols):
         ((a, b),) = sols.g_one
         scaled = _map_tensor(a, lambda key, x: x * Fraction(-7, 3))
-        assert catalog._d6_basis_matches(_with_g_one(sols, (scaled, b)))
+        assert catalog._d6_basis_matches(_g_one((scaled, b)))
 
     # two coefficients of the known form and one outside its support, all in the upper triangle
     @pytest.mark.parametrize("key", [(0, 0, 0), (2, 1, 2), (1, 1, 2)])
     def test_one_perturbed_coefficient_fails(self, sols, key):
         ((a, b),) = sols.g_one
         perturbed = _map_tensor(a, lambda at, x: x + 1 if at == key else x)
-        assert not catalog._d6_basis_matches(_with_g_one(sols, (perturbed, b)))
+        assert not catalog._d6_basis_matches(_g_one((perturbed, b)))
 
     def test_a_nonzero_b_fails(self, sols):
         ((a, b),) = sols.g_one
         bumped = _map_tensor(b, lambda at, x: x + 1 if at == (0, 0, 0) else x)
-        assert not catalog._d6_basis_matches(_with_g_one(sols, (a, bumped)))
+        assert not catalog._d6_basis_matches(_g_one((a, bumped)))
 
     def test_two_elements_fail(self, sols):
         ((a, b),) = sols.g_one
-        assert not catalog._d6_basis_matches(_with_g_one(sols, (a, b), (a, b)))
+        assert not catalog._d6_basis_matches(_g_one((a, b), (a, b)))
 
     def test_a_zero_form_fails(self, sols):
         ((a, b),) = sols.g_one
         zero = _map_tensor(a, lambda at, x: 0 * x)
-        assert not catalog._d6_basis_matches(_with_g_one(sols, (zero, b)))
+        assert not catalog._d6_basis_matches(_g_one((zero, b)))
