@@ -1,5 +1,6 @@
 """Graded component solvers against hand-checkable and published values."""
 
+import hashlib
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -26,6 +27,7 @@ from siegelalg.hermitian import HermitianFamily
 from siegelalg.linalg import GR_I, GR_ONE, GR_ZERO, GaussianRational, gr
 from siegelalg.serialize import (
     cone_from_json,
+    format_json,
     load_domain_spec,
     solutions_bases_to_json,
     to_json,
@@ -603,6 +605,39 @@ def test_solver_caches_keep_one_domain():
         assert solver.cache_info().currsize == 1
 
 
+# (columns, rows, nonzeros) of each system that solve_g0, solve_g_half and solve_g1 solve, in
+# that order; the tube over omega5 has m = 0, so solve_g_half assembles none there
+SYSTEM_SHAPES = {
+    "ball6": (catalog.ball(6), [(51, 25, 50), (160, 150, 200), (51, 431, 540)]),
+    "ballproduct3_3": (catalog.ball_product(3, 3), [(34, 24, 32), (96, 104, 120), (70, 322, 360)]),
+    "d6_110": (catalog.d6((1, 1, 0)), [(6, 3, 8), (8, 14, 26), (24, 39, 75)]),
+    "d4_third_2sevenths_5halves_ninth": (
+        catalog.d4(Fraction(1, 3), Fraction(2, 7), Fraction(5, 2), Fraction(1, 9)),
+        [(20, 18, 36), (48, 84, 156), (42, 228, 526)],
+    ),
+    "tube_omega5": (catalog.tube("omega5"), [(5, 0, 0), (40, 44, 64)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEM_SHAPES))
+def test_assembled_system_shapes(name, monkeypatch):
+    """The solvers emit exactly these rows: a row dropped, repeated or split moves a count even
+    where the bases stay the same."""
+    domain, expected = SYSTEM_SHAPES[name]
+    shapes = []
+    solutions = graded._System.solutions
+
+    def recording(self):
+        shapes.append((self.n, len(self.rows), sum(map(len, self.rows))))
+        return solutions(self)
+
+    for solver in (solve_g0, solve_L, solve_g_half, solve_g1):
+        solver.cache_clear()  # each system is assembled here, whatever ran before
+    monkeypatch.setattr(graded._System, "solutions", recording)
+    solve_all(catalog.build(domain))
+    assert shapes == expected
+
+
 SMALL_FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 SPARSE_ROWS = st.dictionaries(st.integers(0, 6), SMALL_FRACTIONS, max_size=5)
 FACTORS = st.one_of(
@@ -741,6 +776,39 @@ DENSE_CHANGES = {
     "d6_110": (catalog.d6((1, 1, 0)), P1),
 }
 IDENTITY_DOMAINS = sorted(SOLVER_DOMAINS) + [f"dense:{name}" for name in sorted(DENSE_CHANGES)]
+
+
+# Every golden family is integral, so these pin bases no golden reaches: the sha256 of
+# format_json(solutions_bases_to_json(solve_all(spec))) for fractional families, the last
+# after H -> P* H P with a fractional Gaussian P.
+P_FRACTIONAL = ((GR_ONE, gr(Fraction(1, 2), Fraction(1, 3))), (GR_ZERO, gr(Fraction(2, 3))))
+FRACTIONAL_BASES = {
+    "d3_half_third_2_5sevenths": (
+        lambda: catalog.build(catalog.d3(Fraction(1, 2), Fraction(1, 3), 2, Fraction(5, 7))),
+        "02e81d7c26b9d0e0a9c2c246c379bf1efe59561212eeb63ef0a03e1a0cc96c55",
+    ),
+    "d4_third_2sevenths_5halves_ninth": (
+        lambda: catalog.build(
+            catalog.d4(Fraction(1, 3), Fraction(2, 7), Fraction(5, 2), Fraction(1, 9))
+        ),
+        "ed7fa6196d6db89479bd8efa06e7ab44d5509e69d40b979ad5b379352f83dcaf",
+    ),
+    "d6_3halves_half_third": (
+        lambda: catalog.build(catalog.d6((Fraction(3, 2), Fraction(1, 2), Fraction(1, 3)))),
+        "fe5b3094968636f15a98f43a4ef94681b1773076ee147365c4bd5f7d10555311",
+    ),
+    "ball3_fractional_change": (
+        lambda: _moved(catalog.ball(3), P_FRACTIONAL),
+        "b19a1e2f353631bc69ccc817bade7e3e31bd3b360515ad7ab0f79fc6717df572",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRACTIONAL_BASES))
+def test_fractional_bases_are_byte_identical(name):
+    build, digest = FRACTIONAL_BASES[name]
+    text = format_json(solutions_bases_to_json(solve_all(build())))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def _identity_spec(name):
