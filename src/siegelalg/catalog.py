@@ -53,11 +53,14 @@ class DomainId(Frozen):
         # every field is read here, so an id built directly is checked as the builders' are
         if self.n is not None or self.kind in ("ball", "d1", "d2"):
             object.__setattr__(self, "n", _int(self.n, "ball dimension" if self.kind == "ball" else "n"))
-        if self.factors is not None:
-            object.__setattr__(self, "factors", tuple(_int(p, "a ball factor") for p in self.factors))
-        for name in ("v", "params"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, tuple(map(_frac, getattr(self, name))))
+        readers = (("factors", lambda p: _int(p, "a ball factor")), ("v", _frac), ("params", _frac))
+        for name, read in readers:
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if not isinstance(value, (list, tuple)):
+                raise ValidationError(f"{name} must be a list or tuple, got {value!r}")
+            object.__setattr__(self, name, tuple(map(read, value)))
 
     @property
     def label(self) -> str:

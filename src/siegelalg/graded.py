@@ -40,18 +40,16 @@ over the family's table of nonzero entries (``row``, ``col`` and ``at`` of
 ``HermitianFamily``, built once with the family), and every sum over a
 functional over the nonzero coefficients of the cone's annihilators, tabled
 once with the cone (``ConeSpec.annihilator_terms``). Neither tests each
-entry. g1's three-argument identity visits only the tuples with a term. A
-coordinate vector is read as its one nonzero entry (``coordinate_units``).
-The nullspace vectors are sparse, and a solution is unpacked from its present
-columns only.
+entry. g1's three-argument identity adds each term to the row of its tuple,
+so a tuple with no term has no row. A coordinate vector is read as its one
+nonzero entry (``coordinate_units``). The nullspace vectors are sparse, and a
+solution is unpacked from its present columns only.
 
 Each identity is accumulated once, into one ``_Lin``: ``expr.add(x, *factors)``
-adds the product of the factors times ``x`` to ``expr`` in place. The factors
-are folded in one pass that stops at a zero factor. A unit factor (1 or -1,
-also as a ``GaussianRational`` with zero imaginary part) costs no
-multiplication, so a product of units copies or negates ``x``'s entries. Only
-the accumulator changes: a block's entries are shared by every identity that
-reads them, so ``add`` never modifies its argument.
+adds the product of the factors, folded into one complex coefficient, times
+``x`` to ``expr`` in place; a coefficient of 1 or -1 copies or negates ``x``'s
+entries. Only the accumulator changes: a block's entries are shared by every
+identity that reads them, so ``add`` never modifies its argument.
 
 Rows hold exact nonzero ``int``s where the inputs are integral and
 ``Fraction``s otherwise: the unknowns carry the unit ``1``, and every input
@@ -68,6 +66,7 @@ same.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -79,7 +78,6 @@ from .errors import ValidationError
 from .frozen import Frozen
 from .hermitian import HermitianFamily
 from .linalg import (
-    GR_ONE,
     GR_ZERO,
     ComplexRows,
     Exact,
@@ -136,25 +134,19 @@ class _Lin:
         self.im = {} if im is None else im
 
     def add(self, other: "_Lin", *factors: Scalar) -> None:
-        """Add (product of ``factors``) * ``other`` to ``self``; ``other`` is not changed."""
-        # the product cr + i*ci stays the int 1 or -1 while every factor is a unit
+        """Add (product of ``factors``) * ``other`` to ``self``; ``other`` is not changed.
+
+        The factors fold into one coefficient cr + i*ci. A real factor, also a
+        ``GaussianRational`` with zero imaginary part, leaves a zero ci the ``int`` 0.
+        """
         cr, ci = 1, 0
         for f in factors:
             if f.__class__ is GaussianRational:
                 if f.im:
-                    if ci:
-                        cr, ci = cr * f.re - ci * f.im, cr * f.im + ci * f.re
-                    else:
-                        cr, ci = cr * f.re, cr * f.im
+                    cr, ci = cr * f.re - ci * f.im, cr * f.im + ci * f.re
                     continue
                 f = f.re
-            if f == 1:
-                continue
-            if f == -1:
-                cr, ci = -cr, -ci
-            elif not f:
-                return
-            else:
+            if f != 1:
                 cr, ci = cr * f, ci * f if ci else 0
         if cr:
             _axpy(self.re, cr, other.re)
@@ -551,43 +543,32 @@ def solve_g1(spec: SiegelDomainSpec) -> tuple[tuple[Tensor, Tensor], ...]:
             system.require_real_zero(trace.im)
 
     if m:
-        # membership of x -> Im H(w1, b(x, w0)) for w0 in the coordinate set, w1 = e_u
-        one = _exact(GR_ONE)
+        # membership of x -> Im H(e_u, b(x, w0)) for w0 = unit * e_p in the coordinate set:
+        # Im H(e_u, b(x, unit * e_p)) = Im H(conj(unit) * e_u, b(x, e_p))
         for p, unit in coordinate_units(m):
-            # b_w0[l, t] = b(e_t, w0)_l for w0 = unit * e_p
-            b_w0 = {key: _Lin() for key in product(range(m), range(k))}
-            for (l, t), entry in b_w0.items():
-                entry.add(b[l, t, p], unit)
+            b_p = {(l, t): b[l, t, p] for l, t in product(range(m), range(k))}
             for u in range(m):
-                _pairing_rows(system, annihilators, form, u, one, b_w0)
+                _pairing_rows(system, annihilators, form, u, unit.conjugate(), b_p)
 
-        # three-argument symmetry, matched on conj(w)_u conj(w')_v w''_i w''_j, for the tuples
-        # (u, v, i <= j) with a term: H_j[u][.] and some H_t[v][i1], or some H_t[u][i1] and
-        # H_j[.][i2], where (i1, i2) is (i, j) or (j, i)
+        # three-argument symmetry, matched on conj(w)_u conj(w')_v w''_i w''_j for i <= j: each
+        # term is added to the row of its tuple, where i1 and i2 are i and j in either order.
+        # The rows are emitted per (u, v), not per u: with a whole u's accumulators alive, the
+        # garbage collector rescanned the heap more often, and ball(48)'s g1 ran up to 1/3 longer.
         b_bar = {key: b[key].conj() for key in product(range(m), range(k), range(m))}
-        held = [[i1 for i1 in range(m) if form.at[v][i1]] for v in range(m)]
-        from_row = {
-            (v, min(i1, i2), max(i1, i2)) for v in range(m) for i1 in held[v] for i2 in range(m)
-        }
+        at_terms = [[(i1, t, g) for i1 in range(m) for t, g in form.at[v][i1]] for v in range(m)]
         for rows, cols in zip(form.row, form.col):
-            col_held = [i2 for i2 in range(m) if cols[i2]]
-            for u in range(m):
-                tuples = set(from_row) if rows[u] else set()
-                tuples.update(
-                    (v, min(i1, i2), max(i1, i2))
-                    for i1 in held[u] for i2 in col_held for v in range(m)
-                )
-                for v, i, jp in sorted(tuples):
-                    expr = _Lin()
-                    # the terms for (i, jp) and, off the diagonal, their mirror (jp, i)
-                    for i1, i2 in ((i, jp), (jp, i)) if i != jp else ((i, jp),):
-                        for l, h in rows[u]:  # H_j[u][l]
-                            for t, g in form.at[v][i1]:  # H_t[v][i1]
-                                expr.add(b[l, t, i2], h, g)
-                        for t, g in form.at[u][i1]:  # H_t[u][i1]
-                            for l, h in cols[i2]:  # H_j[l][i2]
-                                expr.add(b_bar[l, t, v], g, h, -1)
-                    system.require_zero(expr)
+            for u, v in product(range(m), repeat=2):
+                exprs = defaultdict(_Lin)
+                for l, h in rows[u]:  # H_j[u][l]
+                    for i1, t, g in at_terms[v]:  # H_t[v][i1]
+                        for i2 in range(m):
+                            exprs[min(i1, i2), max(i1, i2)].add(b[l, t, i2], h, g)
+                for i1, t, g in at_terms[u]:  # H_t[u][i1]
+                    for i2 in range(m):
+                        for l, h in cols[i2]:  # H_j[l][i2]
+                            exprs[min(i1, i2), max(i1, i2)].add(b_bar[l, t, v], g, h, -1)
+                for key in sorted(exprs):
+                    system.require_zero(exprs[key])
 
     return tuple(
         (_symmetric(a, sol, k), b.values(sol))

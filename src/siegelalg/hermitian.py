@@ -130,6 +130,8 @@ def negative_direction(m: ComplexRows) -> Optional[tuple[GaussianRational, ...]]
     pairings, each O(d^2).
     """
     d = len(m)
+    if any(len(row) != d for row in m):
+        raise ValidationError("matrix must be square")
     vectors = [[GR_ONE if i == j else GR_ZERO for j in range(d)] for i in range(d)]
     gram = [list(row) for row in m]
     while vectors:

@@ -160,6 +160,8 @@ def generic_rank(rows: Sequence[Sequence[Mapping[Monomial, int | Fraction]]], nv
     nvars = _int(nvars, "nvars")
     mat = [_int_row(row, nvars) for row in rows]
     nrows, ncols = len(mat), len(mat[0]) if mat else 0
+    if any(len(row) != ncols for row in mat):
+        raise ValidationError("column count mismatch")
     prev = None
     r = 0
     for c in range(ncols):

@@ -97,9 +97,12 @@ class TestBuild:
         (lambda: DomainId("d6", v=(1, 1, 0.5)), "entries must be rationals"),
         (lambda: build(DomainId("d6")), "need a 3-vector, got 0 entries"),
         (lambda: build(DomainId("tube")), "a cone id must be a string, got None"),
+        (lambda: d5(5), "v must be a list or tuple, got 5"),
+        (lambda: DomainId("ball-product", factors=3), "factors must be a list or tuple, got 3"),
+        (lambda: DomainId("d3", n=4, params=7), "params must be a list or tuple, got 7"),
     ], ids=["ball-float", "ball-missing", "ballproduct-bool", "ballproduct-missing", "d1-bool",
             "d2-missing", "d3-float", "d3-missing", "d4-short", "d5-bool", "d5-missing", "d6-float",
-            "d6-missing", "tube-missing"])
+            "d6-missing", "tube-missing", "d5-scalar", "ballproduct-scalar", "d3-scalar"])
     def test_an_id_built_directly_is_read_as_the_builders_read_it(self, domain, message):
         with pytest.raises(ValidationError) as exc:
             domain()

@@ -197,6 +197,12 @@ class TestPsd:
         value = evaluate(family(m), w)[0]
         assert value.im == 0 and value.re < 0
 
+    @pytest.mark.parametrize("m", [[[gr(-1)], [gr(0)]], [[gr(1), gr(2)], [gr(2)]]],
+                             ids=["2x1", "ragged"])
+    def test_non_square_is_refused(self, m):
+        with pytest.raises(ValidationError, match="matrix must be square"):
+            negative_direction(m)
+
     def test_negative_direction_none_for_psd(self):
         assert negative_direction(diag(3, 0)) is None
 

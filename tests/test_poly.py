@@ -80,6 +80,12 @@ class TestGenericRank:
         m = [row, row]
         assert generic_rank(m, 2) == 1
 
+    @pytest.mark.parametrize("rows", [[[x(0)], [x(0), x(1)]], [[x(0), x(1)], [x(0)]]],
+                             ids=["short-first", "long-first"])
+    def test_ragged_rows_are_refused(self, rows):
+        with pytest.raises(ValidationError, match="column count mismatch"):
+            generic_rank(rows, 2)
+
     def test_scalar_action_row(self):
         # evaluation row of the scalar subalgebra acting on R^2
         m = [[x(0), x(1)]]
