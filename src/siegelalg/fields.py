@@ -95,9 +95,13 @@ def materialize(spec: SiegelDomainSpec, sols: GradedSolutions) -> tuple[PolyVect
     """Explicit generators for all five graded components, in weight order.
 
     Symmetric forms are summed over all index pairs (i, j), so an off-diagonal
-    coefficient enters twice: the doubled convention of ``graded._symmetric``.
+    coefficient enters twice: the doubled convention of ``graded.Tensor``.
+    ``sols`` whose k or m differ from ``spec``'s are refused; solutions of
+    another domain of the same k and m are not caught.
     """
     n, k, m = spec.n, spec.k, spec.m
+    if (sols.dims.d_m1, sols.dims.d_mhalf) != (k, 2 * m):
+        raise ValidationError("solutions are not of this domain's shape")
     h_rows = spec.form.row
     two_i = GR_I + GR_I
     fields: list[PolyVectorField] = []

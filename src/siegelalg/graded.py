@@ -32,8 +32,10 @@ s = dim L off the weight-0 basis, and only g_0 and g_1 assemble the association.
 
 Column order: a solver takes its unknowns from its ``_System`` as blocks, in
 the order it declares them. Each block is row-major, and a complex entry takes
-its real and imaginary parts in adjacent columns, real first. The order fixes
-which unknowns are free in the nullspace, and with it every basis vector.
+its real and imaginary parts in adjacent columns, real first. A block of
+symmetric forms (c of g1/2, a of g1) has one unknown per entry (l, i, j) with
+i <= j, in that order, and entry (l, j, i) reads the same unknown. The order
+fixes which unknowns are free in the nullspace, and with it every basis vector.
 
 Work in proportion to the nonzeros: every sum over an index of some H_j runs
 over the family's table of nonzero entries (``row``, ``col`` and ``at`` of
@@ -69,7 +71,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import prod
 from typing import Sequence
 
@@ -172,8 +174,8 @@ def _axpy(row: dict[int, Exact], c: Exact, other: dict[int, Exact]) -> None:
 class _System:
     """Homogeneous real linear system, collected as sparse rows ``{unknown: int or Fraction}``.
 
-    ``real`` and ``complex`` hand out blocks of unknowns in declaration order;
-    ``n`` counts the columns so far.
+    ``real``, ``complex`` and ``symmetric`` hand out blocks of unknowns in
+    declaration order; ``n`` counts the columns so far.
     """
 
     def __init__(self) -> None:
@@ -181,13 +183,23 @@ class _System:
         self.rows: list[dict[int, Exact]] = []
 
     def real(self, *shape: int) -> _Block:
-        return self._block(shape, 1)
+        return self._block(shape, 1, None)
 
     def complex(self, *shape: int) -> _Block:
-        return self._block(shape, 2)
+        return self._block(shape, 2, None)
 
-    def _block(self, shape: tuple[int, ...], width: int) -> _Block:
-        block = _Block(self.n, shape, width)
+    def symmetric(self, forms: int, n: int, width: int) -> _Block:
+        """``forms`` symmetric n x n forms, one unknown per entry (l, i, j) with i <= j, in that
+        order; off the diagonal it is also entry (l, j, i)."""
+        return self._block((forms, n, n), width, [
+            ((l * n + i) * n + j, (l * n + j) * n + i) if i < j else ((l * n + i) * n + i,)
+            for l in range(forms)
+            for i, j in combinations_with_replacement(range(n), 2)
+        ])
+
+    def _block(self, shape: tuple[int, ...], width: int,
+               cells: list[tuple[int, ...]] | None) -> _Block:
+        block = _Block(self.n, shape, width, cells)
         self.n = block.stop
         return block
 
@@ -206,22 +218,29 @@ class _System:
 
 
 class _Block:
-    """A row-major array of unknowns in consecutive columns from ``start``.
+    """An array of ``shape`` whose unknowns sit in consecutive columns from ``start``.
 
     ``width`` is 1 for real entries and 2 for complex ones, whose (re, im)
-    parts sit in adjacent columns.
+    parts sit in adjacent columns. In a plain block (``cells`` None) each
+    entry is an unknown, row-major; otherwise ``cells[u]`` lists the row-major
+    indexes of the entries that the u-th unknown stands for.
     """
 
-    __slots__ = ("start", "shape", "width", "stop", "_lins")
+    __slots__ = ("start", "shape", "width", "stop", "_lins", "_cells")
 
-    def __init__(self, start: int, shape: tuple[int, ...], width: int) -> None:
-        self.start, self.shape, self.width = start, shape, width
+    def __init__(self, start: int, shape: tuple[int, ...], width: int,
+                 cells: list[tuple[int, ...]] | None) -> None:
+        self.start, self.shape, self.width, self._cells = start, shape, width, cells
+        indexes = list(product(*map(range, shape)))
+        units = [(flat,) for flat in range(len(indexes))] if cells is None else cells
         # built once and shared: _Lin.add changes only its accumulator
         self._lins = {}
-        for flat, index in enumerate(product(*map(range, shape))):
-            col = start + width * flat
-            self._lins[index] = _Lin({col: 1}, {col + 1: 1} if width == 2 else {})
-        self.stop = start + width * len(self._lins)
+        for u, flats in enumerate(units):
+            col = start + width * u
+            lin = _Lin({col: 1}, {col + 1: 1} if width == 2 else {})
+            for flat in flats:
+                self._lins[indexes[flat]] = lin
+        self.stop = start + width * len(units)
 
     def __getitem__(self, index: int | tuple[int, ...]) -> _Lin:
         return self._lins[index if isinstance(index, tuple) else (index,)]
@@ -247,9 +266,13 @@ class _Block:
 
         Only the present columns are read; every other entry is the shared
         zero, a ``Fraction`` in a real block and ``GR_ZERO`` in a complex one.
+        An unknown standing for several entries, as in a symmetric block, sets each of them.
         """
-        flat = [_ZERO if self.width == 1 else GR_ZERO] * ((self.stop - self.start) // self.width)
-        for i, x in self.present(sol):
+        flat = [_ZERO if self.width == 1 else GR_ZERO] * prod(self.shape)
+        entries = self.present(sol)
+        if self._cells is not None:
+            entries = [(i, x) for u, x in entries for i in self._cells[u]]
+        for i, x in entries:
             flat[i] = x
         for axis in range(len(self.shape) - 1, 0, -1):
             d = self.shape[axis]
@@ -257,35 +280,13 @@ class _Block:
         return tuple(flat)
 
 
-def _sym_pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i, n)]
-
-
 # ---------------------------------------------------------------------------
 # basis elements
 
 # Coefficients c[l][i][j] of a bilinear form, value_l(u, v) = sum_{i,j} c[l][i][j] u_i v_j:
 # ``Fraction``s for a real form (``a`` of g1), ``GaussianRational``s for a complex one.
+# A symmetric form has c[l][i][j] = c[l][j][i]: a sum over all (i, j) counts each i != j twice.
 Tensor = tuple[tuple[tuple[Scalar, ...], ...], ...]
-
-
-def _symmetric(block: _Block, sol: dict[int, Fraction], n: int) -> Tensor:
-    """The symmetric form whose coefficients, the entries of ``block`` in ``sol``, run over the
-    pairs i <= j, one row of the block per form.
-
-    Both c[l][i][j] and c[l][j][i] hold the pair's coefficient, so a sum over
-    all (i, j) counts an off-diagonal coefficient twice:
-    value_l(u, u) = sum_i c[l,ii] u_i^2 + 2 sum_{i<j} c[l,ij] u_i u_j.
-    Only the present entries are read; the others are the block's zero.
-    """
-    pairs = _sym_pairs(n)
-    zero = _ZERO if block.width == 1 else GR_ZERO
-    forms = [[[zero] * n for _ in range(n)] for _ in range(block.shape[0])]
-    for flat, x in block.present(sol):
-        l, idx = divmod(flat, len(pairs))
-        i, j = pairs[idx]
-        forms[l][i][j] = forms[l][j][i] = x
-    return tuple(tuple(map(tuple, form)) for form in forms)
 
 
 class GradedDims(Frozen):
@@ -314,10 +315,11 @@ def _emit_association(
     system: _System,
     form: HermitianFamily,
     a_rows: list[list[_Lin]],
+    scale: int,
     b_entries: _Block | dict[tuple[int, int], _Lin],
     m: int,
 ) -> None:
-    """Rows for B^* H_j + H_j B = sum_l A[j][l] H_l for every j; ``b_entries[t, u]`` is B[t][u].
+    """Rows for B^* H_j + H_j B = scale * sum_l A[j][l] H_l; ``b_entries[t, u]`` is B[t][u].
 
     Both sides are Hermitian, so entry (v, u) is the conjugate of entry (u, v):
     the rows are those of the entries u <= v, and only the real part of a
@@ -333,7 +335,7 @@ def _emit_association(
                 for t, h in rows[u]:  # H_j[u][t]
                     expr.add(b_entries[t, v], h)
                 for l, h in form.at[u][v]:  # H_l[u][v]
-                    expr.add(a_rows[j][l], h, -1)
+                    expr.add(a_rows[j][l], h, -scale)
                 if u == v:
                     system.require_real_zero(expr.re)
                 else:
@@ -406,7 +408,7 @@ def solve_g0(spec: SiegelDomainSpec) -> tuple[tuple[RealRows, ComplexRows], ...]
         for j in range(k):
             for l in range(k):
                 a_rows[j][l].add(coords[p], _exact(g[j][l]))
-    _emit_association(system, spec.form, a_rows, b, m)
+    _emit_association(system, spec.form, a_rows, 1, b, m)
 
     # A = sum_p x_p g_p, summed over the nonzero x_p and the nonzero entries of g_p
     g_entries = [
@@ -424,15 +426,16 @@ def solve_g0(spec: SiegelDomainSpec) -> tuple[tuple[RealRows, ComplexRows], ...]
 
 def a_part_basis(g0: Sequence[tuple[RealRows, ComplexRows]]) -> tuple[RealRows, ...]:
     """Canonical basis of the span of the A-parts of ``g0``: the reduced rows of the vectorized
-    matrices, so it does not depend on the pairing with B."""
+    matrices, so it does not depend on the pairing with B. The A-parts must be k x k for one k."""
     if not g0:
         return ()
     k = len(g0[0][0])
+    if any(len(a) != k or any(len(row) != k for row in a) for a, _ in g0):
+        raise ValidationError("A-parts must be square matrices of one size")
     rows = [{i * k + j: x for i, row in enumerate(a) for j, x in enumerate(row) if x} for a, _ in g0]
     reduced, _ = sparse_rref(rows)
-    zero = Fraction(0)
     return tuple(
-        tuple(tuple(r.get(i * k + j, zero) for j in range(k)) for i in range(k))
+        tuple(tuple(r.get(i * k + j, _ZERO) for j in range(k)) for i in range(k))
         for r in reduced
     )
 
@@ -462,10 +465,9 @@ def solve_g_half(spec: SiegelDomainSpec) -> tuple[tuple[ComplexRows, Tensor], ..
         return ()
     form = spec.form
     annihilators = spec.cone.annihilator_terms
-    pairs = _sym_pairs(m)
     system = _System()
     phi = system.complex(m, k)
-    c = system.complex(m, len(pairs))
+    c = system.symmetric(m, m, 2)
 
     # cone membership of [x -> Im H(w0, Phi x)] for w0 in the coordinate set
     for u, unit in coordinate_units(m):
@@ -481,20 +483,17 @@ def solve_g_half(spec: SiegelDomainSpec) -> tuple[tuple[ComplexRows, Tensor], ..
             for v, h in cols[l]:
                 entry.add(phi_bar[v, t], h)
         for u in range(m):
-            for idx, (i, jp) in enumerate(pairs):
+            for i, jp in combinations_with_replacement(range(m), 2):
                 expr = _Lin()
                 for l, h in rows[u]:  # H_j[u][l]
-                    expr.add(c[l, idx], h, 1 if i == jp else 2)
+                    expr.add(c[l, i, jp], h, 1 if i == jp else 2)
                 # the terms for (i, jp) and, off the diagonal, their mirror (jp, i)
                 for i1, i2 in ((i, jp), (jp, i)) if i != jp else ((i, jp),):
                     for t, h in form.at[u][i1]:  # H_t[u][i1]
                         expr.add(phibar_h[t, i2], h, minus_two_i)
                 system.require_zero(expr)
 
-    return tuple(
-        (phi.values(sol), _symmetric(c, sol, m))
-        for sol in system.solutions()
-    )
+    return tuple((phi.values(sol), c.values(sol)) for sol in system.solutions())
 
 
 @lru_cache(maxsize=1)
@@ -514,28 +513,20 @@ def solve_g1(spec: SiegelDomainSpec) -> tuple[tuple[Tensor, Tensor], ...]:
     k, m = spec.k, spec.m
     form = spec.form
     annihilators = spec.cone.annihilator_terms
-    spairs = _sym_pairs(k)
-    spair_index = {p: idx for idx, p in enumerate(spairs)}
     system = _System()
-    a = system.real(k, len(spairs))
+    a = system.symmetric(k, k, 1)
     b = system.complex(m, k, m)
-
-    def a_lin(l: int, i: int, j: int) -> _Lin:
-        return a[l, spair_index[(min(i, j), max(i, j))]]
 
     for t in range(k):
         # membership of x -> a(e_t, x)
-        grid = {(l, j): a_lin(l, t, j) for l, j in product(range(k), repeat=2)}
+        grid = {(l, j): a[l, t, j] for l, j in product(range(k), repeat=2)}
         _annihilator_rows(system, annihilators, grid)
         if m:
             # association of w -> b(e_t, w)/2 to a(e_t, .), each row doubled:
             # w -> b(e_t, w) associated to 2 a(e_t, .)
-            a_rows = [[_Lin() for _ in range(k)] for _ in range(k)]
-            for j in range(k):
-                for l in range(k):
-                    a_rows[j][l].add(a_lin(j, t, l), 2)
+            a_t = [[a[j, t, l] for l in range(k)] for j in range(k)]
             b_t = {(lp, p): b[lp, t, p] for lp, p in product(range(m), repeat=2)}
-            _emit_association(system, form, a_rows, b_t, m)
+            _emit_association(system, form, a_t, 2, b_t, m)
             # reality of the trace
             trace = _Lin()
             for l in range(m):
@@ -570,10 +561,7 @@ def solve_g1(spec: SiegelDomainSpec) -> tuple[tuple[Tensor, Tensor], ...]:
                 for key in sorted(exprs):
                     system.require_zero(exprs[key])
 
-    return tuple(
-        (_symmetric(a, sol, k), b.values(sol))
-        for sol in system.solutions()
-    )
+    return tuple((a.values(sol), b.values(sol)) for sol in system.solutions())
 
 
 class GradedSolutions(Frozen):

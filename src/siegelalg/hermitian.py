@@ -119,6 +119,8 @@ def _entry(x: Scalar) -> GaussianRational:
 def negative_direction(m: ComplexRows) -> Optional[tuple[GaussianRational, ...]]:
     """A vector w with conj(w)^T M w < 0, or None when the Hermitian M is PSD.
 
+    The entries of M are read by ``GaussianRational.of``; a non-Hermitian M is refused.
+
     Found by exact congruence diagonalization (no square roots): repeatedly
     pick a basis vector with nonzero self-pairing, split the rest off, and
     read the signs of the diagonal values. The Gram matrix of the remaining
@@ -132,8 +134,10 @@ def negative_direction(m: ComplexRows) -> Optional[tuple[GaussianRational, ...]]
     d = len(m)
     if any(len(row) != d for row in m):
         raise ValidationError("matrix must be square")
+    gram = [list(map(GaussianRational.of, row)) for row in m]
+    if any(gram[i][j] != gram[j][i].conjugate() for i in range(d) for j in range(i, d)):
+        raise ValidationError("matrix must be Hermitian")
     vectors = [[GR_ONE if i == j else GR_ZERO for j in range(d)] for i in range(d)]
-    gram = [list(row) for row in m]
     while vectors:
         p = next((i for i, row in enumerate(gram) if row[i].re), None)
         if p is None:

@@ -133,6 +133,8 @@ LIBRARY_HOOKS = {
 
 
 def test_every_public_method_has_a_caller():
+    """Every method but the dunders, ``_``-prefixed ones too, is read somewhere in the package,
+    so a helper left behind by a deletion fails here."""
     trees = _package_trees()
     uncalled = [
         f"{cls.name}.{node.name}"
@@ -141,7 +143,7 @@ def test_every_public_method_has_a_caller():
         if isinstance(cls, ast.ClassDef)
         for node in cls.body
         if isinstance(node, ast.FunctionDef)
-        and not node.name.startswith("_")
+        and not (node.name.startswith("__") and node.name.endswith("__"))
         and not _has_caller(node, tree, trees)
     ]
     assert sorted(uncalled) == sorted(LIBRARY_HOOKS)

@@ -385,3 +385,10 @@ class TestD6Reference:
         ((a, b),) = sols.g_one
         zero = _map_tensor(a, lambda at, x: 0 * x)
         assert not catalog._d6_basis_matches(_g_one((zero, b)))
+
+
+@pytest.mark.parametrize("read", [lambda d: d.label, build], ids=["label", "build"])
+def test_unknown_domain_kind_is_named(read):
+    with pytest.raises(ValidationError) as exc:
+        read(DomainId("x"))
+    assert str(exc.value) == "unknown domain kind 'x'"

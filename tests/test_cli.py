@@ -806,3 +806,16 @@ def test_tube_cone_id_is_read_as_the_catalog_reads_it(capsys, cone):
     code, out, err = run_cli(capsys, "dims", "--domain", "tube", "--cone", cone)
     assert (code, err) == (0, "")
     assert out.startswith("domain T3: n=3 k=3\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dims", "--domain", "ball"], "ball needs --n"),
+    (["dims", "--domain", "ballproduct"], "ballproduct needs --factors, e.g. --factors 2,1,1"),
+    (["dims", "--domain", "ballproduct", "--factors", "2,x"], "bad factor list '2,x'"),
+    (["dims", "--domain", "d1"], "d1 needs --n"),
+    (["dims", "--domain", "d3", "--alpha", "1"], "d3 needs --alpha --beta --gamma --delta"),
+    (["dims", "--domain", "tube"], "tube needs --cone, e.g. --cone omega4"),
+    (["dims"], "provide either --domain or --spec FILE"),
+])
+def test_missing_or_bad_domain_flags_are_one_error_line(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")

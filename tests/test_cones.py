@@ -267,3 +267,9 @@ class TestValidation:
 
     def test_orthant_one_is_half_line(self):
         assert orthant(1).k == half_line().k == 1
+
+
+def test_cone_of_dimension_zero_built_directly_is_refused():
+    with pytest.raises(ValidationError) as exc:
+        ConeSpec("empty", 0, (), (), ())
+    assert str(exc.value) == "cone dimension must be at least 1"

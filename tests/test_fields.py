@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from siegelalg import catalog, fields as fields_module
 from siegelalg.cones import catalog_cone, half_line
+from siegelalg.errors import ValidationError
 from siegelalg.fields import (
     GRADES,
     PolyVectorField,
@@ -468,3 +469,25 @@ def test_doubled_coefficient_escapes_the_grading():
     report = check_grading(spec, fields)
     assert not report.passed
     assert any("escapes" in msg for msg in report.failures)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: PolyVectorField(2, (Polynomial(2, ()),)), "need one component per coordinate"),
+    (lambda: PolyVectorField(1, (Polynomial(2, ()),)), "component variable count mismatch"),
+    (lambda: bracket(PolyVectorField(1, (Polynomial(1, ()),)),
+                     PolyVectorField(2, (Polynomial(2, ()),) * 2)),
+     "fields live on different spaces"),
+])
+def test_field_shape_errors_are_named(make, message):
+    with pytest.raises(ValidationError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("spec_n, sols_n", [(2, 3), (3, 2)])
+def test_materialize_refuses_solutions_of_another_shape(spec_n, sols_n):
+    spec = catalog.build(catalog.ball(spec_n))
+    sols = solve_all(catalog.build(catalog.ball(sols_n)))
+    with pytest.raises(ValidationError) as exc:
+        materialize(spec, sols)
+    assert str(exc.value) == "solutions are not of this domain's shape"

@@ -853,3 +853,45 @@ def test_g1_identities_hold_at_every_pair_of_units(name):
                 values = [evaluate(spec.form, w1, col) for col in b_w0]
                 rows = [[values[t][j].im for t in range(k)] for j in range(k)]
                 assert in_g_omega(spec.cone, rows)
+
+
+@pytest.mark.parametrize("width", [1, 2], ids=["real", "complex"])
+def test_symmetric_block_round_trip(width):
+    """Each column of a block of symmetric forms is one unknown (l, i, j), i <= j, in that
+    order; its unit vector sets entry (l, i, j) and, off the diagonal, the mirror (l, j, i)."""
+    forms, n = 2, 3
+    system = graded._System()
+    system.real(2)  # an earlier block, so the forms do not start at column 0
+    block = system.symmetric(forms, n, width)
+    unknowns = [(l, i, j) for l in range(forms) for i in range(n) for j in range(i, n)]
+    assert (block.start, block.stop, system.n) == (2, 2 + width * len(unknowns), block.stop)
+    for col in range(block.start, block.stop):
+        u, part = divmod(col - block.start, width)
+        l, i, j = unknowns[u]
+        hits = {index: value for index, value in _entries(block.values({col: Fraction(1)}))
+                if value}
+        assert set(hits) == {(l, i, j), (l, j, i)}
+        if width == 1:
+            assert all(type(v) is Fraction and v == 1 for v in hits.values())
+        else:
+            assert set(hits.values()) == {(GR_ONE, GR_I)[part]}
+        assert block[l, i, j] is block[l, j, i]
+        re_col = col - part
+        assert block[l, i, j].re == {re_col: 1}
+        assert block[l, i, j].im == ({} if width == 1 else {re_col + 1: 1})
+
+
+@pytest.mark.parametrize("g0", [
+    [(((Fraction(1), Fraction(0), Fraction(1)), (Fraction(0), Fraction(1))), ())],  # ragged
+    [(((Fraction(1),),), ()), (((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))), ())],
+], ids=["ragged", "two-sizes"])
+def test_a_part_basis_refuses_a_parts_that_are_not_square_of_one_size(g0):
+    with pytest.raises(ValidationError) as exc:
+        a_part_basis(g0)
+    assert str(exc.value) == "A-parts must be square matrices of one size"
+
+
+def test_spec_refuses_a_family_of_the_wrong_shape():
+    with pytest.raises(ValidationError) as exc:
+        SiegelDomainSpec(3, 1, half_line(), HermitianFamily([((1,),)]))
+    assert str(exc.value) == "Hermitian family must have k components on C^(n-k)"

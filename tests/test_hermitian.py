@@ -479,3 +479,15 @@ def test_sampled_check_agrees_with_a_real_value_oracle(name):
         passed,
     )
     assert is_omega_hermitian(fam, cone) == expected
+
+
+def test_negative_direction_refuses_a_non_hermitian_matrix():
+    # w = (1, -1) gives conj(w)^T M w = -1, which a reading of M as Hermitian misses
+    with pytest.raises(ValidationError) as exc:
+        negative_direction([[gr(1), gr(3)], [gr(0), gr(1)]])
+    assert str(exc.value) == "matrix must be Hermitian"
+
+
+def test_negative_direction_reads_rational_entries():
+    assert negative_direction([[1]]) is None
+    assert negative_direction([[Fraction(-1, 2)]]) == (GR_ONE,)

@@ -6,6 +6,7 @@ import pytest
 
 from siegelalg import catalog
 from siegelalg.cones import catalog_cone, classify_point, Region
+from siegelalg.errors import ValidationError
 from siegelalg.graded import SiegelDomainSpec, a_part_basis, solve_g0
 from siegelalg.hermitian import HermitianFamily, _Lcg
 from siegelalg.homogeneity import (
@@ -190,3 +191,13 @@ class TestVerdicts:
     def test_note_is_honest_about_open_orbits(self):
         verdict = verdict_of(d1_spec())
         assert "not by itself" in verdict.note
+
+
+def test_generic_orbit_rank_of_no_matrices_is_zero():
+    assert generic_orbit_rank([], 3) == 0
+
+
+def test_generic_orbit_rank_refuses_a_matrix_of_the_wrong_size():
+    with pytest.raises(ValidationError) as exc:
+        generic_orbit_rank([((Fraction(1),),)], 2)
+    assert str(exc.value) == "basis matrices must be k x k"

@@ -18,6 +18,7 @@ from siegelalg.linalg import (
     gr,
     sparse_nullspace,
     sparse_rref,
+    span_rank,
 )
 from matrix_oracles import apply, as_rows, conj_transpose, dense_rref, identity, matmul, rank, zeros
 
@@ -375,3 +376,14 @@ class TestMatrixStructure:
         assert conj_transpose(a)[0][0] == gr(0, -1)
         prod = matmul(a, conj_transpose(a))
         assert prod[0][0] == gr(2)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Matrix(1, 1, ()), "row count mismatch"),
+    (lambda: Matrix(1, 2, ((GR_ONE,),)), "column count mismatch"),
+    (lambda: span_rank([[1, 2]], 3), "vector width mismatch"),
+])
+def test_shape_errors_are_named(make, message):
+    with pytest.raises(ValidationError) as exc:
+        make()
+    assert str(exc.value) == message

@@ -155,3 +155,13 @@ def test_generic_rank_matches_polynomial_reference(case):
     # the same rows as ``Fraction`` dicts
     as_fractions = [[{m: Fraction(c) for m, c in p.items()} for p in row] for row in rows]
     assert generic_rank(as_fractions, k) == expected
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Polynomial(2, ()).format(["x"]), "name count mismatch"),
+    (lambda: generic_rank([[{(1,): 1}]], 2), "variable count mismatch"),
+])
+def test_variable_count_errors_are_named(make, message):
+    with pytest.raises(ValidationError) as exc:
+        make()
+    assert str(exc.value) == message

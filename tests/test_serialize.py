@@ -325,3 +325,17 @@ EXACT_VALUES = st.recursive(
 def test_format_json_encodes_exact_values_as_the_reference(value):
     assert format_json(value) == json.dumps(_reference_to_json(value), indent=2)
     assert to_json(value) == _reference_to_json(value)
+
+
+def test_unknown_boundary_kind_is_named():
+    doc = cone_to_json(catalog_cone("omega1"))
+    doc["boundary"]["factors"][0]["kind"] = "cubic"
+    with pytest.raises(ValidationError) as exc:
+        cone_from_json(doc)
+    assert str(exc.value) == "unknown boundary kind 'cubic'"
+
+
+def test_domain_document_must_be_an_object():
+    with pytest.raises(ValidationError) as exc:
+        load_domain_spec([])
+    assert str(exc.value) == "domain document must be an object"
