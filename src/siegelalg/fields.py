@@ -11,21 +11,25 @@ every term of x_u, adds the product of the two coefficients times e at the
 monomial m_x + m_y - e_u; the same walk over x_c, with x and y swapped and the
 sign flipped, subtracts Y(x_c). The walk reads each polynomial's terms as
 exact (re, im) parts, the real and imaginary parts of the result accumulate
-in two dicts, and a zero part costs no product. Each component is then built
-once by ``Polynomial.from_parts``, already in canonical order. A zero
-operand gives the zero field at once (with the summed grade).
+in two dicts, and a zero part or an empty component costs nothing. Each
+nonzero component is then built once by ``Polynomial.from_parts``, already
+in canonical order.
 
-An identity between fields is decided in exact real coordinates: ``_vanishes``
-adds the fields' coefficients, each times its scalar, into one dict. It
-checks each eigenvalue relation of ``check_grading`` and each antisymmetry
-and Jacobi sum of ``bracket_identities_hold``, which brackets each ordered
-pair once. ``check_grading`` eliminates each weight's span once and decides
-whether a bracket lies in it with one reduction pass against the reduced rows.
+Identities between fields are decided in exact real coordinates.
+``check_grading`` reads each eigenvalue relation off the weighted degrees of
+a field's terms, with no bracket; it brackets each unordered pair once,
+eliminates each weight's span once and decides whether a bracket lies in it
+with one reduction pass against the reduced rows. ``bracket_identities_hold``
+brackets each ordered pair once, writes each bracket in the basis of the
+fields by the same pass against one tagged elimination, and checks
+antisymmetry and Jacobi on these structure constants.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
+from operator import add, mul
 from typing import Optional, Sequence
 
 from .errors import ValidationError
@@ -161,12 +165,12 @@ def _apply(re: dict, im: dict, x: PolyVectorField, p: Polynomial, sign: int) -> 
     """
     for mono, cr, ci in p.terms:
         for u, e in enumerate(mono):
-            if not e:
+            if not (e and (xterms := x.components[u].terms)):
                 continue
             lowered = mono[:u] + (e - 1,) + mono[u + 1:]
             pr, pi = sign * e * cr, sign * e * ci
-            for xm, xr, xi in x.components[u].terms:
-                key = tuple(a + b for a, b in zip(xm, lowered))
+            for xm, xr, xi in xterms:
+                key = tuple(map(add, xm, lowered))
                 if xr:
                     if pr:
                         re[key] = re.get(key, 0) + xr * pr
@@ -189,15 +193,15 @@ def bracket(x: PolyVectorField, y: PolyVectorField) -> PolyVectorField:
         grade = x.grade + y.grade
         if grade not in GRADES:
             grade = None
-    if x.is_zero() or y.is_zero():
-        return PolyVectorField(n, (Polynomial(n, ()),) * n, grade, "")
     comps = []
-    for c in range(n):
+    for xc, yc in zip(x.components, y.components):
         re: dict = {}
         im: dict = {}
-        _apply(re, im, x, y.components[c], 1)
-        _apply(re, im, y, x.components[c], -1)
-        comps.append(Polynomial.from_parts(n, re, im))
+        if yc.terms:
+            _apply(re, im, x, yc, 1)
+        if xc.terms:
+            _apply(re, im, y, xc, -1)
+        comps.append(Polynomial.from_parts(n, re, im) if re or im else Polynomial(n, ()))
     return PolyVectorField(n, tuple(comps), grade, "")
 
 
@@ -216,32 +220,30 @@ def _real_coordinates(f: PolyVectorField) -> dict[tuple, Exact]:
     return row
 
 
-def _vanishes(*terms: tuple[Exact, PolyVectorField]) -> bool:
-    """Whether the sum of c * f over the (c, f) in ``terms``, c real, is zero in real coordinates."""
-    total: dict = {}
-    for c, f in terms:
-        for key, x in _real_coordinates(f).items():
-            total[key] = total.get(key, 0) + c * x
-    return not any(total.values())
+Span = list[tuple[tuple, dict[tuple, Exact]]]
 
 
-Span = list[tuple[tuple, dict[tuple, Fraction]]]
+def _span(rows: Sequence[dict[tuple, Exact]]) -> Span:
+    """The span of real ``rows`` as (pivot, reduced row) pairs, an integral entry as an ``int``."""
+    reduced, pivots = sparse_rref(rows)
+    return [
+        (c, {j: x.numerator if x.denominator == 1 else x for j, x in row.items()})
+        for c, row in zip(pivots, reduced)
+    ]
 
 
 def _real_span(fields: Sequence[PolyVectorField]) -> Span:
     """The real span of ``fields`` as (pivot, reduced row) pairs; their count is its dimension."""
-    reduced, pivots = sparse_rref([_real_coordinates(f) for f in fields])
-    return list(zip(pivots, reduced))
+    return _span([_real_coordinates(f) for f in fields])
 
 
-def _escapes(span: Span, f: PolyVectorField) -> bool:
-    """Whether ``f`` lies outside the real span whose reduced rows are ``span``.
+def _reduce(span: Span, v: dict) -> dict:
+    """The part of the real row ``v`` outside the span whose reduced rows are ``span``, in place.
 
     One pass: each reduced row is 1 at its pivot and 0 at the other pivots,
-    so subtracting f's pivot entry times each row, in any order, leaves the
-    part of f outside the span, which is zero exactly when f is inside.
+    so subtracting v's pivot entry times each row, in any order, leaves the
+    part of v outside the span, which is empty exactly when v is inside.
     """
-    v = _real_coordinates(f)
     for pivot, row in span:
         t = v.get(pivot)
         if t:
@@ -251,7 +253,12 @@ def _escapes(span: Span, f: PolyVectorField) -> bool:
                     v[key] = y
                 else:
                     del v[key]
-    return bool(v)
+    return v
+
+
+def _escapes(span: Span, f: PolyVectorField) -> bool:
+    """Whether ``f`` lies outside the real span whose reduced rows are ``span``."""
+    return bool(_reduce(span, _real_coordinates(f)))
 
 
 class GradingReport(Frozen):
@@ -264,67 +271,92 @@ class GradingReport(Frozen):
 def check_grading(spec: SiegelDomainSpec, fields: Sequence[PolyVectorField]) -> GradingReport:
     """Verify the eigenvalue relations and bracket closure of a generator set.
 
-    Each labeled field X of weight nu must satisfy [euler, X] = nu X exactly,
-    and the bracket of two generators must land in the real span of the
-    generators of the summed weight whenever that weight is one of the five;
-    brackets falling outside the weight range are not checked. Each weight's
-    span is eliminated once, and every bracket is reduced against it.
+    Each labeled field X of weight nu must satisfy [euler, X] = nu X exactly.
+    With wt weighing each variable by its Euler coefficient (z by 1, w by 1/2),
+    the Euler field scales a term of component c and monomial m by
+    wt(m) - wt(c), so the relation is read off the terms: each must have
+    wt(m) = wt(c) + nu. Each unordered pair of generators is bracketed once;
+    the bracket must lie in the real span of the generators of the summed
+    weight, eliminated once per weight, when that weight is one of the five,
+    and must vanish when it is not.
     """
-    euler = euler_field(spec)
+    # the Euler field's coefficients, doubled to integers: z weighs 2 and w 1
+    weights = [int(2 * p.terms[0][1]) for p in euler_field(spec).components]
     failures = []
     graded = [f for f in fields if f.grade is not None]
-    eigen = 0
     for f in graded:
-        eigen += 1
-        if not _vanishes((1, bracket(euler, f)), (-f.grade, f)):
+        if f.n != spec.n:
+            raise ValidationError("fields live on different spaces")
+        shift = 2 * f.grade
+        if any(
+            sum(map(mul, weights, mono)) - weights[c] != shift
+            for c, p in enumerate(f.components) for mono, _, _ in p.terms
+        ):
             failures.append(f"eigenvalue relation fails for {f.label or 'unlabeled field'}")
     by_grade: dict[Fraction, list[PolyVectorField]] = {}
     for f in graded:
         by_grade.setdefault(f.grade, []).append(f)
     spans = {grade: _real_span(group) for grade, group in by_grade.items()}
-    pairs = 0
-    items = sorted(by_grade.items())
-    for gi, (mu, group_mu) in enumerate(items):
-        for nu, group_nu in items[gi:]:
-            target_grade = mu + nu
-            if target_grade not in GRADES:
-                continue
-            target = spans.get(target_grade, [])
-            for f1 in group_mu:
-                for f2 in group_nu:
-                    if f1 is f2:
-                        continue
-                    pairs += 1
-                    if _escapes(target, bracket(f1, f2)):
-                        failures.append(
-                            f"[{f1.label}, {f2.label}] escapes the weight-{target_grade} span"
-                        )
-    return GradingReport(not failures, tuple(failures), eigen, pairs)
+    for f1, f2 in combinations(sorted(graded, key=lambda f: f.grade), 2):
+        target_grade = f1.grade + f2.grade
+        b = bracket(f1, f2)
+        if target_grade not in GRADES:
+            if not b.is_zero():
+                failures.append(f"[{f1.label}, {f2.label}] is nonzero at weight {target_grade}")
+        elif _escapes(spans.get(target_grade, []), b):
+            failures.append(f"[{f1.label}, {f2.label}] escapes the weight-{target_grade} span")
+    count = len(graded)
+    return GradingReport(not failures, tuple(failures), count, count * (count - 1) // 2)
+
+
+def _structure_constants(
+    fields: Sequence[PolyVectorField],
+) -> Optional[dict[tuple[int, int], dict[int, Exact]]]:
+    """{(i, j): {p: c_ij^p}} with [f_i, f_j] = sum_p c_ij^p f_p, i != j; None if a bracket escapes.
+
+    Each ordered pair is bracketed once. One elimination takes each field's
+    real coordinates with -1 in a tag column (n, p), which sorts after every
+    coordinate column; reducing a bracket against it leaves its part outside
+    the real span in the coordinate columns and its constants in the tag
+    columns. On dependent fields the constants are zero at the relations'
+    pivots, so a combination of them is zero exactly when its field is.
+    """
+    table = {
+        (i, j): bracket(x, y)
+        for i, x in enumerate(fields) for j, y in enumerate(fields) if i != j
+    }
+    span = _span([{**_real_coordinates(f), (f.n, p): -1} for p, f in enumerate(fields)])
+    constants = {}
+    for pair, b in table.items():
+        v = _reduce(span, _real_coordinates(b))
+        if any(len(key) == 3 for key in v):  # a (component, monomial, part) column
+            return None
+        constants[pair] = {p: x for (_, p), x in v.items()}
+    return constants
 
 
 def bracket_identities_hold(fields: Sequence[PolyVectorField]) -> bool:
-    """Antisymmetry on every ordered pair of distinct fields and Jacobi on every triple.
+    """Closure, antisymmetry and the Jacobi identity for the brackets of ``fields``.
 
-    The ordered pair brackets are computed once; each Jacobi sum
-    [x,[y,z]] + [y,[z,x]] + [z,[x,y]] takes its inner brackets from that table.
-    Each antisymmetry and Jacobi sum is decided by ``_vanishes``.
+    The brackets are read as structure constants (``_structure_constants``),
+    so a bracket outside the real span of ``fields`` gives False: closure is
+    asserted too. Antisymmetry is c_ij = -c_ji on every pair, with both
+    orders bracketed. Jacobi is sum_p c_jl^p c_ip^q + c_li^p c_jp^q +
+    c_ij^p c_lp^q = 0 for every q and every triple i < j < l, with c_ii = 0.
+    Given closure, this is the identity [x,[y,z]] + [y,[z,x]] + [z,[x,y]] = 0
+    of the fields, by bilinearity.
     """
-    count = len(fields)
-    table = {
-        (i, j): bracket(fields[i], fields[j])
-        for i in range(count) for j in range(count) if i != j
-    }
-    for i in range(count):
-        for j in range(i + 1, count):
-            if not _vanishes((1, table[i, j]), (1, table[j, i])):
-                return False
-    for i in range(count):
-        for j in range(i + 1, count):
-            for l in range(j + 1, count):
-                if not _vanishes(
-                    (1, bracket(fields[i], table[j, l])),
-                    (1, bracket(fields[j], table[l, i])),
-                    (1, bracket(fields[l], table[i, j])),
-                ):
-                    return False
+    c = _structure_constants(fields)
+    if c is None:
+        return False
+    if any(c[i, j] != {p: -x for p, x in c[j, i].items()} for i, j in c if i < j):
+        return False
+    for i, j, l in combinations(range(len(fields)), 3):
+        total: dict = {}
+        for a, b, d in ((i, j, l), (j, l, i), (l, i, j)):
+            for p, x in c[b, d].items():
+                for q, y in c.get((a, p), {}).items():
+                    total[q] = total.get(q, 0) + x * y
+        if any(total.values()):
+            return False
     return True

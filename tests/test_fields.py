@@ -457,6 +457,110 @@ class TestJacobi:
         assert not bracket_identities_hold(fields)
 
 
+def test_flipped_second_apply_fails(monkeypatch):
+    # flipping the sign of _apply's second call brackets as X(Y) + Y(X)
+    spec = d6_spec()
+    fields = materialize(spec, solve_all(spec))
+    apply = fields_module._apply
+
+    def second_call_flipped(re, im, x, p, sign):
+        apply(re, im, x, p, abs(sign))
+
+    monkeypatch.setattr(fields_module, "_apply", second_call_flipped)
+    assert not bracket_identities_hold(fields)
+
+
+@pytest.mark.parametrize("domain", [catalog.d6((1, 1, 0)), catalog.ball(3)])
+def test_structure_constants_rebuild_each_bracket(domain):
+    """sum_p c_ij^p f_p is [f_i, f_j] exactly, on every ordered pair of distinct generators."""
+    spec = catalog.build(domain)
+    fields = materialize(spec, solve_all(spec))
+    table = fields_module._structure_constants(fields)
+    assert len(table) == len(fields) * (len(fields) - 1)
+    for (i, j), constants in table.items():
+        rebuilt = combination(
+            [fields[i]] + [fields[p] for p in constants], [0] + list(constants.values())
+        )
+        assert rebuilt.components == bracket(fields[i], fields[j]).components
+
+
+def _line_field(*coeffs):
+    """The field sum_e coeffs[e] z^e d/dz on C^1."""
+    return PolyVectorField(1, (Polynomial.from_parts(1, {(e,): c for e, c in enumerate(coeffs)}, {}),))
+
+
+def test_bracket_table_asserts_closure():
+    # [d/dz, z^2 d/dz] = 2z d/dz is not a real combination of the two
+    dz, z2_dz = _line_field(1), _line_field(0, 0, 1)
+    assert fields_module._structure_constants([dz, z2_dz]) is None
+    assert not bracket_identities_hold([dz, z2_dz])
+    # with z d/dz they span sl2, also when a multiple of d/dz is listed twice
+    assert bracket_identities_hold([dz, _line_field(0, 1), z2_dz])
+    assert bracket_identities_hold([dz, _line_field(2), _line_field(0, 1), z2_dz])
+
+
+def test_one_sided_bracket_of_two_fields_fails_antisymmetry(monkeypatch):
+    # X(Y) keeps [d/dz, z d/dz] in the span, but Y(X) = 0 is not its negative; no triple exists
+    fields = [_line_field(1), _line_field(0, 1)]
+    assert bracket_identities_hold(fields)
+    monkeypatch.setattr(fields_module, "bracket", _derive)
+    assert fields_module._structure_constants(fields) == {(0, 1): {0: 1}, (1, 0): {}}
+    assert not bracket_identities_hold(fields)
+
+def test_verify_paper_bracket_count(monkeypatch):
+    """The grading checks and the bracket table of verify-paper make exactly this many brackets."""
+    calls = []
+    bracket_once = fields_module.bracket
+
+    def counted(x, y):
+        calls.append((x, y))
+        return bracket_once(x, y)
+
+    monkeypatch.setattr(fields_module, "bracket", counted)
+    assert catalog.verify_paper().failed == 0
+    assert len(calls) == 240
+
+
+@pytest.mark.parametrize("name", sorted(GRADING_DOMAINS))
+def test_eigen_relation_by_weight_matches_the_bracket(name):
+    """Read off the terms, [euler, X] = nu X holds exactly when the bracket says so."""
+    spec = catalog.build(GRADING_DOMAINS[name])
+    euler = euler_field(spec)
+    for f in [f for group in generators_by_grade(name).values() for f in group]:
+        for grade in GRADES:
+            relabeled = PolyVectorField(f.n, f.components, grade, f.label)
+            holds = combination([bracket(euler, relabeled), relabeled], [1, -grade]).is_zero()
+            assert holds == (grade == f.grade)
+            expected = () if holds else (f"eigenvalue relation fails for {f.label}",)
+            assert check_grading(spec, [relabeled]).failures == expected
+
+
+def test_check_grading_refuses_a_field_on_another_space():
+    spec = catalog.build(catalog.ball(2))
+    field = PolyVectorField(3, (Polynomial(3, ()),) * 3, Fraction(0), "on C^3")
+    with pytest.raises(ValidationError) as exc:
+        check_grading(spec, [field])
+    assert str(exc.value) == "fields live on different spaces"
+
+
+def test_bracket_outside_the_weights_must_vanish():
+    # [z dw, z^2 dz] = -z^2 dw has weight 1/2 + 1 = 3/2, outside the grading
+    spec = catalog.build(catalog.ball(2))
+
+    def monomial(*exponents):
+        return Polynomial.from_parts(2, {exponents: 1}, {})
+
+    zero = Polynomial.from_parts(2, {}, {})
+    z_dw = PolyVectorField(2, (zero, monomial(1, 0)), Fraction(1, 2), "z dw")
+    z2_dz = PolyVectorField(2, (monomial(2, 0), zero), Fraction(1), "z^2 dz")
+    report = check_grading(spec, [z2_dz, z_dw])
+    assert report.failures == ("[z dw, z^2 dz] is nonzero at weight 3/2",)
+    # [dz, dw] = 0 has weight -3/2 and passes
+    dz = PolyVectorField(2, (monomial(0, 0), zero), Fraction(-1), "dz")
+    dw = PolyVectorField(2, (zero, monomial(0, 0)), Fraction(-1, 2), "dw")
+    assert check_grading(spec, [dz, dw]).passed
+
+
 def test_doubled_coefficient_escapes_the_grading():
     spec = d6_spec()
     fields = list(materialize(spec, solve_all(spec)))
