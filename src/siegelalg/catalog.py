@@ -39,6 +39,7 @@ _TUBE_LABELS = {
     "omega5": "B1xT3",
     "omega6": "T4",
 }
+_KINDS = ("ball", "ball-product", "d1", "d2", "d3", "d4", "d5", "d6", "tube")
 
 
 class DomainId(Frozen):
@@ -51,6 +52,10 @@ class DomainId(Frozen):
 
     def __post_init__(self) -> None:
         # every field is read here, so an id built directly is checked as the builders' are
+        if self.kind not in _KINDS:
+            raise ValidationError(f"unknown domain kind {self.kind!r}")
+        if self.cone_id is not None or self.kind == "tube":
+            object.__setattr__(self, "cone_id", cone_key(self.cone_id))
         if self.n is not None or self.kind in ("ball", "d1", "d2"):
             object.__setattr__(self, "n", _int(self.n, "ball dimension" if self.kind == "ball" else "n"))
         readers = (("factors", lambda p: _int(p, "a ball factor")), ("v", _frac), ("params", _frac))
@@ -74,9 +79,7 @@ class DomainId(Frozen):
             return f"{self.kind.upper()}({','.join(str(x) for x in self.params)})"
         if self.kind in ("d5", "d6"):
             return f"{self.kind.upper()}({','.join(str(x) for x in self.v)})"
-        if self.kind == "tube":
-            return _TUBE_LABELS.get(self.cone_id, f"Tube({self.cone_id})")
-        raise ValidationError(f"unknown domain kind {self.kind!r}")
+        return _TUBE_LABELS.get(self.cone_id, f"Tube({self.cone_id})")
 
 
 def ball(n: int) -> DomainId:
@@ -121,7 +124,7 @@ def t4() -> DomainId:
 
 def tube(cone_id: str) -> DomainId:
     """The tube over a catalog cone; the id is read as ``catalog_cone`` reads it."""
-    return DomainId("tube", cone_id=cone_key(cone_id))
+    return DomainId("tube", cone_id=cone_id)
 
 
 def _diagonal(cone: ConeSpec, diagonals: Sequence[Sequence[Scalar]]) -> SiegelDomainSpec:
@@ -197,10 +200,8 @@ def build(domain: DomainId) -> SiegelDomainSpec:
         if kind == "d6" and (v[0] <= 0 or v[0] * v[0] < v[1] * v[1] + v[2] * v[2]):
             raise ValidationError("need v1 > 0 and v1^2 >= v2^2 + v3^2")
         return _diagonal(catalog_cone("omega2" if kind == "d5" else "omega3"), [[x] for x in v])
-    if kind == "tube":
-        cone = catalog_cone(domain.cone_id)
-        return _diagonal(cone, [()] * cone.k)
-    raise ValidationError(f"unknown domain kind {kind!r}")
+    cone = catalog_cone(domain.cone_id)  # a tube
+    return _diagonal(cone, [()] * cone.k)
 
 
 class DomainReport(Frozen):

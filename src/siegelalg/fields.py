@@ -15,22 +15,22 @@ in two dicts, and a zero part or an empty component costs nothing. Each
 nonzero component is then built once by ``Polynomial.from_parts``, already
 in canonical order.
 
-Identities between fields are decided in exact real coordinates.
-``check_grading`` reads each eigenvalue relation off the weighted degrees of
-a field's terms, with no bracket; it brackets each unordered pair once,
-eliminates each weight's span once and decides whether a bracket lies in it
-with one reduction pass against the reduced rows. ``bracket_identities_hold``
-brackets each ordered pair once, writes each bracket in the basis of the
-fields by the same pass against one tagged elimination, and checks
-antisymmetry and Jacobi on these structure constants.
+Identities between fields are decided in exact real coordinates, on one
+table of structure constants: ``_structure_constants`` eliminates the fields
+once and writes each bracket it is given in their basis by one reduction
+pass, or finds that it leaves their real span. ``check_grading`` reads each
+eigenvalue relation off the weighted degrees of a field's terms, with no
+bracket, and asks the table for each unordered pair of summed weight -1..1;
+``bracket_identities_hold`` asks it for each ordered pair and checks closure,
+antisymmetry and Jacobi on the constants.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from operator import add, mul
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import ValidationError
 from .frozen import Frozen
@@ -220,25 +220,8 @@ def _real_coordinates(f: PolyVectorField) -> dict[tuple, Exact]:
     return row
 
 
-Span = list[tuple[tuple, dict[tuple, Exact]]]
-
-
-def _span(rows: Sequence[dict[tuple, Exact]]) -> Span:
-    """The span of real ``rows`` as (pivot, reduced row) pairs, an integral entry as an ``int``."""
-    reduced, pivots = sparse_rref(rows)
-    return [
-        (c, {j: x.numerator if x.denominator == 1 else x for j, x in row.items()})
-        for c, row in zip(pivots, reduced)
-    ]
-
-
-def _real_span(fields: Sequence[PolyVectorField]) -> Span:
-    """The real span of ``fields`` as (pivot, reduced row) pairs; their count is its dimension."""
-    return _span([_real_coordinates(f) for f in fields])
-
-
-def _reduce(span: Span, v: dict) -> dict:
-    """The part of the real row ``v`` outside the span whose reduced rows are ``span``, in place.
+def _reduce(span: list[tuple[tuple, dict[tuple, Exact]]], v: dict) -> dict:
+    """The part of the real row ``v`` outside the span whose (pivot, reduced row) pairs are ``span``.
 
     One pass: each reduced row is 1 at its pivot and 0 at the other pivots,
     so subtracting v's pivot entry times each row, in any order, leaves the
@@ -256,11 +239,6 @@ def _reduce(span: Span, v: dict) -> dict:
     return v
 
 
-def _escapes(span: Span, f: PolyVectorField) -> bool:
-    """Whether ``f`` lies outside the real span whose reduced rows are ``span``."""
-    return bool(_reduce(span, _real_coordinates(f)))
-
-
 class GradingReport(Frozen):
     passed: bool
     failures: tuple[str, ...]
@@ -275,10 +253,12 @@ def check_grading(spec: SiegelDomainSpec, fields: Sequence[PolyVectorField]) -> 
     With wt weighing each variable by its Euler coefficient (z by 1, w by 1/2),
     the Euler field scales a term of component c and monomial m by
     wt(m) - wt(c), so the relation is read off the terms: each must have
-    wt(m) = wt(c) + nu. Each unordered pair of generators is bracketed once;
-    the bracket must lie in the real span of the generators of the summed
-    weight, eliminated once per weight, when that weight is one of the five,
-    and must vanish when it is not.
+    wt(m) = wt(c) + nu. Each unordered pair of generators is bracketed once.
+    When the summed weight is one of the five, the bracket's constants in one
+    table over all generators (``_structure_constants``) must exist and sit on
+    generators of that weight; generators of distinct weights that pass their
+    relations sit on disjoint real coordinates, so this is membership in the
+    real span of that weight's generators. Otherwise the bracket must vanish.
     """
     # the Euler field's coefficients, doubled to integers: z weighs 2 and w 1
     weights = [int(2 * p.terms[0][1]) for p in euler_field(spec).components]
@@ -293,45 +273,44 @@ def check_grading(spec: SiegelDomainSpec, fields: Sequence[PolyVectorField]) -> 
             for c, p in enumerate(f.components) for mono, _, _ in p.terms
         ):
             failures.append(f"eigenvalue relation fails for {f.label or 'unlabeled field'}")
-    by_grade: dict[Fraction, list[PolyVectorField]] = {}
-    for f in graded:
-        by_grade.setdefault(f.grade, []).append(f)
-    spans = {grade: _real_span(group) for grade, group in by_grade.items()}
-    for f1, f2 in combinations(sorted(graded, key=lambda f: f.grade), 2):
+    ordered = sorted(graded, key=lambda f: f.grade)
+    pairs = list(combinations(range(len(ordered)), 2))
+    in_range = [(i, j) for i, j in pairs if ordered[i].grade + ordered[j].grade in GRADES]
+    table = _structure_constants(ordered, in_range)
+    for i, j in pairs:
+        f1, f2 = ordered[i], ordered[j]
         target_grade = f1.grade + f2.grade
-        b = bracket(f1, f2)
         if target_grade not in GRADES:
-            if not b.is_zero():
+            if not bracket(f1, f2).is_zero():
                 failures.append(f"[{f1.label}, {f2.label}] is nonzero at weight {target_grade}")
-        elif _escapes(spans.get(target_grade, []), b):
+        elif (c := table[i, j]) is None or any(ordered[p].grade != target_grade for p in c):
             failures.append(f"[{f1.label}, {f2.label}] escapes the weight-{target_grade} span")
-    count = len(graded)
-    return GradingReport(not failures, tuple(failures), count, count * (count - 1) // 2)
+    return GradingReport(not failures, tuple(failures), len(graded), len(pairs))
 
 
 def _structure_constants(
-    fields: Sequence[PolyVectorField],
-) -> Optional[dict[tuple[int, int], dict[int, Exact]]]:
-    """{(i, j): {p: c_ij^p}} with [f_i, f_j] = sum_p c_ij^p f_p, i != j; None if a bracket escapes.
+    fields: Sequence[PolyVectorField], pairs: Iterable[tuple[int, int]]
+) -> dict[tuple[int, int], Optional[dict[int, Exact]]]:
+    """{(i, j): {p: c_ij^p}} with [f_i, f_j] = sum_p c_ij^p f_p, or None if the bracket escapes.
 
-    Each ordered pair is bracketed once. One elimination takes each field's
+    Each of ``pairs`` is bracketed once. One elimination takes each field's
     real coordinates with -1 in a tag column (n, p), which sorts after every
     coordinate column; reducing a bracket against it leaves its part outside
     the real span in the coordinate columns and its constants in the tag
     columns. On dependent fields the constants are zero at the relations'
     pivots, so a combination of them is zero exactly when its field is.
     """
-    table = {
-        (i, j): bracket(x, y)
-        for i, x in enumerate(fields) for j, y in enumerate(fields) if i != j
-    }
-    span = _span([{**_real_coordinates(f), (f.n, p): -1} for p, f in enumerate(fields)])
+    rows = [{**_real_coordinates(f), (f.n, p): -1} for p, f in enumerate(fields)]
+    reduced, pivots = sparse_rref(rows)
+    span = [  # integral entries as ``int``s, cheaper to multiply in ``_reduce``
+        (c, {j: x.numerator if x.denominator == 1 else x for j, x in row.items()})
+        for c, row in zip(pivots, reduced)
+    ]
     constants = {}
-    for pair, b in table.items():
-        v = _reduce(span, _real_coordinates(b))
-        if any(len(key) == 3 for key in v):  # a (component, monomial, part) column
-            return None
-        constants[pair] = {p: x for (_, p), x in v.items()}
+    for i, j in pairs:
+        v = _reduce(span, _real_coordinates(bracket(fields[i], fields[j])))
+        # a (component, monomial, part) column left over: the bracket escapes
+        constants[i, j] = None if any(len(key) == 3 for key in v) else {p: x for (_, p), x in v.items()}
     return constants
 
 
@@ -346,8 +325,8 @@ def bracket_identities_hold(fields: Sequence[PolyVectorField]) -> bool:
     Given closure, this is the identity [x,[y,z]] + [y,[z,x]] + [z,[x,y]] = 0
     of the fields, by bilinearity.
     """
-    c = _structure_constants(fields)
-    if c is None:
+    c = _structure_constants(fields, permutations(range(len(fields)), 2))
+    if None in c.values():
         return False
     if any(c[i, j] != {p: -x for p, x in c[j, i].items()} for i, j in c if i < j):
         return False

@@ -144,7 +144,9 @@ def fraction_from_json(value: Union[str, int]) -> Fraction:
         if q and huge or big.bit_length() > 3 * limit and big >= 10**limit:  # 8**limit < 10**limit
             raise ValidationError(f"rational literal {value!r} has more than {limit} digits")
         return q
-    raise ValidationError(f"bad rational value {value!r} (floats are not accepted)")
+    if isinstance(value, float):
+        raise ValidationError(f"bad rational value {value!r} (floats are not accepted)")
+    raise ValidationError(f"bad rational value {value!r} (expected an integer or a string like '-3/4')")
 
 
 def gaussian_from_json(value) -> GaussianRational:

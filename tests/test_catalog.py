@@ -97,12 +97,13 @@ class TestBuild:
         (lambda: DomainId("d6", v=(1, 1, 0.5)), "entries must be rationals"),
         (lambda: build(DomainId("d6")), "need a 3-vector, got 0 entries"),
         (lambda: build(DomainId("tube")), "a cone id must be a string, got None"),
+        (lambda: DomainId("tube", cone_id=5), "a cone id must be a string, got 5"),
         (lambda: d5(5), "v must be a list or tuple, got 5"),
         (lambda: DomainId("ball-product", factors=3), "factors must be a list or tuple, got 3"),
         (lambda: DomainId("d3", n=4, params=7), "params must be a list or tuple, got 7"),
     ], ids=["ball-float", "ball-missing", "ballproduct-bool", "ballproduct-missing", "d1-bool",
             "d2-missing", "d3-float", "d3-missing", "d4-short", "d5-bool", "d5-missing", "d6-float",
-            "d6-missing", "tube-missing", "d5-scalar", "ballproduct-scalar", "d3-scalar"])
+            "d6-missing", "tube-missing", "tube-int", "d5-scalar", "ballproduct-scalar", "d3-scalar"])
     def test_an_id_built_directly_is_read_as_the_builders_read_it(self, domain, message):
         with pytest.raises(ValidationError) as exc:
             domain()
@@ -392,3 +393,20 @@ def test_unknown_domain_kind_is_named(read):
     with pytest.raises(ValidationError) as exc:
         read(DomainId("x"))
     assert str(exc.value) == "unknown domain kind 'x'"
+
+
+def test_unknown_domain_kind_is_refused_on_construction():
+    with pytest.raises(ValidationError) as exc:
+        DomainId("x")
+    assert str(exc.value) == "unknown domain kind 'x'"
+
+
+@pytest.mark.parametrize("cone_id", [" OMEGA3", "Omega3", "omega3\t"])
+def test_tube_id_reads_its_cone_id_as_the_catalog_does(cone_id):
+    # so verify_paper's per-run cache sees one domain, labeled and built alike
+    domain = DomainId("tube", cone_id=cone_id)
+    assert domain == tube(cone_id) == t3()
+    assert hash(domain) == hash(t3())
+    assert domain.cone_id == "omega3"
+    assert domain.label == "T3"
+    assert build(domain) == build(t3())

@@ -272,6 +272,16 @@ class TestDocumentsReadAlike:
         err = self._run(capsys, tmp_path, RAY_CONE, entry=literal)
         assert err == f"error: bad rational literal {literal!r}\n"
 
+    @pytest.mark.parametrize("entry, accepted", [
+        (None, "expected an integer or a string like '-3/4'"),
+        (["1"], "expected an integer or a string like '-3/4'"),
+        (1.5, "floats are not accepted"),
+    ])
+    def test_a_value_that_is_no_rational_says_what_is_accepted(self, capsys, tmp_path, entry,
+                                                                accepted):
+        err = self._run(capsys, tmp_path, {**RAY_CONE, "interior_point": [entry]})
+        assert err == f"error: bad rational value {entry!r} ({accepted})\n"
+
     def test_underscore_literal_refused_in_a_flag(self, capsys):
         code, out, err = run_cli(capsys, "dims", "--domain", "d6", "--v", "1_0,1,0")
         assert (code, out) == (2, "")

@@ -2,6 +2,7 @@
 
 import hashlib
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from siegelalg.cones import catalog_cone, half_line
 from siegelalg.errors import ValidationError
 from siegelalg.fields import (
     GRADES,
+    GradingReport,
     PolyVectorField,
     bracket,
     bracket_identities_hold,
@@ -21,7 +23,7 @@ from siegelalg.fields import (
 )
 from siegelalg.graded import SiegelDomainSpec, solve_all
 from siegelalg.hermitian import HermitianFamily
-from siegelalg.linalg import GR_I, GR_ZERO, gr
+from siegelalg.linalg import GR_I, GR_ZERO, GaussianRational, gr
 from siegelalg.poly import Polynomial
 
 from matrix_oracles import (
@@ -198,15 +200,26 @@ class TestCheckGrading:
         assert not report.passed
         assert any("mislabeled" in msg for msg in report.failures)
 
-    def test_cross_grade_closure_ball(self):
+    def test_cross_grade_closure_ball(self, monkeypatch):
         spec = ball(2)
         fields = materialize(spec, solve_all(spec))
         minus_one = [f for f in fields if f.grade == Fraction(-1)]
         ones = [f for f in fields if f.grade == Fraction(1)]
         zeros = [f for f in fields if f.grade == Fraction(0)]
-        span = fields_module._real_span(zeros)
-        assert not fields_module._escapes(span, bracket(minus_one[0], ones[0]))
-        assert fields_module._escapes(span, ones[0])
+        group = [minus_one[0], ones[0], *zeros]
+        # [g-1, g1] is a nonzero real combination of the weight-0 fields alone
+        constants = fields_module._structure_constants(group, [(0, 1)])[0, 1]
+        assert constants and all(group[p].grade == 0 for p in constants)
+        assert check_grading(spec, group).passed
+        escapes = (f"[{minus_one[0].label}, {ones[0].label}] escapes the weight-0 span",)
+        assert check_grading(spec, group[:2]).failures == escapes
+        # a weight-1 field lies in the real span of all the fields, not in the weight-0 one
+        real_bracket = bracket
+        monkeypatch.setattr(fields_module, "bracket", lambda x, y: (
+            y if (x, y) == (minus_one[0], ones[0]) else real_bracket(x, y)
+        ))
+        assert fields_module._structure_constants(group, [(0, 1)]) == {(0, 1): {1: 1}}
+        assert check_grading(spec, group).failures == escapes
 
     def test_imaginary_multiple_escapes_a_real_span(self):
         # [dw, i w dw] = i dw lies in the complex span of dw, not in its real span
@@ -224,7 +237,7 @@ class TestCheckGrading:
 def dense_in_real_span(basis, candidate):
     """Reference membership: dense realified coefficient vectors and two ranks.
 
-    This is the method ``check_grading`` used before it eliminated each weight's span once.
+    This is the method ``check_grading`` used before it read a table of structure constants.
     """
     if candidate.is_zero():
         return True
@@ -278,7 +291,7 @@ def combination(fields, coeffs):
 @given(data=st.data())
 @settings(derandomize=True, max_examples=80, deadline=None)
 def test_span_membership_matches_dense_reference(data):
-    """The once-eliminated span decides membership exactly as the dense method does."""
+    """The table's membership step decides as the dense method does; its constants rebuild."""
     by_grade = generators_by_grade(data.draw(st.sampled_from(sorted(GRADING_DOMAINS))))
     grade = data.draw(st.sampled_from(sorted(by_grade)))
     group = by_grade[grade]
@@ -294,12 +307,86 @@ def test_span_membership_matches_dense_reference(data):
         others = [f for g in sorted(by_grade) if g != grade for f in by_grade[g]]
         candidate = combination([candidate, data.draw(st.sampled_from(others))], [1, 1])
     expected = dense_in_real_span(group, candidate)
-    assert fields_module._escapes(fields_module._real_span(group), candidate) == (not expected)
+    with pytest.MonkeyPatch.context() as patch:
+        # the table's one pair brackets to the candidate
+        patch.setattr(fields_module, "bracket", lambda x, y: candidate)
+        constants = fields_module._structure_constants(group, [(0, 0)])[0, 0]
+    assert (constants is not None) == expected
+    if constants is not None:
+        rebuilt = combination(
+            [group[0]] + [group[p] for p in constants], [0] + list(constants.values())
+        )
+        assert rebuilt.components == candidate.components
     if kind == "combination":
         assert expected
     if kind == "plus another grade":
         # eigenvectors of the Euler field for distinct weights are independent
         assert not expected
+
+
+def grading_oracle(spec, fields):
+    """``check_grading`` by the Euler bracket and dense membership in each weight's span."""
+    euler = euler_field(spec)
+    graded = [f for f in fields if f.grade is not None]
+    failures = [
+        f"eigenvalue relation fails for {f.label or 'unlabeled field'}"
+        for f in graded if not combination([bracket(euler, f), f], [1, -f.grade]).is_zero()
+    ]
+    by_grade = {}
+    for f in graded:
+        by_grade.setdefault(f.grade, []).append(f)
+    for f1, f2 in combinations(sorted(graded, key=lambda f: f.grade), 2):
+        weight, b = f1.grade + f2.grade, bracket(f1, f2)
+        if weight not in GRADES:
+            if not b.is_zero():
+                failures.append(f"[{f1.label}, {f2.label}] is nonzero at weight {weight}")
+        elif not dense_in_real_span(by_grade.get(weight, []), b):
+            failures.append(f"[{f1.label}, {f2.label}] escapes the weight-{weight} span")
+    count = len(graded)
+    return GradingReport(not failures, tuple(failures), count, count * (count - 1) // 2)
+
+
+def scaled_term(f, component, scale):
+    """``f`` with the first term of one component times the Gaussian rational ``scale``."""
+    (mono, re, im), *rest = f.components[component].terms
+    z = GaussianRational.of(scale)
+    parts = ({m: r for m, r, _ in rest}, {m: i for m, _, i in rest})
+    parts[0][mono], parts[1][mono] = re * z.re - im * z.im, re * z.im + im * z.re
+    scaled = Polynomial.from_parts(f.n, *parts)
+    components = f.components[:component] + (scaled,) + f.components[component + 1:]
+    return PolyVectorField(f.n, components, f.grade, f.label)
+
+
+@given(data=st.data())
+@settings(derandomize=True, max_examples=40, deadline=None)
+def test_check_grading_matches_the_dense_oracle(data):
+    """On subsets of generators with a scaled coefficient, a duplicate or a zero field, the
+    table decides each pair as dense membership in its weight's span does."""
+    name = data.draw(st.sampled_from(sorted(GRADING_DOMAINS)))
+    spec = catalog.build(GRADING_DOMAINS[name])
+    generators = [f for group in generators_by_grade(name).values() for f in group]
+    indices = data.draw(st.lists(
+        st.integers(0, len(generators) - 1), min_size=1, max_size=8, unique=True,
+    ))
+    fields = [generators[i] for i in indices]
+    for kind in data.draw(st.lists(
+        st.sampled_from(["scaled coefficient", "duplicated field", "zero field"]), max_size=2,
+    )):
+        at = data.draw(st.integers(0, len(fields) - 1))
+        f = fields[at]
+        if kind == "scaled coefficient" and not f.is_zero():
+            component = data.draw(st.sampled_from(
+                [c for c, p in enumerate(f.components) if p.terms]
+            ))
+            scale = data.draw(st.sampled_from([2, -1, Fraction(1, 3), GR_I, gr(1, -2)]))
+            fields[at] = scaled_term(f, component, scale)
+        elif kind == "duplicated field":
+            fields.insert(data.draw(st.integers(0, len(fields))), f)
+        elif kind == "zero field":
+            zero = PolyVectorField(f.n, (Polynomial(f.n, ()),) * f.n,
+                                   data.draw(st.sampled_from(GRADES)), "zero")
+            fields.insert(at, zero)
+    assert check_grading(spec, fields) == grading_oracle(spec, fields)
 
 
 def _diff(p, u):
@@ -475,8 +562,9 @@ def test_structure_constants_rebuild_each_bracket(domain):
     """sum_p c_ij^p f_p is [f_i, f_j] exactly, on every ordered pair of distinct generators."""
     spec = catalog.build(domain)
     fields = materialize(spec, solve_all(spec))
-    table = fields_module._structure_constants(fields)
+    table = fields_module._structure_constants(fields, permutations(range(len(fields)), 2))
     assert len(table) == len(fields) * (len(fields) - 1)
+    assert None not in table.values()
     for (i, j), constants in table.items():
         rebuilt = combination(
             [fields[i]] + [fields[p] for p in constants], [0] + list(constants.values())
@@ -492,7 +580,9 @@ def _line_field(*coeffs):
 def test_bracket_table_asserts_closure():
     # [d/dz, z^2 d/dz] = 2z d/dz is not a real combination of the two
     dz, z2_dz = _line_field(1), _line_field(0, 0, 1)
-    assert fields_module._structure_constants([dz, z2_dz]) is None
+    assert fields_module._structure_constants([dz, z2_dz], [(0, 1), (1, 0)]) == {
+        (0, 1): None, (1, 0): None,
+    }
     assert not bracket_identities_hold([dz, z2_dz])
     # with z d/dz they span sl2, also when a multiple of d/dz is listed twice
     assert bracket_identities_hold([dz, _line_field(0, 1), z2_dz])
@@ -504,8 +594,11 @@ def test_one_sided_bracket_of_two_fields_fails_antisymmetry(monkeypatch):
     fields = [_line_field(1), _line_field(0, 1)]
     assert bracket_identities_hold(fields)
     monkeypatch.setattr(fields_module, "bracket", _derive)
-    assert fields_module._structure_constants(fields) == {(0, 1): {0: 1}, (1, 0): {}}
+    assert fields_module._structure_constants(fields, [(0, 1), (1, 0)]) == {
+        (0, 1): {0: 1}, (1, 0): {},
+    }
     assert not bracket_identities_hold(fields)
+
 
 def test_verify_paper_bracket_count(monkeypatch):
     """The grading checks and the bracket table of verify-paper make exactly this many brackets."""
@@ -519,6 +612,20 @@ def test_verify_paper_bracket_count(monkeypatch):
     monkeypatch.setattr(fields_module, "bracket", counted)
     assert catalog.verify_paper().failed == 0
     assert len(calls) == 240
+
+
+def test_verify_paper_field_elimination_count(monkeypatch):
+    """One table per grading check and one for the bracket identities: three eliminations."""
+    calls = []
+    rref_once = fields_module.sparse_rref
+
+    def counted(rows):
+        calls.append(len(rows))
+        return rref_once(rows)
+
+    monkeypatch.setattr(fields_module, "sparse_rref", counted)
+    assert catalog.verify_paper().failed == 0
+    assert calls == [15, 10, 10]  # B3's generators, then D6(1,1,0)'s twice
 
 
 @pytest.mark.parametrize("name", sorted(GRADING_DOMAINS))
