@@ -51,6 +51,7 @@ from .fields import (
     materialize,
 )
 from .graded import (
+    Basis,
     GradedDims,
     GradedSolutions,
     SiegelDomainSpec,
@@ -75,6 +76,7 @@ from .poly import Polynomial, generic_rank
 from .serialize import load_domain_spec, spec_to_json
 
 __all__ = [
+    "Basis",
     "BoundReport",
     "ConeSpec",
     "DomainId",

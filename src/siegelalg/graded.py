@@ -45,7 +45,11 @@ once with the cone (``ConeSpec.annihilator_terms``). Neither tests each
 entry. g1's three-argument identity adds each term to the row of its tuple,
 so a tuple with no term has no row. A coordinate vector is read as its one
 nonzero entry (``coordinate_units``). The nullspace vectors are sparse, and a
-solution is unpacked from its present columns only.
+solver returns them as they are, in a ``Basis`` with its blocks: ``len()`` is
+the dimension, and a dense element is built from its present columns only,
+when a reader indexes it. ``a_part_basis`` reads only g_0's A-parts, and the
+JSON writer each block's present entries (a ``SparseArray``), so neither
+builds one.
 
 Each identity is accumulated once, into one ``_Lin``: ``expr.add(x, *factors)``
 adds the product of the factors, folded into one complex coefficient, times
@@ -69,11 +73,11 @@ same.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import prod
-from typing import Sequence
 
 from .cones import ConeSpec
 from .errors import ValidationError
@@ -217,33 +221,21 @@ class _System:
         return sparse_nullspace(self.rows, self.n)
 
 
-class _Block:
+class _Layout:
     """An array of ``shape`` whose unknowns sit in consecutive columns from ``start``.
 
     ``width`` is 1 for real entries and 2 for complex ones, whose (re, im)
-    parts sit in adjacent columns. In a plain block (``cells`` None) each
+    parts sit in adjacent columns. In a plain layout (``cells`` None) each
     entry is an unknown, row-major; otherwise ``cells[u]`` lists the row-major
     indexes of the entries that the u-th unknown stands for.
     """
 
-    __slots__ = ("start", "shape", "width", "stop", "_lins", "_cells")
+    __slots__ = ("start", "shape", "width", "stop", "_cells")
 
     def __init__(self, start: int, shape: tuple[int, ...], width: int,
                  cells: list[tuple[int, ...]] | None) -> None:
         self.start, self.shape, self.width, self._cells = start, shape, width, cells
-        indexes = list(product(*map(range, shape)))
-        units = [(flat,) for flat in range(len(indexes))] if cells is None else cells
-        # built once and shared: _Lin.add changes only its accumulator
-        self._lins = {}
-        for u, flats in enumerate(units):
-            col = start + width * u
-            lin = _Lin({col: 1}, {col + 1: 1} if width == 2 else {})
-            for flat in flats:
-                self._lins[indexes[flat]] = lin
-        self.stop = start + width * len(units)
-
-    def __getitem__(self, index: int | tuple[int, ...]) -> _Lin:
-        return self._lins[index if isinstance(index, tuple) else (index,)]
+        self.stop = start + width * (prod(shape) if cells is None else len(cells))
 
     def present(self, sol: dict[int, Fraction]) -> list[tuple[int, Scalar]]:
         """The (flat index, value) of each entry present in the sparse solution vector ``sol``.
@@ -261,23 +253,154 @@ class _Block:
                 parts.setdefault(flat, [_ZERO, _ZERO])[part] = x
         return [(flat, GaussianRational(re, im)) for flat, (re, im) in parts.items()]
 
-    def values(self, sol: dict[int, Fraction]):
-        """The entries in a sparse solution vector, as nested tuples.
+    def array(self, sol: dict[int, Fraction]) -> SparseArray:
+        """The entries in a sparse solution vector, as a ``SparseArray`` of the block's shape.
 
-        Only the present columns are read; every other entry is the shared
-        zero, a ``Fraction`` in a real block and ``GR_ZERO`` in a complex one.
-        An unknown standing for several entries, as in a symmetric block, sets each of them.
+        Only the present columns are read. An unknown standing for several
+        entries, as in a symmetric block, sets each of them.
         """
-        flat = [_ZERO if self.width == 1 else GR_ZERO] * prod(self.shape)
         entries = self.present(sol)
         if self._cells is not None:
             entries = [(i, x) for u, x in entries for i in self._cells[u]]
-        for i, x in entries:
+        return SparseArray(self.shape, _ZERO if self.width == 1 else GR_ZERO, dict(entries))
+
+    @property
+    def key(self) -> tuple:
+        # cells come only from ``_System.symmetric``, which derives them from the shape
+        return (self.start, self.shape, self.width, self._cells is None)
+
+
+class _Block(_Layout):
+    """A ``_Layout`` whose entries are ``_Lin``s, one per unknown, for assembling rows.
+
+    A solver's ``Basis`` keeps each block's ``layout()`` only, so the ``_Lin``s
+    go with the system.
+    """
+
+    __slots__ = ("_lins",)
+
+    def __init__(self, start: int, shape: tuple[int, ...], width: int,
+                 cells: list[tuple[int, ...]] | None) -> None:
+        super().__init__(start, shape, width, cells)
+        indexes = list(product(*map(range, shape)))
+        units = [(flat,) for flat in range(len(indexes))] if cells is None else cells
+        # built once and shared: _Lin.add changes only its accumulator
+        self._lins = {}
+        for u, flats in enumerate(units):
+            col = start + width * u
+            lin = _Lin({col: 1}, {col + 1: 1} if width == 2 else {})
+            for flat in flats:
+                self._lins[indexes[flat]] = lin
+
+    def __getitem__(self, index: int | tuple[int, ...]) -> _Lin:
+        return self._lins[index if isinstance(index, tuple) else (index,)]
+
+    def layout(self) -> _Layout:
+        return _Layout(self.start, self.shape, self.width, self._cells)
+
+
+class _ConeMatrix:
+    """The real k x k matrix A = sum_p x_p g_p of a weight-0 solution, from its cone
+    coordinates x_p in ``coords`` and the cone's basis ``g_p``: a part of g_0's basis beside B."""
+
+    __slots__ = ("coords", "shape", "terms", "key")
+
+    def __init__(self, coords: _Layout, gbasis: Sequence[RealRows], k: int) -> None:
+        self.coords, self.shape = coords, (k, k)
+        # the nonzero entries of each g_p, by row-major index
+        self.terms = tuple(
+            tuple((j * k + l, x) for j, row in enumerate(g) for l, x in enumerate(row) if x)
+            for g in gbasis
+        )
+        self.key = (coords.key, self.terms)
+
+    def array(self, sol: dict[int, Fraction]) -> SparseArray:
+        """A, summed over the nonzero x_p and the nonzero entries of g_p; entries that cancel
+        are left out."""
+        entries: dict[int, Fraction] = {}
+        for p, xp in self.coords.present(sol):
+            for i, x in self.terms[p]:
+                entries[i] = entries.get(i, _ZERO) + xp * x
+        return SparseArray(self.shape, _ZERO, {i: x for i, x in entries.items() if x})
+
+
+class SparseArray:
+    """An array of ``shape`` held by its present entries.
+
+    ``entries`` maps the row-major index of each present entry to its value;
+    every other entry is ``zero``, the shared ``Fraction`` 0 of a real array or
+    ``GR_ZERO`` of a complex one. ``serialize.json_pieces`` writes it as the
+    nested lists of ``dense()`` without building them.
+    """
+
+    __slots__ = ("shape", "zero", "entries")
+
+    def __init__(self, shape: tuple[int, ...], zero: Scalar, entries: dict[int, Scalar]) -> None:
+        self.shape, self.zero, self.entries = shape, zero, entries
+
+    def dense(self):
+        """The array as nested tuples."""
+        flat = [self.zero] * prod(self.shape)
+        for i, x in self.entries.items():
             flat[i] = x
         for axis in range(len(self.shape) - 1, 0, -1):
             d = self.shape[axis]
             flat = [tuple(flat[g * d:g * d + d]) for g in range(prod(self.shape[:axis]))]
         return tuple(flat)
+
+
+class Basis(Sequence):
+    """A solver's basis: its sparse kernel vectors, read through the solver's parts.
+
+    ``len()`` is the dimension. Element i is a tuple with one dense nested
+    tuple per part (a block's ``_Layout``, or g_0's ``_ConeMatrix``), built
+    from vector i each time it is indexed or iterated, and not kept.
+    ``arrays()`` gives the same elements as ``SparseArray``s, and
+    ``a_part_basis`` reads g_0's A-parts alone, so a caller that needs neither
+    builds no dense tuple. Two bases are equal when their parts' layouts and
+    their vectors are.
+    """
+
+    __slots__ = ("vectors", "parts", "_layout", "_hash")
+
+    def __init__(self, vectors: Sequence[dict[int, Fraction]],
+                 parts: Sequence[_Layout | _ConeMatrix]) -> None:
+        self.vectors = tuple(vectors)
+        self.parts = tuple(parts)
+        self._layout = tuple(part.key for part in self.parts)
+        self._hash = None
+
+    def __len__(self) -> int:
+        return len(self.vectors)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self._element, self.vectors[index]))
+        return self._element(self.vectors[index])
+
+    def __iter__(self):
+        return map(self._element, self.vectors)
+
+    def _element(self, sol: dict[int, Fraction]) -> tuple:
+        """The dense element of one vector: the only place a dense element is built."""
+        return tuple(part.array(sol).dense() for part in self.parts)
+
+    def arrays(self):
+        """The elements in order, each as one ``SparseArray`` per part."""
+        return (tuple(part.array(sol) for part in self.parts) for sol in self.vectors)
+
+    def __eq__(self, other: object):
+        if other.__class__ is not Basis:
+            return NotImplemented
+        return self is other or (self._layout == other._layout and self.vectors == other.vectors)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self._layout, tuple(frozenset(v.items()) for v in self.vectors)))
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Basis({list(self.vectors)!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +509,7 @@ def _pairing_rows(
 # solvers
 
 @lru_cache(maxsize=1)
-def solve_g0(spec: SiegelDomainSpec) -> tuple[tuple[RealRows, ComplexRows], ...]:
+def solve_g0(spec: SiegelDomainSpec) -> Basis:
     """A basis of pairs (A, B): A in g(Omega) with B associated to A.
 
     A is real, so it is ``RealRows``; B is complex, ``ComplexRows``. A is
@@ -409,30 +532,25 @@ def solve_g0(spec: SiegelDomainSpec) -> tuple[tuple[RealRows, ComplexRows], ...]
             for l in range(k):
                 a_rows[j][l].add(coords[p], _exact(g[j][l]))
     _emit_association(system, spec.form, a_rows, 1, b, m)
-
-    # A = sum_p x_p g_p, summed over the nonzero x_p and the nonzero entries of g_p
-    g_entries = [
-        [(j, l, x) for j, row in enumerate(g) for l, x in enumerate(row) if x] for g in gbasis
-    ]
-    basis = []
-    for sol in system.solutions():
-        a_mat = [[_ZERO] * k for _ in range(k)]
-        for p, xp in coords.present(sol):
-            for j, l, x in g_entries[p]:
-                a_mat[j][l] += xp * x
-        basis.append((tuple(map(tuple, a_mat)), b.values(sol)))
-    return tuple(basis)
+    return Basis(system.solutions(), (_ConeMatrix(coords.layout(), gbasis, k), b.layout()))
 
 
 def a_part_basis(g0: Sequence[tuple[RealRows, ComplexRows]]) -> tuple[RealRows, ...]:
     """Canonical basis of the span of the A-parts of ``g0``: the reduced rows of the vectorized
-    matrices, so it does not depend on the pairing with B. The A-parts must be k x k for one k."""
+    matrices, so it does not depend on the pairing with B. The A-parts must be k x k for one k.
+    From a ``Basis`` (``solve_g0``) only the A-parts are read, from their present entries."""
     if not g0:
         return ()
-    k = len(g0[0][0])
-    if any(len(a) != k or any(len(row) != k for row in a) for a, _ in g0):
-        raise ValidationError("A-parts must be square matrices of one size")
-    rows = [{i * k + j: x for i, row in enumerate(a) for j, x in enumerate(row) if x} for a, _ in g0]
+    if isinstance(g0, Basis):
+        a_part = g0.parts[0]
+        k = a_part.shape[0]
+        rows = [a_part.array(sol).entries for sol in g0.vectors]
+    else:
+        k = len(g0[0][0])
+        if any(len(a) != k or any(len(row) != k for row in a) for a, _ in g0):
+            raise ValidationError("A-parts must be square matrices of one size")
+        rows = [{i * k + j: x for i, row in enumerate(a) for j, x in enumerate(row) if x}
+                for a, _ in g0]
     reduced, _ = sparse_rref(rows)
     return tuple(
         tuple(tuple(r.get(i * k + j, _ZERO) for j in range(k)) for i in range(k))
@@ -449,7 +567,7 @@ def solve_L(spec: SiegelDomainSpec) -> int:
 
 
 @lru_cache(maxsize=1)
-def solve_g_half(spec: SiegelDomainSpec) -> tuple[tuple[ComplexRows, Tensor], ...]:
+def solve_g_half(spec: SiegelDomainSpec) -> Basis:
     """A basis of the weight-1/2 component: pairs (Phi, c).
 
     Phi is the m x k C-linear map on the z-block, ``ComplexRows``; c is the
@@ -462,7 +580,7 @@ def solve_g_half(spec: SiegelDomainSpec) -> tuple[tuple[ComplexRows, Tensor], ..
     """
     k, m = spec.k, spec.m
     if m == 0:
-        return ()
+        return Basis((), ())
     form = spec.form
     annihilators = spec.cone.annihilator_terms
     system = _System()
@@ -493,11 +611,11 @@ def solve_g_half(spec: SiegelDomainSpec) -> tuple[tuple[ComplexRows, Tensor], ..
                         expr.add(phibar_h[t, i2], h, minus_two_i)
                 system.require_zero(expr)
 
-    return tuple((phi.values(sol), c.values(sol)) for sol in system.solutions())
+    return Basis(system.solutions(), (phi.layout(), c.layout()))
 
 
 @lru_cache(maxsize=1)
-def solve_g1(spec: SiegelDomainSpec) -> tuple[tuple[Tensor, Tensor], ...]:
+def solve_g1(spec: SiegelDomainSpec) -> Basis:
     """A basis of the weight-1 component: pairs (a, b).
 
     a is the symmetric real bilinear form on the z-block (``Fraction``
@@ -561,16 +679,17 @@ def solve_g1(spec: SiegelDomainSpec) -> tuple[tuple[Tensor, Tensor], ...]:
                 for key in sorted(exprs):
                     system.require_zero(exprs[key])
 
-    return tuple((a.values(sol), b.values(sol)) for sol in system.solutions())
+    return Basis(system.solutions(), (a.layout(), b.layout()))
 
 
 class GradedSolutions(Frozen):
-    """The bases of g_0, g_1/2 and g_1, and s = dim L, the skew-Hermitian part of g_0."""
+    """The bases of g_0, g_1/2 and g_1 (each a ``Basis``), and s = dim L, the skew-Hermitian
+    part of g_0."""
 
-    g0: tuple[tuple[RealRows, ComplexRows], ...]
+    g0: Basis
     s: int
-    g_half: tuple[tuple[ComplexRows, Tensor], ...]
-    g_one: tuple[tuple[Tensor, Tensor], ...]
+    g_half: Basis
+    g_one: Basis
     dims: GradedDims
 
 

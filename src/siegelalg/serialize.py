@@ -11,6 +11,7 @@ import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import prod
 from typing import Union
 
 from .cones import (
@@ -21,7 +22,7 @@ from .cones import (
     catalog_cone,
 )
 from .errors import ValidationError
-from .graded import GradedSolutions, SiegelDomainSpec
+from .graded import GradedSolutions, SiegelDomainSpec, SparseArray
 from .hermitian import HermitianFamily, OmegaHermitianVerdict, is_omega_hermitian
 from .linalg import ComplexRows, GaussianRational, RealRows, _int
 
@@ -51,8 +52,12 @@ def json_pieces(value) -> list[str]:
     strings. The standard library's indenting encoder runs one generator per
     container; this appends to one list of pieces instead. A tuple or list
     writes its ``Fraction`` and ``GaussianRational`` entries in its own loop,
-    and makes the text of a zero ``GaussianRational`` once. A writer passes
-    the pieces to ``writelines``, so the text is never held twice.
+    and makes the text of a zero ``GaussianRational`` once. A
+    ``graded.SparseArray`` (a block of a basis element, from
+    ``solutions_bases_to_json``) is written as the nested lists of its dense
+    tuples, from its present entries only: a row with none is one zero-row
+    text, made once per array. A writer passes the pieces to ``writelines``,
+    so the text is never held twice.
 
     A number with more digits than Python prints an int with
     (``sys.get_int_max_str_digits()``) is refused with a ``ValidationError``;
@@ -76,6 +81,8 @@ def _format(value, prefix: str, newline: str, out: list[str]) -> None:
         out.append(f'{prefix}"{value}"')
     elif cls is GaussianRational:
         out.append(prefix + _gaussian(value, newline))
+    elif cls is SparseArray:
+        _format_array(value, prefix, newline, out)
     elif isinstance(value, str):
         out.append(prefix + encode_basestring_ascii(value))
     elif isinstance(value, dict):
@@ -115,6 +122,54 @@ def _format(value, prefix: str, newline: str, out: list[str]) -> None:
         out.append(prefix + json.dumps(value))
 
 
+def _format_array(array: SparseArray, prefix: str, newline: str, out: list[str]) -> None:
+    """Append ``prefix`` and then ``array`` as the nested lists of ``array.dense()``.
+
+    Each innermost row is written from its present entries; a row with none
+    is the text of a zero row, made once per array (its rows all have one
+    length and one indentation). An array with a zero dimension is written
+    from ``dense()``, which is then empty nested tuples.
+    """
+    if not prod(array.shape):
+        _format(array.dense(), prefix, newline, out)
+        return
+    *outer, d = array.shape
+    row_newline = newline + "  " * len(outer)
+    inner = row_newline + "  "
+    rows: dict[int, list[tuple[int, object]]] = {}
+    for flat, x in array.entries.items():
+        g, i = divmod(flat, d)
+        rows.setdefault(g, []).append((i, x))
+
+    def text(x) -> str:
+        return f'"{x}"' if x.__class__ is Fraction else _gaussian(x, inner)
+
+    zero = text(array.zero)
+    sep = "," + inner
+    zero_row = f"[{inner}{sep.join([zero] * d)}{row_newline}]"
+
+    def walk(level: int, g: int, prefix: str, newline: str) -> None:
+        # the list at outer indexes that number g in row-major order, at depth ``level``
+        if level == len(outer):
+            row = rows.get(g)
+            if row is None:
+                out.append(prefix + zero_row)
+                return
+            texts = [zero] * d
+            for i, x in row:
+                texts[i] = text(x)
+            out.append(f"{prefix}[{inner}{sep.join(texts)}{row_newline}]")
+            return
+        nested = newline + "  "
+        head = prefix + "[" + nested
+        for j in range(outer[level]):
+            walk(level + 1, g * outer[level] + j, head, nested)
+            head = "," + nested
+        out.append(newline + "]")
+
+    walk(0, 0, prefix, newline)
+
+
 def _gaussian(value: GaussianRational, newline: str) -> str:
     """The text of a ``GaussianRational``, whose lines start with ``newline``."""
     inner = newline + "  "
@@ -150,12 +205,18 @@ def fraction_from_json(value: Union[str, int]) -> Fraction:
 
 
 def gaussian_from_json(value) -> GaussianRational:
+    """A rational as ``fraction_from_json`` reads it, or an object {"re": ..., "im": ...}."""
     if isinstance(value, dict):
         if not value or set(value) - {"re", "im"}:
             raise ValidationError(f"complex entry {value!r} needs 're' and/or 'im' and no other key")
         re = fraction_from_json(value.get("re", 0))
         im = fraction_from_json(value.get("im", 0))
         return GaussianRational(re, im)
+    if not isinstance(value, (int, str, float)):  # a bool or float: the rational reader's text
+        raise ValidationError(
+            f"bad complex value {value!r} (expected an integer, a string like '-3/4' "
+            'or an object like {"re": "1/2", "im": "-3"})'
+        )
     return GaussianRational(fraction_from_json(value), Fraction(0))
 
 
@@ -219,7 +280,7 @@ def cone_from_json(doc) -> ConeSpec:
     if isinstance(doc, str):
         return catalog_cone(doc)
     if not isinstance(doc, dict):
-        raise ValidationError("cone must be a catalog id or an object")
+        raise ValidationError(f"cone must be a catalog id or an object, got {doc!r}")
     if set(doc) == {"cone"}:
         return cone_from_json(doc["cone"])
     _require_keys(doc, {"k", "g_basis", "interior_point", "boundary"}, "cone document", ("name",))
@@ -313,9 +374,13 @@ def load_domain_spec(doc: dict) -> tuple[SiegelDomainSpec, OmegaHermitianVerdict
 
 
 def solutions_bases_to_json(sols: GradedSolutions) -> dict:
-    """Explicit generator data for ``format_json``, gated behind a CLI flag to keep reports small."""
+    """Explicit generator data for ``format_json``, gated behind a CLI flag to keep reports small.
+
+    Each block of a basis element is a ``SparseArray``, which the writer lays
+    out as the element's dense nested lists without building them.
+    """
     return {
-        "g_0": [{"A": a, "B": b} for a, b in sols.g0],
-        "g_half": [{"phi": phi, "c": c} for phi, c in sols.g_half],
-        "g_1": [{"a": a, "b": b} for a, b in sols.g_one],
+        "g_0": [{"A": a, "B": b} for a, b in sols.g0.arrays()],
+        "g_half": [{"phi": phi, "c": c} for phi, c in sols.g_half.arrays()],
+        "g_1": [{"a": a, "b": b} for a, b in sols.g_one.arrays()],
     }

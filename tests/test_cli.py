@@ -282,6 +282,17 @@ class TestDocumentsReadAlike:
         err = self._run(capsys, tmp_path, {**RAY_CONE, "interior_point": [entry]})
         assert err == f"error: bad rational value {entry!r} ({accepted})\n"
 
+    @pytest.mark.parametrize("entry", [None, ["1", "2"]], ids=["null", "list"])
+    def test_a_value_that_is_no_complex_entry_says_what_is_accepted(self, capsys, tmp_path,
+                                                                     entry):
+        err = self._run(capsys, tmp_path, RAY_CONE, entry=entry)
+        assert err == (f"error: bad complex value {entry!r} (expected an integer, a string like "
+                       """'-3/4' or an object like {"re": "1/2", "im": "-3"})\n""")
+
+    def test_a_cone_that_is_neither_id_nor_object_is_named(self, capsys, tmp_path):
+        err = self._run(capsys, tmp_path, {"cone": 5})
+        assert err == "error: cone must be a catalog id or an object, got 5\n"
+
     def test_underscore_literal_refused_in_a_flag(self, capsys):
         code, out, err = run_cli(capsys, "dims", "--domain", "d6", "--v", "1_0,1,0")
         assert (code, out) == (2, "")
