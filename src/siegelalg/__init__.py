@@ -51,10 +51,10 @@ from .fields import (
     materialize,
 )
 from .graded import (
-    Basis,
     GradedDims,
     GradedSolutions,
     SiegelDomainSpec,
+    SparseArray,
     a_part_basis,
     graded_dims,
     solve_all,
@@ -76,7 +76,6 @@ from .poly import Polynomial, generic_rank
 from .serialize import load_domain_spec, spec_to_json
 
 __all__ = [
-    "Basis",
     "BoundReport",
     "ConeSpec",
     "DomainId",
@@ -92,6 +91,7 @@ __all__ = [
     "Polynomial",
     "Region",
     "SiegelDomainSpec",
+    "SparseArray",
     "ValidationError",
     "a_part_basis",
     "analyze",

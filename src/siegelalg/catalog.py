@@ -367,10 +367,9 @@ def _d6_basis_matches(sols) -> bool:
     if len(sols.g_one) != 1:
         return False
     ((a, b),) = sols.g_one
-    upper = {(l, i, j): x for l, plane in enumerate(a) for i, row in enumerate(plane)
-             for j, x in enumerate(row) if j >= i and x}
+    upper = {index: x for index, x in a.indexed() if index[2] >= index[1]}
     return (
-        not any(x for plane in b for row in plane for x in row)
+        not b.entries
         and upper.keys() == D6_KNOWN_QUADRATIC.keys()
         and len({upper[key] / x for key, x in D6_KNOWN_QUADRATIC.items()}) == 1
     )

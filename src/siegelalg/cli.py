@@ -82,7 +82,9 @@ def _load_spec(args):
 
     A --spec document whose cone check was sampled gets a one-line note on stderr.
     """
-    if getattr(args, "spec", None):
+    if args.spec and args.domain:
+        raise ValidationError("provide either --domain or --spec FILE, not both")
+    if args.spec:
         with open(args.spec, "r", encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
@@ -94,7 +96,7 @@ def _load_spec(args):
         if compat.note:
             print(f"note: {compat.note}", file=sys.stderr)
         return spec, f"custom({args.spec})"
-    if not getattr(args, "domain", None):
+    if not args.domain:
         raise ValidationError("provide either --domain or --spec FILE")
     domain = _domain_from_args(args)
     return catalog.build(domain), domain.label

@@ -98,8 +98,10 @@ def _field(n: int, terms, grade: Fraction, label: str) -> PolyVectorField:
 def materialize(spec: SiegelDomainSpec, sols: GradedSolutions) -> tuple[PolyVectorField, ...]:
     """Explicit generators for all five graded components, in weight order.
 
-    Symmetric forms are summed over all index pairs (i, j), so an off-diagonal
-    coefficient enters twice: the doubled convention of ``graded.Tensor``.
+    Each field is built from the present entries of its basis element's
+    ``SparseArray``s. Symmetric forms are summed over all index pairs (i, j),
+    and hold both mirror entries, so an off-diagonal coefficient enters twice:
+    the doubled convention of ``graded.Tensor``.
     ``sols`` whose k or m differ from ``spec``'s are refused; solutions of
     another domain of the same k and m are not caught.
     """
@@ -126,33 +128,25 @@ def materialize(spec: SiegelDomainSpec, sols: GradedSolutions) -> tuple[PolyVect
 
     # weight 0: (Az) . d/dz + (Bw) . d/dw
     for idx, (a_mat, b_mat) in enumerate(sols.g0):
-        terms = [(t, a_mat[t][l], l) for t in range(k) for l in range(k)]
-        terms += [(k + l, b_mat[l][p], k + p) for l in range(m) for p in range(m)]
+        terms = [(t, x, l) for (t, l), x in a_mat.indexed()]
+        terms += [(k + l, x, k + p) for (l, p), x in b_mat.indexed()]
         fields.append(_field(n, terms, Fraction(0), f"g0[{idx}]"))
 
     # weight 1/2: 2i H(Phi(conj z), w) . d/dz + (Phi z + c(w,w)) . d/dw
     for idx, (phi, c) in enumerate(sols.g_half):
+        phi_entries = list(phi.indexed())
         terms = [
-            (t, two_i * phi[v][i].conjugate() * h, i, k + l)
-            for t, rows in enumerate(h_rows) for i in range(k) for v in range(m) for l, h in rows[v]
+            (t, two_i * x.conjugate() * h, i, k + l)
+            for (v, i), x in phi_entries for t, rows in enumerate(h_rows) for l, h in rows[v]
         ]
-        terms += [(k + l, phi[l][t], t) for l in range(m) for t in range(k)]
-        terms += [
-            (k + l, c[l][i][j], k + i, k + j)
-            for l in range(m) for i in range(m) for j in range(m)
-        ]
+        terms += [(k + l, x, t) for (l, t), x in phi_entries]
+        terms += [(k + l, x, k + i, k + j) for (l, i, j), x in c.indexed()]
         fields.append(_field(n, terms, Fraction(1, 2), f"g1/2[{idx}]"))
 
     # weight 1: a(z,z) . d/dz + b(z,w) . d/dw
     for idx, (a, b) in enumerate(sols.g_one):
-        terms = [
-            (l, a[l][i][j], i, j)
-            for l in range(k) for i in range(k) for j in range(k)
-        ]
-        terms += [
-            (k + l, b[l][t][p], t, k + p)
-            for l in range(m) for t in range(k) for p in range(m)
-        ]
+        terms = [(l, x, i, j) for (l, i, j), x in a.indexed()]
+        terms += [(k + l, x, t, k + p) for (l, t, p), x in b.indexed()]
         fields.append(_field(n, terms, Fraction(1), f"g1[{idx}]"))
 
     return tuple(fields)

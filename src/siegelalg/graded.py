@@ -45,11 +45,9 @@ once with the cone (``ConeSpec.annihilator_terms``). Neither tests each
 entry. g1's three-argument identity adds each term to the row of its tuple,
 so a tuple with no term has no row. A coordinate vector is read as its one
 nonzero entry (``coordinate_units``). The nullspace vectors are sparse, and a
-solver returns them as they are, in a ``Basis`` with its blocks: ``len()`` is
-the dimension, and a dense element is built from its present columns only,
-when a reader indexes it. ``a_part_basis`` reads only g_0's A-parts, and the
-JSON writer each block's present entries (a ``SparseArray``), so neither
-builds one.
+solver returns a tuple with one element per vector: one ``SparseArray`` per
+part, read from the vector's present columns when the solve ends. Readers
+read the present entries; ``dense()`` builds the nested tuples.
 
 Each identity is accumulated once, into one ``_Lin``: ``expr.add(x, *factors)``
 adds the product of the factors, folded into one complex coefficient, times
@@ -85,7 +83,6 @@ from .frozen import Frozen
 from .hermitian import HermitianFamily
 from .linalg import (
     GR_ZERO,
-    ComplexRows,
     Exact,
     GaussianRational,
     RealRows,
@@ -221,67 +218,22 @@ class _System:
         return sparse_nullspace(self.rows, self.n)
 
 
-class _Layout:
+class _Block:
     """An array of ``shape`` whose unknowns sit in consecutive columns from ``start``.
 
     ``width`` is 1 for real entries and 2 for complex ones, whose (re, im)
-    parts sit in adjacent columns. In a plain layout (``cells`` None) each
+    parts sit in adjacent columns. In a plain block (``cells`` None) each
     entry is an unknown, row-major; otherwise ``cells[u]`` lists the row-major
-    indexes of the entries that the u-th unknown stands for.
+    indexes of the entries that the u-th unknown stands for. Indexing gives an
+    entry's ``_Lin``, for assembling rows.
     """
 
-    __slots__ = ("start", "shape", "width", "stop", "_cells")
+    __slots__ = ("start", "shape", "width", "stop", "_cells", "_lins")
 
     def __init__(self, start: int, shape: tuple[int, ...], width: int,
                  cells: list[tuple[int, ...]] | None) -> None:
         self.start, self.shape, self.width, self._cells = start, shape, width, cells
         self.stop = start + width * (prod(shape) if cells is None else len(cells))
-
-    def present(self, sol: dict[int, Fraction]) -> list[tuple[int, Scalar]]:
-        """The (flat index, value) of each entry present in the sparse solution vector ``sol``.
-
-        A real block reads plain ``Fraction``s; a complex block reads each
-        (re, im) column pair with a column present as one ``GaussianRational``.
-        """
-        start, stop = self.start, self.stop
-        if self.width == 1:
-            return [(c - start, x) for c, x in sol.items() if start <= c < stop]
-        parts: dict[int, list[Fraction]] = {}
-        for c, x in sol.items():
-            if start <= c < stop:
-                flat, part = divmod(c - start, 2)
-                parts.setdefault(flat, [_ZERO, _ZERO])[part] = x
-        return [(flat, GaussianRational(re, im)) for flat, (re, im) in parts.items()]
-
-    def array(self, sol: dict[int, Fraction]) -> SparseArray:
-        """The entries in a sparse solution vector, as a ``SparseArray`` of the block's shape.
-
-        Only the present columns are read. An unknown standing for several
-        entries, as in a symmetric block, sets each of them.
-        """
-        entries = self.present(sol)
-        if self._cells is not None:
-            entries = [(i, x) for u, x in entries for i in self._cells[u]]
-        return SparseArray(self.shape, _ZERO if self.width == 1 else GR_ZERO, dict(entries))
-
-    @property
-    def key(self) -> tuple:
-        # cells come only from ``_System.symmetric``, which derives them from the shape
-        return (self.start, self.shape, self.width, self._cells is None)
-
-
-class _Block(_Layout):
-    """A ``_Layout`` whose entries are ``_Lin``s, one per unknown, for assembling rows.
-
-    A solver's ``Basis`` keeps each block's ``layout()`` only, so the ``_Lin``s
-    go with the system.
-    """
-
-    __slots__ = ("_lins",)
-
-    def __init__(self, start: int, shape: tuple[int, ...], width: int,
-                 cells: list[tuple[int, ...]] | None) -> None:
-        super().__init__(start, shape, width, cells)
         indexes = list(product(*map(range, shape)))
         units = [(flat,) for flat in range(len(indexes))] if cells is None else cells
         # built once and shared: _Lin.add changes only its accumulator
@@ -295,24 +247,47 @@ class _Block(_Layout):
     def __getitem__(self, index: int | tuple[int, ...]) -> _Lin:
         return self._lins[index if isinstance(index, tuple) else (index,)]
 
-    def layout(self) -> _Layout:
-        return _Layout(self.start, self.shape, self.width, self._cells)
+    def present(self, sol: dict[int, Fraction]) -> list[tuple[int, Scalar]]:
+        """The (unknown, value) of each unknown present in the sparse solution vector ``sol``.
+
+        A real block reads plain ``Fraction``s; a complex block reads each
+        (re, im) column pair with a column present as one ``GaussianRational``.
+        """
+        start, stop = self.start, self.stop
+        if self.width == 1:
+            return [(c - start, x) for c, x in sol.items() if start <= c < stop]
+        parts: dict[int, list[Fraction]] = {}
+        for c, x in sol.items():
+            if start <= c < stop:
+                u, part = divmod(c - start, 2)
+                parts.setdefault(u, [_ZERO, _ZERO])[part] = x
+        return [(u, GaussianRational(re, im)) for u, (re, im) in parts.items()]
+
+    def array(self, sol: dict[int, Fraction]) -> SparseArray:
+        """The entries in a sparse solution vector, as a ``SparseArray`` of the block's shape.
+
+        Only the present columns are read. An unknown standing for several
+        entries, as in a symmetric block, sets each of them.
+        """
+        entries = self.present(sol)
+        if self._cells is not None:
+            entries = [(i, x) for u, x in entries for i in self._cells[u]]
+        return SparseArray(self.shape, _ZERO if self.width == 1 else GR_ZERO, dict(entries))
 
 
 class _ConeMatrix:
     """The real k x k matrix A = sum_p x_p g_p of a weight-0 solution, from its cone
     coordinates x_p in ``coords`` and the cone's basis ``g_p``: a part of g_0's basis beside B."""
 
-    __slots__ = ("coords", "shape", "terms", "key")
+    __slots__ = ("coords", "shape", "terms")
 
-    def __init__(self, coords: _Layout, gbasis: Sequence[RealRows], k: int) -> None:
+    def __init__(self, coords: _Block, gbasis: Sequence[RealRows], k: int) -> None:
         self.coords, self.shape = coords, (k, k)
         # the nonzero entries of each g_p, by row-major index
         self.terms = tuple(
             tuple((j * k + l, x) for j, row in enumerate(g) for l, x in enumerate(row) if x)
             for g in gbasis
         )
-        self.key = (coords.key, self.terms)
 
     def array(self, sol: dict[int, Fraction]) -> SparseArray:
         """A, summed over the nonzero x_p and the nonzero entries of g_p; entries that cancel
@@ -329,14 +304,25 @@ class SparseArray:
 
     ``entries`` maps the row-major index of each present entry to its value;
     every other entry is ``zero``, the shared ``Fraction`` 0 of a real array or
-    ``GR_ZERO`` of a complex one. ``serialize.json_pieces`` writes it as the
-    nested lists of ``dense()`` without building them.
+    ``GR_ZERO`` of a complex one. A solver's array holds no zero entry, so two
+    arrays are equal when their shapes, zeros and entries are.
+    ``serialize.json_pieces`` writes it as the nested lists of ``dense()``
+    without building them.
     """
 
     __slots__ = ("shape", "zero", "entries")
 
     def __init__(self, shape: tuple[int, ...], zero: Scalar, entries: dict[int, Scalar]) -> None:
         self.shape, self.zero, self.entries = shape, zero, entries
+
+    def indexed(self):
+        """(index tuple, value) of each present entry."""
+        for flat, x in self.entries.items():
+            index = []
+            for d in reversed(self.shape):
+                flat, i = divmod(flat, d)
+                index.append(i)
+            yield tuple(reversed(index)), x
 
     def dense(self):
         """The array as nested tuples."""
@@ -348,65 +334,32 @@ class SparseArray:
             flat = [tuple(flat[g * d:g * d + d]) for g in range(prod(self.shape[:axis]))]
         return tuple(flat)
 
-
-class Basis(Sequence):
-    """A solver's basis: its sparse kernel vectors, read through the solver's parts.
-
-    ``len()`` is the dimension. Element i is a tuple with one dense nested
-    tuple per part (a block's ``_Layout``, or g_0's ``_ConeMatrix``), built
-    from vector i each time it is indexed or iterated, and not kept.
-    ``arrays()`` gives the same elements as ``SparseArray``s, and
-    ``a_part_basis`` reads g_0's A-parts alone, so a caller that needs neither
-    builds no dense tuple. Two bases are equal when their parts' layouts and
-    their vectors are.
-    """
-
-    __slots__ = ("vectors", "parts", "_layout", "_hash")
-
-    def __init__(self, vectors: Sequence[dict[int, Fraction]],
-                 parts: Sequence[_Layout | _ConeMatrix]) -> None:
-        self.vectors = tuple(vectors)
-        self.parts = tuple(parts)
-        self._layout = tuple(part.key for part in self.parts)
-        self._hash = None
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(map(self._element, self.vectors[index]))
-        return self._element(self.vectors[index])
-
-    def __iter__(self):
-        return map(self._element, self.vectors)
-
-    def _element(self, sol: dict[int, Fraction]) -> tuple:
-        """The dense element of one vector: the only place a dense element is built."""
-        return tuple(part.array(sol).dense() for part in self.parts)
-
-    def arrays(self):
-        """The elements in order, each as one ``SparseArray`` per part."""
-        return (tuple(part.array(sol) for part in self.parts) for sol in self.vectors)
-
     def __eq__(self, other: object):
-        if other.__class__ is not Basis:
+        if other.__class__ is not SparseArray:
             return NotImplemented
-        return self is other or (self._layout == other._layout and self.vectors == other.vectors)
+        return (self.shape, self.zero, self.entries) == (other.shape, other.zero, other.entries)
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self._layout, tuple(frozenset(v.items()) for v in self.vectors)))
-        return self._hash
+        return hash((self.shape, self.zero, frozenset(self.entries.items())))
 
     def __repr__(self) -> str:
-        return f"Basis({list(self.vectors)!r})"
+        return f"SparseArray({self.shape!r}, {self.entries!r})"
+
+
+# a solver's basis: one element per kernel vector, one array per part
+Basis = tuple[tuple[SparseArray, SparseArray], ...]
+
+
+def _basis(system: _System, *parts: _Block | _ConeMatrix) -> Basis:
+    """One element per kernel vector of ``system``, each one ``SparseArray`` per part."""
+    return tuple(tuple(part.array(sol) for part in parts) for sol in system.solutions())
 
 
 # ---------------------------------------------------------------------------
 # basis elements
 
-# Coefficients c[l][i][j] of a bilinear form, value_l(u, v) = sum_{i,j} c[l][i][j] u_i v_j:
+# The ``dense()`` of a bilinear form's ``SparseArray``: its coefficients c[l][i][j], with
+# value_l(u, v) = sum_{i,j} c[l][i][j] u_i v_j;
 # ``Fraction``s for a real form (``a`` of g1), ``GaussianRational``s for a complex one.
 # A symmetric form has c[l][i][j] = c[l][j][i]: a sum over all (i, j) counts each i != j twice.
 Tensor = tuple[tuple[tuple[Scalar, ...], ...], ...]
@@ -512,7 +465,7 @@ def _pairing_rows(
 def solve_g0(spec: SiegelDomainSpec) -> Basis:
     """A basis of pairs (A, B): A in g(Omega) with B associated to A.
 
-    A is real, so it is ``RealRows``; B is complex, ``ComplexRows``. A is
+    A is a real k x k ``SparseArray`` and B a complex m x m one. A is
     parametrized in cone coordinates, which builds the cone membership
     into the unknowns; the association identity is matched entry by entry.
     Each solver keeps the result for its last (immutable) domain only, so
@@ -532,26 +485,22 @@ def solve_g0(spec: SiegelDomainSpec) -> Basis:
             for l in range(k):
                 a_rows[j][l].add(coords[p], _exact(g[j][l]))
     _emit_association(system, spec.form, a_rows, 1, b, m)
-    return Basis(system.solutions(), (_ConeMatrix(coords.layout(), gbasis, k), b.layout()))
+    return _basis(system, _ConeMatrix(coords, gbasis, k), b)
 
 
-def a_part_basis(g0: Sequence[tuple[RealRows, ComplexRows]]) -> tuple[RealRows, ...]:
-    """Canonical basis of the span of the A-parts of ``g0``: the reduced rows of the vectorized
-    matrices, so it does not depend on the pairing with B. The A-parts must be k x k for one k.
-    From a ``Basis`` (``solve_g0``) only the A-parts are read, from their present entries."""
+def a_part_basis(g0: Basis) -> tuple[RealRows, ...]:
+    """Canonical basis of the span of the A-parts of ``g0`` (``solve_g0``'s pairs (A, B)): the
+    reduced rows of the vectorized matrices, so it does not depend on the pairing with B. Only
+    the A-parts' present entries are read; they must be ``SparseArray``s, k x k for one k."""
     if not g0:
         return ()
-    if isinstance(g0, Basis):
-        a_part = g0.parts[0]
-        k = a_part.shape[0]
-        rows = [a_part.array(sol).entries for sol in g0.vectors]
-    else:
-        k = len(g0[0][0])
-        if any(len(a) != k or any(len(row) != k for row in a) for a, _ in g0):
-            raise ValidationError("A-parts must be square matrices of one size")
-        rows = [{i * k + j: x for i, row in enumerate(a) for j, x in enumerate(row) if x}
-                for a, _ in g0]
-    reduced, _ = sparse_rref(rows)
+    a_parts = [pair[0] if isinstance(pair, tuple) and len(pair) == 2 else None for pair in g0]
+    if any(a.__class__ is not SparseArray for a in a_parts):
+        raise ValidationError("g0 must hold pairs (A, B) of SparseArrays, as solve_g0 returns")
+    k = a_parts[0].shape[0] if a_parts[0].shape else -1
+    if any(a.shape != (k, k) for a in a_parts):
+        raise ValidationError("A-parts must be square matrices of one size")
+    reduced, _ = sparse_rref([a.entries for a in a_parts])
     return tuple(
         tuple(tuple(r.get(i * k + j, _ZERO) for j in range(k)) for i in range(k))
         for r in reduced
@@ -570,8 +519,9 @@ def solve_L(spec: SiegelDomainSpec) -> int:
 def solve_g_half(spec: SiegelDomainSpec) -> Basis:
     """A basis of the weight-1/2 component: pairs (Phi, c).
 
-    Phi is the m x k C-linear map on the z-block, ``ComplexRows``; c is the
-    symmetric C-bilinear form on the w-block, a ``Tensor`` indexed c[l][i][j].
+    Phi is the m x k C-linear map on the z-block; c is the symmetric C-bilinear
+    form on the w-block, an (m, m, m) array indexed [l, i, j] (its ``dense()`` is
+    a ``Tensor``). Both are complex ``SparseArray``s.
 
     Membership of the induced real maps is instantiated at coordinate vectors
     and their i-multiples (the dependence is real-linear); the compatibility
@@ -580,7 +530,7 @@ def solve_g_half(spec: SiegelDomainSpec) -> Basis:
     """
     k, m = spec.k, spec.m
     if m == 0:
-        return Basis((), ())
+        return ()
     form = spec.form
     annihilators = spec.cone.annihilator_terms
     system = _System()
@@ -611,16 +561,16 @@ def solve_g_half(spec: SiegelDomainSpec) -> Basis:
                         expr.add(phibar_h[t, i2], h, minus_two_i)
                 system.require_zero(expr)
 
-    return Basis(system.solutions(), (phi.layout(), c.layout()))
+    return _basis(system, phi, c)
 
 
 @lru_cache(maxsize=1)
 def solve_g1(spec: SiegelDomainSpec) -> Basis:
     """A basis of the weight-1 component: pairs (a, b).
 
-    a is the symmetric real bilinear form on the z-block (``Fraction``
-    coefficients a[l][i][j]); b is the C-bilinear form b[l][t][p] taking z_t
-    and w_p to the w-block.
+    a is the symmetric real bilinear form on the z-block, a real (k, k, k)
+    ``SparseArray`` indexed [l, i, j]; b is the C-bilinear form, a complex (m, k, m)
+    one indexed [l, t, p], taking z_t and w_p to the w-block.
 
     Four condition families: cone membership of x -> a(x0, x); association of
     the half-coefficient maps w -> b(x0, w)/2 to a(x0, .), assembled as that
@@ -679,12 +629,12 @@ def solve_g1(spec: SiegelDomainSpec) -> Basis:
                 for key in sorted(exprs):
                     system.require_zero(exprs[key])
 
-    return Basis(system.solutions(), (a.layout(), b.layout()))
+    return _basis(system, a, b)
 
 
 class GradedSolutions(Frozen):
-    """The bases of g_0, g_1/2 and g_1 (each a ``Basis``), and s = dim L, the skew-Hermitian
-    part of g_0."""
+    """The bases of g_0, g_1/2 and g_1 (as the solvers return them), and s = dim L, the
+    skew-Hermitian part of g_0."""
 
     g0: Basis
     s: int

@@ -17,8 +17,8 @@ from typing import Sequence
 
 from .errors import ValidationError
 from .frozen import Frozen
-from .graded import SiegelDomainSpec, a_part_basis
-from .linalg import ComplexRows, RealRows, _int
+from .graded import Basis, SiegelDomainSpec, a_part_basis
+from .linalg import RealRows, _int
 from .poly import generic_rank
 
 NOT_TRANSITIVE = "not-transitive"
@@ -55,10 +55,9 @@ def generic_orbit_rank(a_basis: Sequence[RealRows], k: int) -> int:
     return generic_rank(rows, k)
 
 
-def homogeneity_verdict(
-    spec: SiegelDomainSpec, g0: Sequence[tuple[RealRows, ComplexRows]]
-) -> HomogeneityVerdict:
-    """The verdict for ``spec`` from its weight-0 pairs ``g0`` (``solve_g0(spec)``)."""
+def homogeneity_verdict(spec: SiegelDomainSpec, g0: Basis) -> HomogeneityVerdict:
+    """The verdict for ``spec`` from its weight-0 pairs ``g0``, as ``solve_g0(spec)`` returns
+    them; ``a_part_basis`` refuses any other form."""
     basis = a_part_basis(g0)
     rank = generic_orbit_rank(basis, spec.k)
     if rank < spec.k:

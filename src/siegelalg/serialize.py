@@ -42,10 +42,10 @@ def json_pieces(value) -> list[str]:
 
     Values are encoded where they are met, by exact class: a ``Fraction`` as
     "p/q" (bare "p" for an integer), a ``GaussianRational`` as {"re", "im"},
-    a tuple as a list. Complex data (``ComplexRows``: B, Phi and the
+    a tuple as a list. Complex data (``ComplexRows``, such as the
     components of a Hermitian family) is nested tuples of
-    ``GaussianRational``s, and real data (``RealRows``, the ``Tensor`` a of
-    g1) nested tuples of ``Fraction``s, so each becomes nested lists of
+    ``GaussianRational``s, and real data (``RealRows``, such as a cone's
+    basis) nested tuples of ``Fraction``s, so each becomes nested lists of
     those encodings; an ``int`` is a JSON number. Dicts and lists
     (subclasses too) are laid out here and strings escaped to ASCII as
     ``json.dumps`` does; other leaves go through ``json.dumps``. Keys must be
@@ -53,9 +53,9 @@ def json_pieces(value) -> list[str]:
     container; this appends to one list of pieces instead. A tuple or list
     writes its ``Fraction`` and ``GaussianRational`` entries in its own loop,
     and makes the text of a zero ``GaussianRational`` once. A
-    ``graded.SparseArray`` (a block of a basis element, from
-    ``solutions_bases_to_json``) is written as the nested lists of its dense
-    tuples, from its present entries only: a row with none is one zero-row
+    ``graded.SparseArray`` (a part of a basis element, such as B, Phi or the
+    form a of g1, from ``solutions_bases_to_json``) is written as the nested
+    lists of its dense tuples, from its present entries only: a row with none is one zero-row
     text, made once per array. A writer passes the pieces to ``writelines``,
     so the text is never held twice.
 
@@ -376,11 +376,11 @@ def load_domain_spec(doc: dict) -> tuple[SiegelDomainSpec, OmegaHermitianVerdict
 def solutions_bases_to_json(sols: GradedSolutions) -> dict:
     """Explicit generator data for ``format_json``, gated behind a CLI flag to keep reports small.
 
-    Each block of a basis element is a ``SparseArray``, which the writer lays
-    out as the element's dense nested lists without building them.
+    Each part of a basis element is a ``SparseArray``, which the writer lays
+    out as its dense nested lists without building them.
     """
     return {
-        "g_0": [{"A": a, "B": b} for a, b in sols.g0.arrays()],
-        "g_half": [{"phi": phi, "c": c} for phi, c in sols.g_half.arrays()],
-        "g_1": [{"a": a, "b": b} for a, b in sols.g_one.arrays()],
+        "g_0": [{"A": a, "B": b} for a, b in sols.g0],
+        "g_half": [{"phi": phi, "c": c} for phi, c in sols.g_half],
+        "g_1": [{"a": a, "b": b} for a, b in sols.g_one],
     }

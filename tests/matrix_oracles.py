@@ -21,6 +21,11 @@ def as_rows(m) -> tuple[tuple[GaussianRational, ...], ...]:
     return tuple(tuple(GaussianRational.of(x) for x in row) for row in m)
 
 
+def dense(basis) -> tuple:
+    """A solver's basis with each part of each element as nested tuples, to index."""
+    return tuple(tuple(part.dense() for part in element) for element in basis)
+
+
 def identity(n: int) -> tuple[tuple[GaussianRational, ...], ...]:
     return tuple(tuple(GR_ONE if i == j else GR_ZERO for j in range(n)) for i in range(n))
 

@@ -124,18 +124,18 @@ def test_criterion_10_d6():
     assert r.dims.d_1 == 1
     assert r.dims.total == 10
     ((a, b),) = sols.g_one
-    assert not any(x for plane in b for row in plane for x in row)
+    assert a.shape == (3, 3, 3) and b.shape == (1, 3, 1) and not b.entries
     known = {
         (0, 0, 0): 1, (0, 0, 1): -1, (0, 1, 1): 1, (0, 2, 2): 1,
         (1, 0, 0): -1, (1, 0, 1): 1, (1, 1, 1): -1, (1, 2, 2): 1,
         (2, 0, 2): 1, (2, 1, 2): -1,
     }
-    scale = a[0][0][0]
+    scale = a.entries.get(0, 0)  # a[0][0][0]
     assert scale != 0
     for l in range(3):
         for i in range(3):
             for j in range(i, 3):
-                assert a[l][i][j] == scale * known.get((l, i, j), 0)
+                assert a.entries.get((l * 3 + i) * 3 + j, 0) == scale * known.get((l, i, j), 0)
     assert analyze(d6((2, 1, 0))).homogeneity.verdict == NOT_TRANSITIVE
     report("criterion 10: D6 profile (s=1, g0=4, g1/2=0, g1=1 on the known quadratic, total 10);"
            " interior direction not transitive")

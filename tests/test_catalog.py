@@ -28,7 +28,7 @@ from siegelalg.catalog import (
 )
 from siegelalg.cones import ConeSpec, catalog_cone
 from siegelalg.errors import ValidationError
-from siegelalg.graded import graded_dims
+from siegelalg.graded import SparseArray, graded_dims
 from siegelalg.hermitian import COUNTEREXAMPLE, is_omega_hermitian
 from siegelalg.homogeneity import GENERICALLY_OPEN_ORBITS
 from siegelalg.linalg import GR_ZERO, gr
@@ -347,8 +347,11 @@ def _g_one(*elements):
 
 
 def _map_tensor(t, f):
-    return tuple(tuple(tuple(f((l, i, j), x) for j, x in enumerate(row)) for i, row in enumerate(plane))
-                 for l, plane in enumerate(t))
+    """The ``SparseArray`` of ``t``'s shape with f((l, i, j), x) at each entry x of ``t``, read
+    from ``t.dense()``; zeros are left out, as a solver leaves them."""
+    values = [f((l, i, j), x) for l, plane in enumerate(t.dense()) for i, row in enumerate(plane)
+              for j, x in enumerate(row)]
+    return SparseArray(t.shape, t.zero, {flat: x for flat, x in enumerate(values) if x})
 
 
 class TestD6Reference:
@@ -360,6 +363,8 @@ class TestD6Reference:
 
     def test_the_computed_basis_matches(self, sols):
         assert catalog._d6_basis_matches(sols)
+        ((a, b),) = sols.g_one
+        assert _map_tensor(a, lambda key, x: x) == a and _map_tensor(b, lambda key, x: x) == b
 
     def test_a_rescaled_form_matches(self, sols):
         ((a, b),) = sols.g_one

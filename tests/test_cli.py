@@ -840,3 +840,19 @@ def test_tube_cone_id_is_read_as_the_catalog_reads_it(capsys, cone):
 ])
 def test_missing_or_bad_domain_flags_are_one_error_line(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["dims", "homogeneity"])
+@pytest.mark.parametrize("order", ["spec-first", "domain-first"])
+def test_spec_and_domain_together_are_one_error_line(capsys, tmp_path, command, order):
+    """A --spec document that reads fine and a catalog --domain are refused together, in
+    either order, before the document is read; alone, each runs."""
+    spec = ["--spec", _spec_file(tmp_path, _quadrant_doc(_I2))]
+    domain = ["--domain", "ball", "--n", "7"]
+    argv = [command, *(spec + domain if order == "spec-first" else domain + spec)]
+    both = (2, "", "error: provide either --domain or --spec FILE, not both\n")
+    assert run_cli(capsys, *argv) == both
+    missing = str(tmp_path / "missing.json")
+    assert run_cli(capsys, command, "--spec", missing, *domain) == both
+    assert run_cli(capsys, command, *spec)[0] in (0, 1)
+    assert run_cli(capsys, command, *domain)[0] == 0

@@ -24,6 +24,7 @@ from siegelalg.graded import (
     solve_L,
 )
 from siegelalg.hermitian import HermitianFamily
+from siegelalg.homogeneity import homogeneity_verdict
 from siegelalg.linalg import GR_I, GR_ONE, GR_ZERO, GaussianRational, gr
 from siegelalg.serialize import (
     cone_from_json,
@@ -33,8 +34,8 @@ from siegelalg.serialize import (
     to_json,
 )
 from matrix_oracles import (
-    add, apply, as_rows, bilinear_apply, conj_transpose, dense_rref, evaluate, identity, is_zero,
-    matmul, rank, skew_basis,
+    add, apply, as_rows, bilinear_apply, conj_transpose, dense, dense_rref, evaluate, identity,
+    is_zero, matmul, rank, skew_basis,
 )
 from test_golden_bases import DENSE_SPECS
 
@@ -125,7 +126,7 @@ class TestG0:
         spec = ball(2)
         sol = solve_g0(spec)
         assert len(sol) == 2
-        for a_mat, b_mat in sol:
+        for a_mat, b_mat in dense(sol):
             check_associated(spec, a_mat, b_mat)
 
     def test_d6(self):
@@ -137,7 +138,7 @@ class TestG0:
 
     def test_basis_pairs_satisfy_association(self):
         spec = d3_spec(1, 0, 1, 1)
-        for a_mat, b_mat in solve_g0(spec):
+        for a_mat, b_mat in dense(solve_g0(spec)):
             check_associated(spec, a_mat, b_mat)
             assert in_g_omega(spec.cone, a_mat)
 
@@ -198,7 +199,7 @@ class TestGHalf:
             (gr(Fraction(1, 2), 1), gr(2, Fraction(-1, 3))),
             (gr(-1, 1), gr(Fraction(3, 5))),
         ]
-        for phi, c in sol:
+        for phi, c in dense(sol):
             for w in samples:
                 for wp in samples:
                     lhs = evaluate(spec.form, w, bilinear_apply(c, wp, wp))
@@ -208,12 +209,12 @@ class TestGHalf:
                     assert lhs == rhs
 
     def test_c_is_a_symmetric_tensor(self):
-        for _, c in solve_g_half(ball(3)):
+        for _, c in dense(solve_g_half(ball(3))):
             assert all(c[l][i][j] == c[l][j][i] for l, i, j in product(range(2), repeat=3))
 
     def test_membership_of_induced_maps(self):
         spec = ball(3)
-        for phi, _ in solve_g_half(spec):
+        for phi, _ in dense(solve_g_half(spec)):
             for w0 in complex_basis(spec.m):
                 rows = []
                 for j in range(spec.k):
@@ -230,7 +231,7 @@ class TestGOne:
     def test_d6_dimension_and_shape(self):
         sol = solve_g1(d6_spec())
         assert len(sol) == 1
-        ((a, b),) = sol
+        ((a, b),) = dense(sol)
         assert not any(x for plane in b for row in plane for x in row)
         # proportional to ((x1-x2)^2 + x3^2, -(x1-x2)^2 + x3^2, 2(x1-x2)x3)
         target = {
@@ -258,7 +259,7 @@ class TestGOne:
         # oracle: diagonality of x -> a(x0, x) forces a_l = c_l x_l^2
         sol = solve_g1(tube("omega2"))
         assert len(sol) == 3
-        for a, _ in sol:
+        for a, _ in dense(sol):
             for l in range(3):
                 for i in range(3):
                     for j in range(i, 3):
@@ -270,7 +271,7 @@ class TestGOne:
 
     def test_d6_element_satisfies_defining_identities(self):
         spec = d6_spec()
-        a, _ = solve_g1(spec)[0]
+        a, _ = dense(solve_g1(spec))[0]
         # membership of x -> a(x0, x) for coordinate x0
         for t in range(spec.k):
             x0 = [1 if i == t else 0 for i in range(spec.k)]
@@ -323,7 +324,7 @@ class TestGradedDims:
         # rank-nullity: dim g0 = s + dim of the A-part image, s from the direct skew solve
         for spec in (d6_spec(), d3_spec(1, 0, 1, 1), ball(3), tube("omega5")):
             sols = solve_all(spec)
-            a_rows = [[x for row in a for x in row] for a, _ in sols.g0]
+            a_rows = [[x for row in a for x in row] for a, _ in dense(sols.g0)]
             a_rank = rank(a_rows)
             assert len(sols.g0) == len(skew_basis(spec.form)) + a_rank == sols.s + a_rank
 
@@ -530,9 +531,9 @@ def test_real_solver_data_is_fraction(name):
     spec = catalog.build(RESIDUAL_DOMAINS[name])
     sols = solve_all(spec)
     assert sols.g0 and sols.g_one
-    for a_mat, _ in sols.g0:
+    for a_mat, _ in dense(sols.g0):
         assert len(a_mat) == spec.k and _all_fractions(a_mat)
-    for a, b in sols.g_one:
+    for a, b in dense(sols.g_one):
         assert _all_fractions(a)
         assert all(type(x) is GaussianRational for _, x in _entries(b))
     basis = a_part_basis(sols.g0)
@@ -568,7 +569,7 @@ def test_no_int_leaves_the_assembly(name):
     (``2``) instead of a string (``"2"``), so every emitted leaf is a string.
     """
     sols = solve_all(_boundary_spec(name))
-    scalars = [x for _, x in _entries(tuple(map(tuple, (sols.g0, sols.g_half, sols.g_one))))]
+    scalars = [x for _, x in _entries(tuple(map(dense, (sols.g0, sols.g_half, sols.g_one))))]
     assert scalars
     for x in scalars:
         if type(x) is GaussianRational:
@@ -828,7 +829,7 @@ def test_g0_association_holds_at_every_pair_of_units(name):
     spec = _identity_spec(name)
     sols = solve_all(spec)
     assert sols.g0
-    for a_mat, b_mat in sols.g0:
+    for a_mat, b_mat in dense(sols.g0):
         check_associated(spec, a_mat, b_mat)
         assert in_g_omega(spec.cone, a_mat)
 
@@ -842,7 +843,7 @@ def test_g1_identities_hold_at_every_pair_of_units(name):
     k, m = spec.k, spec.m
     sols = solve_all(spec)
     assert sols.g_one or name.startswith("d3")
-    for a, b in sols.g_one:
+    for a, b in dense(sols.g_one):
         for t in range(k):
             a_t = [[a[l][t][j] for j in range(k)] for l in range(k)]
             b_t = [[b[l][t][p] / 2 for p in range(m)] for l in range(m)]
@@ -881,14 +882,37 @@ def test_symmetric_block_round_trip(width):
         assert block[l, i, j].im == ({} if width == 1 else {re_col + 1: 1})
 
 
-@pytest.mark.parametrize("g0", [
-    [(((Fraction(1), Fraction(0), Fraction(1)), (Fraction(0), Fraction(1))), ())],  # ragged
-    [(((Fraction(1),),), ()), (((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))), ())],
-], ids=["ragged", "two-sizes"])
-def test_a_part_basis_refuses_a_parts_that_are_not_square_of_one_size(g0):
+def _a_part(shape, entries=None):
+    return (graded.SparseArray(shape, Fraction(0), entries or {}), graded.SparseArray((1, 1), GR_ZERO, {}))
+
+
+NOT_SOLVE_G0 = "g0 must hold pairs (A, B) of SparseArrays, as solve_g0 returns"
+NOT_SQUARE = "A-parts must be square matrices of one size"
+
+
+@pytest.mark.parametrize("g0, message", [
+    # dense nested tuples, as a basis element was indexed before: not solve_g0's form
+    ([(((Fraction(1), Fraction(0), Fraction(1)), (Fraction(0), Fraction(1))), ())], NOT_SOLVE_G0),
+    ([(((Fraction(1),),), ()), (((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))), ())],
+     NOT_SOLVE_G0),
+    ([_a_part((2, 2))[0]], NOT_SOLVE_G0),
+    ([(*_a_part((2, 2)), None)], NOT_SOLVE_G0),
+    ([_a_part((2, 2)), [*_a_part((2, 2))]], NOT_SOLVE_G0),
+    ([_a_part((2, 3), {0: Fraction(1)})], NOT_SQUARE),
+    ([_a_part((1, 1)), _a_part((2, 2), {3: Fraction(1)})], NOT_SQUARE),
+    ([_a_part((4,), {0: Fraction(1)})], NOT_SQUARE),
+    ([_a_part(())], NOT_SQUARE),
+], ids=["ragged", "two-sizes", "bare-array", "triple", "list-pair", "sparse-not-square",
+        "sparse-two-sizes", "sparse-vector", "sparse-scalar"])
+def test_a_part_basis_refuses_a_parts_that_are_not_square_of_one_size(g0, message):
+    """``a_part_basis`` reads ``solve_g0``'s pairs of ``SparseArray``s with k x k A-parts
+    only; any other ``g0`` is refused, also through ``homogeneity_verdict``."""
     with pytest.raises(ValidationError) as exc:
         a_part_basis(g0)
-    assert str(exc.value) == "A-parts must be square matrices of one size"
+    assert str(exc.value) == message
+    with pytest.raises(ValidationError) as exc:
+        homogeneity_verdict(catalog.build(catalog.ball(2)), g0)
+    assert str(exc.value) == message
 
 
 def test_spec_refuses_a_family_of_the_wrong_shape():

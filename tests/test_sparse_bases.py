@@ -1,15 +1,16 @@
 """Bases stay sparse until a reader needs them dense.
 
-The solvers return a ``graded.Basis``: the kernel vectors with the solver's
-block layout. Its dense elements are checked here against a reference
-unpacking written from the layout alone, and the ``--emit-bases`` text,
-written from the present entries, against the text of those dense elements.
+The solvers return one element per kernel vector, each a ``graded.SparseArray``
+per part. Their dense tuples are checked here against a reference unpacking
+written from the raw kernel vectors and blocks alone, and the ``--emit-bases``
+text, written from the present entries, against the text of the reference
+elements.
 """
 
 import importlib.util
 import json
-from collections import Counter
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from siegelalg.catalog import verify_paper
 from siegelalg.graded import solve_g0, solve_g1, solve_g_half
 from siegelalg.linalg import GR_ZERO, GaussianRational
 from siegelalg.serialize import format_json, load_domain_spec, solutions_bases_to_json
+from matrix_oracles import dense
 
 _GEN_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "gen_specs.py"
 _spec = importlib.util.spec_from_file_location("gen_specs", _GEN_PATH)
@@ -103,24 +105,46 @@ def _reference_a(spec, coords, sol):
     return tuple(map(tuple, a))
 
 
-def _reference(spec, basis):
-    elements = []
-    for sol in basis.vectors:
-        element = []
-        for part in basis.parts:
-            if isinstance(part, graded._Layout):
-                element.append(_reference_block(part, sol))
-            else:
-                element.append(_reference_a(spec, part.coords, sol))
-        elements.append(tuple(element))
-    return tuple(elements)
+SOLVERS = (solve_g0, solve_g_half, solve_g1)
 
 
-def _dense_doc(spec, g0, g_half, g_one):
+def _solved_with_references(spec):
+    """Each solver's basis of ``spec``, solved afresh, with the reference unpacking of the
+    kernel vectors and blocks of its system, captured as the solve makes them."""
+    blocks, systems = [], []
+    block, solutions = graded._System._block, graded._System.solutions
+
+    def recording_block(self, *args):
+        blocks.append(block(self, *args))
+        return blocks[-1]
+
+    def recording_solutions(self):
+        vectors = solutions(self)
+        systems.append((vectors, list(blocks)))
+        return vectors
+
+    results = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graded._System, "_block", recording_block)
+        mp.setattr(graded._System, "solutions", recording_solutions)
+        for solver in SOLVERS:
+            blocks.clear()
+            systems.clear()
+            basis = solver.__wrapped__(spec)
+            vectors, parts = systems[0] if systems else ((), ())  # g_half has no system at m = 0
+            results.append((basis, tuple(
+                tuple(_reference_a(spec, part, sol) if solver is solve_g0 and p == 0
+                      else _reference_block(part, sol) for p, part in enumerate(parts))
+                for sol in vectors
+            )))
+    return results
+
+
+def _dense_doc(g0, g_half, g_one):
     return {
-        "g_0": [{"A": a, "B": b} for a, b in _reference(spec, g0)],
-        "g_half": [{"phi": phi, "c": c} for phi, c in _reference(spec, g_half)],
-        "g_1": [{"a": a, "b": b} for a, b in _reference(spec, g_one)],
+        "g_0": [{"A": a, "B": b} for a, b in g0],
+        "g_half": [{"phi": phi, "c": c} for phi, c in g_half],
+        "g_1": [{"a": a, "b": b} for a, b in g_one],
     }
 
 
@@ -130,19 +154,46 @@ def test_the_dense_specs_are_fifteen():
 
 @pytest.mark.parametrize("name", [*CATALOG, *DENSE_SPECS])
 def test_dense_view_equals_the_reference_unpacking(name, spec_dir):
-    """``tuple(solve_*(spec))``, and each indexed element, is the reference unpacking of the
-    same sparse vectors; the bases text is that of the reference elements, byte for byte."""
+    """Each solver's elements, made dense, are the reference unpacking of the kernel vectors of
+    its system; the bases text is that of the reference elements, byte for byte."""
     spec = _spec(name, spec_dir)
-    bases = [solve_g0(spec), solve_g_half(spec), solve_g1(spec)]
-    for basis in bases:
-        assert isinstance(basis, graded.Basis)
-        reference = _reference(spec, basis)
-        assert tuple(basis) == reference
-        assert [basis[i] for i in range(len(basis))] == list(reference)
-        assert basis[:] == reference
-        assert len(basis) == len(reference)
+    solved = _solved_with_references(spec)
+    for solver, (basis, reference) in zip(SOLVERS, solved):
+        assert type(basis) is tuple and basis == solver(spec)
+        assert dense(basis) == reference
     sols = graded.solve_all(spec)
-    assert format_json(solutions_bases_to_json(sols)) == format_json(_dense_doc(spec, *bases))
+    assert format_json(solutions_bases_to_json(sols)) == format_json(
+        _dense_doc(*(reference for _, reference in solved)))
+
+
+# the part shapes of (A, B), (phi, c) and (a, b), and whether each part is real
+PART_SHAPES = {
+    solve_g0: lambda k, m: [((k, k), True), ((m, m), False)],
+    solve_g_half: lambda k, m: [((m, k), False), ((m, m, m), False)],
+    solve_g1: lambda k, m: [((k, k, k), True), ((m, k, m), False)],
+}
+
+
+@pytest.mark.parametrize("name", [*CATALOG, *DENSE_SPECS])
+def test_every_part_has_its_shape_and_no_zero_entry(name, spec_dir):
+    """Every ``SparseArray`` the solvers return has its part's shape and zero, and holds only
+    nonzero entries inside it: so two parts are equal by their entries exactly when their
+    ``dense()`` tuples are."""
+    spec = _spec(name, spec_dir)
+    parts = 0
+    for solver in SOLVERS:
+        for element in solver(spec):
+            shapes = PART_SHAPES[solver](spec.k, spec.m)
+            assert type(element) is tuple and len(element) == len(shapes)
+            for array, (shape, real) in zip(element, shapes):
+                assert type(array) is graded.SparseArray and array.shape == shape
+                assert type(array.zero) is (Fraction if real else GaussianRational)
+                assert not array.zero
+                assert all(0 <= i < prod(shape) and x for i, x in array.entries.items())
+                assert all(type(x) is (Fraction if real else GaussianRational)
+                           for x in array.entries.values())
+                parts += 1
+    assert parts
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])
@@ -155,9 +206,8 @@ def test_emitted_bases_equal_the_text_of_the_dense_elements(name, fmt, spec_dir,
     argv = ["dims", *_flags(name, spec_dir), "--emit-bases", "--format", fmt]
     assert cli.main(argv) == 0
     sparse = capsys.readouterr().out
-    spec = _spec(name, spec_dir)
-    monkeypatch.setattr(cli, "solutions_bases_to_json",
-                        lambda sols: _dense_doc(spec, sols.g0, sols.g_half, sols.g_one))
+    doc = _dense_doc(*(reference for _, reference in _solved_with_references(_spec(name, spec_dir))))
+    monkeypatch.setattr(cli, "solutions_bases_to_json", lambda sols: doc)
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == sparse
 
@@ -183,31 +233,37 @@ def test_bases_compare_by_their_sparse_content():
     first = solve_g_half(spec)
     solve_g_half.cache_clear()
     again = solve_g_half(spec)
-    assert first is not again
+    assert first is not again and first[0][0] is not again[0][0]
     assert first == again and hash(first) == hash(again)
     assert first != solve_g1(spec)
     assert graded.solve_all(spec) == graded.GradedSolutions(
         solve_g0(spec), graded.solve_L(spec), again, solve_g1(spec), graded.graded_dims(spec))
+    array = graded.SparseArray((2, 2), Fraction(0), {1: Fraction(1)})
+    assert array == graded.SparseArray((2, 2), Fraction(0), {1: Fraction(1)})
+    assert hash(array) == hash(graded.SparseArray((2, 2), Fraction(0), {1: Fraction(1)}))
+    assert array != graded.SparseArray((4,), Fraction(0), {1: Fraction(1)})
+    assert array != graded.SparseArray((2, 2), Fraction(0), {2: Fraction(1)})
+    assert array != graded.SparseArray((2, 2), Fraction(0), {1: Fraction(2)})
 
 
 @pytest.fixture
 def dense_builds(monkeypatch):
-    """Every basis whose dense element is built, once per element built."""
+    """Every ``SparseArray`` whose ``dense()`` is called, once per call."""
     built = []
-    element = graded.Basis._element
+    dense_of = graded.SparseArray.dense
 
-    def counted(self, sol):
+    def counted(self):
         built.append(self)
-        return element(self, sol)
+        return dense_of(self)
 
-    monkeypatch.setattr(graded.Basis, "_element", counted)
+    monkeypatch.setattr(graded.SparseArray, "dense", counted)
     return built
 
 
 @pytest.mark.parametrize("emit", [(), ("--emit-bases",)], ids=["dims", "emit-bases"])
 @pytest.mark.parametrize("fmt", ["table", "json"])
 def test_dims_builds_no_dense_element(dense_builds, capsys, emit, fmt):
-    for solver in (solve_g0, solve_g_half, solve_g1):
+    for solver in SOLVERS:
         solver.cache_clear()
     assert cli.main(["dims", "--domain", "ball", "--n", "4", *emit, "--format", fmt]) == 0
     assert cli.main(["homogeneity", "--domain", "d6", "--v", "1,1,0"]) == 0
@@ -215,27 +271,10 @@ def test_dims_builds_no_dense_element(dense_builds, capsys, emit, fmt):
     assert dense_builds == []
 
 
-def test_verify_paper_builds_dense_elements_only_where_it_reads_fields(dense_builds,
-                                                                       monkeypatch):
-    """Dense elements are built only for the two domains whose fields ``verify_paper``
-    materializes, B3 and D6(1,1,0), each element once, plus D6's one g1 element once more for
-    ``_d6_basis_matches``; every other domain's bases stay sparse."""
-    reports = {}
-    solve_all = catalog.solve_all
-
-    def recorded(spec):
-        sols = solve_all(spec)
-        reports.setdefault(spec, sols)
-        return sols
-
-    monkeypatch.setattr(catalog, "solve_all", recorded)
+def test_verify_paper_builds_no_dense_element(dense_builds):
+    """``verify_paper`` reads every basis from its present entries, also where it materializes
+    fields (B3 and D6(1,1,0)) and matches D6's g1 element."""
+    for solver in SOLVERS:
+        solver.cache_clear()
     assert verify_paper().ok
-    b3 = reports[catalog.build(catalog.ball(3))]
-    d6 = reports[catalog.build(catalog.d6((1, 1, 0)))]
-    expected = Counter()
-    for sols in (b3, d6):
-        for basis in (sols.g0, sols.g_half, sols.g_one):
-            expected[id(basis)] += len(basis)
-    expected[id(d6.g_one)] += 1
-    assert len(b3.g_half) and len(b3.g_one) and len(d6.g_one) == 1
-    assert Counter(map(id, dense_builds)) == expected
+    assert dense_builds == []
