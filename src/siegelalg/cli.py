@@ -1,17 +1,18 @@
 """Command-line interface.
 
-Results go to stdout, diagnostics to stderr. Exit codes: 0 on success (and on
-all checks passing), 1 on check failures or a not-transitive verdict from the
-homogeneity command, 2 on malformed input, invariant violations or a domain too
-large to hold in memory, reported as one ``error:`` line on stderr (bad
-arguments too).
+``parse_args`` reads a command line by the flag table ``COMMANDS``. Results go to
+stdout, diagnostics to stderr. Exit codes: 0 on success (and on all checks
+passing), 1 on check failures or a not-transitive verdict from the homogeneity
+command, 2 on malformed input, invariant violations or a domain too large to
+hold in memory, reported as one ``error:`` line on stderr (bad arguments too).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
+from types import SimpleNamespace
 
 from . import catalog
 from .bounds import SWEEP_MAX, bound_chain, closed_form_sweep
@@ -39,8 +40,28 @@ def _parse_factors(text: str) -> tuple[int, ...]:
         raise ValidationError(f"bad factor list {text!r}") from exc
 
 
+_PARAMETERS = ("--alpha", "--beta", "--gamma", "--delta")
+# the flags each catalog kind of --domain reads
+_READS = {"ball": ("--n",), "ballproduct": ("--factors",), "d1": ("--n",), "d2": ("--n",),
+          "d3": _PARAMETERS, "d4": _PARAMETERS, "d5": ("--v",), "d6": ("--v",), "t3": (), "t4": (),
+          "tube": ("--cone",)}
+
+
+def _refuse_unread(args, reader: str, reads) -> None:
+    """Refuse the flags given that refine --domain and that ``reader`` does not read."""
+    unread = [flag for flag in _DOMAIN_FLAGS if flag not in ("--domain", "--spec", *reads)
+              and getattr(args, flag[2:]) is not None]
+    if unread:
+        raise ValidationError(f"{reader} takes no {', '.join(unread)}")
+
+
 def _domain_from_args(args) -> catalog.DomainId:
     kind = (args.domain or "").strip().lower().replace("-", "").replace("_", "")
+    if kind not in _READS:
+        raise ValidationError(
+            f"unknown domain {args.domain!r}; expected ball, ballproduct, d1..d6, t3, t4 or tube"
+        )
+    _refuse_unread(args, kind, _READS[kind])
     if kind == "ball":
         if args.n is None:
             raise ValidationError("ball needs --n")
@@ -68,13 +89,9 @@ def _domain_from_args(args) -> catalog.DomainId:
         return catalog.t3()
     if kind == "t4":
         return catalog.t4()
-    if kind == "tube":
-        if not args.cone:
-            raise ValidationError("tube needs --cone, e.g. --cone omega4")
-        return catalog.tube(args.cone)
-    raise ValidationError(
-        f"unknown domain {args.domain!r}; expected ball, ballproduct, d1..d6, t3, t4 or tube"
-    )
+    if not args.cone:
+        raise ValidationError("tube needs --cone, e.g. --cone omega4")
+    return catalog.tube(args.cone)
 
 
 def _load_spec(args):
@@ -85,6 +102,7 @@ def _load_spec(args):
     if args.spec and args.domain:
         raise ValidationError("provide either --domain or --spec FILE, not both")
     if args.spec:
+        _refuse_unread(args, "--spec", ())
         with open(args.spec, "r", encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
@@ -251,83 +269,124 @@ def _cmd_verify_paper(args) -> int:
     return 0 if report.ok else 1
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser that raises its errors, so ``main`` reports them as one line.
+_FORMAT = {"--format": (("table", "json"), "")}
+# the flags of dims and homogeneity that pick the domain: --spec, or --domain and the others
+_DOMAIN_FLAGS = {
+    "--domain": (str, "catalog domain, e.g. ball, d6, t3, ballproduct"),
+    "--spec": (str, "path to a JSON domain document"),
+    "--n": (int, "dimension parameter for ball/d1/d2"),
+    "--factors": (str, "ball product factors, e.g. 2,1,1"),
+    "--v": (str, "parameter vector for d5/d6, e.g. 1,1,0"),
+    **dict.fromkeys(_PARAMETERS, (str, "")), "--cone": (str, "cone id for tube domains, e.g. omega4"),
+}
+# command: (handler, help line, {flag: (kind, help)}, required flags); a kind is int, str, bool
+# (a switch) or a tuple of choices, the first of them the default
+COMMANDS = {
+    "cone-info": (_cmd_cone_info, "catalog cone summary",
+                  {"--cone": (str, ""), "--emit-bases": (bool, ""), **_FORMAT}, ("--cone",)),
+    "dims": (_cmd_dims, "graded component dimensions",
+             {**_FORMAT, **_DOMAIN_FLAGS, "--emit-bases": (bool, "")}, ()),
+    "homogeneity": (_cmd_homogeneity, "cone-transitivity verdict", {**_FORMAT, **_DOMAIN_FLAGS}, ()),
+    "bounds": (_cmd_bounds, "dimension bound chain or margin sweep", {
+        **_FORMAT, "--sweep": (int, f"sweep margins up to this n (5 to {SWEEP_MAX})"),
+        **dict.fromkeys(("--n", "--k", "--s", "--dim-g-omega", "--g-half", "--g-one"), (int, ""))},
+        ()),
+    "classify": (_cmd_classify, "candidate table for 2 <= n <= 5",
+                 {"--n": (int, ""), **_FORMAT}, ("--n",)),
+    "verify-paper": (_cmd_verify_paper, "run the full acceptance battery", _FORMAT, ()),
+}
+_HELP = ("-h", "--help")
 
-    Subparsers are made with the parser's own class, so theirs are raised too.
-    """
 
-    def error(self, message: str):
-        raise ValidationError(message)
+def _flag(token: str, names) -> tuple[str | None, str | None]:
+    """The flag of ``names`` that ``token`` names or abbreviates ("" if none does, None if it is a
+    value such as a negative number) and the value after its ``=`` (None if it has none)."""
+    if token[:1] != "-" or token in ("-", "--"):
+        return None, None
+    name, eq, value = token.partition("=")
+    if name not in names and token[1] != "-":  # one dash: "-hx" is -h given "x"
+        name, eq, value = token[:2], "=", token[2:]
+    matches = [name] if name in names else [f for f in names if name[1] == "-" and f.startswith(name)]
+    if len(matches) > 1:
+        raise ValidationError(f"ambiguous option: {token} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], value if eq else None
+    return None if " " in token or re.match(r"^-\d+$|^-\d*\.\d+$", token) else "", None
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="siegelalg",
-        description=(
-            "Exact graded automorphism algebras of Siegel domains: component "
-            "dimensions, bounds, cone-transitivity verdicts, and classification tables."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _print_help(command: str | None, value: str | None) -> None:
+    """Print the usage line, then each command, or each flag of ``command``, with its help; exit 0.
+    A help flag given a value (``--help=x``) is refused instead."""
+    if value is not None:
+        raise ValidationError(f"argument -h/--help: ignored explicit argument {value!r}")
+    if command is None:
+        usage = f"[-h] {{{','.join(COMMANDS)}}} ..."
+        rows = {name: entry[1] for name, entry in COMMANDS.items()}
+    else:
+        flags, required = COMMANDS[command][2:]
+        rows = {flag if kind is bool else f"{flag} {{{','.join(kind)}}}" if isinstance(kind, tuple)
+                else f"{flag} {flag[2:].upper().replace('-', '_')}": text
+                for flag, (kind, text) in flags.items()}
+        usage = " ".join([command, "[-h]", *(row if row.split()[0] in required else f"[{row}]"
+                                             for row in rows)])
+    print(f"usage: siegelalg {usage}\n")
+    for left, right in {"-h, --help": "show this help message and exit", **rows}.items():
+        print(f"  {left:<22}  {right}".rstrip())
+    raise SystemExit(0)
 
-    def add_common(p):
-        p.add_argument("--format", choices=("table", "json"), default="table")
-        p.add_argument("--domain", help="catalog domain, e.g. ball, d6, t3, ballproduct")
-        p.add_argument("--spec", help="path to a JSON domain document")
-        p.add_argument("--n", type=int, help="dimension parameter for ball/d1/d2")
-        p.add_argument("--factors", help="ball product factors, e.g. 2,1,1")
-        p.add_argument("--v", help="parameter vector for d5/d6, e.g. 1,1,0")
-        p.add_argument("--alpha")
-        p.add_argument("--beta")
-        p.add_argument("--gamma")
-        p.add_argument("--delta")
-        p.add_argument("--cone", help="cone id for tube domains, e.g. omega4")
 
-    p_cone = sub.add_parser("cone-info", help="catalog cone summary")
-    p_cone.add_argument("--cone", required=True)
-    p_cone.add_argument("--emit-bases", action="store_true")
-    p_cone.add_argument("--format", choices=("table", "json"), default="table")
-    p_cone.set_defaults(func=_cmd_cone_info)
-
-    p_dims = sub.add_parser("dims", help="graded component dimensions")
-    add_common(p_dims)
-    p_dims.add_argument("--emit-bases", action="store_true")
-    p_dims.set_defaults(func=_cmd_dims)
-
-    p_hom = sub.add_parser("homogeneity", help="cone-transitivity verdict")
-    add_common(p_hom)
-    p_hom.set_defaults(func=_cmd_homogeneity)
-
-    p_bounds = sub.add_parser("bounds", help="dimension bound chain or margin sweep")
-    p_bounds.add_argument("--format", choices=("table", "json"), default="table")
-    p_bounds.add_argument(
-        "--sweep", type=int, help=f"sweep margins up to this n (5 to {SWEEP_MAX})"
-    )
-    p_bounds.add_argument("--n", type=int)
-    p_bounds.add_argument("--k", type=int)
-    p_bounds.add_argument("--s", type=int)
-    p_bounds.add_argument("--dim-g-omega", type=int, dest="dim_g_omega")
-    p_bounds.add_argument("--g-half", type=int, dest="g_half")
-    p_bounds.add_argument("--g-one", type=int, dest="g_one")
-    p_bounds.set_defaults(func=_cmd_bounds)
-
-    p_classify = sub.add_parser("classify", help="candidate table for 2 <= n <= 5")
-    p_classify.add_argument("--n", type=int, required=True)
-    p_classify.add_argument("--format", choices=("table", "json"), default="table")
-    p_classify.set_defaults(func=_cmd_classify)
-
-    p_verify = sub.add_parser("verify-paper", help="run the full acceptance battery")
-    p_verify.add_argument("--format", choices=("table", "json"), default="table")
-    p_verify.set_defaults(func=_cmd_verify_paper)
-
-    return parser
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The namespace the handlers read, by the standard library parser's rules and messages: a
+    refused argument raises one ``ValidationError``; ``-h`` or ``--help`` prints usage and raises
+    ``SystemExit(0)``."""
+    # the command is the first value; a help flag before it prints help, other flags are strays
+    at = next((i for i, token in enumerate(argv) if _flag(token, _HELP)[0] != ""), len(argv))
+    name, value = _flag(argv[at], _HELP) if at < len(argv) else (None, None)
+    if name:
+        _print_help(None, value)
+    if argv[at:] in ([], ["--"]):  # a last "--" is no command
+        raise ValidationError("the following arguments are required: command")
+    if (command := argv[at]) not in COMMANDS:
+        raise ValidationError(f"argument command: invalid choice: {command!r} "
+                              f"(choose from {', '.join(map(repr, COMMANDS))})")
+    flags, required = COMMANDS[command][2:]
+    tokens, unread = [*argv[at + 1:], "--"], list(argv[:at])  # unread: unknown flags, strays
+    cut = tokens.index("--")  # "--" and every token after it are strays
+    # each token is classified before any is read, so an ambiguous one is refused first
+    read = iter([(token, *_flag(token, (*_HELP, *flags))) for token in tokens[:cut]])
+    values = {flag: kind[0] if isinstance(kind, tuple) else False if kind is bool else None
+              for flag, (kind, _) in flags.items()}
+    for token, name, value in read:
+        if name in _HELP:
+            _print_help(command, value)
+        if not name:
+            unread.append(token)
+            continue
+        if (kind := flags[name][0]) is bool and value is not None:
+            raise ValidationError(f"argument {name}: ignored explicit argument {value!r}")
+        if kind is not bool and value is None:
+            value, after, _ = next(read, ("", "", None))  # a flag that follows is no value
+            if after is not None:
+                raise ValidationError(f"argument {name}: expected one argument")
+        try:
+            values[name] = True if kind is bool else int(value) if kind is int else value
+        except ValueError:
+            raise ValidationError(f"argument {name}: invalid int value: {value!r}") from None
+        if isinstance(kind, tuple) and value not in kind:
+            raise ValidationError(f"argument {name}: invalid choice: {value!r} "
+                                  f"(choose from {', '.join(map(repr, kind))})")
+    if missing := [flag for flag in required if values[flag] is None]:
+        raise ValidationError(f"the following arguments are required: {', '.join(missing)}")
+    if unread := unread + tokens[cut:-1]:
+        raise ValidationError(f"unrecognized arguments: {' '.join(unread)}")
+    return SimpleNamespace(command=command,
+                           **{flag[2:].replace("-", "_"): x for flag, x in values.items()})
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
+        return COMMANDS[args.command][0](args)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

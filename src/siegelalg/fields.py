@@ -34,7 +34,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import ValidationError
 from .frozen import Frozen
-from .graded import GradedSolutions, SiegelDomainSpec
+from .graded import GradedSolutions, SiegelDomainSpec, SparseArray
 from .linalg import GR_I, Exact, GaussianRational, _exact, coordinate_units, sparse_rref
 from .poly import Polynomial
 
@@ -102,12 +102,22 @@ def materialize(spec: SiegelDomainSpec, sols: GradedSolutions) -> tuple[PolyVect
     ``SparseArray``s. Symmetric forms are summed over all index pairs (i, j),
     and hold both mirror entries, so an off-diagonal coefficient enters twice:
     the doubled convention of ``graded.Tensor``.
-    ``sols`` whose k or m differ from ``spec``'s are refused; solutions of
-    another domain of the same k and m are not caught.
+    ``sols`` whose k or m differ from ``spec``'s are refused, and so is an
+    element that is not a pair of ``SparseArray``s of its parts' shapes with
+    every entry inside; solutions of another domain of the same k and m are
+    not caught.
     """
     n, k, m = spec.n, spec.k, spec.m
     if (sols.dims.d_m1, sols.dims.d_mhalf) != (k, 2 * m):
         raise ValidationError("solutions are not of this domain's shape")
+    for name, basis, shapes in (("g0", sols.g0, ((k, k), (m, m))),
+                                ("g_half", sols.g_half, ((m, k), (m, m, m))),
+                                ("g_one", sols.g_one, ((k, k, k), (m, k, m)))):
+        if not all(element.__class__ is tuple and len(element) == 2 and all(
+                a.__class__ is SparseArray and a.shape == shape and a.in_bounds()
+                for a, shape in zip(element, shapes)) for element in basis):
+            raise ValidationError(f"{name} must hold pairs of SparseArrays of shapes {shapes[0]} "
+                                  f"and {shapes[1]}, with every entry inside its shape")
     h_rows = spec.form.row
     two_i = GR_I + GR_I
     fields: list[PolyVectorField] = []

@@ -324,6 +324,14 @@ class SparseArray:
                 index.append(i)
             yield tuple(reversed(index)), x
 
+    def in_bounds(self) -> bool:
+        """Whether ``entries`` is a dict whose every index lies in ``range(prod(shape))``. The
+        constructor, on the solvers' hot path, does not check it; readers of a caller's array
+        do."""
+        size = prod(self.shape)
+        return self.entries.__class__ is dict and all(
+            i.__class__ is int and 0 <= i < size for i in self.entries)
+
     def dense(self):
         """The array as nested tuples."""
         flat = [self.zero] * prod(self.shape)
@@ -491,15 +499,19 @@ def solve_g0(spec: SiegelDomainSpec) -> Basis:
 def a_part_basis(g0: Basis) -> tuple[RealRows, ...]:
     """Canonical basis of the span of the A-parts of ``g0`` (``solve_g0``'s pairs (A, B)): the
     reduced rows of the vectorized matrices, so it does not depend on the pairing with B. Only
-    the A-parts' present entries are read; they must be ``SparseArray``s, k x k for one k."""
+    the A-parts' present entries are read; they must be ``SparseArray``s, k x k for one k, with
+    every entry inside that shape."""
     if not g0:
         return ()
     a_parts = [pair[0] if isinstance(pair, tuple) and len(pair) == 2 else None for pair in g0]
     if any(a.__class__ is not SparseArray for a in a_parts):
         raise ValidationError("g0 must hold pairs (A, B) of SparseArrays, as solve_g0 returns")
-    k = a_parts[0].shape[0] if a_parts[0].shape else -1
-    if any(a.shape != (k, k) for a in a_parts):
+    shape = a_parts[0].shape
+    k = shape[0] if shape.__class__ is tuple and shape else None
+    if k.__class__ is not int or any(a.shape != (k, k) for a in a_parts):
         raise ValidationError("A-parts must be square matrices of one size")
+    if not all(a.in_bounds() for a in a_parts):
+        raise ValidationError("an A-part has an entry outside its shape")
     reduced, _ = sparse_rref([a.entries for a in a_parts])
     return tuple(
         tuple(tuple(r.get(i * k + j, _ZERO) for j in range(k)) for i in range(k))

@@ -4,14 +4,17 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from siegelalg import serialize
+from siegelalg import cli, serialize
 from siegelalg.cli import main
 from siegelalg.hermitian import VERIFIED_EXACT, OmegaHermitianVerdict
 
@@ -702,7 +705,7 @@ DOMAINS = {
     "d3": PARAMETERS, "d4": PARAMETERS, "d5": ["--v"], "d6": ["--v"],
     "t3": [], "t4": [], "tube": ["--cone"], "d9": [],
 }
-# flags the domain commands no longer take; argparse refuses them
+# flags the domain commands no longer take; the parser refuses them
 REMOVED_FLAGS = ["--samples=5", "--seed=1"]
 BOUNDS_FLAGS = {
     flag: st.integers(-2, 6).map(str)
@@ -722,10 +725,11 @@ def _flags(draw, strategies, required):
 
 @st.composite
 def cli_argv(draw):
-    """An argv for one of the commands that read flags; argparse refuses some of them.
+    """An argv for one of the commands that read flags; the parser refuses some of them.
 
     The refused ones carry a non-integer ``--n``, lack ``classify``'s required
-    ``--n``, or carry a removed flag.
+    ``--n``, or carry a removed flag; ``dims`` and ``homogeneity`` also refuse a
+    domain flag that the domain does not read.
     """
     command = draw(st.sampled_from(["dims", "homogeneity", "classify", "bounds", "cone-info"]))
     argv = [command]
@@ -787,6 +791,96 @@ def test_generated_flags_end_cleanly(argv):
 ])
 def test_refused_arguments_are_one_error_line(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_a_cold_command_loads_neither_argparse_nor_gettext():
+    """``python -m siegelalg`` reads its flags from ``COMMANDS``: importing argparse, and the
+    gettext and locale it pulls in, would cost every cold command-line call a few ms."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = (
+        "import atexit, runpy, sys; before = set(sys.modules); atexit.register(lambda: print("
+        "sorted({'argparse', 'gettext'} & (set(sys.modules) - before)), file=sys.stderr)); "
+        "sys.argv = ['siegelalg', 'dims', '--domain', 'ball', '--n', '2']; "
+        "runpy.run_module('siegelalg', run_name='__main__', alter_sys=True)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stdout, out.stderr) == (0, B2_TABLE, "[]\n")
+
+
+T3_TABLE = "domain T3: n=3 k=3\ng_-1=3 g_-1/2=0 g_0=4 g_1/2=0 g_1=3 total=10 s=0\n"
+B2_TABLE = "domain B2: n=2 k=1\ng_-1=1 g_-1/2=2 g_0=2 g_1/2=2 g_1=1 total=8 s=1\n"
+OMEGA1_TABLE = ("cone omega1: k=2 dim g=2 isotropy bound=2\ninterior point: (1, 1)\n"
+                "annihilators: 2\ng_basis[0]: [1, 0; 0, 0]\ng_basis[1]: [0, 0; 0, 1]\n")
+COMMAND_CHOICES = "'cone-info', 'dims', 'homogeneity', 'bounds', 'classify', 'verify-paper'"
+D3_FLAGS = ["--beta", "1", "--gamma", "0", "--delta", "1"]
+
+# (argv, exit code, stdout, stderr), as the argparse-based parser gave them; a --help run
+# exits 0 and only the start of its usage line is compared, since argparse wrapped the rest
+# to the terminal's width
+ARGUMENT_PARITY = {
+    "missing_value": (["dims", "--domain"], 2, "",
+                      "error: argument --domain: expected one argument\n"),
+    "value_missing_before_a_flag": (["classify", "--n=3", "--n", "-1e3"], 2, "",
+                                    "error: argument --n: expected one argument\n"),
+    "ambiguous_prefix": (["dims", "--d", "ball"], 2, "",
+                         "error: ambiguous option: --d could match --domain, --delta\n"),
+    "abbreviation": (["dims", "--dom", "t3"], 0, T3_TABLE, ""),
+    "abbreviation_with_equals": (["dims", "--dom=t3", "--form", "table"], 0, T3_TABLE, ""),
+    "abbreviated_switch": (["cone-info", "--cone", "omega1", "--emit"], 0, OMEGA1_TABLE, ""),
+    "repeated_flag": (["dims", "--domain", "ball", "--n", "5", "--n", "2"], 0, B2_TABLE, ""),
+    "switch_with_value": (["dims", "--domain", "t3", "--emit-bases=1"], 2, "",
+                          "error: argument --emit-bases: ignored explicit argument '1'\n"),
+    "negative_fraction_as_next_token": (["dims", "--domain", "d3", "--alpha", "-1/2", *D3_FLAGS],
+                                        2, "", "error: argument --alpha: expected one argument\n"),
+    "negative_fraction_after_equals": (["dims", "--domain", "d3", "--alpha=-1/2", *D3_FLAGS],
+                                       2, "", "error: parameters must be nonnegative\n"),
+    "negative_int": (["bounds", "--n", "-1", "--k", "1", "--s", "0", "--dim-g-omega", "1"],
+                     2, "", "error: need 1 <= k <= n\n"),
+    "unknown_command": (["frobnicate"], 2, "",
+                        f"error: argument command: invalid choice: 'frobnicate' "
+                        f"(choose from {COMMAND_CHOICES})\n"),
+    "flag_before_command": (["--n", "3", "dims"], 2, "",
+                            f"error: argument command: invalid choice: '3' "
+                            f"(choose from {COMMAND_CHOICES})\n"),
+    "required_before_unrecognized": (["--foo", "classify"], 2, "",
+                                     "error: the following arguments are required: --n\n"),
+    "stray_positional": (["dims", "--domain", "t3", "stray"], 2, "",
+                         "error: unrecognized arguments: stray\n"),
+    "stray_negative_number": (["dims", "--domain", "t3", "-5"], 2, "",
+                              "error: unrecognized arguments: -5\n"),
+    "after_double_dash": (["dims", "--domain", "t3", "--", "x"], 2, "",
+                          "error: unrecognized arguments: -- x\n"),
+    "foreign_flag": (["verify-paper", "--domain", "t3"], 2, "",
+                     "error: unrecognized arguments: --domain t3\n"),
+    "help_given_a_value": (["dims", "--help=1"], 2, "",
+                           "error: argument -h/--help: ignored explicit argument '1'\n"),
+    "one_dash_help_run_on": (["-help"], 2, "",
+                             "error: argument -h/--help: ignored explicit argument 'elp'\n"),
+    "lone_double_dash": (["--"], 2, "", "error: the following arguments are required: command\n"),
+    "double_dash_as_command": (["--", "dims"], 2, "",
+                               f"error: argument command: invalid choice: '--' "
+                               f"(choose from {COMMAND_CHOICES})\n"),
+    "top_level_help": (["-h"], 0, "usage: siegelalg [-h]", ""),
+    "top_level_long_help": (["--help"], 0, "usage: siegelalg [-h]", ""),
+    "command_help": (["dims", "-h"], 0, "usage: siegelalg dims [-h]", ""),
+    "abbreviated_command_help": (["verify-paper", "--he"], 0, "usage: siegelalg verify-paper [-h]",
+                                 ""),
+}
+
+
+@pytest.mark.parametrize("name", list(ARGUMENT_PARITY))
+def test_arguments_are_read_as_argparse_read_them(capsys, name):
+    argv, code, out, err = ARGUMENT_PARITY[name]
+    if out.startswith("usage:"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.err) == (code, err)
+        assert captured.out.splitlines()[0].startswith(out)
+    else:
+        assert run_cli(capsys, *argv) == (code, out, err)
 
 
 HUGE = "99999999999999999999"  # more than sys.maxsize, the largest size the library reads
@@ -856,3 +950,24 @@ def test_spec_and_domain_together_are_one_error_line(capsys, tmp_path, command, 
     assert run_cli(capsys, command, "--spec", missing, *domain) == both
     assert run_cli(capsys, command, *spec)[0] in (0, 1)
     assert run_cli(capsys, command, *domain)[0] == 0
+
+
+@pytest.mark.parametrize("command", ["dims", "homogeneity"])
+@pytest.mark.parametrize("argv, message", [
+    (["--domain", "t3", "--n", "5"], "t3 takes no --n"),
+    (["--domain", "ball", "--n", "2", "--v", "1,1,0", "--cone", "omega3"],
+     "ball takes no --v, --cone"),
+    (["--domain", "d6", "--v", "1,1,0", "--alpha", "1"], "d6 takes no --alpha"),
+    (["--domain", "tube", "--cone", "omega3", "--factors", "2,1"], "tube takes no --factors"),
+])
+def test_a_domain_flag_the_domain_does_not_read_is_refused(capsys, command, argv, message):
+    assert run_cli(capsys, command, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["dims", "homogeneity"])
+@pytest.mark.parametrize("flag", ["--n", "--factors", "--v", "--alpha", "--beta", "--gamma",
+                                  "--delta", "--cone"])
+def test_a_domain_flag_with_spec_is_refused(capsys, tmp_path, command, flag):
+    spec = ["--spec", _spec_file(tmp_path, _quadrant_doc(_I2))]
+    assert run_cli(capsys, command, *spec, flag, "7") == (2, "", f"error: --spec takes no {flag}\n")
+    assert run_cli(capsys, command, *spec)[0] in (0, 1)

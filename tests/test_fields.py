@@ -21,7 +21,7 @@ from siegelalg.fields import (
     euler_field,
     materialize,
 )
-from siegelalg.graded import SiegelDomainSpec, solve_all
+from siegelalg.graded import GradedSolutions, SiegelDomainSpec, SparseArray, solve_all
 from siegelalg.hermitian import HermitianFamily
 from siegelalg.linalg import GR_I, GR_ZERO, GaussianRational, gr
 from siegelalg.poly import Polynomial
@@ -87,6 +87,26 @@ class TestMaterialize:
             assert per_grade.get(Fraction(0), 0) == sols.dims.d_0
             assert per_grade.get(Fraction(1, 2), 0) == sols.dims.d_half
             assert per_grade.get(Fraction(1), 0) == sols.dims.d_1
+
+    @pytest.mark.parametrize("part, array", [
+        (0, SparseArray((1, 1), Fraction(0), {1: Fraction(1)})),
+        (1, SparseArray((2, 2), GR_ZERO, {-1: GR_I})),
+        (1, SparseArray((4,), GR_ZERO, {})),
+        (0, None),
+    ], ids=["A-entry-past-the-end", "B-negative-index", "B-wrong-shape", "not-an-array"])
+    def test_refuses_an_array_off_its_part(self, part, array):
+        """An element array of the wrong shape or with an entry index outside it is refused;
+        ``indexed()`` would have wrapped the index into the shape."""
+        spec = ball(3)
+        sols = solve_all(spec)
+        element = list(sols.g0[0])
+        element[part] = array
+        bad = GradedSolutions(((*element,), *sols.g0[1:]), sols.s, sols.g_half, sols.g_one,
+                              sols.dims)
+        with pytest.raises(ValidationError) as exc:
+            materialize(spec, bad)
+        assert str(exc.value) == ("g0 must hold pairs of SparseArrays of shapes (1, 1) and (2, 2), "
+                                  "with every entry inside its shape")
 
     def test_ball_translation(self):
         spec = ball(2)

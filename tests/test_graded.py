@@ -915,6 +915,14 @@ def test_a_part_basis_refuses_a_parts_that_are_not_square_of_one_size(g0, messag
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("index", [7, 4, -1, "0"])
+def test_a_part_basis_refuses_an_entry_outside_the_shape(index):
+    """An entry index outside ``range(k * k)`` is refused, not wrapped or dropped."""
+    with pytest.raises(ValidationError) as exc:
+        a_part_basis([_a_part((2, 2), {0: Fraction(1)}), _a_part((2, 2), {index: Fraction(1)})])
+    assert str(exc.value) == "an A-part has an entry outside its shape"
+
+
 def test_spec_refuses_a_family_of_the_wrong_shape():
     with pytest.raises(ValidationError) as exc:
         SiegelDomainSpec(3, 1, half_line(), HermitianFamily([((1,),)]))

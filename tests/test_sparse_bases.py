@@ -56,7 +56,7 @@ def _flags(name, spec_dir):
 
 def _spec(name, spec_dir):
     if name in CATALOG:
-        spec, _ = cli._load_spec(cli.build_parser().parse_args(["dims", *CATALOG[name]]))
+        spec, _ = cli._load_spec(cli.parse_args(["dims", *CATALOG[name]]))
         return spec
     spec, _ = load_domain_spec(json.loads((spec_dir / name).read_text(encoding="utf-8")))
     return spec
